@@ -7,7 +7,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .errors import ConfigError, DeltaConstraintError, MissingVertex
+from .errors import ConfigError, DegenerateParams, DeltaConstraintError, MissingVertex, OutOfRegime
 from .harness import SUITES, SuiteConfig, run, write_csv
 
 
@@ -66,8 +66,6 @@ def _apply_overrides(config: SuiteConfig, args: argparse.Namespace) -> SuiteConf
 def _surface_kernel_command(args: argparse.Namespace) -> int:
     from .qsurface import canonical_lattice_coeffs, surface_from_dict, surface_kernel
 
-    from .errors import DegenerateParams
-
     try:
         with open(args.surface, encoding="utf-8") as fh:
             surface = surface_from_dict(json.load(fh))
@@ -100,7 +98,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    report = run(config)
+    try:
+        report = run(config)
+    except (DegenerateParams, OutOfRegime) as exc:
+        # the points besides (3, 2, 1) come from the explicit triples or the sampling range
+        print(f"config error: parameter point not admissible: {exc}", file=sys.stderr)
+        return 2
     if not args.quiet:
         for rec in report.records:
             status = "PASS" if rec.passed else "FAIL"

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -25,10 +26,12 @@ from .errors import ConfigError, DeltaConstraintError
 from .oscgauss import compare
 from .params import (
     LatticeParams,
+    bar_matrix,
     check_sij_identity,
     check_stt_identity,
     derive,
     edge_params,
+    hat_matrix,
     mu_identity_residual,
     printed_constant_residuals,
 )
@@ -120,11 +123,7 @@ class SuiteConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "SuiteConfig":
-        known = {
-            "seed", "trials", "params", "range_low", "range_high",
-            "hbar", "tolerances", "suites",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(SuiteConfig)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         data = dict(data)
@@ -213,410 +212,332 @@ def sample_triples(
     return out
 
 
-def _work_points(config: SuiteConfig, rng: np.random.Generator, extra: int = 4):
-    """Canonical (3,2,1), any explicit triples, plus a few sampled ones."""
+def _work_points(config: SuiteConfig, rng: np.random.Generator):
+    """Canonical (3,2,1), any explicit triples, plus four sampled ones."""
     triples = [(3.0, 2.0, 1.0), *config.params]
-    triples += sample_triples(rng, extra, config.range_low, config.range_high)
+    triples += sample_triples(rng, 4, config.range_low, config.range_high)
     return [derive(LatticeParams(p, q, r, config.hbar)) for p, q, r in triples]
 
 
-def _check(name, ref, residual, tol) -> CheckRecord:
-    return CheckRecord(name, ref, float(residual), tol, bool(residual <= tol))
+class _Residuals:
+    """One suite's residuals by key, turned into records in call order.
 
+    A check records the largest residual of its key, a probe the median or
+    the minimum; a key with none records 0.0.  A non-finite residual always
+    wins, so a NaN fails its record instead of vanishing in max, min or median.
+    """
 
-def _probe(name, ref, residual, floor) -> CheckRecord:
-    return CheckRecord(name, ref, float(residual), floor, bool(residual > floor), kind="probe")
+    def __init__(self, config: SuiteConfig):
+        self.config = config
+        self.records: list[CheckRecord] = []
+        self._by_key: dict[str, list[float]] = {}
 
+    def add(self, key: str, *residuals: float) -> None:
+        self._by_key.setdefault(key, []).extend(residuals)
 
-def _report(name, ref, residual) -> CheckRecord:
-    return CheckRecord(name, ref, float(residual), None, True, kind="report")
+    def _value(self, residual: str | float, stat) -> float:
+        if not isinstance(residual, str):
+            return float(residual)
+        values = self._by_key.get(residual, [])
+        for v in values:
+            if not math.isfinite(v):
+                return float(v)
+        return float(stat(values)) if values else 0.0
+
+    def _tol(self, tol: str | float) -> float:
+        return self.config.tol(tol) if isinstance(tol, str) else tol
+
+    def check(self, name: str, ref: str, residual: str | float, tol: str | float) -> None:
+        value, tol = self._value(residual, lambda values: max(0.0, *values)), self._tol(tol)
+        self.records.append(CheckRecord(name, ref, value, tol, bool(value <= tol)))
+
+    def probe(self, name: str, ref: str, residual: str | float, floor: str | float, stat=np.median) -> None:
+        value, floor = self._value(residual, stat), self._tol(floor)
+        self.records.append(CheckRecord(name, ref, value, floor, bool(value > floor), kind="probe"))
+
+    def report(self, name: str, ref: str, residual: float) -> None:
+        self.records.append(CheckRecord(name, ref, float(residual), None, True, kind="report"))
 
 
 # -- Suites ---------------------------------------------------------------------
 
 def run_params_suite(config: SuiteConfig):
     rng = _rng(config, "params")
-    records = []
+    res = _Residuals(config)
     rows = []
-    worst_stt = 0.0
-    worst_sij = 0.0
     for p, q, r in sample_triples(rng, config.trials, config.range_low, config.range_high):
         stt = check_stt_identity(LatticeParams(p, q, r))
         sij = check_sij_identity(p, q, r)
-        worst_stt = max(worst_stt, stt)
-        worst_sij = max(worst_sij, sij)
+        res.add("stt", stt)
+        res.add("sij", sij)
         d = derive(LatticeParams(p, q, r, config.hbar))
-        rows.extend(_sweep_rows(d, "stt-identity", stt))
-        rows.extend(_sweep_rows(d, "edge-identity", sij))
-    records.append(_check("stt-identity-sweep", "stt-identity", worst_stt, config.tol("stt")))
-    records.append(_check("sij-identity-sweep", "edge-identity", worst_sij, config.tol("sij")))
+        row = {
+            "p": d.p, "q": d.q, "r": d.r, "s": d.s, "t": d.t, "tprime": d.tprime,
+            "b": d.b, "a": d.a, "P": d.P,
+            "mu": "" if d.mu is None else d.mu,
+            "nu": "" if d.nu is None else d.nu,
+        }
+        rows.append({**row, "residual_name": "stt-identity", "residual": stt})
+        rows.append({**row, "residual_name": "edge-identity", "residual": sij})
+    res.check("stt-identity-sweep", "stt-identity", "stt", "stt")
+    res.check("sij-identity-sweep", "edge-identity", "sij", "sij")
 
-    canonical = LatticeParams(3.0, 2.0, 1.0)
-    s, t, tp = derive(canonical).s, derive(canonical).t, derive(canonical).tprime
-    records.append(_check(
-        "stt-identity-321", "stt-identity",
-        abs(s * t * tp - 1.0 / 30.0) + abs((s - t + tp) - 1.0 / 30.0), config.tol("stt"),
-    ))
+    d = derive(LatticeParams(3.0, 2.0, 1.0))
+    stt = abs(d.s * d.t * d.tprime - 1.0 / 30.0) + abs((d.s - d.t + d.tprime) - 1.0 / 30.0)
+    res.check("stt-identity-321", "stt-identity", stt, "stt")
     ep = edge_params(3.0, 2.0, 1.0)
     exact = abs(ep.s[(1, 2)] - 5.0) + abs(ep.s[(2, 3)] - 3.0) + abs(ep.s[(3, 1)] + 2.0)
-    records.append(_check("sij-values-321", "edge-identity", exact, 0.0))
+    res.check("sij-values-321", "edge-identity", exact, 0.0)
 
-    worst_mu = 0.0
     for d in _work_points(config, rng):
         if not d.hyperbolic:
-            worst_mu = max(worst_mu, mu_identity_residual(d))
-        for name, res in printed_constant_residuals(d).items():
-            records.append(_report(f"printed-{name}-p{d.p:g}q{d.q:g}r{d.r:g}", "printed-constants", res))
-    records.append(_check("sin-mu-identity", "combined-parameters", worst_mu, config.tol("mu_identity")))
-    return records, rows
+            res.add("mu", mu_identity_residual(d))
+        for name, value in printed_constant_residuals(d).items():
+            res.report(f"printed-{name}-p{d.p:g}q{d.q:g}r{d.r:g}", "printed-constants", value)
+    res.check("sin-mu-identity", "combined-parameters", "mu", "mu_identity")
+    return res.records, rows
 
 
-def _sweep_rows(d, name: str, residual: float) -> list[dict]:
-    return [{
-        "p": d.p, "q": d.q, "r": d.r, "s": d.s, "t": d.t, "tprime": d.tprime,
-        "b": d.b, "a": d.a, "P": d.P,
-        "mu": "" if d.mu is None else d.mu,
-        "nu": "" if d.nu is None else d.nu,
-        "residual_name": name, "residual": residual,
-    }]
-
-
-def run_lattice_suite(config: SuiteConfig):
+def run_lattice_suite(config: SuiteConfig) -> list[CheckRecord]:
     rng = _rng(config, "lattice")
-    records = []
-    n = min(config.trials, 1000)
-    worst_mdc = 0.0
-    worst_closure = 0.0
-    offshell = []
+    res = _Residuals(config)
     points = _work_points(config, rng)
-    for k in range(n):
+    for k in range(min(config.trials, 1000)):
         d = points[k % len(points)]
         u, u1, u2, u3 = rng.normal(size=4)
-        worst_mdc = max(worst_mdc, lattice.mdc_spread(u, u1, u2, u3, d.p, d.q, d.r))
+        res.add("mdc", lattice.mdc_spread(u, u1, u2, u3, d.p, d.q, d.r))
         cube = lattice.complete_cube(u, u1, u2, u3, d.p, d.q, d.r)
-        worst_closure = max(worst_closure, lattice.closure_residual(cube, d.p, d.q, d.r))
+        res.add("closure", lattice.closure_residual(cube, d.p, d.q, d.r))
         bumped = replace(cube, u12=cube.u12 + 0.1)
-        offshell.append(lattice.closure_residual(bumped, d.p, d.q, d.r))
-    records.append(_check("cube-consistency-spread", "cube-consistency", worst_mdc, config.tol("mdc")))
-    records.append(_check("closure-on-shell", "2form-closure", worst_closure, config.tol("closure_onshell")))
-    records.append(_probe(
-        "closure-off-shell-median", "2form-closure",
-        float(np.median(offshell)), config.tol("closure_offshell_min"),
-    ))
+        res.add("offshell", lattice.closure_residual(bumped, d.p, d.q, d.r))
+    res.check("cube-consistency-spread", "cube-consistency", "mdc", "mdc")
+    res.check("closure-on-shell", "2form-closure", "closure", "closure_onshell")
+    res.probe("closure-off-shell-median", "2form-closure", "offshell", "closure_offshell_min")
 
     d = points[0]
     u, u1, u2 = rng.normal(size=3)
     u12 = lattice.quad_solve(u, u1, u2, d.p, d.q)
-    records.append(_check(
-        "corner-el-on-shell", "corner-el",
-        lattice.el_corner_residual(u, u1, u2, u12, d.p, d.q), 1e-12,
-    ))
+    res.check("corner-el-on-shell", "corner-el", lattice.el_corner_residual(u, u1, u2, u12, d.p, d.q), 1e-12)
     good = lattice.classify_general_quad_lagrangian(
         lattice.canonical_quad_coeffs(d.p, d.q, d.r, a=(0.3, -0.7, 0.2)), seed=config.seed
     )
-    records.append(_check(
-        "general-quad-canonical", "2form-closure",
-        0.0 if (good["symmetric_quad"] and good["closure_ok"]) else 1.0, 0.0,
-    ))
-    return records, []
+    closes = good["symmetric_quad"] and good["closure_ok"]
+    res.check("general-quad-canonical", "2form-closure", 0.0 if closes else 1.0, 0.0)
+    return res.records
 
 
-def run_reduction_suite(config: SuiteConfig):
+def run_reduction_suite(config: SuiteConfig) -> list[CheckRecord]:
     rng = _rng(config, "reduction")
-    records = []
-    points = _work_points(config, rng)
-    worst = {
-        "det": 0.0, "comm": 0.0, "corner": 0.0, "orbit": 0.0, "mom": 0.0,
-        "common": 0.0, "box": 0.0, "grid": 0.0, "flow": 0.0, "flow_fd": 0.0,
-        "multi": 0.0,
-    }
-    box_perturbed = []
-    for d in points:
-        from .params import bar_matrix, hat_matrix
-
+    res = _Residuals(config)
+    for d in _work_points(config, rng):
         S = hat_matrix(d.s)
         T = bar_matrix(d.t, d.tprime)
-        worst["det"] = max(
-            worst["det"],
-            abs(np.linalg.det(S) - 1.0),
-            abs(np.linalg.det(T) - 1.0),
-        )
-        worst["comm"] = max(worst["comm"], reduction.commutator_residual(d))
+        res.add("det", abs(np.linalg.det(S) - 1.0), abs(np.linalg.det(T) - 1.0))
+        res.add("comm", reduction.commutator_residual(d))
         z = rng.normal(size=2)
         xh = (S @ z)[0]
         xb = (T @ z)[0]
         xhb = (T @ S @ z)[0]
-        worst["corner"] = max(worst["corner"], *reduction.corner_residuals(z[0], xh, xb, xhb, d))
-        worst["mom"] = max(
-            worst["mom"],
-            abs(reduction.momentum_hat(z[0], xh, d) - reduction.momentum_bar(z[0], xb, d)),
-        )
+        res.add("corner", *reduction.corner_residuals(z[0], xh, xb, xhb, d))
+        res.add("mom", abs(reduction.momentum_hat(z[0], xh, d) - reduction.momentum_bar(z[0], xb, d)))
         orb = reduction.orbit(S, z, 100)
-        vals = [reduction.invariant_eval(orb[k, 0], orb[k + 1, 0], d.b) for k in range(100)]
-        worst["orbit"] = max(worst["orbit"], max(abs(v - vals[0]) for v in vals))
-        orb_b = reduction.orbit(T, z, 100)
-        vals_b = [reduction.invariant_eval(orb_b[k, 0], orb_b[k + 1, 0], d.a) for k in range(100)]
-        worst["orbit"] = max(worst["orbit"], max(abs(v - vals_b[0]) for v in vals_b))
+        for x, coeff in ((orb[:, 0], d.b), (reduction.orbit(T, z, 100)[:, 0], d.a)):
+            vals = [reduction.invariant_eval(x[k], x[k + 1], coeff) for k in range(100)]
+            res.add("orbit", *(abs(v - vals[0]) for v in vals))
         const = reduction.match_invariant_constant([(orb[0, 0], orb[1, 0])], d)
         for k in (7, 23, 61):
             lhs = reduction.invariant_eval(orb[k, 0], orb[k + 1, 0], d.b)
             X = reduction.momentum_hat(orb[k, 0], orb[k + 1, 0], d)
-            rhs = const * reduction.invariant_common(orb[k, 0], X, d.P)
-            worst["common"] = max(worst["common"], abs(lhs - rhs))
-        worst["box"] = max(worst["box"], reduction.oneform_closure_residual(z, d))
+            res.add("common", abs(lhs - const * reduction.invariant_common(orb[k, 0], X, d.P)))
+        res.add("box", reduction.oneform_closure_residual(z, d))
         co = reduction.closure_coeffs(d)
-        box_perturbed.append(reduction.oneform_closure_residual(z, d, replace(co, a0=co.a0 + 1e-2)))
+        res.add("box_perturbed", reduction.oneform_closure_residual(z, d, replace(co, a0=co.a0 + 1e-2)))
         if not d.hyperbolic:
-            grid = reduction.solution_residuals(d, float(rng.normal()), float(rng.normal()))
-            worst["grid"] = max(worst["grid"], *grid.values())
-            worst["flow"] = max(worst["flow"], *reduction.continuous_flow_residual(d.b, 3, 1.0, 0.5))
-            worst["flow"] = max(worst["flow"], *reduction.continuous_flow_residual(d.a, 2, -0.3, 1.1))
-            worst["flow_fd"] = max(worst["flow_fd"], reduction.continuous_flow_fd_error(d.b, 3, 1.0, 0.5))
-            worst["multi"] = max(
-                worst["multi"], *reduction.continuous_multiform_residual(d.a, d.b, 2, 3, 0.8, -0.4)
-            )
-    records.append(_check("map-determinants", "map-determinant", worst["det"], config.tol("det_unit")))
-    records.append(_check("map-commutator", "map-commutator", worst["comm"], config.tol("commutator")))
-    records.append(_check("corner-equations", "corner-equations", worst["corner"], config.tol("corner")))
-    records.append(_check("orbit-invariants-100", "two-point-invariant", worst["orbit"], config.tol("orbit_invariant")))
-    records.append(_check("momenta-match", "momentum-match", worst["mom"], config.tol("momenta_match")))
-    records.append(_check("common-invariant", "common-invariant", worst["common"], config.tol("invariant_common")))
-    records.append(_check("oneform-closure", "1form-closure", worst["box"], config.tol("oneform_onshell")))
-    records.append(_probe(
-        "oneform-perturbed-median", "1form-closure",
-        float(np.median(box_perturbed)), config.tol("oneform_perturbed_min"),
-    ))
-    records.append(_check("joint-solution-grid", "explicit-solution", worst["grid"], config.tol("solution_grid")))
-    records.append(_check("parameter-flows", "parameter-flow", worst["flow"], config.tol("contflow")))
-    records.append(_check("parameter-flow-fd", "parameter-flow", worst["flow_fd"], config.tol("contflow_fd")))
-    records.append(_check("continuous-multiform", "multiform-compat", worst["multi"], config.tol("multiform")))
-    return records, []
+            res.add("grid", *reduction.solution_residuals(d, float(rng.normal()), float(rng.normal())).values())
+            res.add("flow", *reduction.continuous_flow_residual(d.b, 3, 1.0, 0.5))
+            res.add("flow", *reduction.continuous_flow_residual(d.a, 2, -0.3, 1.1))
+            res.add("flow_fd", reduction.continuous_flow_fd_error(d.b, 3, 1.0, 0.5))
+            res.add("multi", *reduction.continuous_multiform_residual(d.a, d.b, 2, 3, 0.8, -0.4))
+    res.check("map-determinants", "map-determinant", "det", "det_unit")
+    res.check("map-commutator", "map-commutator", "comm", "commutator")
+    res.check("corner-equations", "corner-equations", "corner", "corner")
+    res.check("orbit-invariants-100", "two-point-invariant", "orbit", "orbit_invariant")
+    res.check("momenta-match", "momentum-match", "mom", "momenta_match")
+    res.check("common-invariant", "common-invariant", "common", "invariant_common")
+    res.check("oneform-closure", "1form-closure", "box", "oneform_onshell")
+    res.probe("oneform-perturbed-median", "1form-closure", "box_perturbed", "oneform_perturbed_min")
+    res.check("joint-solution-grid", "explicit-solution", "grid", "solution_grid")
+    res.check("parameter-flows", "parameter-flow", "flow", "contflow")
+    res.check("parameter-flow-fd", "parameter-flow", "flow_fd", "contflow_fd")
+    res.check("continuous-multiform", "multiform-compat", "multi", "multiform")
+    return res.records
 
 
-def run_p3_suite(config: SuiteConfig):
+def run_p3_suite(config: SuiteConfig) -> list[CheckRecord]:
     rng = _rng(config, "p3")
-    records = []
-    points = _work_points(config, rng)
-    worst = {"det": 0.0, "comm": 0.0, "orbit": 0.0, "joint": 0.0, "eqn": 0.0}
-    bracket = 0.0
-    perturbed = []
-    for d in points:
+    res = _Residuals(config)
+    for d in _work_points(config, rng):
         H = p3.p3_hat_matrix(d.s)
         B = p3.p3_bar_matrix(d.t, d.tprime)
-        worst["det"] = max(worst["det"], abs(np.linalg.det(H) - 1.0), abs(np.linalg.det(B) - 1.0))
-        worst["comm"] = max(worst["comm"], p3.p3_commutator_residual(d))
-        bracket = max(
-            bracket,
-            p3.poisson_bracket(
-                p3.QuadraticObservable.invariant_one(), p3.QuadraticObservable.invariant_two(d.s)
-            ),
-        )
+        res.add("det", abs(np.linalg.det(H) - 1.0), abs(np.linalg.det(B) - 1.0))
+        res.add("comm", p3.p3_commutator_residual(d))
+        one, two = p3.QuadraticObservable.invariant_one(), p3.QuadraticObservable.invariant_two(d.s)
+        res.add("bracket", p3.poisson_bracket(one, two))
         z = rng.normal(size=4)
         i0 = p3.p3_invariants(z, d.s)
-        zh, zb = z.copy(), z.copy()
-        states_h = [z]
-        states_b = [z]
-        for _ in range(100):
-            zh = H @ zh
-            zb = B @ zb
-            states_h.append(zh)
-            states_b.append(zb)
-        for zz in (states_h[-1], states_b[-1]):
+        orb_h = reduction.orbit(H, z, 100)
+        orb_b = reduction.orbit(B, z, 100)
+        for zz in (orb_h[-1], orb_b[-1]):
             ii = p3.p3_invariants(zz, d.s)
-            worst["orbit"] = max(worst["orbit"], abs(ii[0] - i0[0]), abs(ii[1] - i0[1]))
+            res.add("orbit", abs(ii[0] - i0[0]), abs(ii[1] - i0[1]))
         for k in range(1, 99):
-            worst["eqn"] = max(
-                worst["eqn"],
-                p3.p3_hat_equation_residual(states_h[k - 1][:2], states_h[k][:2], states_h[k + 1][:2], d.s),
-                p3.p3_bar_equation_residual(states_b[k - 1][:2], states_b[k][:2], states_b[k + 1][:2], d.t, d.tprime),
-            )
+            hat = p3.p3_hat_equation_residual(*orb_h[k - 1:k + 2, :2], d.s)
+            res.add("eqn", hat, p3.p3_bar_equation_residual(*orb_b[k - 1:k + 2, :2], d.t, d.tprime))
         amps = tuple(rng.normal(size=4))
-        worst["joint"] = max(worst["joint"], p3.p3_joint_solution_residual(d, amps))
-        perturbed.append(p3.p3_joint_solution_residual(d, (1.0, 0.2, -0.4, 0.7), nu_shift=(1e-3, 0.0)))
-        for name, res in p3.printed_angle_residuals(d).items():
-            records.append(_report(f"p3-{name}-p{d.p:g}q{d.q:g}r{d.r:g}", "p3-angles", res))
-    records.append(_check("p3-determinants", "map-determinant", worst["det"], config.tol("det_unit")))
-    records.append(_check("p3-commutator", "p3-commutator", worst["comm"], config.tol("p3_commutator")))
-    records.append(_check("p3-involution", "p3-involution", bracket, config.tol("p3_bracket")))
-    records.append(_check("p3-orbit-invariants", "p3-orbit", worst["orbit"], config.tol("p3_orbit_invariant")))
-    records.append(_check("p3-second-order-orbits", "p3-evolution", worst["eqn"], config.tol("orbit_invariant")))
-    records.append(_check("p3-joint-solution", "p3-joint-solution", worst["joint"], config.tol("p3_joint")))
-    records.append(_probe(
-        "p3-joint-perturbed-median", "p3-joint-solution",
-        float(np.median(perturbed)), config.tol("p3_joint_perturbed_min"),
-    ))
-    return records, []
+        res.add("joint", p3.p3_joint_solution_residual(d, amps))
+        res.add("joint_perturbed", p3.p3_joint_solution_residual(d, (1.0, 0.2, -0.4, 0.7), nu_shift=(1e-3, 0.0)))
+        for name, value in p3.printed_angle_residuals(d).items():
+            res.report(f"p3-{name}-p{d.p:g}q{d.q:g}r{d.r:g}", "p3-angles", value)
+    res.check("p3-determinants", "map-determinant", "det", "det_unit")
+    res.check("p3-commutator", "p3-commutator", "comm", "p3_commutator")
+    res.check("p3-involution", "p3-involution", "bracket", "p3_bracket")
+    res.check("p3-orbit-invariants", "p3-orbit", "orbit", "p3_orbit_invariant")
+    res.check("p3-second-order-orbits", "p3-evolution", "eqn", "orbit_invariant")
+    res.check("p3-joint-solution", "p3-joint-solution", "joint", "p3_joint")
+    res.probe("p3-joint-perturbed-median", "p3-joint-solution", "joint_perturbed", "p3_joint_perturbed_min")
+    return res.records
 
 
-def run_prop1d_suite(config: SuiteConfig):
+def run_prop1d_suite(config: SuiteConfig) -> list[CheckRecord]:
     rng = _rng(config, "prop1d")
-    records = []
+    res = _Residuals(config)
     points = [d for d in _work_points(config, rng) if not d.hyperbolic]
-    worst = {"tri": 0.0, "nstep": 0.0, "ub": 0.0, "qinv": 0.0, "path": 0.0, "amp": 0.0, "corner": 0.0}
     for d in points:
         for n in range(2, 21):
             rec = qprop1d.tridiagonal_det(n, d)
             cf = qprop1d.tridiagonal_det_closed_form(n, d)
-            worst["tri"] = max(worst["tri"], abs(rec - cf) / abs(cf))
+            res.add("tri", abs(rec - cf) / abs(cf))
         for n in (1, 2, 5, 12, 20):
             diff = compare(qprop1d.n_step_kernel(n, d), qprop1d.n_step_closed_form(n, d))
-            worst["nstep"] = max(worst["nstep"], diff.exponent_diff)
-            worst["amp"] = max(worst["amp"], diff.amp_ratio_error)
+            res.add("nstep", diff.exponent_diff)
+            res.add("amp", diff.amp_ratio_error)
         for direction in ("hat", "bar"):
             diff = compare(
                 qprop1d.momentum_factorized_kernel(d, direction),
                 qprop1d.one_step_kernel(direction, d),
             )
-            worst["ub"] = max(worst["ub"], diff.exponent_diff, diff.amp_ratio_error)
+            res.add("ub", diff.exponent_diff, diff.amp_ratio_error)
             for n in range(1, 11):
-                worst["qinv"] = max(
-                    worst["qinv"],
-                    qprop1d.invariant_kernel_residual(n, d, direction, relative=True),
-                )
+                res.add("qinv", qprop1d.invariant_kernel_residual(n, d, direction, relative=True))
         swap = compare(
             qprop1d.path_kernel(qprop1d.TimePath(("+hat", "+bar")), d),
             qprop1d.path_kernel(qprop1d.TimePath(("+bar", "+hat")), d),
         )
-        worst["corner"] = max(worst["corner"], swap.exponent_diff)
-        worst["amp"] = max(worst["amp"], swap.amp_ratio_error)
         square = compare(
             qprop1d.path_kernel(qprop1d.TimePath(("+bar", "+hat", "-bar")), d),
             qprop1d.one_step_kernel("hat", d),
         )
-        worst["corner"] = max(worst["corner"], square.exponent_diff)
-        worst["amp"] = max(worst["amp"], square.amp_ratio_error)
         base = qprop1d.TimePath(("+hat", "+hat"))
         looped = compare(qprop1d.path_kernel(base.with_loop(1), d), qprop1d.path_kernel(base, d))
-        worst["corner"] = max(worst["corner"], looped.exponent_diff)
-        worst["amp"] = max(worst["amp"], looped.amp_ratio_error)
+        for diff in (swap, square, looped):
+            res.add("corner", diff.exponent_diff)
+            res.add("amp", diff.amp_ratio_error)
     # random path sweep at the canonical point
     d = points[0]
     n_paths = max(10, min(config.trials, 50))
     for endpoint in ((3, 2), (2, 3)):
         target = qprop1d.multi_time_closed_form(*endpoint, d)
         for _ in range(n_paths):
-            path = qprop1d.random_path(rng, *endpoint)
-            diff = compare(qprop1d.path_kernel(path, d), target)
-            worst["path"] = max(worst["path"], diff.exponent_diff)
-            worst["amp"] = max(worst["amp"], diff.amp_ratio_error)
-    records.append(_check("tridiagonal-recursion", "fluctuation-determinant", worst["tri"], config.tol("tridiag_rel")))
+            diff = compare(qprop1d.path_kernel(qprop1d.random_path(rng, *endpoint), d), target)
+            res.add("path", diff.exponent_diff)
+            res.add("amp", diff.amp_ratio_error)
+    res.check("tridiagonal-recursion", "fluctuation-determinant", "tri", "tridiag_rel")
     tri2 = qprop1d.tridiagonal_det(2, derive(LatticeParams(3, 2, 1, config.hbar)))
-    records.append(_check("tridiagonal-n2-value", "fluctuation-determinant", abs(tri2 + 8.5j), 1e-12))
-    records.append(_check("n-step-vs-closed-form", "n-step-closed-form", worst["nstep"], config.tol("nstep_exponent")))
-    records.append(_check("factorized-step", "factorized-step", worst["ub"], config.tol("ub_exponent")))
-    records.append(_check("corner-square-loop", "path-independence", worst["corner"], config.tol("corner_swap")))
-    records.append(_check("random-paths", "multi-time", worst["path"], config.tol("path_exponent")))
-    records.append(_check("amplitude-ratios", "path-independence", worst["amp"], config.tol("amp_ratio")))
-    records.append(_check("operator-invariant", "operator-invariant", worst["qinv"], config.tol("qinvariant")))
-    return records, []
+    res.check("tridiagonal-n2-value", "fluctuation-determinant", abs(tri2 + 8.5j), 1e-12)
+    res.check("n-step-vs-closed-form", "n-step-closed-form", "nstep", "nstep_exponent")
+    res.check("factorized-step", "factorized-step", "ub", "ub_exponent")
+    res.check("corner-square-loop", "path-independence", "corner", "corner_swap")
+    res.check("random-paths", "multi-time", "path", "path_exponent")
+    res.check("amplitude-ratios", "path-independence", "amp", "amp_ratio")
+    res.check("operator-invariant", "operator-invariant", "qinv", "qinvariant")
+    return res.records
 
 
-def run_uniqueness1d_suite(config: SuiteConfig):
+def run_uniqueness1d_suite(config: SuiteConfig) -> list[CheckRecord]:
     rng = _rng(config, "uniqueness1d")
-    records = []
-    points = [d for d in _work_points(config, rng) if not d.hyperbolic]
-    worst_pass = 0.0
-    perturbed = {"alpha": [], "beta": [], "a0": [], "b0": []}
-    for d in points:
+    res = _Residuals(config)
+    perturbed = ("alpha", "beta", "a0", "b0")
+    for d in _work_points(config, rng):
+        if d.hyperbolic:
+            continue
         co = qprop1d.path_independent_coeffs(d.a, d.b, gamma=1.0)
-        res = qprop1d.uniqueness_scan_1form(d.a, d.b, co, hbar=config.hbar)
-        worst_pass = max(worst_pass, res["mismatch"])
         co_f = qprop1d.path_independent_coeffs(d.a, d.b, gamma=0.8, f=0.31)
-        worst_pass = max(
-            worst_pass, qprop1d.uniqueness_scan_1form(d.a, d.b, co_f, hbar=config.hbar)["mismatch"]
-        )
+        for coeffs in (co, co_f):
+            res.add("pass", qprop1d.uniqueness_scan_1form(d.a, d.b, coeffs, hbar=config.hbar)["mismatch"])
         for name in perturbed:
             bumped = replace(co, **{name: getattr(co, name) + 1e-3})
-            perturbed[name].append(
-                qprop1d.uniqueness_scan_1form(d.a, d.b, bumped, hbar=config.hbar)["mismatch"]
-            )
-    records.append(_check("closure-coeffs-pass", "1form-uniqueness", worst_pass, config.tol("uniq1d_pass")))
-    for name, vals in perturbed.items():
-        records.append(_probe(
-            f"perturbed-{name}", "1form-uniqueness",
-            min(vals), config.tol("uniq1d_perturbed_min"),
-        ))
-    return records, []
+            res.add(name, qprop1d.uniqueness_scan_1form(d.a, d.b, bumped, hbar=config.hbar)["mismatch"])
+    res.check("closure-coeffs-pass", "1form-uniqueness", "pass", "uniq1d_pass")
+    for name in perturbed:
+        res.probe(f"perturbed-{name}", "1form-uniqueness", name, "uniq1d_perturbed_min", stat=min)
+    return res.records
 
 
-def run_surface_suite(config: SuiteConfig):
+def run_surface_suite(config: SuiteConfig) -> list[CheckRecord]:
     rng = _rng(config, "surface")
-    records = []
+    res = _Residuals(config)
     points = _work_points(config, rng)
-    worst_pop = 0.0
-    worst_move = 0.0
     for d in points:
         co = qsurface.canonical_lattice_coeffs(d.p, d.q, d.r)
         flat = qsurface.flat_patch(1, 1)
-        popped = qsurface.pop_up(flat, 0)
         diff = compare(
-            qsurface.surface_kernel(popped, co, hbar=config.hbar),
+            qsurface.surface_kernel(qsurface.pop_up(flat, 0), co, hbar=config.hbar),
             qsurface.surface_kernel(flat, co, hbar=config.hbar),
         )
-        worst_pop = max(worst_pop, diff.exponent_diff)
+        res.add("pop", diff.exponent_diff)
         for move in "abc":
-            worst_move = max(
-                worst_move, qsurface.elementary_move_check(move, co, hbar=config.hbar).exponent_diff
-            )
+            res.add("move", qsurface.elementary_move_check(move, co, hbar=config.hbar).exponent_diff)
     d = points[0]
     co = qsurface.canonical_lattice_coeffs(d.p, d.q, d.r)
     patch = qsurface.flat_patch(3, 3)
     reference = qsurface.surface_kernel(patch, co, hbar=config.hbar)
-    worst_deform = 0.0
     for _ in range(20):
         deformed = qsurface.random_deformation(patch, rng, int(rng.integers(2, 8)))
         diff = compare(qsurface.surface_kernel(deformed, co, hbar=config.hbar), reference)
-        worst_deform = max(worst_deform, diff.exponent_diff)
-    records.append(_check("pop-up-exponent", "pop-up", worst_pop, config.tol("popup")))
-    records.append(_check("elementary-moves", "elementary-moves", worst_move, config.tol("move")))
-    records.append(_check("random-deformations", "surface-deformation", worst_deform, config.tol("deformation")))
-    return records, []
+        res.add("deform", diff.exponent_diff)
+    res.check("pop-up-exponent", "pop-up", "pop", "popup")
+    res.check("elementary-moves", "elementary-moves", "move", "move")
+    res.check("random-deformations", "surface-deformation", "deform", "deformation")
+    return res.records
 
 
-def run_uniqueness2d_suite(config: SuiteConfig):
-    rng = _rng(config, "uniqueness2d")
-    del rng
-    records = []
+def run_uniqueness2d_suite(config: SuiteConfig) -> list[CheckRecord]:
+    res = _Residuals(config)
     co = qsurface.canonical_lattice_coeffs(3.0, 2.0, 1.0)
     base = qsurface.uniqueness_scan_2form(co, hbar=config.hbar)
-    records.append(_check(
-        "canonical-critical", "2form-uniqueness", 0.0 if base["critical"] else 1.0, 0.0
-    ))
-    failures = []
+    res.check("canonical-critical", "2form-uniqueness", 0.0 if base["critical"] else 1.0, 0.0)
     for table, pair in (("a", (1, 2)), ("a", (2, 3)), ("b", (1, 2)), ("b", (2, 3)), ("d", (1, 2)), ("d", (3, 1))):
         bumped = qsurface.uniqueness_scan_2form(co.perturbed(table, pair, 1e-2), hbar=config.hbar)
         mism = float("inf") if bumped["delta_rejected"] else bumped["exponent_diff"]
-        failures.append(min(mism, 1.0))
-    records.append(_probe(
-        "coefficient-grid-scan", "2form-uniqueness", min(failures), config.tol("uniq2d_perturbed_min")
-    ))
+        res.add("grid", min(mism, 1.0))
+    res.probe("coefficient-grid-scan", "2form-uniqueness", "grid", "uniq2d_perturbed_min", stat=min)
     sym_c = co.perturbed("c", (1, 2), 1e-2, antisymmetric=False).perturbed("c", (2, 1), 1e-2, antisymmetric=False)
-    res = qsurface.uniqueness_scan_2form(sym_c, hbar=config.hbar)
-    records.append(_check(
-        "c-detune-rejected", "2form-uniqueness",
-        0.0 if (res["delta_rejected"] or res["exponent_diff"] > config.tol("uniq2d_perturbed_min")) else 1.0,
-        0.0,
-    ))
+    scan = qsurface.uniqueness_scan_2form(sym_c, hbar=config.hbar)
+    detuned = scan["delta_rejected"] or scan["exponent_diff"] > config.tol("uniq2d_perturbed_min")
+    res.check("c-detune-rejected", "2form-uniqueness", 0.0 if detuned else 1.0, 0.0)
     asym_c = co.perturbed("c", (1, 2), 1e-2, antisymmetric=False)
-    res = qsurface.uniqueness_scan_2form(asym_c, hbar=config.hbar)
-    records.append(_check(
-        "c-asymmetric-delta", "2form-uniqueness", 0.0 if res["delta_rejected"] else 1.0, 0.0
-    ))
+    scan = qsurface.uniqueness_scan_2form(asym_c, hbar=config.hbar)
+    res.check("c-asymmetric-delta", "2form-uniqueness", 0.0 if scan["delta_rejected"] else 1.0, 0.0)
     try:
-        qsurface.surface_kernel(
-            qsurface.elementary_move_surfaces("a")[1], asym_c, hbar=config.hbar
-        )
+        qsurface.surface_kernel(qsurface.elementary_move_surfaces("a")[1], asym_c, hbar=config.hbar)
         delta_raised = False
     except DeltaConstraintError:
         delta_raised = True
-    records.append(_check(
-        "delta-error-raised", "2form-uniqueness", 0.0 if delta_raised else 1.0, 0.0
-    ))
-    return records, []
+    res.check("delta-error-raised", "2form-uniqueness", 0.0 if delta_raised else 1.0, 0.0)
+    return res.records
 
 
 _SUITE_RUNNERS = {
-    "params": run_params_suite,
     "lattice": run_lattice_suite,
     "reduction": run_reduction_suite,
     "p3": run_p3_suite,
@@ -631,12 +552,11 @@ def run(config: SuiteConfig) -> SuiteReport:
     """Execute the selected suites; the report is deterministic in config."""
     records: list[CheckRecord] = []
     rows: list[dict] = []
-    for suite in SUITES:
-        if suite not in config.suites:
-            continue
-        suite_records, suite_rows = _SUITE_RUNNERS[suite](config)
-        records.extend(suite_records)
-        rows.extend(suite_rows)
+    if "params" in config.suites:
+        records, rows = run_params_suite(config)
+    for suite, runner in _SUITE_RUNNERS.items():
+        if suite in config.suites:
+            records.extend(runner(config))
     config_dict = {
         "seed": config.seed,
         "trials": config.trials,

@@ -39,7 +39,7 @@ from .errors import (
     NearCaustic,
     OutOfRegime,
 )
-from .oscgauss import OscKernel, compare, from_terms, glue, marginalize_all
+from .oscgauss import OscKernel, compare, from_terms, glue, marginalize_all, rename
 from .reduction import OscillatorCoeffs, closure_coeffs
 
 if TYPE_CHECKING:
@@ -189,8 +189,6 @@ def n_step_kernel(
         step = one_step_kernel(direction, derived, (f"s{k}", nxt_label))
         acc = glue(acc, step, shared=(f"s{k}",))
     if n == 1:
-        from .oscgauss import rename
-
         acc = rename(acc, {"s1": labels[1]})
     return acc
 
@@ -249,11 +247,11 @@ class TimePath:
         return TimePath(self.steps[:position] + loop + self.steps[position:])
 
 
-def random_path(rng: np.random.Generator, n: int, m: int, extra_pairs: int = 2) -> TimePath:
-    """Random path from (0,0) to (n,m): shuffled forward steps plus cancelling
-    backward/forward pairs, with a unit loop inserted half the time."""
+def random_path(rng: np.random.Generator, n: int, m: int) -> TimePath:
+    """Random path from (0,0) to (n,m): shuffled forward steps plus two
+    cancelling backward/forward pairs, with a unit loop inserted half the time."""
     steps = ["+hat"] * n + ["+bar"] * m
-    for _ in range(extra_pairs):
+    for _ in range(2):
         d = STEPS[2 * rng.integers(0, 2)]
         steps += [d, "-" + d[1:]]
     order = rng.permutation(len(steps))
@@ -287,26 +285,37 @@ def path_kernel(
             "hat": math.sqrt(plus_b / derived.q) * cmath.exp(1j * math.pi / 4.0),
             "bar": math.sqrt(plus_a / derived.r) * cmath.exp(1j * math.pi / 4.0),
         }
-        normalized = True
+        pihbar = Fraction(-len(path.steps), 2)
     else:
         cf = coeffs
         step_amp = {"hat": 1.0 + 0.0j, "bar": 1.0 + 0.0j}
-        normalized = False
+        pihbar = Fraction(0)
 
-    nvis = len(path.steps) + 1
-    names = tuple(f"t{k}" for k in range(nvis))
-    quad: dict[tuple[str, str], float] = {}
+    names = tuple(f"t{k}" for k in range(len(path.steps) + 1))
     amp: complex = 1.0 + 0.0j
-    pihbar = Fraction(0)
+    for step in path.steps:
+        a_step = step_amp[step[1:]]
+        amp *= a_step if step.startswith("+") else a_step.conjugate()
+    quad = _step_terms(path.steps, cf, names)
+    kernel = from_terms(names, quad, amp=amp, pihbar_pow=pihbar, hbar=derived.hbar)
+    kernel = marginalize_all(kernel, names[1:-1], keep={names[0], names[-1]})
+    return rename(kernel, {names[0]: labels[0], names[-1]: labels[1]})
+
+
+def _step_terms(
+    steps: tuple[str, ...], cf: OscillatorCoeffs, names: tuple[str, ...]
+) -> dict[tuple[str, str], float]:
+    """Exponent monomials of the one-step Lagrangians along a walk whose k-th
+    step runs from names[k] to names[k + 1]."""
+    quad: dict[tuple[str, str], float] = {}
 
     def add(pair: tuple[str, str], value: float) -> None:
         quad[pair] = quad.get(pair, 0.0) + value
 
-    for k, step in enumerate(path.steps):
+    for k, step in enumerate(steps):
         cur, nxt = names[k], names[k + 1]
         forward = step.startswith("+")
-        direction = step[1:]
-        if direction == "hat":
+        if step[1:] == "hat":
             lead, d_par, d0 = cf.beta, cf.b, cf.b0
         else:
             lead, d_par, d0 = cf.alpha, cf.a, cf.a0
@@ -316,16 +325,7 @@ def path_kernel(
         add((early, late), sign * lead)
         add((early, early), sign * lead * (d_par - d0))
         add((late, late), sign * lead * d0)
-        a_step = step_amp[direction]
-        amp *= a_step if forward else a_step.conjugate()
-        if normalized:
-            pihbar -= Fraction(1, 2)
-
-    kernel = from_terms(names, quad, amp=amp, pihbar_pow=pihbar, hbar=derived.hbar)
-    kernel = marginalize_all(kernel, names[1:-1], keep={names[0], names[-1]})
-    from .oscgauss import rename
-
-    return rename(kernel, {names[0]: labels[0], names[-1]: labels[1]})
+    return quad
 
 
 # -- Uniqueness of the path-independent Lagrangians ----------------------------
@@ -357,24 +357,9 @@ def corner_kernels(
     """The two corner propagators (hat-then-bar and bar-then-hat) with
     undetermined normalization, exponents only."""
 
-    def corner(first: str) -> OscKernel:
-        quad: dict[tuple[str, str], float] = {}
-
-        def leg(early: str, late: str, lead: float, d_par: float, d0: float) -> None:
-            for pair, val in (
-                ((early, late), lead),
-                ((early, early), lead * (d_par - d0)),
-                ((late, late), lead * d0),
-            ):
-                quad[pair] = quad.get(pair, 0.0) + val
-
-        if first == "hat":
-            leg("x", "m", coeffs.beta, coeffs.b, coeffs.b0)
-            leg("m", "y", coeffs.alpha, coeffs.a, coeffs.a0)
-        else:
-            leg("x", "m", coeffs.alpha, coeffs.a, coeffs.a0)
-            leg("m", "y", coeffs.beta, coeffs.b, coeffs.b0)
-        kernel = from_terms(("x", "m", "y"), quad, hbar=hbar)
+    def corner(steps: tuple[str, str]) -> OscKernel:
+        names = ("x", "m", "y")
+        kernel = from_terms(names, _step_terms(steps, coeffs, names), hbar=hbar)
         try:
             out = marginalize_all(kernel, ["m"], keep={"x", "y"})
         except NearCaustic as exc:
@@ -383,7 +368,7 @@ def corner_kernels(
             raise DegenerateCoeffs("corner pivot vanished exactly: delta kernel")
         return out
 
-    return corner("hat"), corner("bar")
+    return corner(("+hat", "+bar")), corner(("+bar", "+hat"))
 
 
 def uniqueness_scan_1form(

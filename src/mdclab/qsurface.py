@@ -243,13 +243,12 @@ def surface_kernel(
     surface: Surface,
     coeffs: LatticeLagrangianCoeffs,
     hbar: float = 1.0,
-    allow_delta: bool = False,
 ) -> OscKernel:
     """Boundary kernel: interior vertices integrated out of exp(i S / hbar).
 
     Interior vertices no plaquette reads become symbolic volume factors.  A
     surviving delta constraint ties boundary variables together and raises
-    DeltaConstraintError unless allow_delta is set.
+    DeltaConstraintError.
     """
     vertices = sorted(surface.vertices())
     labels = tuple(vertex_label(v) for v in vertices)
@@ -261,7 +260,7 @@ def surface_kernel(
     interior_labels = [vertex_label(v) for v in sorted(surface.interior)]
     boundary_labels = {vertex_label(v) for v in surface.boundary}
     kernel = marginalize_all(kernel, interior_labels, keep=boundary_labels)
-    if kernel.constraints and not allow_delta:
+    if kernel.constraints:
         raise DeltaConstraintError(
             f"delta constraint ties boundary variables: {kernel.constraints[0].variables()}"
         )

@@ -25,10 +25,9 @@ two-parameter compatibility.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -39,23 +38,6 @@ if TYPE_CHECKING:
     from .params import DerivedParams
 
 
-class State2(NamedTuple):
-    """Reduced phase point (x, y) = (u1 - u0, u2 - u1)."""
-
-    x: float
-    y: float
-
-
-def hat_map(state: State2 | tuple[float, float], s: float) -> State2:
-    new = hat_matrix(s) @ np.asarray(state, dtype=float)
-    return State2(float(new[0]), float(new[1]))
-
-
-def bar_map(state: State2 | tuple[float, float], t: float, tprime: float) -> State2:
-    new = bar_matrix(t, tprime) @ np.asarray(state, dtype=float)
-    return State2(float(new[0]), float(new[1]))
-
-
 def commutator_residual(derived: "DerivedParams") -> float:
     """Max-norm of S T - T S for the two map matrices."""
     S = hat_matrix(derived.s)
@@ -63,17 +45,7 @@ def commutator_residual(derived: "DerivedParams") -> float:
     return float(np.max(np.abs(S @ T - T @ S)))
 
 
-# -- Lagrangians, momenta, corner equations ---------------------------------
-
-def lagrangian_hat(x: float, xh: float, derived: "DerivedParams") -> float:
-    P, Q, q = derived.P, derived.Q, derived.q
-    return ((P + Q) * x * xh + 0.5 * (P - Q) * (x * x + xh * xh)) / q
-
-
-def lagrangian_bar(x: float, xb: float, derived: "DerivedParams") -> float:
-    P, R, r = derived.P, derived.R, derived.r
-    return ((P + R) * x * xb + 0.5 * (P - R) * (x * x + xb * xb)) / r
-
+# -- Momenta and corner equations ----------------------------------------------
 
 def momentum_hat(x: float, xh: float, derived: "DerivedParams") -> float:
     """X_b = -dL_b/dx at the earlier point."""
@@ -108,9 +80,7 @@ def invariant_common(x: float, X: float, P: float) -> float:
     return 0.5 * X * X + 2.0 * P * x * x
 
 
-def match_invariant_constant(
-    samples: list[tuple[float, float]], derived: "DerivedParams", which: str = "hat"
-) -> float:
+def match_invariant_constant(samples: list[tuple[float, float]], derived: "DerivedParams") -> float:
     """Least-squares constant k with I(x, x_next) ~= k * (X^2/2 + 2 P x^2).
 
     The two-point and one-point invariants agree only up to a constant
@@ -120,12 +90,8 @@ def match_invariant_constant(
     num = 0.0
     den = 0.0
     for x, xnext in samples:
-        if which == "hat":
-            I2 = invariant_eval(x, xnext, derived.b)
-            X = momentum_hat(x, xnext, derived)
-        else:
-            I2 = invariant_eval(x, xnext, derived.a)
-            X = momentum_bar(x, xnext, derived)
+        I2 = invariant_eval(x, xnext, derived.b)
+        X = momentum_hat(x, xnext, derived)
         c = invariant_common(x, X, derived.P)
         num += I2 * c
         den += c * c
@@ -169,7 +135,7 @@ def closure_coeffs(derived: "DerivedParams", gamma: float = 1.0) -> OscillatorCo
 
 
 def oneform_closure_residual(
-    state: State2 | tuple[float, float],
+    state: tuple[float, float],
     derived: "DerivedParams",
     coeffs: OscillatorCoeffs | None = None,
 ) -> float:
@@ -366,8 +332,3 @@ def second_iterate_residual(state, s: float) -> float:
     z1 = S @ z0
     z2 = S @ z1
     return abs(z2[0] + 2.0 * b * z1[0] + z0[0])
-
-
-def hyperbolic_lambda(b: float) -> complex:
-    """Characteristic multiplier lam with lam + 1/lam = -2b (any regime)."""
-    return -b + cmath.sqrt(complex(b * b - 1.0))

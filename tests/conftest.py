@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mdclab import harness
 from mdclab.params import LatticeParams, derive
 
 
@@ -15,13 +16,6 @@ def rng():
     return np.random.default_rng(20240817)
 
 
-def sample_triples(rng, count, low=0.5, high=3.0, gap=0.1):
-    """Admissible random parameter triples (pairwise gaps and sums guarded)."""
-    out = []
-    while len(out) < count:
-        p, q, r = rng.uniform(low, high, size=3)
-        pairs = ((p, q), (p, r), (q, r))
-        if any(abs(a - b) < gap or abs(a + b) < gap for a, b in pairs):
-            continue
-        out.append((float(p), float(q), float(r)))
-    return out
+def sample_triples(rng, count):
+    """Admissible random parameter triples in [0.5, 3], as the harness samples them."""
+    return harness.sample_triples(rng, count, 0.5, 3.0)

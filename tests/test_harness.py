@@ -1,8 +1,10 @@
+import hashlib
 import json
+import math
 
 import pytest
 
-from mdclab import cli
+from mdclab import cli, lattice, qprop1d
 from mdclab.errors import ConfigError
 from mdclab.harness import (
     CSV_COLUMNS,
@@ -55,6 +57,50 @@ def test_report_schema_and_refs(small_report):
     for rec in data["records"]:
         assert rec["ref"]
         assert rec["kind"] in ("check", "probe", "report")
+
+
+#: sha256 of the default-config report body: one clean seed and three with
+#: known failing records (elementary-moves, tridiagonal-recursion, and
+#: closure-on-shell with cube-consistency-spread).
+GOLDEN_REPORTS = {
+    1: "b54c90a3d6c5c7a8748a1e3407b3040b1a1a3ccfda09aaa62ef050984b4a0345",
+    2: "352ce615850506ac45a7b52cd098281a0eca66d96bb0c1eb06c25f09a3007fdc",
+    9: "aa203fc8d3caae652d4c383486984d9ce50eb5458c61bcfeb4340540722cc0bd",
+    14: "b58fa3c21bf6849de1e77dc431c0ebd23fa89d3eb2386d347905812b329af77b",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_REPORTS))
+def test_default_report_is_byte_identical_to_golden(seed):
+    body = run(SuiteConfig(seed=seed)).to_json()
+    assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN_REPORTS[seed]
+
+
+def test_nan_residual_fails_a_max_check(monkeypatch):
+    monkeypatch.setattr(lattice, "closure_residual", lambda *args: float("nan"))
+    report = run(SuiteConfig(seed=7, trials=40, suites=("lattice",)))
+    rec = next(r for r in report.records if r.name == "closure-on-shell")
+    assert not math.isfinite(rec.residual)
+    assert not rec.passed
+
+
+def test_nan_residual_fails_a_min_probe(monkeypatch):
+    # min([1.0, nan]) is 1.0, so a NaN after a finite mismatch used to vanish
+    scan = qprop1d.uniqueness_scan_1form
+    calls = []
+
+    def scan_with_one_nan(*args, **kwargs):
+        calls.append(None)
+        out = scan(*args, **kwargs)
+        # six scans per point; the third one at the second point bumps alpha
+        return {**out, "mismatch": float("nan")} if len(calls) == 9 else out
+
+    monkeypatch.setattr(qprop1d, "uniqueness_scan_1form", scan_with_one_nan)
+    report = run(SuiteConfig(seed=7, trials=40, suites=("uniqueness1d",)))
+    rec = next(r for r in report.records if r.name == "perturbed-alpha")
+    assert math.isnan(rec.residual)
+    assert not rec.passed
+    assert all(r.passed for r in report.records if r.name != "perturbed-alpha")
 
 
 def test_sampling_respects_degeneracy_guards():
@@ -125,6 +171,16 @@ def test_cli_rejects_bad_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2, 3]")
     assert cli.main(["run", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("triple", [[1, 1, 2], [3, 2, -1], [1e-13, 2, 1]])
+def test_cli_rejects_inadmissible_explicit_params(tmp_path, capsys, triple):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": [triple], "trials": 10}))
+    assert cli.main(["run", "--config", str(config), "--quiet"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error:")
+    assert "\n" not in err
 
 
 def test_cli_surface_kernel_round_trip(tmp_path, capsys):

@@ -7,8 +7,8 @@ import json
 import sys
 from dataclasses import replace
 
-from .errors import ConfigError, DegenerateParams, DeltaConstraintError, MissingVertex, OutOfRegime
-from .harness import SUITES, SuiteConfig, run, write_csv
+from .errors import CausticError, ConfigError, DegenerateParams, DeltaConstraintError, MissingVertex, OutOfRegime
+from .harness import SUITES, SuiteConfig, run, sweep_rows, write_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run(config)
-    except (DegenerateParams, OutOfRegime) as exc:
+    except (CausticError, DegenerateParams, OutOfRegime) as exc:
         # the points besides (3, 2, 1) come from the explicit triples or the sampling range
         print(f"config error: parameter point not admissible: {exc}", file=sys.stderr)
         return 2
@@ -125,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
             fh.write(report.to_json())
         print(f"report written to {args.out}")
     if args.csv:
-        write_csv(args.csv, report.sweep_rows)
+        write_csv(args.csv, sweep_rows(config))
         print(f"sweep rows written to {args.csv}")
     return 0 if not report.failed else 1
 

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import lattice, p3, qprop1d, qsurface, reduction
-from .errors import ConfigError, DeltaConstraintError
+from .errors import ConfigError, DeltaConstraintError, OutOfRegime
 from .oscgauss import compare
 from .params import (
     LatticeParams,
@@ -34,17 +34,6 @@ from .params import (
     hat_matrix,
     mu_identity_residual,
     printed_constant_residuals,
-)
-
-SUITES = (
-    "params",
-    "lattice",
-    "reduction",
-    "p3",
-    "prop1d",
-    "uniqueness1d",
-    "surface",
-    "uniqueness2d",
 )
 
 DEFAULT_TOLERANCES: dict[str, float] = {
@@ -102,7 +91,7 @@ class SuiteConfig:
     range_high: float = 3.0
     hbar: float = 1.0
     tolerances: dict[str, float] = field(default_factory=dict)
-    suites: tuple[str, ...] = SUITES
+    suites: tuple[str, ...] = field(default_factory=lambda: tuple(SUITES))
 
     def __post_init__(self):
         if self.trials < 1:
@@ -111,7 +100,7 @@ class SuiteConfig:
             raise ConfigError(f"hbar must be positive, got {self.hbar}")
         unknown = set(self.suites) - set(SUITES)
         if unknown:
-            raise ConfigError(f"unknown suites: {sorted(unknown)}; pick from {SUITES}")
+            raise ConfigError(f"unknown suites: {sorted(unknown)}; pick from {tuple(SUITES)}")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ConfigError(f"unknown tolerance names: {sorted(unknown)}")
@@ -163,7 +152,6 @@ class SuiteReport:
     schema: int
     config: dict
     records: list[CheckRecord]
-    sweep_rows: list[dict] = field(default_factory=list)
 
     @property
     def failed(self) -> list[CheckRecord]:
@@ -193,7 +181,7 @@ class SuiteReport:
 
 
 def _rng(config: SuiteConfig, suite: str) -> np.random.Generator:
-    return np.random.default_rng([config.seed, SUITES.index(suite)])
+    return np.random.default_rng([config.seed, list(SUITES).index(suite)])
 
 
 def sample_triples(
@@ -261,24 +249,10 @@ class _Residuals:
 
 # -- Suites ---------------------------------------------------------------------
 
-def run_params_suite(config: SuiteConfig):
-    rng = _rng(config, "params")
-    res = _Residuals(config)
-    rows = []
+def _params_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals) -> None:
     for p, q, r in sample_triples(rng, config.trials, config.range_low, config.range_high):
-        stt = check_stt_identity(LatticeParams(p, q, r))
-        sij = check_sij_identity(p, q, r)
-        res.add("stt", stt)
-        res.add("sij", sij)
-        d = derive(LatticeParams(p, q, r, config.hbar))
-        row = {
-            "p": d.p, "q": d.q, "r": d.r, "s": d.s, "t": d.t, "tprime": d.tprime,
-            "b": d.b, "a": d.a, "P": d.P,
-            "mu": "" if d.mu is None else d.mu,
-            "nu": "" if d.nu is None else d.nu,
-        }
-        rows.append({**row, "residual_name": "stt-identity", "residual": stt})
-        rows.append({**row, "residual_name": "edge-identity", "residual": sij})
+        res.add("stt", check_stt_identity(LatticeParams(p, q, r)))
+        res.add("sij", check_sij_identity(p, q, r))
     res.check("stt-identity-sweep", "stt-identity", "stt", "stt")
     res.check("sij-identity-sweep", "edge-identity", "sij", "sij")
 
@@ -295,12 +269,9 @@ def run_params_suite(config: SuiteConfig):
         for name, value in printed_constant_residuals(d).items():
             res.report(f"printed-{name}-p{d.p:g}q{d.q:g}r{d.r:g}", "printed-constants", value)
     res.check("sin-mu-identity", "combined-parameters", "mu", "mu_identity")
-    return res.records, rows
 
 
-def run_lattice_suite(config: SuiteConfig) -> list[CheckRecord]:
-    rng = _rng(config, "lattice")
-    res = _Residuals(config)
+def _lattice_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals) -> None:
     points = _work_points(config, rng)
     for k in range(min(config.trials, 1000)):
         d = points[k % len(points)]
@@ -323,12 +294,9 @@ def run_lattice_suite(config: SuiteConfig) -> list[CheckRecord]:
     )
     closes = good["symmetric_quad"] and good["closure_ok"]
     res.check("general-quad-canonical", "2form-closure", 0.0 if closes else 1.0, 0.0)
-    return res.records
 
 
-def run_reduction_suite(config: SuiteConfig) -> list[CheckRecord]:
-    rng = _rng(config, "reduction")
-    res = _Residuals(config)
+def _reduction_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals) -> None:
     for d in _work_points(config, rng):
         S = hat_matrix(d.s)
         T = bar_matrix(d.t, d.tprime)
@@ -370,12 +338,9 @@ def run_reduction_suite(config: SuiteConfig) -> list[CheckRecord]:
     res.check("parameter-flows", "parameter-flow", "flow", "contflow")
     res.check("parameter-flow-fd", "parameter-flow", "flow_fd", "contflow_fd")
     res.check("continuous-multiform", "multiform-compat", "multi", "multiform")
-    return res.records
 
 
-def run_p3_suite(config: SuiteConfig) -> list[CheckRecord]:
-    rng = _rng(config, "p3")
-    res = _Residuals(config)
+def _p3_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals) -> None:
     for d in _work_points(config, rng):
         H = p3.p3_hat_matrix(d.s)
         B = p3.p3_bar_matrix(d.t, d.tprime)
@@ -394,9 +359,15 @@ def run_p3_suite(config: SuiteConfig) -> list[CheckRecord]:
             hat = p3.p3_hat_equation_residual(*orb_h[k - 1:k + 2, :2], d.s)
             res.add("eqn", hat, p3.p3_bar_equation_residual(*orb_b[k - 1:k + 2, :2], d.t, d.tprime))
         amps = tuple(rng.normal(size=4))
-        res.add("joint", p3.p3_joint_solution_residual(d, amps))
-        res.add("joint_perturbed", p3.p3_joint_solution_residual(d, (1.0, 0.2, -0.4, 0.7), nu_shift=(1e-3, 0.0)))
-        for name, value in p3.printed_angle_residuals(d).items():
+        try:
+            joint = p3.p3_joint_solution_residual(d, amps)
+            perturbed = p3.p3_joint_solution_residual(d, (1.0, 0.2, -0.4, 0.7), nu_shift=(1e-3, 0.0))
+            angles = p3.printed_angle_residuals(d)
+        except OutOfRegime:
+            continue  # no period-3 modes at this point
+        res.add("joint", joint)
+        res.add("joint_perturbed", perturbed)
+        for name, value in angles.items():
             res.report(f"p3-{name}-p{d.p:g}q{d.q:g}r{d.r:g}", "p3-angles", value)
     res.check("p3-determinants", "map-determinant", "det", "det_unit")
     res.check("p3-commutator", "p3-commutator", "comm", "p3_commutator")
@@ -405,12 +376,9 @@ def run_p3_suite(config: SuiteConfig) -> list[CheckRecord]:
     res.check("p3-second-order-orbits", "p3-evolution", "eqn", "orbit_invariant")
     res.check("p3-joint-solution", "p3-joint-solution", "joint", "p3_joint")
     res.probe("p3-joint-perturbed-median", "p3-joint-solution", "joint_perturbed", "p3_joint_perturbed_min")
-    return res.records
 
 
-def run_prop1d_suite(config: SuiteConfig) -> list[CheckRecord]:
-    rng = _rng(config, "prop1d")
-    res = _Residuals(config)
+def _prop1d_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals) -> None:
     points = [d for d in _work_points(config, rng) if not d.hyperbolic]
     for d in points:
         for n in range(2, 21):
@@ -460,12 +428,9 @@ def run_prop1d_suite(config: SuiteConfig) -> list[CheckRecord]:
     res.check("random-paths", "multi-time", "path", "path_exponent")
     res.check("amplitude-ratios", "path-independence", "amp", "amp_ratio")
     res.check("operator-invariant", "operator-invariant", "qinv", "qinvariant")
-    return res.records
 
 
-def run_uniqueness1d_suite(config: SuiteConfig) -> list[CheckRecord]:
-    rng = _rng(config, "uniqueness1d")
-    res = _Residuals(config)
+def _uniqueness1d_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals) -> None:
     perturbed = ("alpha", "beta", "a0", "b0")
     for d in _work_points(config, rng):
         if d.hyperbolic:
@@ -473,19 +438,16 @@ def run_uniqueness1d_suite(config: SuiteConfig) -> list[CheckRecord]:
         co = qprop1d.path_independent_coeffs(d.a, d.b, gamma=1.0)
         co_f = qprop1d.path_independent_coeffs(d.a, d.b, gamma=0.8, f=0.31)
         for coeffs in (co, co_f):
-            res.add("pass", qprop1d.uniqueness_scan_1form(d.a, d.b, coeffs, hbar=config.hbar)["mismatch"])
+            res.add("pass", qprop1d.uniqueness_scan_1form(d, coeffs)["mismatch"])
         for name in perturbed:
             bumped = replace(co, **{name: getattr(co, name) + 1e-3})
-            res.add(name, qprop1d.uniqueness_scan_1form(d.a, d.b, bumped, hbar=config.hbar)["mismatch"])
+            res.add(name, qprop1d.uniqueness_scan_1form(d, bumped)["mismatch"])
     res.check("closure-coeffs-pass", "1form-uniqueness", "pass", "uniq1d_pass")
     for name in perturbed:
         res.probe(f"perturbed-{name}", "1form-uniqueness", name, "uniq1d_perturbed_min", stat=min)
-    return res.records
 
 
-def run_surface_suite(config: SuiteConfig) -> list[CheckRecord]:
-    rng = _rng(config, "surface")
-    res = _Residuals(config)
+def _surface_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals) -> None:
     points = _work_points(config, rng)
     for d in points:
         co = qsurface.canonical_lattice_coeffs(d.p, d.q, d.r)
@@ -508,11 +470,9 @@ def run_surface_suite(config: SuiteConfig) -> list[CheckRecord]:
     res.check("pop-up-exponent", "pop-up", "pop", "popup")
     res.check("elementary-moves", "elementary-moves", "move", "move")
     res.check("random-deformations", "surface-deformation", "deform", "deformation")
-    return res.records
 
 
-def run_uniqueness2d_suite(config: SuiteConfig) -> list[CheckRecord]:
-    res = _Residuals(config)
+def _uniqueness2d_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals) -> None:
     co = qsurface.canonical_lattice_coeffs(3.0, 2.0, 1.0)
     base = qsurface.uniqueness_scan_2form(co, hbar=config.hbar)
     res.check("canonical-critical", "2form-uniqueness", 0.0 if base["critical"] else 1.0, 0.0)
@@ -534,29 +494,29 @@ def run_uniqueness2d_suite(config: SuiteConfig) -> list[CheckRecord]:
     except DeltaConstraintError:
         delta_raised = True
     res.check("delta-error-raised", "2form-uniqueness", 0.0 if delta_raised else 1.0, 0.0)
-    return res.records
 
 
-_SUITE_RUNNERS = {
-    "lattice": run_lattice_suite,
-    "reduction": run_reduction_suite,
-    "p3": run_p3_suite,
-    "prop1d": run_prop1d_suite,
-    "uniqueness1d": run_uniqueness1d_suite,
-    "surface": run_surface_suite,
-    "uniqueness2d": run_uniqueness2d_suite,
+#: Suite name -> body, in run order; the position seeds the suite's rng.
+SUITES = {
+    "params": _params_suite,
+    "lattice": _lattice_suite,
+    "reduction": _reduction_suite,
+    "p3": _p3_suite,
+    "prop1d": _prop1d_suite,
+    "uniqueness1d": _uniqueness1d_suite,
+    "surface": _surface_suite,
+    "uniqueness2d": _uniqueness2d_suite,
 }
 
 
 def run(config: SuiteConfig) -> SuiteReport:
     """Execute the selected suites; the report is deterministic in config."""
     records: list[CheckRecord] = []
-    rows: list[dict] = []
-    if "params" in config.suites:
-        records, rows = run_params_suite(config)
-    for suite, runner in _SUITE_RUNNERS.items():
+    for suite, body in SUITES.items():
         if suite in config.suites:
-            records.extend(runner(config))
+            res = _Residuals(config)
+            body(config, _rng(config, suite), res)
+            records.extend(res.records)
     config_dict = {
         "seed": config.seed,
         "trials": config.trials,
@@ -567,7 +527,26 @@ def run(config: SuiteConfig) -> SuiteReport:
         "tolerances": {k: config.tol(k) for k in sorted(DEFAULT_TOLERANCES)},
         "version": 1,
     }
-    return SuiteReport(schema=1, config=config_dict, records=records, sweep_rows=rows)
+    return SuiteReport(schema=1, config=config_dict, records=records)
+
+
+def sweep_rows(config: SuiteConfig) -> list[dict]:
+    """The params suite's sampled triples with their derived constants, one
+    row per identity residual; empty unless the params suite is selected."""
+    if "params" not in config.suites:
+        return []
+    rows = []
+    for p, q, r in sample_triples(_rng(config, "params"), config.trials, config.range_low, config.range_high):
+        d = derive(LatticeParams(p, q, r, config.hbar))
+        row = {
+            "p": d.p, "q": d.q, "r": d.r, "s": d.s, "t": d.t, "tprime": d.tprime,
+            "b": d.b, "a": d.a, "P": d.P,
+            "mu": "" if d.mu is None else d.mu,
+            "nu": "" if d.nu is None else d.nu,
+        }
+        rows.append({**row, "residual_name": "stt-identity", "residual": check_stt_identity(LatticeParams(p, q, r))})
+        rows.append({**row, "residual_name": "edge-identity", "residual": check_sij_identity(p, q, r)})
+    return rows
 
 
 CSV_COLUMNS = ["p", "q", "r", "s", "t", "tprime", "b", "a", "P", "mu", "nu", "residual_name", "residual"]

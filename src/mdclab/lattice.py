@@ -194,11 +194,11 @@ def classify_general_quad_lagrangian(
         for j in dirs:
             if i != j:
                 lhs = coeffs.a[j] - coeffs.b[(i, j)]
-                if abs(lhs - coeffs.delta[(i, j)]) > tol * max(1.0, abs(lhs)):
+                if not abs(lhs - coeffs.delta[(i, j)]) <= tol * max(1.0, abs(lhs)):
                     symmetric = False
 
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    totals = []
     for _ in range(probes):
         u, u1, u2, u3 = rng.normal(size=4)
         vals = {(): u, (1,): u1, (2,): u2, (3,): u3}
@@ -218,5 +218,5 @@ def classify_general_quad_lagrangian(
             + coeffs.lagrangian(u3, u31, u23, 1, 2)
             - coeffs.lagrangian(u, u1, u2, 1, 2)
         )
-        worst = max(worst, abs(total))
-    return {"symmetric_quad": bool(symmetric), "closure_ok": bool(worst <= tol)}
+        totals.append(abs(total))
+    return {"symmetric_quad": bool(symmetric), "closure_ok": bool(np.max(totals, initial=0.0) <= tol)}

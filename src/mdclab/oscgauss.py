@@ -472,30 +472,28 @@ class KernelDiff:
 def compare(k1: OscKernel, k2: OscKernel, tol: float = PIVOT_TOL) -> KernelDiff:
     """Align variable order and report exponent and amplitude differences.
 
-    `exponent_diff` is the max-norm difference over (A, B, c); volume and
-    2-pi-hbar powers are reported, never folded into the exponent measure.
+    `exponent_diff` is the max-norm difference over (A, B, c) and the
+    normalized delta constraints, coefficients and constants; a non-finite
+    difference always wins.  Volume and 2-pi-hbar powers are reported, never
+    folded into the exponent measure.
     """
     if set(k1.vars) != set(k2.vars):
         raise VariableMismatch(f"variable sets differ: {k1.vars} vs {k2.vars}")
     if len(k1.constraints) != len(k2.constraints):
         raise VariableMismatch("kernels carry different numbers of delta constraints")
+    if k1.hbar != k2.hbar:
+        raise VariableMismatch("kernels carry different hbar")
     perm = [k2.index(v) for v in k1.vars]
-    A2 = k2.A[np.ix_(perm, perm)]
-    B2 = k2.B[perm]
-    exponent_diff = max(
-        float(np.max(np.abs(k1.A - A2))) if len(k1.vars) else 0.0,
-        float(np.max(np.abs(k1.B - B2))) if len(k1.vars) else 0.0,
-        abs(k1.c - k2.c),
-    )
-    for c1, c2 in zip(
-        sorted(con.normalized().coeffs for con in k1.constraints),
-        sorted(con.normalized().coeffs for con in k2.constraints),
-    ):
-        if [v for v, _ in c1] != [v for v, _ in c2]:
+    diffs = [np.abs(k1.A - k2.A[np.ix_(perm, perm)]).ravel(), np.abs(k1.B - k2.B[perm]), [abs(k1.c - k2.c)]]
+
+    def normalized(k: OscKernel) -> list[AffineConstraint]:
+        return sorted((con.normalized() for con in k.constraints), key=lambda con: (con.coeffs, con.const))
+
+    for con1, con2 in zip(normalized(k1), normalized(k2)):
+        if con1.variables() != con2.variables():
             raise VariableMismatch("delta constraints tie different variables")
-        exponent_diff = max(
-            exponent_diff, max(abs(a - b) for (_, a), (_, b) in zip(c1, c2))
-        )
+        diffs.append([abs(a - b) for (_, a), (_, b) in zip(con1.coeffs, con2.coeffs)] + [abs(con1.const - con2.const)])
+    exponent_diff = float(np.max(np.concatenate(diffs)))
     amp_ratio = k1.amp / k2.amp if k2.amp != 0 else complex("inf")
     return KernelDiff(
         exponent_diff=exponent_diff,

@@ -181,7 +181,7 @@ def p3_hat_equation_residual(prev, cur, nxt, s: float) -> float:
     """Max residual of the two primary-direction second-order equations."""
     r1 = nxt[0] + nxt[1] + prev[0] + s * (2 * cur[0] + cur[1])
     r2 = nxt[1] + prev[0] + prev[1] + s * (cur[0] + 2 * cur[1])
-    return max(abs(r1), abs(r2))
+    return float(np.maximum(abs(r1), abs(r2)))
 
 
 def p3_bar_equation_residual(prev, cur, nxt, t: float, tprime: float) -> float:
@@ -190,7 +190,7 @@ def p3_bar_equation_residual(prev, cur, nxt, t: float, tprime: float) -> float:
     T = t + tprime
     r1 = (1 + tt) * (nxt[0] + prev[0]) + nxt[1] + tt * prev[1] + T * (2 * cur[0] + cur[1])
     r2 = (1 + tt) * (nxt[1] + prev[1]) + tt * nxt[0] + prev[0] + T * (cur[0] + 2 * cur[1])
-    return max(abs(r1), abs(r2))
+    return float(np.maximum(abs(r1), abs(r2)))
 
 
 # -- Joint solution ------------------------------------------------------------
@@ -283,15 +283,12 @@ def p3_joint_solution_residual(
     def x(m, n):
         return p3_joint_solution(m, n, amplitudes, modes, nu_shift)
 
-    worst = 0.0
+    residuals = []
     for m in m_range:
         for n in n_range:
-            worst = max(worst, p3_hat_equation_residual(x(m - 1, n), x(m, n), x(m + 1, n), derived.s))
-            worst = max(
-                worst,
-                p3_bar_equation_residual(x(m, n - 1), x(m, n), x(m, n + 1), derived.t, derived.tprime),
-            )
-    return worst
+            residuals.append(p3_hat_equation_residual(x(m - 1, n), x(m, n), x(m + 1, n), derived.s))
+            residuals.append(p3_bar_equation_residual(x(m, n - 1), x(m, n), x(m, n + 1), derived.t, derived.tprime))
+    return float(np.max(residuals, initial=0.0))
 
 
 def cos_mu_closed_form(s: float) -> tuple[float, float]:

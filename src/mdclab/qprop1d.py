@@ -351,41 +351,21 @@ def path_independent_coeffs(
     )
 
 
-def corner_kernels(
-    coeffs: OscillatorCoeffs, hbar: float = 1.0
-) -> tuple[OscKernel, OscKernel]:
-    """The two corner propagators (hat-then-bar and bar-then-hat) with
-    undetermined normalization, exponents only."""
-
-    def corner(steps: tuple[str, str]) -> OscKernel:
-        names = ("x", "m", "y")
-        kernel = from_terms(names, _step_terms(steps, coeffs, names), hbar=hbar)
-        try:
-            out = marginalize_all(kernel, ["m"], keep={"x", "y"})
-        except NearCaustic as exc:
-            raise DegenerateCoeffs(f"corner pivot vanished: {exc}") from exc
-        if out.constraints:
-            raise DegenerateCoeffs("corner pivot vanished exactly: delta kernel")
-        return out
-
-    return corner(("+hat", "+bar")), corner(("+bar", "+hat"))
-
-
-def uniqueness_scan_1form(
-    a: float,
-    b: float,
-    coeffs: OscillatorCoeffs,
-    tol: float = 1e-9,
-    hbar: float = 1.0,
-) -> dict:
+def uniqueness_scan_1form(derived: "DerivedParams", coeffs: OscillatorCoeffs, tol: float = 1e-9) -> dict:
     """Corner-swap test for one coefficient point.
 
-    pass iff the exponents of the two corner propagators agree to tol; the
-    amplitude ratio is reported alongside (the Gaussian pivots coincide
-    whenever the exponents do).
+    The two corner propagators (hat-then-bar and bar-then-hat) are path
+    kernels with undetermined normalization, exponents only.  pass iff their
+    exponents agree to tol; the amplitude ratio is reported alongside (the
+    Gaussian pivots coincide whenever the exponents do).
     """
-    del a, b  # the oscillator constants ride inside coeffs
-    k_lr, k_ul = corner_kernels(coeffs, hbar=hbar)
+    try:
+        k_lr = path_kernel(TimePath(("+hat", "+bar")), derived, coeffs)
+        k_ul = path_kernel(TimePath(("+bar", "+hat")), derived, coeffs)
+    except NearCaustic as exc:
+        raise DegenerateCoeffs(f"corner pivot vanished: {exc}") from exc
+    if k_lr.constraints or k_ul.constraints:
+        raise DegenerateCoeffs("corner pivot vanished exactly: delta kernel")
     diff = compare(k_lr, k_ul)
     return {
         "pass": bool(diff.exponent_diff <= tol),
@@ -431,7 +411,7 @@ def invariant_kernel_residual(
 
     lhs = op_poly(i0, i1)
     rhs = op_poly(i1, i0)
-    worst = max(abs(lhs[k] - rhs[k]) for k in lhs)
+    worst = float(np.max([abs(lhs[k] - rhs[k]) for k in lhs]))
     if relative:
         worst /= max(abs(v) for v in lhs.values())
     return worst

@@ -541,14 +541,11 @@ def uniqueness_scan_2form(
     scale = max(1.0, max(abs(v) for t in (coeffs.b, coeffs.c, coeffs.d) for v in t.values()))
     on_critical_branch = conditions["cyclic_a"] <= tol * scale and conditions["det_cap"] <= tol * scale**3
 
-    one, two = elementary_move_surfaces("a")
     delta_rejected = False
     exponent_diff = float("inf")
     amp_ratio = None
     try:
-        k1 = surface_kernel(one, coeffs, hbar=hbar)
-        k2 = surface_kernel(two, coeffs, hbar=hbar)
-        diff = compare(k1, k2)
+        diff = elementary_move_check("a", coeffs, hbar)
         exponent_diff = diff.exponent_diff
         amp_ratio = diff.amp_ratio
     except DeltaConstraintError:

@@ -178,15 +178,16 @@ def solution_residuals(
     def x(m, n):
         return explicit_solution(m, n, c1, c2, mu, nu)
 
-    worst = {"hat": 0.0, "bar": 0.0, "corner1": 0.0, "corner2": 0.0}
+    found: dict[str, list[float]] = {"hat": [], "bar": [], "corner1": [], "corner2": []}
     for m in m_range:
         for n in n_range:
-            worst["hat"] = max(worst["hat"], abs(x(m + 1, n) + 2 * derived.b * x(m, n) + x(m - 1, n)))
-            worst["bar"] = max(worst["bar"], abs(x(m, n + 1) + 2 * derived.a * x(m, n) + x(m, n - 1)))
+            found["hat"].append(abs(x(m + 1, n) + 2 * derived.b * x(m, n) + x(m - 1, n)))
+            found["bar"].append(abs(x(m, n + 1) + 2 * derived.a * x(m, n) + x(m, n - 1)))
             r1, r2 = corner_residuals(x(m, n), x(m + 1, n), x(m, n + 1), x(m + 1, n + 1), derived)
-            worst["corner1"] = max(worst["corner1"], r1)
-            worst["corner2"] = max(worst["corner2"], r2)
-    return worst
+            found["corner1"].append(r1)
+            found["corner2"].append(r2)
+    # numpy's max keeps a NaN that a running Python max would drop
+    return {key: float(np.max(values, initial=0.0)) for key, values in found.items()}
 
 
 def hyperbolic_solution(m: int, A: float, B: float, b: float) -> float:
@@ -199,17 +200,11 @@ def hyperbolic_solution(m: int, A: float, B: float, b: float) -> float:
 
 def hyperbolic_recurrence_residual(A: float, B: float, b: float, m_range: range) -> float:
     """Max |x_{m+1} + 2 b x_m + x_{m-1}| for the lambda-form solution."""
-    worst = 0.0
-    for m in m_range:
-        worst = max(
-            worst,
-            abs(
-                hyperbolic_solution(m + 1, A, B, b)
-                + 2 * b * hyperbolic_solution(m, A, B, b)
-                + hyperbolic_solution(m - 1, A, B, b)
-            ),
-        )
-    return worst
+
+    def x(m):
+        return hyperbolic_solution(m, A, B, b)
+
+    return float(np.max([abs(x(m + 1) + 2 * b * x(m) + x(m - 1)) for m in m_range], initial=0.0))
 
 
 # -- Continuous interpolating flows ------------------------------------------

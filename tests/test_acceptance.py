@@ -211,11 +211,11 @@ def test_criterion_07_path_independence(d321):
 
 def test_criterion_08_oneform_uniqueness(d321):
     co = qprop1d.path_independent_coeffs(d321.a, d321.b)
-    base = qprop1d.uniqueness_scan_1form(d321.a, d321.b, co)
+    base = qprop1d.uniqueness_scan_1form(d321, co)
     floors = []
     for name in ("alpha", "beta", "a0", "b0"):
         bumped = replace(co, **{name: getattr(co, name) + 1e-3})
-        floors.append(qprop1d.uniqueness_scan_1form(d321.a, d321.b, bumped)["mismatch"])
+        floors.append(qprop1d.uniqueness_scan_1form(d321, bumped)["mismatch"])
     ok = base["pass"] and min(floors) > 1e-5
     announce(8, ok, f"canonical mismatch {base['mismatch']:.2e}, perturbed floor {min(floors):.2e}")
 

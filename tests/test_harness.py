@@ -12,6 +12,7 @@ from mdclab.harness import (
     SuiteConfig,
     run,
     sample_triples,
+    sweep_rows,
     write_csv,
 )
 
@@ -70,10 +71,21 @@ GOLDEN_REPORTS = {
 }
 
 
+#: sha256 of the `--csv` file at seed 7 and 40 trials.
+GOLDEN_CSV = "cd3cd5c88af8566ca2d13115c74dcc94d26c83e3ae5b88d6742143a1b67104bf"
+
+
 @pytest.mark.parametrize("seed", sorted(GOLDEN_REPORTS))
 def test_default_report_is_byte_identical_to_golden(seed):
     body = run(SuiteConfig(seed=seed)).to_json()
     assert hashlib.sha256(body.encode()).hexdigest() == GOLDEN_REPORTS[seed]
+
+
+def test_csv_is_byte_identical_to_golden(tmp_path):
+    path = tmp_path / "sweep.csv"
+    argv = ["run", "--suite", "params", "--seed", "7", "--trials", "40", "--quiet", "--csv", str(path)]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CSV
 
 
 def test_nan_residual_fails_a_max_check(monkeypatch):
@@ -136,9 +148,9 @@ def test_config_file_round_trip(tmp_path):
         SuiteConfig.from_file(str(tmp_path / "missing.json"))
 
 
-def test_csv_columns(tmp_path, small_report):
+def test_csv_columns(tmp_path):
     path = tmp_path / "sweep.csv"
-    write_csv(str(path), small_report.sweep_rows)
+    write_csv(str(path), sweep_rows(SMALL))
     header = path.read_text().splitlines()[0]
     assert header.split(",") == CSV_COLUMNS
 
@@ -181,6 +193,28 @@ def test_cli_rejects_inadmissible_explicit_params(tmp_path, capsys, triple):
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error:")
     assert "\n" not in err
+
+
+def test_cli_rejects_explicit_caustic_point(tmp_path, capsys):
+    # (1, 1, 2) passes the prop1d guards but its n-step angle hits a caustic
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": [[1, 1, 2]], "trials": 10}))
+    assert cli.main(["run", "--config", str(config), "--suite", "prop1d", "--quiet"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error:")
+    assert "\n" not in err
+
+
+def test_p3_suite_skips_points_without_period3_modes(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": [[-3, 2, 1]], "trials": 10}))
+    out = tmp_path / "report.json"
+    assert cli.main(["run", "--config", str(config), "--out", str(out), "--quiet"]) != 2
+    records = {r["name"]: r for r in json.loads(out.read_text())["records"]}
+    for name in ("p3-determinants", "p3-commutator", "p3-involution", "p3-joint-solution"):
+        assert records[name]["passed"]
+    assert "p3-joint-perturbed-median" in records
+    assert not [name for name in records if name.startswith("p3-") and name.endswith("p-3q2r1")]
 
 
 def test_cli_surface_kernel_round_trip(tmp_path, capsys):

@@ -152,3 +152,8 @@ def test_general_coeffs_require_antisymmetric_delta():
             b={(1, 2): 0.0, (2, 1): 0.0},
             delta={(1, 2): 1.0, (2, 1): 1.0},
         )
+
+
+def test_classify_fails_on_nan_coefficients():
+    coeffs = lattice.canonical_quad_coeffs(3.0, 2.0, 1.0, a=(float("nan"), 0.0, 0.0))
+    assert lattice.classify_general_quad_lagrangian(coeffs) == {"symmetric_quad": False, "closure_ok": False}

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -274,3 +275,24 @@ def test_delta_of_a_nonzero_constant_is_rejected():
     )
     with pytest.raises(NearCaustic):
         og.marginalize(k, "v")
+
+
+def test_compare_sees_constraint_constants():
+    base = og.from_terms(("x", "y"), {})
+    k1, k2 = (
+        replace(base, constraints=(og.AffineConstraint((("x", 1.0), ("y", -1.0)), const),))
+        for const in (0.0, 5.0)
+    )
+    assert og.compare(k1, k2).exponent_diff == 5.0
+
+
+def test_compare_rejects_an_hbar_mismatch():
+    k1, k2 = (og.from_terms(("x",), {("x", "x"): 1.0}, hbar=hbar) for hbar in (1.0, 2.0))
+    with pytest.raises(VariableMismatch):
+        og.compare(k1, k2)
+
+
+def test_compare_keeps_a_nan_in_either_order():
+    k1, k2 = (og.from_terms(("x",), {("x", "x"): 1.0}, const=const) for const in (0.0, float("nan")))
+    assert math.isnan(og.compare(k1, k2).exponent_diff)
+    assert math.isnan(og.compare(k2, k1).exponent_diff)

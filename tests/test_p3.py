@@ -125,3 +125,15 @@ def test_quoted_commuting_angles_do_not_match_the_spectrum(d321):
     res = p3.printed_angle_residuals(d321)
     assert res["cos_nu_plus_quoted"] > 1e-3
     assert res["cos_nu_minus_quoted"] > 1e-3
+
+
+def test_joint_solution_residual_keeps_a_nan(d321):
+    assert math.isnan(p3.p3_joint_solution_residual(d321, (float("nan"), 0.0, 0.0, 0.0)))
+
+
+def test_equation_residuals_keep_a_nan_second_equation():
+    # first equation exactly 0, second NaN: max(0.0, nan) would report 0.0
+    assert math.isnan(p3.p3_hat_equation_residual((0.0, float("nan")), (0.0, 0.0), (0.0, 0.0), 0.5))
+    # t t' = -1 zeroes (1 + t t'), and 0 * (1e308 + 1e308) is 0 * inf = NaN
+    big = (0.0, 1e308)
+    assert math.isnan(p3.p3_bar_equation_residual(big, (0.0, 0.0), big, 1.0, -1.0))

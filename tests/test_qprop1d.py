@@ -193,24 +193,24 @@ def test_caustics_raise_consistently_and_pass_through():
 
 def test_path_independence_uses_the_closure_coefficients(d321):
     co = closure_coeffs(d321)
-    res = qp.uniqueness_scan_1form(d321.a, d321.b, co)
+    res = qp.uniqueness_scan_1form(d321, co)
     assert res["pass"]
     assert abs(res["amp_ratio"] - 1.0) <= 1e-12
 
 
 def test_uniqueness_scan_canonical_family(d321):
     co = qp.path_independent_coeffs(d321.a, d321.b, gamma=1.0)
-    assert qp.uniqueness_scan_1form(d321.a, d321.b, co)["pass"]
+    assert qp.uniqueness_scan_1form(d321, co)["pass"]
     # the free constants gamma and f drop out of the corner swap
     co2 = qp.path_independent_coeffs(d321.a, d321.b, gamma=2.3, f=0.45)
-    assert qp.uniqueness_scan_1form(d321.a, d321.b, co2)["pass"]
+    assert qp.uniqueness_scan_1form(d321, co2)["pass"]
 
 
 def test_uniqueness_scan_requires_every_condition(d321):
     co = qp.path_independent_coeffs(d321.a, d321.b)
     for name in ("alpha", "beta", "a0", "b0"):
         bumped = replace(co, **{name: getattr(co, name) + 1e-3})
-        res = qp.uniqueness_scan_1form(d321.a, d321.b, bumped)
+        res = qp.uniqueness_scan_1form(d321, bumped)
         assert not res["pass"]
         assert res["mismatch"] > 1e-5
 
@@ -222,7 +222,7 @@ def test_percent_level_detuning_mismatches_above_1e4(d321):
     mismatches = []
     for name in ("alpha", "beta", "a0", "b0"):
         bumped = replace(co, **{name: getattr(co, name) + 1e-2})
-        mismatches.append(qp.uniqueness_scan_1form(d321.a, d321.b, bumped)["mismatch"])
+        mismatches.append(qp.uniqueness_scan_1form(d321, bumped)["mismatch"])
     assert float(np.median(mismatches)) > 1e-4
 
 
@@ -272,3 +272,27 @@ def test_one_step_kernel_canonical_form_is_stable(d321):
     assert data["pihbar_pow"] == "-1/2"
     assert data["amp"]["modulus"] == pytest.approx(math.sqrt(12.5), abs=1e-13)
     assert data["amp"]["phase"] == pytest.approx(math.pi / 4, abs=1e-13)
+
+
+def test_invariant_kernel_residual_keeps_a_nan(d321, monkeypatch):
+    closed_form = qp.n_step_closed_form
+
+    def with_nan_coupling(*args, **kwargs):
+        kernel = closed_form(*args, **kwargs)
+        A = kernel.A.copy()
+        A[0, 1] = A[1, 0] = float("nan")
+        return replace(kernel, A=A)
+
+    monkeypatch.setattr(qp, "n_step_closed_form", with_nan_coupling)
+    for relative in (False, True):
+        assert math.isnan(qp.invariant_kernel_residual(3, d321, relative=relative))
+
+
+def test_uniqueness_scan_refuses_a_vanishing_corner_pivot(d321):
+    co = qp.path_independent_coeffs(d321.a, d321.b)
+    # this b0 zeroes the middle pivot of the hat-then-bar corner: a delta kernel
+    b0 = -co.alpha * (co.a - co.a0) / co.beta
+    # exactly, and inside the NearCaustic refusal band
+    for bad in (b0, b0 * (1 + 1e-8)):
+        with pytest.raises(DegenerateCoeffs):
+            qp.uniqueness_scan_1form(d321, replace(co, b0=bad))

@@ -200,3 +200,13 @@ def test_multiform_residuals_with_fd_cross_check(d321, rng):
         c1, c2 = rng.normal(size=2)
         r1, r2 = red.continuous_multiform_residual(d321.a, d321.b, 2, 3, c1, c2)
         assert max(r1, r2) <= 1e-8
+
+
+def test_solution_residuals_keep_a_nan(d321):
+    res = red.solution_residuals(d321, float("nan"), 0.0)
+    assert sorted(res) == ["bar", "corner1", "corner2", "hat"]
+    assert all(np.isnan(v) for v in res.values())
+
+
+def test_hyperbolic_recurrence_residual_keeps_a_nan():
+    assert np.isnan(red.hyperbolic_recurrence_residual(float("nan"), 1.0, 1.7, range(4)))

@@ -296,3 +296,104 @@ def test_compare_keeps_a_nan_in_either_order():
     k1, k2 = (og.from_terms(("x",), {("x", "x"): 1.0}, const=const) for const in (0.0, float("nan")))
     assert math.isnan(og.compare(k1, k2).exponent_diff)
     assert math.isnan(og.compare(k2, k1).exponent_diff)
+
+
+def test_marginalize_all_rejects_an_unknown_variable():
+    k = og.from_terms(("u", "w"), {("u", "u"): 0.5, ("w", "w"): 0.25})
+    with pytest.raises(VariableMismatch):
+        og.marginalize_all(k, ["nope", "w"])
+    foreign = replace(k, constraints=(og.AffineConstraint((("z", 1.0),), 0.0),))
+    with pytest.raises(VariableMismatch):
+        og.marginalize_all(foreign, ["w"])
+
+
+def _random_kernel(rng, shape):
+    """A random symmetric kernel with the coupling graph of `shape`, the
+    variables to integrate out and the `keep` set (None: all the others).
+
+    chain and grid are generic; volume zeroes a pending row; delta zeroes the
+    diagonal of every other interior variable of a chain and integrates those
+    (exact caustics; when only the two ends are kept, each constraint
+    substitutes an interior neighbour away); band puts one
+    pending pivot inside the refusal band, away from every other pending
+    variable.  Labels are a shuffle of the indices, so sorted-name order
+    differs from storage order.
+    """
+    if shape == "grid":
+        w, h = (int(x) for x in rng.integers(2, 5, size=2))
+        n = w * h
+        edges = [(i, i + 1) for i in range(n) if (i + 1) % w] + [(i, i + w) for i in range(n - w)]
+    else:
+        n = int(rng.integers(4, 13))
+        edges = [(i, i + 1) for i in range(n - 1)]
+    A = np.zeros((n, n))
+    for i, j in edges:
+        A[i, j] = A[j, i] = rng.normal()
+    A[np.diag_indices(n)] = rng.normal(size=n) * rng.choice([0.1, 1.0, 10.0])
+    B = rng.normal(size=n)
+    names = tuple(f"x{i}" for i in rng.permutation(n))
+    interior = list(range(1, n - 1))
+    pending = [i for i in interior if rng.random() < 0.7] or interior[:1]
+    keep, constraints = None, ()
+    if shape == "volume":
+        v = pending[int(rng.integers(len(pending)))]
+        A[v, :] = A[:, v] = B[v] = 0.0
+    elif shape == "delta":
+        zero = interior[::2]
+        A[zero, zero] = 0.0
+        pending = zero
+        if rng.random() < 0.5:
+            keep = frozenset((names[0], names[-1]))
+    elif shape == "band":
+        v = interior[int(rng.integers(len(interior)))]
+        A[v, v] = 0.0
+        A[v, v] = 1e-8 * max(np.abs(A[v]).max(), abs(B[v]))
+        pending = [v] + [i for i in interior if abs(i - v) > 1 and rng.random() < 0.5]
+    elif rng.random() < 0.5:
+        # a delta constraint from an earlier step binds one pending variable
+        v = pending[-1]
+        w = int(rng.choice([i for i in range(n) if i != v]))
+        constraints = (og.AffineConstraint(((names[v], rng.normal()), (names[w], rng.normal())), rng.normal()),)
+    kernel = og.OscKernel(vars=names, A=A, B=B, c=rng.normal(), amp=complex(*rng.normal(size=2)),
+                          constraints=constraints)
+    return kernel, [names[i] for i in pending], keep
+
+
+def _fold_marginalize(kernel, variables, keep):
+    """Single-variable marginalize over the order of marginalize_all's rule:
+    constraint-bound variables first by name, then the largest relative pivot,
+    the first by name on a tie."""
+    pending = set(variables)
+    if keep is None:
+        keep = frozenset(kernel.vars) - pending
+    while pending & set(kernel.vars):
+        pending &= set(kernel.vars)
+        bound = sorted(v for v in pending if any(abs(con.coefficient(v)) > 0.0 for con in kernel.constraints))
+
+        def ratio(v):
+            k = kernel.index(v)
+            return abs(kernel.A[k, k]) / max(np.abs(kernel.A[k]).max(), abs(kernel.B[k]), og._ABS_FLOOR)
+
+        choice = bound[0] if bound else max(sorted(pending), key=ratio)
+        kernel = og.marginalize(kernel, choice, keep=keep)
+        pending.discard(choice)
+    return kernel
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["chain", "grid", "volume", "delta", "band"]))
+def test_marginalize_all_is_bit_equal_to_folding_marginalize(seed, shape):
+    kernel, variables, keep = _random_kernel(np.random.default_rng(seed), shape)
+    if shape == "band":
+        with pytest.raises(NearCaustic):
+            _fold_marginalize(kernel, variables, keep)
+        with pytest.raises(NearCaustic):
+            og.marginalize_all(kernel, variables, keep=keep)
+        return
+    want = _fold_marginalize(kernel, variables, keep)
+    got = og.marginalize_all(kernel, variables, keep=keep)
+    assert got.vars == want.vars
+    assert got.A.tobytes() == want.A.tobytes()
+    assert got.B.tobytes() == want.B.tobytes()
+    assert repr((float(got.c), got.amp, got.constraints)) == repr((float(want.c), want.amp, want.constraints))
+    assert (got.pihbar_pow, got.vol_pow) == (want.pihbar_pow, want.vol_pow)

@@ -7,6 +7,7 @@ import pytest
 
 from mdclab import qprop1d as qp
 from mdclab.errors import CausticError, DegenerateCoeffs, OutOfRegime
+from mdclab.harness import DEFAULT_TOLERANCES
 from mdclab.oscgauss import compare, glue
 from mdclab.params import LatticeParams, derive
 from mdclab.reduction import closure_coeffs
@@ -296,3 +297,20 @@ def test_uniqueness_scan_refuses_a_vanishing_corner_pivot(d321):
     for bad in (b0, b0 * (1 + 1e-8)):
         with pytest.raises(DegenerateCoeffs):
             qp.uniqueness_scan_1form(d321, replace(co, b0=bad))
+
+
+@pytest.mark.parametrize("n", [200, 800])
+def test_long_path_kernel_matches_the_closed_form_at_50_digits(d321, n):
+    # separates float64 roundoff growth along a long elimination from a defect
+    mpmath = pytest.importorskip("mpmath")
+    kernel = qp.path_kernel(qp.TimePath.monotone(n, 0), d321)
+    assert kernel.vars == ("xa", "xb")
+    assert not kernel.B.any() and kernel.c == 0.0
+    with mpmath.workdps(50):
+        theta = n * mpmath.mpf(d321.mu)
+        root_p = mpmath.sqrt(mpmath.mpf(d321.P))
+        off = 2 * root_p / mpmath.sin(theta)
+        diag = -2 * root_p * mpmath.cos(theta) / mpmath.sin(theta)
+        want = [[diag, off], [off, diag]]
+        gap = max(abs(mpmath.mpf(float(kernel.A[i, j])) - want[i][j]) for i in range(2) for j in range(2))
+    assert gap <= DEFAULT_TOLERANCES["path_exponent"]

@@ -37,7 +37,8 @@ def main(path: str = "surface.json") -> int:
         json.dump(surface_to_dict(deformed), fh, indent=2, sort_keys=True)
     print(f"surface with {len(deformed.plaquettes)} plaquettes written to {path}")
 
-    loaded = surface_from_dict(json.load(open(path, encoding="utf-8")))
+    with open(path, encoding="utf-8") as fh:
+        loaded = surface_from_dict(json.load(fh))
     kernel = surface_kernel(loaded, coeffs)
     reference = surface_kernel(patch, coeffs)
     diff = compare(kernel, reference)

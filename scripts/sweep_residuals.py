@@ -33,7 +33,7 @@ def main(out: str = "residual_sweep.csv", n: int = 15) -> int:
             cube = lattice.complete_cube(u, u1, u2, u3, d.p, d.q, d.r)
             row = {
                 "p": d.p, "q": d.q, "r": d.r, "b": d.b, "a": d.a, "P": d.P,
-                "stt_residual": check_stt_identity(LatticeParams(d.p, d.q, d.r)),
+                "stt_residual": check_stt_identity(d.p, d.q, d.r),
                 "closure_residual": lattice.closure_residual(cube, d.p, d.q, d.r),
             }
             try:

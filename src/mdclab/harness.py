@@ -187,16 +187,20 @@ def _rng(config: SuiteConfig, suite: str) -> np.random.Generator:
 def sample_triples(
     rng: np.random.Generator, count: int, low: float, high: float
 ) -> list[tuple[float, float, float]]:
-    """Rejection-sample parameter triples clear of the degeneracy guards."""
+    """Rejection-sample parameter triples clear of the degeneracy guards.
+
+    Each round draws only the triples still missing, so no draw is wasted:
+    the triples and the rng state after the call are those of drawing and
+    testing one triple at a time.
+    """
     out: list[tuple[float, float, float]] = []
     while len(out) < count:
-        p, q, r = rng.uniform(low, high, size=3)
-        pairs = ((p, q), (p, r), (q, r))
-        if any(abs(a - b) < GUARD_GAP for a, b in pairs):
-            continue
-        if any(abs(a + b) < GUARD_SUM for a, b in pairs):
-            continue
-        out.append((float(p), float(q), float(r)))
+        draws = rng.uniform(low, high, size=(count - len(out), 3))
+        ok = np.ones(len(draws), dtype=bool)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            a, b = draws[:, i], draws[:, j]
+            ok &= (abs(a - b) >= GUARD_GAP) & (abs(a + b) >= GUARD_SUM)
+        out.extend(map(tuple, draws[ok].tolist()))
     return out
 
 
@@ -220,8 +224,14 @@ class _Residuals:
         self.records: list[CheckRecord] = []
         self._by_key: dict[str, list[float]] = {}
 
-    def add(self, key: str, *residuals: float) -> None:
-        self._by_key.setdefault(key, []).extend(residuals)
+    def add(self, key: str, *residuals: float | np.ndarray) -> None:
+        """Add residuals under key; an array adds its entries in order."""
+        values = self._by_key.setdefault(key, [])
+        for r in residuals:
+            if isinstance(r, np.ndarray):
+                values.extend(r.ravel().tolist())
+            else:
+                values.append(r)
 
     def _value(self, residual: str | float, stat) -> float:
         if not isinstance(residual, str):
@@ -250,9 +260,9 @@ class _Residuals:
 # -- Suites ---------------------------------------------------------------------
 
 def _params_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals) -> None:
-    for p, q, r in sample_triples(rng, config.trials, config.range_low, config.range_high):
-        res.add("stt", check_stt_identity(LatticeParams(p, q, r)))
-        res.add("sij", check_sij_identity(p, q, r))
+    p, q, r = np.array(sample_triples(rng, config.trials, config.range_low, config.range_high)).T
+    res.add("stt", check_stt_identity(p, q, r))
+    res.add("sij", check_sij_identity(p, q, r))
     res.check("stt-identity-sweep", "stt-identity", "stt", "stt")
     res.check("sij-identity-sweep", "edge-identity", "sij", "sij")
 
@@ -273,14 +283,15 @@ def _params_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals
 
 def _lattice_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals) -> None:
     points = _work_points(config, rng)
-    for k in range(min(config.trials, 1000)):
-        d = points[k % len(points)]
-        u, u1, u2, u3 = rng.normal(size=4)
-        res.add("mdc", lattice.mdc_spread(u, u1, u2, u3, d.p, d.q, d.r))
-        cube = lattice.complete_cube(u, u1, u2, u3, d.p, d.q, d.r)
-        res.add("closure", lattice.closure_residual(cube, d.p, d.q, d.r))
-        bumped = replace(cube, u12=cube.u12 + 0.1)
-        res.add("offshell", lattice.closure_residual(bumped, d.p, d.q, d.r))
+    n = min(config.trials, 1000)
+    # cube k takes points[k % len(points)] and the k-th draw of four normals
+    u, u1, u2, u3 = rng.normal(size=(n, 4)).T
+    p1, p2, p3 = np.array([(d.p, d.q, d.r) for d in points])[np.arange(n) % len(points)].T
+    res.add("mdc", lattice.mdc_spread(u, u1, u2, u3, p1, p2, p3))
+    cube = lattice.complete_cube(u, u1, u2, u3, p1, p2, p3)
+    res.add("closure", lattice.closure_residual(cube, p1, p2, p3))
+    bumped = replace(cube, u12=cube.u12 + 0.1)
+    res.add("offshell", lattice.closure_residual(bumped, p1, p2, p3))
     res.check("cube-consistency-spread", "cube-consistency", "mdc", "mdc")
     res.check("closure-on-shell", "2form-closure", "closure", "closure_onshell")
     res.probe("closure-off-shell-median", "2form-closure", "offshell", "closure_offshell_min")
@@ -544,7 +555,7 @@ def sweep_rows(config: SuiteConfig) -> list[dict]:
             "mu": "" if d.mu is None else d.mu,
             "nu": "" if d.nu is None else d.nu,
         }
-        rows.append({**row, "residual_name": "stt-identity", "residual": check_stt_identity(LatticeParams(p, q, r))})
+        rows.append({**row, "residual_name": "stt-identity", "residual": check_stt_identity(p, q, r)})
         rows.append({**row, "residual_name": "edge-identity", "residual": check_sij_identity(p, q, r)})
     return rows
 

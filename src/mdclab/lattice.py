@@ -16,6 +16,8 @@ is antisymmetric in (i, j) and closes around the cube on shell:
     [L23(u1) - L23(u)] + [L31(u2) - L31(u)] + [L12(u3) - L12(u)] = 0.
 
 All operations act on explicit vertex tuples; the harness composes them.
+The cube functions take floats or same-shape arrays (one cube per entry), so
+the harness checks a whole batch of cubes in one call.
 """
 
 from __future__ import annotations
@@ -25,15 +27,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateCoeffs
-from .params import edge_coefficient
+from .params import FloatOrArray, edge_coefficient
 
 
-def quad_solve(u: float, ui: float, uj: float, pi: float, pj: float) -> float:
+def quad_solve(
+    u: FloatOrArray, ui: FloatOrArray, uj: FloatOrArray, pi: FloatOrArray, pj: FloatOrArray
+) -> FloatOrArray:
     """Far corner of a plaquette from the other three values."""
     return u - edge_coefficient(pi, pj) * (ui - uj)
 
 
-def lagrangian_2form(u: float, ui: float, uj: float, pi: float, pj: float) -> float:
+def lagrangian_2form(
+    u: FloatOrArray, ui: FloatOrArray, uj: FloatOrArray, pi: FloatOrArray, pj: FloatOrArray
+) -> FloatOrArray:
     """Oriented plaquette Lagrangian L_ij; antisymmetric under i <-> j."""
     d = ui - uj
     return u * d - 0.5 * edge_coefficient(pi, pj) * d * d
@@ -41,21 +47,25 @@ def lagrangian_2form(u: float, ui: float, uj: float, pi: float, pj: float) -> fl
 
 @dataclass(frozen=True)
 class CubeSample:
-    """Field values on a consistency cube: a vertex, its 3 neighbours, faces."""
+    """Field values on a consistency cube: a vertex, its 3 neighbours, faces.
 
-    u: float
-    u1: float
-    u2: float
-    u3: float
-    u12: float
-    u23: float
-    u31: float
-    u123: float
+    Each field is a float, or an array holding one entry per cube.
+    """
+
+    u: FloatOrArray
+    u1: FloatOrArray
+    u2: FloatOrArray
+    u3: FloatOrArray
+    u12: FloatOrArray
+    u23: FloatOrArray
+    u31: FloatOrArray
+    u123: FloatOrArray
 
 
 def u123_routes(
-    u: float, u1: float, u2: float, u3: float, p1: float, p2: float, p3: float
-) -> tuple[float, float, float]:
+    u: FloatOrArray, u1: FloatOrArray, u2: FloatOrArray, u3: FloatOrArray,
+    p1: FloatOrArray, p2: FloatOrArray, p3: FloatOrArray,
+) -> tuple[FloatOrArray, FloatOrArray, FloatOrArray]:
     """The triple-shifted corner evaluated along the three elimination orders."""
     u12 = quad_solve(u, u1, u2, p1, p2)
     u23 = quad_solve(u, u2, u3, p2, p3)
@@ -67,15 +77,18 @@ def u123_routes(
 
 
 def mdc_spread(
-    u: float, u1: float, u2: float, u3: float, p1: float, p2: float, p3: float
-) -> float:
-    """Spread of the three routes to u123; zero iff consistent."""
-    routes = u123_routes(u, u1, u2, u3, p1, p2, p3)
-    return max(routes) - min(routes)
+    u: FloatOrArray, u1: FloatOrArray, u2: FloatOrArray, u3: FloatOrArray,
+    p1: FloatOrArray, p2: FloatOrArray, p3: FloatOrArray,
+) -> FloatOrArray:
+    """Spread of the three routes to u123; zero iff consistent, NaN if any
+    route is NaN (np.maximum and np.minimum let a NaN through)."""
+    via1, via2, via3 = u123_routes(u, u1, u2, u3, p1, p2, p3)
+    return np.maximum(np.maximum(via1, via2), via3) - np.minimum(np.minimum(via1, via2), via3)
 
 
 def complete_cube(
-    u: float, u1: float, u2: float, u3: float, p1: float, p2: float, p3: float
+    u: FloatOrArray, u1: FloatOrArray, u2: FloatOrArray, u3: FloatOrArray,
+    p1: FloatOrArray, p2: FloatOrArray, p3: FloatOrArray,
 ) -> CubeSample:
     """Fill the faces and the far corner of a cube from initial data."""
     u12 = quad_solve(u, u1, u2, p1, p2)
@@ -85,7 +98,9 @@ def complete_cube(
     return CubeSample(u=u, u1=u1, u2=u2, u3=u3, u12=u12, u23=u23, u31=u31, u123=u123)
 
 
-def closure_residual(cube: CubeSample, p1: float, p2: float, p3: float) -> float:
+def closure_residual(
+    cube: CubeSample, p1: FloatOrArray, p2: FloatOrArray, p3: FloatOrArray
+) -> FloatOrArray:
     """|sum of oriented Lagrangian differences over the cube faces|.
 
     Vanishes when the cube data solve the quad equation on every face.

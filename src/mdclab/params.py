@@ -23,6 +23,10 @@ For a triple of directions the edge coefficients
 
 are antisymmetric and obey  s12 s23 + s23 s31 + s31 s12 + 1 = 0, the relation
 that makes the pop-up cube integral singular in exactly the right way.
+
+The identity checks and the coefficients they use take floats or same-shape
+arrays; on arrays every expression acts elementwise in the scalar order, so a
+batch call returns bit for bit the scalar calls' values.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ from .errors import DegenerateParams
 
 #: Absolute floor under which a parameter denominator counts as vanished.
 DENOM_EPS = 1e-12
+
+#: A float, or an array of floats that the identity checks act on elementwise.
+FloatOrArray = float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -94,20 +101,29 @@ class DerivedParams:
 class EdgeParams:
     """Edge coefficients s_ij and the cyclic combination they annihilate."""
 
-    p: tuple[float, float, float]
-    s: dict[tuple[int, int], float]
-    lambda_ijk: float
+    p: tuple[FloatOrArray, FloatOrArray, FloatOrArray]
+    s: dict[tuple[int, int], FloatOrArray]
+    lambda_ijk: FloatOrArray
 
-    def sij(self, i: int, j: int) -> float:
+    def sij(self, i: int, j: int) -> FloatOrArray:
         return self.s[(i, j)]
 
 
-def _guard_sum(name: str, value: float) -> None:
-    if abs(value) < DENOM_EPS:
-        raise DegenerateParams(f"denominator {name} vanishes: {value!r}")
+def _first(values: FloatOrArray, bad) -> float:
+    """The first entry of `values` where `bad` holds, as a float, so that an
+    error message names one scalar on one line even for array input."""
+    return float(np.broadcast_to(values, np.shape(bad)).flat[np.argmax(bad)])
 
 
-def reduction_coefficients(p: float, q: float, r: float) -> tuple[float, float, float]:
+def _guard_sum(name: str, value: FloatOrArray) -> None:
+    bad = abs(value) < DENOM_EPS
+    if np.any(bad):
+        raise DegenerateParams(f"denominator {name} vanishes: {_first(value, bad)!r}")
+
+
+def reduction_coefficients(
+    p: FloatOrArray, q: FloatOrArray, r: FloatOrArray
+) -> tuple[FloatOrArray, FloatOrArray, FloatOrArray]:
     """(s, t, t') from their defining ratios, guarding the denominators."""
     _guard_sum("p+q", p + q)
     _guard_sum("p+r", p + r)
@@ -175,23 +191,24 @@ def derive(params: LatticeParams) -> DerivedParams:
     )
 
 
-def check_stt_identity(params: LatticeParams) -> float:
-    """|s t t' - s + t - t'| for the given parameter point."""
-    s, t, tprime = reduction_coefficients(params.p, params.q, params.r)
+def check_stt_identity(p: FloatOrArray, q: FloatOrArray, r: FloatOrArray) -> FloatOrArray:
+    """|s t t' - s + t - t'| at the parameter point (p, q, r)."""
+    s, t, tprime = reduction_coefficients(p, q, r)
     return abs(s * t * tprime - s + t - tprime)
 
 
-def edge_coefficient(pi: float, pj: float) -> float:
+def edge_coefficient(pi: FloatOrArray, pj: FloatOrArray) -> FloatOrArray:
     """s_ij = (p_i + p_j)/(p_i - p_j); errors on equal parameters."""
-    if abs(pi - pj) < DENOM_EPS:
-        raise DegenerateParams(f"edge coefficient undefined for p_i = p_j = {pi!r}")
+    bad = abs(pi - pj) < DENOM_EPS
+    if np.any(bad):
+        raise DegenerateParams(f"edge coefficient undefined for p_i = p_j = {_first(pi, bad)!r}")
     return (pi + pj) / (pi - pj)
 
 
-def edge_params(p1: float, p2: float, p3: float) -> EdgeParams:
+def edge_params(p1: FloatOrArray, p2: FloatOrArray, p3: FloatOrArray) -> EdgeParams:
     """All six ordered edge coefficients plus their cyclic combination."""
     p = (p1, p2, p3)
-    s: dict[tuple[int, int], float] = {}
+    s: dict[tuple[int, int], FloatOrArray] = {}
     for i in range(3):
         for j in range(3):
             if i != j:
@@ -200,7 +217,7 @@ def edge_params(p1: float, p2: float, p3: float) -> EdgeParams:
     return EdgeParams(p=p, s=s, lambda_ijk=lam)
 
 
-def check_sij_identity(p1: float, p2: float, p3: float) -> float:
+def check_sij_identity(p1: FloatOrArray, p2: FloatOrArray, p3: FloatOrArray) -> FloatOrArray:
     """|s12 s23 + s23 s31 + s31 s12 + 1|."""
     return abs(edge_params(p1, p2, p3).lambda_ijk)
 

@@ -36,7 +36,7 @@ def test_criterion_01_parameter_identities():
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for p, q, r in sample_triples(rng, 1000):
-        worst = max(worst, check_stt_identity(LatticeParams(p, q, r)))
+        worst = max(worst, check_stt_identity(p, q, r))
         worst = max(worst, check_sij_identity(p, q, r))
     s, t, tp = 0.2, 0.5, 1.0 / 3.0
     exact = (

@@ -1,0 +1,86 @@
+"""The array call of each sweep check equals its per-point scalar calls, bit for bit."""
+
+from dataclasses import fields, replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mdclab import lattice
+from mdclab.harness import GUARD_GAP, GUARD_SUM, sample_triples
+from mdclab.params import check_sij_identity, check_stt_identity
+
+param = st.floats(-5.0, 5.0)
+value = st.floats(-10.0, 10.0)
+
+
+def admissible(triple):
+    # clear of the 1e-12 denominator guards, so no call raises
+    pairs = ((triple[0], triple[1]), (triple[0], triple[2]), (triple[1], triple[2]))
+    return all(abs(a - b) > 1e-9 and abs(a + b) > 1e-9 for a, b in pairs)
+
+
+points = st.lists(
+    st.tuples(st.tuples(param, param, param).filter(admissible), st.tuples(value, value, value, value)),
+    min_size=1,
+    max_size=30,
+)
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=points)
+def test_batch_checks_equal_scalar_checks(points):
+    triples = [t for t, _ in points]
+    cubes = [u for _, u in points]
+    p1, p2, p3 = np.array(triples).T
+    u, u1, u2, u3 = np.array(cubes).T
+
+    assert bits(check_stt_identity(p1, p2, p3)) == bits([check_stt_identity(*t) for t in triples])
+    assert bits(check_sij_identity(p1, p2, p3)) == bits([check_sij_identity(*t) for t in triples])
+    assert bits(lattice.mdc_spread(u, u1, u2, u3, p1, p2, p3)) == bits(
+        [lattice.mdc_spread(*c, *t) for t, c in points]
+    )
+
+    cube = lattice.complete_cube(u, u1, u2, u3, p1, p2, p3)
+    scalar_cubes = [lattice.complete_cube(*c, *t) for t, c in points]
+    for f in fields(cube):
+        assert bits(getattr(cube, f.name)) == bits([getattr(c, f.name) for c in scalar_cubes])
+    for bump in (0.0, 0.1):
+        batch = lattice.closure_residual(replace(cube, u12=cube.u12 + bump), p1, p2, p3)
+        scalar = [
+            lattice.closure_residual(replace(c, u12=c.u12 + bump), *t)
+            for t, c in zip(triples, scalar_cubes)
+        ]
+        assert bits(batch) == bits(scalar)
+
+
+def per_draw_triples(rng, count, low, high):
+    """Reference sampler: one triple drawn and tested at a time."""
+    out = []
+    while len(out) < count:
+        p, q, r = rng.uniform(low, high, size=3)
+        pairs = ((p, q), (p, r), (q, r))
+        if any(abs(a - b) < GUARD_GAP for a, b in pairs):
+            continue
+        if any(abs(a + b) < GUARD_SUM for a, b in pairs):
+            continue
+        out.append((float(p), float(q), float(r)))
+    return out
+
+
+# (-0.3, 0.3) passes only ~4% of draws, nearly all rejections by the sum guard
+@pytest.mark.parametrize("low, high", [(0.5, 3.0), (-0.3, 0.3)])
+@pytest.mark.parametrize("count", [1, 4, 1000])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sample_triples_equals_per_draw_sampling(seed, count, low, high):
+    batch_rng = np.random.default_rng(seed)
+    draw_rng = np.random.default_rng(seed)
+    got = sample_triples(batch_rng, count, low, high)
+    want = per_draw_triples(draw_rng, count, low, high)
+    assert repr(got) == repr(want)
+    assert batch_rng.random() == draw_rng.random()

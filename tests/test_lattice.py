@@ -65,6 +65,13 @@ def test_consistency_spread(rng):
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("routes", [(float("nan"), 1.0, 2.0), (1.0, float("nan"), 2.0), (1.0, 2.0, float("nan"))])
+def test_spread_lets_a_nan_route_through(monkeypatch, routes):
+    # max(routes) - min(routes) dropped a NaN in the second or third route
+    monkeypatch.setattr(lattice, "u123_routes", lambda *args: routes)
+    assert np.isnan(lattice.mdc_spread(0.0, 0.0, 0.0, 0.0, 3.0, 2.0, 1.0))
+
+
 def test_lagrangian_vanishes_on_equal_neighbours():
     assert lattice.lagrangian_2form(0.9, 1.4, 1.4, 3.0, 2.0) == 0.0
 

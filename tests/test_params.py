@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,7 +32,7 @@ def test_stt_identity_321_both_sides_are_one_thirtieth():
     s, t, tp = reduction_coefficients(3.0, 2.0, 1.0)
     assert s * t * tp == pytest.approx(1.0 / 30.0, abs=1e-16)
     assert s - t + tp == pytest.approx(1.0 / 30.0, abs=1e-16)
-    assert check_stt_identity(LatticeParams(3.0, 2.0, 1.0)) <= 1e-16
+    assert check_stt_identity(3.0, 2.0, 1.0) <= 1e-16
 
 
 def test_stt_identity_degenerates_to_zero_when_r_equals_q():
@@ -39,12 +40,12 @@ def test_stt_identity_degenerates_to_zero_when_r_equals_q():
     s, t, tp = reduction_coefficients(3.0, 2.0, 2.0)
     assert tp == 0.0
     assert t == s
-    assert check_stt_identity(LatticeParams(3.0, 2.0, 2.0)) == 0.0
+    assert check_stt_identity(3.0, 2.0, 2.0) == 0.0
 
 
 def test_stt_identity_sweep(rng):
     worst = max(
-        check_stt_identity(LatticeParams(p, q, r))
+        check_stt_identity(p, q, r)
         for p, q, r in sample_triples(rng, 1000)
     )
     assert worst <= 1e-12
@@ -57,7 +58,7 @@ def test_stt_identity_sweep(rng):
     r=st.floats(0.5, 3.0),
 )
 def test_stt_identity_property(p, q, r):
-    assert check_stt_identity(LatticeParams(p, q, r)) <= 1e-12
+    assert check_stt_identity(p, q, r) <= 1e-12
 
 
 def test_derived_constants_at_321(d321):
@@ -97,6 +98,20 @@ def test_equal_parameters_allowed_in_derive_but_not_for_edges():
         edge_coefficient(2.0, 2.0)
     with pytest.raises(DegenerateParams):
         check_sij_identity(2.0, 2.0, 1.0)
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_guard_errors_name_the_first_offending_value_on_one_line(batch):
+    # one degenerate pair sits inside each array, at index 1
+    def args(*values):
+        return tuple(np.array([3.0 + k, v, 1.7 - k]) if batch else v for k, v in enumerate(values))
+
+    with pytest.raises(DegenerateParams) as err:
+        reduction_coefficients(*args(1.0, -1.0, 0.5))
+    assert str(err.value) == "denominator p+q vanishes: 0.0"
+    with pytest.raises(DegenerateParams) as err:
+        check_sij_identity(*args(2.0, 2.0, 0.5))
+    assert str(err.value) == "edge coefficient undefined for p_i = p_j = 2.0"
 
 
 def test_hyperbolic_regime_is_flagged_not_fatal():

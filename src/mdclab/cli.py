@@ -64,20 +64,26 @@ def _apply_overrides(config: SuiteConfig, args: argparse.Namespace) -> SuiteConf
 
 
 def _surface_kernel_command(args: argparse.Namespace) -> int:
+    from .params import LatticeParams
     from .qsurface import canonical_lattice_coeffs, surface_from_dict, surface_kernel
 
     try:
+        point = LatticeParams(*args.params, hbar=args.hbar)  # rejects non-finite values and hbar <= 0
         with open(args.surface, encoding="utf-8") as fh:
             surface = surface_from_dict(json.load(fh))
-        coeffs = canonical_lattice_coeffs(*args.params)
-        kernel = surface_kernel(surface, coeffs, hbar=args.hbar)
+        coeffs = canonical_lattice_coeffs(point.p, point.q, point.r)
+        kernel = surface_kernel(surface, coeffs, hbar=point.hbar)
     except (OSError, json.JSONDecodeError, MissingVertex, DegenerateParams) as exc:
         print(f"surface error: {exc}", file=sys.stderr)
         return 2
     except DeltaConstraintError as exc:
         print(f"inadmissible surface: {exc}", file=sys.stderr)
         return 1
-    text = kernel.to_json()
+    try:
+        text = kernel.to_json()
+    except ValueError as exc:  # finite parameters can still overflow to inf or NaN
+        print(f"surface error: kernel is not finite: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -82,6 +82,29 @@ GUARD_GAP = 0.1
 GUARD_SUM = 0.1
 
 
+def _guards_satisfiable(low: float, high: float) -> bool:
+    """Whether the triples in [low, high] that clear both guards have positive
+    measure, that is whether `sample_triples` can ever return.
+
+    Sort a triple x < y < z.  Its sums are then sorted too, so either all
+    three exceed GUARD_SUM, or only x + y lies below -GUARD_SUM, or only
+    y + z lies above GUARD_SUM, or all three lie below -GUARD_SUM; v -> -v
+    maps the last two cases onto the first two.  Each case is a strict linear
+    system whose solvability reduces to one comparison of the bounds.
+    """
+    g, s = GUARD_GAP, GUARD_SUM
+
+    def all_sums_above(lo: float, hi: float) -> bool:
+        return max(lo + g, (s + g) / 2) + g < hi
+
+    def one_sum_below(lo: float, hi: float) -> bool:
+        return max(lo, s - hi) < min(hi - 2 * g, -(s + g) / 2)
+
+    return any(
+        case(lo, hi) for case in (all_sums_above, one_sum_below) for lo, hi in ((low, high), (-high, -low))
+    )
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 42
@@ -104,8 +127,10 @@ class SuiteConfig:
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ConfigError(f"unknown tolerance names: {sorted(unknown)}")
-        if self.range_high - self.range_low < 3 * GUARD_GAP:
-            raise ConfigError("sampling range too narrow for the degeneracy guards")
+        if not _guards_satisfiable(self.range_low, self.range_high):
+            raise ConfigError(
+                f"no triples in [{self.range_low}, {self.range_high}] clear the degeneracy guards"
+            )
 
     def tol(self, name: str) -> float:
         return self.tolerances.get(name, DEFAULT_TOLERANCES[name])
@@ -301,7 +326,7 @@ def _lattice_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residual
     u12 = lattice.quad_solve(u, u1, u2, d.p, d.q)
     res.check("corner-el-on-shell", "corner-el", lattice.el_corner_residual(u, u1, u2, u12, d.p, d.q), 1e-12)
     good = lattice.classify_general_quad_lagrangian(
-        lattice.canonical_quad_coeffs(d.p, d.q, d.r, a=(0.3, -0.7, 0.2)), seed=config.seed
+        qsurface.canonical_lattice_coeffs(d.p, d.q, d.r, gauge=(0.3, -0.7, 0.2)), seed=config.seed
     )
     closes = good["symmetric_quad"] and good["closure_ok"]
     res.check("general-quad-canonical", "2form-closure", 0.0 if closes else 1.0, 0.0)

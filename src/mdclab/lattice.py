@@ -18,16 +18,19 @@ is antisymmetric in (i, j) and closes around the cube on shell:
 All operations act on explicit vertex tuples; the harness composes them.
 The cube functions take floats or same-shape arrays (one cube per entry), so
 the harness checks a whole batch of cubes in one call.
+
+`classify_general_quad_lagrangian` judges a general quadratic table
+(`qsurface.LatticeLagrangianCoeffs`) by its gauge-invariant data alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCoeffs
 from .params import FloatOrArray, edge_coefficient
+from .qsurface import LatticeLagrangianCoeffs, e_minus_d
 
 
 def quad_solve(
@@ -129,109 +132,36 @@ def el_corner_residual(
     return abs(u - uij - sij * (ui - uj))
 
 
-@dataclass(frozen=True)
-class GeneralQuadCoeffs:
-    """Coefficients of a general 3-point quadratic plaquette Lagrangian.
-
-    L_ij = (a_i u^2/2 + c_i u u_i) - (a_j u^2/2 + c_j u u_j)
-           + b_ij u_i^2/2 - b_ji u_j^2/2 + delta_ij u_i u_j,
-
-    with per-direction tables a, c and ordered-pair tables b, delta
-    (delta antisymmetric).
-    """
-
-    a: dict[int, float]
-    c: dict[int, float]
-    b: dict[tuple[int, int], float]
-    delta: dict[tuple[int, int], float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for (i, j), v in self.delta.items():
-            w = self.delta.get((j, i))
-            if w is not None and abs(v + w) > 1e-12 * max(1.0, abs(v)):
-                raise DegenerateCoeffs(f"delta must be antisymmetric: {(i, j)}")
-
-    def lagrangian(self, u: float, ui: float, uj: float, i: int, j: int) -> float:
-        return (
-            0.5 * self.a[i] * u * u + self.c[i] * u * ui
-            - 0.5 * self.a[j] * u * u - self.c[j] * u * uj
-            + 0.5 * self.b[(i, j)] * ui * ui - 0.5 * self.b[(j, i)] * uj * uj
-            + self.delta[(i, j)] * ui * uj
-        )
-
-    def quad_solve(self, u: float, ui: float, uj: float, i: int, j: int) -> float:
-        """Far corner from this Lagrangian's own equation of motion:
-        c_i u - c_j u_ij = (a_j - b_ij) u_i - delta_ij u_j."""
-        cj = self.c[j]
-        if abs(cj) < 1e-12:
-            raise DegenerateCoeffs(f"c_{j} = 0: equation of motion cannot be solved")
-        return (self.c[i] * u - (self.a[j] - self.b[(i, j)]) * ui + self.delta[(i, j)] * uj) / cj
-
-
-def canonical_quad_coeffs(
-    p1: float, p2: float, p3: float, a: tuple[float, float, float] = (0.0, 0.0, 0.0)
-) -> GeneralQuadCoeffs:
-    """The closure-compatible family: c = 1, delta_ij = s_ij, b_ij = a_j - s_ij.
-
-    The per-direction a_i are free and drop out of the equations of motion.
-    """
-    ps = (p1, p2, p3)
-    delta = {}
-    b = {}
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                sij = edge_coefficient(ps[i], ps[j])
-                delta[(i + 1, j + 1)] = sij
-                b[(i + 1, j + 1)] = a[j] - sij
-    return GeneralQuadCoeffs(
-        a={1: a[0], 2: a[1], 3: a[2]}, c={1: 1.0, 2: 1.0, 3: 1.0}, b=b, delta=delta
-    )
-
-
 def classify_general_quad_lagrangian(
-    coeffs: GeneralQuadCoeffs,
+    coeffs: LatticeLagrangianCoeffs,
     seed: int = 0,
     probes: int = 20,
     tol: float = 1e-9,
 ) -> dict[str, bool]:
-    """Check the two classical admissibility conditions of the general family.
+    """Check the two classical admissibility conditions of a coefficient table.
 
-    symmetric_quad: the equation of motion is a quad equation symmetric under
-    i <-> j, which needs c_i all equal and a_j - b_ij = delta_ij.
+    The face equation of the table is  c_ij u - c_ji u_ij = e_ij u_i - d_ij u_j.
+    symmetric_quad: that equation is a quad equation symmetric under i <-> j,
+    which needs every c_ij equal and e = d.
     closure_ok: the oriented Lagrangian sum over probe cubes, filled with the
-    family's own equation of motion, vanishes numerically.
+    face equation, vanishes numerically.  Neither depends on the gauge.
     """
-    dirs = sorted(coeffs.c)
-    cs = [coeffs.c[i] for i in dirs]
-    symmetric = all(abs(ci - cs[0]) <= tol for ci in cs)
-    for i in dirs:
-        for j in dirs:
-            if i != j:
-                lhs = coeffs.a[j] - coeffs.b[(i, j)]
-                if not abs(lhs - coeffs.delta[(i, j)]) <= tol * max(1.0, abs(lhs)):
-                    symmetric = False
+    c, d, e = coeffs.c, coeffs.d, coeffs.e
+    symmetric = all(abs(v - c[(1, 2)]) <= tol for v in c.values()) and (
+        e_minus_d(coeffs) <= tol * max(1.0, *map(abs, d.values()))
+    )
+    faces = ((1, 2), (2, 3), (3, 1))
+    if any(not abs(c[(j, i)]) >= 1e-12 for i, j in faces):
+        return {"symmetric_quad": bool(symmetric), "closure_ok": False}
 
-    rng = np.random.default_rng(seed)
-    totals = []
-    for _ in range(probes):
-        u, u1, u2, u3 = rng.normal(size=4)
-        vals = {(): u, (1,): u1, (2,): u2, (3,): u3}
-        try:
-            # fill faces once, with the (i < j) orientation of the EL rule
-            faces = {}
-            for i, j in ((1, 2), (2, 3), (3, 1)):
-                faces[(i, j)] = coeffs.quad_solve(vals[()], vals[(i,)], vals[(j,)], i, j)
-        except DegenerateCoeffs:
-            return {"symmetric_quad": symmetric, "closure_ok": False}
-        u12, u23, u31 = faces[(1, 2)], faces[(2, 3)], faces[(3, 1)]
-        total = (
-            coeffs.lagrangian(u1, u12, u31, 2, 3)
-            - coeffs.lagrangian(u, u2, u3, 2, 3)
-            + coeffs.lagrangian(u2, u23, u12, 3, 1)
-            - coeffs.lagrangian(u, u3, u1, 3, 1)
-            + coeffs.lagrangian(u3, u31, u23, 1, 2)
-            - coeffs.lagrangian(u, u1, u2, 1, 2)
-        )
-        totals.append(abs(total))
-    return {"symmetric_quad": bool(symmetric), "closure_ok": bool(np.max(totals, initial=0.0) <= tol)}
+    # one probe cube per row; faces filled once, in the (i < j) orientation
+    u, u1, u2, u3 = np.random.default_rng(seed).normal(size=(probes, 4)).T
+    vals = {1: u1, 2: u2, 3: u3}
+    u12, u23, u31 = ((c[(i, j)] * u - e[(i, j)] * vals[i] + d[(i, j)] * vals[j]) / c[(j, i)] for i, j in faces)
+    L = coeffs.lagrangian
+    total = (
+        L(u1, u12, u31, 2, 3) - L(u, u2, u3, 2, 3)
+        + L(u2, u23, u12, 3, 1) - L(u, u3, u1, 3, 1)
+        + L(u3, u31, u23, 1, 2) - L(u, u1, u2, 1, 2)
+    )
+    return {"symmetric_quad": bool(symmetric), "closure_ok": bool(np.max(np.abs(total), initial=0.0) <= tol)}

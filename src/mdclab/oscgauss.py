@@ -167,7 +167,9 @@ class OscKernel:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.canonical_dict(), sort_keys=True)
+        """Canonical JSON; a non-finite entry raises ValueError, since NaN and
+        Infinity are not JSON."""
+        return json.dumps(self.canonical_dict(), sort_keys=True, allow_nan=False)
 
     @staticmethod
     def from_json(text: str) -> "OscKernel":

@@ -85,7 +85,10 @@ class LatticeLagrangianCoeffs:
            + c_ij u u_i - c_ji u u_j + d_ij u_i u_j,
 
     indexed by ordered direction pairs; a and d must be antisymmetric (the
-    2-form structure).
+    2-form structure).  The classical classifier reads this type too.  A
+    per-direction gauge g (a_ij += g_i - g_j, b_ij += g_j) adds the discrete
+    curl of F_i(u) = g_i u^2/2 to L_ij, so it changes surface actions only by
+    boundary terms and leaves c, d and e unchanged.
     """
 
     a: dict[tuple[int, int], float]
@@ -99,6 +102,11 @@ class LatticeLagrangianCoeffs:
                 w = table.get((j, i))
                 if w is None or abs(v + w) > 1e-12 * max(1.0, abs(v)):
                     raise DegenerateCoeffs(f"{name} must be antisymmetric at {(i, j)}")
+
+    @property
+    def e(self) -> dict[tuple[int, int], float]:
+        """e_ij = -(a_ij + b_ij - b_ji)/2, gauge-invariant, antisymmetric like d."""
+        return {(i, j): -0.5 * (self.a[(i, j)] + self.b[(i, j)] - self.b[(j, i)]) for i, j in self.b}
 
     def perturbed(self, table: str, pair: tuple[int, int], eps: float,
                   antisymmetric: bool | None = None) -> "LatticeLagrangianCoeffs":
@@ -142,14 +150,19 @@ class LatticeLagrangianCoeffs:
         )
 
 
-def canonical_lattice_coeffs(p1: float, p2: float, p3: float) -> LatticeLagrangianCoeffs:
-    """The closed-form coefficient point: c = 1, a = 0, d_ij = s_ij = -b_ij."""
+def canonical_lattice_coeffs(
+    p1: float, p2: float, p3: float, gauge: tuple[float, float, float] = (0.0, 0.0, 0.0)
+) -> LatticeLagrangianCoeffs:
+    """The closed-form coefficient point: c = 1, d_ij = s_ij and, in the
+    per-direction gauge g, a_ij = g_i - g_j and b_ij = g_j - s_ij (at the
+    default, a = 0 and b = -d)."""
     ps = {1: p1, 2: p2, 3: p3}
+    g = dict(zip((1, 2, 3), gauge))
     a, b, c, d = {}, {}, {}, {}
     for i, j in itertools.permutations((1, 2, 3), 2):
         sij = edge_coefficient(ps[i], ps[j])
-        a[(i, j)] = 0.0
-        b[(i, j)] = -sij
+        a[(i, j)] = g[i] - g[j]
+        b[(i, j)] = -(sij - g[j])  # at g_j = 0 exactly -s_ij, signed zero included
         c[(i, j)] = 1.0
         d[(i, j)] = sij
     return LatticeLagrangianCoeffs(a=a, b=b, c=c, d=d)
@@ -481,6 +494,12 @@ def move_a_matrix(coeffs: LatticeLagrangianCoeffs, i: int = 1, j: int = 2, k: in
     )
 
 
+def e_minus_d(coeffs: LatticeLagrangianCoeffs) -> float:
+    """max |e_ij - d_ij| over the ordered pairs (gauge-invariant); NaN if any entry is."""
+    e = coeffs.e
+    return float(np.max([abs(e[pair] - coeffs.d[pair]) for pair in e]))
+
+
 def lambda_of(coeffs: LatticeLagrangianCoeffs, i: int = 1, j: int = 2, k: int = 3) -> float:
     d = coeffs.d
     return d[(i, j)] * d[(j, k)] + d[(j, k)] * d[(k, i)] + d[(k, i)] * d[(i, j)] + 1.0
@@ -524,7 +543,9 @@ def uniqueness_scan_2form(
 
     Returns the branch data (cyclic a-sum and cap determinant), the critical
     point conditions, and the comparison of the two move-a kernels; a delta
-    constraint in either configuration is reported as a rejection.
+    constraint in either configuration is reported as a rejection.  The
+    conditions are gauge-invariant: e = d and a b_ij + d_ij that depends on j
+    alone hold exactly when some gauge takes the table to a = 0, b = -d.
     """
     ca = cyclic_a(coeffs)
     det = float(np.linalg.det(move_a_matrix(coeffs)))
@@ -532,8 +553,10 @@ def uniqueness_scan_2form(
     conditions = {
         "cyclic_a": abs(ca),
         "det_cap": abs(det),
-        "a_zero": max(abs(v) for v in coeffs.a.values()),
-        "b_plus_d": max(abs(coeffs.b[p] + coeffs.d[p]) for p in coeffs.b),
+        "e_minus_d": e_minus_d(coeffs),
+        "b_plus_d_spread": float(np.max([
+            np.ptp([coeffs.b[(i, j)] + coeffs.d[(i, j)] for i in (1, 2, 3) if i != j]) for j in (1, 2, 3)
+        ])),
         "c_symmetric": max(abs(coeffs.c[(i, j)] - coeffs.c[(j, i)]) for (i, j) in coeffs.c),
         "c_constant": max(abs(v - c12) for v in coeffs.c.values()),
         "lambda_vs_c": abs(lambda_of(coeffs) - (1.0 - c12 * c12)),
@@ -564,7 +587,7 @@ def uniqueness_scan_2form(
         and exponent_diff <= tol * scale
         and all(
             conditions[name] <= tol * scale
-            for name in ("a_zero", "b_plus_d", "c_symmetric", "c_constant", "lambda_vs_c")
+            for name in ("e_minus_d", "b_plus_d_spread", "c_symmetric", "c_constant", "lambda_vs_c")
         )
     )
     return {

@@ -22,6 +22,13 @@ from conftest import sample_triples
 SEED = 321
 
 
+def nan_max(*values) -> float:
+    """The largest value, iterable arguments unpacked; a NaN anywhere is the
+    result.  The builtin max drops one: max(0.0, nan) is 0.0, and a max over
+    a generator keeps a NaN only when it comes first."""
+    return float(np.max([v for arg in values for v in (arg if np.iterable(arg) else (arg,))]))
+
+
 def announce(number: int, ok: bool, detail: str) -> None:
     print(f"[acceptance] criterion {number:2d}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, detail
@@ -36,8 +43,8 @@ def test_criterion_01_parameter_identities():
     rng = np.random.default_rng(SEED)
     worst = 0.0
     for p, q, r in sample_triples(rng, 1000):
-        worst = max(worst, check_stt_identity(p, q, r))
-        worst = max(worst, check_sij_identity(p, q, r))
+        worst = nan_max(worst, check_stt_identity(p, q, r))
+        worst = nan_max(worst, check_sij_identity(p, q, r))
     s, t, tp = 0.2, 0.5, 1.0 / 3.0
     exact = (
         abs(s * t * tp - 1.0 / 30.0)
@@ -59,9 +66,9 @@ def test_criterion_02_consistency_and_closure():
     for k in range(1000):
         p, q, r = triples[k % len(triples)]
         u, u1, u2, u3 = rng.normal(size=4)
-        worst_mdc = max(worst_mdc, lattice.mdc_spread(u, u1, u2, u3, p, q, r))
+        worst_mdc = nan_max(worst_mdc, lattice.mdc_spread(u, u1, u2, u3, p, q, r))
         cube = lattice.complete_cube(u, u1, u2, u3, p, q, r)
-        worst_closure = max(worst_closure, lattice.closure_residual(cube, p, q, r))
+        worst_closure = nan_max(worst_closure, lattice.closure_residual(cube, p, q, r))
         offshell.append(lattice.closure_residual(replace(cube, u12=cube.u12 + 0.1), p, q, r))
     median_off = float(np.median(offshell))
     ok = worst_mdc <= 1e-12 and worst_closure <= 1e-10 and median_off >= 1e-3
@@ -76,13 +83,13 @@ def test_criterion_03_reduction_structure(d321):
     worst_det = worst_comm = worst_orbit = worst_mom = worst_common = 0.0
     for d in points:
         S, T = hat_matrix(d.s), bar_matrix(d.t, d.tprime)
-        worst_det = max(worst_det, abs(np.linalg.det(S) - 1), abs(np.linalg.det(T) - 1))
-        worst_comm = max(worst_comm, reduction.commutator_residual(d))
+        worst_det = nan_max(worst_det, abs(np.linalg.det(S) - 1), abs(np.linalg.det(T) - 1))
+        worst_comm = nan_max(worst_comm, reduction.commutator_residual(d))
         z = rng.normal(size=2)
         for M, coeff in ((S, d.b), (T, d.a)):
             orb = reduction.orbit(M, z, 100)
             vals = [reduction.invariant_eval(orb[k, 0], orb[k + 1, 0], coeff) for k in range(100)]
-            worst_orbit = max(worst_orbit, max(abs(v - vals[0]) for v in vals))
+            worst_orbit = nan_max(worst_orbit, (abs(v - vals[0]) for v in vals))
         # each invariant is also preserved along the *other* map's orbit
         for M, other, coeff in ((S, T, d.a), (T, S, d.b)):
             orb = reduction.orbit(M, z, 100)
@@ -90,9 +97,9 @@ def test_criterion_03_reduction_structure(d321):
                 reduction.invariant_eval(orb[k, 0], (other @ orb[k])[0], coeff)
                 for k in range(101)
             ]
-            worst_orbit = max(worst_orbit, max(abs(v - vals[0]) for v in vals))
+            worst_orbit = nan_max(worst_orbit, (abs(v - vals[0]) for v in vals))
         xh, xb = (S @ z)[0], (T @ z)[0]
-        worst_mom = max(worst_mom, abs(
+        worst_mom = nan_max(worst_mom, abs(
             reduction.momentum_hat(z[0], xh, d) - reduction.momentum_bar(z[0], xb, d)
         ))
         orb = reduction.orbit(S, z, 50)
@@ -100,7 +107,7 @@ def test_criterion_03_reduction_structure(d321):
         for k in (9, 27, 44):
             X = reduction.momentum_hat(orb[k, 0], orb[k + 1, 0], d)
             lhs = reduction.invariant_eval(orb[k, 0], orb[k + 1, 0], d.b)
-            worst_common = max(
+            worst_common = nan_max(
                 worst_common, abs(lhs - const * reduction.invariant_common(orb[k, 0], X, d.P))
             )
     ok = (worst_det <= 1e-12 and worst_comm <= 1e-12 and worst_orbit <= 1e-9
@@ -112,7 +119,7 @@ def test_criterion_03_reduction_structure(d321):
 
 def test_criterion_04_oneform_closure(d321):
     rng = np.random.default_rng(SEED)
-    worst = max(
+    worst = nan_max(
         reduction.oneform_closure_residual(rng.normal(size=2), d321) for _ in range(200)
     )
     co = reduction.closure_coeffs(d321)
@@ -125,8 +132,8 @@ def test_criterion_04_oneform_closure(d321):
             for _ in range(51)
         ]
         floors.append(float(np.median(vals)))
-    ok = worst <= 1e-10 and min(floors) > 1e-4
-    announce(4, ok, f"on-shell box {worst:.2e}, perturbed medians >= {min(floors):.2e}")
+    ok = worst <= 1e-10 and np.min(floors) > 1e-4
+    announce(4, ok, f"on-shell box {worst:.2e}, perturbed medians >= {np.min(floors):.2e}")
 
 
 def test_criterion_05_period3(d321):
@@ -144,7 +151,7 @@ def test_criterion_05_period3(d321):
     for _ in range(100):
         zh = H @ zh
         zb = B @ zb
-    drift = max(
+    drift = nan_max(
         abs(v - w) for zz in (zh, zb) for v, w in zip(p3.p3_invariants(zz, d321.s), i0)
     )
     joint = p3.p3_joint_solution_residual(d321, tuple(rng.normal(size=4)))
@@ -155,22 +162,23 @@ def test_criterion_05_period3(d321):
 
 
 def test_criterion_06_propagators(d321):
-    worst_tri = max(
+    worst_tri = nan_max(
         abs(qprop1d.tridiagonal_det(n, d321) - qprop1d.tridiagonal_det_closed_form(n, d321))
         / abs(qprop1d.tridiagonal_det_closed_form(n, d321))
         for n in range(1, 21)
     )
     n2 = abs(qprop1d.tridiagonal_det(2, d321) + 8.5j)
-    worst_nstep = max(
+    worst_nstep = nan_max(
         compare(qprop1d.n_step_kernel(n, d321), qprop1d.n_step_closed_form(n, d321)).exponent_diff
         for n in range(1, 21)
     )
-    worst_ub = max(
-        max(diff.exponent_diff, diff.amp_ratio_error)
+    worst_ub = nan_max(
+        err
         for diff in (
             compare(qprop1d.momentum_factorized_kernel(d321, dd), qprop1d.one_step_kernel(dd, d321))
             for dd in ("hat", "bar")
         )
+        for err in (diff.exponent_diff, diff.amp_ratio_error)
     )
     ok = worst_tri <= 1e-12 and n2 <= 1e-12 and worst_nstep <= 1e-9 and worst_ub <= 1e-11
     announce(6, ok,
@@ -193,16 +201,16 @@ def test_criterion_07_path_independence(d321):
     checks.append(square)
     base = qprop1d.TimePath(("+hat", "+hat"))
     checks.append(compare(qprop1d.path_kernel(base.with_loop(1), d321), qprop1d.path_kernel(base, d321)))
-    worst_elem = max(c.exponent_diff for c in checks)
-    worst_amp = max(c.amp_ratio_error for c in checks)
+    worst_elem = nan_max(c.exponent_diff for c in checks)
+    worst_amp = nan_max(c.amp_ratio_error for c in checks)
     worst_path = 0.0
     for endpoint in ((3, 2), (2, 3)):
         target = qprop1d.multi_time_closed_form(*endpoint, d321)
         for _ in range(50):
             path = qprop1d.random_path(rng, *endpoint)
             diff = compare(qprop1d.path_kernel(path, d321), target)
-            worst_path = max(worst_path, diff.exponent_diff)
-            worst_amp = max(worst_amp, diff.amp_ratio_error)
+            worst_path = nan_max(worst_path, diff.exponent_diff)
+            worst_amp = nan_max(worst_amp, diff.amp_ratio_error)
     ok = worst_elem <= 1e-10 and worst_amp <= 1e-10 and worst_path <= 1e-9
     announce(7, ok,
              f"elementary checks {worst_elem:.2e}, amp ratio off {worst_amp:.2e}, "
@@ -216,8 +224,8 @@ def test_criterion_08_oneform_uniqueness(d321):
     for name in ("alpha", "beta", "a0", "b0"):
         bumped = replace(co, **{name: getattr(co, name) + 1e-3})
         floors.append(qprop1d.uniqueness_scan_1form(d321, bumped)["mismatch"])
-    ok = base["pass"] and min(floors) > 1e-5
-    announce(8, ok, f"canonical mismatch {base['mismatch']:.2e}, perturbed floor {min(floors):.2e}")
+    ok = base["pass"] and np.min(floors) > 1e-5
+    announce(8, ok, f"canonical mismatch {base['mismatch']:.2e}, perturbed floor {np.min(floors):.2e}")
 
 
 def test_criterion_09_surface_independence(d321):
@@ -228,7 +236,7 @@ def test_criterion_09_surface_independence(d321):
         qsurface.surface_kernel(qsurface.pop_up(flat, 0), co),
         qsurface.surface_kernel(flat, co),
     ).exponent_diff
-    worst_move = max(
+    worst_move = nan_max(
         qsurface.elementary_move_check(move, co).exponent_diff for move in "abc"
     )
     patch = qsurface.flat_patch(3, 3)
@@ -236,7 +244,7 @@ def test_criterion_09_surface_independence(d321):
     worst_deform = 0.0
     for _ in range(20):
         deformed = qsurface.random_deformation(patch, rng, int(rng.integers(2, 8)))
-        worst_deform = max(
+        worst_deform = nan_max(
             worst_deform, compare(qsurface.surface_kernel(deformed, co), reference).exponent_diff
         )
     ok = pop <= 1e-12 and worst_move <= 1e-12 and worst_deform <= 1e-10
@@ -266,14 +274,14 @@ def test_criterion_10_twoform_uniqueness():
         raised = False
     except DeltaConstraintError:
         raised = True
-    ok = base["critical"] and min(floors) > 1e-5 and ok_delta and raised
+    ok = base["critical"] and np.min(floors) > 1e-5 and ok_delta and raised
     announce(10, ok,
-             f"canonical critical={base['critical']}, perturbation floor {min(floors):.2e}, "
+             f"canonical critical={base['critical']}, perturbation floor {np.min(floors):.2e}, "
              f"asymmetric c rejected={ok_delta and raised}")
 
 
 def test_criterion_11_operator_invariant(d321):
-    worst = max(
+    worst = nan_max(
         qprop1d.invariant_kernel_residual(n, d321, direction)
         for n in range(1, 11)
         for direction in ("hat", "bar")
@@ -282,18 +290,20 @@ def test_criterion_11_operator_invariant(d321):
 
 
 def test_criterion_12_continuous_flows(d321):
-    worst_flow = max(
-        max(reduction.continuous_flow_residual(par, m, 1.0, 0.7))
+    worst_flow = nan_max(
+        r
         for par in (d321.b, d321.a)
         for m in (1, 2, 3)
+        for r in reduction.continuous_flow_residual(par, m, 1.0, 0.7)
     )
     fd5 = reduction.continuous_flow_fd_error(d321.b, 3, 1.0, 0.7, h=1e-5)
     fd4 = reduction.continuous_flow_fd_error(d321.b, 3, 1.0, 0.7, h=1e-4)
     second_order = fd5 <= 1e-8 and fd4 <= 1e-6
-    worst_multi = max(
-        max(reduction.continuous_multiform_residual(d321.a, d321.b, m, n, 0.9, -0.4))
+    worst_multi = nan_max(
+        r
         for m in (1, 2)
         for n in (2, 3)
+        for r in reduction.continuous_multiform_residual(d321.a, d321.b, m, n, 0.9, -0.4)
     )
     ok = worst_flow <= 1e-10 and second_order and worst_multi <= 1e-8
     announce(12, ok,

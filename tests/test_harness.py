@@ -185,6 +185,31 @@ def test_cli_rejects_bad_config(tmp_path):
     assert cli.main(["run", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "low,high,feasible",
+    [
+        (-0.16, 0.16, False),  # passed the old width check, then sampling never returned
+        (0.0, 0.2, False),  # only {0, 0.1, 0.2} clears both guards: measure zero
+        (0.2, 0.1, False),
+        (0.5, 3.0, True),
+        (-0.3, 0.3, True),
+        (-0.25, 0.02, True),  # narrower than 3 * GUARD_GAP, yet (-0.24, -0.12, 0.01) clears
+        (-1.0, -0.75, True),
+    ],
+)
+def test_config_decides_whether_the_sampling_range_can_clear_the_guards(tmp_path, capsys, low, high, feasible):
+    # only builds the config: an infeasible range must never reach the sampler
+    if feasible:
+        SuiteConfig(range_low=low, range_high=high)
+        return
+    with pytest.raises(ConfigError):
+        SuiteConfig(range_low=low, range_high=high)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"range_low": low, "range_high": high, "suites": ["params"]}))
+    assert cli.main(["run", "--config", str(config), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 @pytest.mark.parametrize("triple", [[1, 1, 2], [3, 2, -1], [1e-13, 2, 1]])
 def test_cli_rejects_inadmissible_explicit_params(tmp_path, capsys, triple):
     config = tmp_path / "config.json"
@@ -250,3 +275,21 @@ def test_cli_surface_kernel_rejects_inadmissible(tmp_path):
     assert cli.main([
         "surface-kernel", "--surface", str(tmp_path / "nope.json"), "--params", "3", "2", "1",
     ]) == 2
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("args", [
+    ["--params", "nan", "2", "1"],
+    ["--params", "3", "inf", "1"],
+    ["--params", "3", "2", "1", "--hbar", "nan"],
+    ["--params", "1e308", "1.7e308", "1"],  # finite, but p1 + p2 overflows
+])
+def test_cli_surface_kernel_never_publishes_a_non_finite_kernel(tmp_path, capsys, args):
+    from mdclab import qsurface as qs
+
+    surf_path = tmp_path / "surface.json"
+    surf_path.write_text(json.dumps(qs.surface_to_dict(qs.flat_patch(1, 1))))
+    assert cli.main(["surface-kernel", "--surface", str(surf_path), *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("surface error:") and err.count("\n") == 1

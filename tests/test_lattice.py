@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdclab import lattice
+from mdclab import lattice, qsurface
 from mdclab.errors import DegenerateParams
 from mdclab.params import edge_coefficient
 
@@ -126,41 +126,33 @@ def test_el_corner_linear_in_perturbation(rng):
 
 
 def test_classify_canonical_coefficients():
-    coeffs = lattice.canonical_quad_coeffs(3.0, 2.0, 1.0, a=(0.4, -0.2, 1.0))
-    out = lattice.classify_general_quad_lagrangian(coeffs)
-    assert out == {"symmetric_quad": True, "closure_ok": True}
+    # every gauge of the canonical tables is admissible, including the shift
+    # of all g_i by 1; a-tables of one gauge with b-tables of the shifted one
+    # are the same tables up to rounding and must classify the same
+    gauges = ((0.0, 0.0, 0.0), (0.3, -0.7, 0.2), (1.3, 0.3, 1.2), (0.4, -0.2, 1.0))
+    tables = [qsurface.canonical_lattice_coeffs(3.0, 2.0, 1.0, gauge=g) for g in gauges]
+    tables.append(replace(tables[1], a=tables[2].a))
+    for coeffs in tables:
+        out = lattice.classify_general_quad_lagrangian(coeffs)
+        assert out == {"symmetric_quad": True, "closure_ok": True}
 
 
 def test_classify_rejects_mismatched_c():
-    good = lattice.canonical_quad_coeffs(3.0, 2.0, 1.0)
-    bad = lattice.GeneralQuadCoeffs(
-        a=dict(good.a), c={1: 1.0, 2: 1.1, 3: 1.0}, b=dict(good.b), delta=dict(good.delta)
-    )
+    good = qsurface.canonical_lattice_coeffs(3.0, 2.0, 1.0)
+    bad = replace(good, c={(i, j): 1.1 if i == 2 else 1.0 for i, j in good.c})
     out = lattice.classify_general_quad_lagrangian(bad)
     assert not out["symmetric_quad"]
 
 
 def test_classify_rejects_broken_b_tables(rng):
-    good = lattice.canonical_quad_coeffs(3.0, 2.0, 1.0)
+    good = qsurface.canonical_lattice_coeffs(3.0, 2.0, 1.0)
     b = dict(good.b)
     b[(1, 2)] += 0.3
     b[(2, 3)] -= 0.1
-    bad = lattice.GeneralQuadCoeffs(a=dict(good.a), c=dict(good.c), b=b, delta=dict(good.delta))
-    out = lattice.classify_general_quad_lagrangian(bad)
+    out = lattice.classify_general_quad_lagrangian(replace(good, b=b))
     assert not out["closure_ok"]
 
 
-def test_general_coeffs_require_antisymmetric_delta():
-    from mdclab.errors import DegenerateCoeffs
-
-    with pytest.raises(DegenerateCoeffs):
-        lattice.GeneralQuadCoeffs(
-            a={1: 0.0, 2: 0.0}, c={1: 1.0, 2: 1.0},
-            b={(1, 2): 0.0, (2, 1): 0.0},
-            delta={(1, 2): 1.0, (2, 1): 1.0},
-        )
-
-
 def test_classify_fails_on_nan_coefficients():
-    coeffs = lattice.canonical_quad_coeffs(3.0, 2.0, 1.0, a=(float("nan"), 0.0, 0.0))
+    coeffs = qsurface.canonical_lattice_coeffs(3.0, 2.0, 1.0, gauge=(float("nan"), 0.0, 0.0))
     assert lattice.classify_general_quad_lagrangian(coeffs) == {"symmetric_quad": False, "closure_ok": False}

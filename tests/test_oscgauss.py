@@ -298,6 +298,13 @@ def test_compare_keeps_a_nan_in_either_order():
     assert math.isnan(og.compare(k2, k1).exponent_diff)
 
 
+def test_to_json_refuses_a_non_finite_kernel():
+    # a NaN kernel can be built (compare needs one), but NaN is not JSON
+    k = og.from_terms(("x",), {("x", "x"): 1.0}, const=float("nan"))
+    with pytest.raises(ValueError):
+        k.to_json()
+
+
 def test_marginalize_all_rejects_an_unknown_variable():
     k = og.from_terms(("u", "w"), {("u", "u"): 0.5, ("w", "w"): 0.25})
     with pytest.raises(VariableMismatch):

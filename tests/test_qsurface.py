@@ -191,6 +191,15 @@ def test_uniqueness_scan_canonical_point(co321):
     assert max(res["conditions"].values()) <= 1e-12
 
 
+@pytest.mark.parametrize("gauge", [(0.3, -0.7, 0.2), (1.3, 0.3, 1.2)])
+def test_uniqueness_scan_gauged_canonical_point_is_critical(gauge):
+    # a gauge adds boundary terms only, so the move-a kernels still match;
+    # the critical conditions must not read the gauge-dependent a and b + d
+    res = qs.uniqueness_scan_2form(qs.canonical_lattice_coeffs(3.0, 2.0, 1.0, gauge=gauge))
+    assert res["exponent_diff"] <= 1e-12
+    assert res["critical"]
+
+
 @pytest.mark.parametrize(
     "table,pair",
     [("a", (1, 2)), ("a", (2, 3)), ("b", (1, 2)), ("b", (3, 1)), ("d", (1, 2)), ("d", (2, 3))],
@@ -255,14 +264,17 @@ def test_surface_description_rejects_garbage():
         qs.surface_from_dict({})
 
 
-def test_antisymmetry_is_enforced():
+@pytest.mark.parametrize("table", ["a", "d"])
+def test_antisymmetry_is_enforced(table):
+    tables = {
+        "a": {(1, 2): 0.0, (2, 1): 0.0},
+        "b": {(1, 2): 0.0, (2, 1): 0.0},
+        "c": {(1, 2): 1.0, (2, 1): 1.0},
+        "d": {(1, 2): 0.0, (2, 1): 0.0},
+    }
+    tables[table] = {(1, 2): 1.0, (2, 1): 1.0}
     with pytest.raises(DegenerateCoeffs):
-        qs.LatticeLagrangianCoeffs(
-            a={(1, 2): 1.0, (2, 1): 1.0},
-            b={(1, 2): 0.0, (2, 1): 0.0},
-            c={(1, 2): 1.0, (2, 1): 1.0},
-            d={(1, 2): 0.0, (2, 1): 0.0},
-        )
+        qs.LatticeLagrangianCoeffs(**tables)
 
 
 def test_pop_up_requires_fresh_space(co321):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -218,15 +217,21 @@ def sample_triples(
     the triples and the rng state after the call are those of drawing and
     testing one triple at a time.
     """
-    out: list[tuple[float, float, float]] = []
-    while len(out) < count:
-        draws = rng.uniform(low, high, size=(count - len(out), 3))
+    return list(map(tuple, _sample_array(rng, count, low, high).tolist()))
+
+
+def _sample_array(rng: np.random.Generator, count: int, low: float, high: float) -> np.ndarray:
+    """sample_triples as a (count, 3) array."""
+    chunks, found = [np.empty((0, 3))], 0
+    while found < count:
+        draws = rng.uniform(low, high, size=(count - found, 3))
         ok = np.ones(len(draws), dtype=bool)
         for i, j in ((0, 1), (0, 2), (1, 2)):
             a, b = draws[:, i], draws[:, j]
             ok &= (abs(a - b) >= GUARD_GAP) & (abs(a + b) >= GUARD_SUM)
-        out.extend(map(tuple, draws[ok].tolist()))
-    return out
+        chunks.append(draws[ok])
+        found += len(chunks[-1])
+    return np.concatenate(chunks)
 
 
 def _work_points(config: SuiteConfig, rng: np.random.Generator):
@@ -247,31 +252,26 @@ class _Residuals:
     def __init__(self, config: SuiteConfig):
         self.config = config
         self.records: list[CheckRecord] = []
-        self._by_key: dict[str, list[float]] = {}
+        self._by_key: dict[str, list[np.ndarray]] = {}
 
     def add(self, key: str, *residuals: float | np.ndarray) -> None:
-        """Add residuals under key; an array adds its entries in order."""
-        values = self._by_key.setdefault(key, [])
-        for r in residuals:
-            if isinstance(r, np.ndarray):
-                values.extend(r.ravel().tolist())
-            else:
-                values.append(r)
+        """Add scalar residuals, or the entries of one array, under key, in order."""
+        self._by_key.setdefault(key, []).append(np.array(residuals, dtype=float).ravel())
 
     def _value(self, residual: str | float, stat) -> float:
         if not isinstance(residual, str):
             return float(residual)
-        values = self._by_key.get(residual, [])
-        for v in values:
-            if not math.isfinite(v):
-                return float(v)
-        return float(stat(values)) if values else 0.0
+        values = np.concatenate(self._by_key.get(residual) or [np.empty(0)])
+        bad = ~np.isfinite(values)
+        if bad.any():
+            return float(values[bad.argmax()])
+        return float(stat(values)) if values.size else 0.0
 
     def _tol(self, tol: str | float) -> float:
         return self.config.tol(tol) if isinstance(tol, str) else tol
 
     def check(self, name: str, ref: str, residual: str | float, tol: str | float) -> None:
-        value, tol = self._value(residual, lambda values: max(0.0, *values)), self._tol(tol)
+        value, tol = self._value(residual, lambda values: max(0.0, float(values.max()))), self._tol(tol)
         self.records.append(CheckRecord(name, ref, value, tol, bool(value <= tol)))
 
     def probe(self, name: str, ref: str, residual: str | float, floor: str | float, stat=np.median) -> None:
@@ -285,7 +285,7 @@ class _Residuals:
 # -- Suites ---------------------------------------------------------------------
 
 def _params_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals) -> None:
-    p, q, r = np.array(sample_triples(rng, config.trials, config.range_low, config.range_high)).T
+    p, q, r = _sample_array(rng, config.trials, config.range_low, config.range_high).T
     res.add("stt", check_stt_identity(p, q, r))
     res.add("sij", check_sij_identity(p, q, r))
     res.check("stt-identity-sweep", "stt-identity", "stt", "stt")

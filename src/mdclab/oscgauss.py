@@ -24,12 +24,13 @@ Integrating one variable out lands in exactly one of three exact cases:
 Pivots inside the band (tol, 100 tol) relative to their row are refused with
 NearCaustic rather than silently classified.
 
-marginalize_all is the one elimination engine; marginalize and glue call it.
-It consumes constraint-bound variables first, then the largest relative pivot,
-the first in sorted-name order on a tie, and each step updates only the rows
-and columns of the pivot's nonzero couplings.  A time path's couplings form a
-chain and a surface's are nearly planar, so a step costs O(n), not O(n^2),
-with results bit-identical to dense one-variable-at-a-time elimination.
+marginalize_all is the one elimination engine; marginalize calls it, and glue
+feeds it both kernels' entries without building their product.  It consumes
+constraint-bound variables first, then the largest relative pivot, the first
+in sorted-name order on a tie.  A is held as sparse rows of Python floats and
+a step updates only the pivot's nonzero couplings, at a Python cost in the
+square of the pivot's degree plus one O(n) numpy argmax, bit-identical to
+dense one-variable-at-a-time elimination for kernels without negative zeros.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ class OscKernel:
         n = len(self.vars)
         if A.shape != (n, n) or B.shape != (n,):
             raise VariableMismatch(f"matrix shapes {A.shape}, {B.shape} do not fit {n} variables")
-        if n and np.max(np.abs(A - A.T)) > 1e-12 * max(1.0, float(np.max(np.abs(A)))):
+        if n and abs(A - A.T).max() > 1e-12 * max(1.0, float(abs(A).max())):
             raise VariableMismatch("exponent matrix must be symmetric")
         A = 0.5 * (A + A.T)
         object.__setattr__(self, "A", A)
@@ -270,38 +271,67 @@ def marginalize_all(
     `keep` (by default every variable not integrated) lists the variables a
     delta constraint may not substitute away.
 
-    The engine works on one copy of (A, B) in sorted-name order, zeroes the
-    row and column of each eliminated variable, and caches every row's scale
-    max(max_w |A_vw|, |B_v|) and every pending pivot ratio.  A step rewrites
-    only the block of the pivot's nonzero couplings (for a substitution, of
-    those couplings and the constraint's variables), with the per-entry
-    expressions of a dense update, and refreshes the cache on those rows; one
-    OscKernel is built at the end.  Outside the block a dense update would
-    add or subtract an exact zero, and the Gaussian update is exactly
-    symmetric, so the result is bit-identical to eliminating one variable at
-    a time with dense updates, for any kernel without negative zeros
-    (from_terms and glue make none).
+    The engine holds A as sparse rows of Python floats, one dict per variable
+    in sorted-name order from position to coupling (a coupling that was never
+    nonzero has no entry), and B as a list.  The row scales max(max_w |A_vw|,
+    |B_v|) and the pending pivot ratios stay numpy vectors, so the pivot
+    choice and the volume test keep numpy's argmax and max, NaN included.  A
+    step rewrites only the block of the pivot's nonzero couplings (for a
+    substitution, of those couplings and the constraint's variables), with
+    the per-entry expressions of a dense update, and refreshes the caches on
+    those rows; one OscKernel is built at the end.  Outside the block a dense
+    update would add or subtract an exact zero, and the Gaussian update is
+    exactly symmetric, so the result is bit-identical to eliminating one
+    variable at a time with dense updates, for any kernel without negative
+    zeros (from_terms and glue make none).
     """
+    return _eliminate(kernel.vars, (kernel,), variables, tol, keep)
+
+
+def _eliminate(vars, kernels, variables, tol, keep) -> OscKernel:
+    """marginalize_all over the product of `kernels`, whose variables `vars`
+    lists in order: their entries add as a dense sum over `vars` would, in
+    kernel order, without building the product kernel."""
     pending = set(variables)
-    missing = pending.union(*(con.variables() for con in kernel.constraints)) - set(kernel.vars)
+    cons = [con for part in kernels for con in part.constraints]
+    missing = pending.union(*(con.variables() for con in cons)) - set(vars)
     if missing:
-        raise VariableMismatch(f"no variable {min(missing)!r} in kernel over {kernel.vars}")
-    if not pending:
-        return kernel
+        raise VariableMismatch(f"no variable {min(missing)!r} in kernel over {vars}")
+    if not pending and len(kernels) == 1:
+        return kernels[0]
     if keep is None:
-        keep = frozenset(kernel.vars) - pending
-    order = np.array(sorted(range(len(kernel.vars)), key=kernel.vars.__getitem__), dtype=int)
-    names = [kernel.vars[i] for i in order]
+        keep = frozenset(vars) - pending
+    n = len(vars)
+    order = sorted(range(n), key=vars.__getitem__)
+    names = [vars[i] for i in order]
     at = {v: s for s, v in enumerate(names)}
-    A, B = kernel.A[order[:, None], order], kernel.B[order]
-    c, amp, pihbar, vol = kernel.c, kernel.amp, kernel.pihbar_pow, kernel.vol_pow
-    cons, gone = list(kernel.constraints), set()
-    # scale[v] = max(max_w |A_vw|, |B_v|), the row scale of both the pivot rule and the classification
-    scale = np.maximum(np.abs(A).max(axis=1), np.abs(B))
-    is_pending = np.zeros(len(names), dtype=bool)
-    is_pending[[at[v] for v in pending]] = True
-    ratio = np.where(is_pending, np.abs(np.diagonal(A)) / np.maximum(scale, _ABS_FLOOR), -np.inf)
-    left, sub = len(pending), None  # sub: (constraint index, position) handed on by a delta step
+    rows: list[dict[int, float]] = [{} for _ in range(n)]
+    B = [0.0] * n
+    first = kernels[0]
+    c, amp, pihbar, vol, halves = first.c, first.amp, first.pihbar_pow, first.vol_pow, 0
+    for m, part in enumerate(kernels):
+        if m:
+            c, amp, pihbar, vol = c + part.c, amp * part.amp, pihbar + part.pihbar_pow, vol + part.vol_pow
+        pos = [at[v] for v in part.vars]
+        ii, jj = np.nonzero(part.A)
+        for i, j, v in zip(ii.tolist(), jj.tolist(), part.A[ii, jj].tolist()):
+            row, j = rows[pos[i]], pos[j]
+            row[j] = row.get(j, 0.0) + v
+        for i, v in zip(pos, part.B.tolist()):
+            B[i] += v
+    is_pending = [v in pending for v in names]
+    scale, ratio = np.zeros(n), np.full(n, -np.inf)
+
+    def refresh(i: int) -> None:
+        # scale = max(max_w |A_vw|, |B_v|), where a NaN wins as in np.max: the sum is NaN exactly when a term is
+        mags = [abs(B[i]), *map(abs, rows[i].values())]
+        s = scale[i] = total if (total := sum(mags)) != total else max(mags)
+        if is_pending[i]:
+            ratio[i] = abs(rows[i].get(i, 0.0)) / (_ABS_FLOOR if s < _ABS_FLOOR else s)
+
+    for i in range(n):
+        refresh(i)
+    left, sub, gone = len(pending), None, set()  # sub: (constraint index, position) handed on by a delta step
     while left or sub:
         if sub is None:
             bound = [k for k in {at[v] for con in cons for v, cv in con.coeffs if abs(cv) > 0.0} if is_pending[k]]
@@ -309,21 +339,25 @@ def marginalize_all(
                 k = min(bound)
                 sub = (next(m for m, con in enumerate(cons) if abs(con.coefficient(names[k])) > 0.0), k)
         k = sub[1] if sub else int(ratio.argmax())
-        near = np.flatnonzero(A[k])
-        near = near[near != k]
+        row_k, akk, bk = rows[k], rows[k].get(k, 0.0), B[k]
+        near = [i for i, v in row_k.items() if v and i != k]
         if sub:
             # var = -(sum_{w != var} coeff_w * w + const)/cv over the remaining variables
             con, var = cons.pop(sub[0]), names[k]
             cv = con.coefficient(var)
-            s_at = {at[w]: -cw / cv for w, cw in con.coeffs if w != var}
+            s = {at[w]: -cw / cv for w, cw in con.coeffs if w != var}
             sub, sub_const = None, -con.const / cv
-            near = np.array(sorted(s_at.keys() | set(near.tolist())), dtype=int)
-            s = np.array([s_at.get(i, 0.0) for i in near])
-            a, akk = A[k, near], A[k, k]
-            X = A[near[:, None], near] + np.outer(s, a) + np.outer(a, s) + akk * np.outer(s, s)
-            A[near[:, None], near] = 0.5 * (X + X.T)
-            B[near] = B[near] + B[k] * s + sub_const * (a + akk * s)
-            c = c + B[k] * sub_const + 0.5 * akk * sub_const * sub_const
+            near = list(s.keys() | set(near))
+            for p, i in enumerate(near):
+                si, ai = s.get(i, 0.0), row_k.get(i, 0.0)
+                for j in near[p:]:
+                    sj, aj, aij = s.get(j, 0.0), row_k.get(j, 0.0), rows[i].get(j, 0.0)
+                    # X = A + s a^T + a s^T + akk s s^T, written as 0.5 (X + X^T)
+                    x_ij = aij + si * aj + ai * sj + akk * (si * sj)
+                    x_ji = aij + sj * ai + aj * si + akk * (sj * si)
+                    rows[i][j] = rows[j][i] = 0.5 * (x_ij + x_ji)
+                B[i] = B[i] + bk * si + sub_const * (ai + akk * si)
+            c = c + bk * sub_const + 0.5 * akk * sub_const * sub_const
             amp = amp / abs(cv)
             for j, other in enumerate(cons):
                 ocv = other.coefficient(var)
@@ -337,44 +371,51 @@ def marginalize_all(
                 cons[j] = AffineConstraint(items, other.const - ocv * con.const / cv) if items else None
             cons = [other for other in cons if other is not None]
         else:
-            akk, bk, row_scale = float(A[k, k]), float(B[k]), float(scale[k])
+            row_scale = float(scale[k])
             if row_scale <= _ABS_FLOOR * max(float(scale.max()), 1.0):
                 # variable absent from the exponent: a pure volume factor
                 vol += 1
             elif (rel := abs(akk) / row_scale) >= _NEAR_BAND * tol:
                 # Gaussian: Schur complement plus Fresnel prefactor
-                r = A[k, near]
-                A[near[:, None], near] -= np.outer(r, r) / akk
-                B[near] -= (bk / akk) * r
+                for p, i in enumerate(near):
+                    ri, row_i = row_k[i], rows[i]
+                    for j in near[p:]:
+                        row_i[j] = rows[j][i] = row_i.get(j, 0.0) - ri * row_k[j] / akk
+                    B[i] = B[i] - (bk / akk) * ri
                 c = c - bk * bk / (2.0 * akk)
                 amp = amp * cmath.exp(1j * math.copysign(math.pi / 4.0, akk)) / math.sqrt(abs(akk))
-                pihbar += Fraction(1, 2)
+                halves += 1
             elif rel > tol:
                 raise NearCaustic(f"pivot for {names[k]!r} sits at relative size {rel:.3e}; refusing to classify")
             else:
                 # delta: exponent is (coupling . u + B_v) * v up to negligible curvature
-                tied = sorted(near[np.abs(A[k, near]) > _ABS_FLOOR * row_scale], key=order.__getitem__)
+                tied = sorted((i for i in near if abs(row_k[i]) > _ABS_FLOOR * row_scale), key=order.__getitem__)
                 if not tied:
                     # delta of a nonzero constant: the kernel vanishes identically
                     raise NearCaustic(f"integrating {names[k]!r} leaves delta({bk!r}): the kernel is null")
-                con = AffineConstraint(coeffs=tuple((names[i], float(A[k, i])) for i in tied), const=bk)
+                con = AffineConstraint(coeffs=tuple((names[i], row_k[i]) for i in tied), const=bk)
                 cons.append(con)
-                pihbar += 1
+                halves += 2
                 candidates = [w for w in con.variables() if w not in keep]
                 if candidates:
                     sub = (len(cons) - 1, at[max(candidates, key=lambda w: abs(con.coefficient(w)))])
         # drop k; only the rows the step wrote need a fresh cache, and only for a later pivot choice
-        A[k], A[:, k], B[k], scale[k], ratio[k] = 0.0, 0.0, 0.0, 0.0, -np.inf
+        rows[k], B[k], scale[k], ratio[k] = {}, 0.0, 0.0, -np.inf
+        for i in row_k:
+            rows[i].pop(k, None)
         gone.add(k)
-        left -= bool(is_pending[k])
+        left -= is_pending[k]
         is_pending[k] = False
         if left:
-            scale[near] = np.maximum(np.abs(A[near]).max(axis=1), np.abs(B[near]))
-            pivots = np.abs(A[near, near]) / np.maximum(scale[near], _ABS_FLOOR)
-            ratio[near] = np.where(is_pending[near], pivots, -np.inf)
-    idx = np.array([at[v] for v in kernel.vars if at[v] not in gone], dtype=int)
-    return replace(kernel, vars=tuple(names[i] for i in idx), A=A[idx[:, None], idx], B=B[idx], c=c, amp=amp,
-                   pihbar_pow=pihbar, vol_pow=vol, constraints=tuple(cons))
+            for i in near:
+                refresh(i)
+    live = [at[v] for v in vars if at[v] not in gone]
+    out, m = {i: p for p, i in enumerate(live)}, len(live)
+    A = np.zeros(m * m)
+    A[[p * m + out[j] for p, i in enumerate(live) for j in rows[i]]] = [v for i in live for v in rows[i].values()]
+    return OscKernel(vars=tuple(names[i] for i in live), A=A.reshape(m, m),
+                     B=np.array([B[i] for i in live]), c=c, amp=amp, pihbar_pow=pihbar + Fraction(halves, 2),
+                     vol_pow=vol, constraints=tuple(cons), hbar=first.hbar)
 
 
 def glue(
@@ -394,30 +435,8 @@ def glue(
         k2.index(v)
     if k1.hbar != k2.hbar:
         raise VariableMismatch("kernels carry different hbar")
-    union = list(k1.vars) + [v for v in k2.vars if v not in k1.vars]
-    idx = {v: i for i, v in enumerate(union)}
-    n = len(union)
-    A = np.zeros((n, n))
-    B = np.zeros(n)
-    sel1 = [idx[v] for v in k1.vars]
-    A[np.ix_(sel1, sel1)] += k1.A
-    B[sel1] += k1.B
-    sel2 = [idx[v] for v in k2.vars]
-    A[np.ix_(sel2, sel2)] += k2.A
-    B[sel2] += k2.B
-    merged = OscKernel(
-        vars=tuple(union),
-        A=A,
-        B=B,
-        c=k1.c + k2.c,
-        amp=k1.amp * k2.amp,
-        pihbar_pow=k1.pihbar_pow + k2.pihbar_pow,
-        vol_pow=k1.vol_pow + k2.vol_pow,
-        constraints=k1.constraints + k2.constraints,
-        hbar=k1.hbar,
-    )
-    keep = frozenset(union) - set(shared)
-    return marginalize_all(merged, shared, tol=tol, keep=keep)
+    union = tuple(k1.vars) + tuple(v for v in k2.vars if v not in k1.vars)
+    return _eliminate(union, (k1, k2), shared, tol, keep=frozenset(union) - set(shared))
 
 
 @dataclass(frozen=True)

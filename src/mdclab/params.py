@@ -223,9 +223,10 @@ def check_sij_identity(p1: FloatOrArray, p2: FloatOrArray, p3: FloatOrArray) -> 
 
 
 def mu_identity_residual(derived: DerivedParams) -> float:
-    """|sin(mu) - 2 q sqrt(P)/(P + Q)|, a consistency check on Q = q**2."""
+    """|sin(mu) - 2 |q| sqrt(P)/(P + Q)|, a consistency check on Q = q**2;
+    mu = acos(-b) lies in [0, pi], so sin(mu) >= 0 for either sign of q."""
     mu, _ = derived.require_elliptic()
-    return abs(math.sin(mu) - 2.0 * derived.q * math.sqrt(derived.P) / (derived.P + derived.Q))
+    return abs(math.sin(mu) - 2.0 * abs(derived.q) * math.sqrt(derived.P) / (derived.P + derived.Q))
 
 
 def printed_constant_residuals(derived: DerivedParams) -> dict[str, float]:

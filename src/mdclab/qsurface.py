@@ -546,9 +546,12 @@ def uniqueness_scan_2form(
     constraint in either configuration is reported as a rejection.  The
     conditions are gauge-invariant: e = d and a b_ij + d_ij that depends on j
     alone hold exactly when some gauge takes the table to a = 0, b = -d.
+    A table with a non-finite entry is not critical: it builds no kernel and
+    takes no determinant, and its det_cap and exponent_diff are NaN.
     """
+    finite = all(np.isfinite(v) for table in (coeffs.a, coeffs.b, coeffs.c, coeffs.d) for v in table.values())
     ca = cyclic_a(coeffs)
-    det = float(np.linalg.det(move_a_matrix(coeffs)))
+    det = float(np.linalg.det(move_a_matrix(coeffs))) if finite else float("nan")
     c12 = coeffs.c[(1, 2)]
     conditions = {
         "cyclic_a": abs(ca),
@@ -565,17 +568,19 @@ def uniqueness_scan_2form(
     on_critical_branch = conditions["cyclic_a"] <= tol * scale and conditions["det_cap"] <= tol * scale**3
 
     delta_rejected = False
-    exponent_diff = float("inf")
+    exponent_diff = float("nan")
     amp_ratio = None
-    try:
-        diff = elementary_move_check("a", coeffs, hbar)
-        exponent_diff = diff.exponent_diff
-        amp_ratio = diff.amp_ratio
-    except DeltaConstraintError:
-        delta_rejected = True
+    if finite:
+        try:
+            diff = elementary_move_check("a", coeffs, hbar)
+            exponent_diff = diff.exponent_diff
+            amp_ratio = diff.amp_ratio
+        except DeltaConstraintError:
+            delta_rejected = True
+            exponent_diff = float("inf")
 
     gaussian_residuals = None
-    if not on_critical_branch and not delta_rejected:
+    if finite and not on_critical_branch and not delta_rejected:
         try:
             gaussian_residuals = gaussian_branch_residuals(coeffs)
         except DegenerateCoeffs:

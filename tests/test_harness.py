@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from mdclab import cli, lattice, qprop1d
@@ -10,6 +11,7 @@ from mdclab.harness import (
     CSV_COLUMNS,
     SUITES,
     SuiteConfig,
+    _Residuals,
     run,
     sample_triples,
     sweep_rows,
@@ -115,9 +117,26 @@ def test_nan_residual_fails_a_min_probe(monkeypatch):
     assert all(r.passed for r in report.records if r.name != "perturbed-alpha")
 
 
-def test_sampling_respects_degeneracy_guards():
-    import numpy as np
+def test_params_suite_passes_on_a_negative_range():
+    report = run(SuiteConfig(range_low=-3, range_high=-0.5, suites=("params",), trials=50))
+    assert [r.name for r in report.records if not r.passed] == []
 
+
+def test_residuals_keep_the_first_non_finite_value_and_a_positive_zero():
+    res = _Residuals(SMALL)
+    res.add("zero", -0.0, -1.0)
+    res.add("bad", np.array([1.0, math.inf]))
+    res.add("bad", math.nan)
+    res.check("zero", "ref", "zero", 0.0)
+    res.check("bad", "ref", "bad", 1.0)
+    res.probe("min", "ref", "zero", -2.0, stat=min)
+    zero, bad, low = res.records
+    assert math.copysign(1.0, zero.residual) == 1.0 and zero.residual == 0.0 and zero.passed
+    assert bad.residual == math.inf and not bad.passed
+    assert low.residual == -1.0
+
+
+def test_sampling_respects_degeneracy_guards():
     rng = np.random.default_rng(3)
     for p, q, r in sample_triples(rng, 200, 0.5, 3.0):
         assert min(abs(p - q), abs(p - r), abs(q - r)) >= 0.1

@@ -323,8 +323,8 @@ def _random_kernel(rng, shape):
     (exact caustics; when only the two ends are kept, each constraint
     substitutes an interior neighbour away); band puts one
     pending pivot inside the refusal band, away from every other pending
-    variable.  Labels are a shuffle of the indices, so sorted-name order
-    differs from storage order.
+    variable; nonfinite puts a NaN or an infinity into one row.  Labels are a
+    shuffle of the indices, so sorted-name order differs from storage order.
     """
     if shape == "grid":
         w, h = (int(x) for x in rng.integers(2, 5, size=2))
@@ -356,6 +356,9 @@ def _random_kernel(rng, shape):
         A[v, v] = 0.0
         A[v, v] = 1e-8 * max(np.abs(A[v]).max(), abs(B[v]))
         pending = [v] + [i for i in interior if abs(i - v) > 1 and rng.random() < 0.5]
+    elif shape == "nonfinite":
+        v, w = (int(x) for x in rng.choice([i for i in range(n) if i != 0], size=2))
+        A[v, w] = A[w, v] = rng.choice([np.nan, np.inf, -np.inf])
     elif rng.random() < 0.5:
         # a delta constraint from an earlier step binds one pending variable
         v = pending[-1]
@@ -366,41 +369,136 @@ def _random_kernel(rng, shape):
     return kernel, [names[i] for i in pending], keep
 
 
-def _fold_marginalize(kernel, variables, keep):
-    """Single-variable marginalize over the order of marginalize_all's rule:
+def _dense_marginalize(kernel, var, tol, keep):
+    """Reference elimination of one variable on a dense copy of (A, B) in
+    sorted-name order: numpy block updates over the pivot's nonzero couplings,
+    and the row scales recomputed in full after each step."""
+    names = sorted(kernel.vars)
+    order = [kernel.vars.index(v) for v in names]
+    A, B = kernel.A[np.ix_(order, order)], kernel.B[order]
+    c, amp, pihbar, vol, cons = kernel.c, kernel.amp, kernel.pihbar_pow, kernel.vol_pow, list(kernel.constraints)
+    k, gone = names.index(var), set()
+    sub = next((m for m, con in enumerate(cons) if abs(con.coefficient(var)) > 0.0), None)
+    while k is not None:
+        scale = np.maximum(np.abs(A).max(axis=1), np.abs(B))
+        near = np.flatnonzero(A[k])
+        near, step = near[near != k], None
+        if sub is not None:
+            con, var = cons.pop(sub), names[k]
+            cv = con.coefficient(var)
+            s_at = {names.index(w): -cw / cv for w, cw in con.coeffs if w != var}
+            sub, sub_const = None, -con.const / cv
+            near = np.array(sorted(s_at.keys() | set(near.tolist())), dtype=int)
+            s = np.array([s_at.get(i, 0.0) for i in near])
+            a, akk = A[k, near], A[k, k]
+            X = A[near[:, None], near] + np.outer(s, a) + np.outer(a, s) + akk * np.outer(s, s)
+            A[near[:, None], near] = 0.5 * (X + X.T)
+            B[near] = B[near] + B[k] * s + sub_const * (a + akk * s)
+            c = c + B[k] * sub_const + 0.5 * akk * sub_const * sub_const
+            amp = amp / abs(cv)
+            for j, other in enumerate(cons):
+                ocv = other.coefficient(var)
+                if ocv != 0.0:
+                    coeffs = {w: cw for w, cw in other.coeffs if w != var}
+                    for w, cw in con.coeffs:
+                        if w != var:
+                            coeffs[w] = coeffs.get(w, 0.0) - ocv * cw / cv
+                    items = tuple((w, cw) for w, cw in coeffs.items() if cw != 0.0)
+                    cons[j] = og.AffineConstraint(items, other.const - ocv * con.const / cv) if items else None
+            cons = [other for other in cons if other is not None]
+        else:
+            akk, bk, row_scale = float(A[k, k]), float(B[k]), float(scale[k])
+            if row_scale <= og._ABS_FLOOR * max(float(scale.max()), 1.0):
+                vol += 1
+            elif (rel := abs(akk) / row_scale) >= og._NEAR_BAND * tol:
+                r = A[k, near]
+                A[near[:, None], near] -= np.outer(r, r) / akk
+                B[near] -= (bk / akk) * r
+                c = c - bk * bk / (2.0 * akk)
+                amp = amp * cmath.exp(1j * math.copysign(math.pi / 4.0, akk)) / math.sqrt(abs(akk))
+                pihbar += Fraction(1, 2)
+            elif rel > tol:
+                raise NearCaustic(f"pivot for {names[k]!r} sits at relative size {rel:.3e}; refusing to classify")
+            else:
+                tied = sorted(near[np.abs(A[k, near]) > og._ABS_FLOOR * row_scale], key=order.__getitem__)
+                if not tied:
+                    raise NearCaustic(f"integrating {names[k]!r} leaves delta({bk!r}): the kernel is null")
+                con = og.AffineConstraint(coeffs=tuple((names[i], float(A[k, i])) for i in tied), const=bk)
+                cons.append(con)
+                pihbar += 1
+                candidates = [w for w in con.variables() if w not in keep]
+                if candidates:
+                    sub, step = len(cons) - 1, names.index(max(candidates, key=lambda w: abs(con.coefficient(w))))
+        A[k], A[:, k], B[k] = 0.0, 0.0, 0.0
+        gone.add(k)
+        k = step
+    idx = np.array([names.index(v) for v in kernel.vars if names.index(v) not in gone], dtype=int)
+    return replace(kernel, vars=tuple(names[i] for i in idx), A=A[idx[:, None], idx], B=B[idx], c=c, amp=amp,
+                   pihbar_pow=pihbar, vol_pow=vol, constraints=tuple(cons))
+
+
+def _fold_marginalize(kernel, variables, keep, tol=og.PIVOT_TOL):
+    """_dense_marginalize over the order of marginalize_all's rule:
     constraint-bound variables first by name, then the largest relative pivot,
-    the first by name on a tie."""
+    the first by name on a tie or a NaN (np.argmax)."""
     pending = set(variables)
     if keep is None:
         keep = frozenset(kernel.vars) - pending
     while pending & set(kernel.vars):
         pending &= set(kernel.vars)
         bound = sorted(v for v in pending if any(abs(con.coefficient(v)) > 0.0 for con in kernel.constraints))
-
-        def ratio(v):
-            k = kernel.index(v)
-            return abs(kernel.A[k, k]) / max(np.abs(kernel.A[k]).max(), abs(kernel.B[k]), og._ABS_FLOOR)
-
-        choice = bound[0] if bound else max(sorted(pending), key=ratio)
-        kernel = og.marginalize(kernel, choice, keep=keep)
+        names = sorted(pending)
+        rows = [kernel.index(v) for v in names]
+        scale = np.maximum(np.maximum(np.abs(kernel.A[rows]).max(axis=1), np.abs(kernel.B[rows])), og._ABS_FLOOR)
+        choice = bound[0] if bound else names[int(np.argmax(np.abs(kernel.A[rows, rows]) / scale))]
+        kernel = _dense_marginalize(kernel, choice, tol, keep)
         pending.discard(choice)
     return kernel
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["chain", "grid", "volume", "delta", "band"]))
+def _dense_glue(k1, k2, shared):
+    """The product kernel as a dense sum over the variable union, then folded."""
+    union = list(k1.vars) + [v for v in k2.vars if v not in k1.vars]
+    A, B = np.zeros((len(union), len(union))), np.zeros(len(union))
+    for k in (k1, k2):
+        sel = [union.index(v) for v in k.vars]
+        A[np.ix_(sel, sel)] += k.A
+        B[sel] += k.B
+    merged = og.OscKernel(vars=tuple(union), A=A, B=B, c=k1.c + k2.c, amp=k1.amp * k2.amp,
+                          pihbar_pow=k1.pihbar_pow + k2.pihbar_pow, vol_pow=k1.vol_pow + k2.vol_pow,
+                          constraints=k1.constraints + k2.constraints, hbar=k1.hbar)
+    return _fold_marginalize(merged, shared, frozenset(union) - set(shared))
+
+
+def _outcome(f):
+    """f()'s kernel as bytes and reprs, or the exception it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            k = f()
+    except (NearCaustic, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return (k.vars, k.A.tobytes(), k.B.tobytes(), repr((float(k.c), k.amp, k.constraints)),
+            k.pihbar_pow, k.vol_pow, k.hbar)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["chain", "grid", "volume", "delta", "band", "nonfinite", "glue"]))
 def test_marginalize_all_is_bit_equal_to_folding_marginalize(seed, shape):
-    kernel, variables, keep = _random_kernel(np.random.default_rng(seed), shape)
+    # the fold runs the dense reference; the glue shape checks glue against the dense product kernel
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        kernel, variables, keep = _random_kernel(rng, "chain" if shape == "glue" else shape)
+    if shape == "glue":
+        # the second kernel shares two to four labels with the first, and only those
+        other, _, _ = _random_kernel(rng, "chain")
+        common = [v for v in other.vars if v in kernel.vars][: int(rng.integers(2, 5))]
+        other = og.rename(other, {v: "y" + v[1:] for v in other.vars if v not in common})
+        shared = [v for v in common if rng.random() < 0.7]
+        want = _outcome(lambda: _dense_glue(kernel, other, shared))
+        got = _outcome(lambda: og.glue(kernel, other, shared))
+    else:
+        want = _outcome(lambda: _fold_marginalize(kernel, variables, keep))
+        got = _outcome(lambda: og.marginalize_all(kernel, variables, keep=keep))
     if shape == "band":
-        with pytest.raises(NearCaustic):
-            _fold_marginalize(kernel, variables, keep)
-        with pytest.raises(NearCaustic):
-            og.marginalize_all(kernel, variables, keep=keep)
-        return
-    want = _fold_marginalize(kernel, variables, keep)
-    got = og.marginalize_all(kernel, variables, keep=keep)
-    assert got.vars == want.vars
-    assert got.A.tobytes() == want.A.tobytes()
-    assert got.B.tobytes() == want.B.tobytes()
-    assert repr((float(got.c), got.amp, got.constraints)) == repr((float(want.c), want.amp, want.constraints))
-    assert (got.pihbar_pow, got.vol_pow) == (want.pihbar_pow, want.vol_pow)
+        assert want[0] is NearCaustic
+    assert got == want

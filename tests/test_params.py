@@ -155,6 +155,14 @@ def test_sin_mu_identity(rng):
             assert mu_identity_residual(d) <= 1e-12
 
 
+def test_sin_mu_identity_holds_for_negative_q():
+    # mu = acos(-b) lies in [0, pi], so sin(mu) = 2 |q| sqrt(P) / (P + Q) for either sign of q
+    for triple in ((-3.0, -2.0, -1.0), (-0.24, -0.12, 0.01)):
+        d = derive(LatticeParams(*triple))
+        assert not d.hyperbolic
+        assert mu_identity_residual(d) <= 1e-12
+
+
 def test_printed_constant_residuals_flag_the_misprints(d321):
     res = printed_constant_residuals(d321)
     # corrected forms agree with the map spectrum

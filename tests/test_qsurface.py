@@ -227,6 +227,18 @@ def test_asymmetric_c_triggers_the_delta_rejection(co321):
         qs.surface_kernel(qs.elementary_move_surfaces("a")[1], bumped)
 
 
+def test_uniqueness_scan_of_a_non_finite_table_is_not_critical(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a non-finite table must build no kernel and take no determinant")
+
+    monkeypatch.setattr(qs, "surface_kernel", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    res = qs.uniqueness_scan_2form(qs.canonical_lattice_coeffs(3.0, 2.0, 1.0, gauge=(float("nan"), 0.0, 0.0)))
+    assert not res["critical"]
+    assert not res["delta_rejected"]
+    assert np.isnan(res["exponent_diff"])
+
+
 def test_generic_coefficients_report_gaussian_residuals(rng):
     pairs = list(itertools.permutations((1, 2, 3), 2))
     a, b, c, d = {}, {}, {}, {}

@@ -29,3 +29,16 @@ def test_surface_demo_round_trips_a_deformed_patch(tmp_path):
     out = tmp_path / "surface.json"
     assert load_script("surface_demo").main(str(out)) == 0
     assert json.loads(out.read_text(encoding="utf-8"))
+
+
+def test_check_digests_matches_report_seeds_and_flags_a_changed_digest(tmp_path, capsys):
+    script = load_script("check_digests")
+    assert script.main(["report"], [1, 2]) == 0
+    assert "0 of 2 report digests differ" in capsys.readouterr().out
+    table = json.loads(script.EXPECTED.read_text(encoding="utf-8"))
+    table["report"]["2"]["sha256"] = "0" * 64
+    script.EXPECTED = tmp_path / "expected.json"
+    script.EXPECTED.write_text(json.dumps(table), encoding="utf-8")
+    assert script.main(["report"], [2]) == 1
+    out = capsys.readouterr().out
+    assert "MISMATCH report seed 2" in out and "1 of 1 report digests differ" in out

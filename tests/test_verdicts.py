@@ -23,7 +23,8 @@ PAIRS = {
 
 def coefficient_tables():
     """Canonical (3, 2, 1) tables at each gauge and constant c, and every
-    one-coefficient perturbation of them by +-1e-2 (a and d stay antisymmetric)."""
+    one-coefficient perturbation of them by +-1e-2 (a and d stay antisymmetric),
+    then one table with a NaN gauge, which neither principle admits."""
     for gauge in GAUGES:
         canonical = qsurface.canonical_lattice_coeffs(3.0, 2.0, 1.0, gauge=gauge)
         for c in CONSTANT_C:
@@ -33,6 +34,7 @@ def coefficient_tables():
                 for pair in pairs:
                     for eps in (1e-2, -1e-2):
                         yield (gauge, c, table, pair, eps), base.perturbed(table, pair, eps)
+    yield "nan-gauge", qsurface.canonical_lattice_coeffs(3.0, 2.0, 1.0, gauge=(float("nan"), 0.0, 0.0))
 
 
 def test_classical_and_quantum_verdicts_agree():
@@ -48,7 +50,7 @@ def test_classical_and_quantum_verdicts_agree():
             disagreements.append((key, classical, critical))
         if closes:
             admissible.append(key)
-    assert count == 296
+    assert count == 297
     assert disagreements == []
     # the unperturbed tables with c = 1 and c = -1 (lambda = 1 - c^2 = 0), in both gauges
     assert sorted(admissible) == sorted((g, c) for g in GAUGES for c in (1.0, -1.0))

@@ -4,13 +4,14 @@
 For each (workload, harness seed) entry of expected.json, recompute
 run(SuiteConfig(seed=seed, trials=trials)).to_json(), the body that
 `mdclab run --out` writes, and compare its sha256 with the recorded one.
-expected.json is only read.  Prints each mismatch and a summary line, and
-exits 1 on any mismatch.
+`report` runs at the default trials and `sweep` at perfbench/run.py's
+SWEEP_TRIALS.  Both perfbench files are only read.  Prints each mismatch
+and a summary line, and exits 1 on any mismatch.
 
-Usage: python scripts/check_digests.py [--workload report|sweep] [--seed N ...]
+Usage: python scripts/check_digests.py
 """
 
-import argparse
+import ast
 import hashlib
 import json
 import sys
@@ -18,20 +19,27 @@ from pathlib import Path
 
 from mdclab.harness import SuiteConfig, run
 
-EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
-#: Trials per workload, as perfbench/run.py runs them (None: the default).
-TRIALS = {"report": None, "sweep": 10000}
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+EXPECTED = PERFBENCH / "expected.json"
+
+
+def sweep_trials() -> int:
+    """SWEEP_TRIALS of perfbench/run.py, parsed from its source, not run."""
+    for node in ast.parse((PERFBENCH / "run.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SWEEP_TRIALS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError("perfbench/run.py defines no SWEEP_TRIALS")
 
 
 def main(workloads=None, seeds=None) -> int:
     expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
+    trials = {"sweep": sweep_trials()}
     checked = mismatched = 0
     for workload in workloads or sorted(expected):
         for seed, entry in sorted(expected[workload].items(), key=lambda item: int(item[0])):
             if seeds and int(seed) not in seeds:
                 continue
-            trials = TRIALS[workload]
-            config = SuiteConfig(seed=int(seed)) if trials is None else SuiteConfig(seed=int(seed), trials=trials)
+            config = SuiteConfig(seed=int(seed), **({"trials": trials[workload]} if workload in trials else {}))
             digest = hashlib.sha256(run(config).to_json().encode("utf-8")).hexdigest()
             checked += 1
             if digest != entry["sha256"]:
@@ -42,8 +50,4 @@ def main(workloads=None, seeds=None) -> int:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", choices=sorted(TRIALS), action="append")
-    parser.add_argument("--seed", type=int, action="append")
-    args = parser.parse_args()
-    sys.exit(main(args.workload, args.seed))
+    sys.exit(main())

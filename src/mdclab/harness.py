@@ -208,20 +208,14 @@ def _rng(config: SuiteConfig, suite: str) -> np.random.Generator:
     return np.random.default_rng([config.seed, list(SUITES).index(suite)])
 
 
-def sample_triples(
-    rng: np.random.Generator, count: int, low: float, high: float
-) -> list[tuple[float, float, float]]:
-    """Rejection-sample parameter triples clear of the degeneracy guards.
+def sample_triples(rng: np.random.Generator, count: int, low: float, high: float) -> np.ndarray:
+    """Rejection-sample parameter triples clear of the degeneracy guards, as
+    a (count, 3) array.
 
     Each round draws only the triples still missing, so no draw is wasted:
     the triples and the rng state after the call are those of drawing and
     testing one triple at a time.
     """
-    return list(map(tuple, _sample_array(rng, count, low, high).tolist()))
-
-
-def _sample_array(rng: np.random.Generator, count: int, low: float, high: float) -> np.ndarray:
-    """sample_triples as a (count, 3) array."""
     chunks, found = [np.empty((0, 3))], 0
     while found < count:
         draws = rng.uniform(low, high, size=(count - found, 3))
@@ -237,7 +231,7 @@ def _sample_array(rng: np.random.Generator, count: int, low: float, high: float)
 def _work_points(config: SuiteConfig, rng: np.random.Generator):
     """Canonical (3,2,1), any explicit triples, plus four sampled ones."""
     triples = [(3.0, 2.0, 1.0), *config.params]
-    triples += sample_triples(rng, 4, config.range_low, config.range_high)
+    triples += sample_triples(rng, 4, config.range_low, config.range_high).tolist()
     return [derive(LatticeParams(p, q, r, config.hbar)) for p, q, r in triples]
 
 
@@ -255,8 +249,8 @@ class _Residuals:
         self._by_key: dict[str, list[np.ndarray]] = {}
 
     def add(self, key: str, *residuals: float | np.ndarray) -> None:
-        """Add scalar residuals, or the entries of one array, under key, in order."""
-        self._by_key.setdefault(key, []).append(np.array(residuals, dtype=float).ravel())
+        """Add residuals under key; an array adds its entries in order."""
+        self._by_key.setdefault(key, []).extend(np.asarray(r, dtype=float).ravel() for r in residuals)
 
     def _value(self, residual: str | float, stat) -> float:
         if not isinstance(residual, str):
@@ -285,7 +279,7 @@ class _Residuals:
 # -- Suites ---------------------------------------------------------------------
 
 def _params_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals) -> None:
-    p, q, r = _sample_array(rng, config.trials, config.range_low, config.range_high).T
+    p, q, r = sample_triples(rng, config.trials, config.range_low, config.range_high).T
     res.add("stt", check_stt_identity(p, q, r))
     res.add("sij", check_sij_identity(p, q, r))
     res.check("stt-identity-sweep", "stt-identity", "stt", "stt")
@@ -572,7 +566,8 @@ def sweep_rows(config: SuiteConfig) -> list[dict]:
     if "params" not in config.suites:
         return []
     rows = []
-    for p, q, r in sample_triples(_rng(config, "params"), config.trials, config.range_low, config.range_high):
+    triples = sample_triples(_rng(config, "params"), config.trials, config.range_low, config.range_high)
+    for p, q, r in triples.tolist():
         d = derive(LatticeParams(p, q, r, config.hbar))
         row = {
             "p": d.p, "q": d.q, "r": d.r, "s": d.s, "t": d.t, "tprime": d.tprime,

@@ -18,4 +18,4 @@ def rng():
 
 def sample_triples(rng, count):
     """Admissible random parameter triples in [0.5, 3], as the harness samples them."""
-    return harness.sample_triples(rng, count, 0.5, 3.0)
+    return harness.sample_triples(rng, count, 0.5, 3.0).tolist()

@@ -82,5 +82,6 @@ def test_sample_triples_equals_per_draw_sampling(seed, count, low, high):
     draw_rng = np.random.default_rng(seed)
     got = sample_triples(batch_rng, count, low, high)
     want = per_draw_triples(draw_rng, count, low, high)
-    assert repr(got) == repr(want)
+    assert got.shape == (count, 3)
+    assert repr(list(map(tuple, got.tolist()))) == repr(want)
     assert batch_rng.random() == draw_rng.random()

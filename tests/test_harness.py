@@ -130,10 +130,14 @@ def test_residuals_keep_the_first_non_finite_value_and_a_positive_zero():
     res.check("zero", "ref", "zero", 0.0)
     res.check("bad", "ref", "bad", 1.0)
     res.probe("min", "ref", "zero", -2.0, stat=min)
-    zero, bad, low = res.records
+    # one call may mix scalars and arrays of any shape
+    res.add("mixed", np.zeros((2, 2)), 3.0, np.array([-1.0]))
+    res.check("mixed", "ref", "mixed", 5.0)
+    zero, bad, low, mixed = res.records
     assert math.copysign(1.0, zero.residual) == 1.0 and zero.residual == 0.0 and zero.passed
     assert bad.residual == math.inf and not bad.passed
     assert low.residual == -1.0
+    assert mixed.residual == 3.0 and mixed.passed
 
 
 def test_sampling_respects_degeneracy_guards():

@@ -33,6 +33,7 @@ def test_surface_demo_round_trips_a_deformed_patch(tmp_path):
 
 def test_check_digests_matches_report_seeds_and_flags_a_changed_digest(tmp_path, capsys):
     script = load_script("check_digests")
+    assert isinstance(script.sweep_trials(), int)
     assert script.main(["report"], [1, 2]) == 0
     assert "0 of 2 report digests differ" in capsys.readouterr().out
     table = json.loads(script.EXPECTED.read_text(encoding="utf-8"))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -240,7 +241,8 @@ class _Residuals:
 
     A check records the largest residual of its key, a probe the median or
     the minimum; a key with none records 0.0.  A non-finite residual always
-    wins, so a NaN fails its record instead of vanishing in max, min or median.
+    wins, so a NaN fails its record instead of vanishing in max, min or median,
+    and a check or probe passes only on a finite value.
     """
 
     def __init__(self, config: SuiteConfig):
@@ -266,11 +268,12 @@ class _Residuals:
 
     def check(self, name: str, ref: str, residual: str | float, tol: str | float) -> None:
         value, tol = self._value(residual, lambda values: max(0.0, float(values.max()))), self._tol(tol)
-        self.records.append(CheckRecord(name, ref, value, tol, bool(value <= tol)))
+        self.records.append(CheckRecord(name, ref, value, tol, bool(math.isfinite(value) and value <= tol)))
 
     def probe(self, name: str, ref: str, residual: str | float, floor: str | float, stat=np.median) -> None:
         value, floor = self._value(residual, stat), self._tol(floor)
-        self.records.append(CheckRecord(name, ref, value, floor, bool(value > floor), kind="probe"))
+        passed = bool(math.isfinite(value) and value > floor)
+        self.records.append(CheckRecord(name, ref, value, floor, passed, kind="probe"))
 
     def report(self, name: str, ref: str, residual: float) -> None:
         self.records.append(CheckRecord(name, ref, float(residual), None, True, kind="report"))

@@ -24,8 +24,10 @@ Integrating one variable out lands in exactly one of three exact cases:
 Pivots inside the band (tol, 100 tol) relative to their row are refused with
 NearCaustic rather than silently classified.
 
-marginalize_all is the one elimination engine; marginalize calls it, and glue
-feeds it both kernels' entries without building their product.  It consumes
+marginalize_all is the one elimination engine; marginalize calls it, glue
+feeds it both kernels' entries without building their product, and
+marginalize_terms feeds it monomials without building a dense kernel, which is
+how the kernel builders (path_kernel, surface_kernel) integrate.  It consumes
 constraint-bound variables first, then the largest relative pivot, the first
 in sorted-name order on a tie.  A is held as sparse rows of Python floats and
 a step updates only the pivot's nonzero couplings, at a Python cost in the
@@ -40,6 +42,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,12 +144,10 @@ class OscKernel:
 
     def canonical_dict(self) -> dict:
         order = np.argsort(np.array(self.vars))
-        A = self.A[np.ix_(order, order)]
-        B = self.B[order]
         return {
             "vars": [self.vars[i] for i in order],
-            "A": [round(float(x), 15) for x in A.reshape(-1)],
-            "B": [round(float(x), 15) for x in B],
+            "A": _rounded(self.A[np.ix_(order, order)].reshape(-1)),
+            "B": _rounded(self.B[order]),
             "c": round(float(self.c), 15),
             "amp": {
                 "modulus": round(abs(self.amp), 15),
@@ -172,6 +173,15 @@ class OscKernel:
         Infinity are not JSON."""
         return json.dumps(self.canonical_dict(), sort_keys=True, allow_nan=False)
 
+    def _entries(self):
+        """(row, column, value) of each nonzero entry of A, by position in vars."""
+        ii, jj = np.nonzero(self.A)
+        return zip(ii.tolist(), jj.tolist(), self.A[ii, jj].tolist())
+
+    def _linear(self):
+        """(position, value) of each entry of B."""
+        return enumerate(self.B.tolist())
+
     @staticmethod
     def from_json(text: str) -> "OscKernel":
         data = json.loads(text)
@@ -194,6 +204,48 @@ class OscKernel:
         )
 
 
+def _rounded(values: np.ndarray) -> list[float]:
+    """round(x, 15) of each entry as a Python float.  An exact zero rounds to
+    itself, sign included, so only the nonzero entries (NaN among them) pay
+    for the call."""
+    out = values.tolist()
+    for i in np.flatnonzero(values).tolist():
+        out[i] = round(out[i], 15)
+    return out
+
+
+class _Terms(NamedTuple):
+    """A kernel in the monomial form from_terms takes, read by the engine
+    without building A."""
+
+    vars: tuple[str, ...]
+    quadratic: dict[tuple[str, str], float]
+    linear: dict[str, float]
+    c: float
+    amp: complex
+    pihbar_pow: Fraction
+    hbar: float
+    vol_pow: int = 0
+    constraints: tuple[AffineConstraint, ...] = ()
+
+    def _entries(self):
+        """(row, column, increment) for each monomial, by position in vars and
+        in dict order: u*u adds 2 cv to A_uu, u*w adds cv to A_uw and A_wu."""
+        idx = {v: k for k, v in enumerate(self.vars)}
+        for (u, w), cv in self.quadratic.items():
+            i, j = idx[u], idx[w]
+            if i == j:
+                yield i, i, 2.0 * cv
+            else:
+                yield i, j, cv
+                yield j, i, cv
+
+    def _linear(self):
+        """(position, increment) for each linear monomial, in dict order."""
+        idx = {v: k for k, v in enumerate(self.vars)}
+        return ((idx[u], cv) for u, cv in self.linear.items())
+
+
 def from_terms(
     vars: tuple[str, ...],
     quadratic: dict[tuple[str, str], float],
@@ -204,21 +256,43 @@ def from_terms(
     hbar: float = 1.0,
 ) -> OscKernel:
     """Build a kernel from monomial coefficients: quadratic[(u, w)] is the
-    full coefficient of the monomial u*w in the exponent."""
-    idx = {v: k for k, v in enumerate(vars)}
-    n = len(vars)
+    full coefficient of the monomial u*w in the exponent.
+
+    Entries add up from 0.0 in dict order, exactly as the engine adds them
+    from marginalize_terms, which the kernel builders that integrate at once
+    (path_kernel, surface_kernel) call instead, never building this dense A.
+    """
+    terms = _Terms(tuple(vars), quadratic, linear or {}, const, complex(amp), Fraction(pihbar_pow), hbar)
+    n = len(terms.vars)
     A = np.zeros((n, n))
     B = np.zeros(n)
-    for (u, w), cv in quadratic.items():
-        i, j = idx[u], idx[w]
-        if i == j:
-            A[i, i] += 2.0 * cv
-        else:
-            A[i, j] += cv
-            A[j, i] += cv
-    for u, cv in (linear or {}).items():
-        B[idx[u]] += cv
-    return OscKernel(vars=vars, A=A, B=B, c=const, amp=amp, pihbar_pow=Fraction(pihbar_pow), hbar=hbar)
+    for i, j, v in terms._entries():
+        A[i, j] += v
+    for i, v in terms._linear():
+        B[i] += v
+    return OscKernel(vars=terms.vars, A=A, B=B, c=terms.c, amp=terms.amp, pihbar_pow=terms.pihbar_pow, hbar=terms.hbar)
+
+
+def marginalize_terms(
+    vars: tuple[str, ...],
+    quadratic: dict[tuple[str, str], float],
+    variables,
+    keep: frozenset[str] | set[str] | None = None,
+    amp: complex = 1.0,
+    pihbar_pow: Fraction | int = 0,
+    hbar: float = 1.0,
+    tol: float = PIVOT_TOL,
+) -> OscKernel:
+    """marginalize_all(from_terms(vars, quadratic, amp=amp, pihbar_pow=pihbar_pow,
+    hbar=hbar), variables, tol, keep), with the monomials fed to the engine
+    directly instead of through a dense kernel.
+
+    The result is bit-identical except where an entry exceeds half the
+    largest double: from_terms' kernel symmetrises A as 0.5 (A + A^T), which
+    turns such an entry into inf, and the direct feed keeps it.
+    """
+    terms = _Terms(tuple(vars), quadratic, {}, 0.0, complex(amp), Fraction(pihbar_pow), hbar)
+    return _eliminate(terms.vars, (terms,), variables, tol, keep)
 
 
 def rename(kernel: OscKernel, mapping: dict[str, str]) -> OscKernel:
@@ -283,22 +357,23 @@ def marginalize_all(
     update would add or subtract an exact zero, and the Gaussian update is
     exactly symmetric, so the result is bit-identical to eliminating one
     variable at a time with dense updates, for any kernel without negative
-    zeros (from_terms and glue make none).
+    zeros (from_terms, marginalize_terms and glue make none).
     """
     return _eliminate(kernel.vars, (kernel,), variables, tol, keep)
 
 
-def _eliminate(vars, kernels, variables, tol, keep) -> OscKernel:
-    """marginalize_all over the product of `kernels`, whose variables `vars`
-    lists in order: their entries add as a dense sum over `vars` would, in
-    kernel order, without building the product kernel."""
+def _eliminate(vars, parts, variables, tol, keep) -> OscKernel:
+    """marginalize_all over the product of `parts` (kernels, or _Terms not
+    yet built), whose variables `vars` lists in order: their entries add as
+    a dense sum over `vars` would, in part order, without building the
+    product kernel."""
     pending = set(variables)
-    cons = [con for part in kernels for con in part.constraints]
+    cons = [con for part in parts for con in part.constraints]
     missing = pending.union(*(con.variables() for con in cons)) - set(vars)
     if missing:
         raise VariableMismatch(f"no variable {min(missing)!r} in kernel over {vars}")
-    if not pending and len(kernels) == 1:
-        return kernels[0]
+    if not pending and len(parts) == 1 and isinstance(parts[0], OscKernel):
+        return parts[0]
     if keep is None:
         keep = frozenset(vars) - pending
     n = len(vars)
@@ -307,18 +382,17 @@ def _eliminate(vars, kernels, variables, tol, keep) -> OscKernel:
     at = {v: s for s, v in enumerate(names)}
     rows: list[dict[int, float]] = [{} for _ in range(n)]
     B = [0.0] * n
-    first = kernels[0]
+    first = parts[0]
     c, amp, pihbar, vol, halves = first.c, first.amp, first.pihbar_pow, first.vol_pow, 0
-    for m, part in enumerate(kernels):
+    for m, part in enumerate(parts):
         if m:
             c, amp, pihbar, vol = c + part.c, amp * part.amp, pihbar + part.pihbar_pow, vol + part.vol_pow
         pos = [at[v] for v in part.vars]
-        ii, jj = np.nonzero(part.A)
-        for i, j, v in zip(ii.tolist(), jj.tolist(), part.A[ii, jj].tolist()):
+        for i, j, v in part._entries():
             row, j = rows[pos[i]], pos[j]
             row[j] = row.get(j, 0.0) + v
-        for i, v in zip(pos, part.B.tolist()):
-            B[i] += v
+        for i, v in part._linear():
+            B[pos[i]] += v
     is_pending = [v in pending for v in names]
     scale, ratio = np.zeros(n), np.full(n, -np.inf)
 
@@ -329,9 +403,10 @@ def _eliminate(vars, kernels, variables, tol, keep) -> OscKernel:
         if is_pending[i]:
             ratio[i] = abs(rows[i].get(i, 0.0)) / (_ABS_FLOOR if s < _ABS_FLOOR else s)
 
-    for i in range(n):
-        refresh(i)
     left, sub, gone = len(pending), None, set()  # sub: (constraint index, position) handed on by a delta step
+    if left:  # the caches serve only the pivot choice
+        for i in range(n):
+            refresh(i)
     while left or sub:
         if sub is None:
             bound = [k for k in {at[v] for con in cons for v, cv in con.coeffs if abs(cv) > 0.0} if is_pending[k]]

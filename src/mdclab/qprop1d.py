@@ -39,7 +39,7 @@ from .errors import (
     NearCaustic,
     OutOfRegime,
 )
-from .oscgauss import OscKernel, compare, from_terms, glue, marginalize_all, rename
+from .oscgauss import OscKernel, compare, from_terms, glue, marginalize_terms, rename
 from .reduction import OscillatorCoeffs, closure_coeffs
 
 if TYPE_CHECKING:
@@ -96,7 +96,7 @@ def momentum_factorized_kernel(
     x, xh = labels
     mom = "Xmom"
     vterm = 0.0 if zero_potential else derived.P / w
-    kernel = from_terms(
+    return marginalize_terms(
         vars=(x, mom, xh),
         quadratic={
             (x, x): vterm,
@@ -105,11 +105,12 @@ def momentum_factorized_kernel(
             (xh, mom): 1.0,
             (x, mom): -1.0,
         },
+        variables=[mom],
+        keep={x, xh},
         amp=1.0,
         pihbar_pow=Fraction(-1),
         hbar=derived.hbar,
     )
-    return marginalize_all(kernel, [mom], keep={x, xh})
 
 
 def _angle(derived: "DerivedParams", direction: str) -> float:
@@ -297,8 +298,9 @@ def path_kernel(
         a_step = step_amp[step[1:]]
         amp *= a_step if step.startswith("+") else a_step.conjugate()
     quad = _step_terms(path.steps, cf, names)
-    kernel = from_terms(names, quad, amp=amp, pihbar_pow=pihbar, hbar=derived.hbar)
-    kernel = marginalize_all(kernel, names[1:-1], keep={names[0], names[-1]})
+    kernel = marginalize_terms(
+        names, quad, names[1:-1], keep={names[0], names[-1]}, amp=amp, pihbar_pow=pihbar, hbar=derived.hbar
+    )
     return rename(kernel, {names[0]: labels[0], names[-1]: labels[1]})
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DegenerateCoeffs, DeltaConstraintError, MissingVertex
-from .oscgauss import KernelDiff, OscKernel, compare, from_terms, marginalize_all
+from .oscgauss import KernelDiff, OscKernel, compare, marginalize_terms
 from .params import edge_coefficient
 
 Vertex = tuple[int, int, int]
@@ -269,10 +269,9 @@ def surface_kernel(
     for plq in surface.plaquettes:
         for key, val in coeffs.monomials(plq).items():
             quad[key] = quad.get(key, 0.0) + val
-    kernel = from_terms(labels, quad, hbar=hbar)
     interior_labels = [vertex_label(v) for v in sorted(surface.interior)]
     boundary_labels = {vertex_label(v) for v in surface.boundary}
-    kernel = marginalize_all(kernel, interior_labels, keep=boundary_labels)
+    kernel = marginalize_terms(labels, quad, interior_labels, keep=boundary_labels, hbar=hbar)
     if kernel.constraints:
         raise DeltaConstraintError(
             f"delta constraint ties boundary variables: {kernel.constraints[0].variables()}"

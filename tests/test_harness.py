@@ -140,6 +140,20 @@ def test_residuals_keep_the_first_non_finite_value_and_a_positive_zero():
     assert mixed.residual == 3.0 and mixed.passed
 
 
+def test_non_finite_residuals_fail_checks_and_probes_of_either_sign():
+    res = _Residuals(SMALL)
+    res.add("low", np.array([1.0, -math.inf]))
+    res.add("high", 1.0, math.inf)
+    res.check("low", "ref", "low", 1.0)
+    res.probe("high", "ref", "high", 0.5)
+    res.report("info", "ref", -math.inf)
+    low, high, info = res.records
+    assert low.residual == -math.inf and not low.passed
+    assert high.residual == math.inf and not high.passed
+    # a report record is informational and never fails
+    assert info.passed
+
+
 def test_sampling_respects_degeneracy_guards():
     rng = np.random.default_rng(3)
     for p, q, r in sample_triples(rng, 200, 0.5, 3.0):

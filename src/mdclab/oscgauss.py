@@ -281,10 +281,9 @@ def marginalize_terms(
     amp: complex = 1.0,
     pihbar_pow: Fraction | int = 0,
     hbar: float = 1.0,
-    tol: float = PIVOT_TOL,
 ) -> OscKernel:
     """marginalize_all(from_terms(vars, quadratic, amp=amp, pihbar_pow=pihbar_pow,
-    hbar=hbar), variables, tol, keep), with the monomials fed to the engine
+    hbar=hbar), variables, keep=keep), with the monomials fed to the engine
     directly instead of through a dense kernel.
 
     The result is bit-identical except where an entry exceeds half the
@@ -292,7 +291,7 @@ def marginalize_terms(
     turns such an entry into inf, and the direct feed keeps it.
     """
     terms = _Terms(tuple(vars), quadratic, {}, 0.0, complex(amp), Fraction(pihbar_pow), hbar)
-    return _eliminate(terms.vars, (terms,), variables, tol, keep)
+    return marginalize_all(terms, variables, keep=keep)
 
 
 def rename(kernel: OscKernel, mapping: dict[str, str]) -> OscKernel:
@@ -329,12 +328,14 @@ def marginalize(
 
 
 def marginalize_all(
-    kernel: OscKernel,
+    kernel: OscKernel | _Terms,
     variables,
     tol: float = PIVOT_TOL,
     keep: frozenset[str] | set[str] | None = None,
 ) -> OscKernel:
-    """Integrate a set of variables out, choosing a stable order.
+    """Integrate a set of variables out, choosing a stable order.  `kernel`
+    may also be the monomial form marginalize_terms hands on, read without
+    building A.
 
     Constraint-bound variables are consumed first (they are free), then the
     variable with the largest relative pivot |A_vv| / max(max_w |A_vw|, |B_v|,
@@ -403,10 +404,9 @@ def _eliminate(vars, parts, variables, tol, keep) -> OscKernel:
         if is_pending[i]:
             ratio[i] = abs(rows[i].get(i, 0.0)) / (_ABS_FLOOR if s < _ABS_FLOOR else s)
 
+    for i in range(n):
+        refresh(i)
     left, sub, gone = len(pending), None, set()  # sub: (constraint index, position) handed on by a delta step
-    if left:  # the caches serve only the pivot choice
-        for i in range(n):
-            refresh(i)
     while left or sub:
         if sub is None:
             bound = [k for k in {at[v] for con in cons for v, cv in con.coeffs if abs(cv) > 0.0} if is_pending[k]]

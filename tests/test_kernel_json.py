@@ -197,9 +197,9 @@ def test_canonical_form_keeps_the_sign_of_a_zero():
 
 # -- the builders' direct feed -----------------------------------------------------
 
-def dense_feed(vars, quadratic, variables, keep=None, tol=oscgauss.PIVOT_TOL, **terms):
+def dense_feed(vars, quadratic, variables, keep=None, **terms):
     """What marginalize_terms replaces: a dense from_terms kernel, then marginalize_all."""
-    return oscgauss.marginalize_all(oscgauss.from_terms(vars, quadratic, **terms), variables, tol=tol, keep=keep)
+    return oscgauss.marginalize_all(oscgauss.from_terms(vars, quadratic, **terms), variables, keep=keep)
 
 
 def outcome(build):
@@ -291,3 +291,14 @@ def test_direct_feed_keeps_an_entry_that_symmetrising_would_overflow():
     with np.errstate(over="ignore", invalid="ignore"):
         dense = dense_feed(("x", "y"), quad, ["y"])
     assert dense.constraints == () and dense.vol_pow == 1
+
+
+def test_builders_integrate_through_marginalize_all(d321):
+    # the builders' eliminations pass the public engine entry point, where a
+    # profiler or tracer that wraps marginalize_all sees them
+    coeffs = qsurface.canonical_lattice_coeffs(3.0, 2.0, 1.0)
+    with mock.patch.object(oscgauss, "marginalize_all", wraps=oscgauss.marginalize_all) as engine:
+        qprop1d.path_kernel(long_path(60), d321)
+        qsurface.surface_kernel(deformed_patch(4), coeffs)
+    assert engine.call_count == 2
+    assert all(isinstance(call.args[0], oscgauss._Terms) for call in engine.call_args_list)

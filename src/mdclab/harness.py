@@ -419,7 +419,7 @@ def _prop1d_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals
             cf = qprop1d.tridiagonal_det_closed_form(n, d)
             res.add("tri", abs(rec - cf) / abs(cf))
         for n in (1, 2, 5, 12, 20):
-            diff = compare(qprop1d.n_step_kernel(n, d), qprop1d.n_step_closed_form(n, d))
+            diff = compare(qprop1d.n_step_kernel(n, d), qprop1d.multi_time_closed_form(n, 0, d))
             res.add("nstep", diff.exponent_diff)
             res.add("amp", diff.amp_ratio_error)
         for direction in ("hat", "bar"):

@@ -18,8 +18,9 @@ Integrating one variable out lands in exactly one of three exact cases:
   volume     the whole row and the linear term vanish: one power of V;
   delta      A_vv ~ 0 but the couplings survive: the integral is
              2 pi hbar * delta(coupling . v + B_v); the constraint is recorded
-             and, when allowed, immediately consumed by substituting one of
-             the constrained variables (amplitude divides by |coefficient|).
+             and, when it binds a variable still to be integrated, consumed
+             at once by substituting that variable away (amplitude divides
+             by |coefficient|).
 
 Pivots inside the band (tol, 100 tol) relative to their row are refused with
 NearCaustic rather than silently classified.
@@ -27,7 +28,9 @@ NearCaustic rather than silently classified.
 marginalize_all is the one elimination engine; marginalize calls it, glue
 feeds it both kernels' entries without building their product, and
 marginalize_terms feeds it monomials without building a dense kernel, which is
-how the kernel builders (path_kernel, surface_kernel) integrate.  It consumes
+how the kernel builders (path_kernel, surface_kernel) integrate: each names
+its variables and sums its monomials once, and the engine integrates exactly
+the variables it is given.  It consumes
 constraint-bound variables first, then the largest relative pivot, the first
 in sorted-name order on a tie.  A is held as sparse rows of Python floats and
 a step updates only the pivot's nonzero couplings, at a Python cost in the
@@ -40,7 +43,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -277,42 +280,26 @@ def marginalize_terms(
     vars: tuple[str, ...],
     quadratic: dict[tuple[str, str], float],
     variables,
-    keep: frozenset[str] | set[str] | None = None,
     amp: complex = 1.0,
     pihbar_pow: Fraction | int = 0,
     hbar: float = 1.0,
 ) -> OscKernel:
     """marginalize_all(from_terms(vars, quadratic, amp=amp, pihbar_pow=pihbar_pow,
-    hbar=hbar), variables, keep=keep), with the monomials fed to the engine
-    directly instead of through a dense kernel.
+    hbar=hbar), variables), with the monomials fed to the engine directly
+    instead of through a dense kernel.
 
     The result is bit-identical except where an entry exceeds half the
     largest double: from_terms' kernel symmetrises A as 0.5 (A + A^T), which
     turns such an entry into inf, and the direct feed keeps it.
     """
     terms = _Terms(tuple(vars), quadratic, {}, 0.0, complex(amp), Fraction(pihbar_pow), hbar)
-    return marginalize_all(terms, variables, keep=keep)
-
-
-def rename(kernel: OscKernel, mapping: dict[str, str]) -> OscKernel:
-    """Relabel variables; labels absent from the mapping are kept."""
-    new_vars = tuple(mapping.get(v, v) for v in kernel.vars)
-    if len(set(new_vars)) != len(new_vars):
-        raise VariableMismatch(f"renaming collides: {new_vars}")
-    cons = tuple(
-        AffineConstraint(
-            coeffs=tuple((mapping.get(v, v), cv) for v, cv in con.coeffs), const=con.const
-        )
-        for con in kernel.constraints
-    )
-    return replace(kernel, vars=new_vars, constraints=cons)
+    return marginalize_all(terms, variables)
 
 
 def marginalize(
     kernel: OscKernel,
     var: str,
     tol: float = PIVOT_TOL,
-    keep: frozenset[str] | set[str] = frozenset(),
 ) -> OscKernel:
     """Integrate one variable out of the kernel, exactly.
 
@@ -321,17 +308,16 @@ def marginalize(
     amplitude divides by the matching coefficient magnitude.  Otherwise the pivot
     A_vv is classified relative to its row into the Gaussian, volume or delta
     case; NearCaustic is raised inside the undecidable band.  In the delta
-    case the new constraint is recorded and one constrained variable not in
-    `keep` (when one exists) is substituted away immediately.
+    case the new constraint is recorded on the result: every other variable
+    is kept, so none is substituted away.
     """
-    return marginalize_all(kernel, (var,), tol=tol, keep=keep)
+    return marginalize_all(kernel, (var,), tol=tol)
 
 
 def marginalize_all(
     kernel: OscKernel | _Terms,
     variables,
     tol: float = PIVOT_TOL,
-    keep: frozenset[str] | set[str] | None = None,
 ) -> OscKernel:
     """Integrate a set of variables out, choosing a stable order.  `kernel`
     may also be the monomial form marginalize_terms hands on, read without
@@ -342,9 +328,10 @@ def marginalize_all(
     _ABS_FLOOR), the first in sorted-name order on a tie; rows that vanished
     become volume factors whenever they are reached.  Every name, and every
     variable of a delta constraint, must be a variable of the kernel; a name
-    that a delta substitution consumes on the way is no longer pending.
-    `keep` (by default every variable not integrated) lists the variables a
-    delta constraint may not substitute away.
+    that a delta substitution consumes on the way is no longer pending.  A
+    delta step substitutes away only a constrained variable that is still
+    pending, the one with the largest coefficient; every other variable is
+    kept, so a constraint that ties kept variables only stays on the result.
 
     The engine holds A as sparse rows of Python floats, one dict per variable
     in sorted-name order from position to coupling (a coupling that was never
@@ -360,10 +347,10 @@ def marginalize_all(
     variable at a time with dense updates, for any kernel without negative
     zeros (from_terms, marginalize_terms and glue make none).
     """
-    return _eliminate(kernel.vars, (kernel,), variables, tol, keep)
+    return _eliminate(kernel.vars, (kernel,), variables, tol)
 
 
-def _eliminate(vars, parts, variables, tol, keep) -> OscKernel:
+def _eliminate(vars, parts, variables, tol) -> OscKernel:
     """marginalize_all over the product of `parts` (kernels, or _Terms not
     yet built), whose variables `vars` lists in order: their entries add as
     a dense sum over `vars` would, in part order, without building the
@@ -375,8 +362,6 @@ def _eliminate(vars, parts, variables, tol, keep) -> OscKernel:
         raise VariableMismatch(f"no variable {min(missing)!r} in kernel over {vars}")
     if not pending and len(parts) == 1 and isinstance(parts[0], OscKernel):
         return parts[0]
-    if keep is None:
-        keep = frozenset(vars) - pending
     n = len(vars)
     order = sorted(range(n), key=vars.__getitem__)
     names = [vars[i] for i in order]
@@ -471,9 +456,9 @@ def _eliminate(vars, parts, variables, tol, keep) -> OscKernel:
                 con = AffineConstraint(coeffs=tuple((names[i], row_k[i]) for i in tied), const=bk)
                 cons.append(con)
                 halves += 2
-                candidates = [w for w in con.variables() if w not in keep]
+                candidates = [i for i in tied if is_pending[i]]
                 if candidates:
-                    sub = (len(cons) - 1, at[max(candidates, key=lambda w: abs(con.coefficient(w)))])
+                    sub = (len(cons) - 1, max(candidates, key=lambda i: abs(row_k[i])))
         # drop k; only the rows the step wrote need a fresh cache, and only for a later pivot choice
         rows[k], B[k], scale[k], ratio[k] = {}, 0.0, 0.0, -np.inf
         for i in row_k:
@@ -511,7 +496,7 @@ def glue(
     if k1.hbar != k2.hbar:
         raise VariableMismatch("kernels carry different hbar")
     union = tuple(k1.vars) + tuple(v for v in k2.vars if v not in k1.vars)
-    return _eliminate(union, (k1, k2), shared, tol, keep=frozenset(union) - set(shared))
+    return _eliminate(union, (k1, k2), shared, tol)
 
 
 @dataclass(frozen=True)
@@ -522,20 +507,13 @@ class KernelDiff:
     amp_ratio: complex
     pihbar_diff: Fraction
     vol_diff: int
-    tol: float = PIVOT_TOL
 
     @property
     def amp_ratio_error(self) -> float:
         return abs(self.amp_ratio - 1.0)
 
-    @property
-    def equal_modulo_volume(self) -> bool:
-        """Exponents agree to tolerance; bookkeeping powers are reported but
-        deliberately not part of this judgment."""
-        return self.exponent_diff <= self.tol
 
-
-def compare(k1: OscKernel, k2: OscKernel, tol: float = PIVOT_TOL) -> KernelDiff:
+def compare(k1: OscKernel, k2: OscKernel) -> KernelDiff:
     """Align variable order and report exponent and amplitude differences.
 
     `exponent_diff` is the max-norm difference over (A, B, c) and the
@@ -566,5 +544,4 @@ def compare(k1: OscKernel, k2: OscKernel, tol: float = PIVOT_TOL) -> KernelDiff:
         amp_ratio=amp_ratio,
         pihbar_diff=k1.pihbar_pow - k2.pihbar_pow,
         vol_diff=k1.vol_pow - k2.vol_pow,
-        tol=tol,
     )

@@ -38,8 +38,9 @@ from .errors import (
     DegenerateCoeffs,
     NearCaustic,
     OutOfRegime,
+    VariableMismatch,
 )
-from .oscgauss import OscKernel, compare, from_terms, glue, marginalize_terms, rename
+from .oscgauss import OscKernel, compare, from_terms, glue, marginalize_terms
 from .reduction import OscillatorCoeffs, closure_coeffs
 
 if TYPE_CHECKING:
@@ -106,7 +107,6 @@ def momentum_factorized_kernel(
             (x, mom): -1.0,
         },
         variables=[mom],
-        keep={x, xh},
         amp=1.0,
         pihbar_pow=Fraction(-1),
         hbar=derived.hbar,
@@ -146,23 +146,14 @@ def closed_form_kernel(
     )
 
 
-def n_step_closed_form(
-    n: int,
-    derived: "DerivedParams",
-    direction: str = "hat",
-    labels: tuple[str, str] = ("xa", "xb"),
-) -> OscKernel:
-    """Closed form for n forward steps in one direction."""
-    return closed_form_kernel(n * _angle(derived, direction), derived, labels)
-
-
 def multi_time_closed_form(
     n: int,
     m: int,
     derived: "DerivedParams",
     labels: tuple[str, str] = ("xa", "xb"),
 ) -> OscKernel:
-    """Closed form for a net displacement of n hat steps and m bar steps."""
+    """Closed form for a net displacement of n hat steps and m bar steps;
+    (n, 0) and (0, m) are the closed forms of n_step_kernel."""
     mu, nu = derived.require_elliptic()
     return closed_form_kernel(n * mu + m * nu, derived, labels)
 
@@ -184,13 +175,11 @@ def n_step_kernel(
     theta = n * _angle(derived, direction)
     if abs(math.sin(theta)) < CAUSTIC_TOL:
         raise CausticError(f"caustic at total angle {theta!r}")
-    acc = one_step_kernel(direction, derived, (labels[0], "s1"))
+    acc = one_step_kernel(direction, derived, (labels[0], labels[1] if n == 1 else "s1"))
     for k in range(1, n):
         nxt_label = labels[1] if k == n - 1 else f"s{k + 1}"
         step = one_step_kernel(direction, derived, (f"s{k}", nxt_label))
         acc = glue(acc, step, shared=(f"s{k}",))
-    if n == 1:
-        acc = rename(acc, {"s1": labels[1]})
     return acc
 
 
@@ -273,10 +262,15 @@ def path_kernel(
     Every visit gets its own variable, revisits included.  With coeffs=None
     the closed-form Lagrangians and the full per-step normalization are used;
     with explicit coefficients the per-step normalization is left at one and
-    only the exponent is meaningful.
+    only the exponent is meaningful.  Interior visits are named t1, t2, ...;
+    a label that collides with the other or with one of them raises
+    VariableMismatch.
     """
     if not path.steps:
         raise ValueError("empty path")
+    names = (labels[0], *(f"t{k}" for k in range(1, len(path.steps))), labels[1])
+    if len(set(names)) != len(names):
+        raise VariableMismatch(f"path labels {labels} collide with each other or with an interior visit")
     if coeffs is None:
         derived.require_elliptic()
         cf = closure_coeffs(derived)
@@ -292,16 +286,12 @@ def path_kernel(
         step_amp = {"hat": 1.0 + 0.0j, "bar": 1.0 + 0.0j}
         pihbar = Fraction(0)
 
-    names = tuple(f"t{k}" for k in range(len(path.steps) + 1))
     amp: complex = 1.0 + 0.0j
     for step in path.steps:
         a_step = step_amp[step[1:]]
         amp *= a_step if step.startswith("+") else a_step.conjugate()
     quad = _step_terms(path.steps, cf, names)
-    kernel = marginalize_terms(
-        names, quad, names[1:-1], keep={names[0], names[-1]}, amp=amp, pihbar_pow=pihbar, hbar=derived.hbar
-    )
-    return rename(kernel, {names[0]: labels[0], names[-1]: labels[1]})
+    return marginalize_terms(names, quad, names[1:-1], amp=amp, pihbar_pow=pihbar, hbar=derived.hbar)
 
 
 def _step_terms(
@@ -390,7 +380,7 @@ def invariant_kernel_residual(
     relative=True the residual is scaled by the largest coefficient, which
     keeps parameter sweeps comparable when the coefficients grow large.
     """
-    kernel = n_step_closed_form(n, derived, direction)
+    kernel = closed_form_kernel(n * _angle(derived, direction), derived)
     hbar = derived.hbar
     i0, i1 = 0, 1
     A, B = kernel.A, kernel.B

@@ -120,23 +120,26 @@ class LatticeLagrangianCoeffs:
             tables[table][(j, i)] = -tables[table][pair]
         return LatticeLagrangianCoeffs(**tables)
 
-    def monomials(self, plq: OrientedPlaquette) -> dict[tuple[str, str], float]:
-        """Monomial coefficients this plaquette adds to the action exponent."""
-        i, j = plq.plane
-        u, ui, uj = (vertex_label(v) for v in plq.stencil())
-        s = float(plq.sign)
+    def monomials(self, plaquettes, label: dict[Vertex, str]) -> dict[tuple[str, str], float]:
+        """Monomial coefficients the plaquettes add to the action exponent,
+        with vertex v named label[v]; each key is a sorted pair, and each
+        coefficient sums the plaquettes' terms in plaquette order."""
         out: dict[tuple[str, str], float] = {}
 
-        def add(key: tuple[str, str], val: float) -> None:
-            key = key if key[0] <= key[1] else (key[1], key[0])
+        def add(x: str, y: str, val: float) -> None:
+            key = (x, y) if x <= y else (y, x)
             out[key] = out.get(key, 0.0) + val
 
-        add((u, u), 0.5 * s * self.a[(i, j)])
-        add((ui, ui), 0.5 * s * self.b[(i, j)])
-        add((uj, uj), -0.5 * s * self.b[(j, i)])
-        add((u, ui), s * self.c[(i, j)])
-        add((u, uj), -s * self.c[(j, i)])
-        add((ui, uj), s * self.d[(i, j)])
+        for plq in plaquettes:
+            i, j = plq.plane
+            u, ui, uj = (label[v] for v in plq.stencil())
+            s = float(plq.sign)
+            add(u, u, 0.5 * s * self.a[(i, j)])
+            add(ui, ui, 0.5 * s * self.b[(i, j)])
+            add(uj, uj, -0.5 * s * self.b[(j, i)])
+            add(u, ui, s * self.c[(i, j)])
+            add(u, uj, -s * self.c[(j, i)])
+            add(ui, uj, s * self.d[(i, j)])
         return out
 
     def lagrangian(self, u: float, ui: float, uj: float, i: int, j: int) -> float:
@@ -263,15 +266,10 @@ def surface_kernel(
     surviving delta constraint ties boundary variables together and raises
     DeltaConstraintError.
     """
-    vertices = sorted(surface.vertices())
-    labels = tuple(vertex_label(v) for v in vertices)
-    quad: dict[tuple[str, str], float] = {}
-    for plq in surface.plaquettes:
-        for key, val in coeffs.monomials(plq).items():
-            quad[key] = quad.get(key, 0.0) + val
-    interior_labels = [vertex_label(v) for v in sorted(surface.interior)]
-    boundary_labels = {vertex_label(v) for v in surface.boundary}
-    kernel = marginalize_terms(labels, quad, interior_labels, keep=boundary_labels, hbar=hbar)
+    label = {v: vertex_label(v) for v in sorted(surface.vertices())}
+    quad = coeffs.monomials(surface.plaquettes, label)
+    interior_labels = [label[v] for v in sorted(surface.interior)]
+    kernel = marginalize_terms(tuple(label.values()), quad, interior_labels, hbar=hbar)
     if kernel.constraints:
         raise DeltaConstraintError(
             f"delta constraint ties boundary variables: {kernel.constraints[0].variables()}"
@@ -504,35 +502,6 @@ def lambda_of(coeffs: LatticeLagrangianCoeffs, i: int = 1, j: int = 2, k: int = 
     return d[(i, j)] * d[(j, k)] + d[(j, k)] * d[(k, i)] + d[(k, i)] * d[(i, j)] + 1.0
 
 
-def gaussian_branch_residuals(
-    coeffs: LatticeLagrangianCoeffs, i: int = 1, j: int = 2, k: int = 3
-) -> tuple[float, float]:
-    """Residuals of the two functional equations matching the Gaussian-branch
-    exponents of the two move-a configurations (coefficients of u_i^2 and
-    u_i u_j).  Nothing guarantees a root exists; these are evaluated, never
-    solved."""
-    a, b, c, d = coeffs.a, coeffs.b, coeffs.c, coeffs.d
-    ca = cyclic_a(coeffs, i, j, k)
-    A = move_a_matrix(coeffs, i, j, k)
-    det = float(np.linalg.det(A))
-    if abs(ca) < 1e-12 or abs(det) < 1e-12:
-        raise DegenerateCoeffs("Gaussian-branch residuals need nonzero pivots")
-    lhs1 = b[(i, j)] - b[(i, k)] - (c[(i, j)] - c[(i, k)]) ** 2 / ca
-    rhs1 = a[(j, k)] + (
-        (d[(i, j)] ** 2 - (b[(k, i)] - b[(j, i)]) * (b[(i, j)] - b[(k, j)])) * c[(j, k)] ** 2
-        + (d[(k, i)] ** 2 - (b[(j, k)] - b[(i, k)]) * (b[(k, i)] - b[(j, i)])) * c[(k, j)] ** 2
-        + 2.0 * (d[(i, j)] * d[(k, i)] - d[(j, k)] * (b[(k, i)] - b[(j, i)])) * c[(j, k)] * c[(k, j)]
-    ) / det
-    lhs2 = d[(i, j)] - (c[(i, j)] - c[(i, k)]) * (c[(j, k)] - c[(j, i)]) / ca
-    rhs2 = (
-        ((b[(k, i)] - b[(j, i)]) * (b[(i, j)] - b[(k, j)]) - d[(i, j)] ** 2) * c[(j, k)] * c[(i, k)]
-        - (d[(i, j)] * d[(j, k)] - d[(k, i)] * (b[(i, j)] - b[(k, j)])) * c[(j, k)] * c[(k, i)]
-        + (d[(j, k)] * d[(k, i)] - d[(i, j)] * (b[(j, k)] - b[(i, k)])) * c[(k, i)] * c[(k, j)]
-        - (d[(i, j)] * d[(k, i)] - d[(j, k)] * (b[(k, i)] - b[(j, i)])) * c[(i, k)] * c[(k, j)]
-    ) / det
-    return abs(lhs1 - rhs1), abs(lhs2 - rhs2)
-
-
 def uniqueness_scan_2form(
     coeffs: LatticeLagrangianCoeffs,
     tol: float = 1e-9,
@@ -578,13 +547,6 @@ def uniqueness_scan_2form(
             delta_rejected = True
             exponent_diff = float("inf")
 
-    gaussian_residuals = None
-    if finite and not on_critical_branch and not delta_rejected:
-        try:
-            gaussian_residuals = gaussian_branch_residuals(coeffs)
-        except DegenerateCoeffs:
-            gaussian_residuals = None
-
     critical = (
         on_critical_branch
         and not delta_rejected
@@ -601,5 +563,4 @@ def uniqueness_scan_2form(
         "exponent_diff": exponent_diff,
         "amp_ratio": amp_ratio,
         "conditions": conditions,
-        "gaussian_residuals": gaussian_residuals,
     }

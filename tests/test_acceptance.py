@@ -169,7 +169,7 @@ def test_criterion_06_propagators(d321):
     )
     n2 = abs(qprop1d.tridiagonal_det(2, d321) + 8.5j)
     worst_nstep = nan_max(
-        compare(qprop1d.n_step_kernel(n, d321), qprop1d.n_step_closed_form(n, d321)).exponent_diff
+        compare(qprop1d.n_step_kernel(n, d321), qprop1d.multi_time_closed_form(n, 0, d321)).exponent_diff
         for n in range(1, 21)
     )
     worst_ub = nan_max(

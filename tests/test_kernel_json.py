@@ -197,9 +197,9 @@ def test_canonical_form_keeps_the_sign_of_a_zero():
 
 # -- the builders' direct feed -----------------------------------------------------
 
-def dense_feed(vars, quadratic, variables, keep=None, **terms):
+def dense_feed(vars, quadratic, variables, **terms):
     """What marginalize_terms replaces: a dense from_terms kernel, then marginalize_all."""
-    return oscgauss.marginalize_all(oscgauss.from_terms(vars, quadratic, **terms), variables, keep=keep)
+    return oscgauss.marginalize_all(oscgauss.from_terms(vars, quadratic, **terms), variables)
 
 
 def outcome(build):

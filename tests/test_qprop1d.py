@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mdclab import qprop1d as qp
-from mdclab.errors import CausticError, DegenerateCoeffs, OutOfRegime
+from mdclab.errors import CausticError, DegenerateCoeffs, OutOfRegime, VariableMismatch
 from mdclab.harness import DEFAULT_TOLERANCES
 from mdclab.oscgauss import compare, glue
 from mdclab.params import LatticeParams, derive
@@ -69,14 +69,14 @@ def test_factorized_step_parameter_sweep(rng):
 
 
 def test_closed_form_reduces_to_one_step_at_n1(d321):
-    diff = compare(qp.n_step_closed_form(1, d321), qp.one_step_kernel("hat", d321))
+    diff = compare(qp.multi_time_closed_form(1, 0, d321), qp.one_step_kernel("hat", d321))
     assert diff.exponent_diff <= 1e-12
     assert diff.amp_ratio_error <= 1e-12
 
 
 def test_iterated_kernel_matches_closed_form(d321):
     for n in range(1, 21):
-        diff = compare(qp.n_step_kernel(n, d321), qp.n_step_closed_form(n, d321))
+        diff = compare(qp.n_step_kernel(n, d321), qp.multi_time_closed_form(n, 0, d321))
         assert diff.exponent_diff <= 1e-9
         assert diff.amp_ratio_error <= 1e-10
         assert diff.pihbar_diff == 0 and diff.vol_diff == 0
@@ -140,12 +140,6 @@ def test_forward_backward_pair_is_a_delta(d321):
     assert k.exponent({"xa": 0.37, "xb": 0.37}) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_multi_time_closed_form_reduces_at_m0(d321):
-    diff = compare(qp.multi_time_closed_form(4, 0, d321), qp.n_step_closed_form(4, d321))
-    assert diff.exponent_diff == 0.0
-    assert diff.amp_ratio == 1.0
-
-
 def test_monotone_and_backtracking_paths_match_multi_time(d321, rng):
     target = qp.multi_time_closed_form(3, 2, d321)
     for hat_first in (True, False):
@@ -169,8 +163,8 @@ def test_random_paths_are_path_independent(d321, rng):
 
 
 def test_group_property(d321):
-    k_hat = qp.n_step_closed_form(3, d321, "hat", ("xa", "xm"))
-    k_bar = qp.n_step_closed_form(2, d321, "bar", ("xm", "xb"))
+    k_hat = qp.multi_time_closed_form(3, 0, d321, ("xa", "xm"))
+    k_bar = qp.multi_time_closed_form(0, 2, d321, ("xm", "xb"))
     diff = compare(glue(k_hat, k_bar, ("xm",)), qp.multi_time_closed_form(3, 2, d321))
     assert diff.exponent_diff <= 1e-12
     assert diff.amp_ratio_error <= 1e-12
@@ -183,11 +177,11 @@ def test_caustics_raise_consistently_and_pass_through():
         with pytest.raises(CausticError):
             qp.n_step_kernel(n, d)
         with pytest.raises(CausticError):
-            qp.n_step_closed_form(n, d)
+            qp.multi_time_closed_form(n, 0, d)
     # away from the final caustic the iteration crosses the intermediate
     # delta kernel exactly
     for n in (4, 5, 7):
-        diff = compare(qp.n_step_kernel(n, d), qp.n_step_closed_form(n, d))
+        diff = compare(qp.n_step_kernel(n, d), qp.multi_time_closed_form(n, 0, d))
         assert diff.exponent_diff <= 1e-9
         assert diff.amp_ratio_error <= 1e-10
 
@@ -266,6 +260,14 @@ def test_time_path_validation():
         qp.path_kernel(qp.TimePath(()), None)
 
 
+def test_path_kernel_refuses_colliding_labels(d321):
+    path = qp.TimePath(("+hat", "+bar", "+hat"))
+    assert qp.path_kernel(path, d321, labels=("ya", "yb")).vars == ("ya", "yb")
+    for labels in (("xa", "xa"), ("t1", "xb"), ("xa", "t2")):
+        with pytest.raises(VariableMismatch):
+            qp.path_kernel(path, d321, labels=labels)
+
+
 def test_one_step_kernel_canonical_form_is_stable(d321):
     data = qp.one_step_kernel("hat", d321).canonical_dict()
     assert data["vars"] == ["xa", "xb"]
@@ -276,7 +278,7 @@ def test_one_step_kernel_canonical_form_is_stable(d321):
 
 
 def test_invariant_kernel_residual_keeps_a_nan(d321, monkeypatch):
-    closed_form = qp.n_step_closed_form
+    closed_form = qp.closed_form_kernel
 
     def with_nan_coupling(*args, **kwargs):
         kernel = closed_form(*args, **kwargs)
@@ -284,7 +286,7 @@ def test_invariant_kernel_residual_keeps_a_nan(d321, monkeypatch):
         A[0, 1] = A[1, 0] = float("nan")
         return replace(kernel, A=A)
 
-    monkeypatch.setattr(qp, "n_step_closed_form", with_nan_coupling)
+    monkeypatch.setattr(qp, "closed_form_kernel", with_nan_coupling)
     for relative in (False, True):
         assert math.isnan(qp.invariant_kernel_residual(3, d321, relative=relative))
 

@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Print the sha256 of the canonical JSON of every kernel in a fixed set.
+
+One line per kernel: `name sha256`, or `name error:Type:message` when
+building the kernel or its JSON raises.  The set, at the points (3, 2, 1) and
+(2.7, 1.35, 0.55):
+
+- n_step_kernel at n = 1-200, hat and bar;
+- path_kernel on monotone paths of 1-300 steps, and on the same paths with a
+  unit loop, 5-300 steps in all;
+- surface_kernel on flat k-by-k patches after 2k pop-ups at stride-picked
+  sites, k = 4-12;
+- the four momentum kernels (hat and bar, with and without the potential);
+- the 24 elementary-move kernels: moves a, b and c, both configurations, at
+  the canonical coefficients and three one-sided bumps.
+
+Two builds of the library make the same kernels byte for byte exactly when
+their outputs are equal:
+
+    python scripts/kernel_digests.py > before.txt   # on one commit
+    python scripts/kernel_digests.py > after.txt    # on the other
+    diff before.txt after.txt
+
+Usage: python scripts/kernel_digests.py
+"""
+
+import hashlib
+import itertools
+import sys
+from functools import partial
+
+from mdclab.errors import MdcError
+from mdclab.params import LatticeParams, derive
+from mdclab.qprop1d import TimePath, momentum_factorized_kernel, n_step_kernel, path_kernel
+from mdclab.qsurface import (
+    canonical_lattice_coeffs,
+    elementary_move_surfaces,
+    flat_patch,
+    pop_up,
+    pop_up_sites,
+    surface_kernel,
+)
+
+POINTS = {"p321": (3.0, 2.0, 1.0), "pgen": (2.7, 1.35, 0.55)}
+MAX_STEPS = 200
+MAX_PATH = 300
+PATCH_SIZES = range(4, 13)
+#: one-sided coefficient bumps that bring delta steps into the elementary moves
+BUMPS = {"canonical": None, "c12": ("c", (1, 2), 1e-2), "c31": ("c", (3, 1), 1e-2), "b12": ("b", (1, 2), 1e-2)}
+
+
+def stride_patch(k: int):
+    """flat_patch(k, k) after 2k pop-ups at sites picked by a fixed stride."""
+    surface = flat_patch(k, k)
+    for n in range(2 * k):
+        sites = pop_up_sites(surface)
+        surface = pop_up(surface, sites[(7 * n + k) % len(sites)])
+    return surface
+
+
+def _monotone_path(length: int, loop: bool) -> TimePath:
+    """The monotone path of `length` steps, hats then bars; with `loop`, a
+    unit loop a third of the way along and four steps fewer before it."""
+    base = length - 4 if loop else length
+    path = TimePath.monotone((base + 1) // 2, base // 2)
+    return path.with_loop(base // 3) if loop else path
+
+
+def cases():
+    """(name, build) for each kernel of the set, in a fixed order; build()
+    returns the kernel."""
+    for tag, point in POINTS.items():
+        derived = derive(LatticeParams(*point))
+        coeffs = canonical_lattice_coeffs(*point)
+        for direction in ("hat", "bar"):
+            for n in range(1, MAX_STEPS + 1):
+                yield f"{tag}-nstep-{direction}-{n}", partial(n_step_kernel, n, derived, direction)
+        for loop, shortest in ((False, 1), (True, 5)):
+            for length in range(shortest, MAX_PATH + 1):
+                name = f"{tag}-path-{'looped' if loop else 'monotone'}-{length}"
+                yield name, lambda length=length, loop=loop: path_kernel(_monotone_path(length, loop), derived)
+        for k in PATCH_SIZES:
+            yield f"{tag}-patch-{k}", lambda k=k: surface_kernel(stride_patch(k), coeffs)
+        for direction in ("hat", "bar"):
+            for zero in (False, True):
+                name = f"{tag}-momentum-{direction}{'-free' if zero else ''}"
+                yield name, partial(momentum_factorized_kernel, derived, direction, zero_potential=zero)
+        for bump, spec in BUMPS.items():
+            table = coeffs if spec is None else coeffs.perturbed(*spec, antisymmetric=False)
+            for move in "abc":
+                for side, surface in enumerate(elementary_move_surfaces(move), 1):
+                    yield f"{tag}-move-{move}{side}-{bump}", partial(surface_kernel, surface, table)
+
+
+def digest_lines(limit: int | None = None):
+    """The output lines of the first `limit` cases (all of them by default)."""
+    for name, build in itertools.islice(cases(), limit):
+        try:
+            text = build().to_json()
+        except (MdcError, ValueError, ArithmeticError) as exc:
+            yield f"{name} error:{type(exc).__name__}:{exc}"
+        else:
+            yield f"{name} {hashlib.sha256(text.encode('utf-8')).hexdigest()}"
+
+
+def main() -> int:
+    for line in digest_lines():
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,7 +7,8 @@ import json
 import sys
 from dataclasses import replace
 
-from .errors import CausticError, ConfigError, DegenerateParams, DeltaConstraintError, MissingVertex, OutOfRegime
+from .errors import (CausticError, ConfigError, DegenerateParams, DeltaConstraintError, MissingVertex, NearCaustic,
+                     OutOfRegime)
 from .harness import SUITES, SuiteConfig, run, sweep_rows, write_csv
 
 
@@ -73,7 +74,7 @@ def _surface_kernel_command(args: argparse.Namespace) -> int:
             surface = surface_from_dict(json.load(fh))
         coeffs = canonical_lattice_coeffs(point.p, point.q, point.r)
         kernel = surface_kernel(surface, coeffs, hbar=point.hbar)
-    except (OSError, json.JSONDecodeError, MissingVertex, DegenerateParams) as exc:
+    except (OSError, json.JSONDecodeError, MissingVertex, DegenerateParams, NearCaustic) as exc:
         print(f"surface error: {exc}", file=sys.stderr)
         return 2
     except DeltaConstraintError as exc:

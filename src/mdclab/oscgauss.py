@@ -23,7 +23,8 @@ Integrating one variable out lands in exactly one of three exact cases:
              by |coefficient|).
 
 Pivots inside the band (tol, 100 tol) relative to their row are refused with
-NearCaustic rather than silently classified.
+NearCaustic rather than silently classified, and so is a pivot whose relative
+size is NaN (a NaN in its row, or an infinite diagonal).
 
 marginalize_all is the one elimination engine; marginalize calls it, glue
 feeds it both kernels' entries without building their product, and
@@ -34,13 +35,15 @@ the variables it is given.  It consumes
 constraint-bound variables first, then the largest relative pivot, the first
 in sorted-name order on a tie.  A is held as sparse rows of Python floats and
 a step updates only the pivot's nonzero couplings, at a Python cost in the
-square of the pivot's degree plus one O(n) numpy argmax, bit-identical to
-dense one-variable-at-a-time elimination for kernels without negative zeros.
+square of the pivot's degree plus a heap update per row it touches,
+bit-identical to dense one-variable-at-a-time elimination for kernels without
+negative zeros.
 """
 
 from __future__ import annotations
 
 import cmath
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -103,7 +106,7 @@ class OscKernel:
     def __post_init__(self):
         A = np.array(self.A, dtype=float)
         B = np.array(self.B, dtype=float)
-        n = len(self.vars)
+        n = len(_distinct(self.vars))
         if A.shape != (n, n) or B.shape != (n,):
             raise VariableMismatch(f"matrix shapes {A.shape}, {B.shape} do not fit {n} variables")
         if n and abs(A - A.T).max() > 1e-12 * max(1.0, float(abs(A).max())):
@@ -115,6 +118,18 @@ class OscKernel:
         object.__setattr__(self, "amp", complex(self.amp))
         object.__setattr__(self, "pihbar_pow", Fraction(self.pihbar_pow))
         object.__setattr__(self, "constraints", tuple(self.constraints))
+
+    @classmethod
+    def _built(cls, vars, A, B, c, amp, pihbar_pow, vol_pow, constraints, hbar) -> "OscKernel":
+        """A kernel from fields the library built itself, taken as they are:
+        vars a tuple of distinct names, A and B float64 arrays of the right
+        shapes with A exactly symmetric, amp a complex, pihbar_pow a Fraction
+        and constraints a tuple.  On such fields __post_init__'s checks pass
+        and its copies and conversions change nothing, so it is skipped."""
+        kernel = object.__new__(cls)
+        kernel.__dict__.update(vars=vars, A=A, B=B, c=c, amp=amp, pihbar_pow=pihbar_pow, vol_pow=vol_pow,
+                               constraints=constraints, hbar=hbar)
+        return kernel
 
     # -- inspection ------------------------------------------------------------
 
@@ -207,6 +222,14 @@ class OscKernel:
         )
 
 
+def _distinct(vars) -> tuple[str, ...]:
+    """vars as a tuple; a repeated name raises VariableMismatch."""
+    vars = tuple(vars)
+    if len(set(vars)) != len(vars):
+        raise VariableMismatch(f"repeated variable names in {vars}")
+    return vars
+
+
 def _rounded(values: np.ndarray) -> list[float]:
     """round(x, 15) of each entry as a Python float.  An exact zero rounds to
     itself, sign included, so only the nonzero entries (NaN among them) pay
@@ -265,7 +288,7 @@ def from_terms(
     from marginalize_terms, which the kernel builders that integrate at once
     (path_kernel, surface_kernel) call instead, never building this dense A.
     """
-    terms = _Terms(tuple(vars), quadratic, linear or {}, const, complex(amp), Fraction(pihbar_pow), hbar)
+    terms = _Terms(_distinct(vars), quadratic, linear or {}, const, complex(amp), Fraction(pihbar_pow), hbar)
     n = len(terms.vars)
     A = np.zeros((n, n))
     B = np.zeros(n)
@@ -273,7 +296,7 @@ def from_terms(
         A[i, j] += v
     for i, v in terms._linear():
         B[i] += v
-    return OscKernel(vars=terms.vars, A=A, B=B, c=terms.c, amp=terms.amp, pihbar_pow=terms.pihbar_pow, hbar=terms.hbar)
+    return OscKernel._built(terms.vars, A, B, terms.c, terms.amp, terms.pihbar_pow, 0, (), terms.hbar)
 
 
 def marginalize_terms(
@@ -286,13 +309,9 @@ def marginalize_terms(
 ) -> OscKernel:
     """marginalize_all(from_terms(vars, quadratic, amp=amp, pihbar_pow=pihbar_pow,
     hbar=hbar), variables), with the monomials fed to the engine directly
-    instead of through a dense kernel.
-
-    The result is bit-identical except where an entry exceeds half the
-    largest double: from_terms' kernel symmetrises A as 0.5 (A + A^T), which
-    turns such an entry into inf, and the direct feed keeps it.
+    instead of through a dense kernel; the result is bit-identical.
     """
-    terms = _Terms(tuple(vars), quadratic, {}, 0.0, complex(amp), Fraction(pihbar_pow), hbar)
+    terms = _Terms(_distinct(vars), quadratic, {}, 0.0, complex(amp), Fraction(pihbar_pow), hbar)
     return marginalize_all(terms, variables)
 
 
@@ -307,9 +326,9 @@ def marginalize(
     just evaluates the delta: the variable is substituted away and the
     amplitude divides by the matching coefficient magnitude.  Otherwise the pivot
     A_vv is classified relative to its row into the Gaussian, volume or delta
-    case; NearCaustic is raised inside the undecidable band.  In the delta
-    case the new constraint is recorded on the result: every other variable
-    is kept, so none is substituted away.
+    case; NearCaustic is raised inside the undecidable band and on a NaN
+    relative pivot.  In the delta case the new constraint is recorded on the
+    result: every other variable is kept, so none is substituted away.
     """
     return marginalize_all(kernel, (var,), tol=tol)
 
@@ -333,19 +352,30 @@ def marginalize_all(
     pending, the one with the largest coefficient; every other variable is
     kept, so a constraint that ties kept variables only stays on the result.
 
+    A pivot whose relative size is NaN (its row holds a NaN, or an infinite
+    diagonal) is refused with NearCaustic: no case can be told.  A row is a
+    volume factor when its scale max(max_w |A_vw|, |B_v|) is at most
+    _ABS_FLOOR * max(1, the largest row scale), and never while any row
+    scale is NaN.
+
     The engine holds A as sparse rows of Python floats, one dict per variable
     in sorted-name order from position to coupling (a coupling that was never
-    nonzero has no entry), and B as a list.  The row scales max(max_w |A_vw|,
-    |B_v|) and the pending pivot ratios stay numpy vectors, so the pivot
-    choice and the volume test keep numpy's argmax and max, NaN included.  A
+    nonzero has no entry), and B and the row scales as lists.  The pending
+    pivot ratios sit in a lazy-deletion heap keyed (0, 0.0, position) for a
+    NaN ratio and (1, -ratio, position) otherwise, so a pop makes np.argmax's
+    choice: the first NaN, else the largest ratio, the first in sorted-name
+    order on a tie; an entry a later refresh or elimination outdated is
+    skipped.  The volume test counts the NaN scales and keeps an upper bound
+    on the scales, so it scans them only when the bound cannot decide.  A
     step rewrites only the block of the pivot's nonzero couplings (for a
     substitution, of those couplings and the constraint's variables), with
     the per-entry expressions of a dense update, and refreshes the caches on
-    those rows; one OscKernel is built at the end.  Outside the block a dense
-    update would add or subtract an exact zero, and the Gaussian update is
-    exactly symmetric, so the result is bit-identical to eliminating one
-    variable at a time with dense updates, for any kernel without negative
-    zeros (from_terms, marginalize_terms and glue make none).
+    those rows; one OscKernel is built at the end, through the constructor
+    that skips re-validation.  Outside the block a dense update would add or
+    subtract an exact zero, and the Gaussian update is exactly symmetric, so
+    the result is bit-identical to eliminating one variable at a time with
+    dense updates, for any kernel without negative zeros (from_terms,
+    marginalize_terms and glue make none).
     """
     return _eliminate(kernel.vars, (kernel,), variables, tol)
 
@@ -380,14 +410,27 @@ def _eliminate(vars, parts, variables, tol) -> OscKernel:
         for i, v in part._linear():
             B[pos[i]] += v
     is_pending = [v in pending for v in names]
-    scale, ratio = np.zeros(n), np.full(n, -np.inf)
+    # scale: the row scales max(max_w |A_vw|, |B_v|); nans counts the NaN ones, top bounds every one ever set
+    scale, nans, top = [0.0] * n, 0, 0.0
+    # the pending pivot ratios as a lazy-deletion heap, in np.argmax's order: the first NaN, else the largest
+    # ratio, the first position on a tie; an entry is live while its row is pending and `ver` is the row's
+    heap, ver = [], [0] * n
 
     def refresh(i: int) -> None:
-        # scale = max(max_w |A_vw|, |B_v|), where a NaN wins as in np.max: the sum is NaN exactly when a term is
+        nonlocal nans, top
         mags = [abs(B[i]), *map(abs, rows[i].values())]
-        s = scale[i] = total if (total := sum(mags)) != total else max(mags)
+        if scale[i] != scale[i]:
+            nans -= 1
+        # a NaN wins as in np.max: the sum is NaN exactly when a term is
+        if (s := sum(mags)) != s:
+            nans += 1
+        elif (s := max(mags)) > top:
+            top = s
+        scale[i] = s
         if is_pending[i]:
-            ratio[i] = abs(rows[i].get(i, 0.0)) / (_ABS_FLOOR if s < _ABS_FLOOR else s)
+            r = abs(rows[i].get(i, 0.0)) / (_ABS_FLOOR if s < _ABS_FLOOR else s)
+            ver[i] += 1
+            heapq.heappush(heap, (1, -r, i, ver[i]) if r == r else (0, 0.0, i, ver[i]))
 
     for i in range(n):
         refresh(i)
@@ -398,7 +441,12 @@ def _eliminate(vars, parts, variables, tol) -> OscKernel:
             if bound:
                 k = min(bound)
                 sub = (next(m for m, con in enumerate(cons) if abs(con.coefficient(names[k])) > 0.0), k)
-        k = sub[1] if sub else int(ratio.argmax())
+        if sub:
+            k = sub[1]
+        else:
+            finite, _, k, stamp = heapq.heappop(heap)
+            while not is_pending[k] or stamp != ver[k]:
+                finite, _, k, stamp = heapq.heappop(heap)
         row_k, akk, bk = rows[k], rows[k].get(k, 0.0), B[k]
         near = [i for i, v in row_k.items() if v and i != k]
         if sub:
@@ -430,9 +478,14 @@ def _eliminate(vars, parts, variables, tol) -> OscKernel:
                 items = tuple((w, cw) for w, cw in coeffs.items() if cw != 0.0)
                 cons[j] = AffineConstraint(items, other.const - ocv * con.const / cv) if items else None
             cons = [other for other in cons if other is not None]
+        elif not finite:
+            # a NaN relative pivot (a NaN in the row, or an infinite diagonal): no case can be told
+            raise NearCaustic(f"pivot for {names[k]!r} is not finite")
         else:
-            row_scale = float(scale[k])
-            if row_scale <= _ABS_FLOOR * max(float(scale.max()), 1.0):
+            # row_scale <= _ABS_FLOOR * max(max(scale), 1), false on a NaN scale; max(scale) only when top may pass
+            row_scale = scale[k]
+            if not nans and (row_scale <= _ABS_FLOOR or row_scale <= _ABS_FLOOR * top
+                             and row_scale <= _ABS_FLOOR * max(max(scale), 1.0)):
                 # variable absent from the exponent: a pure volume factor
                 vol += 1
             elif (rel := abs(akk) / row_scale) >= _NEAR_BAND * tol:
@@ -460,7 +513,8 @@ def _eliminate(vars, parts, variables, tol) -> OscKernel:
                 if candidates:
                     sub = (len(cons) - 1, max(candidates, key=lambda i: abs(row_k[i])))
         # drop k; only the rows the step wrote need a fresh cache, and only for a later pivot choice
-        rows[k], B[k], scale[k], ratio[k] = {}, 0.0, 0.0, -np.inf
+        nans -= scale[k] != scale[k]
+        rows[k], B[k], scale[k] = {}, 0.0, 0.0
         for i in row_k:
             rows[i].pop(k, None)
         gone.add(k)
@@ -473,9 +527,8 @@ def _eliminate(vars, parts, variables, tol) -> OscKernel:
     out, m = {i: p for p, i in enumerate(live)}, len(live)
     A = np.zeros(m * m)
     A[[p * m + out[j] for p, i in enumerate(live) for j in rows[i]]] = [v for i in live for v in rows[i].values()]
-    return OscKernel(vars=tuple(names[i] for i in live), A=A.reshape(m, m),
-                     B=np.array([B[i] for i in live]), c=c, amp=amp, pihbar_pow=pihbar + Fraction(halves, 2),
-                     vol_pow=vol, constraints=tuple(cons), hbar=first.hbar)
+    return OscKernel._built(tuple(names[i] for i in live), A.reshape(m, m), np.array([B[i] for i in live]),
+                            c, amp, pihbar + Fraction(halves, 2), vol, tuple(cons), first.hbar)
 
 
 def glue(

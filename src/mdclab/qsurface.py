@@ -307,6 +307,15 @@ class PopRecord:
     new_interior: tuple[Vertex, ...]
 
 
+def _pop_top(plq: OrientedPlaquette) -> tuple[Vertex, ...]:
+    """The four vertices of the popped cell's top square, the plaquette
+    shifted by one step along the third direction."""
+    i, j = plq.plane
+    (k,) = {1, 2, 3} - {i, j}
+    top = shift(plq.base, k)
+    return (top, shift(top, i), shift(top, j), shift(shift(top, i), j))
+
+
 def _pop_pieces(plq: OrientedPlaquette) -> tuple[tuple[OrientedPlaquette, ...], tuple[Vertex, ...]]:
     i, j = plq.plane
     (k,) = {1, 2, 3} - {i, j}
@@ -319,20 +328,13 @@ def _pop_pieces(plq: OrientedPlaquette) -> tuple[tuple[OrientedPlaquette, ...], 
         OrientedPlaquette(base=v, plane=(j, k), sign=-s),
         OrientedPlaquette(base=v, plane=(k, i), sign=-s),
     )
-    top = shift(v, k)
-    new_interior = (top, shift(top, i), shift(top, j), shift(shift(top, i), j))
-    return added, new_interior
+    return added, _pop_top(plq)
 
 
 def pop_up_sites(surface: Surface) -> list[int]:
     """Indices of plaquettes whose popped cell is fresh space."""
     occupied = surface.vertices()
-    out = []
-    for idx, plq in enumerate(surface.plaquettes):
-        _, new_interior = _pop_pieces(plq)
-        if not (set(new_interior) & occupied):
-            out.append(idx)
-    return out
+    return [idx for idx, plq in enumerate(surface.plaquettes) if occupied.isdisjoint(_pop_top(plq))]
 
 
 def pop_up(surface: Surface, index: int) -> Surface:

@@ -330,3 +330,17 @@ def test_cli_surface_kernel_never_publishes_a_non_finite_kernel(tmp_path, capsys
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("surface error:") and err.count("\n") == 1
+
+
+def test_cli_surface_kernel_refuses_an_overflowing_pivot(tmp_path, capsys):
+    from mdclab import qsurface as qs
+
+    # at these finite parameters the popped cube's interior diagonals overflow
+    # to inf; the engine refuses such a pivot instead of taking it for a volume
+    # factor and then recording a delta that ties boundary values
+    surf_path = tmp_path / "surface.json"
+    surf_path.write_text(json.dumps(qs.surface_to_dict(qs.pop_up(qs.flat_patch(1, 1), 0))))
+    assert cli.main(["surface-kernel", "--surface", str(surf_path), "--params", "1e308", "1.7e308", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("surface error: pivot for") and "is not finite" in err and err.count("\n") == 1

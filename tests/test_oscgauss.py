@@ -1,11 +1,11 @@
 import cmath
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -392,6 +392,8 @@ def _dense_marginalize(kernel, var, tol, pending):
             cons = [other for other in cons if other is not None]
         else:
             akk, bk, row_scale = float(A[k, k]), float(B[k]), float(scale[k])
+            if math.isnan(abs(akk) / max(row_scale, og._ABS_FLOOR)):
+                raise NearCaustic(f"pivot for {names[k]!r} is not finite")
             if row_scale <= og._ABS_FLOOR * max(float(scale.max()), 1.0):
                 vol += 1
             elif (rel := abs(akk) / row_scale) >= og._NEAR_BAND * tol:
@@ -463,22 +465,34 @@ def _outcome(f):
             k.pihbar_pow, k.vol_pow, k.hbar)
 
 
+def _glue_partner(rng, kernel):
+    """A second chain kernel that shares two to four labels with `kernel`,
+    and only those, and the shared labels to glue over."""
+    other, _ = _random_kernel(rng, "chain")
+    common = [v for v in other.vars if v in kernel.vars][: int(rng.integers(2, 5))]
+    label = {v: v if v in common else "y" + v[1:] for v in other.vars}
+    cons = tuple(og.AffineConstraint(tuple((label[v], cv) for v, cv in con.coeffs), con.const)
+                 for con in other.constraints)
+    other = replace(other, vars=tuple(map(label.get, other.vars)), constraints=cons)
+    return other, [v for v in common if rng.random() < 0.7]
+
+
+SHAPES = ["chain", "grid", "volume", "delta", "band", "nonfinite", "glue"]
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["chain", "grid", "volume", "delta", "band", "nonfinite", "glue"]))
+# a pivot that is its row's largest entry has ratio exactly 1, and the first by name must win the tie
+@example(0, "chain")
+# a NaN coupling makes two pending rows NaN; the first by name is the one refused
+@example(2, "nonfinite")
+@given(st.integers(0, 2**32 - 1), st.sampled_from(SHAPES))
 def test_marginalize_all_is_bit_equal_to_folding_marginalize(seed, shape):
     # the fold runs the dense reference; the glue shape checks glue against the dense product kernel
     rng = np.random.default_rng(seed)
     with np.errstate(all="ignore"):
         kernel, variables = _random_kernel(rng, "chain" if shape == "glue" else shape)
     if shape == "glue":
-        # the second kernel shares two to four labels with the first, and only those
-        other, _ = _random_kernel(rng, "chain")
-        common = [v for v in other.vars if v in kernel.vars][: int(rng.integers(2, 5))]
-        label = {v: v if v in common else "y" + v[1:] for v in other.vars}
-        cons = tuple(og.AffineConstraint(tuple((label[v], cv) for v, cv in con.coeffs), con.const)
-                     for con in other.constraints)
-        other = replace(other, vars=tuple(map(label.get, other.vars)), constraints=cons)
-        shared = [v for v in common if rng.random() < 0.7]
+        other, shared = _glue_partner(rng, kernel)
         want = _outcome(lambda: _dense_glue(kernel, other, shared))
         got = _outcome(lambda: og.glue(kernel, other, shared))
     else:
@@ -487,3 +501,61 @@ def test_marginalize_all_is_bit_equal_to_folding_marginalize(seed, shape):
     if shape == "band":
         assert want[0] is NearCaustic
     assert got == want
+
+
+def _random_terms(rng):
+    """Names, a quadratic dict (diagonal keys and both orders of a pair among
+    them) and a linear dict for from_terms, of ordinary magnitudes."""
+    n = int(rng.integers(1, 9))
+    names = tuple(f"x{i}" for i in rng.permutation(n))
+    quadratic = {}
+    for _ in range(int(rng.integers(0, 3 * n))):
+        u, w = (names[i] for i in rng.integers(0, n, size=2).tolist())
+        quadratic[(u, w)] = float(rng.normal())
+    linear = {v: float(rng.normal()) for v in names if rng.random() < 0.5}
+    return names, quadratic, linear
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(SHAPES + ["terms"]))
+def test_library_built_kernels_pass_the_validating_constructor_unchanged(seed, shape):
+    # from_terms and the engine build their kernels without __post_init__: its
+    # checks must pass on their fields, and its copies and conversions change nothing
+    rng = np.random.default_rng(seed)
+    if shape == "terms":
+        names, quadratic, linear = _random_terms(rng)
+        variables = [v for v in names if rng.random() < 0.5]
+        c, amp, pihbar = float(rng.normal()), complex(*rng.normal(size=2)), Fraction(int(rng.integers(-4, 4)), 2)
+        builds = [lambda: og.from_terms(names, quadratic, linear, c, amp, pihbar),
+                  lambda: og.marginalize_terms(names, quadratic, variables, amp, pihbar)]
+    else:
+        with np.errstate(all="ignore"):
+            kernel, variables = _random_kernel(rng, "chain" if shape == "glue" else shape)
+        if shape == "glue":
+            other, shared = _glue_partner(rng, kernel)
+            builds = [lambda: og.glue(kernel, other, shared)]
+        else:
+            builds = [lambda: og.marginalize_all(kernel, variables)]
+    for build in builds:
+        try:
+            with np.errstate(all="ignore"):
+                k = build()
+        except (NearCaustic, ZeroDivisionError):
+            continue
+        with np.errstate(all="ignore"):
+            rebuilt = og.OscKernel(**{f.name: getattr(k, f.name) for f in fields(k)})
+        assert (type(k.vars), type(k.amp), type(k.pihbar_pow), type(k.constraints)) == (tuple, complex, Fraction, tuple)
+        assert (k.A.dtype, k.A.shape, k.B.dtype, k.B.shape) == (rebuilt.A.dtype, rebuilt.A.shape,
+                                                                rebuilt.B.dtype, rebuilt.B.shape)
+        assert _outcome(lambda: rebuilt) == _outcome(lambda: k)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: og.OscKernel(vars=("x", "x"), A=np.eye(2), B=np.zeros(2), c=0.0),
+    lambda: og.from_terms(("x", "x"), {("x", "x"): 1.0}),
+    lambda: og.marginalize_terms(("x", "x", "y"), {("x", "y"): 1.0}, ["y"]),
+], ids=["OscKernel", "from_terms", "marginalize_terms"])
+def test_repeated_variable_names_are_refused(build):
+    # the engine maps names to positions, so a second copy of a name would vanish into the first
+    with pytest.raises(VariableMismatch):
+        build()

@@ -296,3 +296,21 @@ def test_pop_up_requires_fresh_space(co321):
     )
     with pytest.raises(MissingVertex):
         qs.pop_up(qs.pop_up(stale, idx), idx)
+
+
+def test_pop_up_sites_match_the_five_face_definition(rng):
+    # a site is fresh when no corner the five new faces add, those of the
+    # removed plaquette aside, is a vertex of the surface already
+    def five_face_sites(surface):
+        occupied = surface.vertices()
+        sites = []
+        for idx, plq in enumerate(surface.plaquettes):
+            added, _ = qs._pop_pieces(plq)
+            if not ({v for face in added for v in face.corners()} - set(plq.corners())) & occupied:
+                sites.append(idx)
+        return sites
+
+    for _ in range(50):
+        k = int(rng.integers(3, 7))
+        surface = qs.random_deformation(qs.flat_patch(k, k), rng, int(rng.integers(1, 4 * k)))
+        assert qs.pop_up_sites(surface) == five_face_sites(surface)

@@ -43,3 +43,12 @@ def test_check_digests_matches_report_seeds_and_flags_a_changed_digest(tmp_path,
     assert script.main(["report"], [2]) == 1
     out = capsys.readouterr().out
     assert "MISMATCH report seed 2" in out and "1 of 1 report digests differ" in out
+
+
+def test_kernel_digests_names_each_kernel_once_and_repeats_its_lines():
+    script = load_script("kernel_digests")
+    lines = list(script.digest_lines(20))
+    assert len(lines) == 20
+    names = [line.split(" ", 1)[0] for line in lines]
+    assert len(set(names)) == len(names)
+    assert list(script.digest_lines(20)) == lines

@@ -135,7 +135,6 @@ def el_corner_residual(
 def classify_general_quad_lagrangian(
     coeffs: LatticeLagrangianCoeffs,
     seed: int = 0,
-    probes: int = 20,
     tol: float = 1e-9,
 ) -> dict[str, bool]:
     """Check the two classical admissibility conditions of a coefficient table.
@@ -143,8 +142,8 @@ def classify_general_quad_lagrangian(
     The face equation of the table is  c_ij u - c_ji u_ij = e_ij u_i - d_ij u_j.
     symmetric_quad: that equation is a quad equation symmetric under i <-> j,
     which needs every c_ij equal and e = d.
-    closure_ok: the oriented Lagrangian sum over probe cubes, filled with the
-    face equation, vanishes numerically.  Neither depends on the gauge.
+    closure_ok: the oriented Lagrangian sum over 20 probe cubes, filled with
+    the face equation, vanishes numerically.  Neither depends on the gauge.
     """
     c, d, e = coeffs.c, coeffs.d, coeffs.e
     symmetric = all(abs(v - c[(1, 2)]) <= tol for v in c.values()) and (
@@ -155,7 +154,7 @@ def classify_general_quad_lagrangian(
         return {"symmetric_quad": bool(symmetric), "closure_ok": False}
 
     # one probe cube per row; faces filled once, in the (i < j) orientation
-    u, u1, u2, u3 = np.random.default_rng(seed).normal(size=(probes, 4)).T
+    u, u1, u2, u3 = np.random.default_rng(seed).normal(size=(20, 4)).T
     vals = {1: u1, 2: u2, 3: u3}
     u12, u23, u31 = ((c[(i, j)] * u - e[(i, j)] * vals[i] + d[(i, j)] * vals[j]) / c[(j, i)] for i, j in faces)
     L = coeffs.lagrangian

@@ -22,9 +22,9 @@ Integrating one variable out lands in exactly one of three exact cases:
              at once by substituting that variable away (amplitude divides
              by |coefficient|).
 
-Pivots inside the band (tol, 100 tol) relative to their row are refused with
-NearCaustic rather than silently classified, and so is a pivot whose relative
-size is NaN (a NaN in its row, or an infinite diagonal).
+Pivots inside the band (PIVOT_TOL, 100 PIVOT_TOL) relative to their row are
+refused with NearCaustic rather than silently classified, and so is a pivot
+whose relative size is NaN (a NaN in its row, or an infinite diagonal).
 
 marginalize_all is the one elimination engine; marginalize calls it, glue
 feeds it both kernels' entries without building their product, and
@@ -111,7 +111,9 @@ class OscKernel:
             raise VariableMismatch(f"matrix shapes {A.shape}, {B.shape} do not fit {n} variables")
         if n and abs(A - A.T).max() > 1e-12 * max(1.0, float(abs(A).max())):
             raise VariableMismatch("exponent matrix must be symmetric")
-        A = 0.5 * (A + A.T)
+        # an A already symmetric bit for bit stays as it is: 0.5 (A + A^T) overflows above half the largest double
+        if not np.array_equal(A.view(np.int64), A.T.view(np.int64)):
+            A = 0.5 * (A + A.T)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "vars", tuple(self.vars))
@@ -148,14 +150,13 @@ class OscKernel:
         v = np.array([assignment[name] for name in self.vars])
         return float(0.5 * v @ self.A @ v + self.B @ v + self.c)
 
-    def value(self, assignment: dict[str, float], volume: float = 1.0) -> complex:
-        """Numeric value with V set to `volume`; delta weights are not
-        realised, but the value is 0 off the constraint surface."""
+    def value(self, assignment: dict[str, float]) -> complex:
+        """Numeric value with V set to 1; delta weights are not realised,
+        but the value is 0 off the constraint surface."""
         for con in self.constraints:
             if con.residual(assignment) > 1e-9:
                 return 0.0j
         mag = self.amp * (2.0 * math.pi * self.hbar) ** float(self.pihbar_pow)
-        mag *= volume**self.vol_pow
         return mag * cmath.exp(1j * self.exponent(assignment) / self.hbar)
 
     # -- canonical form ----------------------------------------------------------
@@ -315,11 +316,7 @@ def marginalize_terms(
     return marginalize_all(terms, variables)
 
 
-def marginalize(
-    kernel: OscKernel,
-    var: str,
-    tol: float = PIVOT_TOL,
-) -> OscKernel:
+def marginalize(kernel: OscKernel, var: str) -> OscKernel:
     """Integrate one variable out of the kernel, exactly.
 
     If the variable participates in an active delta constraint the integral
@@ -330,14 +327,10 @@ def marginalize(
     relative pivot.  In the delta case the new constraint is recorded on the
     result: every other variable is kept, so none is substituted away.
     """
-    return marginalize_all(kernel, (var,), tol=tol)
+    return marginalize_all(kernel, (var,))
 
 
-def marginalize_all(
-    kernel: OscKernel | _Terms,
-    variables,
-    tol: float = PIVOT_TOL,
-) -> OscKernel:
+def marginalize_all(kernel: OscKernel | _Terms, variables) -> OscKernel:
     """Integrate a set of variables out, choosing a stable order.  `kernel`
     may also be the monomial form marginalize_terms hands on, read without
     building A.
@@ -355,8 +348,8 @@ def marginalize_all(
     A pivot whose relative size is NaN (its row holds a NaN, or an infinite
     diagonal) is refused with NearCaustic: no case can be told.  A row is a
     volume factor when its scale max(max_w |A_vw|, |B_v|) is at most
-    _ABS_FLOOR * max(1, the largest row scale), and never while any row
-    scale is NaN.
+    _ABS_FLOOR * max(1, the largest row scale); while any row scale is NaN,
+    only a row whose scale is exactly 0 is one.
 
     The engine holds A as sparse rows of Python floats, one dict per variable
     in sorted-name order from position to coupling (a coupling that was never
@@ -377,10 +370,10 @@ def marginalize_all(
     dense updates, for any kernel without negative zeros (from_terms,
     marginalize_terms and glue make none).
     """
-    return _eliminate(kernel.vars, (kernel,), variables, tol)
+    return _eliminate(kernel.vars, (kernel,), variables)
 
 
-def _eliminate(vars, parts, variables, tol) -> OscKernel:
+def _eliminate(vars, parts, variables) -> OscKernel:
     """marginalize_all over the product of `parts` (kernels, or _Terms not
     yet built), whose variables `vars` lists in order: their entries add as
     a dense sum over `vars` would, in part order, without building the
@@ -434,7 +427,7 @@ def _eliminate(vars, parts, variables, tol) -> OscKernel:
 
     for i in range(n):
         refresh(i)
-    left, sub, gone = len(pending), None, set()  # sub: (constraint index, position) handed on by a delta step
+    left, sub = len(pending), None  # sub: (constraint index, position) handed on by a delta step
     while left or sub:
         if sub is None:
             bound = [k for k in {at[v] for con in cons for v, cv in con.coeffs if abs(cv) > 0.0} if is_pending[k]]
@@ -482,13 +475,14 @@ def _eliminate(vars, parts, variables, tol) -> OscKernel:
             # a NaN relative pivot (a NaN in the row, or an infinite diagonal): no case can be told
             raise NearCaustic(f"pivot for {names[k]!r} is not finite")
         else:
-            # row_scale <= _ABS_FLOOR * max(max(scale), 1), false on a NaN scale; max(scale) only when top may pass
+            # row_scale <= _ABS_FLOOR * max(max(scale), 1), false on a NaN scale unless the row vanished exactly;
+            # max(scale) only when top may pass
             row_scale = scale[k]
-            if not nans and (row_scale <= _ABS_FLOOR or row_scale <= _ABS_FLOOR * top
-                             and row_scale <= _ABS_FLOOR * max(max(scale), 1.0)):
+            if row_scale == 0.0 or not nans and (row_scale <= _ABS_FLOOR or row_scale <= _ABS_FLOOR * top
+                                                 and row_scale <= _ABS_FLOOR * max(max(scale), 1.0)):
                 # variable absent from the exponent: a pure volume factor
                 vol += 1
-            elif (rel := abs(akk) / row_scale) >= _NEAR_BAND * tol:
+            elif (rel := abs(akk) / row_scale) >= _NEAR_BAND * PIVOT_TOL:
                 # Gaussian: Schur complement plus Fresnel prefactor
                 for p, i in enumerate(near):
                     ri, row_i = row_k[i], rows[i]
@@ -498,7 +492,7 @@ def _eliminate(vars, parts, variables, tol) -> OscKernel:
                 c = c - bk * bk / (2.0 * akk)
                 amp = amp * cmath.exp(1j * math.copysign(math.pi / 4.0, akk)) / math.sqrt(abs(akk))
                 halves += 1
-            elif rel > tol:
+            elif rel > PIVOT_TOL:
                 raise NearCaustic(f"pivot for {names[k]!r} sits at relative size {rel:.3e}; refusing to classify")
             else:
                 # delta: exponent is (coupling . u + B_v) * v up to negligible curvature
@@ -517,13 +511,12 @@ def _eliminate(vars, parts, variables, tol) -> OscKernel:
         rows[k], B[k], scale[k] = {}, 0.0, 0.0
         for i in row_k:
             rows[i].pop(k, None)
-        gone.add(k)
         left -= is_pending[k]
         is_pending[k] = False
         if left:
             for i in near:
                 refresh(i)
-    live = [at[v] for v in vars if at[v] not in gone]
+    live = [at[v] for v in vars if v not in pending]
     out, m = {i: p for p, i in enumerate(live)}, len(live)
     A = np.zeros(m * m)
     A[[p * m + out[j] for p, i in enumerate(live) for j in rows[i]]] = [v for i in live for v in rows[i].values()]
@@ -531,12 +524,7 @@ def _eliminate(vars, parts, variables, tol) -> OscKernel:
                             c, amp, pihbar + Fraction(halves, 2), vol, tuple(cons), first.hbar)
 
 
-def glue(
-    k1: OscKernel,
-    k2: OscKernel,
-    shared,
-    tol: float = PIVOT_TOL,
-) -> OscKernel:
+def glue(k1: OscKernel, k2: OscKernel, shared) -> OscKernel:
     """Multiply two kernels and integrate over the shared variables.
 
     Exponents add over the variable union; with an empty shared set this is
@@ -549,7 +537,7 @@ def glue(
     if k1.hbar != k2.hbar:
         raise VariableMismatch("kernels carry different hbar")
     union = tuple(k1.vars) + tuple(v for v in k2.vars if v not in k1.vars)
-    return _eliminate(union, (k1, k2), shared, tol)
+    return _eliminate(union, (k1, k2), shared)
 
 
 @dataclass(frozen=True)

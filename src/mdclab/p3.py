@@ -272,20 +272,18 @@ def p3_joint_solution(
 def p3_joint_solution_residual(
     derived: "DerivedParams",
     amplitudes: tuple[float, float, float, float],
-    m_range: range = range(0, 5),
-    n_range: range = range(0, 5),
     nu_shift: tuple[float, float] = (0.0, 0.0),
 ) -> float:
-    """Max residual of all four second-order equations on a grid of the
-    joint solution."""
+    """Max residual of all four second-order equations on the 5-by-5 grid
+    0 <= m, n < 5 of the joint solution."""
     modes = p3_joint_modes(derived)
 
     def x(m, n):
         return p3_joint_solution(m, n, amplitudes, modes, nu_shift)
 
     residuals = []
-    for m in m_range:
-        for n in n_range:
+    for m in range(5):
+        for n in range(5):
             residuals.append(p3_hat_equation_residual(x(m - 1, n), x(m, n), x(m + 1, n), derived.s))
             residuals.append(p3_bar_equation_residual(x(m, n - 1), x(m, n), x(m, n + 1), derived.t, derived.tprime))
     return float(np.max(residuals, initial=0.0))

@@ -60,21 +60,29 @@ def _direction_constants(derived: "DerivedParams", direction: str) -> tuple[floa
     raise ValueError(f"unknown direction {direction!r}")
 
 
+def _step_amp(derived: "DerivedParams", direction: str) -> complex:
+    """The one-step amplitude sqrt((P+W)/w) exp(i pi/4); OutOfRegime at an
+    elliptic point where (P+W)/w is not positive."""
+    derived.require_elliptic()
+    plus, _, w = _direction_constants(derived, direction)
+    if plus / w <= 0:
+        raise OutOfRegime(f"prefactor (P+{direction} constant)/{w} is not positive")
+    return math.sqrt(plus / w) * cmath.exp(1j * math.pi / 4.0)
+
+
 def one_step_kernel(
     direction: str,
     derived: "DerivedParams",
     labels: tuple[str, str] = ("xa", "xb"),
 ) -> OscKernel:
     """Exact one-step propagator kernel in the given direction."""
-    derived.require_elliptic()
+    amp = _step_amp(derived, direction)
     plus, minus, w = _direction_constants(derived, direction)
-    if plus / w <= 0:
-        raise OutOfRegime(f"prefactor (P+{direction} constant)/{w} is not positive")
     x, xh = labels
     return from_terms(
         vars=labels,
         quadratic={(x, xh): plus / w, (x, x): 0.5 * minus / w, (xh, xh): 0.5 * minus / w},
-        amp=math.sqrt(plus / w) * cmath.exp(1j * math.pi / 4.0),
+        amp=amp,
         pihbar_pow=Fraction(-1, 2),
         hbar=derived.hbar,
     )
@@ -83,7 +91,6 @@ def one_step_kernel(
 def momentum_factorized_kernel(
     derived: "DerivedParams",
     direction: str = "hat",
-    labels: tuple[str, str] = ("xa", "xb"),
     zero_potential: bool = False,
 ) -> OscKernel:
     """<xh| exp(iV/2hbar) exp(iT/hbar) exp(iV/2hbar) |x> via a momentum insertion.
@@ -92,9 +99,10 @@ def momentum_factorized_kernel(
     overlaps supply exponent terms (xh - x) X and a (2 pi hbar)^-1 weight, and
     the momentum is integrated out exactly.  Must reproduce one_step_kernel.
     With zero_potential=True the V factors are dropped (a pure Fourier pair).
+    The endpoints are named xa and xb.
     """
     plus, _minus, w = _direction_constants(derived, direction)
-    x, xh = labels
+    x, xh = "xa", "xb"
     mom = "Xmom"
     vterm = 0.0 if zero_potential else derived.P / w
     return marginalize_terms(
@@ -158,13 +166,8 @@ def multi_time_closed_form(
     return closed_form_kernel(n * mu + m * nu, derived, labels)
 
 
-def n_step_kernel(
-    n: int,
-    derived: "DerivedParams",
-    direction: str = "hat",
-    labels: tuple[str, str] = ("xa", "xb"),
-) -> OscKernel:
-    """n one-step kernels glued in sequence.
+def n_step_kernel(n: int, derived: "DerivedParams", direction: str = "hat") -> OscKernel:
+    """n one-step kernels glued in sequence, from xa to xb.
 
     The guard matches the closed form: CausticError iff sin(n * angle) is on
     a caustic.  Exact intermediate caustics are passed through as delta
@@ -175,9 +178,9 @@ def n_step_kernel(
     theta = n * _angle(derived, direction)
     if abs(math.sin(theta)) < CAUSTIC_TOL:
         raise CausticError(f"caustic at total angle {theta!r}")
-    acc = one_step_kernel(direction, derived, (labels[0], labels[1] if n == 1 else "s1"))
+    acc = one_step_kernel(direction, derived, ("xa", "xb" if n == 1 else "s1"))
     for k in range(1, n):
-        nxt_label = labels[1] if k == n - 1 else f"s{k + 1}"
+        nxt_label = "xb" if k == n - 1 else f"s{k + 1}"
         step = one_step_kernel(direction, derived, (f"s{k}", nxt_label))
         acc = glue(acc, step, shared=(f"s{k}",))
     return acc
@@ -272,14 +275,8 @@ def path_kernel(
     if len(set(names)) != len(names):
         raise VariableMismatch(f"path labels {labels} collide with each other or with an interior visit")
     if coeffs is None:
-        derived.require_elliptic()
+        step_amp = {direction: _step_amp(derived, direction) for direction in {step[1:] for step in path.steps}}
         cf = closure_coeffs(derived)
-        plus_b = derived.P + derived.Q
-        plus_a = derived.P + derived.R
-        step_amp = {
-            "hat": math.sqrt(plus_b / derived.q) * cmath.exp(1j * math.pi / 4.0),
-            "bar": math.sqrt(plus_a / derived.r) * cmath.exp(1j * math.pi / 4.0),
-        }
         pihbar = Fraction(-len(path.steps), 2)
     else:
         cf = coeffs

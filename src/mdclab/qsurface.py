@@ -279,20 +279,20 @@ def surface_kernel(
 
 # -- Construction and deformation ------------------------------------------------
 
-def flat_patch(nx: int, ny: int, plane: tuple[int, int] = (1, 2), base: Vertex = (0, 0, 0)) -> Surface:
-    """nx-by-ny flat patch of positively oriented plaquettes; everything is
-    boundary data until a deformation creates interior vertices."""
-    i, j = plane
+def flat_patch(nx: int, ny: int, base: Vertex = (0, 0, 0)) -> Surface:
+    """nx-by-ny flat patch of positively oriented plaquettes in the (1, 2)
+    plane; everything is boundary data until a deformation creates interior
+    vertices."""
     plaqs = []
     verts: set[Vertex] = set()
     for a in range(nx):
         for b in range(ny):
             v = base
             for _ in range(a):
-                v = shift(v, i)
+                v = shift(v, 1)
             for _ in range(b):
-                v = shift(v, j)
-            plq = OrientedPlaquette(base=v, plane=plane, sign=1)
+                v = shift(v, 2)
+            plq = OrientedPlaquette(base=v, plane=(1, 2), sign=1)
             plaqs.append(plq)
             verts.update(plq.corners())
     return Surface(plaquettes=tuple(plaqs), interior=frozenset(), boundary=frozenset(verts))
@@ -389,37 +389,35 @@ def random_deformation(surface: Surface, rng: np.random.Generator, n_ops: int) -
 
 # -- Elementary moves -------------------------------------------------------------
 
-_E1, _E2, _E3 = _UNIT[1], _UNIT[2], _UNIT[3]
 _O: Vertex = (0, 0, 0)
 
 
-def _corner_fan(i: int, j: int, k: int) -> Surface:
-    plaqs = (
-        OrientedPlaquette(base=_O, plane=(i, j), sign=1),
-        OrientedPlaquette(base=_O, plane=(j, k), sign=1),
-        OrientedPlaquette(base=_O, plane=(k, i), sign=1),
-    )
-    boundary = {shift(_O, i), shift(_O, j), shift(_O, k)}
-    return Surface(plaquettes=plaqs, interior=frozenset({_O}), boundary=frozenset(boundary))
-
-
-def _corner_cap(i: int, j: int, k: int) -> Surface:
-    ei, ej, ek = shift(_O, i), shift(_O, j), shift(_O, k)
-    plaqs = (
-        OrientedPlaquette(base=ek, plane=(i, j), sign=1),
-        OrientedPlaquette(base=ei, plane=(j, k), sign=1),
-        OrientedPlaquette(base=ej, plane=(k, i), sign=1),
-    )
-    interior = {shift(ei, j), shift(ej, k), shift(ek, i), shift(shift(ei, j), k)}
-    return Surface(plaquettes=plaqs, interior=frozenset(interior), boundary=frozenset({ei, ej, ek}))
-
-
-def elementary_move_surfaces(move: str, i: int = 1, j: int = 2, k: int = 3) -> tuple[Surface, Surface]:
-    """The two standalone configurations of elementary move a, b or c."""
+def elementary_move_surfaces(move: str) -> tuple[Surface, Surface]:
+    """The two standalone configurations of elementary move a, b or c, in
+    the orientation (i, j, k) = (1, 2, 3)."""
+    i, j, k = 1, 2, 3
     ei, ej, ek = shift(_O, i), shift(_O, j), shift(_O, k)
     eij, eik, ejk = shift(ei, j), shift(ei, k), shift(ej, k)
     if move == "a":
-        return _corner_fan(i, j, k), _corner_cap(i, j, k)
+        fan = Surface(
+            plaquettes=(
+                OrientedPlaquette(base=_O, plane=(i, j), sign=1),
+                OrientedPlaquette(base=_O, plane=(j, k), sign=1),
+                OrientedPlaquette(base=_O, plane=(k, i), sign=1),
+            ),
+            interior=frozenset({_O}),
+            boundary=frozenset({ei, ej, ek}),
+        )
+        cap = Surface(
+            plaquettes=(
+                OrientedPlaquette(base=ek, plane=(i, j), sign=1),
+                OrientedPlaquette(base=ei, plane=(j, k), sign=1),
+                OrientedPlaquette(base=ej, plane=(k, i), sign=1),
+            ),
+            interior=frozenset({eij, ejk, eik, shift(eij, k)}),
+            boundary=frozenset({ei, ej, ek}),
+        )
+        return fan, cap
     if move == "b":
         one = Surface(
             plaquettes=(
@@ -477,18 +475,18 @@ def elementary_move_check(
 
 # -- Uniqueness of the surface-independent coefficients ---------------------------
 
-def cyclic_a(coeffs: LatticeLagrangianCoeffs, i: int = 1, j: int = 2, k: int = 3) -> float:
-    return coeffs.a[(i, j)] + coeffs.a[(j, k)] + coeffs.a[(k, i)]
+def cyclic_a(coeffs: LatticeLagrangianCoeffs) -> float:
+    return coeffs.a[(1, 2)] + coeffs.a[(2, 3)] + coeffs.a[(3, 1)]
 
 
-def move_a_matrix(coeffs: LatticeLagrangianCoeffs, i: int = 1, j: int = 2, k: int = 3) -> np.ndarray:
-    """Quadratic form of the three cap integrations (order u_ij, u_jk, u_ki)."""
+def move_a_matrix(coeffs: LatticeLagrangianCoeffs) -> np.ndarray:
+    """Quadratic form of the three cap integrations (order u_12, u_23, u_31)."""
     b, d = coeffs.b, coeffs.d
     return np.array(
         [
-            [b[(j, k)] - b[(i, k)], d[(k, i)], d[(j, k)]],
-            [d[(k, i)], b[(k, i)] - b[(j, i)], d[(i, j)]],
-            [d[(j, k)], d[(i, j)], b[(i, j)] - b[(k, j)]],
+            [b[(2, 3)] - b[(1, 3)], d[(3, 1)], d[(2, 3)]],
+            [d[(3, 1)], b[(3, 1)] - b[(2, 1)], d[(1, 2)]],
+            [d[(2, 3)], d[(1, 2)], b[(1, 2)] - b[(3, 2)]],
         ]
     )
 
@@ -499,9 +497,9 @@ def e_minus_d(coeffs: LatticeLagrangianCoeffs) -> float:
     return float(np.max([abs(e[pair] - coeffs.d[pair]) for pair in e]))
 
 
-def lambda_of(coeffs: LatticeLagrangianCoeffs, i: int = 1, j: int = 2, k: int = 3) -> float:
+def lambda_of(coeffs: LatticeLagrangianCoeffs) -> float:
     d = coeffs.d
-    return d[(i, j)] * d[(j, k)] + d[(j, k)] * d[(k, i)] + d[(k, i)] * d[(i, j)] + 1.0
+    return d[(1, 2)] * d[(2, 3)] + d[(2, 3)] * d[(3, 1)] + d[(3, 1)] * d[(1, 2)] + 1.0
 
 
 def uniqueness_scan_2form(

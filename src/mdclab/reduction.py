@@ -122,11 +122,11 @@ class OscillatorCoeffs:
         return self.beta * (x * xh + (self.b - self.b0) * x * x + self.b0 * xh * xh)
 
 
-def closure_coeffs(derived: "DerivedParams", gamma: float = 1.0) -> OscillatorCoeffs:
+def closure_coeffs(derived: "DerivedParams") -> OscillatorCoeffs:
     """The coefficient point at which the 1-form closes on shell."""
     return OscillatorCoeffs(
-        alpha=gamma * (derived.P + derived.R) / derived.r,
-        beta=gamma * (derived.P + derived.Q) / derived.q,
+        alpha=(derived.P + derived.R) / derived.r,
+        beta=(derived.P + derived.Q) / derived.q,
         a0=0.5 * derived.a,
         b0=0.5 * derived.b,
         a=derived.a,
@@ -164,23 +164,23 @@ def explicit_solution(m: int, n: int, c1: float, c2: float, mu: float, nu: float
     return c1 * math.sin(th) + c2 * math.cos(th)
 
 
-def solution_residuals(
-    derived: "DerivedParams",
-    c1: float,
-    c2: float,
-    m_range: range = range(0, 5),
-    n_range: range = range(0, 5),
-) -> dict[str, float]:
+def solution_residuals(derived: "DerivedParams", c1: float, c2: float) -> dict[str, float]:
     """Max residuals of both oscillator equations and both corner equations
-    over a grid of the joint explicit solution."""
+    over the 5-by-5 grid 0 <= m, n < 5 of the joint explicit solution.
+
+    A hat step rotates by mu with the sign of q, a bar step by nu with the
+    sign of r: sin(mu) = 2 q sqrt(P)/(P + Q) takes the sign of q, and the
+    corner equations tell the two senses apart.
+    """
     mu, nu = derived.require_elliptic()
+    mu, nu = math.copysign(mu, derived.q), math.copysign(nu, derived.r)
 
     def x(m, n):
         return explicit_solution(m, n, c1, c2, mu, nu)
 
     found: dict[str, list[float]] = {"hat": [], "bar": [], "corner1": [], "corner2": []}
-    for m in m_range:
-        for n in n_range:
+    for m in range(5):
+        for n in range(5):
             found["hat"].append(abs(x(m + 1, n) + 2 * derived.b * x(m, n) + x(m - 1, n)))
             found["bar"].append(abs(x(m, n + 1) + 2 * derived.a * x(m, n) + x(m, n - 1)))
             r1, r2 = corner_residuals(x(m, n), x(m + 1, n), x(m, n + 1), x(m + 1, n + 1), derived)
@@ -281,10 +281,11 @@ def continuous_multiform_residual(
 
 
 def continuous_multiform_fd_residual(
-    a: float, b: float, m: int, n: int, c1: float, c2: float, h: float = 1e-5
+    a: float, b: float, m: int, n: int, c1: float, c2: float
 ) -> tuple[float, float]:
     """Same two relations with the parameter derivatives taken by central
-    finite differences; cross-checks the analytic evaluation."""
+    finite differences of step 1e-5; cross-checks the analytic evaluation."""
+    h = 1e-5
 
     def xval(aa, bb):
         th = m * math.acos(-bb) + n * math.acos(-aa)

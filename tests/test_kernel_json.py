@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdclab import oscgauss, qprop1d, qsurface
+from mdclab.errors import NearCaustic
 from mdclab.params import LatticeParams, derive
 
 #: Two elliptic points: the worked example and a generic one.
@@ -193,6 +194,43 @@ def test_canonical_form_keeps_the_sign_of_a_zero():
     data = json.loads(kernel.to_json())
     assert data["A"] == [0.0, 1.0, 1.0, -0.0] and math.copysign(1.0, data["A"][3]) == -1.0
     assert math.copysign(1.0, data["B"][1]) == -1.0 and math.copysign(1.0, data["B"][0]) == 1.0
+
+
+@st.composite
+def library_kernels(draw):
+    """A from_terms kernel over awkward and near-overflow entries, with some of
+    its variables integrated out when the engine can."""
+    values = st.one_of(awkward_floats, st.floats(min_value=9e307, max_value=1.7e308))
+    n = draw(st.integers(1, 5))
+    names = tuple(draw(st.permutations([f"v{k}" for k in range(n)])))
+    quadratic = draw(st.dictionaries(st.tuples(st.sampled_from(names), st.sampled_from(names)), values,
+                                     max_size=3 * n))
+    linear = draw(st.dictionaries(st.sampled_from(names), values))
+    variables = draw(st.lists(st.sampled_from(names), unique=True))
+    with np.errstate(all="ignore"):
+        kernel = oscgauss.from_terms(names, quadratic, linear, draw(values))
+        try:
+            return oscgauss.marginalize_all(kernel, variables)
+        except NearCaustic:
+            return kernel
+
+
+@settings(max_examples=150, deadline=None)
+# an entry above half the largest double, which 0.5 (A + A^T) would turn into inf
+@example(oscgauss.from_terms(("x", "y"), {("x", "y"): 1.5e308, ("x", "x"): 1.0}))
+@given(library_kernels())
+def test_from_json_gives_a_library_built_kernel_back(kernel):
+    try:
+        text = kernel.to_json()
+    except ValueError:  # a non-finite entry has no JSON
+        return
+    want, got = json.loads(text), json.loads(oscgauss.OscKernel.from_json(text).to_json())
+    # amp is stored as modulus and phase, so rebuilding it through exp may move its last bit,
+    # and a modulus that rounds to 0 keeps no phase
+    want_amp, got_amp = want.pop("amp"), got.pop("amp")
+    assert repr(got) == repr(want)
+    assert math.isclose(got_amp["modulus"], want_amp["modulus"], rel_tol=1e-15)
+    assert math.isclose(got_amp["phase"], want_amp["phase"], abs_tol=2e-15) or not want_amp["modulus"]
 
 
 # -- the builders' direct feed -----------------------------------------------------

@@ -38,6 +38,16 @@ def test_one_step_kernel_requires_elliptic_regime():
         qp.one_step_kernel("hat", d)
 
 
+def test_path_kernel_refuses_a_negative_step_prefactor_as_one_step_kernel_does():
+    # (3, 2, -1) is elliptic, but (P + R)/r < 0 makes the bar step amplitude the root of a negative number
+    d = derive(LatticeParams(3.0, 2.0, -1.0))
+    with pytest.raises(OutOfRegime):
+        qp.one_step_kernel("bar", d)
+    with pytest.raises(OutOfRegime):
+        qp.path_kernel(qp.TimePath(("+hat", "+bar")), d)
+    assert compare(qp.path_kernel(qp.TimePath(("+hat",)), d), qp.one_step_kernel("hat", d)).exponent_diff == 0.0
+
+
 def test_factorized_step_reproduces_one_step(d321):
     for direction in ("hat", "bar"):
         diff = compare(

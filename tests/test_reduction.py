@@ -159,6 +159,13 @@ def test_explicit_solution_grid(d321):
     assert max(worst.values()) <= 1e-10
 
 
+@pytest.mark.parametrize("point", [(3.0, 2.0, -1.0), (3.0, -1.0, 2.0), (-1.0, -2.0, -3.0), (2.5, 0.7, -1.3)])
+def test_explicit_solution_grid_turns_with_the_signs_of_q_and_r(point):
+    # sin(mu) has the sign of q and sin(nu) that of r; the corner equations fail on the unsigned angles
+    worst = red.solution_residuals(derive(LatticeParams(*point)), 1.0, -0.4)
+    assert max(worst.values()) <= 1e-10
+
+
 def test_hyperbolic_lambda_solution():
     assert red.hyperbolic_recurrence_residual(0.4, -1.2, 1.7, range(-3, 6)) <= 1e-12
     with pytest.raises(OutOfRegime):

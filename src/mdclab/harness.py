@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -105,6 +106,11 @@ def _guards_satisfiable(low: float, high: float) -> bool:
     )
 
 
+def _is_a(value, kind: type) -> bool:
+    """isinstance that does not take a bool (a JSON true) for the number 1."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 42
@@ -117,16 +123,25 @@ class SuiteConfig:
     suites: tuple[str, ...] = field(default_factory=lambda: tuple(SUITES))
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.hbar <= 0:
-            raise ConfigError(f"hbar must be positive, got {self.hbar}")
+        if not _is_a(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        if not _is_a(self.trials, numbers.Integral) or self.trials < 1:
+            raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if any(len(row) != 3 for row in self.params):
+            raise ConfigError(f"each params row must be a [p, q, r] triple, got {list(self.params)}")
+        if not (_is_a(self.hbar, numbers.Real) and math.isfinite(self.hbar) and self.hbar > 0):
+            raise ConfigError(f"hbar must be finite and positive, got {self.hbar}")
         unknown = set(self.suites) - set(SUITES)
         if unknown:
             raise ConfigError(f"unknown suites: {sorted(unknown)}; pick from {tuple(SUITES)}")
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError(f"tolerances must map names to values, got {self.tolerances!r}")
         unknown = set(self.tolerances) - set(DEFAULT_TOLERANCES)
         if unknown:
             raise ConfigError(f"unknown tolerance names: {sorted(unknown)}")
+        for name, value in sorted(self.tolerances.items()):
+            if not (_is_a(value, numbers.Real) and math.isfinite(value) and value >= 0):
+                raise ConfigError(f"tolerance {name} must be a finite number >= 0, got {value!r}")
         if not _guards_satisfiable(self.range_low, self.range_high):
             raise ConfigError(
                 f"no triples in [{self.range_low}, {self.range_high}] clear the degeneracy guards"
@@ -141,13 +156,13 @@ class SuiteConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         data = dict(data)
-        if "params" in data:
-            data["params"] = tuple(tuple(float(x) for x in row) for row in data["params"])
-        if "suites" in data:
-            data["suites"] = tuple(data["suites"])
         try:
+            if "params" in data:
+                data["params"] = tuple(tuple(float(x) for x in row) for row in data["params"])
+            if "suites" in data:
+                data["suites"] = tuple(data["suites"])
             return SuiteConfig(**data)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
     @staticmethod
@@ -453,8 +468,9 @@ def _prop1d_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals
             res.add("path", diff.exponent_diff)
             res.add("amp", diff.amp_ratio_error)
     res.check("tridiagonal-recursion", "fluctuation-determinant", "tri", "tridiag_rel")
-    tri2 = qprop1d.tridiagonal_det(2, derive(LatticeParams(3, 2, 1, config.hbar)))
-    res.check("tridiagonal-n2-value", "fluctuation-determinant", abs(tri2 + 8.5j), 1e-12)
+    # at (3, 2, 1) the n = 2 determinant i (P+Q) cos(mu) / (hbar q) is -8.5j / hbar
+    tri2 = qprop1d.tridiagonal_det(2, points[0])
+    res.check("tridiagonal-n2-value", "fluctuation-determinant", abs(tri2 + 8.5j / config.hbar), 1e-12)
     res.check("n-step-vs-closed-form", "n-step-closed-form", "nstep", "nstep_exponent")
     res.check("factorized-step", "factorized-step", "ub", "ub_exponent")
     res.check("corner-square-loop", "path-independence", "corner", "corner_swap")

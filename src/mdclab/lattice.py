@@ -70,13 +70,10 @@ def u123_routes(
     p1: FloatOrArray, p2: FloatOrArray, p3: FloatOrArray,
 ) -> tuple[FloatOrArray, FloatOrArray, FloatOrArray]:
     """The triple-shifted corner evaluated along the three elimination orders."""
-    u12 = quad_solve(u, u1, u2, p1, p2)
-    u23 = quad_solve(u, u2, u3, p2, p3)
-    u31 = quad_solve(u, u3, u1, p3, p1)
-    via1 = quad_solve(u1, u12, u31, p2, p3)
-    via2 = quad_solve(u2, u23, u12, p3, p1)
-    via3 = quad_solve(u3, u31, u23, p1, p2)
-    return via1, via2, via3
+    cube = complete_cube(u, u1, u2, u3, p1, p2, p3)
+    via2 = quad_solve(u2, cube.u23, cube.u12, p3, p1)
+    via3 = quad_solve(u3, cube.u31, cube.u23, p1, p2)
+    return cube.u123, via2, via3
 
 
 def mdc_spread(
@@ -101,6 +98,15 @@ def complete_cube(
     return CubeSample(u=u, u1=u1, u2=u2, u3=u3, u12=u12, u23=u23, u31=u31, u123=u123)
 
 
+def _face_sum(L, u, u1, u2, u3, u12, u23, u31, p1, p2, p3):
+    """The oriented six-face sum of a plaquette Lagrangian L(u, u_i, u_j, p_i, p_j)."""
+    return (
+        L(u1, u12, u31, p2, p3) - L(u, u2, u3, p2, p3)
+        + L(u2, u23, u12, p3, p1) - L(u, u3, u1, p3, p1)
+        + L(u3, u31, u23, p1, p2) - L(u, u1, u2, p1, p2)
+    )
+
+
 def closure_residual(
     cube: CubeSample, p1: FloatOrArray, p2: FloatOrArray, p3: FloatOrArray
 ) -> FloatOrArray:
@@ -108,15 +114,8 @@ def closure_residual(
 
     Vanishes when the cube data solve the quad equation on every face.
     """
-    total = (
-        lagrangian_2form(cube.u1, cube.u12, cube.u31, p2, p3)
-        - lagrangian_2form(cube.u, cube.u2, cube.u3, p2, p3)
-        + lagrangian_2form(cube.u2, cube.u23, cube.u12, p3, p1)
-        - lagrangian_2form(cube.u, cube.u3, cube.u1, p3, p1)
-        + lagrangian_2form(cube.u3, cube.u31, cube.u23, p1, p2)
-        - lagrangian_2form(cube.u, cube.u1, cube.u2, p1, p2)
-    )
-    return abs(total)
+    c = cube
+    return abs(_face_sum(lagrangian_2form, c.u, c.u1, c.u2, c.u3, c.u12, c.u23, c.u31, p1, p2, p3))
 
 
 def el_corner_residual(
@@ -157,10 +156,5 @@ def classify_general_quad_lagrangian(
     u, u1, u2, u3 = np.random.default_rng(seed).normal(size=(20, 4)).T
     vals = {1: u1, 2: u2, 3: u3}
     u12, u23, u31 = ((c[(i, j)] * u - e[(i, j)] * vals[i] + d[(i, j)] * vals[j]) / c[(j, i)] for i, j in faces)
-    L = coeffs.lagrangian
-    total = (
-        L(u1, u12, u31, 2, 3) - L(u, u2, u3, 2, 3)
-        + L(u2, u23, u12, 3, 1) - L(u, u3, u1, 3, 1)
-        + L(u3, u31, u23, 1, 2) - L(u, u1, u2, 1, 2)
-    )
+    total = _face_sum(coeffs.lagrangian, u, u1, u2, u3, u12, u23, u31, 1, 2, 3)
     return {"symmetric_quad": bool(symmetric), "closure_ok": bool(np.max(np.abs(total), initial=0.0) <= tol)}

@@ -205,7 +205,7 @@ class OscKernel:
     def from_json(text: str) -> "OscKernel":
         data = json.loads(text)
         n = len(data["vars"])
-        amp = data["amp"]["modulus"] * cmath.exp(1j * data["amp"]["phase"])
+        amp = cmath.rect(data["amp"]["modulus"], data["amp"]["phase"])
         cons = tuple(
             AffineConstraint(coeffs=tuple((v, cv) for v, cv in item["coeffs"]), const=item["const"])
             for item in data["constraints"]

@@ -41,7 +41,7 @@ from .errors import (
     VariableMismatch,
 )
 from .oscgauss import OscKernel, compare, from_terms, glue, marginalize_terms
-from .reduction import OscillatorCoeffs, closure_coeffs
+from .reduction import OscillatorCoeffs, closure_coeffs, direction_constants
 
 if TYPE_CHECKING:
     from .params import DerivedParams
@@ -51,20 +51,11 @@ CAUSTIC_TOL = 1e-6
 STEPS = ("+hat", "-hat", "+bar", "-bar")
 
 
-def _direction_constants(derived: "DerivedParams", direction: str) -> tuple[float, float, float]:
-    """(P + W, P - W, w) with (W, w) = (Q, q) or (R, r)."""
-    if direction == "hat":
-        return derived.P + derived.Q, derived.P - derived.Q, derived.q
-    if direction == "bar":
-        return derived.P + derived.R, derived.P - derived.R, derived.r
-    raise ValueError(f"unknown direction {direction!r}")
-
-
 def _step_amp(derived: "DerivedParams", direction: str) -> complex:
     """The one-step amplitude sqrt((P+W)/w) exp(i pi/4); OutOfRegime at an
     elliptic point where (P+W)/w is not positive."""
     derived.require_elliptic()
-    plus, _, w = _direction_constants(derived, direction)
+    plus, _, w = direction_constants(derived, direction)
     if plus / w <= 0:
         raise OutOfRegime(f"prefactor (P+{direction} constant)/{w} is not positive")
     return math.sqrt(plus / w) * cmath.exp(1j * math.pi / 4.0)
@@ -77,7 +68,7 @@ def one_step_kernel(
 ) -> OscKernel:
     """Exact one-step propagator kernel in the given direction."""
     amp = _step_amp(derived, direction)
-    plus, minus, w = _direction_constants(derived, direction)
+    plus, minus, w = direction_constants(derived, direction)
     x, xh = labels
     return from_terms(
         vars=labels,
@@ -101,7 +92,7 @@ def momentum_factorized_kernel(
     With zero_potential=True the V factors are dropped (a pure Fourier pair).
     The endpoints are named xa and xb.
     """
-    plus, _minus, w = _direction_constants(derived, direction)
+    plus, _, w = direction_constants(derived, direction)
     x, xh = "xa", "xb"
     mom = "Xmom"
     vterm = 0.0 if zero_potential else derived.P / w
@@ -123,7 +114,16 @@ def momentum_factorized_kernel(
 
 def _angle(derived: "DerivedParams", direction: str) -> float:
     mu, nu = derived.require_elliptic()
+    direction_constants(derived, direction)  # ValueError on an unknown direction
     return mu if direction == "hat" else nu
+
+
+def _off_caustic_sin(theta: float) -> float:
+    """sin(theta); CausticError when it is numerically on a caustic."""
+    sin_t = math.sin(theta)
+    if abs(sin_t) < CAUSTIC_TOL:
+        raise CausticError(f"caustic at total angle {theta!r}")
+    return sin_t
 
 
 def closed_form_kernel(
@@ -135,9 +135,7 @@ def closed_form_kernel(
 
     Raises CausticError when sin(theta) is numerically on a caustic.
     """
-    sin_t = math.sin(theta)
-    if abs(sin_t) < CAUSTIC_TOL:
-        raise CausticError(f"caustic at total angle {theta!r}")
+    sin_t = _off_caustic_sin(theta)
     root_p = math.sqrt(derived.P)
     x, y = labels
     phase = math.pi / 4.0 + (math.pi / 2.0) * math.floor(theta / math.pi)
@@ -175,14 +173,11 @@ def n_step_kernel(n: int, derived: "DerivedParams", direction: str = "hat") -> O
     """
     if n < 1:
         raise ValueError("need at least one step")
-    theta = n * _angle(derived, direction)
-    if abs(math.sin(theta)) < CAUSTIC_TOL:
-        raise CausticError(f"caustic at total angle {theta!r}")
-    acc = one_step_kernel(direction, derived, ("xa", "xb" if n == 1 else "s1"))
+    _off_caustic_sin(n * _angle(derived, direction))
+    names = ("xa", *(f"s{k}" for k in range(1, n)), "xb")
+    acc = one_step_kernel(direction, derived, names[:2])
     for k in range(1, n):
-        nxt_label = "xb" if k == n - 1 else f"s{k + 1}"
-        step = one_step_kernel(direction, derived, (f"s{k}", nxt_label))
-        acc = glue(acc, step, shared=(f"s{k}",))
+        acc = glue(acc, one_step_kernel(direction, derived, names[k:k + 2]), shared=(names[k],))
     return acc
 
 
@@ -274,19 +269,17 @@ def path_kernel(
     names = (labels[0], *(f"t{k}" for k in range(1, len(path.steps))), labels[1])
     if len(set(names)) != len(names):
         raise VariableMismatch(f"path labels {labels} collide with each other or with an interior visit")
+    amp: complex = 1.0 + 0.0j
     if coeffs is None:
         step_amp = {direction: _step_amp(derived, direction) for direction in {step[1:] for step in path.steps}}
+        for step in path.steps:
+            a_step = step_amp[step[1:]]
+            amp *= a_step if step.startswith("+") else a_step.conjugate()
         cf = closure_coeffs(derived)
         pihbar = Fraction(-len(path.steps), 2)
     else:
         cf = coeffs
-        step_amp = {"hat": 1.0 + 0.0j, "bar": 1.0 + 0.0j}
         pihbar = Fraction(0)
-
-    amp: complex = 1.0 + 0.0j
-    for step in path.steps:
-        a_step = step_amp[step[1:]]
-        amp *= a_step if step.startswith("+") else a_step.conjugate()
     quad = _step_terms(path.steps, cf, names)
     return marginalize_terms(names, quad, names[1:-1], amp=amp, pihbar_pow=pihbar, hbar=derived.hbar)
 

@@ -287,12 +287,7 @@ def flat_patch(nx: int, ny: int, base: Vertex = (0, 0, 0)) -> Surface:
     verts: set[Vertex] = set()
     for a in range(nx):
         for b in range(ny):
-            v = base
-            for _ in range(a):
-                v = shift(v, 1)
-            for _ in range(b):
-                v = shift(v, 2)
-            plq = OrientedPlaquette(base=v, plane=(1, 2), sign=1)
+            plq = OrientedPlaquette(base=(base[0] + a, base[1] + b, base[2]), plane=(1, 2), sign=1)
             plaqs.append(plq)
             verts.update(plq.corners())
     return Surface(plaquettes=tuple(plaqs), interior=frozenset(), boundary=frozenset(verts))

@@ -47,26 +47,37 @@ def commutator_residual(derived: "DerivedParams") -> float:
 
 # -- Momenta and corner equations ----------------------------------------------
 
+def direction_constants(derived: "DerivedParams", direction: str) -> tuple[float, float, float]:
+    """(P + W, P - W, w) of the one-step Lagrangian in a direction, with
+    (W, w) = (Q, q) for "hat" and (R, r) for "bar"; ValueError otherwise."""
+    if direction == "hat":
+        return derived.P + derived.Q, derived.P - derived.Q, derived.q
+    if direction == "bar":
+        return derived.P + derived.R, derived.P - derived.R, derived.r
+    raise ValueError(f"unknown direction {direction!r}")
+
+
 def momentum_hat(x: float, xh: float, derived: "DerivedParams") -> float:
     """X_b = -dL_b/dx at the earlier point."""
-    P, Q, q = derived.P, derived.Q, derived.q
-    return -(P + Q) / q * xh - (P - Q) / q * x
+    plus, minus, q = direction_constants(derived, "hat")
+    return -plus / q * xh - minus / q * x
 
 
 def momentum_bar(x: float, xb: float, derived: "DerivedParams") -> float:
     """X_a = -dL_a/dx at the earlier point."""
-    P, R, r = derived.P, derived.R, derived.r
-    return -(P + R) / r * xb - (P - R) / r * x
+    plus, minus, r = direction_constants(derived, "bar")
+    return -plus / r * xb - minus / r * x
 
 
 def corner_residuals(
     x: float, xh: float, xb: float, xhb: float, derived: "DerivedParams"
 ) -> tuple[float, float]:
     """Residuals of the two corner equations linking the two time directions."""
-    P, Q, R, q, r = derived.P, derived.Q, derived.R, derived.q, derived.r
-    c0 = (P - Q) / q - (P - R) / r
-    r1 = c0 * x - ((P + R) / r * xb - (P + Q) / q * xh)
-    r2 = c0 * xhb - ((P + R) / r * xh - (P + Q) / q * xb)
+    plus_q, minus_q, q = direction_constants(derived, "hat")
+    plus_r, minus_r, r = direction_constants(derived, "bar")
+    c0 = minus_q / q - minus_r / r
+    r1 = c0 * x - (plus_r / r * xb - plus_q / q * xh)
+    r2 = c0 * xhb - (plus_r / r * xh - plus_q / q * xb)
     return abs(r1), abs(r2)
 
 
@@ -124,9 +135,11 @@ class OscillatorCoeffs:
 
 def closure_coeffs(derived: "DerivedParams") -> OscillatorCoeffs:
     """The coefficient point at which the 1-form closes on shell."""
+    plus_q, _, q = direction_constants(derived, "hat")
+    plus_r, _, r = direction_constants(derived, "bar")
     return OscillatorCoeffs(
-        alpha=(derived.P + derived.R) / derived.r,
-        beta=(derived.P + derived.Q) / derived.q,
+        alpha=plus_r / r,
+        beta=plus_q / q,
         a0=0.5 * derived.a,
         b0=0.5 * derived.b,
         a=derived.a,
@@ -227,9 +240,8 @@ def continuous_flow_residual(b: float, m: int, c1: float, c2: float) -> tuple[fl
     """Residuals of the forward/backward first-order flows and the second
     order equation (1-b^2) x'' - b x' + m^2 x = 0 on the explicit solution."""
     x, dx, d2x = _solution_in_parameter(b, m, c1, c2)
-    mu = math.acos(-b)
-    xh = c1 * math.sin((m + 1) * mu) + c2 * math.cos((m + 1) * mu)
-    xd = c1 * math.sin((m - 1) * mu) + c2 * math.cos((m - 1) * mu)
+    xh = _solution_in_parameter(b, m + 1, c1, c2)[0]
+    xd = _solution_in_parameter(b, m - 1, c1, c2)[0]
     fwd = dx - m * (b * x + xh) / (1.0 - b * b)
     bwd = dx + m * (b * x + xd) / (1.0 - b * b)
     ode = (1.0 - b * b) * d2x - b * dx + m * m * x
@@ -288,8 +300,7 @@ def continuous_multiform_fd_residual(
     h = 1e-5
 
     def xval(aa, bb):
-        th = m * math.acos(-bb) + n * math.acos(-aa)
-        return c1 * math.sin(th) + c2 * math.cos(th)
+        return _joint_xa_xb(aa, bb, m, n, c1, c2)[0]
 
     xa = (xval(a + h, b) - xval(a - h, b)) / (2 * h)
     xb = (xval(a, b + h) - xval(a, b - h)) / (2 * h)
@@ -324,7 +335,5 @@ def second_iterate_residual(state, s: float) -> float:
     second-order form of the hat map."""
     S = hat_matrix(s)
     b = -0.5 * float(np.trace(S))
-    z0 = np.asarray(state, dtype=float)
-    z1 = S @ z0
-    z2 = S @ z1
-    return abs(z2[0] + 2.0 * b * z1[0] + z0[0])
+    x = orbit(S, state, 2)[:, 0]
+    return abs(x[2] + 2.0 * b * x[1] + x[0])

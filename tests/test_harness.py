@@ -172,6 +172,10 @@ def test_config_validation():
         SuiteConfig(tolerances={"unknown": 1.0})
     with pytest.raises(ConfigError):
         SuiteConfig.from_dict({"bad_key": 1})
+    for bad in ({"seed": -1}, {"seed": 1.5}, {"seed": True}, {"hbar": math.nan}, {"hbar": math.inf},
+                {"tolerances": {"stt": "x"}}, {"tolerances": {"stt": math.nan}}, {"tolerances": {"stt": -1.0}}):
+        with pytest.raises(ConfigError):
+            SuiteConfig.from_dict(bad)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -216,10 +220,32 @@ def test_cli_rejects_bad_tolerance_syntax():
     assert cli.main(["run", "--tol", "nonsense"]) == 2
 
 
-def test_cli_rejects_bad_config(tmp_path):
+def test_cli_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("[1, 2, 3]")
-    assert cli.main(["run", "--config", str(bad)]) == 2
+    cases = [
+        ("[1, 2, 3]", []),
+        ('{"seed": 1.5}', []),
+        ('{"tolerances": {"stt": "x"}}', []),
+        ('{"tolerances": ["stt"]}', []),
+        ('{"trials": 1.5}', []),
+        ('{"params": [[1, 2]]}', []),
+        ('{"params": [[3, 2, "x"]]}', []),
+        ("{}", ["--seed", "-1"]),
+        ("{}", ["--tol", "stt=nan"]),
+        ("{}", ["--tol", "stt=-1"]),
+        ("{}", ["--hbar", "inf"]),
+    ]
+    for text, args in cases:
+        bad.write_text(text)
+        assert cli.main(["run", "--quiet", "--config", str(bad), *args]) == 2, (text, args)
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error:") and "\n" not in err, err
+
+
+@pytest.mark.parametrize("hbar", [0.5, 2.0])
+def test_every_record_passes_away_from_unit_hbar(hbar):
+    report = run(SuiteConfig(hbar=hbar))
+    assert not report.failed, [(rec.name, rec.residual) for rec in report.failed]
 
 
 @pytest.mark.parametrize(

@@ -218,6 +218,8 @@ def library_kernels(draw):
 @settings(max_examples=150, deadline=None)
 # an entry above half the largest double, which 0.5 (A + A^T) would turn into inf
 @example(oscgauss.from_terms(("x", "y"), {("x", "y"): 1.5e308, ("x", "x"): 1.0}))
+# a phase of -0.0, as on some deformed-surface kernels
+@example(oscgauss.from_terms(("x",), {("x", "x"): 1.0}, amp=complex(2.0, -0.0)))
 @given(library_kernels())
 def test_from_json_gives_a_library_built_kernel_back(kernel):
     try:
@@ -225,12 +227,14 @@ def test_from_json_gives_a_library_built_kernel_back(kernel):
     except ValueError:  # a non-finite entry has no JSON
         return
     want, got = json.loads(text), json.loads(oscgauss.OscKernel.from_json(text).to_json())
-    # amp is stored as modulus and phase, so rebuilding it through exp may move its last bit,
-    # and a modulus that rounds to 0 keeps no phase
+    # amp is stored as modulus and phase: rebuilding it may move the last bit of either, but
+    # the sign of a zero phase survives, and a modulus that rounds to 0 keeps no phase
     want_amp, got_amp = want.pop("amp"), got.pop("amp")
     assert repr(got) == repr(want)
     assert math.isclose(got_amp["modulus"], want_amp["modulus"], rel_tol=1e-15)
-    assert math.isclose(got_amp["phase"], want_amp["phase"], abs_tol=2e-15) or not want_amp["modulus"]
+    if want_amp["modulus"]:
+        assert math.isclose(got_amp["phase"], want_amp["phase"], abs_tol=2e-15)
+        assert math.copysign(1.0, got_amp["phase"]) == math.copysign(1.0, want_amp["phase"])
 
 
 # -- the builders' direct feed -----------------------------------------------------

@@ -270,6 +270,18 @@ def test_time_path_validation():
         qp.path_kernel(qp.TimePath(()), None)
 
 
+def test_every_direction_taking_builder_refuses_an_unknown_direction(d321):
+    builds = (
+        lambda: qp.invariant_kernel_residual(3, d321, "hatt"),
+        lambda: qp.n_step_kernel(3, d321, "hatt"),
+        lambda: qp.one_step_kernel("hatt", d321),
+        lambda: qp.momentum_factorized_kernel(d321, "hatt"),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match="unknown direction 'hatt'"):
+            build()
+
+
 def test_path_kernel_refuses_colliding_labels(d321):
     path = qp.TimePath(("+hat", "+bar", "+hat"))
     assert qp.path_kernel(path, d321, labels=("ya", "yb")).vars == ("ya", "yb")

@@ -358,13 +358,13 @@ def _reduction_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residu
         res.add("mom", abs(reduction.momentum_hat(z[0], xh, d) - reduction.momentum_bar(z[0], xb, d)))
         orb = reduction.orbit(S, z, 100)
         for x, coeff in ((orb[:, 0], d.b), (reduction.orbit(T, z, 100)[:, 0], d.a)):
-            vals = [reduction.invariant_eval(x[k], x[k + 1], coeff) for k in range(100)]
-            res.add("orbit", *(abs(v - vals[0]) for v in vals))
+            vals = reduction.invariant_eval(x[:-1], x[1:], coeff)
+            res.add("orbit", abs(vals - vals[0]))
         const = reduction.match_invariant_constant([(orb[0, 0], orb[1, 0])], d)
-        for k in (7, 23, 61):
-            lhs = reduction.invariant_eval(orb[k, 0], orb[k + 1, 0], d.b)
-            X = reduction.momentum_hat(orb[k, 0], orb[k + 1, 0], d)
-            res.add("common", abs(lhs - const * reduction.invariant_common(orb[k, 0], X, d.P)))
+        x, xh = orb[[7, 23, 61], 0], orb[[8, 24, 62], 0]
+        X = reduction.momentum_hat(x, xh, d)
+        lhs = reduction.invariant_eval(x, xh, d.b)
+        res.add("common", abs(lhs - const * reduction.invariant_common(x, X, d.P)))
         res.add("box", reduction.oneform_closure_residual(z, d))
         co = reduction.closure_coeffs(d)
         res.add("box_perturbed", reduction.oneform_closure_residual(z, d, replace(co, a0=co.a0 + 1e-2)))
@@ -400,12 +400,11 @@ def _p3_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals) ->
         i0 = p3.p3_invariants(z, d.s)
         orb_h = reduction.orbit(H, z, 100)
         orb_b = reduction.orbit(B, z, 100)
-        for zz in (orb_h[-1], orb_b[-1]):
-            ii = p3.p3_invariants(zz, d.s)
-            res.add("orbit", abs(ii[0] - i0[0]), abs(ii[1] - i0[1]))
-        for k in range(1, 99):
-            hat = p3.p3_hat_equation_residual(*orb_h[k - 1:k + 2, :2], d.s)
-            res.add("eqn", hat, p3.p3_bar_equation_residual(*orb_b[k - 1:k + 2, :2], d.t, d.tprime))
+        i1, i2 = p3.p3_invariants(np.column_stack((orb_h[-1], orb_b[-1])), d.s)
+        res.add("orbit", abs(i1 - i0[0]), abs(i2 - i0[1]))
+        # the equations at steps 1..98, each column of a slice one step of the orbit
+        hat = p3.p3_hat_equation_residual(*(orb_h[k:k + 98].T for k in range(3)), d.s)
+        res.add("eqn", hat, p3.p3_bar_equation_residual(*(orb_b[k:k + 98].T for k in range(3)), d.t, d.tprime))
         amps = tuple(rng.normal(size=4))
         try:
             joint = p3.p3_joint_solution_residual(d, amps)

@@ -118,7 +118,7 @@ def p3_invariants(state, s: float) -> tuple[float, float]:
     i1 = x1 * X1 - 2.0 * x1 * X2 + 2.0 * x2 * X1 - x2 * X2
     k = 1.0 - 0.75 * s * s
     i2 = k * (x1 * x1 + x1 * x2 + x2 * x2) + X1 * X1 - X1 * X2 + X2 * X2
-    return float(i1), float(i2)
+    return i1, i2
 
 
 # -- Quadratic observables and the canonical bracket --------------------------
@@ -181,7 +181,7 @@ def p3_hat_equation_residual(prev, cur, nxt, s: float) -> float:
     """Max residual of the two primary-direction second-order equations."""
     r1 = nxt[0] + nxt[1] + prev[0] + s * (2 * cur[0] + cur[1])
     r2 = nxt[1] + prev[0] + prev[1] + s * (cur[0] + 2 * cur[1])
-    return float(np.maximum(abs(r1), abs(r2)))
+    return np.maximum(abs(r1), abs(r2))
 
 
 def p3_bar_equation_residual(prev, cur, nxt, t: float, tprime: float) -> float:
@@ -190,7 +190,7 @@ def p3_bar_equation_residual(prev, cur, nxt, t: float, tprime: float) -> float:
     T = t + tprime
     r1 = (1 + tt) * (nxt[0] + prev[0]) + nxt[1] + tt * prev[1] + T * (2 * cur[0] + cur[1])
     r2 = (1 + tt) * (nxt[1] + prev[1]) + tt * nxt[0] + prev[0] + T * (cur[0] + 2 * cur[1])
-    return float(np.maximum(abs(r1), abs(r2)))
+    return np.maximum(abs(r1), abs(r2))
 
 
 # -- Joint solution ------------------------------------------------------------
@@ -277,16 +277,13 @@ def p3_joint_solution_residual(
     """Max residual of all four second-order equations on the 5-by-5 grid
     0 <= m, n < 5 of the joint solution."""
     modes = p3_joint_modes(derived)
-
-    def x(m, n):
-        return p3_joint_solution(m, n, amplitudes, modes, nu_shift)
-
-    residuals = []
-    for m in range(5):
-        for n in range(5):
-            residuals.append(p3_hat_equation_residual(x(m - 1, n), x(m, n), x(m + 1, n), derived.s))
-            residuals.append(p3_bar_equation_residual(x(m, n - 1), x(m, n), x(m, n + 1), derived.t, derived.tprime))
-    return float(np.max(residuals, initial=0.0))
+    grid = range(-1, 6)
+    x = np.array([[p3_joint_solution(m, n, amplitudes, modes, nu_shift) for n in grid] for m in grid])
+    x = x.transpose(2, 0, 1)  # x[:, m + 1, n + 1] is (x1, x2) at grid point (m, n)
+    cur = x[:, 1:6, 1:6]
+    hat = p3_hat_equation_residual(x[:, :5, 1:6], cur, x[:, 2:, 1:6], derived.s)
+    bar = p3_bar_equation_residual(x[:, 1:6, :5], cur, x[:, 1:6, 2:], derived.t, derived.tprime)
+    return float(np.max((hat, bar), initial=0.0))
 
 
 def cos_mu_closed_form(s: float) -> tuple[float, float]:

@@ -187,18 +187,14 @@ def solution_residuals(derived: "DerivedParams", c1: float, c2: float) -> dict[s
     """
     mu, nu = derived.require_elliptic()
     mu, nu = math.copysign(mu, derived.q), math.copysign(nu, derived.r)
-
-    def x(m, n):
-        return explicit_solution(m, n, c1, c2, mu, nu)
-
-    found: dict[str, list[float]] = {"hat": [], "bar": [], "corner1": [], "corner2": []}
-    for m in range(5):
-        for n in range(5):
-            found["hat"].append(abs(x(m + 1, n) + 2 * derived.b * x(m, n) + x(m - 1, n)))
-            found["bar"].append(abs(x(m, n + 1) + 2 * derived.a * x(m, n) + x(m, n - 1)))
-            r1, r2 = corner_residuals(x(m, n), x(m + 1, n), x(m, n + 1), x(m + 1, n + 1), derived)
-            found["corner1"].append(r1)
-            found["corner2"].append(r2)
+    grid = range(-1, 6)
+    x = np.array([[explicit_solution(m, n, c1, c2, mu, nu) for n in grid] for m in grid])
+    cur = x[1:6, 1:6]  # x[m + 1, n + 1] is x at grid point (m, n)
+    found = {
+        "hat": abs(x[2:, 1:6] + 2 * derived.b * cur + x[:5, 1:6]),
+        "bar": abs(x[1:6, 2:] + 2 * derived.a * cur + x[1:6, :5]),
+    }
+    found["corner1"], found["corner2"] = corner_residuals(cur, x[2:, 1:6], x[1:6, 2:], x[2:, 2:], derived)
     # numpy's max keeps a NaN that a running Python max would drop
     return {key: float(np.max(values, initial=0.0)) for key, values in found.items()}
 
@@ -212,12 +208,13 @@ def hyperbolic_solution(m: int, A: float, B: float, b: float) -> float:
 
 
 def hyperbolic_recurrence_residual(A: float, B: float, b: float, m_range: range) -> float:
-    """Max |x_{m+1} + 2 b x_m + x_{m-1}| for the lambda-form solution."""
-
-    def x(m):
-        return hyperbolic_solution(m, A, B, b)
-
-    return float(np.max([abs(x(m + 1) + 2 * b * x(m) + x(m - 1)) for m in m_range], initial=0.0))
+    """Max |x_{m+1} + 2 b x_m + x_{m-1}| over m in m_range for the lambda-form solution."""
+    if not m_range:
+        return 0.0
+    lo = min(m_range) - 1
+    x = np.array([hyperbolic_solution(m, A, B, b) for m in range(lo, max(m_range) + 2)])
+    i = np.array(m_range) - lo  # x[i] is x at m
+    return float(np.max(abs(x[i + 1] + 2 * b * x[i] + x[i - 1])))
 
 
 # -- Continuous interpolating flows ------------------------------------------

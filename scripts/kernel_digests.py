@@ -86,7 +86,7 @@ def cases():
                 name = f"{tag}-momentum-{direction}{'-free' if zero else ''}"
                 yield name, partial(momentum_factorized_kernel, derived, direction, zero_potential=zero)
         for bump, spec in BUMPS.items():
-            table = coeffs if spec is None else coeffs.perturbed(*spec, antisymmetric=False)
+            table = coeffs if spec is None else coeffs.perturbed(*spec)
             for move in "abc":
                 for side, surface in enumerate(elementary_move_surfaces(move), 1):
                     yield f"{tag}-move-{move}{side}-{bump}", partial(surface_kernel, surface, table)

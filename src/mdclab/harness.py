@@ -130,7 +130,11 @@ class SuiteConfig:
         if any(len(row) != 3 for row in self.params):
             raise ConfigError(f"each params row must be a [p, q, r] triple, got {list(self.params)}")
         if not (_is_a(self.hbar, numbers.Real) and math.isfinite(self.hbar) and self.hbar > 0):
-            raise ConfigError(f"hbar must be finite and positive, got {self.hbar}")
+            raise ConfigError(f"hbar must be finite and positive, got {self.hbar!r}")
+        if not (isinstance(self.suites, (tuple, list)) and all(isinstance(name, str) for name in self.suites)):
+            raise ConfigError(f"suites must be a list of suite names, got {self.suites!r}")
+        if not self.suites:
+            raise ConfigError("suites must name at least one suite, got none")
         unknown = set(self.suites) - set(SUITES)
         if unknown:
             raise ConfigError(f"unknown suites: {sorted(unknown)}; pick from {tuple(SUITES)}")
@@ -142,6 +146,10 @@ class SuiteConfig:
         for name, value in sorted(self.tolerances.items()):
             if not (_is_a(value, numbers.Real) and math.isfinite(value) and value >= 0):
                 raise ConfigError(f"tolerance {name} must be a finite number >= 0, got {value!r}")
+        for name in ("range_low", "range_high"):
+            value = getattr(self, name)
+            if not (_is_a(value, numbers.Real) and math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not _guards_satisfiable(self.range_low, self.range_high):
             raise ConfigError(
                 f"no triples in [{self.range_low}, {self.range_high}] clear the degeneracy guards"
@@ -159,7 +167,7 @@ class SuiteConfig:
         try:
             if "params" in data:
                 data["params"] = tuple(tuple(float(x) for x in row) for row in data["params"])
-            if "suites" in data:
+            if isinstance(data.get("suites"), list):
                 data["suites"] = tuple(data["suites"])
             return SuiteConfig(**data)
         except (TypeError, ValueError) as exc:
@@ -402,7 +410,7 @@ def _p3_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals) ->
         orb_b = reduction.orbit(B, z, 100)
         i1, i2 = p3.p3_invariants(np.column_stack((orb_h[-1], orb_b[-1])), d.s)
         res.add("orbit", abs(i1 - i0[0]), abs(i2 - i0[1]))
-        # the equations at steps 1..98, each column of a slice one step of the orbit
+        # the equations at steps 1 to 98: slice k holds the states k to k + 97 as columns
         hat = p3.p3_hat_equation_residual(*(orb_h[k:k + 98].T for k in range(3)), d.s)
         res.add("eqn", hat, p3.p3_bar_equation_residual(*(orb_b[k:k + 98].T for k in range(3)), d.t, d.tprime))
         amps = tuple(rng.normal(size=4))
@@ -426,6 +434,10 @@ def _p3_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals) ->
 
 
 def _prop1d_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals) -> None:
+    def amplitude(diff):
+        """The amplitude error and the (2 pi hbar) and volume power differences."""
+        return diff.amp_ratio_error, abs(diff.pihbar_diff), abs(diff.vol_diff)
+
     points = [d for d in _work_points(config, rng) if not d.hyperbolic]
     for d in points:
         for n in range(2, 21):
@@ -435,13 +447,13 @@ def _prop1d_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals
         for n in (1, 2, 5, 12, 20):
             diff = compare(qprop1d.n_step_kernel(n, d), qprop1d.multi_time_closed_form(n, 0, d))
             res.add("nstep", diff.exponent_diff)
-            res.add("amp", diff.amp_ratio_error)
+            res.add("amp", *amplitude(diff))
         for direction in ("hat", "bar"):
             diff = compare(
                 qprop1d.momentum_factorized_kernel(d, direction),
                 qprop1d.one_step_kernel(direction, d),
             )
-            res.add("ub", diff.exponent_diff, diff.amp_ratio_error)
+            res.add("ub", diff.exponent_diff, *amplitude(diff))
             for n in range(1, 11):
                 res.add("qinv", qprop1d.invariant_kernel_residual(n, d, direction, relative=True))
         swap = compare(
@@ -456,7 +468,7 @@ def _prop1d_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals
         looped = compare(qprop1d.path_kernel(base.with_loop(1), d), qprop1d.path_kernel(base, d))
         for diff in (swap, square, looped):
             res.add("corner", diff.exponent_diff)
-            res.add("amp", diff.amp_ratio_error)
+            res.add("amp", *amplitude(diff))
     # random path sweep at the canonical point
     d = points[0]
     n_paths = max(10, min(config.trials, 50))
@@ -465,7 +477,7 @@ def _prop1d_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals
         for _ in range(n_paths):
             diff = compare(qprop1d.path_kernel(qprop1d.random_path(rng, *endpoint), d), target)
             res.add("path", diff.exponent_diff)
-            res.add("amp", diff.amp_ratio_error)
+            res.add("amp", *amplitude(diff))
     res.check("tridiagonal-recursion", "fluctuation-determinant", "tri", "tridiag_rel")
     # at (3, 2, 1) the n = 2 determinant i (P+Q) cos(mu) / (hbar q) is -8.5j / hbar
     tri2 = qprop1d.tridiagonal_det(2, points[0])
@@ -529,11 +541,11 @@ def _uniqueness2d_suite(config: SuiteConfig, rng: np.random.Generator, res: _Res
         mism = float("inf") if bumped["delta_rejected"] else bumped["exponent_diff"]
         res.add("grid", min(mism, 1.0))
     res.probe("coefficient-grid-scan", "2form-uniqueness", "grid", "uniq2d_perturbed_min", stat=min)
-    sym_c = co.perturbed("c", (1, 2), 1e-2, antisymmetric=False).perturbed("c", (2, 1), 1e-2, antisymmetric=False)
+    sym_c = co.perturbed("c", (1, 2), 1e-2).perturbed("c", (2, 1), 1e-2)
     scan = qsurface.uniqueness_scan_2form(sym_c, hbar=config.hbar)
     detuned = scan["delta_rejected"] or scan["exponent_diff"] > config.tol("uniq2d_perturbed_min")
     res.check("c-detune-rejected", "2form-uniqueness", 0.0 if detuned else 1.0, 0.0)
-    asym_c = co.perturbed("c", (1, 2), 1e-2, antisymmetric=False)
+    asym_c = co.perturbed("c", (1, 2), 1e-2)
     scan = qsurface.uniqueness_scan_2form(asym_c, hbar=config.hbar)
     res.check("c-asymmetric-delta", "2form-uniqueness", 0.0 if scan["delta_rejected"] else 1.0, 0.0)
     try:

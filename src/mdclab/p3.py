@@ -28,6 +28,14 @@ The eigenvalues of the primary map are exp(+-i mu_pm) with
 the partner angles nu_pm of the commuting map are extracted from the shared
 eigenvectors (the closed form quoted for them elsewhere does not reproduce
 the map spectrum; see printed_angle_residuals).
+
+The second-order residuals and p3_invariants take floats or same-shape
+arrays for each state component (a state's components run along the first
+axis); on arrays every expression acts elementwise in the scalar order, so
+an array call returns bit for bit the scalar calls' values.  The joint
+solution check evaluates each grid point once.  p3_joint_solution itself
+stays scalar: numpy's array complex product can differ from the scalar one
+in the last bit.
 """
 
 from __future__ import annotations

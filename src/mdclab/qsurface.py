@@ -108,14 +108,11 @@ class LatticeLagrangianCoeffs:
         """e_ij = -(a_ij + b_ij - b_ji)/2, gauge-invariant, antisymmetric like d."""
         return {(i, j): -0.5 * (self.a[(i, j)] + self.b[(i, j)] - self.b[(j, i)]) for i, j in self.b}
 
-    def perturbed(self, table: str, pair: tuple[int, int], eps: float,
-                  antisymmetric: bool | None = None) -> "LatticeLagrangianCoeffs":
+    def perturbed(self, table: str, pair: tuple[int, int], eps: float) -> "LatticeLagrangianCoeffs":
         """One-coefficient perturbation; a and d keep their antisymmetry."""
         tables = {"a": dict(self.a), "b": dict(self.b), "c": dict(self.c), "d": dict(self.d)}
         tables[table][pair] = tables[table][pair] + eps
-        if antisymmetric is None:
-            antisymmetric = table in ("a", "d")
-        if antisymmetric:
+        if table in ("a", "d"):
             i, j = pair
             tables[table][(j, i)] = -tables[table][pair]
         return LatticeLagrangianCoeffs(**tables)

@@ -21,6 +21,13 @@ The roles of the discrete time m and the parameter b can be exchanged: the
 explicit solution x_m(b) = c1 sin(m mu) + c2 cos(m mu) obeys first and second
 order differential equations in b, and together with the a-flow a continuous
 two-parameter compatibility.
+
+The momenta, the corner residuals and both invariants take floats or
+same-shape arrays; on arrays every expression acts elementwise in the scalar
+order, so an array call returns bit for bit the scalar calls' values.  The
+explicit-solution checks evaluate each grid point or step once, with the
+scalar explicit_solution and hyperbolic_solution, and form each residual as
+one array expression.
 """
 
 from __future__ import annotations

@@ -263,11 +263,11 @@ def test_criterion_10_twoform_uniqueness():
     ):
         res = qsurface.uniqueness_scan_2form(co.perturbed(table, pair, 1e-2))
         floors.append(float("inf") if res["delta_rejected"] else res["exponent_diff"])
-    sym = co.perturbed("c", (1, 2), 1e-2, antisymmetric=False)
-    sym = sym.perturbed("c", (2, 1), 1e-2, antisymmetric=False)
+    sym = co.perturbed("c", (1, 2), 1e-2)
+    sym = sym.perturbed("c", (2, 1), 1e-2)
     res_sym = qsurface.uniqueness_scan_2form(sym)
     floors.append(float("inf") if res_sym["delta_rejected"] else res_sym["exponent_diff"])
-    asym = co.perturbed("c", (1, 2), 1e-2, antisymmetric=False)
+    asym = co.perturbed("c", (1, 2), 1e-2)
     ok_delta = qsurface.uniqueness_scan_2form(asym)["delta_rejected"]
     try:
         qsurface.surface_kernel(qsurface.elementary_move_surfaces("a")[1], asym)

@@ -1,4 +1,5 @@
-"""The array call of each sweep check equals its per-point scalar calls, bit for bit."""
+"""The array call of each sweep and orbit check equals its per-point scalar
+calls, bit for bit, and the grid checks evaluate each grid point once."""
 
 from dataclasses import fields, replace
 
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdclab import lattice
+from mdclab import lattice, p3, reduction
 from mdclab.harness import GUARD_GAP, GUARD_SUM, sample_triples
-from mdclab.params import check_sij_identity, check_stt_identity
+from mdclab.params import LatticeParams, bar_matrix, check_sij_identity, check_stt_identity, derive, hat_matrix
 
 param = st.floats(-5.0, 5.0)
 value = st.floats(-10.0, 10.0)
@@ -57,6 +58,56 @@ def test_batch_checks_equal_scalar_checks(points):
             for t, c in zip(triples, scalar_cubes)
         ]
         assert bits(batch) == bits(scalar)
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(3, 40))
+def test_orbit_residuals_equal_per_step_scalar_calls(seed, steps):
+    rng = np.random.default_rng(seed)
+    d = derive(LatticeParams(*sample_triples(rng, 1, 0.5, 3.0)[0]))
+    x = reduction.orbit(hat_matrix(d.s), rng.normal(size=2), steps)[:, 0]
+    xb = reduction.orbit(bar_matrix(d.t, d.tprime), rng.normal(size=2), steps)[:, 0]
+    pairs = list(zip(x[:-1], x[1:], xb[:-1], xb[1:]))
+
+    X = reduction.momentum_hat(x[:-1], x[1:], d)
+    assert bits(X) == bits([reduction.momentum_hat(a, b, d) for a, b, _, _ in pairs])
+    assert bits(reduction.momentum_bar(xb[:-1], xb[1:], d)) == bits(
+        [reduction.momentum_bar(a, b, d) for _, _, a, b in pairs]
+    )
+    assert bits(reduction.invariant_eval(x[:-1], x[1:], d.b)) == bits(
+        [reduction.invariant_eval(a, b, d.b) for a, b, _, _ in pairs]
+    )
+    assert bits(reduction.invariant_common(x[:-1], X, d.P)) == bits(
+        [reduction.invariant_common(a, v, d.P) for a, v in zip(x[:-1], X)]
+    )
+    assert bits(reduction.corner_residuals(x[:-1], x[1:], xb[:-1], xb[1:], d)) == bits(
+        np.transpose([reduction.corner_residuals(*pair, d) for pair in pairs])
+    )
+
+    z = rng.normal(size=4)
+    for orb, residual, constants in (
+        (reduction.orbit(p3.p3_hat_matrix(d.s), z, steps), p3.p3_hat_equation_residual, (d.s,)),
+        (reduction.orbit(p3.p3_bar_matrix(d.t, d.tprime), z, steps), p3.p3_bar_equation_residual, (d.t, d.tprime)),
+    ):
+        assert bits(residual(orb[:-2].T, orb[1:-1].T, orb[2:].T, *constants)) == bits(
+            [residual(*orb[k:k + 3], *constants) for k in range(steps - 1)]
+        )
+        assert bits(p3.p3_invariants(orb.T, d.s)) == bits(np.transpose([p3.p3_invariants(row, d.s) for row in orb]))
+
+
+def test_grid_residuals_evaluate_each_grid_point_once(monkeypatch):
+    d = derive(LatticeParams(3.0, 2.0, 1.0))
+    points = {"explicit_solution": [], "p3_joint_solution": []}
+    for module, name in ((reduction, "explicit_solution"), (p3, "p3_joint_solution")):
+        def counted(m, n, *args, f=getattr(module, name), seen=points[name], **kwargs):
+            seen.append((m, n))
+            return f(m, n, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    reduction.solution_residuals(d, 0.3, -0.7)
+    p3.p3_joint_solution_residual(d, (1.0, 0.2, -0.4, 0.7))
+    grid = [(m, n) for m in range(-1, 6) for n in range(-1, 6)]
+    assert {name: sorted(seen) for name, seen in points.items()} == {name: grid for name in points}
 
 
 def per_draw_triples(rng, count, low, high):

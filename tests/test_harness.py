@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -117,6 +118,20 @@ def test_nan_residual_fails_a_min_probe(monkeypatch):
     assert all(r.passed for r in report.records if r.name != "perturbed-alpha")
 
 
+def test_a_wrong_normalization_power_fails_amplitude_ratios(monkeypatch):
+    closed_form = qprop1d.multi_time_closed_form
+
+    def one_power_off(*args, **kwargs):
+        k = closed_form(*args, **kwargs)
+        return replace(k, pihbar_pow=k.pihbar_pow + 1)
+
+    monkeypatch.setattr(qprop1d, "multi_time_closed_form", one_power_off)
+    report = run(SuiteConfig(seed=7, trials=40, suites=("prop1d",)))
+    rec = next(r for r in report.records if r.name == "amplitude-ratios")
+    assert rec.residual == 1.0
+    assert not rec.passed
+
+
 def test_params_suite_passes_on_a_negative_range():
     report = run(SuiteConfig(range_low=-3, range_high=-0.5, suites=("params",), trials=50))
     assert [r.name for r in report.records if not r.passed] == []
@@ -222,24 +237,33 @@ def test_cli_rejects_bad_tolerance_syntax():
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
+    # (config text, extra arguments, the key the message names or None)
     cases = [
-        ("[1, 2, 3]", []),
-        ('{"seed": 1.5}', []),
-        ('{"tolerances": {"stt": "x"}}', []),
-        ('{"tolerances": ["stt"]}', []),
-        ('{"trials": 1.5}', []),
-        ('{"params": [[1, 2]]}', []),
-        ('{"params": [[3, 2, "x"]]}', []),
-        ("{}", ["--seed", "-1"]),
-        ("{}", ["--tol", "stt=nan"]),
-        ("{}", ["--tol", "stt=-1"]),
-        ("{}", ["--hbar", "inf"]),
+        ("[1, 2, 3]", [], None),
+        ('{"seed": 1.5}', [], "seed"),
+        ('{"tolerances": {"stt": "x"}}', [], "tolerance stt"),
+        ('{"tolerances": ["stt"]}', [], "tolerances"),
+        ('{"trials": 1.5}', [], "trials"),
+        ('{"params": [[1, 2]]}', [], "params"),
+        ('{"params": [[3, 2, "x"]]}', [], None),
+        ('{"suites": []}', [], "suites"),
+        ('{"suites": "params"}', [], "suites"),
+        ('{"suites": [1]}', [], "suites"),
+        ('{"range_low": "x"}', [], "range_low"),
+        ('{"range_high": null}', [], "range_high"),
+        ('{"range_high": Infinity}', [], "range_high"),
+        ('{"hbar": "1"}', [], "hbar must be finite and positive, got '1'"),
+        ("{}", ["--seed", "-1"], "seed"),
+        ("{}", ["--tol", "stt=nan"], "tolerance stt"),
+        ("{}", ["--tol", "stt=-1"], "tolerance stt"),
+        ("{}", ["--hbar", "inf"], "hbar"),
     ]
-    for text, args in cases:
+    for text, args, key in cases:
         bad.write_text(text)
         assert cli.main(["run", "--quiet", "--config", str(bad), *args]) == 2, (text, args)
         err = capsys.readouterr().err.strip()
         assert err.startswith("config error:") and "\n" not in err, err
+        assert key is None or key in err, (key, err)
 
 
 @pytest.mark.parametrize("hbar", [0.5, 2.0])

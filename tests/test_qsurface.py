@@ -203,16 +203,14 @@ def test_uniqueness_scan_perturbation_grid(co321, table, pair):
 
 
 def test_uniqueness_scan_symmetric_c_detune(co321):
-    bumped = co321.perturbed("c", (1, 2), 1e-2, antisymmetric=False).perturbed(
-        "c", (2, 1), 1e-2, antisymmetric=False
-    )
+    bumped = co321.perturbed("c", (1, 2), 1e-2).perturbed("c", (2, 1), 1e-2)
     res = qs.uniqueness_scan_2form(bumped)
     assert not res["critical"]
     assert res["delta_rejected"]
 
 
 def test_asymmetric_c_triggers_the_delta_rejection(co321):
-    bumped = co321.perturbed("c", (1, 2), 1e-2, antisymmetric=False)
+    bumped = co321.perturbed("c", (1, 2), 1e-2)
     res = qs.uniqueness_scan_2form(bumped)
     assert res["delta_rejected"]
     with pytest.raises(DeltaConstraintError):

@@ -21,6 +21,12 @@ their outputs are equal:
     python scripts/kernel_digests.py > after.txt    # on the other
     diff before.txt after.txt
 
+The digests are over the canonical JSON itself, so a change of that form
+moves every digest line once: the sparse `kernel_format` 2 did.  To check
+builder outputs across such a change, digest the old form of each kernel
+instead (tests/test_kernel_json.py renders the dense format 1 with
+`reference_canonical`).
+
 Usage: python scripts/kernel_digests.py
 """
 

@@ -164,9 +164,16 @@ class SuiteConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         data = dict(data)
+        if "params" in data:
+            rows = data["params"]
+            if not isinstance(rows, list):
+                raise ConfigError(f"params must be a list of [p, q, r] rows, got {rows!r}")
+            for row in rows:
+                if not (isinstance(row, list) and len(row) == 3
+                        and all(_is_a(x, numbers.Real) and math.isfinite(x) for x in row)):
+                    raise ConfigError(f"params row {row!r} is not a [p, q, r] triple of finite numbers")
+            data["params"] = tuple(tuple(float(x) for x in row) for row in rows)
         try:
-            if "params" in data:
-                data["params"] = tuple(tuple(float(x) for x in row) for row in data["params"])
             if isinstance(data.get("suites"), list):
                 data["suites"] = tuple(data["suites"])
             return SuiteConfig(**data)
@@ -438,7 +445,9 @@ def _prop1d_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals
         """The amplitude error and the (2 pi hbar) and volume power differences."""
         return diff.amp_ratio_error, abs(diff.pihbar_diff), abs(diff.vol_diff)
 
-    points = [d for d in _work_points(config, rng) if not d.hyperbolic]
+    # the propagators need an elliptic point whose one-step prefactors (P+W)/w are positive
+    points = [d for d in _work_points(config, rng) if not d.hyperbolic
+              and all(plus / w > 0 for plus, _, w in (reduction.direction_constants(d, s) for s in ("hat", "bar")))]
     for d in points:
         for n in range(2, 21):
             rec = qprop1d.tridiagonal_det(n, d)

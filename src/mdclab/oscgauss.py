@@ -162,10 +162,24 @@ class OscKernel:
     # -- canonical form ----------------------------------------------------------
 
     def canonical_dict(self) -> dict:
+        """The canonical form, kernel_format 2: vars sorted, A as the sorted
+        [i, j, x] triples (i <= j, indices into the sorted vars) of every
+        upper-triangle entry whose round(x, 15) is not +0.0, B in vars order."""
         order = np.argsort(np.array(self.vars))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        # the entries that are not +0.0 (a -0.0 or a NaN among them), by sorted rank, upper triangle only;
+        # one that rounds to +0.0 is dropped below
+        ii, jj = np.nonzero(self.A.view(np.int64))
+        ri, rj = rank[ii], rank[jj]
+        upper = ri <= rj
+        ri, rj, x = ri[upper], rj[upper], self.A[ii[upper], jj[upper]]
+        by = np.lexsort((rj, ri))
         return {
+            "kernel_format": 2,
             "vars": [self.vars[i] for i in order],
-            "A": _rounded(self.A[np.ix_(order, order)].reshape(-1)),
+            "A": [[i, j, r] for i, j, v in zip(ri[by].tolist(), rj[by].tolist(), x[by].tolist())
+                  if (r := round(v, 15)) or math.copysign(1.0, r) < 0.0],
             "B": _rounded(self.B[order]),
             "c": round(float(self.c), 15),
             "amp": {
@@ -203,8 +217,25 @@ class OscKernel:
 
     @staticmethod
     def from_json(text: str) -> "OscKernel":
-        data = json.loads(text)
+        """The kernel of a canonical JSON text.  ValueError on what to_json
+        never writes: a NaN or infinite token, a kernel_format other than 2,
+        and an A triple with an index out of range, below the diagonal or
+        repeated."""
+        data = json.loads(text, parse_constant=_refuse_constant)
+        if type(fmt := data.get("kernel_format")) is not int or fmt != 2:
+            raise ValueError(f"kernel_format must be 2, got {fmt!r}")
         n = len(data["vars"])
+        A, seen = np.zeros((n, n)), set()
+        for triple in data["A"]:
+            i, j, x = triple
+            if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
+                raise ValueError(f"A triple {triple} has an index out of range for {n} variables")
+            if i > j:
+                raise ValueError(f"A triple {triple} lies below the diagonal")
+            if (i, j) in seen:
+                raise ValueError(f"A triple {triple} repeats the entry ({i}, {j})")
+            seen.add((i, j))
+            A[i, j] = A[j, i] = x
         amp = cmath.rect(data["amp"]["modulus"], data["amp"]["phase"])
         cons = tuple(
             AffineConstraint(coeffs=tuple((v, cv) for v, cv in item["coeffs"]), const=item["const"])
@@ -212,7 +243,7 @@ class OscKernel:
         )
         return OscKernel(
             vars=tuple(data["vars"]),
-            A=np.array(data["A"], dtype=float).reshape(n, n),
+            A=A,
             B=np.array(data["B"], dtype=float),
             c=data["c"],
             amp=amp,
@@ -221,6 +252,11 @@ class OscKernel:
             constraints=cons,
             hbar=data["hbar"],
         )
+
+
+def _refuse_constant(token: str):
+    """json.loads hook for NaN, Infinity and -Infinity, which to_json never writes."""
+    raise ValueError(f"{token} is not a JSON number")
 
 
 def _distinct(vars) -> tuple[str, ...]:

@@ -245,7 +245,11 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         ('{"tolerances": ["stt"]}', [], "tolerances"),
         ('{"trials": 1.5}', [], "trials"),
         ('{"params": [[1, 2]]}', [], "params"),
-        ('{"params": [[3, 2, "x"]]}', [], None),
+        ('{"params": [[3, 2, "x"]]}', [], "params row [3, 2, 'x']"),
+        ('{"params": [3, 2, 1]}', [], "params row 3 "),
+        ('{"params": [[3, 2, true]]}', [], "params row [3, 2, True]"),
+        ('{"params": [[3, 2, NaN]]}', [], "params row [3, 2, nan]"),
+        ('{"params": {"p": 3}}', [], "params"),
         ('{"suites": []}', [], "suites"),
         ('{"suites": "params"}', [], "suites"),
         ('{"suites": [1]}', [], "suites"),
@@ -264,6 +268,18 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         err = capsys.readouterr().err.strip()
         assert err.startswith("config error:") and "\n" not in err, err
         assert key is None or key in err, (key, err)
+
+
+@pytest.mark.parametrize("point,failed", [
+    ((3, 2, -1), []),
+    ((2.5, 0.7, -1.3), []),
+    # elliptic, but its p3 orbits grow: those two records fail on their own
+    ((3, -1, 2), ["p3-orbit-invariants", "p3-second-order-orbits"]),
+])
+def test_prop1d_skips_a_point_with_a_negative_step_prefactor(point, failed):
+    # (P+Q)/q or (P+R)/r is negative here, so no one-step propagator exists
+    report = run(SuiteConfig(params=(point,)))
+    assert sorted(rec.name for rec in report.failed) == failed
 
 
 @pytest.mark.parametrize("hbar", [0.5, 2.0])
@@ -297,7 +313,7 @@ def test_config_decides_whether_the_sampling_range_can_clear_the_guards(tmp_path
     assert capsys.readouterr().err.startswith("config error:")
 
 
-@pytest.mark.parametrize("triple", [[1, 1, 2], [3, 2, -1], [1e-13, 2, 1]])
+@pytest.mark.parametrize("triple", [[1, 1, 2], [3, 2, 0], [1e-13, 2, 1]])
 def test_cli_rejects_inadmissible_explicit_params(tmp_path, capsys, triple):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"params": [triple], "trials": 10}))

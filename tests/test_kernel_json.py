@@ -62,11 +62,13 @@ def golden_kernels():
             yield f"{tag}-nstep-{n}", qprop1d.n_step_kernel(n, derived)
 
 
-def digest(kernel: oscgauss.OscKernel) -> str:
-    return hashlib.sha256(kernel.to_json().encode("utf-8")).hexdigest()
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-#: sha256 of to_json() for each golden_kernels() case.
+#: sha256 of the dense canonical JSON (kernel_format 1, rendered by
+#: reference_canonical) of each golden_kernels() case: what to_json wrote
+#: before the sparse form, so these pin the builders bit for bit.
 GOLDEN_KERNELS = {
     "p321-flat-4": "6bf023cb45344f5a264bc0d0bc47e0df4c9954aa4c1af8c69007f20c803dfef0",
     "p321-deformed-4": "a8b19d2bc8797c584cc37503cda25becb9080215bbeea6dacfca5663f2f35142",
@@ -123,22 +125,107 @@ GOLDEN_KERNELS = {
 }
 
 
-def test_kernel_json_is_byte_identical_to_golden():
-    digests = {name: digest(kernel) for name, kernel in golden_kernels()}
+#: sha256 of to_json() (the sparse kernel_format 2) for each golden_kernels() case.
+GOLDEN_SPARSE_KERNELS = {
+    "p321-flat-4": "d21928061b354355e4aa19e2b8ea2007bf4fbf968bda6ac10eefe3ca9ce49144",
+    "p321-deformed-4": "1ff120b428d4e3aea14008ef6c76fc7f333c180653bbee94b99cd3dad870378c",
+    "p321-flat-5": "aa196b1907518ffc2ae7d702f9e66615f767150f42318e75a013131e1b8f2d8d",
+    "p321-deformed-5": "e084ce840f202f4d97a21b41d87823f8db02e981964dd4f70031efdd6326babe",
+    "p321-flat-6": "67d1a7615a311ffe1bac4a2effa58f9a9ed1baebfba406cc7e8188a799895506",
+    "p321-deformed-6": "1ca50f95b9715812a180daf4841630a1f908f71aefeb194a3c0f2c0c4c19871c",
+    "p321-flat-7": "cf0c61485a037a41020e4f30119dbbfc4a63570c680985598b59e50ce9dd4504",
+    "p321-deformed-7": "290988dba262d7f92478b3f16cba519a2d6b3bfe439c9e3a05001c0ef97ae48e",
+    "p321-flat-8": "0f41983deea6b6bfd354409b750e38f2127f0b8e81cbf9e7d28e1fbb06a2dca6",
+    "p321-deformed-8": "dca98c598cdf5d280f7f8a92c33ffb4ab04a53d10c94e2c726060addeaa95667",
+    "p321-flat-9": "97afbced05af5a236a07317892f6a49687f4afec6a2fce4ea18a92ce2c9cec36",
+    "p321-deformed-9": "9b5ef07a2f8bcd79c2d5c88995adcaa851b184f669d3f7a340e02b86a0a742fc",
+    "p321-flat-10": "50a84fcb5abef18c1f793ddb9210fe5b65ac3f290065cd5880e353718ac3211b",
+    "p321-deformed-10": "77233827c86d688ac8e64615741d9c0f1c84c131cf95084820220a86d238f9a7",
+    "p321-flat-11": "47fad3fb2f48b5527219b0dc1c2604a0f074413439ed86f04c0c6b7fbc9cf95c",
+    "p321-deformed-11": "6d6210d402900d5d180eb30d61bbef49eb083746144974c6057eb077dd304f02",
+    "p321-flat-12": "c6e106f34acc504126ab1ff4f5f9e64092681b2242902d0428cb31e766b278f3",
+    "p321-deformed-12": "1f617b0524677d400cd47bd6ad13ba49e6e59e63dedb583e7520a377ecdcd26b",
+    "p321-path-60": "24831cf59f75e4ab83218a77e3ba04e92aaf2a12737a89121195f0a53c13499c",
+    "p321-path-120": "51f475325f4bcfdad8e9ce7f100a54af99c38e701d9766648a22080b33dc1477",
+    "p321-path-180": "71ac727b38899df3a54115c62d6a8adc5e51c81b9955b68b834a8f9a904e36d6",
+    "p321-path-240": "973e7cbce055413c1569af72a2737b0522433a4db04a08ca0310925772396729",
+    "p321-path-300": "ca36ff0f96b6bcb259a240f1860640c83ac5bced1760355e04d7327d250120d9",
+    "p321-nstep-1": "b433e25052f0fd4338ef281ecd5afde5f48cca2b3ab1a11d07b7eb723be052c2",
+    "p321-nstep-5": "98e820713ce73d373c39a1be09ba8d666f61034eb7de2cfa8a13fab87f785237",
+    "p321-nstep-20": "4671796149cdbb9165e774cc61705b43271412ebf0d46a1b12a485f542e01eff",
+    "pgen-flat-4": "fa1984d13c4cadd8ebd45af97e7485016bdaccd47a3c22150488ab1e56c3449a",
+    "pgen-deformed-4": "ec8192fe334bd1982bf351deb33d27b27bbe4f6c6a04aa932f9f014b97bd77ca",
+    "pgen-flat-5": "ff43f846bf9b76e5894ef6f91d620b6ca94736141bfa63a931e81eae868bc338",
+    "pgen-deformed-5": "7631c36520c4ea8fcfcd53854b411f2c9fe4b2d073fd71b88ff01f787b680ddd",
+    "pgen-flat-6": "46e7aacf171f6abf2119aafe36819894efebde003d32487b128de13ea66ba2bb",
+    "pgen-deformed-6": "b1e9e4e6cddf55d35423a8a885e64170de31393995b07f6b1a03b76cfb99d100",
+    "pgen-flat-7": "861d7df3e6ed6d33ff90d98b5ab48d40491bd8b1df11d9888796c3463940bf7e",
+    "pgen-deformed-7": "1f2a4ea9dc5407189b0720d8d56a07c480a26a56e420db5523b984245e1aa337",
+    "pgen-flat-8": "a732449014017722d17ac35fc72d58cd271af0d818fa25980bef2571fcb7755b",
+    "pgen-deformed-8": "0784a7de87ca897a0835793cd8e4cf3a6a1d22b1d14a11385a4b39031e23c4b4",
+    "pgen-flat-9": "e1a0424e479f3a2ffd7e6b2137a1d81583196c847944f791d5cb24db05a8083d",
+    "pgen-deformed-9": "5ef375f30741e8d0e4be70d141db423baeb44ece0bac1098dbf4fc8ce4426bc2",
+    "pgen-flat-10": "77a305a44e305c0b82443b00de3bc33ab1fd05780d688106e4cd643da181d700",
+    "pgen-deformed-10": "b4ace917cdd6380b102737466db51cf8e7c92c0e59a11ba296529bbbf042a6ac",
+    "pgen-flat-11": "33fc35f11c1deb6f6e2c1eb17f28cc4c5a86b7effd6abca9d955093d13df18fc",
+    "pgen-deformed-11": "a8c380c70550404499bb349599b19cdd5aafe06a7ed040cd79dda5f03ab37bc7",
+    "pgen-flat-12": "e5469affc814dfd876f064dc290b2900f5c6a93be3c36e56c9672378ff107c65",
+    "pgen-deformed-12": "20fe9e15802b7dcdb1b18be33ba11264e1e9538afd796356ace728f842b72335",
+    "pgen-path-60": "26ef608acecafe9c22fbcbf5598bae7c9eb2794199bbf5d63e5911c028e8c096",
+    "pgen-path-120": "a0a493affaf49d76e92acdde8e72b8b08156252d6cd61209db124194e784d0dc",
+    "pgen-path-180": "78af9d88f0e874d33a4f93e5c87d3645f5f314f3bb4880532f8db57d1b3e5001",
+    "pgen-path-240": "f0d8b3b81d437b3e06bf8f7d40c24c79b9c30735d1a965f328ac47c0e206ae65",
+    "pgen-path-300": "7bd250b7721facba4cb93c2263cea33147b9f021f95aea44e5ef80dec601c3d1",
+    "pgen-nstep-1": "28d1e3701b120bef27bccf29a014fbcf5f2478f16f6241177db3980b1fd27144",
+    "pgen-nstep-5": "5acd2964fd5717d11bab1bef263dafd751922abfd0fb09e7dbd2e247eedc1b46",
+    "pgen-nstep-20": "9fb8b022961cf385b86edda3bc5996732ffef3f1ce6f6cd803add9cd1937bf79",
+}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return list(golden_kernels())
+
+
+def test_kernel_json_is_byte_identical_to_golden(golden):
+    digests = {name: digest(json.dumps(reference_canonical(kernel), sort_keys=True, allow_nan=False))
+               for name, kernel in golden}
     assert digests == GOLDEN_KERNELS
+
+
+def test_sparse_kernel_json_is_byte_identical_to_golden(golden):
+    assert {name: digest(kernel.to_json()) for name, kernel in golden} == GOLDEN_SPARSE_KERNELS
+
+
+def test_big_flat_patch_serialises_in_its_nonzeros():
+    kernel = qsurface.surface_kernel(qsurface.flat_patch(32, 32), qsurface.canonical_lattice_coeffs(3.0, 2.0, 1.0))
+    text = kernel.to_json()
+    assert len(text) < 256 * 1024  # the dense form of its 1089 boundary variables took 5.95 MB
+    assert oscgauss.compare(kernel, oscgauss.OscKernel.from_json(text)).exponent_diff == 0.0
 
 
 # -- the canonical form ------------------------------------------------------------
 
 def reference_canonical(kernel: oscgauss.OscKernel) -> dict:
-    """canonical_dict with every entry of A and B passed through round(float(x), 15)."""
+    """The dense canonical form, kernel_format 1: canonical_dict without the
+    format field, with A row-major over the sorted vars and every entry of A
+    and B passed through round(float(x), 15)."""
     order = np.argsort(np.array(kernel.vars))
     A = kernel.A[np.ix_(order, order)]
+    data = kernel.canonical_dict()
+    del data["kernel_format"]
     return {
-        **kernel.canonical_dict(),
+        **data,
         "A": [round(float(x), 15) for x in A.reshape(-1)],
         "B": [round(float(x), 15) for x in kernel.B[order]],
     }
+
+
+def reference_triples(dense: list[float]) -> list[list]:
+    """[i, j, x] for each upper-triangle entry x of a row-major dense A that is not +0.0."""
+    n = math.isqrt(len(dense))
+    return [[i, j, x] for i in range(n) for j in range(i, n)
+            if (x := dense[i * n + j]) or math.copysign(1.0, x) < 0.0]
 
 
 awkward_floats = st.one_of(
@@ -166,9 +253,11 @@ def symmetric_kernels(draw, values=awkward_floats):
 @given(symmetric_kernels())
 def test_canonical_dict_rounds_like_the_per_entry_reference(kernel):
     got, want = kernel.canonical_dict(), reference_canonical(kernel)
+    want = {**want, "kernel_format": 2, "A": reference_triples(want["A"])}
     # repr tells -0.0 from 0.0, which == does not
     assert repr(got["A"]) == repr(want["A"]) and repr(got["B"]) == repr(want["B"])
-    assert all(type(x) is float for x in got["A"] + got["B"])
+    assert all(type(i) is int and type(j) is int and type(x) is float for i, j, x in got["A"])
+    assert all(type(x) is float for x in got["B"])
     assert kernel.to_json() == json.dumps(want, sort_keys=True, allow_nan=False)
 
 
@@ -192,7 +281,8 @@ def test_canonical_form_keeps_the_sign_of_a_zero():
     A, B = np.array([[-0.0, 1.0], [1.0, 0.0]]), np.array([-0.0, 0.0])
     kernel = oscgauss.OscKernel(vars=("b", "a"), A=A, B=B, c=0.0)
     data = json.loads(kernel.to_json())
-    assert data["A"] == [0.0, 1.0, 1.0, -0.0] and math.copysign(1.0, data["A"][3]) == -1.0
+    # over the sorted vars (a, b): A_ab = 1.0, A_bb = -0.0 listed with its sign, A_aa = +0.0 left out
+    assert data["A"] == [[0, 1, 1.0], [1, 1, -0.0]] and math.copysign(1.0, data["A"][1][2]) == -1.0
     assert math.copysign(1.0, data["B"][1]) == -1.0 and math.copysign(1.0, data["B"][0]) == 1.0
 
 
@@ -226,7 +316,12 @@ def test_from_json_gives_a_library_built_kernel_back(kernel):
         text = kernel.to_json()
     except ValueError:  # a non-finite entry has no JSON
         return
-    want, got = json.loads(text), json.loads(oscgauss.OscKernel.from_json(text).to_json())
+    back = oscgauss.OscKernel.from_json(text)
+    # A comes back as its canonical rounding, bit for bit, signed zeros included
+    perm = [kernel.index(v) for v in back.vars]
+    rounded = np.array([[round(x, 15) for x in row] for row in kernel.A[np.ix_(perm, perm)].tolist()])
+    assert np.array_equal(back.A.view(np.int64), rounded.reshape(back.A.shape).view(np.int64))
+    want, got = json.loads(text), json.loads(back.to_json())
     # amp is stored as modulus and phase: rebuilding it may move the last bit of either, but
     # the sign of a zero phase survives, and a modulus that rounds to 0 keeps no phase
     want_amp, got_amp = want.pop("amp"), got.pop("amp")
@@ -235,6 +330,45 @@ def test_from_json_gives_a_library_built_kernel_back(kernel):
     if want_amp["modulus"]:
         assert math.isclose(got_amp["phase"], want_amp["phase"], abs_tol=2e-15)
         assert math.copysign(1.0, got_amp["phase"]) == math.copysign(1.0, want_amp["phase"])
+
+
+def small_kernel_json(**changes) -> str:
+    """The canonical JSON of a two-variable kernel, with some fields replaced."""
+    kernel = oscgauss.from_terms(("x", "y"), {("x", "x"): 0.5, ("x", "y"): 2.0}, {"y": 1.0})
+    return json.dumps({**kernel.canonical_dict(), **changes})
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_from_json_refuses_a_non_finite_token(token):
+    with pytest.raises(ValueError, match=token):
+        oscgauss.OscKernel.from_json(small_kernel_json().replace('"c": 0.0', f'"c": {token}'))
+
+
+@pytest.mark.parametrize("fmt", [None, 1, "2", 2.0])
+def test_from_json_refuses_another_format(fmt):
+    data = json.loads(small_kernel_json())
+    if fmt is None:
+        del data["kernel_format"]
+    else:
+        data["kernel_format"] = fmt
+    with pytest.raises(ValueError, match="kernel_format"):
+        oscgauss.OscKernel.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("triple", [[0, 2, 1.0], [-1, 0, 1.0], [0, True, 1.0], [0.0, 1, 1.0]])
+def test_from_json_refuses_an_index_out_of_range(triple):
+    with pytest.raises(ValueError, match="out of range"):
+        oscgauss.OscKernel.from_json(small_kernel_json(A=[[0, 0, 1.0], triple]))
+
+
+def test_from_json_refuses_a_triple_below_the_diagonal():
+    with pytest.raises(ValueError, match="below the diagonal"):
+        oscgauss.OscKernel.from_json(small_kernel_json(A=[[0, 0, 1.0], [1, 0, 2.0]]))
+
+
+def test_from_json_refuses_a_repeated_entry():
+    with pytest.raises(ValueError, match=r"repeats the entry \(0, 1\)"):
+        oscgauss.OscKernel.from_json(small_kernel_json(A=[[0, 1, 2.0], [0, 1, 2.0]]))
 
 
 # -- the builders' direct feed -----------------------------------------------------

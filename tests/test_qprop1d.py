@@ -293,7 +293,8 @@ def test_path_kernel_refuses_colliding_labels(d321):
 def test_one_step_kernel_canonical_form_is_stable(d321):
     data = qp.one_step_kernel("hat", d321).canonical_dict()
     assert data["vars"] == ["xa", "xb"]
-    assert data["A"] == pytest.approx([8.5, 12.5, 12.5, 8.5], abs=1e-13)
+    assert [[i, j] for i, j, _ in data["A"]] == [[0, 0], [0, 1], [1, 1]]
+    assert [x for _, _, x in data["A"]] == pytest.approx([8.5, 12.5, 8.5], abs=1e-13)
     assert data["pihbar_pow"] == "-1/2"
     assert data["amp"]["modulus"] == pytest.approx(math.sqrt(12.5), abs=1e-13)
     assert data["amp"]["phase"] == pytest.approx(math.pi / 4, abs=1e-13)

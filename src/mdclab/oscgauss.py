@@ -26,18 +26,19 @@ Pivots inside the band (PIVOT_TOL, 100 PIVOT_TOL) relative to their row are
 refused with NearCaustic rather than silently classified, and so is a pivot
 whose relative size is NaN (a NaN in its row, or an infinite diagonal).
 
-marginalize_all is the one elimination engine; marginalize calls it, glue
-feeds it both kernels' entries without building their product, and
-marginalize_terms feeds it monomials without building a dense kernel, which is
-how the kernel builders (path_kernel, surface_kernel) integrate: each names
-its variables and sums its monomials once, and the engine integrates exactly
-the variables it is given.  It consumes
-constraint-bound variables first, then the largest relative pivot, the first
-in sorted-name order on a tie.  A is held as sparse rows of Python floats and
-a step updates only the pivot's nonzero couplings, at a Python cost in the
-square of the pivot's degree plus a heap update per row it touches,
-bit-identical to dense one-variable-at-a-time elimination for kernels without
-negative zeros.
+There is one elimination engine.  It takes an ordered list of steps
+(part, variables), adds each part's entries (a kernel's, or monomials not
+yet built into one) into its sparse rows, integrates that step's variables,
+then moves to the next part.  marginalize_all(k, vs) is the one-step case
+((k, vs),), glue(k1, k2, shared) the two-step case ((k1, ()), (k2, shared)),
+marginalize_terms and the kernel builders hand it monomials, and
+n_step_kernel hands it its n one-step monomial forms as one chain.  Within a
+step it consumes constraint-bound variables first, then the largest relative
+pivot, the first in sorted-name order on a tie.  An integration updates only
+the pivot's nonzero couplings, at a Python cost in the square of the pivot's
+degree plus a heap update per row it touches, bit-identical to dense
+one-variable-at-a-time elimination, and a chain to the fold of glue calls,
+for kernels without negative zeros.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ from .errors import NearCaustic, VariableMismatch
 PIVOT_TOL = 1e-9
 _NEAR_BAND = 100.0
 _ABS_FLOOR = 1e-13
+#: exp(i sgn(A_vv) pi/4), the Fresnel phase of a Gaussian step
+_FRESNEL_UP = cmath.exp(1j * math.copysign(math.pi / 4.0, 1.0))
+_FRESNEL_DOWN = cmath.exp(1j * math.copysign(math.pi / 4.0, -1.0))
 
 
 @dataclass(frozen=True)
@@ -367,9 +371,9 @@ def marginalize(kernel: OscKernel, var: str) -> OscKernel:
 
 
 def marginalize_all(kernel: OscKernel | _Terms, variables) -> OscKernel:
-    """Integrate a set of variables out, choosing a stable order.  `kernel`
-    may also be the monomial form marginalize_terms hands on, read without
-    building A.
+    """Integrate a set of variables out, choosing a stable order: the
+    engine's one-step case ((kernel, variables),).  `kernel` may also be the
+    monomial form marginalize_terms hands on, read without building A.
 
     Constraint-bound variables are consumed first (they are free), then the
     variable with the largest relative pivot |A_vv| / max(max_w |A_vw|, |B_v|,
@@ -405,40 +409,48 @@ def marginalize_all(kernel: OscKernel | _Terms, variables) -> OscKernel:
     the result is bit-identical to eliminating one variable at a time with
     dense updates, for any kernel without negative zeros (from_terms,
     marginalize_terms and glue make none).
+
+    A step list of several parts, one pass, gives the kernel of the fold
+    that builds an OscKernel after each step and glues the next part onto
+    it, bit for bit.  That round trip only drops exact zeros (np.nonzero)
+    and adds the next part's entries onto 0.0, which changes nothing on
+    kernels without negative zeros.  The running bound `top` may be larger
+    in one pass, since it keeps the scales of earlier steps; it only decides
+    whether the exact max(scale) test runs, so every volume decision is the
+    same.
     """
-    return _eliminate(kernel.vars, (kernel,), variables)
+    return _eliminate(((kernel, variables),))
 
 
-def _eliminate(vars, parts, variables) -> OscKernel:
-    """marginalize_all over the product of `parts` (kernels, or _Terms not
-    yet built), whose variables `vars` lists in order: their entries add as
-    a dense sum over `vars` would, in part order, without building the
-    product kernel."""
-    pending = set(variables)
-    cons = [con for part in parts for con in part.constraints]
-    missing = pending.union(*(con.variables() for con in cons)) - set(vars)
+def _eliminate(steps) -> OscKernel:
+    """The engine: for each (part, variables) of `steps` in turn, add the
+    part's entries (a kernel, or _Terms not yet built) into the running sum
+    over the union of the parts' variables, as a dense sum would, then
+    integrate that step's variables out.  A name of a step or of a delta
+    constraint that no part has, or a name that an earlier step integrated,
+    raises VariableMismatch."""
+    seen, gone = {}, set()
+    for part, variables in steps:
+        seen.update(dict.fromkeys(part.vars))
+        named = set(variables).union(part.vars, *(con.variables() for con in part.constraints))
+        if not gone.isdisjoint(named):
+            raise VariableMismatch(f"variable {min(gone & named)!r} was integrated by an earlier step")
+        gone.update(variables)
+    vars = tuple(seen)
+    missing = gone.union(*(con.variables() for part, _ in steps for con in part.constraints)) - seen.keys()
     if missing:
         raise VariableMismatch(f"no variable {min(missing)!r} in kernel over {vars}")
-    if not pending and len(parts) == 1 and isinstance(parts[0], OscKernel):
-        return parts[0]
+    first = steps[0][0]
+    if len(steps) == 1 and not gone and isinstance(first, OscKernel):
+        return first
     n = len(vars)
     order = sorted(range(n), key=vars.__getitem__)
     names = [vars[i] for i in order]
     at = {v: s for s, v in enumerate(names)}
     rows: list[dict[int, float]] = [{} for _ in range(n)]
     B = [0.0] * n
-    first = parts[0]
-    c, amp, pihbar, vol, halves = first.c, first.amp, first.pihbar_pow, first.vol_pow, 0
-    for m, part in enumerate(parts):
-        if m:
-            c, amp, pihbar, vol = c + part.c, amp * part.amp, pihbar + part.pihbar_pow, vol + part.vol_pow
-        pos = [at[v] for v in part.vars]
-        for i, j, v in part._entries():
-            row, j = rows[pos[i]], pos[j]
-            row[j] = row.get(j, 0.0) + v
-        for i, v in part._linear():
-            B[pos[i]] += v
-    is_pending = [v in pending for v in names]
+    c, amp, vol, halves, cons, stale = first.c, first.amp, first.vol_pow, 0, [], ()
+    is_pending = [False] * n
     # scale: the row scales max(max_w |A_vw|, |B_v|); nans counts the NaN ones, top bounds every one ever set
     scale, nans, top = [0.0] * n, 0, 0.0
     # the pending pivot ratios as a lazy-deletion heap, in np.argmax's order: the first NaN, else the largest
@@ -461,110 +473,131 @@ def _eliminate(vars, parts, variables) -> OscKernel:
             ver[i] += 1
             heapq.heappush(heap, (1, -r, i, ver[i]) if r == r else (0, 0.0, i, ver[i]))
 
-    for i in range(n):
-        refresh(i)
-    left, sub = len(pending), None  # sub: (constraint index, position) handed on by a delta step
-    while left or sub:
-        if sub is None:
-            bound = [k for k in {at[v] for con in cons for v, cv in con.coeffs if abs(cv) > 0.0} if is_pending[k]]
-            if bound:
-                k = min(bound)
-                sub = (next(m for m, con in enumerate(cons) if abs(con.coefficient(names[k])) > 0.0), k)
-        if sub:
-            k = sub[1]
-        else:
-            finite, _, k, stamp = heapq.heappop(heap)
-            while not is_pending[k] or stamp != ver[k]:
-                finite, _, k, stamp = heapq.heappop(heap)
-        row_k, akk, bk = rows[k], rows[k].get(k, 0.0), B[k]
-        near = [i for i, v in row_k.items() if v and i != k]
-        if sub:
-            # var = -(sum_{w != var} coeff_w * w + const)/cv over the remaining variables
-            con, var = cons.pop(sub[0]), names[k]
-            cv = con.coefficient(var)
-            s = {at[w]: -cw / cv for w, cw in con.coeffs if w != var}
-            sub, sub_const = None, -con.const / cv
-            near = list(s.keys() | set(near))
-            for p, i in enumerate(near):
-                si, ai = s.get(i, 0.0), row_k.get(i, 0.0)
-                for j in near[p:]:
-                    sj, aj, aij = s.get(j, 0.0), row_k.get(j, 0.0), rows[i].get(j, 0.0)
-                    # X = A + s a^T + a s^T + akk s s^T, written as 0.5 (X + X^T)
-                    x_ij = aij + si * aj + ai * sj + akk * (si * sj)
-                    x_ji = aij + sj * ai + aj * si + akk * (sj * si)
-                    rows[i][j] = rows[j][i] = 0.5 * (x_ij + x_ji)
-                B[i] = B[i] + bk * si + sub_const * (ai + akk * si)
-            c = c + bk * sub_const + 0.5 * akk * sub_const * sub_const
-            amp = amp / abs(cv)
-            for j, other in enumerate(cons):
-                ocv = other.coefficient(var)
-                if ocv == 0.0:
-                    continue
-                coeffs = {w: cw for w, cw in other.coeffs if w != var}
-                for w, cw in con.coeffs:
-                    if w != var:
-                        coeffs[w] = coeffs.get(w, 0.0) - ocv * cw / cv
-                items = tuple((w, cw) for w, cw in coeffs.items() if cw != 0.0)
-                cons[j] = AffineConstraint(items, other.const - ocv * con.const / cv) if items else None
-            cons = [other for other in cons if other is not None]
-        elif not finite:
-            # a NaN relative pivot (a NaN in the row, or an infinite diagonal): no case can be told
-            raise NearCaustic(f"pivot for {names[k]!r} is not finite")
-        else:
-            # row_scale <= _ABS_FLOOR * max(max(scale), 1), false on a NaN scale unless the row vanished exactly;
-            # max(scale) only when top may pass
-            row_scale = scale[k]
-            if row_scale == 0.0 or not nans and (row_scale <= _ABS_FLOOR or row_scale <= _ABS_FLOOR * top
-                                                 and row_scale <= _ABS_FLOOR * max(max(scale), 1.0)):
-                # variable absent from the exponent: a pure volume factor
-                vol += 1
-            elif (rel := abs(akk) / row_scale) >= _NEAR_BAND * PIVOT_TOL:
-                # Gaussian: Schur complement plus Fresnel prefactor
-                for p, i in enumerate(near):
-                    ri, row_i = row_k[i], rows[i]
-                    for j in near[p:]:
-                        row_i[j] = rows[j][i] = row_i.get(j, 0.0) - ri * row_k[j] / akk
-                    B[i] = B[i] - (bk / akk) * ri
-                c = c - bk * bk / (2.0 * akk)
-                amp = amp * cmath.exp(1j * math.copysign(math.pi / 4.0, akk)) / math.sqrt(abs(akk))
-                halves += 1
-            elif rel > PIVOT_TOL:
-                raise NearCaustic(f"pivot for {names[k]!r} sits at relative size {rel:.3e}; refusing to classify")
+    for step, (part, variables) in enumerate(steps):
+        if step:
+            c, amp, vol = c + part.c, amp * part.amp, vol + part.vol_pow
+        cons += part.constraints
+        pos = [at[v] for v in part.vars]
+        for i, j, v in part._entries():
+            row, j = rows[pos[i]], pos[j]
+            row[j] = row.get(j, 0.0) + v
+        for i, v in part._linear():
+            B[pos[i]] += v
+        pending = {at[v] for v in variables}
+        for i in pending:
+            is_pending[i] = True
+        # stale: the rows the last elimination wrote; every other row's cache is current
+        for i in pending.union(pos, stale):
+            refresh(i)
+        left, sub = len(pending), None  # sub: (constraint index, position) handed on by a delta step
+        while left or sub:
+            if sub is None and cons:
+                bound = [k for k in {at[v] for con in cons for v, cv in con.coeffs if abs(cv) > 0.0} if is_pending[k]]
+                if bound:
+                    k = min(bound)
+                    sub = (next(m for m, con in enumerate(cons) if abs(con.coefficient(names[k])) > 0.0), k)
+            if sub:
+                k = sub[1]
             else:
-                # delta: exponent is (coupling . u + B_v) * v up to negligible curvature
-                tied = sorted((i for i in near if abs(row_k[i]) > _ABS_FLOOR * row_scale), key=order.__getitem__)
-                if not tied:
-                    # delta of a nonzero constant: the kernel vanishes identically
-                    raise NearCaustic(f"integrating {names[k]!r} leaves delta({bk!r}): the kernel is null")
-                con = AffineConstraint(coeffs=tuple((names[i], row_k[i]) for i in tied), const=bk)
-                cons.append(con)
-                halves += 2
-                candidates = [i for i in tied if is_pending[i]]
-                if candidates:
-                    sub = (len(cons) - 1, max(candidates, key=lambda i: abs(row_k[i])))
-        # drop k; only the rows the step wrote need a fresh cache, and only for a later pivot choice
-        nans -= scale[k] != scale[k]
-        rows[k], B[k], scale[k] = {}, 0.0, 0.0
-        for i in row_k:
-            rows[i].pop(k, None)
-        left -= is_pending[k]
-        is_pending[k] = False
-        if left:
-            for i in near:
-                refresh(i)
-    live = [at[v] for v in vars if v not in pending]
+                finite, _, k, stamp = heapq.heappop(heap)
+                while not is_pending[k] or stamp != ver[k]:
+                    finite, _, k, stamp = heapq.heappop(heap)
+            row_k, akk, bk = rows[k], rows[k].get(k, 0.0), B[k]
+            near = [i for i, v in row_k.items() if v and i != k]
+            if sub:
+                # var = -(sum_{w != var} coeff_w * w + const)/cv over the remaining variables
+                con, var = cons.pop(sub[0]), names[k]
+                cv = con.coefficient(var)
+                s = {at[w]: -cw / cv for w, cw in con.coeffs if w != var}
+                sub, sub_const = None, -con.const / cv
+                near = list(s.keys() | set(near))
+                for p, i in enumerate(near):
+                    si, ai = s.get(i, 0.0), row_k.get(i, 0.0)
+                    for j in near[p:]:
+                        sj, aj, aij = s.get(j, 0.0), row_k.get(j, 0.0), rows[i].get(j, 0.0)
+                        # X = A + s a^T + a s^T + akk s s^T, written as 0.5 (X + X^T)
+                        x_ij = aij + si * aj + ai * sj + akk * (si * sj)
+                        x_ji = aij + sj * ai + aj * si + akk * (sj * si)
+                        rows[i][j] = rows[j][i] = 0.5 * (x_ij + x_ji)
+                    B[i] = B[i] + bk * si + sub_const * (ai + akk * si)
+                c = c + bk * sub_const + 0.5 * akk * sub_const * sub_const
+                amp = amp / abs(cv)
+                for j, other in enumerate(cons):
+                    ocv = other.coefficient(var)
+                    if ocv == 0.0:
+                        continue
+                    coeffs = {w: cw for w, cw in other.coeffs if w != var}
+                    for w, cw in con.coeffs:
+                        if w != var:
+                            coeffs[w] = coeffs.get(w, 0.0) - ocv * cw / cv
+                    items = tuple((w, cw) for w, cw in coeffs.items() if cw != 0.0)
+                    cons[j] = AffineConstraint(items, other.const - ocv * con.const / cv) if items else None
+                cons = [other for other in cons if other is not None]
+            elif not finite:
+                # a NaN relative pivot (a NaN in the row, or an infinite diagonal): no case can be told
+                raise NearCaustic(f"pivot for {names[k]!r} is not finite")
+            else:
+                # row_scale <= _ABS_FLOOR * max(max(scale), 1), false on a NaN scale unless the row vanished exactly;
+                # max(scale) only when top may pass
+                row_scale = scale[k]
+                if row_scale == 0.0 or not nans and (row_scale <= _ABS_FLOOR or row_scale <= _ABS_FLOOR * top
+                                                     and row_scale <= _ABS_FLOOR * max(max(scale), 1.0)):
+                    # variable absent from the exponent: a pure volume factor
+                    vol += 1
+                elif (rel := abs(akk) / row_scale) >= _NEAR_BAND * PIVOT_TOL:
+                    # Gaussian: Schur complement plus Fresnel prefactor
+                    for p, i in enumerate(near):
+                        ri, row_i = row_k[i], rows[i]
+                        for j in near[p:]:
+                            row_i[j] = rows[j][i] = row_i.get(j, 0.0) - ri * row_k[j] / akk
+                        B[i] = B[i] - (bk / akk) * ri
+                    c = c - bk * bk / (2.0 * akk)
+                    amp = amp * (_FRESNEL_UP if akk > 0.0 else _FRESNEL_DOWN) / math.sqrt(abs(akk))
+                    halves += 1
+                elif rel > PIVOT_TOL:
+                    raise NearCaustic(f"pivot for {names[k]!r} sits at relative size {rel:.3e}; refusing to classify")
+                else:
+                    # delta: exponent is (coupling . u + B_v) * v up to negligible curvature
+                    tied = sorted((i for i in near if abs(row_k[i]) > _ABS_FLOOR * row_scale), key=order.__getitem__)
+                    if not tied:
+                        # delta of a nonzero constant: the kernel vanishes identically
+                        raise NearCaustic(f"integrating {names[k]!r} leaves delta({bk!r}): the kernel is null")
+                    con = AffineConstraint(coeffs=tuple((names[i], row_k[i]) for i in tied), const=bk)
+                    cons.append(con)
+                    halves += 2
+                    candidates = [i for i in tied if is_pending[i]]
+                    if candidates:
+                        sub = (len(cons) - 1, max(candidates, key=lambda i: abs(row_k[i])))
+            # drop k; only the rows it wrote need a fresh cache, now if the step goes on, else when the next starts
+            nans -= scale[k] != scale[k]
+            rows[k], B[k], scale[k] = {}, 0.0, 0.0
+            for i in row_k:
+                rows[i].pop(k, None)
+            left -= is_pending[k]
+            is_pending[k] = False
+            if left:
+                for i in near:
+                    refresh(i)
+            else:
+                stale = near
+    # the parts' powers of 2 pi hbar over their common denominator: one Fraction, not one addition per part
+    den = math.lcm(2, *(part.pihbar_pow.denominator for part, _ in steps))
+    pihbar = Fraction(sum(part.pihbar_pow.numerator * (den // part.pihbar_pow.denominator) for part, _ in steps)
+                      + halves * (den // 2), den)
+    live = [at[v] for v in vars if v not in gone]
     out, m = {i: p for p, i in enumerate(live)}, len(live)
     A = np.zeros(m * m)
     A[[p * m + out[j] for p, i in enumerate(live) for j in rows[i]]] = [v for i in live for v in rows[i].values()]
     return OscKernel._built(tuple(names[i] for i in live), A.reshape(m, m), np.array([B[i] for i in live]),
-                            c, amp, pihbar + Fraction(halves, 2), vol, tuple(cons), first.hbar)
+                            c, amp, pihbar, vol, tuple(cons), first.hbar)
 
 
 def glue(k1: OscKernel, k2: OscKernel, shared) -> OscKernel:
-    """Multiply two kernels and integrate over the shared variables.
+    """Multiply two kernels and integrate over the shared variables: the
+    engine's two-step case ((k1, ()), (k2, shared)).
 
-    Exponents add over the variable union; with an empty shared set this is
-    the plain product kernel.
+    Exponents add over the variable union, k1's variables first; with an
+    empty shared set this is the plain product kernel.
     """
     shared = tuple(shared)
     for v in shared:
@@ -572,8 +605,7 @@ def glue(k1: OscKernel, k2: OscKernel, shared) -> OscKernel:
         k2.index(v)
     if k1.hbar != k2.hbar:
         raise VariableMismatch("kernels carry different hbar")
-    union = tuple(k1.vars) + tuple(v for v in k2.vars if v not in k1.vars)
-    return _eliminate(union, (k1, k2), shared)
+    return _eliminate(((k1, ()), (k2, shared)))
 
 
 @dataclass(frozen=True)
@@ -592,6 +624,7 @@ class KernelDiff:
 
 def compare(k1: OscKernel, k2: OscKernel) -> KernelDiff:
     """Align variable order and report exponent and amplitude differences.
+    k2 is re-indexed only when its variables come in another order.
 
     `exponent_diff` is the max-norm difference over (A, B, c) and the
     normalized delta constraints, coefficients and constants; a non-finite
@@ -604,16 +637,22 @@ def compare(k1: OscKernel, k2: OscKernel) -> KernelDiff:
         raise VariableMismatch("kernels carry different numbers of delta constraints")
     if k1.hbar != k2.hbar:
         raise VariableMismatch("kernels carry different hbar")
-    perm = [k2.index(v) for v in k1.vars]
-    diffs = [np.abs(k1.A - k2.A[np.ix_(perm, perm)]).ravel(), np.abs(k1.B - k2.B[perm]), [abs(k1.c - k2.c)]]
+    if k1.vars == k2.vars:
+        A2, B2 = k2.A, k2.B
+    else:
+        perm = [k2.index(v) for v in k1.vars]
+        A2, B2 = k2.A[np.ix_(perm, perm)], k2.B[perm]
+    diffs = [np.abs(k1.A - A2).ravel(), np.abs(k1.B - B2), [abs(k1.c - k2.c)]]
 
     def normalized(k: OscKernel) -> list[AffineConstraint]:
         return sorted((con.normalized() for con in k.constraints), key=lambda con: (con.coeffs, con.const))
 
-    for con1, con2 in zip(normalized(k1), normalized(k2)):
-        if con1.variables() != con2.variables():
-            raise VariableMismatch("delta constraints tie different variables")
-        diffs.append([abs(a - b) for (_, a), (_, b) in zip(con1.coeffs, con2.coeffs)] + [abs(con1.const - con2.const)])
+    if k1.constraints:
+        for con1, con2 in zip(normalized(k1), normalized(k2)):
+            if con1.variables() != con2.variables():
+                raise VariableMismatch("delta constraints tie different variables")
+            diffs.append([abs(a - b) for (_, a), (_, b) in zip(con1.coeffs, con2.coeffs)]
+                         + [abs(con1.const - con2.const)])
     exponent_diff = float(np.max(np.concatenate(diffs)))
     amp_ratio = k1.amp / k2.amp if k2.amp != 0 else complex("inf")
     return KernelDiff(

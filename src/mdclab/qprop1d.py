@@ -40,7 +40,7 @@ from .errors import (
     OutOfRegime,
     VariableMismatch,
 )
-from .oscgauss import OscKernel, compare, from_terms, glue, marginalize_terms
+from .oscgauss import OscKernel, _eliminate, _Terms, compare, from_terms, marginalize_terms
 from .reduction import OscillatorCoeffs, closure_coeffs, direction_constants
 
 if TYPE_CHECKING:
@@ -61,22 +61,24 @@ def _step_amp(derived: "DerivedParams", direction: str) -> complex:
     return math.sqrt(plus / w) * cmath.exp(1j * math.pi / 4.0)
 
 
+def _one_steps(direction: str, derived: "DerivedParams", names: tuple[str, ...]) -> list[_Terms]:
+    """The monomials of the one-step propagators from names[k] to
+    names[k + 1], in the form from_terms takes."""
+    amp = _step_amp(derived, direction)
+    plus, minus, w = direction_constants(derived, direction)
+    cross, square, pihbar = plus / w, 0.5 * minus / w, Fraction(-1, 2)
+    return [_Terms((x, xh), {(x, xh): cross, (x, x): square, (xh, xh): square}, {}, 0.0, amp, pihbar, derived.hbar)
+            for x, xh in zip(names, names[1:])]
+
+
 def one_step_kernel(
     direction: str,
     derived: "DerivedParams",
     labels: tuple[str, str] = ("xa", "xb"),
 ) -> OscKernel:
     """Exact one-step propagator kernel in the given direction."""
-    amp = _step_amp(derived, direction)
-    plus, minus, w = direction_constants(derived, direction)
-    x, xh = labels
-    return from_terms(
-        vars=labels,
-        quadratic={(x, xh): plus / w, (x, x): 0.5 * minus / w, (xh, xh): 0.5 * minus / w},
-        amp=amp,
-        pihbar_pow=Fraction(-1, 2),
-        hbar=derived.hbar,
-    )
+    (step,) = _one_steps(direction, derived, labels)
+    return from_terms(step.vars, step.quadratic, amp=step.amp, pihbar_pow=step.pihbar_pow, hbar=step.hbar)
 
 
 def momentum_factorized_kernel(
@@ -167,18 +169,18 @@ def multi_time_closed_form(
 def n_step_kernel(n: int, derived: "DerivedParams", direction: str = "hat") -> OscKernel:
     """n one-step kernels glued in sequence, from xa to xb.
 
-    The guard matches the closed form: CausticError iff sin(n * angle) is on
-    a caustic.  Exact intermediate caustics are passed through as delta
-    kernels by the marginalization engine.
+    The engine takes the n one-step monomial forms as one chain, integrating
+    s_k once the (k+1)-th step is added: the kernel the fold of glue calls
+    would build, bit for bit.  The guard matches the closed form:
+    CausticError iff sin(n * angle) is on a caustic.  Exact intermediate
+    caustics are passed through as delta kernels by the engine.
     """
     if n < 1:
         raise ValueError("need at least one step")
     _off_caustic_sin(n * _angle(derived, direction))
     names = ("xa", *(f"s{k}" for k in range(1, n)), "xb")
-    acc = one_step_kernel(direction, derived, names[:2])
-    for k in range(1, n):
-        acc = glue(acc, one_step_kernel(direction, derived, names[k:k + 2]), shared=(names[k],))
-    return acc
+    first, *rest = _one_steps(direction, derived, names)
+    return _eliminate([(first, ()), *((step, step.vars[:1]) for step in rest)])
 
 
 # -- Tridiagonal fluctuation determinant ---------------------------------------

@@ -283,6 +283,22 @@ def test_compare_keeps_a_nan_in_either_order():
     assert math.isnan(og.compare(k2, k1).exponent_diff)
 
 
+def test_compare_keeps_a_nan_in_either_order_across_permuted_variables():
+    quadratic = {("x", "x"): 1.0, ("x", "y"): 0.5, ("y", "y"): 2.0}
+    k1 = og.from_terms(("x", "y"), quadratic | {("x", "y"): float("nan")})
+    k2 = og.from_terms(("y", "x"), quadratic)
+    assert math.isnan(og.compare(k1, k2).exponent_diff)
+    assert math.isnan(og.compare(k2, k1).exponent_diff)
+
+
+def test_compare_refuses_a_constraint_count_mismatch():
+    k1 = og.from_terms(("x", "y"), {("x", "y"): 1.0})
+    k2 = replace(k1, constraints=(og.AffineConstraint((("x", 1.0), ("y", -1.0)), 0.0),))
+    for pair in ((k1, k2), (k2, k1), (k1, replace(k2, vars=("y", "x")))):
+        with pytest.raises(VariableMismatch, match="numbers of delta constraints"):
+            og.compare(*pair)
+
+
 def test_to_json_refuses_a_non_finite_kernel():
     # a NaN kernel can be built (compare needs one), but NaN is not JSON
     k = og.from_terms(("x",), {("x", "x"): 1.0}, const=float("nan"))
@@ -502,6 +518,90 @@ def test_marginalize_all_is_bit_equal_to_folding_marginalize(seed, shape):
     if shape == "band":
         assert want[0] is NearCaustic
     assert got == want
+
+
+def _random_chain(rng):
+    """Engine steps over 2-10 parts of _random_kernel's shapes.  The first
+    part integrates its own variables; each later part shares one or two of
+    its pending variables with variables still open, and integrates each
+    shared one with probability 0.7.  Every other label is fresh."""
+    steps, open_vars = [], []
+    for k in range(int(rng.integers(2, 11))):
+        kernel, pending = _random_kernel(rng, str(rng.choice(SHAPES[:-1])))
+        label = {v: f"p{k}{v}" for v in kernel.vars}
+        if k:
+            common = rng.permutation(pending)[: int(rng.integers(1, 3))].tolist()
+            label.update(zip(common, rng.choice(open_vars, size=len(common), replace=False).tolist()))
+            variables = [label[v] for v in common if rng.random() < 0.7]
+        else:
+            variables = [label[v] for v in pending]
+        cons = tuple(og.AffineConstraint(tuple((label[v], cv) for v, cv in con.coeffs), con.const)
+                     for con in kernel.constraints)
+        kernel = replace(kernel, vars=tuple(map(label.get, kernel.vars)), constraints=cons)
+        open_vars = [v for v in dict.fromkeys(open_vars + list(kernel.vars)) if v not in variables]
+        steps.append((kernel, variables))
+    return steps
+
+
+def _glue_fold(steps):
+    """marginalize_all of the first part, then one glue call per later part."""
+    (first, variables), *rest = steps
+    acc = og.marginalize_all(first, variables)
+    for part, shared in rest:
+        acc = og.glue(acc, part, shared)
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_one_engine_pass_over_a_chain_is_bit_equal_to_the_glue_fold(seed):
+    # the fold rebuilds an OscKernel after every link; the one pass keeps its sparse rows and caches
+    with np.errstate(all="ignore"):
+        steps = _random_chain(np.random.default_rng(seed))
+    assert _outcome(lambda: og._eliminate(steps)) == _outcome(lambda: _glue_fold(steps))
+
+
+def test_the_engine_refuses_a_name_integrated_twice_or_unknown():
+    k1 = og.from_terms(("u", "w"), {("u", "u"): 0.5, ("u", "w"): 1.0, ("w", "w"): 0.25})
+    k2 = og.from_terms(("w", "z"), {("w", "w"): 0.5, ("w", "z"): 1.0})
+    assert og._eliminate(((k1, ("u",)), (k2, ("w",)))).vars == ("z",)
+    for steps in (((k1, ("u",)), (k2, ("u",))), ((k1, ("w",)), (k2, ("z",)))):
+        with pytest.raises(VariableMismatch, match="integrated by an earlier step"):
+            og._eliminate(steps)
+    with pytest.raises(VariableMismatch, match="no variable 'nope'"):
+        og._eliminate(((k1, ()), (k2, ("nope",))))
+
+
+def _compare_by_reindexing(k1, k2):
+    """compare as it was before its aligned case: k2 always re-indexed with
+    np.ix_, and the constraints always normalized."""
+    perm = [k2.index(v) for v in k1.vars]
+    diffs = [np.abs(k1.A - k2.A[np.ix_(perm, perm)]).ravel(), np.abs(k1.B - k2.B[perm]), [abs(k1.c - k2.c)]]
+
+    def normalized(k):
+        return sorted((con.normalized() for con in k.constraints), key=lambda con: (con.coeffs, con.const))
+
+    for con1, con2 in zip(normalized(k1), normalized(k2)):
+        if con1.variables() != con2.variables():
+            raise VariableMismatch("delta constraints tie different variables")
+        diffs.append([abs(a - b) for (_, a), (_, b) in zip(con1.coeffs, con2.coeffs)] + [abs(con1.const - con2.const)])
+    return og.KernelDiff(exponent_diff=float(np.max(np.concatenate(diffs))),
+                         amp_ratio=k1.amp / k2.amp if k2.amp != 0 else complex("inf"),
+                         pihbar_diff=k1.pihbar_pow - k2.pihbar_pow, vol_diff=k1.vol_pow - k2.vol_pow)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(SHAPES[:-1]))
+def test_compare_equals_the_reindexing_route_on_aligned_and_shuffled_variables(seed, shape):
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        k1, _ = _random_kernel(rng, shape)
+        noise = rng.normal(size=k1.A.shape) * 1e-3
+        k2 = replace(k1, A=k1.A + noise + noise.T, B=k1.B + rng.normal(size=k1.B.shape) * 1e-3, amp=1.5j * k1.amp)
+        shuffle = rng.permutation(len(k1.vars))
+        k3 = replace(k2, vars=tuple(k2.vars[i] for i in shuffle), A=k2.A[np.ix_(shuffle, shuffle)], B=k2.B[shuffle])
+        for pair in ((k1, k1), (k1, k2), (k1, k3), (k3, k1)):
+            assert repr(og.compare(*pair)) == repr(_compare_by_reindexing(*pair))
 
 
 def test_a_vanished_row_is_a_volume_factor_while_another_row_scale_is_nan():

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from mdclab import oscgauss as og
 from mdclab import qprop1d as qp
 from mdclab.errors import CausticError, DegenerateCoeffs, OutOfRegime, VariableMismatch
 from mdclab.harness import DEFAULT_TOLERANCES
@@ -194,6 +195,50 @@ def test_caustics_raise_consistently_and_pass_through():
         diff = compare(qp.n_step_kernel(n, d), qp.multi_time_closed_form(n, 0, d))
         assert diff.exponent_diff <= 1e-9
         assert diff.amp_ratio_error <= 1e-10
+
+
+def _glue_fold(n, derived, direction):
+    """n one-step kernels glued in sequence, one glue call per link."""
+    names = ("xa", *(f"s{k}" for k in range(1, n)), "xb")
+    acc = qp.one_step_kernel(direction, derived, names[:2])
+    for k in range(1, n):
+        acc = glue(acc, qp.one_step_kernel(direction, derived, names[k:k + 2]), shared=(names[k],))
+    return acc
+
+
+def _fields(k):
+    return (k.vars, k.A.tobytes(), k.B.tobytes(), repr((k.c, k.amp, k.constraints)), k.pihbar_pow, k.vol_pow, k.hbar)
+
+
+@pytest.mark.parametrize("point", [(3.0, 2.0, 1.0), (2.7, 1.35, 0.55), (2.0, 2.0, 1.0)])
+@pytest.mark.parametrize("direction", ["hat", "bar"])
+def test_n_step_kernel_is_byte_equal_to_a_glue_fold(point, direction):
+    # at (2, 2, 1) mu = 2 pi / 3, so the chain crosses exact intermediate caustics as delta steps
+    d = derive(LatticeParams(*point))
+    for n in range(1, 61):
+        try:
+            got = qp.n_step_kernel(n, d, direction)
+        except CausticError:
+            assert point == (2.0, 2.0, 1.0) and n % 3 == 0
+            continue
+        assert _fields(got) == _fields(_glue_fold(n, d, direction))
+
+
+def test_n_step_kernel_makes_one_engine_call_and_builds_no_dense_step(d321, monkeypatch):
+    engine, calls = og._eliminate, []
+
+    def counted(steps):
+        calls.append(len(steps))
+        return engine(steps)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("n_step_kernel built a dense kernel")
+
+    for module in (og, qp):
+        monkeypatch.setattr(module, "_eliminate", counted)
+        monkeypatch.setattr(module, "from_terms", refused)
+    qp.n_step_kernel(20, d321)
+    assert calls == [20]
 
 
 def test_path_independence_uses_the_closure_coefficients(d321):

@@ -432,9 +432,8 @@ def _eliminate(steps) -> OscKernel:
     seen, gone = {}, set()
     for part, variables in steps:
         seen.update(dict.fromkeys(part.vars))
-        named = set(variables).union(part.vars, *(con.variables() for con in part.constraints))
-        if not gone.isdisjoint(named):
-            raise VariableMismatch(f"variable {min(gone & named)!r} was integrated by an earlier step")
+        if gone and (again := gone & set(variables).union(part.vars, *(con.variables() for con in part.constraints))):
+            raise VariableMismatch(f"variable {min(again)!r} was integrated by an earlier step")
         gone.update(variables)
     vars = tuple(seen)
     missing = gone.union(*(con.variables() for part, _ in steps for con in part.constraints)) - seen.keys()

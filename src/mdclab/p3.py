@@ -67,7 +67,7 @@ def p3_hat_map(state, s: float) -> np.ndarray:
     L1 = x1 (xh1 + xh2) + x2 xh2 + s (Phi(x) + Phi(xh)) / 2.
     """
     x1, x2, X1, X2 = np.asarray(state, dtype=float)
-    g1, g2 = _phi_grad(x1, x2)
+    _, g2 = _phi_grad(x1, x2)
     xh2 = -X2 - 0.5 * s * g2
     xh1 = -X1 + X2 + 0.5 * s * (x2 - x1)
     gh1, gh2 = _phi_grad(xh1, xh2)
@@ -113,12 +113,6 @@ def p3_commutator_residual(derived: "DerivedParams") -> float:
     H = p3_hat_matrix(derived.s)
     B = p3_bar_matrix(derived.t, derived.tprime)
     return float(np.max(np.abs(H @ B - B @ H)))
-
-
-def p3_momenta(x1, x2, xh1, xh2, s) -> tuple[float, float]:
-    """Conjugate momenta X_i = -dL1/dx_i evaluated on a step (x, xh)."""
-    g1, g2 = _phi_grad(x1, x2)
-    return -(xh1 + xh2 + 0.5 * s * g1), -(xh2 + 0.5 * s * g2)
 
 
 def p3_invariants(state, s: float) -> tuple[float, float]:

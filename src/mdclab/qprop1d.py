@@ -38,7 +38,6 @@ from .errors import (
     DegenerateCoeffs,
     NearCaustic,
     OutOfRegime,
-    VariableMismatch,
 )
 from .oscgauss import OscKernel, _eliminate, _Terms, compare, from_terms, marginalize_terms
 from .reduction import OscillatorCoeffs, closure_coeffs, direction_constants
@@ -166,6 +165,11 @@ def multi_time_closed_form(
     return closed_form_kernel(n * mu + m * nu, derived, labels)
 
 
+def _require_steps(n: int) -> None:
+    if n < 1:
+        raise ValueError("need at least one step")
+
+
 def n_step_kernel(n: int, derived: "DerivedParams", direction: str = "hat") -> OscKernel:
     """n one-step kernels glued in sequence, from xa to xb.
 
@@ -175,8 +179,7 @@ def n_step_kernel(n: int, derived: "DerivedParams", direction: str = "hat") -> O
     CausticError iff sin(n * angle) is on a caustic.  Exact intermediate
     caustics are passed through as delta kernels by the engine.
     """
-    if n < 1:
-        raise ValueError("need at least one step")
+    _require_steps(n)
     _off_caustic_sin(n * _angle(derived, direction))
     names = ("xa", *(f"s{k}" for k in range(1, n)), "xb")
     first, *rest = _one_steps(direction, derived, names)
@@ -188,6 +191,7 @@ def n_step_kernel(n: int, derived: "DerivedParams", direction: str = "hat") -> O
 def tridiagonal_det(n: int, derived: "DerivedParams") -> complex:
     """Fluctuation determinant of the (n-1)-point quadratic form, by the
     three-term recursion X_k = a X_{k-1} - b^2 X_{k-2} on the matrix size."""
+    _require_steps(n)
     mu, _ = derived.require_elliptic()
     scale = 1j * (derived.P + derived.Q) / (derived.hbar * derived.q)
     a = scale * math.cos(mu)
@@ -203,6 +207,7 @@ def tridiagonal_det(n: int, derived: "DerivedParams") -> complex:
 
 def tridiagonal_det_closed_form(n: int, derived: "DerivedParams") -> complex:
     """(i (P+Q) / (2 hbar q))^(n-1) * sin(n mu)/sin(mu)."""
+    _require_steps(n)
     mu, _ = derived.require_elliptic()
     base = 1j * (derived.P + derived.Q) / (2.0 * derived.hbar * derived.q)
     return base ** (n - 1) * math.sin(n * mu) / math.sin(mu)
@@ -227,9 +232,11 @@ class TimePath:
         return n, m
 
     @staticmethod
-    def monotone(n: int, m: int, hat_first: bool = True) -> "TimePath":
-        hats, bars = ("+hat",) * n, ("+bar",) * m
-        return TimePath(hats + bars if hat_first else bars + hats)
+    def monotone(n: int, m: int) -> "TimePath":
+        """n hat steps, then m bar steps."""
+        if n < 0 or m < 0:
+            raise ValueError(f"negative step count ({n}, {m})")
+        return TimePath(("+hat",) * n + ("+bar",) * m)
 
     def with_loop(self, position: int) -> "TimePath":
         """Insert a unit four-step loop at a visit position."""
@@ -240,7 +247,7 @@ class TimePath:
 def random_path(rng: np.random.Generator, n: int, m: int) -> TimePath:
     """Random path from (0,0) to (n,m): shuffled forward steps plus two
     cancelling backward/forward pairs, with a unit loop inserted half the time."""
-    steps = ["+hat"] * n + ["+bar"] * m
+    steps = list(TimePath.monotone(n, m).steps)
     for _ in range(2):
         d = STEPS[2 * rng.integers(0, 2)]
         steps += [d, "-" + d[1:]]
@@ -255,22 +262,18 @@ def path_kernel(
     path: TimePath,
     derived: "DerivedParams",
     coeffs: OscillatorCoeffs | None = None,
-    labels: tuple[str, str] = ("xa", "xb"),
 ) -> OscKernel:
     """Propagator along a time path, all interior visits integrated out.
 
     Every visit gets its own variable, revisits included.  With coeffs=None
     the closed-form Lagrangians and the full per-step normalization are used;
     with explicit coefficients the per-step normalization is left at one and
-    only the exponent is meaningful.  Interior visits are named t1, t2, ...;
-    a label that collides with the other or with one of them raises
-    VariableMismatch.
+    only the exponent is meaningful.  The endpoints are named xa and xb, the
+    interior visits t1, t2, ....
     """
     if not path.steps:
         raise ValueError("empty path")
-    names = (labels[0], *(f"t{k}" for k in range(1, len(path.steps))), labels[1])
-    if len(set(names)) != len(names):
-        raise VariableMismatch(f"path labels {labels} collide with each other or with an interior visit")
+    names = ("xa", *(f"t{k}" for k in range(1, len(path.steps))), "xb")
     amp: complex = 1.0 + 0.0j
     if coeffs is None:
         step_amp = {direction: _step_amp(derived, direction) for direction in {step[1:] for step in path.steps}}

@@ -1,4 +1,4 @@
-"""Quantum lattice 2-form: surface actions, propagators, and local moves.
+"""Quantum lattice 2-form: surface propagators and local moves.
 
 A surface is a set of oriented unit plaquettes in Z^3.  A plaquette based at
 vertex v in the (i, j) plane contributes sign * L_ij(u, u_i, u_j) to the
@@ -231,25 +231,6 @@ def surface_from_dict(data: dict) -> Surface:
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise MissingVertex(f"malformed surface description: {exc}") from exc
     return Surface(plaquettes=plaqs, interior=interior, boundary=boundary)
-
-
-def surface_action(
-    surface: Surface,
-    assignment: dict[Vertex, float],
-    coeffs: LatticeLagrangianCoeffs,
-) -> float:
-    """Sum of oriented plaquette Lagrangians at a field assignment."""
-    total = 0.0
-    for plq in surface.plaquettes:
-        sten = plq.stencil()
-        for v in sten:
-            if v not in assignment:
-                raise MissingVertex(f"no field value for vertex {v}")
-        i, j = plq.plane
-        total += plq.sign * coeffs.lagrangian(
-            assignment[sten[0]], assignment[sten[1]], assignment[sten[2]], i, j
-        )
-    return total
 
 
 def surface_kernel(

@@ -25,9 +25,8 @@ two-parameter compatibility.
 The momenta, the corner residuals and both invariants take floats or
 same-shape arrays; on arrays every expression acts elementwise in the scalar
 order, so an array call returns bit for bit the scalar calls' values.  The
-explicit-solution checks evaluate each grid point or step once, with the
-scalar explicit_solution and hyperbolic_solution, and form each residual as
-one array expression.
+explicit-solution check evaluates each grid point once, with the scalar
+explicit_solution, and forms each residual as one array expression.
 """
 
 from __future__ import annotations
@@ -206,24 +205,6 @@ def solution_residuals(derived: "DerivedParams", c1: float, c2: float) -> dict[s
     return {key: float(np.max(values, initial=0.0)) for key, values in found.items()}
 
 
-def hyperbolic_solution(m: int, A: float, B: float, b: float) -> float:
-    """Growing/decaying solution A lam^m + B lam^-m with lam = -b + sqrt(b^2-1)."""
-    if abs(b) <= 1.0:
-        raise OutOfRegime(f"hyperbolic solution needs |b| > 1, got b={b!r}")
-    lam = -b + math.copysign(math.sqrt(b * b - 1.0), -b)
-    return A * lam**m + B * lam ** (-m)
-
-
-def hyperbolic_recurrence_residual(A: float, B: float, b: float, m_range: range) -> float:
-    """Max |x_{m+1} + 2 b x_m + x_{m-1}| over m in m_range for the lambda-form solution."""
-    if not m_range:
-        return 0.0
-    lo = min(m_range) - 1
-    x = np.array([hyperbolic_solution(m, A, B, b) for m in range(lo, max(m_range) + 2)])
-    i = np.array(m_range) - lo  # x[i] is x at m
-    return float(np.max(abs(x[i + 1] + 2 * b * x[i] + x[i - 1])))
-
-
 # -- Continuous interpolating flows ------------------------------------------
 
 def _solution_in_parameter(b: float, m: float, c1: float, c2: float) -> tuple[float, float, float]:
@@ -296,33 +277,6 @@ def continuous_multiform_residual(
     return r1, r2
 
 
-def continuous_multiform_fd_residual(
-    a: float, b: float, m: int, n: int, c1: float, c2: float
-) -> tuple[float, float]:
-    """Same two relations with the parameter derivatives taken by central
-    finite differences of step 1e-5; cross-checks the analytic evaluation."""
-    h = 1e-5
-
-    def xval(aa, bb):
-        return _joint_xa_xb(aa, bb, m, n, c1, c2)[0]
-
-    xa = (xval(a + h, b) - xval(a - h, b)) / (2 * h)
-    xb = (xval(a, b + h) - xval(a, b - h)) / (2 * h)
-    r1 = abs(math.sqrt(1 - a * a) * xa / n - math.sqrt(1 - b * b) * xb / m)
-
-    def mom_b_of_a(aa):
-        thx = xval(aa, b)
-        return -m * thx / math.sqrt(1 - b * b)
-
-    def mom_a_of_b(bb):
-        thx = xval(a, bb)
-        return -n * thx / math.sqrt(1 - a * a)
-
-    dba = (mom_b_of_a(a + h) - mom_b_of_a(a - h)) / (2 * h)
-    dab = (mom_a_of_b(b + h) - mom_a_of_b(b - h)) / (2 * h)
-    return r1, abs(dba - dab)
-
-
 def orbit(matrix: np.ndarray, state, steps: int) -> np.ndarray:
     """Iterated map orbit, rows = successive states."""
     z = np.asarray(state, dtype=float)
@@ -332,12 +286,3 @@ def orbit(matrix: np.ndarray, state, steps: int) -> np.ndarray:
         z = matrix @ z
         out[k + 1] = z
     return out
-
-
-def second_iterate_residual(state, s: float) -> float:
-    """|x_{m+2} + 2 b x_{m+1} + x_m| with b from the map spectrum: the
-    second-order form of the hat map."""
-    S = hat_matrix(s)
-    b = -0.5 * float(np.trace(S))
-    x = orbit(S, state, 2)[:, 0]
-    return abs(x[2] + 2.0 * b * x[1] + x[0])

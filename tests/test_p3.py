@@ -31,7 +31,9 @@ def test_zero_state_is_fixed(d321):
 def test_momenta_definition_is_consistent_with_the_map(d321, rng):
     z = rng.normal(size=4)
     zh = p3.p3_hat_map(z, d321.s)
-    X1, X2 = p3.p3_momenta(z[0], z[1], zh[0], zh[1], d321.s)
+    # X_i = -dL1/dx_i on the step (x, xh), with dPhi = (2 x1 + x2, x1 + 2 x2)
+    X1 = -(zh[0] + zh[1] + 0.5 * d321.s * (2.0 * z[0] + z[1]))
+    X2 = -(zh[1] + 0.5 * d321.s * (z[0] + 2.0 * z[1]))
     assert X1 == pytest.approx(z[2], abs=1e-12)
     assert X2 == pytest.approx(z[3], abs=1e-12)
 

@@ -7,7 +7,7 @@ import pytest
 
 from mdclab import oscgauss as og
 from mdclab import qprop1d as qp
-from mdclab.errors import CausticError, DegenerateCoeffs, OutOfRegime, VariableMismatch
+from mdclab.errors import CausticError, DegenerateCoeffs, OutOfRegime
 from mdclab.harness import DEFAULT_TOLERANCES
 from mdclab.oscgauss import compare, glue
 from mdclab.params import LatticeParams, derive
@@ -104,6 +104,14 @@ def test_tridiagonal_recursion_matches_closed_form(d321):
         assert abs(rec - closed) <= 1e-12 * abs(closed)
 
 
+def test_tridiagonal_determinants_refuse_fewer_than_one_step(d321):
+    # the recursion used to return the n = 2 value here, the closed form 0 or 0.0256
+    for n in (0, -1):
+        for det in (qp.tridiagonal_det, qp.tridiagonal_det_closed_form):
+            with pytest.raises(ValueError, match="at least one step"):
+                det(n, d321)
+
+
 def test_tridiagonal_parity_pattern(d321):
     # the base is purely imaginary, so the determinant alternates between
     # real and imaginary with the matrix size
@@ -153,8 +161,9 @@ def test_forward_backward_pair_is_a_delta(d321):
 
 def test_monotone_and_backtracking_paths_match_multi_time(d321, rng):
     target = qp.multi_time_closed_form(3, 2, d321)
-    for hat_first in (True, False):
-        diff = compare(qp.path_kernel(qp.TimePath.monotone(3, 2, hat_first), d321), target)
+    bars_first = qp.TimePath(("+bar", "+bar", "+hat", "+hat", "+hat"))
+    for path in (qp.TimePath.monotone(3, 2), bars_first):
+        diff = compare(qp.path_kernel(path, d321), target)
         assert diff.exponent_diff <= 1e-9
     two_back = qp.TimePath(("+hat", "-hat", "+hat", "+bar", "-bar", "+hat", "+bar", "+hat", "+bar"))
     assert two_back.displacement() == (3, 2)
@@ -308,11 +317,16 @@ def test_operator_invariant_identity_values(d321):
     assert gamma**2 - alpha**2 == pytest.approx(4.0 * d321.P, abs=1e-11)
 
 
-def test_time_path_validation():
+def test_time_path_validation(rng):
     with pytest.raises(ValueError):
         qp.TimePath(("sideways",))
     with pytest.raises(ValueError):
         qp.path_kernel(qp.TimePath(()), None)
+    for n, m in ((-1, 2), (2, -1)):
+        with pytest.raises(ValueError, match="negative step count"):
+            qp.TimePath.monotone(n, m)
+        with pytest.raises(ValueError, match="negative step count"):
+            qp.random_path(rng, n, m)
 
 
 def test_every_direction_taking_builder_refuses_an_unknown_direction(d321):
@@ -325,14 +339,6 @@ def test_every_direction_taking_builder_refuses_an_unknown_direction(d321):
     for build in builds:
         with pytest.raises(ValueError, match="unknown direction 'hatt'"):
             build()
-
-
-def test_path_kernel_refuses_colliding_labels(d321):
-    path = qp.TimePath(("+hat", "+bar", "+hat"))
-    assert qp.path_kernel(path, d321, labels=("ya", "yb")).vars == ("ya", "yb")
-    for labels in (("xa", "xa"), ("t1", "xb"), ("xa", "t2")):
-        with pytest.raises(VariableMismatch):
-            qp.path_kernel(path, d321, labels=labels)
 
 
 def test_one_step_kernel_canonical_form_is_stable(d321):

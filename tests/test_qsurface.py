@@ -26,23 +26,6 @@ def test_flat_plaquette_kernel_is_its_own_lagrangian(co321):
     assert k.coeff(u1, u2) == s12
 
 
-def test_surface_action_single_plaquette_and_sign_flip(co321, rng):
-    flat = qs.flat_patch(1, 1)
-    values = {v: float(rng.normal()) for v in flat.vertices()}
-    action = qs.surface_action(flat, values, co321)
-    u = values[(0, 0, 0)]
-    u1 = values[(1, 0, 0)]
-    u2 = values[(0, 1, 0)]
-    assert action == pytest.approx(u * (u1 - u2) - 2.5 * (u1 - u2) ** 2, abs=1e-12)
-    assert qs.surface_action(flat.reversed(), values, co321) == pytest.approx(-action, abs=1e-12)
-
-
-def test_surface_action_missing_vertex(co321):
-    flat = qs.flat_patch(1, 1)
-    with pytest.raises(MissingVertex):
-        qs.surface_action(flat, {(0, 0, 0): 1.0}, co321)
-
-
 def test_pop_up_action_matches_the_oriented_sum(co321, rng):
     flat = qs.flat_patch(1, 1)
     popped = qs.pop_up(flat, 0)
@@ -58,7 +41,8 @@ def test_pop_up_action_matches_the_oriented_sum(co321, rng):
         - L(u, u2, u3, 2, 3)
         - L(u, u3, u1, 3, 1)
     )
-    assert qs.surface_action(popped, values, co321) == pytest.approx(manual, abs=1e-12)
+    oriented = sum(p.sign * co321.lagrangian(*(values[v] for v in p.stencil()), *p.plane) for p in popped.plaquettes)
+    assert oriented == pytest.approx(manual, abs=1e-12)
 
 
 def test_pop_up_kernel_reduces_to_the_flat_exponent(co321):

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -56,10 +57,19 @@ def test_bar_matrix_is_area_preserving(rng):
         assert abs(np.linalg.det(bar_matrix(d.t, d.tprime)) - 1.0) <= 1e-12
 
 
+def _second_iterate_residual(state, s):
+    """|x_{m+2} + 2 b x_{m+1} + x_m| with b from the map spectrum: the
+    second-order form of the hat map."""
+    S = hat_matrix(s)
+    b = -0.5 * float(np.trace(S))
+    x = red.orbit(S, state, 2)[:, 0]
+    return abs(x[2] + 2.0 * b * x[1] + x[0])
+
+
 def test_second_iterate_recurrence(rng):
     for s in (-0.5, 0.0, 0.2, 0.7):
         for _ in range(5):
-            assert red.second_iterate_residual(rng.normal(size=2), s) <= 1e-13
+            assert _second_iterate_residual(rng.normal(size=2), s) <= 1e-13
 
 
 def test_commutator(d321, rng):
@@ -166,10 +176,26 @@ def test_explicit_solution_grid_turns_with_the_signs_of_q_and_r(point):
     assert max(worst.values()) <= 1e-10
 
 
+def _hyperbolic_solution(m, A, B, b):
+    """Growing/decaying solution A lam^m + B lam^-m with lam = -b + sqrt(b^2-1)."""
+    if abs(b) <= 1.0:
+        raise OutOfRegime(f"hyperbolic solution needs |b| > 1, got b={b!r}")
+    lam = -b + math.copysign(math.sqrt(b * b - 1.0), -b)
+    return A * lam**m + B * lam ** (-m)
+
+
+def _hyperbolic_recurrence_residual(A, B, b, m_range):
+    """Max |x_{m+1} + 2 b x_m + x_{m-1}| over m in m_range for the lambda-form solution."""
+    lo = min(m_range) - 1
+    x = np.array([_hyperbolic_solution(m, A, B, b) for m in range(lo, max(m_range) + 2)])
+    i = np.array(m_range) - lo  # x[i] is x at m
+    return float(np.max(abs(x[i + 1] + 2 * b * x[i] + x[i - 1])))
+
+
 def test_hyperbolic_lambda_solution():
-    assert red.hyperbolic_recurrence_residual(0.4, -1.2, 1.7, range(-3, 6)) <= 1e-12
+    assert _hyperbolic_recurrence_residual(0.4, -1.2, 1.7, range(-3, 6)) <= 1e-12
     with pytest.raises(OutOfRegime):
-        red.hyperbolic_solution(2, 1.0, 0.0, 0.5)
+        _hyperbolic_solution(2, 1.0, 0.0, 0.5)
 
 
 def test_continuous_flow_zero_mode(d321):
@@ -198,10 +224,27 @@ def test_multiform_zero_solution(d321):
     assert red.continuous_multiform_residual(d321.a, d321.b, 2, 3, 0.0, 0.0) == (0.0, 0.0)
 
 
+def _continuous_multiform_fd_residual(a, b, m, n, c1, c2):
+    """continuous_multiform_residual's two relations with the parameter
+    derivatives taken by central finite differences of step 1e-5."""
+    h = 1e-5
+
+    def xval(aa, bb):
+        return red._joint_xa_xb(aa, bb, m, n, c1, c2)[0]
+
+    xa = (xval(a + h, b) - xval(a - h, b)) / (2 * h)
+    xb = (xval(a, b + h) - xval(a, b - h)) / (2 * h)
+    r1 = abs(math.sqrt(1 - a * a) * xa / n - math.sqrt(1 - b * b) * xb / m)
+    # dL_b/dx = -m x / sqrt(1-b^2) differenced in a, against dL_a/dx differenced in b
+    dba = -m * xa / math.sqrt(1 - b * b)
+    dab = -n * xb / math.sqrt(1 - a * a)
+    return r1, abs(dba - dab)
+
+
 def test_multiform_residuals_with_fd_cross_check(d321, rng):
     r1, r2 = red.continuous_multiform_residual(d321.a, d321.b, 2, 3, 1.0, 0.0)
     assert max(r1, r2) <= 1e-8
-    f1, f2 = red.continuous_multiform_fd_residual(d321.a, d321.b, 2, 3, 1.0, 0.0)
+    f1, f2 = _continuous_multiform_fd_residual(d321.a, d321.b, 2, 3, 1.0, 0.0)
     assert max(f1, f2) <= 1e-7
     for _ in range(20):
         c1, c2 = rng.normal(size=2)
@@ -216,4 +259,4 @@ def test_solution_residuals_keep_a_nan(d321):
 
 
 def test_hyperbolic_recurrence_residual_keeps_a_nan():
-    assert np.isnan(red.hyperbolic_recurrence_residual(float("nan"), 1.0, 1.7, range(4)))
+    assert np.isnan(_hyperbolic_recurrence_residual(float("nan"), 1.0, 1.7, range(4)))

@@ -7,8 +7,8 @@ import json
 import sys
 from dataclasses import replace
 
-from .errors import (CausticError, ConfigError, DegenerateParams, DeltaConstraintError, MissingVertex, NearCaustic,
-                     OutOfRegime)
+from .errors import (CausticError, ConfigError, DegenerateCoeffs, DegenerateParams, DeltaConstraintError,
+                     MissingVertex, NearCaustic, OutOfRegime)
 from .harness import SUITES, SuiteConfig, run, sweep_rows, write_csv
 
 
@@ -107,8 +107,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run(config)
-    except (CausticError, DegenerateParams, OutOfRegime) as exc:
-        # the points besides (3, 2, 1) come from the explicit triples or the sampling range
+    except (CausticError, DegenerateCoeffs, DegenerateParams, NearCaustic, OutOfRegime) as exc:
+        # the points besides (3, 2, 1) come from the explicit triples or the sampling range; at an
+        # elliptic point with mu + nu = pi the corner pivots of the 1-form checks vanish
         print(f"config error: parameter point not admissible: {exc}", file=sys.stderr)
         return 2
     if not args.quiet:

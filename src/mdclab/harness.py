@@ -507,10 +507,10 @@ def _uniqueness1d_suite(config: SuiteConfig, rng: np.random.Generator, res: _Res
         co = qprop1d.path_independent_coeffs(d.a, d.b, gamma=1.0)
         co_f = qprop1d.path_independent_coeffs(d.a, d.b, gamma=0.8, f=0.31)
         for coeffs in (co, co_f):
-            res.add("pass", qprop1d.uniqueness_scan_1form(d, coeffs)["mismatch"])
+            res.add("pass", qprop1d.uniqueness_scan_1form(d, coeffs).exponent_diff)
         for name in perturbed:
             bumped = replace(co, **{name: getattr(co, name) + 1e-3})
-            res.add(name, qprop1d.uniqueness_scan_1form(d, bumped)["mismatch"])
+            res.add(name, qprop1d.uniqueness_scan_1form(d, bumped).exponent_diff)
     res.check("closure-coeffs-pass", "1form-uniqueness", "pass", "uniq1d_pass")
     for name in perturbed:
         res.probe(f"perturbed-{name}", "1form-uniqueness", name, "uniq1d_perturbed_min", stat=min)

@@ -30,13 +30,14 @@ There is one elimination engine.  It takes an ordered list of steps
 (part, variables), adds each part's entries (a kernel's, or monomials not
 yet built into one) into its sparse rows, integrates that step's variables,
 then moves to the next part.  marginalize_all(k, vs) is the one-step case
-((k, vs),), glue(k1, k2, shared) the two-step case ((k1, ()), (k2, shared)),
-marginalize_terms and the kernel builders hand it monomials, and
-n_step_kernel hands it its n one-step monomial forms as one chain.  Within a
-step it consumes constraint-bound variables first, then the largest relative
-pivot, the first in sorted-name order on a tie.  An integration updates only
-the pivot's nonzero couplings, at a Python cost in the square of the pivot's
-degree plus a heap update per row it touches, bit-identical to dense
+((k, vs),), glue(k1, k2, shared) the two-step case ((k1, ()), (k2, shared)).
+path_kernel, surface_kernel and momentum_factorized_kernel hand
+marginalize_all their monomials as one _Terms, and n_step_kernel hands the
+engine its n one-step monomial forms as one chain.  Within a step it consumes
+constraint-bound variables first, then the largest relative pivot, the first
+in sorted-name order on a tie.  An integration updates only the pivot's
+nonzero couplings, at a Python cost in the square of the pivot's degree plus
+a heap update per row it touches, bit-identical to dense
 one-variable-at-a-time elimination, and a chain to the fold of glue calls,
 for kernels without negative zeros.
 """
@@ -144,11 +145,6 @@ class OscKernel:
             return self.vars.index(var)
         except ValueError:
             raise VariableMismatch(f"no variable {var!r} in kernel over {self.vars}") from None
-
-    def coeff(self, v1: str, v2: str) -> float:
-        """Full coefficient of the monomial v1*v2 in the exponent."""
-        i, j = self.index(v1), self.index(v2)
-        return float(0.5 * self.A[i, j]) if i == j else float(self.A[i, j])
 
     def exponent(self, assignment: dict[str, float]) -> float:
         v = np.array([assignment[name] for name in self.vars])
@@ -326,8 +322,9 @@ def from_terms(
     full coefficient of the monomial u*w in the exponent.
 
     Entries add up from 0.0 in dict order, exactly as the engine adds them
-    from marginalize_terms, which the kernel builders that integrate at once
-    (path_kernel, surface_kernel) call instead, never building this dense A.
+    from a _Terms, which the kernel builders that integrate at once
+    (path_kernel, surface_kernel, momentum_factorized_kernel) hand to
+    marginalize_all instead, never building this dense A.
     """
     terms = _Terms(_distinct(vars), quadratic, linear or {}, const, complex(amp), Fraction(pihbar_pow), hbar)
     n = len(terms.vars)
@@ -338,22 +335,6 @@ def from_terms(
     for i, v in terms._linear():
         B[i] += v
     return OscKernel._built(terms.vars, A, B, terms.c, terms.amp, terms.pihbar_pow, 0, (), terms.hbar)
-
-
-def marginalize_terms(
-    vars: tuple[str, ...],
-    quadratic: dict[tuple[str, str], float],
-    variables,
-    amp: complex = 1.0,
-    pihbar_pow: Fraction | int = 0,
-    hbar: float = 1.0,
-) -> OscKernel:
-    """marginalize_all(from_terms(vars, quadratic, amp=amp, pihbar_pow=pihbar_pow,
-    hbar=hbar), variables), with the monomials fed to the engine directly
-    instead of through a dense kernel; the result is bit-identical.
-    """
-    terms = _Terms(_distinct(vars), quadratic, {}, 0.0, complex(amp), Fraction(pihbar_pow), hbar)
-    return marginalize_all(terms, variables)
 
 
 def marginalize(kernel: OscKernel, var: str) -> OscKernel:
@@ -372,8 +353,9 @@ def marginalize(kernel: OscKernel, var: str) -> OscKernel:
 
 def marginalize_all(kernel: OscKernel | _Terms, variables) -> OscKernel:
     """Integrate a set of variables out, choosing a stable order: the
-    engine's one-step case ((kernel, variables),).  `kernel` may also be the
-    monomial form marginalize_terms hands on, read without building A.
+    engine's one-step case ((kernel, variables),).  `kernel` may also be a
+    _Terms, the monomial form the kernel builders hand on, read without
+    building A.
 
     Constraint-bound variables are consumed first (they are free), then the
     variable with the largest relative pivot |A_vv| / max(max_w |A_vw|, |B_v|,
@@ -408,7 +390,7 @@ def marginalize_all(kernel: OscKernel | _Terms, variables) -> OscKernel:
     subtract an exact zero, and the Gaussian update is exactly symmetric, so
     the result is bit-identical to eliminating one variable at a time with
     dense updates, for any kernel without negative zeros (from_terms,
-    marginalize_terms and glue make none).
+    _Terms and glue make none).
 
     A step list of several parts, one pass, gives the kernel of the fold
     that builds an OscKernel after each step and glues the next part onto

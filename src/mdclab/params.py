@@ -105,9 +105,6 @@ class EdgeParams:
     s: dict[tuple[int, int], FloatOrArray]
     lambda_ijk: FloatOrArray
 
-    def sij(self, i: int, j: int) -> FloatOrArray:
-        return self.s[(i, j)]
-
 
 def _first(values: FloatOrArray, bad) -> float:
     """The first entry of `values` where `bad` holds, as a float, so that an

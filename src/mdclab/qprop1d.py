@@ -39,7 +39,7 @@ from .errors import (
     NearCaustic,
     OutOfRegime,
 )
-from .oscgauss import OscKernel, _eliminate, _Terms, compare, from_terms, marginalize_terms
+from .oscgauss import KernelDiff, OscKernel, _eliminate, _Terms, compare, from_terms, marginalize_all
 from .reduction import OscillatorCoeffs, closure_coeffs, direction_constants
 
 if TYPE_CHECKING:
@@ -70,13 +70,9 @@ def _one_steps(direction: str, derived: "DerivedParams", names: tuple[str, ...])
             for x, xh in zip(names, names[1:])]
 
 
-def one_step_kernel(
-    direction: str,
-    derived: "DerivedParams",
-    labels: tuple[str, str] = ("xa", "xb"),
-) -> OscKernel:
-    """Exact one-step propagator kernel in the given direction."""
-    (step,) = _one_steps(direction, derived, labels)
+def one_step_kernel(direction: str, derived: "DerivedParams") -> OscKernel:
+    """Exact one-step propagator kernel in the given direction, from xa to xb."""
+    (step,) = _one_steps(direction, derived, ("xa", "xb"))
     return from_terms(step.vars, step.quadratic, amp=step.amp, pihbar_pow=step.pihbar_pow, hbar=step.hbar)
 
 
@@ -97,20 +93,8 @@ def momentum_factorized_kernel(
     x, xh = "xa", "xb"
     mom = "Xmom"
     vterm = 0.0 if zero_potential else derived.P / w
-    return marginalize_terms(
-        vars=(x, mom, xh),
-        quadratic={
-            (x, x): vterm,
-            (xh, xh): vterm,
-            (mom, mom): 0.5 * w / plus,
-            (xh, mom): 1.0,
-            (x, mom): -1.0,
-        },
-        variables=[mom],
-        amp=1.0,
-        pihbar_pow=Fraction(-1),
-        hbar=derived.hbar,
-    )
+    quadratic = {(x, x): vterm, (xh, xh): vterm, (mom, mom): 0.5 * w / plus, (xh, mom): 1.0, (x, mom): -1.0}
+    return marginalize_all(_Terms((x, mom, xh), quadratic, {}, 0.0, 1.0 + 0.0j, Fraction(-1), derived.hbar), [mom])
 
 
 def _angle(derived: "DerivedParams", direction: str) -> float:
@@ -127,21 +111,18 @@ def _off_caustic_sin(theta: float) -> float:
     return sin_t
 
 
-def closed_form_kernel(
-    theta: float,
-    derived: "DerivedParams",
-    labels: tuple[str, str] = ("xa", "xb"),
-) -> OscKernel:
-    """Harmonic-oscillator style kernel for a total rotation angle theta.
+def closed_form_kernel(theta: float, derived: "DerivedParams") -> OscKernel:
+    """Harmonic-oscillator style kernel from xa to xb for a total rotation
+    angle theta.
 
     Raises CausticError when sin(theta) is numerically on a caustic.
     """
     sin_t = _off_caustic_sin(theta)
     root_p = math.sqrt(derived.P)
-    x, y = labels
+    x, y = "xa", "xb"
     phase = math.pi / 4.0 + (math.pi / 2.0) * math.floor(theta / math.pi)
     return from_terms(
-        vars=labels,
+        vars=(x, y),
         quadratic={
             (x, y): 2.0 * root_p / sin_t,
             (x, x): -root_p * math.cos(theta) / sin_t,
@@ -153,16 +134,11 @@ def closed_form_kernel(
     )
 
 
-def multi_time_closed_form(
-    n: int,
-    m: int,
-    derived: "DerivedParams",
-    labels: tuple[str, str] = ("xa", "xb"),
-) -> OscKernel:
+def multi_time_closed_form(n: int, m: int, derived: "DerivedParams") -> OscKernel:
     """Closed form for a net displacement of n hat steps and m bar steps;
     (n, 0) and (0, m) are the closed forms of n_step_kernel."""
     mu, nu = derived.require_elliptic()
-    return closed_form_kernel(n * mu + m * nu, derived, labels)
+    return closed_form_kernel(n * mu + m * nu, derived)
 
 
 def _require_steps(n: int) -> None:
@@ -226,11 +202,6 @@ class TimePath:
             if s not in STEPS:
                 raise ValueError(f"unknown step {s!r}")
 
-    def displacement(self) -> tuple[int, int]:
-        n = sum(1 for s in self.steps if s == "+hat") - sum(1 for s in self.steps if s == "-hat")
-        m = sum(1 for s in self.steps if s == "+bar") - sum(1 for s in self.steps if s == "-bar")
-        return n, m
-
     @staticmethod
     def monotone(n: int, m: int) -> "TimePath":
         """n hat steps, then m bar steps."""
@@ -285,8 +256,8 @@ def path_kernel(
     else:
         cf = coeffs
         pihbar = Fraction(0)
-    quad = _step_terms(path.steps, cf, names)
-    return marginalize_terms(names, quad, names[1:-1], amp=amp, pihbar_pow=pihbar, hbar=derived.hbar)
+    terms = _Terms(names, _step_terms(path.steps, cf, names), {}, 0.0, amp, pihbar, derived.hbar)
+    return marginalize_all(terms, names[1:-1])
 
 
 def _step_terms(
@@ -338,13 +309,14 @@ def path_independent_coeffs(
     )
 
 
-def uniqueness_scan_1form(derived: "DerivedParams", coeffs: OscillatorCoeffs, tol: float = 1e-9) -> dict:
+def uniqueness_scan_1form(derived: "DerivedParams", coeffs: OscillatorCoeffs) -> KernelDiff:
     """Corner-swap test for one coefficient point.
 
     The two corner propagators (hat-then-bar and bar-then-hat) are path
-    kernels with undetermined normalization, exponents only.  pass iff their
-    exponents agree to tol; the amplitude ratio is reported alongside (the
-    Gaussian pivots coincide whenever the exponents do).
+    kernels with undetermined normalization, exponents only; their
+    comparison is returned, and the coefficients pass where its
+    exponent_diff is within the harness's uniq1d_pass.  The amplitude ratio
+    comes alongside (the Gaussian pivots coincide whenever the exponents do).
     """
     try:
         k_lr = path_kernel(TimePath(("+hat", "+bar")), derived, coeffs)
@@ -353,12 +325,7 @@ def uniqueness_scan_1form(derived: "DerivedParams", coeffs: OscillatorCoeffs, to
         raise DegenerateCoeffs(f"corner pivot vanished: {exc}") from exc
     if k_lr.constraints or k_ul.constraints:
         raise DegenerateCoeffs("corner pivot vanished exactly: delta kernel")
-    diff = compare(k_lr, k_ul)
-    return {
-        "pass": bool(diff.exponent_diff <= tol),
-        "mismatch": diff.exponent_diff,
-        "amp_ratio": diff.amp_ratio,
-    }
+    return compare(k_lr, k_ul)
 
 
 # -- Operator invariant in kernel form -----------------------------------------

@@ -23,12 +23,13 @@ coefficients uniquely.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import DegenerateCoeffs, DeltaConstraintError, MissingVertex
-from .oscgauss import KernelDiff, OscKernel, compare, marginalize_terms
+from .oscgauss import KernelDiff, OscKernel, _Terms, compare, marginalize_all
 from .params import edge_coefficient
 
 Vertex = tuple[int, int, int]
@@ -72,9 +73,6 @@ class OrientedPlaquette:
     def corners(self) -> tuple[Vertex, ...]:
         i, j = self.plane
         return (self.base, shift(self.base, i), shift(self.base, j), shift(shift(self.base, i), j))
-
-    def reversed(self) -> "OrientedPlaquette":
-        return replace(self, sign=-self.sign)
 
 
 @dataclass(frozen=True)
@@ -197,12 +195,6 @@ class Surface:
     def vertices(self) -> frozenset[Vertex]:
         return self.interior | self.boundary
 
-    def reversed(self) -> "Surface":
-        # pop records refer to the original orientations, so drop them
-        return replace(
-            self, plaquettes=tuple(p.reversed() for p in self.plaquettes), records=()
-        )
-
 
 def surface_to_dict(surface: Surface) -> dict:
     """JSON-ready description: plaquette list plus the two vertex sets."""
@@ -245,9 +237,9 @@ def surface_kernel(
     DeltaConstraintError.
     """
     label = {v: vertex_label(v) for v in sorted(surface.vertices())}
-    quad = coeffs.monomials(surface.plaquettes, label)
-    interior_labels = [label[v] for v in sorted(surface.interior)]
-    kernel = marginalize_terms(tuple(label.values()), quad, interior_labels, hbar=hbar)
+    terms = _Terms(tuple(label.values()), coeffs.monomials(surface.plaquettes, label), {}, 0.0, 1.0 + 0.0j,
+                   Fraction(0), hbar)
+    kernel = marginalize_all(terms, [label[v] for v in sorted(surface.interior)])
     if kernel.constraints:
         raise DeltaConstraintError(
             f"delta constraint ties boundary variables: {kernel.constraints[0].variables()}"
@@ -257,15 +249,15 @@ def surface_kernel(
 
 # -- Construction and deformation ------------------------------------------------
 
-def flat_patch(nx: int, ny: int, base: Vertex = (0, 0, 0)) -> Surface:
+def flat_patch(nx: int, ny: int) -> Surface:
     """nx-by-ny flat patch of positively oriented plaquettes in the (1, 2)
-    plane; everything is boundary data until a deformation creates interior
-    vertices."""
+    plane from the origin; everything is boundary data until a deformation
+    creates interior vertices."""
     plaqs = []
     verts: set[Vertex] = set()
     for a in range(nx):
         for b in range(ny):
-            plq = OrientedPlaquette(base=(base[0] + a, base[1] + b, base[2]), plane=(1, 2), sign=1)
+            plq = OrientedPlaquette(base=(a, b, 0), plane=(1, 2), sign=1)
             plaqs.append(plq)
             verts.update(plq.corners())
     return Surface(plaquettes=tuple(plaqs), interior=frozenset(), boundary=frozenset(verts))

@@ -49,9 +49,9 @@ def test_criterion_01_parameter_identities():
     exact = (
         abs(s * t * tp - 1.0 / 30.0)
         + abs(s - t + tp - 1.0 / 30.0)
-        + abs(edge_params(3, 2, 1).sij(1, 2) - 5.0)
-        + abs(edge_params(3, 2, 1).sij(2, 3) - 3.0)
-        + abs(edge_params(3, 2, 1).sij(3, 1) + 2.0)
+        + abs(edge_params(3, 2, 1).s[(1, 2)] - 5.0)
+        + abs(edge_params(3, 2, 1).s[(2, 3)] - 3.0)
+        + abs(edge_params(3, 2, 1).s[(3, 1)] + 2.0)
     )
     announce(1, worst <= 1e-12 and exact <= 1e-15,
              f"identity sweep max {worst:.2e}, worked values off by {exact:.2e}")
@@ -219,13 +219,13 @@ def test_criterion_07_path_independence(d321):
 
 def test_criterion_08_oneform_uniqueness(d321):
     co = qprop1d.path_independent_coeffs(d321.a, d321.b)
-    base = qprop1d.uniqueness_scan_1form(d321, co)
+    base = qprop1d.uniqueness_scan_1form(d321, co).exponent_diff
     floors = []
     for name in ("alpha", "beta", "a0", "b0"):
         bumped = replace(co, **{name: getattr(co, name) + 1e-3})
-        floors.append(qprop1d.uniqueness_scan_1form(d321, bumped)["mismatch"])
-    ok = base["pass"] and np.min(floors) > 1e-5
-    announce(8, ok, f"canonical mismatch {base['mismatch']:.2e}, perturbed floor {np.min(floors):.2e}")
+        floors.append(qprop1d.uniqueness_scan_1form(d321, bumped).exponent_diff)
+    ok = base <= 1e-9 and np.min(floors) > 1e-5
+    announce(8, ok, f"canonical mismatch {base:.2e}, perturbed floor {np.min(floors):.2e}")
 
 
 def test_criterion_09_surface_independence(d321):

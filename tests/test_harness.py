@@ -18,6 +18,7 @@ from mdclab.harness import (
     sweep_rows,
     write_csv,
 )
+from mdclab.params import LatticeParams, derive
 
 SMALL = SuiteConfig(seed=7, trials=40)
 
@@ -108,7 +109,7 @@ def test_nan_residual_fails_a_min_probe(monkeypatch):
         calls.append(None)
         out = scan(*args, **kwargs)
         # six scans per point; the third one at the second point bumps alpha
-        return {**out, "mismatch": float("nan")} if len(calls) == 9 else out
+        return replace(out, exponent_diff=float("nan")) if len(calls) == 9 else out
 
     monkeypatch.setattr(qprop1d, "uniqueness_scan_1form", scan_with_one_nan)
     report = run(SuiteConfig(seed=7, trials=40, suites=("uniqueness1d",)))
@@ -313,7 +314,12 @@ def test_config_decides_whether_the_sampling_range_can_clear_the_guards(tmp_path
     assert capsys.readouterr().err.startswith("config error:")
 
 
-@pytest.mark.parametrize("triple", [[1, 1, 2], [3, 2, 0], [1e-13, 2, 1]])
+#: An elliptic point with mu + nu = pi.  The middle pivot of the hat-then-bar corner is proportional to
+#: sin(mu + nu): it vanishes exactly here, and sits in the NearCaustic band with r raised by 1e-8.
+MU_PLUS_NU_PI = [-2.367028322578623, 0.7746489092382554, 2.4986690620264893]
+
+
+@pytest.mark.parametrize("triple", [[1, 1, 2], [3, 2, 0], [1e-13, 2, 1], MU_PLUS_NU_PI])
 def test_cli_rejects_inadmissible_explicit_params(tmp_path, capsys, triple):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"params": [triple], "trials": 10}))
@@ -330,6 +336,19 @@ def test_cli_rejects_explicit_caustic_point(tmp_path, capsys):
     assert cli.main(["run", "--config", str(config), "--suite", "prop1d", "--quiet"]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error:")
+    assert "\n" not in err
+
+
+def test_cli_rejects_a_corner_pivot_in_the_refusal_band(tmp_path, capsys):
+    # the prop1d corner swap used to end here in a NearCaustic traceback and exit 1
+    p, q, r = MU_PLUS_NU_PI
+    d = derive(LatticeParams(p, q, r + 1e-8))
+    assert abs(d.mu + d.nu - math.pi) <= 1e-8
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"params": [[p, q, r + 1e-8]], "trials": 10}))
+    assert cli.main(["run", "--config", str(config), "--suite", "prop1d", "--quiet"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error: parameter point not admissible:")
     assert "\n" not in err
 
 

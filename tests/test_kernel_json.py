@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,8 @@ from hypothesis import strategies as st
 from mdclab import oscgauss, qprop1d, qsurface
 from mdclab.errors import NearCaustic
 from mdclab.params import LatticeParams, derive
+
+from conftest import reversed_surface
 
 #: Two elliptic points: the worked example and a generic one.
 POINTS = {"p321": (3.0, 2.0, 1.0), "pgen": (2.7, 1.35, 0.55)}
@@ -373,9 +376,11 @@ def test_from_json_refuses_a_repeated_entry():
 
 # -- the builders' direct feed -----------------------------------------------------
 
-def dense_feed(vars, quadratic, variables, **terms):
-    """What marginalize_terms replaces: a dense from_terms kernel, then marginalize_all."""
-    return oscgauss.marginalize_all(oscgauss.from_terms(vars, quadratic, **terms), variables)
+def dense_feed(terms, variables):
+    """The route the builders skip: a dense from_terms kernel of their monomials, then marginalize_all."""
+    dense = oscgauss.from_terms(terms.vars, terms.quadratic, terms.linear, terms.c, terms.amp, terms.pihbar_pow,
+                                terms.hbar)
+    return oscgauss.marginalize_all(dense, variables)
 
 
 def outcome(build):
@@ -391,8 +396,8 @@ def outcome(build):
 
 def assert_feeds_agree(build):
     direct = outcome(build)
-    with mock.patch.object(qprop1d, "marginalize_terms", dense_feed), \
-            mock.patch.object(qsurface, "marginalize_terms", dense_feed):
+    with mock.patch.object(qprop1d, "marginalize_all", dense_feed), \
+            mock.patch.object(qsurface, "marginalize_all", dense_feed):
         dense = outcome(build)
     assert direct == dense
 
@@ -437,7 +442,7 @@ def test_surface_kernel_direct_feed_is_bit_equal_to_the_dense_kernel(k, ops, see
         coeffs = coeffs.perturbed(*bump)
     surface = qsurface.random_deformation(qsurface.flat_patch(k, k), np.random.default_rng(seed), ops)
     assert_feeds_agree(lambda: qsurface.surface_kernel(surface, coeffs))
-    assert_feeds_agree(lambda: qsurface.surface_kernel(surface.reversed(), coeffs))
+    assert_feeds_agree(lambda: qsurface.surface_kernel(reversed_surface(surface), coeffs))
 
 
 @pytest.mark.parametrize("move", ["a", "b", "c"])
@@ -458,17 +463,18 @@ def test_momentum_kernel_direct_feed_is_bit_equal_to_the_dense_kernel(d321, dire
 
 def test_both_feeds_record_the_delta_of_an_entry_above_half_the_largest_double():
     # neither route symmetrises A, so 1.5e308 stays finite on both and its row is a delta, 1.5e308 x = 0
-    quad = {("x", "y"): 1.5e308}
+    terms = oscgauss._Terms(("x", "y"), {("x", "y"): 1.5e308}, {}, 0.0, 1.0 + 0.0j, Fraction(0), 1.0)
     want = (oscgauss.AffineConstraint((("x", 1.5e308),), 0.0),)
-    assert oscgauss.marginalize_terms(("x", "y"), quad, ["y"]).constraints == want
-    assert dense_feed(("x", "y"), quad, ["y"]).constraints == want
+    assert oscgauss.marginalize_all(terms, ["y"]).constraints == want
+    assert dense_feed(terms, ["y"]).constraints == want
 
 
 def test_builders_integrate_through_marginalize_all(d321):
     # the builders' eliminations pass the public engine entry point, where a
-    # profiler or tracer that wraps marginalize_all sees them
+    # profiler or tracer that wraps marginalize_all in the modules that import it sees them
     coeffs = qsurface.canonical_lattice_coeffs(3.0, 2.0, 1.0)
-    with mock.patch.object(oscgauss, "marginalize_all", wraps=oscgauss.marginalize_all) as engine:
+    engine = mock.Mock(wraps=oscgauss.marginalize_all)
+    with mock.patch.object(qprop1d, "marginalize_all", engine), mock.patch.object(qsurface, "marginalize_all", engine):
         qprop1d.path_kernel(long_path(60), d321)
         qsurface.surface_kernel(deformed_patch(4), coeffs)
     assert engine.call_count == 2

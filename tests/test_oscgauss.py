@@ -12,6 +12,8 @@ from scipy.integrate import quad
 from mdclab import oscgauss as og
 from mdclab.errors import NearCaustic, VariableMismatch
 
+from conftest import coeff
+
 
 def fresnel_quadrature_oracle(kernel, var, hbar=1.0, assignment=None):
     """Numerically integrate one variable out along a rotated contour.
@@ -145,8 +147,8 @@ def test_glue_with_empty_shared_set_is_a_product():
     assert out.vars == ("u", "w")
     assert out.amp == 1.0j
     assert out.pihbar_pow == Fraction(-1, 2)
-    assert out.coeff("u", "u") == 0.5
-    assert out.coeff("w", "w") == 0.25
+    assert coeff(out, "u", "u") == 0.5
+    assert coeff(out, "w", "w") == 0.25
     assert out.c == 1.0
 
 
@@ -637,7 +639,7 @@ def test_library_built_kernels_pass_the_validating_constructor_unchanged(seed, s
         variables = [v for v in names if rng.random() < 0.5]
         c, amp, pihbar = float(rng.normal()), complex(*rng.normal(size=2)), Fraction(int(rng.integers(-4, 4)), 2)
         builds = [lambda: og.from_terms(names, quadratic, linear, c, amp, pihbar),
-                  lambda: og.marginalize_terms(names, quadratic, variables, amp, pihbar)]
+                  lambda: og.marginalize_all(og._Terms(names, quadratic, linear, c, amp, pihbar, 1.0), variables)]
     else:
         with np.errstate(all="ignore"):
             kernel, variables = _random_kernel(rng, "chain" if shape == "glue" else shape)
@@ -663,8 +665,7 @@ def test_library_built_kernels_pass_the_validating_constructor_unchanged(seed, s
 @pytest.mark.parametrize("build", [
     lambda: og.OscKernel(vars=("x", "x"), A=np.eye(2), B=np.zeros(2), c=0.0),
     lambda: og.from_terms(("x", "x"), {("x", "x"): 1.0}),
-    lambda: og.marginalize_terms(("x", "x", "y"), {("x", "y"): 1.0}, ["y"]),
-], ids=["OscKernel", "from_terms", "marginalize_terms"])
+], ids=["OscKernel", "from_terms"])
 def test_repeated_variable_names_are_refused(build):
     # the engine maps names to positions, so a second copy of a name would vanish into the first
     with pytest.raises(VariableMismatch):

@@ -123,9 +123,9 @@ def test_hyperbolic_regime_is_flagged_not_fatal():
 
 def test_edge_coefficients_321_exact():
     ep = edge_params(3.0, 2.0, 1.0)
-    assert ep.sij(1, 2) == 5.0
-    assert ep.sij(2, 3) == 3.0
-    assert ep.sij(3, 1) == -2.0
+    assert ep.s[(1, 2)] == 5.0
+    assert ep.s[(2, 3)] == 3.0
+    assert ep.s[(3, 1)] == -2.0
     # 15 - 6 - 10 + 1 = 0, exactly
     assert ep.lambda_ijk == 0.0
     assert check_sij_identity(3.0, 2.0, 1.0) == 0.0
@@ -139,7 +139,7 @@ def test_edge_antisymmetry(rng):
     for p1, p2, p3 in sample_triples(rng, 50):
         ep = edge_params(p1, p2, p3)
         for i, j in ((1, 2), (2, 3), (3, 1)):
-            assert ep.sij(i, j) == -ep.sij(j, i)
+            assert ep.s[(i, j)] == -ep.s[(j, i)]
 
 
 def test_edge_identity_sweep(rng):

@@ -13,14 +13,14 @@ from mdclab.oscgauss import compare, glue
 from mdclab.params import LatticeParams, derive
 from mdclab.reduction import closure_coeffs
 
-from conftest import sample_triples
+from conftest import coeff, sample_triples
 
 
 def test_one_step_kernel_exact_values(d321):
     k = qp.one_step_kernel("hat", d321)
-    assert k.coeff("xa", "xb") == pytest.approx(12.5, abs=1e-12)
-    assert k.coeff("xa", "xa") == pytest.approx(4.25, abs=1e-13)
-    assert k.coeff("xb", "xb") == pytest.approx(4.25, abs=1e-13)
+    assert coeff(k, "xa", "xb") == pytest.approx(12.5, abs=1e-12)
+    assert coeff(k, "xa", "xa") == pytest.approx(4.25, abs=1e-13)
+    assert coeff(k, "xb", "xb") == pytest.approx(4.25, abs=1e-13)
     # amplitude modulus sqrt((P+Q)/(2 pi hbar q)) = sqrt(25 / 4 pi)
     modulus = abs(k.amp) * (2 * math.pi) ** float(k.pihbar_pow)
     assert modulus == pytest.approx(math.sqrt(25.0 / (4.0 * math.pi)), abs=1e-12)
@@ -63,9 +63,9 @@ def test_factorized_step_reproduces_one_step(d321):
 def test_factorized_step_zero_potential_is_a_fourier_pair(d321):
     k = qp.momentum_factorized_kernel(d321, zero_potential=True)
     plus = d321.P + d321.Q
-    assert k.coeff("xa", "xa") == pytest.approx(-plus / (2 * d321.q), abs=1e-12)
-    assert k.coeff("xb", "xb") == pytest.approx(-plus / (2 * d321.q), abs=1e-12)
-    assert k.coeff("xa", "xb") == pytest.approx(plus / d321.q, abs=1e-12)
+    assert coeff(k, "xa", "xa") == pytest.approx(-plus / (2 * d321.q), abs=1e-12)
+    assert coeff(k, "xb", "xb") == pytest.approx(-plus / (2 * d321.q), abs=1e-12)
+    assert coeff(k, "xa", "xb") == pytest.approx(plus / d321.q, abs=1e-12)
 
 
 def test_factorized_step_parameter_sweep(rng):
@@ -139,10 +139,15 @@ def test_three_sides_of_a_square_regain_the_single_step(d321):
     assert diff.pihbar_diff == 0 and diff.vol_diff == 0
 
 
+def _displacement(path):
+    """Net (hat, bar) step counts of a time path."""
+    return tuple(path.steps.count(f"+{d}") - path.steps.count(f"-{d}") for d in ("hat", "bar"))
+
+
 def test_loop_insertion_leaves_the_kernel_unchanged(d321):
     base = qp.TimePath(("+hat", "+hat"))
     looped = base.with_loop(1)
-    assert looped.displacement() == base.displacement()
+    assert _displacement(looped) == _displacement(base)
     diff = compare(qp.path_kernel(looped, d321), qp.path_kernel(base, d321))
     assert diff.exponent_diff <= 1e-10
     assert diff.amp_ratio_error <= 1e-10
@@ -166,7 +171,7 @@ def test_monotone_and_backtracking_paths_match_multi_time(d321, rng):
         diff = compare(qp.path_kernel(path, d321), target)
         assert diff.exponent_diff <= 1e-9
     two_back = qp.TimePath(("+hat", "-hat", "+hat", "+bar", "-bar", "+hat", "+bar", "+hat", "+bar"))
-    assert two_back.displacement() == (3, 2)
+    assert _displacement(two_back) == (3, 2)
     diff = compare(qp.path_kernel(two_back, d321), target)
     assert diff.exponent_diff <= 1e-9
     assert diff.amp_ratio_error <= 1e-10
@@ -176,15 +181,15 @@ def test_random_paths_are_path_independent(d321, rng):
     target = qp.multi_time_closed_form(2, 2, d321)
     for _ in range(25):
         path = qp.random_path(rng, 2, 2)
-        assert path.displacement() == (2, 2)
+        assert _displacement(path) == (2, 2)
         diff = compare(qp.path_kernel(path, d321), target)
         assert diff.exponent_diff <= 1e-9
         assert diff.amp_ratio_error <= 1e-10
 
 
 def test_group_property(d321):
-    k_hat = qp.multi_time_closed_form(3, 0, d321, ("xa", "xm"))
-    k_bar = qp.multi_time_closed_form(0, 2, d321, ("xm", "xb"))
+    k_hat = replace(qp.multi_time_closed_form(3, 0, d321), vars=("xa", "xm"))
+    k_bar = replace(qp.multi_time_closed_form(0, 2, d321), vars=("xm", "xb"))
     diff = compare(glue(k_hat, k_bar, ("xm",)), qp.multi_time_closed_form(3, 2, d321))
     assert diff.exponent_diff <= 1e-12
     assert diff.amp_ratio_error <= 1e-12
@@ -209,9 +214,10 @@ def test_caustics_raise_consistently_and_pass_through():
 def _glue_fold(n, derived, direction):
     """n one-step kernels glued in sequence, one glue call per link."""
     names = ("xa", *(f"s{k}" for k in range(1, n)), "xb")
-    acc = qp.one_step_kernel(direction, derived, names[:2])
+    step = qp.one_step_kernel(direction, derived)
+    acc = replace(step, vars=names[:2])
     for k in range(1, n):
-        acc = glue(acc, qp.one_step_kernel(direction, derived, names[k:k + 2]), shared=(names[k],))
+        acc = glue(acc, replace(step, vars=names[k:k + 2]), shared=(names[k],))
     return acc
 
 
@@ -224,6 +230,9 @@ def _fields(k):
 def test_n_step_kernel_is_byte_equal_to_a_glue_fold(point, direction):
     # at (2, 2, 1) mu = 2 pi / 3, so the chain crosses exact intermediate caustics as delta steps
     d = derive(LatticeParams(*point))
+    # n = 1 is one engine step with nothing to integrate: it writes the kernel from_terms builds densely, so
+    # from_terms could build through the engine without changing a byte of the published JSON
+    assert qp.n_step_kernel(1, d, direction).to_json() == qp.one_step_kernel(direction, d).to_json()
     for n in range(1, 61):
         try:
             got = qp.n_step_kernel(n, d, direction)
@@ -252,26 +261,26 @@ def test_n_step_kernel_makes_one_engine_call_and_builds_no_dense_step(d321, monk
 
 def test_path_independence_uses_the_closure_coefficients(d321):
     co = closure_coeffs(d321)
-    res = qp.uniqueness_scan_1form(d321, co)
-    assert res["pass"]
-    assert abs(res["amp_ratio"] - 1.0) <= 1e-12
+    diff = qp.uniqueness_scan_1form(d321, co)
+    assert diff.exponent_diff <= DEFAULT_TOLERANCES["uniq1d_pass"]
+    assert abs(diff.amp_ratio - 1.0) <= 1e-12
 
 
 def test_uniqueness_scan_canonical_family(d321):
     co = qp.path_independent_coeffs(d321.a, d321.b, gamma=1.0)
-    assert qp.uniqueness_scan_1form(d321, co)["pass"]
+    assert qp.uniqueness_scan_1form(d321, co).exponent_diff <= DEFAULT_TOLERANCES["uniq1d_pass"]
     # the free constants gamma and f drop out of the corner swap
     co2 = qp.path_independent_coeffs(d321.a, d321.b, gamma=2.3, f=0.45)
-    assert qp.uniqueness_scan_1form(d321, co2)["pass"]
+    assert qp.uniqueness_scan_1form(d321, co2).exponent_diff <= DEFAULT_TOLERANCES["uniq1d_pass"]
 
 
 def test_uniqueness_scan_requires_every_condition(d321):
     co = qp.path_independent_coeffs(d321.a, d321.b)
     for name in ("alpha", "beta", "a0", "b0"):
         bumped = replace(co, **{name: getattr(co, name) + 1e-3})
-        res = qp.uniqueness_scan_1form(d321, bumped)
-        assert not res["pass"]
-        assert res["mismatch"] > 1e-5
+        mismatch = qp.uniqueness_scan_1form(d321, bumped).exponent_diff
+        assert not mismatch <= DEFAULT_TOLERANCES["uniq1d_pass"]
+        assert mismatch > 1e-5
 
 
 def test_percent_level_detuning_mismatches_above_1e4(d321):
@@ -281,7 +290,7 @@ def test_percent_level_detuning_mismatches_above_1e4(d321):
     mismatches = []
     for name in ("alpha", "beta", "a0", "b0"):
         bumped = replace(co, **{name: getattr(co, name) + 1e-2})
-        mismatches.append(qp.uniqueness_scan_1form(d321, bumped)["mismatch"])
+        mismatches.append(qp.uniqueness_scan_1form(d321, bumped).exponent_diff)
     assert float(np.median(mismatches)) > 1e-4
 
 

@@ -7,6 +7,8 @@ from mdclab import qsurface as qs
 from mdclab.errors import DegenerateCoeffs, DeltaConstraintError, MissingVertex
 from mdclab.oscgauss import compare, from_terms, glue, marginalize_all
 
+from conftest import coeff, reversed_surface
+
 
 @pytest.fixture(scope="module")
 def co321():
@@ -19,11 +21,11 @@ def test_flat_plaquette_kernel_is_its_own_lagrangian(co321):
     assert k.pihbar_pow == 0 and k.vol_pow == 0 and k.amp == 1.0
     u, u1, u2 = "u0_0_0", "u1_0_0", "u0_1_0"
     s12 = 5.0
-    assert k.coeff(u, u1) == 1.0
-    assert k.coeff(u, u2) == -1.0
-    assert k.coeff(u1, u1) == -s12 / 2
-    assert k.coeff(u2, u2) == -s12 / 2
-    assert k.coeff(u1, u2) == s12
+    assert coeff(k, u, u1) == 1.0
+    assert coeff(k, u, u2) == -1.0
+    assert coeff(k, u1, u1) == -s12 / 2
+    assert coeff(k, u2, u2) == -s12 / 2
+    assert coeff(k, u1, u2) == s12
 
 
 def test_pop_up_action_matches_the_oriented_sum(co321, rng):
@@ -83,8 +85,10 @@ def test_pop_up_interior_block_is_the_singular_matrix(co321):
 
 def test_two_by_two_patch_equals_glued_strips(co321):
     whole = qs.surface_kernel(qs.flat_patch(2, 2), co321)
-    top = qs.flat_patch(2, 1, base=(0, 1, 0))
-    bottom = qs.flat_patch(2, 1, base=(0, 0, 0))
+    # the 2-by-1 strip one row up, spelled out
+    row = tuple(qs.OrientedPlaquette(base=(a, 1, 0), plane=(1, 2)) for a in range(2))
+    top = qs.Surface(row, interior=frozenset(), boundary=frozenset(v for p in row for v in p.corners()))
+    bottom = qs.flat_patch(2, 1)
     glued = glue(
         qs.surface_kernel(bottom, co321), qs.surface_kernel(top, co321), shared=()
     )
@@ -153,7 +157,7 @@ def test_interior_relabeling_cannot_change_the_kernel(co321):
 def test_orientation_reversal_conjugates(co321):
     popped = qs.pop_up(qs.flat_patch(1, 1), 0)
     k = qs.surface_kernel(popped, co321)
-    k_rev = qs.surface_kernel(popped.reversed(), co321)
+    k_rev = qs.surface_kernel(reversed_surface(popped), co321)
     assert np.max(np.abs(k_rev.A + k.A)) <= 1e-13
     assert k_rev.amp == pytest.approx(np.conj(k.amp), abs=1e-13)
 

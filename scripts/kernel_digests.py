@@ -6,6 +6,8 @@ building the kernel or its JSON raises.  The set, at the points (3, 2, 1) and
 (2.7, 1.35, 0.55):
 
 - n_step_kernel at n = 1-200, hat and bar;
+- one_step_kernel, hat and bar, and multi_time_closed_form(n, m) at
+  0 <= n, m <= 12 (a caustic angle, such as n = m = 0, is an error line);
 - path_kernel on monotone paths of 1-300 steps, and on the same paths with a
   unit loop, 5-300 steps in all;
 - surface_kernel on flat k-by-k patches after 2k pop-ups at stride-picked
@@ -37,7 +39,14 @@ from functools import partial
 
 from mdclab.errors import MdcError
 from mdclab.params import LatticeParams, derive
-from mdclab.qprop1d import TimePath, momentum_factorized_kernel, n_step_kernel, path_kernel
+from mdclab.qprop1d import (
+    TimePath,
+    momentum_factorized_kernel,
+    multi_time_closed_form,
+    n_step_kernel,
+    one_step_kernel,
+    path_kernel,
+)
 from mdclab.qsurface import (
     canonical_lattice_coeffs,
     elementary_move_surfaces,
@@ -49,6 +58,7 @@ from mdclab.qsurface import (
 
 POINTS = {"p321": (3.0, 2.0, 1.0), "pgen": (2.7, 1.35, 0.55)}
 MAX_STEPS = 200
+MAX_CLOSED_FORM = 12
 MAX_PATH = 300
 PATCH_SIZES = range(4, 13)
 #: one-sided coefficient bumps that bring delta steps into the elementary moves
@@ -81,6 +91,9 @@ def cases():
         for direction in ("hat", "bar"):
             for n in range(1, MAX_STEPS + 1):
                 yield f"{tag}-nstep-{direction}-{n}", partial(n_step_kernel, n, derived, direction)
+            yield f"{tag}-onestep-{direction}", partial(one_step_kernel, direction, derived)
+        for n, m in itertools.product(range(MAX_CLOSED_FORM + 1), repeat=2):
+            yield f"{tag}-closed-{n}-{m}", partial(multi_time_closed_form, n, m, derived)
         for loop, shortest in ((False, 1), (True, 5)):
             for length in range(shortest, MAX_PATH + 1):
                 name = f"{tag}-path-{'looped' if loop else 'monotone'}-{length}"

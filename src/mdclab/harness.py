@@ -464,7 +464,7 @@ def _prop1d_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals
             )
             res.add("ub", diff.exponent_diff, *amplitude(diff))
             for n in range(1, 11):
-                res.add("qinv", qprop1d.invariant_kernel_residual(n, d, direction, relative=True))
+                res.add("qinv", qprop1d.invariant_kernel_residual(n, d, direction))
         swap = compare(
             qprop1d.path_kernel(qprop1d.TimePath(("+hat", "+bar")), d),
             qprop1d.path_kernel(qprop1d.TimePath(("+bar", "+hat")), d),

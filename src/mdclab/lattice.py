@@ -32,6 +32,9 @@ import numpy as np
 from .params import FloatOrArray, edge_coefficient
 from .qsurface import LatticeLagrangianCoeffs, e_minus_d
 
+#: Tolerance of classify_general_quad_lagrangian's two verdicts.
+CLASSIFY_TOL = 1e-9
+
 
 def quad_solve(
     u: FloatOrArray, ui: FloatOrArray, uj: FloatOrArray, pi: FloatOrArray, pj: FloatOrArray
@@ -134,7 +137,6 @@ def el_corner_residual(
 def classify_general_quad_lagrangian(
     coeffs: LatticeLagrangianCoeffs,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> dict[str, bool]:
     """Check the two classical admissibility conditions of a coefficient table.
 
@@ -145,8 +147,8 @@ def classify_general_quad_lagrangian(
     the face equation, vanishes numerically.  Neither depends on the gauge.
     """
     c, d, e = coeffs.c, coeffs.d, coeffs.e
-    symmetric = all(abs(v - c[(1, 2)]) <= tol for v in c.values()) and (
-        e_minus_d(coeffs) <= tol * max(1.0, *map(abs, d.values()))
+    symmetric = all(abs(v - c[(1, 2)]) <= CLASSIFY_TOL for v in c.values()) and (
+        e_minus_d(coeffs) <= CLASSIFY_TOL * max(1.0, *map(abs, d.values()))
     )
     faces = ((1, 2), (2, 3), (3, 1))
     if any(not abs(c[(j, i)]) >= 1e-12 for i, j in faces):
@@ -157,4 +159,5 @@ def classify_general_quad_lagrangian(
     vals = {1: u1, 2: u2, 3: u3}
     u12, u23, u31 = ((c[(i, j)] * u - e[(i, j)] * vals[i] + d[(i, j)] * vals[j]) / c[(j, i)] for i, j in faces)
     total = _face_sum(coeffs.lagrangian, u, u1, u2, u3, u12, u23, u31, 1, 2, 3)
-    return {"symmetric_quad": bool(symmetric), "closure_ok": bool(np.max(np.abs(total), initial=0.0) <= tol)}
+    closure_ok = np.max(np.abs(total), initial=0.0) <= CLASSIFY_TOL
+    return {"symmetric_quad": bool(symmetric), "closure_ok": bool(closure_ok)}

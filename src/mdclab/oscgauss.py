@@ -26,20 +26,22 @@ Pivots inside the band (PIVOT_TOL, 100 PIVOT_TOL) relative to their row are
 refused with NearCaustic rather than silently classified, and so is a pivot
 whose relative size is NaN (a NaN in its row, or an infinite diagonal).
 
-There is one elimination engine.  It takes an ordered list of steps
-(part, variables), adds each part's entries (a kernel's, or monomials not
-yet built into one) into its sparse rows, integrates that step's variables,
-then moves to the next part.  marginalize_all(k, vs) is the one-step case
-((k, vs),), glue(k1, k2, shared) the two-step case ((k1, ()), (k2, shared)).
-path_kernel, surface_kernel and momentum_factorized_kernel hand
-marginalize_all their monomials as one _Terms, and n_step_kernel hands the
-engine its n one-step monomial forms as one chain.  Within a step it consumes
-constraint-bound variables first, then the largest relative pivot, the first
-in sorted-name order on a tie.  An integration updates only the pivot's
-nonzero couplings, at a Python cost in the square of the pivot's degree plus
-a heap update per row it touches, bit-identical to dense
-one-variable-at-a-time elimination, and a chain to the fold of glue calls,
-for kernels without negative zeros.
+There is one elimination engine, and every kernel the library builds comes
+out of it (OscKernel.from_json reads one through the validating
+constructor).  It takes an ordered list of steps (part, variables), adds
+each part's entries (a kernel's, or monomials not yet built into one) into
+its sparse rows, integrates that step's variables, then moves to the next
+part.  marginalize_all(k, vs) is the one-step case ((k, vs),), glue(k1, k2,
+shared) the two-step case ((k1, ()), (k2, shared)), and from_terms the one
+step with nothing to integrate.  path_kernel, surface_kernel and
+momentum_factorized_kernel hand marginalize_all their monomials as one
+_Terms, and n_step_kernel hands the engine its n one-step monomial forms as
+one chain.  Within a step it consumes constraint-bound variables first, then
+the largest relative pivot, the first in sorted-name order on a tie.  An
+integration updates only the pivot's nonzero couplings, at a Python cost in
+the square of the pivot's degree plus a heap update per row it touches,
+bit-identical to dense one-variable-at-a-time elimination, and a chain to
+the fold of glue calls, for kernels without negative zeros.
 """
 
 from __future__ import annotations
@@ -89,9 +91,6 @@ class AffineConstraint:
         s = 1.0 / self.coefficient(lead)
         items = tuple(sorted((v, cv * s) for v, cv in self.coeffs))
         return AffineConstraint(coeffs=items, const=self.const * s)
-
-    def residual(self, assignment: dict[str, float]) -> float:
-        return abs(sum(cv * assignment[v] for v, cv in self.coeffs) + self.const)
 
 
 @dataclass(frozen=True)
@@ -145,19 +144,6 @@ class OscKernel:
             return self.vars.index(var)
         except ValueError:
             raise VariableMismatch(f"no variable {var!r} in kernel over {self.vars}") from None
-
-    def exponent(self, assignment: dict[str, float]) -> float:
-        v = np.array([assignment[name] for name in self.vars])
-        return float(0.5 * v @ self.A @ v + self.B @ v + self.c)
-
-    def value(self, assignment: dict[str, float]) -> complex:
-        """Numeric value with V set to 1; delta weights are not realised,
-        but the value is 0 off the constraint surface."""
-        for con in self.constraints:
-            if con.residual(assignment) > 1e-9:
-                return 0.0j
-        mag = self.amp * (2.0 * math.pi * self.hbar) ** float(self.pihbar_pow)
-        return mag * cmath.exp(1j * self.exponent(assignment) / self.hbar)
 
     # -- canonical form ----------------------------------------------------------
 
@@ -321,20 +307,12 @@ def from_terms(
     """Build a kernel from monomial coefficients: quadratic[(u, w)] is the
     full coefficient of the monomial u*w in the exponent.
 
-    Entries add up from 0.0 in dict order, exactly as the engine adds them
-    from a _Terms, which the kernel builders that integrate at once
-    (path_kernel, surface_kernel, momentum_factorized_kernel) hand to
-    marginalize_all instead, never building this dense A.
+    The kernel is the engine's step with nothing to integrate,
+    ((terms, ()),): entries add up from 0.0 in dict order, as the engine adds
+    every part's.
     """
     terms = _Terms(_distinct(vars), quadratic, linear or {}, const, complex(amp), Fraction(pihbar_pow), hbar)
-    n = len(terms.vars)
-    A = np.zeros((n, n))
-    B = np.zeros(n)
-    for i, j, v in terms._entries():
-        A[i, j] += v
-    for i, v in terms._linear():
-        B[i] += v
-    return OscKernel._built(terms.vars, A, B, terms.c, terms.amp, terms.pihbar_pow, 0, (), terms.hbar)
+    return _eliminate(((terms, ()),))
 
 
 def marginalize(kernel: OscKernel, var: str) -> OscKernel:

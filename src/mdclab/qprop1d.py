@@ -111,27 +111,30 @@ def _off_caustic_sin(theta: float) -> float:
     return sin_t
 
 
-def closed_form_kernel(theta: float, derived: "DerivedParams") -> OscKernel:
-    """Harmonic-oscillator style kernel from xa to xb for a total rotation
-    angle theta.
+def _closed_form_terms(theta: float, derived: "DerivedParams") -> _Terms:
+    """The monomials of the closed-form kernel from xa to xb for a total
+    rotation angle theta, in the form from_terms takes.
 
     Raises CausticError when sin(theta) is numerically on a caustic.
     """
     sin_t = _off_caustic_sin(theta)
     root_p = math.sqrt(derived.P)
     x, y = "xa", "xb"
+    square = -root_p * math.cos(theta) / sin_t
     phase = math.pi / 4.0 + (math.pi / 2.0) * math.floor(theta / math.pi)
-    return from_terms(
-        vars=(x, y),
-        quadratic={
-            (x, y): 2.0 * root_p / sin_t,
-            (x, x): -root_p * math.cos(theta) / sin_t,
-            (y, y): -root_p * math.cos(theta) / sin_t,
-        },
-        amp=math.sqrt(2.0 * root_p / abs(sin_t)) * cmath.exp(1j * phase),
-        pihbar_pow=Fraction(-1, 2),
-        hbar=derived.hbar,
-    )
+    amp = math.sqrt(2.0 * root_p / abs(sin_t)) * cmath.exp(1j * phase)
+    return _Terms((x, y), {(x, y): 2.0 * root_p / sin_t, (x, x): square, (y, y): square}, {}, 0.0, amp,
+                  Fraction(-1, 2), derived.hbar)
+
+
+def closed_form_kernel(theta: float, derived: "DerivedParams") -> OscKernel:
+    """Harmonic-oscillator style kernel from xa to xb for a total rotation
+    angle theta.
+
+    Raises CausticError when sin(theta) is numerically on a caustic.
+    """
+    terms = _closed_form_terms(theta, derived)
+    return from_terms(terms.vars, terms.quadratic, amp=terms.amp, pihbar_pow=terms.pihbar_pow, hbar=terms.hbar)
 
 
 def multi_time_closed_form(n: int, m: int, derived: "DerivedParams") -> OscKernel:
@@ -330,42 +333,21 @@ def uniqueness_scan_1form(derived: "DerivedParams", coeffs: OscillatorCoeffs) ->
 
 # -- Operator invariant in kernel form -----------------------------------------
 
-def invariant_kernel_residual(
-    n: int, derived: "DerivedParams", direction: str = "hat", relative: bool = False
-) -> float:
-    """Coefficient residual of (-hbar^2 d^2/dx^2 + 4 P x^2) K sym-swapped.
+def invariant_kernel_residual(n: int, derived: "DerivedParams", direction: str) -> float:
+    """Relative coefficient residual of (-hbar^2 d^2/dx^2 + 4 P x^2) K sym-swapped.
 
-    Applying the operator at either endpoint of the n-step kernel gives a
-    polynomial times K; the residual is the max coefficient difference of the
-    two polynomials.  It vanishes because the exponent coefficients satisfy
-    gamma^2 = alpha^2 + 4P, the kernel image of the shared invariant.  With
-    relative=True the residual is scaled by the largest coefficient, which
-    keeps parameter sweeps comparable when the coefficients grow large.
+    Applying the operator at either endpoint of the n-step closed-form kernel
+    gives a polynomial times K.  With alpha the coefficient of each endpoint's
+    square in the exponent matrix and gamma the coupling, the polynomial at
+    xa has the coefficients -i hbar alpha, alpha^2 + 4P for xa^2, gamma^2 for
+    xb^2 and 2 alpha gamma for xa xb, and the one at xb swaps the two squares.
+    They differ by |alpha^2 + 4P - gamma^2|, which vanishes because
+    gamma^2 = alpha^2 + 4P, the kernel image of the shared invariant.  The
+    difference is scaled by the largest coefficient, which keeps parameter
+    sweeps comparable when the coefficients grow large; a NaN stays NaN.
     """
-    kernel = closed_form_kernel(n * _angle(derived, direction), derived)
-    hbar = derived.hbar
-    i0, i1 = 0, 1
-    A, B = kernel.A, kernel.B
-    four_p = 4.0 * derived.P
-
-    def op_poly(at: int, other: int) -> dict[str, complex]:
-        # (-hbar^2 d^2/d x_at^2 + 4P x_at^2) K / K as polynomial coefficients
-        a_self = A[at, at]
-        a_cross = A[at, other]
-        b_lin = B[at]
-        poly = {
-            "const": -1j * hbar * a_self + b_lin * b_lin,
-            "x0^2": a_self**2 + four_p if at == i0 else a_cross**2,
-            "x1^2": a_self**2 + four_p if at == i1 else a_cross**2,
-            "x0*x1": 2.0 * a_self * a_cross,
-            "x0": 2.0 * (a_self if at == i0 else a_cross) * b_lin,
-            "x1": 2.0 * (a_self if at == i1 else a_cross) * b_lin,
-        }
-        return poly
-
-    lhs = op_poly(i0, i1)
-    rhs = op_poly(i1, i0)
-    worst = float(np.max([abs(lhs[k] - rhs[k]) for k in lhs]))
-    if relative:
-        worst /= max(abs(v) for v in lhs.values())
-    return worst
+    terms = _closed_form_terms(n * _angle(derived, direction), derived)
+    alpha, gamma = 2.0 * terms.quadratic[("xa", "xa")], terms.quadratic[("xa", "xb")]
+    at_self = alpha**2 + 4.0 * derived.P
+    scale = max(abs(derived.hbar * alpha), abs(at_self), abs(gamma**2), abs(2.0 * alpha * gamma))
+    return abs(at_self - gamma**2) / scale

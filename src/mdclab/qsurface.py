@@ -35,6 +35,8 @@ from .params import edge_coefficient
 Vertex = tuple[int, int, int]
 
 _UNIT = {1: (1, 0, 0), 2: (0, 1, 0), 3: (0, 0, 1)}
+#: Tolerance of uniqueness_scan_2form's branch, condition and move-a tests, scaled by the table's size.
+CRITICAL_TOL = 1e-9
 
 
 def shift(v: Vertex, direction: int) -> Vertex:
@@ -469,7 +471,6 @@ def lambda_of(coeffs: LatticeLagrangianCoeffs) -> float:
 
 def uniqueness_scan_2form(
     coeffs: LatticeLagrangianCoeffs,
-    tol: float = 1e-9,
     hbar: float = 1.0,
 ) -> dict:
     """Classify a coefficient point for surface independence under move a.
@@ -498,16 +499,14 @@ def uniqueness_scan_2form(
         "lambda_vs_c": abs(lambda_of(coeffs) - (1.0 - c12 * c12)),
     }
     scale = max(1.0, max(abs(v) for t in (coeffs.b, coeffs.c, coeffs.d) for v in t.values()))
-    on_critical_branch = conditions["cyclic_a"] <= tol * scale and conditions["det_cap"] <= tol * scale**3
+    on_critical_branch = (conditions["cyclic_a"] <= CRITICAL_TOL * scale
+                          and conditions["det_cap"] <= CRITICAL_TOL * scale**3)
 
     delta_rejected = False
     exponent_diff = float("nan")
-    amp_ratio = None
     if finite:
         try:
-            diff = elementary_move_check("a", coeffs, hbar)
-            exponent_diff = diff.exponent_diff
-            amp_ratio = diff.amp_ratio
+            exponent_diff = elementary_move_check("a", coeffs, hbar).exponent_diff
         except DeltaConstraintError:
             delta_rejected = True
             exponent_diff = float("inf")
@@ -515,9 +514,9 @@ def uniqueness_scan_2form(
     critical = (
         on_critical_branch
         and not delta_rejected
-        and exponent_diff <= tol * scale
+        and exponent_diff <= CRITICAL_TOL * scale
         and all(
-            conditions[name] <= tol * scale
+            conditions[name] <= CRITICAL_TOL * scale
             for name in ("e_minus_d", "b_plus_d_spread", "c_symmetric", "c_constant", "lambda_vs_c")
         )
     )
@@ -526,6 +525,5 @@ def uniqueness_scan_2form(
         "on_critical_branch": on_critical_branch,
         "delta_rejected": delta_rejected,
         "exponent_diff": exponent_diff,
-        "amp_ratio": amp_ratio,
         "conditions": conditions,
     }

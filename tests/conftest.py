@@ -1,3 +1,5 @@
+import cmath
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -33,3 +35,20 @@ def reversed_surface(surface):
     """The surface with every plaquette's orientation flipped; its pop records
     refer to the original orientations, so they are dropped."""
     return replace(surface, plaquettes=tuple(replace(p, sign=-p.sign) for p in surface.plaquettes), records=())
+
+
+def exponent(kernel, assignment):
+    """The kernel's exponent v^T A v / 2 + B^T v + c at a point."""
+    v = np.array([assignment[name] for name in kernel.vars])
+    return float(0.5 * v @ kernel.A @ v + kernel.B @ v + kernel.c)
+
+
+def value(kernel, assignment):
+    """Numeric value with V set to 1; delta weights are not realised, but the
+    value is 0 off the constraint surface, where a constraint's residual
+    exceeds 1e-9."""
+    for con in kernel.constraints:
+        if abs(sum(cv * assignment[v] for v, cv in con.coeffs) + con.const) > 1e-9:
+            return 0.0j
+    mag = kernel.amp * (2.0 * math.pi * kernel.hbar) ** float(kernel.pihbar_pow)
+    return mag * cmath.exp(1j * exponent(kernel, assignment) / kernel.hbar)

@@ -289,19 +289,22 @@ def test_canonical_form_keeps_the_sign_of_a_zero():
     assert math.copysign(1.0, data["B"][1]) == -1.0 and math.copysign(1.0, data["B"][0]) == 1.0
 
 
+#: Awkward entries, and entries near overflow, for library-built kernels.
+library_values = st.one_of(awkward_floats, st.floats(min_value=9e307, max_value=1.7e308))
+
+
 @st.composite
 def library_kernels(draw):
     """A from_terms kernel over awkward and near-overflow entries, with some of
     its variables integrated out when the engine can."""
-    values = st.one_of(awkward_floats, st.floats(min_value=9e307, max_value=1.7e308))
     n = draw(st.integers(1, 5))
     names = tuple(draw(st.permutations([f"v{k}" for k in range(n)])))
-    quadratic = draw(st.dictionaries(st.tuples(st.sampled_from(names), st.sampled_from(names)), values,
+    quadratic = draw(st.dictionaries(st.tuples(st.sampled_from(names), st.sampled_from(names)), library_values,
                                      max_size=3 * n))
-    linear = draw(st.dictionaries(st.sampled_from(names), values))
+    linear = draw(st.dictionaries(st.sampled_from(names), library_values))
     variables = draw(st.lists(st.sampled_from(names), unique=True))
     with np.errstate(all="ignore"):
-        kernel = oscgauss.from_terms(names, quadratic, linear, draw(values))
+        kernel = oscgauss.from_terms(names, quadratic, linear, draw(library_values))
         try:
             return oscgauss.marginalize_all(kernel, variables)
         except NearCaustic:
@@ -376,11 +379,59 @@ def test_from_json_refuses_a_repeated_entry():
 
 # -- the builders' direct feed -----------------------------------------------------
 
+def dense_kernel(terms):
+    """The kernel of a _Terms by a dense assembly outside the engine: each
+    monomial added from 0.0 into A and B in dict order, then the constructor
+    that skips re-validation."""
+    n = len(terms.vars)
+    A, B = np.zeros((n, n)), np.zeros(n)
+    for i, j, v in terms._entries():
+        A[i, j] += v
+    for i, v in terms._linear():
+        B[i] += v
+    return oscgauss.OscKernel._built(terms.vars, A, B, terms.c, terms.amp, terms.pihbar_pow, 0, (), terms.hbar)
+
+
 def dense_feed(terms, variables):
-    """The route the builders skip: a dense from_terms kernel of their monomials, then marginalize_all."""
-    dense = oscgauss.from_terms(terms.vars, terms.quadratic, terms.linear, terms.c, terms.amp, terms.pihbar_pow,
-                                terms.hbar)
-    return oscgauss.marginalize_all(dense, variables)
+    """The route the builders skip: a dense kernel of their monomials, then marginalize_all."""
+    return oscgauss.marginalize_all(dense_kernel(terms), variables)
+
+
+def same_bits(x, y) -> bool:
+    """Whether two float64 values or arrays are equal bit for bit, where a NaN
+    matches any NaN: which operand a sum of two NaNs keeps is not fixed, not
+    even in CPython, whose float addition keeps the second until the
+    bytecode is specialised and the first after."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    both = np.isnan(x) & np.isnan(y)
+    return np.array_equal(np.where(both, 0, x.view(np.int64)), np.where(both, 0, y.view(np.int64)))
+
+
+@st.composite
+def monomial_forms(draw):
+    """The arguments of from_terms over awkward, NaN and near-overflow entries, with repeated monomials."""
+    values = st.one_of(library_values, st.sampled_from([float("nan"), -float("nan")]))
+    names = tuple(draw(st.permutations([f"v{k}" for k in range(draw(st.integers(1, 5)))])))
+    quadratic = draw(st.dictionaries(st.tuples(st.sampled_from(names), st.sampled_from(names)), values,
+                                     max_size=3 * len(names)))
+    linear = draw(st.dictionaries(st.sampled_from(names), values))
+    return names, quadratic, linear, draw(values), complex(draw(values), draw(values))
+
+
+@settings(max_examples=200, deadline=None)
+# two monomials on one entry that overflow together, and a NaN beside signed zeros
+@example((("x", "y"), {("x", "y"): 1.7e308, ("y", "x"): 1.7e308}, {"x": -0.0}, 0.0, 1 + 0j))
+@example((("x",), {("x", "x"): float("nan")}, {"x": -0.0}, -0.0, complex(-0.0, -0.0)))
+@given(monomial_forms())
+def test_from_terms_is_the_dense_assembly_bit_for_bit(case):
+    names, quadratic, linear, const, amp = case
+    with np.errstate(all="ignore"):
+        want = dense_kernel(oscgauss._Terms(names, quadratic, linear, const, amp, Fraction(-1, 2), 0.37))
+    got = oscgauss.from_terms(names, quadratic, linear, const, amp, Fraction(-1, 2), 0.37)
+    assert got.vars == want.vars
+    assert same_bits(got.A, want.A) and same_bits(got.B, want.B)
+    assert same_bits(got.c, want.c) and same_bits([got.amp.real, got.amp.imag], [want.amp.real, want.amp.imag])
+    assert (got.pihbar_pow, got.vol_pow, got.constraints, got.hbar) == (want.pihbar_pow, want.vol_pow, (), 0.37)
 
 
 def outcome(build):

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from mdclab import oscgauss as og
 from mdclab.errors import NearCaustic, VariableMismatch
 
-from conftest import coeff
+from conftest import coeff, exponent, value
 
 
 def fresnel_quadrature_oracle(kernel, var, hbar=1.0, assignment=None):
@@ -78,7 +78,7 @@ def test_two_variable_kernel_matches_iterated_quadrature():
     # evaluate both sides as functions of u at a few points
     for u in (-0.7, 0.0, 1.3):
         want = fresnel_quadrature_oracle(k, "v", assignment={"u": u})
-        have = reduced.value({"u": u})
+        have = value(reduced, {"u": u})
         assert have == pytest.approx(want, rel=1e-6)
 
 
@@ -210,8 +210,8 @@ def test_serialization_round_trip():
 def test_value_respects_constraints():
     k = og.from_terms(("x1", "x3", "x5"), {("x1", "x3"): -1.0, ("x5", "x3"): 1.0})
     mid = og.marginalize(k, "x3")
-    on = mid.value({"x1": 0.4, "x5": 0.4})
-    off = mid.value({"x1": 0.4, "x5": 0.5})
+    on = value(mid, {"x1": 0.4, "x5": 0.4})
+    off = value(mid, {"x1": 0.4, "x5": 0.5})
     assert on != 0.0
     assert off == 0.0
 
@@ -227,8 +227,8 @@ def test_substitution_preserves_value_on_constraint_surface(rng):
         x = float(rng.normal())
         # on the surface x5 = x1 the reduced exponent agrees (amp differs by
         # the delta weight 1/|kappa|, accounted in amp)
-        assert out.exponent({"x1": x}) == pytest.approx(
-            mid.exponent({"x1": x, "x5": x}), abs=1e-12
+        assert exponent(out, {"x1": x}) == pytest.approx(
+            exponent(mid, {"x1": x, "x5": x}), abs=1e-12
         )
 
 

@@ -34,7 +34,6 @@ KNOBS = {
     "cli.main.argv",
     "harness.probe.stat",
     "lattice.classify_general_quad_lagrangian.seed",
-    "lattice.classify_general_quad_lagrangian.tol",
     "oscgauss.from_terms.linear",
     "oscgauss.from_terms.const",
     "oscgauss.from_terms.amp",
@@ -48,12 +47,9 @@ KNOBS = {
     "qprop1d.path_kernel.coeffs",
     "qprop1d.path_independent_coeffs.gamma",
     "qprop1d.path_independent_coeffs.f",
-    "qprop1d.invariant_kernel_residual.direction",
-    "qprop1d.invariant_kernel_residual.relative",
     "qsurface.canonical_lattice_coeffs.gauge",
     "qsurface.surface_kernel.hbar",
     "qsurface.elementary_move_check.hbar",
-    "qsurface.uniqueness_scan_2form.tol",
     "qsurface.uniqueness_scan_2form.hbar",
     "reduction.oneform_closure_residual.coeffs",
     "reduction.continuous_flow_fd_error.h",
@@ -143,4 +139,4 @@ def test_the_keyword_knobs_are_the_listed_ones():
                 defaulted += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
                 knobs |= {f"{path.stem}.{node.name}.{arg.arg}" for arg in defaulted}
     assert knobs == KNOBS
-    assert len(KNOBS) == 26
+    assert len(KNOBS) == 22

@@ -13,7 +13,7 @@ from mdclab.oscgauss import compare, glue
 from mdclab.params import LatticeParams, derive
 from mdclab.reduction import closure_coeffs
 
-from conftest import coeff, sample_triples
+from conftest import coeff, exponent, sample_triples
 
 
 def test_one_step_kernel_exact_values(d321):
@@ -161,7 +161,7 @@ def test_forward_backward_pair_is_a_delta(d321):
     # net weight is exactly delta(xa - xb): amp carries the delta scaling
     assert k.pihbar_pow == 0
     assert k.amp == pytest.approx((d321.P + d321.Q) / d321.q, abs=1e-10)
-    assert k.exponent({"xa": 0.37, "xb": 0.37}) == pytest.approx(0.0, abs=1e-12)
+    assert exponent(k, {"xa": 0.37, "xb": 0.37}) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_monotone_and_backtracking_paths_match_multi_time(d321, rng):
@@ -230,8 +230,7 @@ def _fields(k):
 def test_n_step_kernel_is_byte_equal_to_a_glue_fold(point, direction):
     # at (2, 2, 1) mu = 2 pi / 3, so the chain crosses exact intermediate caustics as delta steps
     d = derive(LatticeParams(*point))
-    # n = 1 is one engine step with nothing to integrate: it writes the kernel from_terms builds densely, so
-    # from_terms could build through the engine without changing a byte of the published JSON
+    # n = 1 is one engine step with nothing to integrate, the step from_terms hands the engine for one_step_kernel
     assert qp.n_step_kernel(1, d, direction).to_json() == qp.one_step_kernel(direction, d).to_json()
     for n in range(1, 61):
         try:
@@ -309,10 +308,49 @@ def test_closure_coeffs_sit_in_the_scan_family(d321):
     assert co.b0 == pytest.approx(free.b0, abs=1e-15)
 
 
+def _op_poly_residual(n, derived, direction, relative):
+    """The operator-invariant residual from the whole polynomials: the
+    coefficients of (-hbar^2 d^2/dx^2 + 4 P x^2) K / K at each endpoint of
+    the closed-form kernel, read from its A and B; their largest difference,
+    divided by the largest coefficient at xa when relative."""
+    kernel = qp.closed_form_kernel(n * qp._angle(derived, direction), derived)
+    A, B, four_p = kernel.A, kernel.B, 4.0 * derived.P
+
+    def op_poly(at, other):
+        a_self, a_cross, b_lin = A[at, at], A[at, other], B[at]
+        return {
+            "const": -1j * derived.hbar * a_self + b_lin * b_lin,
+            "x0^2": a_self**2 + four_p if at == 0 else a_cross**2,
+            "x1^2": a_self**2 + four_p if at == 1 else a_cross**2,
+            "x0*x1": 2.0 * a_self * a_cross,
+            "x0": 2.0 * (a_self if at == 0 else a_cross) * b_lin,
+            "x1": 2.0 * (a_self if at == 1 else a_cross) * b_lin,
+        }
+
+    lhs, rhs = op_poly(0, 1), op_poly(1, 0)
+    worst = float(np.max([abs(lhs[k] - rhs[k]) for k in lhs]))
+    if relative:
+        worst /= max(abs(v) for v in lhs.values())
+    return worst
+
+
 def test_operator_invariant_identity(d321):
     for direction in ("hat", "bar"):
         for n in range(1, 11):
             assert qp.invariant_kernel_residual(n, d321, direction) <= 1e-12
+            # unscaled, on the kernel's A and B
+            assert _op_poly_residual(n, d321, direction, relative=False) <= 1e-12
+
+
+@pytest.mark.parametrize("point", [(3.0, 2.0, 1.0), (2.7, 1.35, 0.55)])
+@pytest.mark.parametrize("hbar", [1.0, 0.37])
+def test_invariant_kernel_residual_is_the_polynomial_route_bit_for_bit(point, hbar):
+    # the two coefficients it reads stand for the whole polynomials of the closed-form kernel
+    d = derive(LatticeParams(*point, hbar=hbar))
+    for direction in ("hat", "bar"):
+        for n in range(1, 11):
+            got = qp.invariant_kernel_residual(n, d, direction)
+            assert got.hex() == _op_poly_residual(n, d, direction, relative=True).hex()
 
 
 def test_operator_invariant_identity_values(d321):
@@ -361,17 +399,15 @@ def test_one_step_kernel_canonical_form_is_stable(d321):
 
 
 def test_invariant_kernel_residual_keeps_a_nan(d321, monkeypatch):
-    closed_form = qp.closed_form_kernel
+    closed_form = qp._closed_form_terms
 
-    def with_nan_coupling(*args, **kwargs):
-        kernel = closed_form(*args, **kwargs)
-        A = kernel.A.copy()
-        A[0, 1] = A[1, 0] = float("nan")
-        return replace(kernel, A=A)
+    def with_nan_coupling(*args):
+        terms = closed_form(*args)
+        return terms._replace(quadratic={**terms.quadratic, ("xa", "xb"): float("nan")})
 
-    monkeypatch.setattr(qp, "closed_form_kernel", with_nan_coupling)
-    for relative in (False, True):
-        assert math.isnan(qp.invariant_kernel_residual(3, d321, relative=relative))
+    monkeypatch.setattr(qp, "_closed_form_terms", with_nan_coupling)
+    for direction in ("hat", "bar"):
+        assert math.isnan(qp.invariant_kernel_residual(3, d321, direction))
 
 
 def test_uniqueness_scan_refuses_a_vanishing_corner_pivot(d321):

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the sha256 of the canonical JSON of every kernel in a fixed set.
+"""Print the sha256 of every kernel in a fixed set, over its canonical JSON
+and the exact bits of its numbers.
 
 One line per kernel: `name sha256`, or `name error:Type:message` when
 building the kernel or its JSON raises.  The set, at the points (3, 2, 1) and
@@ -10,24 +11,28 @@ building the kernel or its JSON raises.  The set, at the points (3, 2, 1) and
   0 <= n, m <= 12 (a caustic angle, such as n = m = 0, is an error line);
 - path_kernel on monotone paths of 1-300 steps, and on the same paths with a
   unit loop, 5-300 steps in all;
+- path_kernel on seeded walks of 60-300 steps in the shape of perfbench's
+  `paths` workload: backward pairs and unit loops among the forward steps,
+  all in a random order;
 - surface_kernel on flat k-by-k patches after 2k pop-ups at stride-picked
   sites, k = 4-12;
 - the four momentum kernels (hat and bar, with and without the potential);
 - the 24 elementary-move kernels: moves a, b and c, both configurations, at
   the canonical coefficients and three one-sided bumps.
 
-Two builds of the library make the same kernels byte for byte exactly when
+Two builds of the library make the same kernels bit for bit exactly when
 their outputs are equal:
 
     python scripts/kernel_digests.py > before.txt   # on one commit
     python scripts/kernel_digests.py > after.txt    # on the other
     diff before.txt after.txt
 
-The digests are over the canonical JSON itself, so a change of that form
-moves every digest line once: the sparse `kernel_format` 2 did.  To check
-builder outputs across such a change, digest the old form of each kernel
-instead (tests/test_kernel_json.py renders the dense format 1 with
-`reference_canonical`).
+The JSON rounds every number to 15 decimal places, so each digest also
+covers the float64 bits of A, B, c, amp and the delta constraints
+(`kernel_bits`); a one-ulp change anywhere moves its line.  A change of the
+canonical form moves every digest line once: the sparse `kernel_format` 2
+did, and so did adding the bits.  To check builder outputs across such a
+change, run this script at both commits' `src/` and diff the outputs.
 
 Usage: python scripts/kernel_digests.py
 """
@@ -36,6 +41,8 @@ import hashlib
 import itertools
 import sys
 from functools import partial
+
+import numpy as np
 
 from mdclab.errors import MdcError
 from mdclab.params import LatticeParams, derive
@@ -60,6 +67,9 @@ POINTS = {"p321": (3.0, 2.0, 1.0), "pgen": (2.7, 1.35, 0.55)}
 MAX_STEPS = 200
 MAX_CLOSED_FORM = 12
 MAX_PATH = 300
+#: seeded walks per length, at lengths 60, 80, ..., 300
+WALK_LENGTHS = range(60, 301, 20)
+WALK_SEEDS = range(4)
 PATCH_SIZES = range(4, 13)
 #: one-sided coefficient bumps that bring delta steps into the elementary moves
 BUMPS = {"canonical": None, "c12": ("c", (1, 2), 1e-2), "c31": ("c", (3, 1), 1e-2), "b12": ("b", (1, 2), 1e-2)}
@@ -82,6 +92,26 @@ def _monotone_path(length: int, loop: bool) -> TimePath:
     return path.with_loop(base // 3) if loop else path
 
 
+def _walk(length: int, seed: int) -> TimePath:
+    """A walk of `length` steps in the shape of perfbench's `paths` inputs:
+    length // 60 unit loops and length // 12 backward pairs (+d, -d), the
+    forward rest split at random between hat and bar, the steps and pairs
+    shuffled together, then the loops inserted at random visits."""
+    rng = np.random.default_rng([length, seed])
+    loops, pairs = length // 60, length // 12
+    forward = length - 4 * loops - 2 * pairs
+    n = int(rng.integers(forward // 4, 3 * forward // 4 + 1))
+    steps = ["+hat"] * n + ["+bar"] * (forward - n)
+    for _ in range(pairs):
+        d = ("hat", "bar")[int(rng.integers(0, 2))]
+        steps += ["+" + d, "-" + d]
+    steps = [steps[i] for i in rng.permutation(len(steps))]
+    for _ in range(loops):
+        at = int(rng.integers(0, len(steps) + 1))
+        steps[at:at] = ["+hat", "+bar", "-hat", "-bar"]
+    return TimePath(tuple(steps))
+
+
 def cases():
     """(name, build) for each kernel of the set, in a fixed order; build()
     returns the kernel."""
@@ -98,6 +128,9 @@ def cases():
             for length in range(shortest, MAX_PATH + 1):
                 name = f"{tag}-path-{'looped' if loop else 'monotone'}-{length}"
                 yield name, lambda length=length, loop=loop: path_kernel(_monotone_path(length, loop), derived)
+        for length, seed in itertools.product(WALK_LENGTHS, WALK_SEEDS):
+            walk = partial(_walk, length, seed)
+            yield f"{tag}-walk-{length}-{seed}", lambda walk=walk: path_kernel(walk(), derived)
         for k in PATCH_SIZES:
             yield f"{tag}-patch-{k}", lambda k=k: surface_kernel(stride_patch(k), coeffs)
         for direction in ("hat", "bar"):
@@ -111,15 +144,26 @@ def cases():
                     yield f"{tag}-move-{move}{side}-{bump}", partial(surface_kernel, surface, table)
 
 
+def kernel_bits(kernel) -> bytes:
+    """The float64 bits, little-endian, of A and B in sorted-name order, then
+    c, amp's real and imaginary parts, and each delta constraint's
+    coefficients and constant in stored order."""
+    order = np.argsort(np.array(kernel.vars))
+    numbers = [kernel.A[np.ix_(order, order)].ravel(), kernel.B[order], [kernel.c, kernel.amp.real, kernel.amp.imag]]
+    numbers += [[*(cv for _, cv in con.coeffs), con.const] for con in kernel.constraints]
+    return np.concatenate(numbers).astype("<f8").tobytes()
+
+
 def digest_lines(limit: int | None = None):
     """The output lines of the first `limit` cases (all of them by default)."""
     for name, build in itertools.islice(cases(), limit):
         try:
-            text = build().to_json()
+            kernel = build()
+            text = kernel.to_json()
         except (MdcError, ValueError, ArithmeticError) as exc:
             yield f"{name} error:{type(exc).__name__}:{exc}"
         else:
-            yield f"{name} {hashlib.sha256(text.encode('utf-8')).hexdigest()}"
+            yield f"{name} {hashlib.sha256(text.encode('utf-8') + kernel_bits(kernel)).hexdigest()}"
 
 
 def main() -> int:

@@ -278,16 +278,24 @@ class _Residuals:
     def __init__(self, config: SuiteConfig):
         self.config = config
         self.records: list[CheckRecord] = []
-        self._by_key: dict[str, list[np.ndarray]] = {}
+        # per key, its residuals in order as chunks: each array flattened, each run of scalars one list of floats
+        self._by_key: dict[str, list[np.ndarray | list[float]]] = {}
 
     def add(self, key: str, *residuals: float | np.ndarray) -> None:
         """Add residuals under key; an array adds its entries in order."""
-        self._by_key.setdefault(key, []).extend(np.asarray(r, dtype=float).ravel() for r in residuals)
+        chunks = self._by_key.setdefault(key, [])
+        for r in residuals:
+            if isinstance(r, np.ndarray):
+                chunks.append(r.ravel())
+            elif chunks and type(chunks[-1]) is list:
+                chunks[-1].append(float(r))
+            else:
+                chunks.append([float(r)])
 
     def _value(self, residual: str | float, stat) -> float:
         if not isinstance(residual, str):
             return float(residual)
-        values = np.concatenate(self._by_key.get(residual) or [np.empty(0)])
+        values = np.concatenate(self._by_key.get(residual) or [()], dtype=float)
         bad = ~np.isfinite(values)
         if bad.any():
             return float(values[bad.argmax()])

@@ -192,14 +192,18 @@ class OscKernel:
         Infinity are not JSON."""
         return json.dumps(self.canonical_dict(), sort_keys=True, allow_nan=False)
 
-    def _entries(self):
-        """(row, column, value) of each nonzero entry of A, by position in vars."""
+    def _add_into(self, rows, B, at) -> list[int]:
+        """Add each nonzero entry of A, then each entry of B, into the engine's
+        sparse rows and linear list, whose position of a name `at` gives;
+        return the positions of vars."""
+        pos = [at[v] for v in self.vars]
         ii, jj = np.nonzero(self.A)
-        return zip(ii.tolist(), jj.tolist(), self.A[ii, jj].tolist())
-
-    def _linear(self):
-        """(position, value) of each entry of B."""
-        return enumerate(self.B.tolist())
+        for i, j, v in zip(ii.tolist(), jj.tolist(), self.A[ii, jj].tolist()):
+            row, j = rows[pos[i]], pos[j]
+            row[j] = row.get(j, 0.0) + v
+        for p, v in zip(pos, self.B.tolist()):
+            B[p] += v
+        return pos
 
     @staticmethod
     def from_json(text: str) -> "OscKernel":
@@ -277,22 +281,24 @@ class _Terms(NamedTuple):
     vol_pow: int = 0
     constraints: tuple[AffineConstraint, ...] = ()
 
-    def _entries(self):
-        """(row, column, increment) for each monomial, by position in vars and
-        in dict order: u*u adds 2 cv to A_uu, u*w adds cv to A_uw and A_wu."""
-        idx = {v: k for k, v in enumerate(self.vars)}
+    def _add_into(self, rows, B, at) -> list[int]:
+        """Add each monomial, in dict order, into the engine's sparse rows and
+        linear list, whose position of a name `at` gives: u*u adds 2 cv to
+        A_uu, u*w adds cv to A_uw and then to A_wu, and u adds cv to B_u.
+        Return the positions of vars."""
         for (u, w), cv in self.quadratic.items():
-            i, j = idx[u], idx[w]
+            i, j = at[u], at[w]
             if i == j:
-                yield i, i, 2.0 * cv
+                row = rows[i]
+                row[i] = row.get(i, 0.0) + 2.0 * cv
             else:
-                yield i, j, cv
-                yield j, i, cv
-
-    def _linear(self):
-        """(position, increment) for each linear monomial, in dict order."""
-        idx = {v: k for k, v in enumerate(self.vars)}
-        return ((idx[u], cv) for u, cv in self.linear.items())
+                row = rows[i]
+                row[j] = row.get(j, 0.0) + cv
+                row = rows[j]
+                row[i] = row.get(i, 0.0) + cv
+        for u, cv in self.linear.items():
+            B[at[u]] += cv
+        return [at[v] for v in self.vars]
 
 
 def from_terms(
@@ -353,29 +359,31 @@ def marginalize_all(kernel: OscKernel | _Terms, variables) -> OscKernel:
 
     The engine holds A as sparse rows of Python floats, one dict per variable
     in sorted-name order from position to coupling (a coupling that was never
-    nonzero has no entry), and B and the row scales as lists.  The pending
-    pivot ratios sit in a lazy-deletion heap keyed (0, 0.0, position) for a
-    NaN ratio and (1, -ratio, position) otherwise, so a pop makes np.argmax's
-    choice: the first NaN, else the largest ratio, the first in sorted-name
-    order on a tie; an entry a later refresh or elimination outdated is
-    skipped.  The volume test counts the NaN scales and keeps an upper bound
-    on the scales, so it scans them only when the bound cannot decide.  A
-    step rewrites only the block of the pivot's nonzero couplings (for a
-    substitution, of those couplings and the constraint's variables), with
-    the per-entry expressions of a dense update, and refreshes the caches on
-    those rows; one OscKernel is built at the end, through the constructor
-    that skips re-validation.  Outside the block a dense update would add or
-    subtract an exact zero, and the Gaussian update is exactly symmetric, so
-    the result is bit-identical to eliminating one variable at a time with
-    dense updates, for any kernel without negative zeros (from_terms,
-    _Terms and glue make none).
+    nonzero has no entry), and B and the row scales as lists; each part adds
+    its entries straight into them (_add_into).  The pending pivot ratios sit
+    in a lazy-deletion heap keyed (-ratio, position, version); a ratio lies
+    in [0, 1] or is NaN, and a NaN one is keyed -inf, so a pop makes
+    np.argmax's choice: the first NaN, else the largest ratio, the first in
+    sorted-name order on a tie; an entry a later refresh or elimination
+    outdated is skipped.  The volume test counts the NaN scales and keeps an
+    upper bound on the scales, so it scans them only when the bound cannot
+    decide.  A step rewrites only the block of the pivot's nonzero couplings
+    (for a substitution, of those couplings and the constraint's variables),
+    with the per-entry expressions of a dense update, and refreshes the
+    caches on those rows; a step with nothing to integrate refreshes none,
+    and leaves its rows to the next step that integrates.  One OscKernel is
+    built at the end, through the constructor that skips re-validation.
+    Outside the block a dense update would add or subtract an exact zero, and
+    the Gaussian update is exactly symmetric, so the result is bit-identical
+    to eliminating one variable at a time with dense updates, for any kernel
+    without negative zeros (from_terms, _Terms and glue make none).
 
     A step list of several parts, one pass, gives the kernel of the fold
     that builds an OscKernel after each step and glues the next part onto
     it, bit for bit.  That round trip only drops exact zeros (np.nonzero)
     and adds the next part's entries onto 0.0, which changes nothing on
-    kernels without negative zeros.  The running bound `top` may be larger
-    in one pass, since it keeps the scales of earlier steps; it only decides
+    kernels without negative zeros.  The running bound `top` may differ in
+    one pass, since it keeps the scales of earlier steps; it only decides
     whether the exact max(scale) test runs, so every volume decision is the
     same.
     """
@@ -412,13 +420,17 @@ def _eliminate(steps) -> OscKernel:
     is_pending = [False] * n
     # scale: the row scales max(max_w |A_vw|, |B_v|); nans counts the NaN ones, top bounds every one ever set
     scale, nans, top = [0.0] * n, 0, 0.0
-    # the pending pivot ratios as a lazy-deletion heap, in np.argmax's order: the first NaN, else the largest
-    # ratio, the first position on a tie; an entry is live while its row is pending and `ver` is the row's
-    heap, ver = [], [0] * n
+    # the pending pivot ratios as a lazy-deletion heap keyed (-ratio, position, version), in np.argmax's order:
+    # the first NaN, else the largest ratio, the first position on a tie.  A ratio lies in [0, 1] or is NaN,
+    # and a NaN one is keyed -inf.  An entry is live while its row is pending and `ver` is the row's.
+    heap, ver, nan_key = [], [0] * n, -math.inf
+    heappush, heappop, sqrt = heapq.heappush, heapq.heappop, math.sqrt
+    floor, band = _ABS_FLOOR, _NEAR_BAND * PIVOT_TOL
 
     def refresh(i: int) -> None:
         nonlocal nans, top
-        mags = [abs(B[i]), *map(abs, rows[i].values())]
+        row = rows[i]
+        mags = [abs(B[i]), *map(abs, row.values())]
         if scale[i] != scale[i]:
             nans -= 1
         # a NaN wins as in np.max: the sum is NaN exactly when a term is
@@ -428,25 +440,24 @@ def _eliminate(steps) -> OscKernel:
             top = s
         scale[i] = s
         if is_pending[i]:
-            r = abs(rows[i].get(i, 0.0)) / (_ABS_FLOOR if s < _ABS_FLOOR else s)
-            ver[i] += 1
-            heapq.heappush(heap, (1, -r, i, ver[i]) if r == r else (0, 0.0, i, ver[i]))
+            r = abs(row.get(i, 0.0)) / (floor if s < floor else s)
+            v = ver[i] = ver[i] + 1
+            heappush(heap, (-r if r == r else nan_key, i, v))
 
     for step, (part, variables) in enumerate(steps):
         if step:
             c, amp, vol = c + part.c, amp * part.amp, vol + part.vol_pow
         cons += part.constraints
-        pos = [at[v] for v in part.vars]
-        for i, j, v in part._entries():
-            row, j = rows[pos[i]], pos[j]
-            row[j] = row.get(j, 0.0) + v
-        for i, v in part._linear():
-            B[pos[i]] += v
+        pos = part._add_into(rows, B, at)
         pending = {at[v] for v in variables}
         for i in pending:
             is_pending[i] = True
-        # stale: the rows the last elimination wrote; every other row's cache is current
-        for i in pending.union(pos, stale):
+        # stale: the rows the last elimination wrote and those of every part added since; every other row's
+        # cache is current.  A step with nothing to integrate reads no cache, so it leaves them to the next
+        stale = pending.union(pos, stale)
+        if not pending:
+            continue
+        for i in stale:
             refresh(i)
         left, sub = len(pending), None  # sub: (constraint index, position) handed on by a delta step
         while left or sub:
@@ -458,10 +469,11 @@ def _eliminate(steps) -> OscKernel:
             if sub:
                 k = sub[1]
             else:
-                finite, _, k, stamp = heapq.heappop(heap)
+                key, k, stamp = heappop(heap)
                 while not is_pending[k] or stamp != ver[k]:
-                    finite, _, k, stamp = heapq.heappop(heap)
-            row_k, akk, bk = rows[k], rows[k].get(k, 0.0), B[k]
+                    key, k, stamp = heappop(heap)
+            row_k, bk = rows[k], B[k]
+            akk = row_k.get(k, 0.0)
             near = [i for i, v in row_k.items() if v and i != k]
             if sub:
                 # var = -(sum_{w != var} coeff_w * w + const)/cv over the remaining variables
@@ -492,32 +504,33 @@ def _eliminate(steps) -> OscKernel:
                     items = tuple((w, cw) for w, cw in coeffs.items() if cw != 0.0)
                     cons[j] = AffineConstraint(items, other.const - ocv * con.const / cv) if items else None
                 cons = [other for other in cons if other is not None]
-            elif not finite:
+            elif key == nan_key:
                 # a NaN relative pivot (a NaN in the row, or an infinite diagonal): no case can be told
                 raise NearCaustic(f"pivot for {names[k]!r} is not finite")
             else:
                 # row_scale <= _ABS_FLOOR * max(max(scale), 1), false on a NaN scale unless the row vanished exactly;
                 # max(scale) only when top may pass
                 row_scale = scale[k]
-                if row_scale == 0.0 or not nans and (row_scale <= _ABS_FLOOR or row_scale <= _ABS_FLOOR * top
-                                                     and row_scale <= _ABS_FLOOR * max(max(scale), 1.0)):
+                if row_scale == 0.0 or not nans and (row_scale <= floor or row_scale <= floor * top
+                                                     and row_scale <= floor * max(max(scale), 1.0)):
                     # variable absent from the exponent: a pure volume factor
                     vol += 1
-                elif (rel := abs(akk) / row_scale) >= _NEAR_BAND * PIVOT_TOL:
+                elif (rel := abs(akk) / row_scale) >= band:
                     # Gaussian: Schur complement plus Fresnel prefactor
+                    shift = bk / akk
                     for p, i in enumerate(near):
                         ri, row_i = row_k[i], rows[i]
                         for j in near[p:]:
                             row_i[j] = rows[j][i] = row_i.get(j, 0.0) - ri * row_k[j] / akk
-                        B[i] = B[i] - (bk / akk) * ri
+                        B[i] = B[i] - shift * ri
                     c = c - bk * bk / (2.0 * akk)
-                    amp = amp * (_FRESNEL_UP if akk > 0.0 else _FRESNEL_DOWN) / math.sqrt(abs(akk))
+                    amp = amp * (_FRESNEL_UP if akk > 0.0 else _FRESNEL_DOWN) / sqrt(abs(akk))
                     halves += 1
                 elif rel > PIVOT_TOL:
                     raise NearCaustic(f"pivot for {names[k]!r} sits at relative size {rel:.3e}; refusing to classify")
                 else:
                     # delta: exponent is (coupling . u + B_v) * v up to negligible curvature
-                    tied = sorted((i for i in near if abs(row_k[i]) > _ABS_FLOOR * row_scale), key=order.__getitem__)
+                    tied = sorted((i for i in near if abs(row_k[i]) > floor * row_scale), key=order.__getitem__)
                     if not tied:
                         # delta of a nonzero constant: the kernel vanishes identically
                         raise NearCaustic(f"integrating {names[k]!r} leaves delta({bk!r}): the kernel is null")

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateParams
+from .errors import DegenerateParams, OutOfRegime
 
 #: Absolute floor under which a parameter denominator counts as vanished.
 DENOM_EPS = 1e-12
@@ -88,8 +88,6 @@ class DerivedParams:
     hyperbolic: bool
 
     def require_elliptic(self) -> tuple[float, float]:
-        from .errors import OutOfRegime
-
         if self.hyperbolic or self.mu is None or self.nu is None:
             raise OutOfRegime(
                 f"elliptic regime required: b={self.b:.6g}, a={self.a:.6g}"

@@ -250,10 +250,13 @@ def path_kernel(
     names = ("xa", *(f"t{k}" for k in range(1, len(path.steps))), "xb")
     amp: complex = 1.0 + 0.0j
     if coeffs is None:
-        step_amp = {direction: _step_amp(derived, direction) for direction in {step[1:] for step in path.steps}}
+        # each step kind's amplitude, conjugated for a backward step
+        step_amp = {}
+        for direction in {step[1:] for step in path.steps}:
+            a_step = _step_amp(derived, direction)
+            step_amp["+" + direction], step_amp["-" + direction] = a_step, a_step.conjugate()
         for step in path.steps:
-            a_step = step_amp[step[1:]]
-            amp *= a_step if step.startswith("+") else a_step.conjugate()
+            amp *= step_amp[step]
         cf = closure_coeffs(derived)
         pihbar = Fraction(-len(path.steps), 2)
     else:
@@ -268,24 +271,21 @@ def _step_terms(
 ) -> dict[tuple[str, str], float]:
     """Exponent monomials of the one-step Lagrangians along a walk whose k-th
     step runs from names[k] to names[k + 1]."""
-    quad: dict[tuple[str, str], float] = {}
-
-    def add(pair: tuple[str, str], value: float) -> None:
-        quad[pair] = quad.get(pair, 0.0) + value
-
-    for k, step in enumerate(steps):
-        cur, nxt = names[k], names[k + 1]
-        forward = step.startswith("+")
-        if step[1:] == "hat":
-            lead, d_par, d0 = cf.beta, cf.b, cf.b0
-        else:
-            lead, d_par, d0 = cf.alpha, cf.a, cf.a0
+    # each step kind's coefficients of early * late, early^2 and late^2; backward steps use -L(destination, source)
+    kinds = {}
+    for step in STEPS:
+        lead, d_par, d0 = (cf.beta, cf.b, cf.b0) if step[1:] == "hat" else (cf.alpha, cf.a, cf.a0)
+        forward = step[0] == "+"
         sign = 1.0 if forward else -1.0
-        # backward steps use -L(destination, source)
+        kinds[step] = (forward, sign * lead, sign * lead * (d_par - d0), sign * lead * d0)
+    quad: dict[tuple[str, str], float] = {}
+    get = quad.get
+    for step, cur, nxt in zip(steps, names, names[1:]):
+        forward, cross, early_square, late_square = kinds[step]
         early, late = (cur, nxt) if forward else (nxt, cur)
-        add((early, late), sign * lead)
-        add((early, early), sign * lead * (d_par - d0))
-        add((late, late), sign * lead * d0)
+        quad[early, late] = get((early, late), 0.0) + cross
+        quad[early, early] = get((early, early), 0.0) + early_square
+        quad[late, late] = get((late, late), 0.0) + late_square
     return quad
 
 

@@ -385,10 +385,16 @@ def dense_kernel(terms):
     that skips re-validation."""
     n = len(terms.vars)
     A, B = np.zeros((n, n)), np.zeros(n)
-    for i, j, v in terms._entries():
-        A[i, j] += v
-    for i, v in terms._linear():
-        B[i] += v
+    idx = {v: k for k, v in enumerate(terms.vars)}
+    for (u, w), cv in terms.quadratic.items():
+        i, j = idx[u], idx[w]
+        if i == j:
+            A[i, i] += 2.0 * cv
+        else:
+            A[i, j] += cv
+            A[j, i] += cv
+    for u, cv in terms.linear.items():
+        B[idx[u]] += cv
     return oscgauss.OscKernel._built(terms.vars, A, B, terms.c, terms.amp, terms.pihbar_pow, 0, (), terms.hbar)
 
 

@@ -615,6 +615,17 @@ def test_a_vanished_row_is_a_volume_factor_while_another_row_scale_is_nan():
     assert _outcome(lambda: out) == _outcome(lambda: _fold_marginalize(kernel, ["c"]))
 
 
+def test_a_nan_in_a_first_step_row_keeps_a_later_tiny_pivot_row_from_being_a_volume_factor():
+    # the first step integrates nothing, so its rows' scales are first read when the second step's are;
+    # with the NaN counted, the row of "c", whose scale 1e-20 is below _ABS_FLOOR, is a Gaussian pivot
+    nan = float("nan")
+    k1 = og.OscKernel(vars=("a", "b"), A=[[1.0, nan], [nan, 1.0]], B=np.zeros(2), c=0.0)
+    k2 = og.OscKernel(vars=("c", "d"), A=[[1e-20, 0.0], [0.0, 1.0]], B=np.zeros(2), c=0.0)
+    got = _outcome(lambda: og._eliminate(((k1, ()), (k2, ("c",)))))
+    assert got == _outcome(lambda: _dense_glue(k1, k2, ["c"]))
+    assert (got[0], got[-2], got[-3]) == (("a", "b", "d"), 0, Fraction(1, 2))
+
+
 def _random_terms(rng):
     """Names, a quadratic dict (diagonal keys and both orders of a pair among
     them) and a linear dict for from_terms, of ordinary magnitudes."""

@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mdclab import oscgauss as og
 from mdclab import qprop1d as qp
@@ -11,7 +13,7 @@ from mdclab.errors import CausticError, DegenerateCoeffs, OutOfRegime
 from mdclab.harness import DEFAULT_TOLERANCES
 from mdclab.oscgauss import compare, glue
 from mdclab.params import LatticeParams, derive
-from mdclab.reduction import closure_coeffs
+from mdclab.reduction import OscillatorCoeffs, closure_coeffs
 
 from conftest import coeff, exponent, sample_triples
 
@@ -256,6 +258,52 @@ def test_n_step_kernel_makes_one_engine_call_and_builds_no_dense_step(d321, monk
         monkeypatch.setattr(module, "from_terms", refused)
     qp.n_step_kernel(20, d321)
     assert calls == [20]
+
+
+def _step_terms_reference(steps, cf, names):
+    """qprop1d._step_terms as it was written before it took each step kind's
+    coefficients once: every step evaluates its three coefficients and adds
+    them through a helper."""
+    quad = {}
+
+    def add(pair, value):
+        quad[pair] = quad.get(pair, 0.0) + value
+
+    for k, step in enumerate(steps):
+        cur, nxt = names[k], names[k + 1]
+        forward = step.startswith("+")
+        if step[1:] == "hat":
+            lead, d_par, d0 = cf.beta, cf.b, cf.b0
+        else:
+            lead, d_par, d0 = cf.alpha, cf.a, cf.a0
+        sign = 1.0 if forward else -1.0
+        early, late = (cur, nxt) if forward else (nxt, cur)
+        add((early, late), sign * lead)
+        add((early, early), sign * lead * (d_par - d0))
+        add((late, late), sign * lead * d0)
+    return quad
+
+
+@st.composite
+def walks_and_coeffs(draw):
+    """A walk that takes every step kind at least once, and OscillatorCoeffs
+    of which at least one is -0.0."""
+    steps = draw(st.permutations([*qp.STEPS, *draw(st.lists(st.sampled_from(qp.STEPS), max_size=60))]))
+    values = draw(st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6))
+    values[draw(st.integers(0, 5))] = -0.0
+    return tuple(steps), OscillatorCoeffs(*values)
+
+
+@settings(max_examples=200, deadline=None)
+# a zero leading coefficient with each sign, and a one-step walk back and forth in each direction
+@example((("+hat", "-hat", "+bar", "-bar"), OscillatorCoeffs(-0.0, 0.0, 0.5, -0.0, 1.25, -0.75)))
+@given(walks_and_coeffs())
+def test_step_terms_are_the_per_step_expressions_bit_for_bit(case):
+    steps, cf = case
+    names = ("xa", *(f"t{k}" for k in range(1, len(steps))), "xb")
+    got, want = qp._step_terms(steps, cf, names), _step_terms_reference(steps, cf, names)
+    assert list(got) == list(want)
+    assert np.array_equal(np.array(list(got.values())).view(np.int64), np.array(list(want.values())).view(np.int64))
 
 
 def test_path_independence_uses_the_closure_coefficients(d321):

@@ -3,7 +3,12 @@
 import csv
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
+
+from mdclab.oscgauss import from_terms
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -52,3 +57,12 @@ def test_kernel_digests_names_each_kernel_once_and_repeats_its_lines():
     names = [line.split(" ", 1)[0] for line in lines]
     assert len(set(names)) == len(names)
     assert list(script.digest_lines(20)) == lines
+
+
+def test_kernel_digests_hash_the_bits_that_the_json_rounds_away():
+    script = load_script("kernel_digests")
+    kernel = from_terms(("x", "y"), {("x", "y"): 0.0123})
+    nudged = replace(kernel, A=np.nextafter(kernel.A, 1.0) * (kernel.A != 0.0))
+    assert nudged.to_json() == kernel.to_json()
+    assert script.kernel_bits(nudged) != script.kernel_bits(kernel)
+    assert script.kernel_bits(replace(kernel)) == script.kernel_bits(kernel)

@@ -321,19 +321,20 @@ class _Residuals:
 
 def _params_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals) -> None:
     p, q, r = sample_triples(rng, config.trials, config.range_low, config.range_high).T
+    points = _work_points(config, rng)
     res.add("stt", check_stt_identity(p, q, r))
     res.add("sij", check_sij_identity(p, q, r))
     res.check("stt-identity-sweep", "stt-identity", "stt", "stt")
     res.check("sij-identity-sweep", "edge-identity", "sij", "sij")
 
-    d = derive(LatticeParams(3.0, 2.0, 1.0))
+    d = points[0]  # (3, 2, 1); s, t and t' do not depend on hbar
     stt = abs(d.s * d.t * d.tprime - 1.0 / 30.0) + abs((d.s - d.t + d.tprime) - 1.0 / 30.0)
     res.check("stt-identity-321", "stt-identity", stt, "stt")
     ep = edge_params(3.0, 2.0, 1.0)
     exact = abs(ep.s[(1, 2)] - 5.0) + abs(ep.s[(2, 3)] - 3.0) + abs(ep.s[(3, 1)] + 2.0)
     res.check("sij-values-321", "edge-identity", exact, 0.0)
 
-    for d in _work_points(config, rng):
+    for d in points:
         if not d.hyperbolic:
             res.add("mu", mu_identity_residual(d))
         for name, value in printed_constant_residuals(d).items():
@@ -347,8 +348,8 @@ def _lattice_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residual
     # cube k takes points[k % len(points)] and the k-th draw of four normals
     u, u1, u2, u3 = rng.normal(size=(n, 4)).T
     p1, p2, p3 = np.array([(d.p, d.q, d.r) for d in points])[np.arange(n) % len(points)].T
-    res.add("mdc", lattice.mdc_spread(u, u1, u2, u3, p1, p2, p3))
     cube = lattice.complete_cube(u, u1, u2, u3, p1, p2, p3)
+    res.add("mdc", lattice.mdc_spread(cube, p1, p2, p3))
     res.add("closure", lattice.closure_residual(cube, p1, p2, p3))
     bumped = replace(cube, u12=cube.u12 + 0.1)
     res.add("offshell", lattice.closure_residual(bumped, p1, p2, p3))
@@ -372,25 +373,25 @@ def _reduction_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residu
         S = hat_matrix(d.s)
         T = bar_matrix(d.t, d.tprime)
         res.add("det", abs(np.linalg.det(S) - 1.0), abs(np.linalg.det(T) - 1.0))
-        res.add("comm", reduction.commutator_residual(d))
+        res.add("comm", reduction.commutator_residual(S, T))
         z = rng.normal(size=2)
         xh = (S @ z)[0]
         xb = (T @ z)[0]
         xhb = (T @ S @ z)[0]
         res.add("corner", *reduction.corner_residuals(z[0], xh, xb, xhb, d))
-        res.add("mom", abs(reduction.momentum_hat(z[0], xh, d) - reduction.momentum_bar(z[0], xb, d)))
+        co = reduction.closure_coeffs(d)
+        res.add("box", reduction.oneform_closure_residual(z[0], xh, xb, xhb, co))
+        res.add("box_perturbed", reduction.oneform_closure_residual(z[0], xh, xb, xhb, replace(co, a0=co.a0 + 1e-2)))
+        res.add("mom", abs(reduction.momentum(z[0], xh, d, "hat") - reduction.momentum(z[0], xb, d, "bar")))
         orb = reduction.orbit(S, z, 100)
         for x, coeff in ((orb[:, 0], d.b), (reduction.orbit(T, z, 100)[:, 0], d.a)):
             vals = reduction.invariant_eval(x[:-1], x[1:], coeff)
             res.add("orbit", abs(vals - vals[0]))
         const = reduction.match_invariant_constant([(orb[0, 0], orb[1, 0])], d)
         x, xh = orb[[7, 23, 61], 0], orb[[8, 24, 62], 0]
-        X = reduction.momentum_hat(x, xh, d)
+        X = reduction.momentum(x, xh, d, "hat")
         lhs = reduction.invariant_eval(x, xh, d.b)
         res.add("common", abs(lhs - const * reduction.invariant_common(x, X, d.P)))
-        res.add("box", reduction.oneform_closure_residual(z, d))
-        co = reduction.closure_coeffs(d)
-        res.add("box_perturbed", reduction.oneform_closure_residual(z, d, replace(co, a0=co.a0 + 1e-2)))
         if not d.hyperbolic:
             res.add("grid", *reduction.solution_residuals(d, float(rng.normal()), float(rng.normal())).values())
             res.add("flow", *reduction.continuous_flow_residual(d.b, 3, 1.0, 0.5))
@@ -416,7 +417,7 @@ def _p3_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals) ->
         H = p3.p3_hat_matrix(d.s)
         B = p3.p3_bar_matrix(d.t, d.tprime)
         res.add("det", abs(np.linalg.det(H) - 1.0), abs(np.linalg.det(B) - 1.0))
-        res.add("comm", p3.p3_commutator_residual(d))
+        res.add("comm", reduction.commutator_residual(H, B))
         one, two = p3.QuadraticObservable.invariant_one(), p3.QuadraticObservable.invariant_two(d.s)
         res.add("bracket", p3.poisson_bracket(one, two))
         z = rng.normal(size=4)
@@ -430,9 +431,10 @@ def _p3_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals) ->
         res.add("eqn", hat, p3.p3_bar_equation_residual(*(orb_b[k:k + 98].T for k in range(3)), d.t, d.tprime))
         amps = tuple(rng.normal(size=4))
         try:
-            joint = p3.p3_joint_solution_residual(d, amps)
-            perturbed = p3.p3_joint_solution_residual(d, (1.0, 0.2, -0.4, 0.7), nu_shift=(1e-3, 0.0))
-            angles = p3.printed_angle_residuals(d)
+            modes = p3.p3_joint_modes(H, B)
+            joint = p3.p3_joint_solution_residual(modes, d, amps)
+            perturbed = p3.p3_joint_solution_residual(modes, d, (1.0, 0.2, -0.4, 0.7), nu_shift=(1e-3, 0.0))
+            angles = p3.printed_angle_residuals(modes, d)
         except OutOfRegime:
             continue  # no period-3 modes at this point
         res.add("joint", joint)
@@ -465,11 +467,9 @@ def _prop1d_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals
             diff = compare(qprop1d.n_step_kernel(n, d), qprop1d.multi_time_closed_form(n, 0, d))
             res.add("nstep", diff.exponent_diff)
             res.add("amp", *amplitude(diff))
-        for direction in ("hat", "bar"):
-            diff = compare(
-                qprop1d.momentum_factorized_kernel(d, direction),
-                qprop1d.one_step_kernel(direction, d),
-            )
+        steps = {direction: qprop1d.one_step_kernel(direction, d) for direction in ("hat", "bar")}
+        for direction, step in steps.items():
+            diff = compare(qprop1d.momentum_factorized_kernel(d, direction), step)
             res.add("ub", diff.exponent_diff, *amplitude(diff))
             for n in range(1, 11):
                 res.add("qinv", qprop1d.invariant_kernel_residual(n, d, direction))
@@ -477,10 +477,7 @@ def _prop1d_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals
             qprop1d.path_kernel(qprop1d.TimePath(("+hat", "+bar")), d),
             qprop1d.path_kernel(qprop1d.TimePath(("+bar", "+hat")), d),
         )
-        square = compare(
-            qprop1d.path_kernel(qprop1d.TimePath(("+bar", "+hat", "-bar")), d),
-            qprop1d.one_step_kernel("hat", d),
-        )
+        square = compare(qprop1d.path_kernel(qprop1d.TimePath(("+bar", "+hat", "-bar")), d), steps["hat"])
         base = qprop1d.TimePath(("+hat", "+hat"))
         looped = compare(qprop1d.path_kernel(base.with_loop(1), d), qprop1d.path_kernel(base, d))
         for diff in (swap, square, looped):
@@ -526,11 +523,12 @@ def _uniqueness1d_suite(config: SuiteConfig, rng: np.random.Generator, res: _Res
 
 def _surface_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals) -> None:
     points = _work_points(config, rng)
+    flat = qsurface.flat_patch(1, 1)
+    popped = qsurface.pop_up(flat, 0)
     for d in points:
         co = qsurface.canonical_lattice_coeffs(d.p, d.q, d.r)
-        flat = qsurface.flat_patch(1, 1)
         diff = compare(
-            qsurface.surface_kernel(qsurface.pop_up(flat, 0), co, hbar=config.hbar),
+            qsurface.surface_kernel(popped, co, hbar=config.hbar),
             qsurface.surface_kernel(flat, co, hbar=config.hbar),
         )
         res.add("pop", diff.exponent_diff)

@@ -69,23 +69,18 @@ class CubeSample:
 
 
 def u123_routes(
-    u: FloatOrArray, u1: FloatOrArray, u2: FloatOrArray, u3: FloatOrArray,
-    p1: FloatOrArray, p2: FloatOrArray, p3: FloatOrArray,
+    cube: CubeSample, p1: FloatOrArray, p2: FloatOrArray, p3: FloatOrArray
 ) -> tuple[FloatOrArray, FloatOrArray, FloatOrArray]:
-    """The triple-shifted corner evaluated along the three elimination orders."""
-    cube = complete_cube(u, u1, u2, u3, p1, p2, p3)
-    via2 = quad_solve(u2, cube.u23, cube.u12, p3, p1)
-    via3 = quad_solve(u3, cube.u31, cube.u23, p1, p2)
+    """A completed cube's far corner evaluated along the three elimination orders."""
+    via2 = quad_solve(cube.u2, cube.u23, cube.u12, p3, p1)
+    via3 = quad_solve(cube.u3, cube.u31, cube.u23, p1, p2)
     return cube.u123, via2, via3
 
 
-def mdc_spread(
-    u: FloatOrArray, u1: FloatOrArray, u2: FloatOrArray, u3: FloatOrArray,
-    p1: FloatOrArray, p2: FloatOrArray, p3: FloatOrArray,
-) -> FloatOrArray:
-    """Spread of the three routes to u123; zero iff consistent, NaN if any
-    route is NaN (np.maximum and np.minimum let a NaN through)."""
-    via1, via2, via3 = u123_routes(u, u1, u2, u3, p1, p2, p3)
+def mdc_spread(cube: CubeSample, p1: FloatOrArray, p2: FloatOrArray, p3: FloatOrArray) -> FloatOrArray:
+    """Spread of the three routes to a completed cube's u123; zero iff consistent,
+    NaN if any route is NaN (np.maximum and np.minimum let a NaN through)."""
+    via1, via2, via3 = u123_routes(cube, p1, p2, p3)
     return np.maximum(np.maximum(via1, via2), via3) - np.minimum(np.minimum(via1, via2), via3)
 
 

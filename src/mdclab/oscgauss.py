@@ -113,6 +113,11 @@ class OscKernel:
         n = len(_distinct(self.vars))
         if A.shape != (n, n) or B.shape != (n,):
             raise VariableMismatch(f"matrix shapes {A.shape}, {B.shape} do not fit {n} variables")
+        numbers = [self.c, *(con.const for con in self.constraints),
+                   *(cv for con in self.constraints for _, cv in con.coeffs)]
+        if not (np.isfinite(A).all() and np.isfinite(B).all() and cmath.isfinite(self.amp)
+                and all(map(math.isfinite, numbers))):
+            raise ValueError("kernel entries are not finite: NaN and infinity are refused, as in the JSON form")
         if n and abs(A - A.T).max() > 1e-12 * max(1.0, float(abs(A).max())):
             raise VariableMismatch("exponent matrix must be symmetric")
         # an A already symmetric bit for bit stays as it is: 0.5 (A + A^T) overflows above half the largest double
@@ -177,11 +182,8 @@ class OscKernel:
             "hbar": self.hbar,
             "constraints": sorted(
                 (
-                    {
-                        "coeffs": [[v, round(cv, 15)] for v, cv in con.normalized().coeffs],
-                        "const": round(con.normalized().const, 15),
-                    }
-                    for con in self.constraints
+                    {"coeffs": [[v, round(cv, 15)] for v, cv in con.coeffs], "const": round(con.const, 15)}
+                    for con in map(AffineConstraint.normalized, self.constraints)
                 ),
                 key=lambda item: json.dumps(item, sort_keys=True),
             ),
@@ -318,6 +320,10 @@ def from_terms(
     every part's.
     """
     terms = _Terms(_distinct(vars), quadratic, linear or {}, const, complex(amp), Fraction(pihbar_pow), hbar)
+    known = set(terms.vars)
+    for v in (*(v for pair in quadratic for v in pair), *terms.linear):
+        if v not in known:
+            raise VariableMismatch(f"no variable {v!r} in kernel over {terms.vars}")
     return _eliminate(((terms, ()),))
 
 

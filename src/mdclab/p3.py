@@ -35,7 +35,8 @@ axis); on arrays every expression acts elementwise in the scalar order, so
 an array call returns bit for bit the scalar calls' values.  The joint
 solution check evaluates each grid point once.  p3_joint_solution itself
 stays scalar: numpy's array complex product can differ from the scalar one
-in the last bit.
+in the last bit.  The checks take the matrices and modes their caller built
+once per point; reduction.commutator_residual is the matrices' commutator.
 """
 
 from __future__ import annotations
@@ -107,12 +108,6 @@ def p3_hat_matrix(s: float) -> np.ndarray:
 
 def p3_bar_matrix(t: float, tprime: float) -> np.ndarray:
     return _matrix_of(lambda z: p3_bar_map(z, t, tprime))
-
-
-def p3_commutator_residual(derived: "DerivedParams") -> float:
-    H = p3_hat_matrix(derived.s)
-    B = p3_bar_matrix(derived.t, derived.tprime)
-    return float(np.max(np.abs(H @ B - B @ H)))
 
 
 def p3_invariants(state, s: float) -> tuple[float, float]:
@@ -211,14 +206,12 @@ class JointMode:
     v: tuple[complex, complex]
 
 
-def p3_joint_modes(derived: "DerivedParams") -> tuple[JointMode, JointMode]:
-    """The two independent modes, extracted from the shared eigenvectors.
+def p3_joint_modes(H: np.ndarray, B: np.ndarray) -> tuple[JointMode, JointMode]:
+    """The two independent modes of H and B, from their shared eigenvectors.
 
     Raises OutOfRegime if the primary map has non-unimodular eigenvalues
     (hyperbolic) where no real angles exist.
     """
-    H = p3_hat_matrix(derived.s)
-    B = p3_bar_matrix(derived.t, derived.tprime)
     evals, evecs = np.linalg.eig(H)
     if np.max(np.abs(np.abs(evals) - 1.0)) > 1e-9:
         raise OutOfRegime("period-3 primary map has non-unimodular eigenvalues")
@@ -272,13 +265,13 @@ def p3_joint_solution(
 
 
 def p3_joint_solution_residual(
+    modes: tuple[JointMode, JointMode],
     derived: "DerivedParams",
     amplitudes: tuple[float, float, float, float],
     nu_shift: tuple[float, float] = (0.0, 0.0),
 ) -> float:
     """Max residual of all four second-order equations on the 5-by-5 grid
-    0 <= m, n < 5 of the joint solution."""
-    modes = p3_joint_modes(derived)
+    0 <= m, n < 5 of the joint solution of modes."""
     grid = range(-1, 6)
     x = np.array([[p3_joint_solution(m, n, amplitudes, modes, nu_shift) for n in grid] for m in grid])
     x = x.transpose(2, 0, 1)  # x[:, m + 1, n + 1] is (x1, x2) at grid point (m, n)
@@ -317,14 +310,14 @@ def cos_nu_from_elimination(t: float, tprime: float) -> tuple[float, float]:
     )
 
 
-def printed_angle_residuals(derived: "DerivedParams") -> dict[str, float]:
-    """Distance between map-spectrum angles and the quoted closed forms.
+def printed_angle_residuals(modes: tuple[JointMode, JointMode], derived: "DerivedParams") -> dict[str, float]:
+    """Distance between the map-spectrum angles of modes and the quoted closed forms.
 
     cos(mu_pm) agrees with its closed form.  The quoted closed form for
     cos(nu_pm) does not reproduce the commuting-map spectrum; the elimination
     form in cos_nu_from_elimination does.  Reported, not asserted.
     """
-    plus, minus = p3_joint_modes(derived)
+    plus, minus = modes
     cm = cos_mu_closed_form(derived.s)
     ce = cos_nu_from_elimination(derived.t, derived.tprime)
     tt = derived.t * derived.tprime

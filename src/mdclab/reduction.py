@@ -38,16 +38,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import OutOfRegime
-from .params import bar_matrix, hat_matrix
 
 if TYPE_CHECKING:
     from .params import DerivedParams
 
 
-def commutator_residual(derived: "DerivedParams") -> float:
-    """Max-norm of S T - T S for the two map matrices."""
-    S = hat_matrix(derived.s)
-    T = bar_matrix(derived.t, derived.tprime)
+def commutator_residual(S: np.ndarray, T: np.ndarray) -> float:
+    """Max-norm of S T - T S for two map matrices."""
     return float(np.max(np.abs(S @ T - T @ S)))
 
 
@@ -63,16 +60,11 @@ def direction_constants(derived: "DerivedParams", direction: str) -> tuple[float
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def momentum_hat(x: float, xh: float, derived: "DerivedParams") -> float:
-    """X_b = -dL_b/dx at the earlier point."""
-    plus, minus, q = direction_constants(derived, "hat")
-    return -plus / q * xh - minus / q * x
-
-
-def momentum_bar(x: float, xb: float, derived: "DerivedParams") -> float:
-    """X_a = -dL_a/dx at the earlier point."""
-    plus, minus, r = direction_constants(derived, "bar")
-    return -plus / r * xb - minus / r * x
+def momentum(x: float, xnext: float, derived: "DerivedParams", direction: str) -> float:
+    """-dL/dx at the earlier point of the one-step Lagrangian in a direction:
+    X_b for "hat" (xnext = xh), X_a for "bar" (xnext = xb)."""
+    plus, minus, w = direction_constants(derived, direction)
+    return -plus / w * xnext - minus / w * x
 
 
 def corner_residuals(
@@ -108,7 +100,7 @@ def match_invariant_constant(samples: list[tuple[float, float]], derived: "Deriv
     den = 0.0
     for x, xnext in samples:
         I2 = invariant_eval(x, xnext, derived.b)
-        X = momentum_hat(x, xnext, derived)
+        X = momentum(x, xnext, derived, "hat")
         c = invariant_common(x, X, derived.P)
         num += I2 * c
         den += c * c
@@ -153,24 +145,11 @@ def closure_coeffs(derived: "DerivedParams") -> OscillatorCoeffs:
     )
 
 
-def oneform_closure_residual(
-    state: tuple[float, float],
-    derived: "DerivedParams",
-    coeffs: OscillatorCoeffs | None = None,
-) -> float:
-    """|box(L)| with all shifted points generated by the maps.
+def oneform_closure_residual(x: float, xh: float, xb: float, xhb: float, coeffs: OscillatorCoeffs) -> float:
+    """|box(L)| on the four corners of an elementary square.
 
     box(L) = L_a(xh, xhb) - L_a(x, xb) - L_b(xb, xhb) + L_b(x, xh).
     """
-    if coeffs is None:
-        coeffs = closure_coeffs(derived)
-    z = np.asarray(state, dtype=float)
-    S = hat_matrix(derived.s)
-    T = bar_matrix(derived.t, derived.tprime)
-    x = z[0]
-    xh = (S @ z)[0]
-    xb = (T @ z)[0]
-    xhb = (T @ S @ z)[0]
     box = coeffs.lag_a(xh, xhb) - coeffs.lag_a(x, xb) - coeffs.lag_b(xb, xhb) + coeffs.lag_b(x, xh)
     return abs(box)
 

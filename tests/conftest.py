@@ -5,8 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mdclab import harness
-from mdclab.params import LatticeParams, derive
+from mdclab import harness, p3
+from mdclab.params import LatticeParams, bar_matrix, derive, hat_matrix
 
 
 @pytest.fixture(scope="session")
@@ -23,6 +23,28 @@ def rng():
 def sample_triples(rng, count):
     """Admissible random parameter triples in [0.5, 3], as the harness samples them."""
     return harness.sample_triples(rng, count, 0.5, 3.0).tolist()
+
+
+def map_matrices(derived):
+    """The 2x2 hat and bar maps S and T of the 3-point reduction."""
+    return hat_matrix(derived.s), bar_matrix(derived.t, derived.tprime)
+
+
+def square_corners(state, derived):
+    """x, xh, xb and xhb of the elementary square the maps S and T generate from state."""
+    z = np.asarray(state, dtype=float)
+    S, T = map_matrices(derived)
+    return z[0], (S @ z)[0], (T @ z)[0], (T @ S @ z)[0]
+
+
+def p3_matrices(derived):
+    """The 4x4 period-3 matrices H and B."""
+    return p3.p3_hat_matrix(derived.s), p3.p3_bar_matrix(derived.t, derived.tprime)
+
+
+def p3_modes(derived):
+    """The two joint modes of the period-3 matrices."""
+    return p3.p3_joint_modes(*p3_matrices(derived))
 
 
 def coeff(kernel, v1, v2):

@@ -17,7 +17,7 @@ from mdclab.params import (
     hat_matrix,
 )
 
-from conftest import sample_triples
+from conftest import sample_triples, square_corners
 
 SEED = 321
 
@@ -66,8 +66,8 @@ def test_criterion_02_consistency_and_closure():
     for k in range(1000):
         p, q, r = triples[k % len(triples)]
         u, u1, u2, u3 = rng.normal(size=4)
-        worst_mdc = nan_max(worst_mdc, lattice.mdc_spread(u, u1, u2, u3, p, q, r))
         cube = lattice.complete_cube(u, u1, u2, u3, p, q, r)
+        worst_mdc = nan_max(worst_mdc, lattice.mdc_spread(cube, p, q, r))
         worst_closure = nan_max(worst_closure, lattice.closure_residual(cube, p, q, r))
         offshell.append(lattice.closure_residual(replace(cube, u12=cube.u12 + 0.1), p, q, r))
     median_off = float(np.median(offshell))
@@ -84,7 +84,7 @@ def test_criterion_03_reduction_structure(d321):
     for d in points:
         S, T = hat_matrix(d.s), bar_matrix(d.t, d.tprime)
         worst_det = nan_max(worst_det, abs(np.linalg.det(S) - 1), abs(np.linalg.det(T) - 1))
-        worst_comm = nan_max(worst_comm, reduction.commutator_residual(d))
+        worst_comm = nan_max(worst_comm, reduction.commutator_residual(S, T))
         z = rng.normal(size=2)
         for M, coeff in ((S, d.b), (T, d.a)):
             orb = reduction.orbit(M, z, 100)
@@ -100,12 +100,12 @@ def test_criterion_03_reduction_structure(d321):
             worst_orbit = nan_max(worst_orbit, (abs(v - vals[0]) for v in vals))
         xh, xb = (S @ z)[0], (T @ z)[0]
         worst_mom = nan_max(worst_mom, abs(
-            reduction.momentum_hat(z[0], xh, d) - reduction.momentum_bar(z[0], xb, d)
+            reduction.momentum(z[0], xh, d, "hat") - reduction.momentum(z[0], xb, d, "bar")
         ))
         orb = reduction.orbit(S, z, 50)
         const = reduction.match_invariant_constant([(orb[0, 0], orb[1, 0])], d)
         for k in (9, 27, 44):
-            X = reduction.momentum_hat(orb[k, 0], orb[k + 1, 0], d)
+            X = reduction.momentum(orb[k, 0], orb[k + 1, 0], d, "hat")
             lhs = reduction.invariant_eval(orb[k, 0], orb[k + 1, 0], d.b)
             worst_common = nan_max(
                 worst_common, abs(lhs - const * reduction.invariant_common(orb[k, 0], X, d.P))
@@ -119,15 +119,15 @@ def test_criterion_03_reduction_structure(d321):
 
 def test_criterion_04_oneform_closure(d321):
     rng = np.random.default_rng(SEED)
-    worst = nan_max(
-        reduction.oneform_closure_residual(rng.normal(size=2), d321) for _ in range(200)
-    )
     co = reduction.closure_coeffs(d321)
+    worst = nan_max(
+        reduction.oneform_closure_residual(*square_corners(rng.normal(size=2), d321), co) for _ in range(200)
+    )
     floors = []
     for name in ("alpha", "beta", "a0", "b0"):
         vals = [
             reduction.oneform_closure_residual(
-                rng.normal(size=2), d321, replace(co, **{name: getattr(co, name) + 1e-2})
+                *square_corners(rng.normal(size=2), d321), replace(co, **{name: getattr(co, name) + 1e-2})
             )
             for _ in range(51)
         ]
@@ -138,12 +138,12 @@ def test_criterion_04_oneform_closure(d321):
 
 def test_criterion_05_period3(d321):
     rng = np.random.default_rng(SEED)
-    worst_comm = p3.p3_commutator_residual(d321)
+    H = p3.p3_hat_matrix(d321.s)
+    B = p3.p3_bar_matrix(d321.t, d321.tprime)
+    worst_comm = reduction.commutator_residual(H, B)
     bracket = p3.poisson_bracket(
         p3.QuadraticObservable.invariant_one(), p3.QuadraticObservable.invariant_two(d321.s)
     )
-    H = p3.p3_hat_matrix(d321.s)
-    B = p3.p3_bar_matrix(d321.t, d321.tprime)
     z = rng.normal(size=4)
     i0 = p3.p3_invariants(z, d321.s)
     zh = z.copy()
@@ -154,7 +154,7 @@ def test_criterion_05_period3(d321):
     drift = nan_max(
         abs(v - w) for zz in (zh, zb) for v, w in zip(p3.p3_invariants(zz, d321.s), i0)
     )
-    joint = p3.p3_joint_solution_residual(d321, tuple(rng.normal(size=4)))
+    joint = p3.p3_joint_solution_residual(p3.p3_joint_modes(H, B), d321, tuple(rng.normal(size=4)))
     ok = worst_comm <= 1e-12 and bracket == 0.0 and drift <= 1e-9 and joint <= 1e-8
     announce(5, ok,
              f"commutator {worst_comm:.2e}, bracket {bracket:.1e}, "

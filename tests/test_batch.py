@@ -12,6 +12,8 @@ from mdclab import lattice, p3, reduction
 from mdclab.harness import GUARD_GAP, GUARD_SUM, sample_triples
 from mdclab.params import LatticeParams, bar_matrix, check_sij_identity, check_stt_identity, derive, hat_matrix
 
+from conftest import p3_modes
+
 param = st.floats(-5.0, 5.0)
 value = st.floats(-10.0, 10.0)
 
@@ -43,12 +45,11 @@ def test_batch_checks_equal_scalar_checks(points):
 
     assert bits(check_stt_identity(p1, p2, p3)) == bits([check_stt_identity(*t) for t in triples])
     assert bits(check_sij_identity(p1, p2, p3)) == bits([check_sij_identity(*t) for t in triples])
-    assert bits(lattice.mdc_spread(u, u1, u2, u3, p1, p2, p3)) == bits(
-        [lattice.mdc_spread(*c, *t) for t, c in points]
-    )
-
     cube = lattice.complete_cube(u, u1, u2, u3, p1, p2, p3)
     scalar_cubes = [lattice.complete_cube(*c, *t) for t, c in points]
+    assert bits(lattice.mdc_spread(cube, p1, p2, p3)) == bits(
+        [lattice.mdc_spread(c, *t) for t, c in zip(triples, scalar_cubes)]
+    )
     for f in fields(cube):
         assert bits(getattr(cube, f.name)) == bits([getattr(c, f.name) for c in scalar_cubes])
     for bump in (0.0, 0.1):
@@ -69,10 +70,10 @@ def test_orbit_residuals_equal_per_step_scalar_calls(seed, steps):
     xb = reduction.orbit(bar_matrix(d.t, d.tprime), rng.normal(size=2), steps)[:, 0]
     pairs = list(zip(x[:-1], x[1:], xb[:-1], xb[1:]))
 
-    X = reduction.momentum_hat(x[:-1], x[1:], d)
-    assert bits(X) == bits([reduction.momentum_hat(a, b, d) for a, b, _, _ in pairs])
-    assert bits(reduction.momentum_bar(xb[:-1], xb[1:], d)) == bits(
-        [reduction.momentum_bar(a, b, d) for _, _, a, b in pairs]
+    X = reduction.momentum(x[:-1], x[1:], d, "hat")
+    assert bits(X) == bits([reduction.momentum(a, b, d, "hat") for a, b, _, _ in pairs])
+    assert bits(reduction.momentum(xb[:-1], xb[1:], d, "bar")) == bits(
+        [reduction.momentum(a, b, d, "bar") for _, _, a, b in pairs]
     )
     assert bits(reduction.invariant_eval(x[:-1], x[1:], d.b)) == bits(
         [reduction.invariant_eval(a, b, d.b) for a, b, _, _ in pairs]
@@ -104,8 +105,9 @@ def test_grid_residuals_evaluate_each_grid_point_once(monkeypatch):
             return f(m, n, *args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
+    modes = p3_modes(d)
     reduction.solution_residuals(d, 0.3, -0.7)
-    p3.p3_joint_solution_residual(d, (1.0, 0.2, -0.4, 0.7))
+    p3.p3_joint_solution_residual(modes, d, (1.0, 0.2, -0.4, 0.7))
     grid = [(m, n) for m in range(-1, 6) for n in range(-1, 6)]
     assert {name: sorted(seen) for name, seen in points.items()} == {name: grid for name in points}
 

@@ -1,12 +1,13 @@
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mdclab import cli, lattice, qprop1d
+from mdclab import cli, lattice, p3, qprop1d
 from mdclab.errors import ConfigError
 from mdclab.harness import (
     CSV_COLUMNS,
@@ -362,6 +363,25 @@ def test_p3_suite_skips_points_without_period3_modes(tmp_path):
         assert records[name]["passed"]
     assert "p3-joint-perturbed-median" in records
     assert not [name for name in records if name.startswith("p3-") and name.endswith("p-3q2r1")]
+
+
+def test_suites_build_each_object_once_per_point(monkeypatch):
+    # the suites hand on what they built: the period-3 matrices and modes, the batch of cubes and each step kernel
+    calls = {}
+    for module, name in ((p3, "p3_joint_modes"), (p3, "p3_hat_matrix"), (lattice, "complete_cube"),
+                         (qprop1d, "one_step_kernel")):
+        def counted(*args, f=getattr(module, name), seen=calls.setdefault(name, []), **kwargs):
+            seen.append(args)
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    run(SuiteConfig(suites=("lattice", "p3", "prop1d")))
+    points = 5  # (3, 2, 1) and four sampled triples
+    assert 0 < len(calls["p3_joint_modes"]) <= points
+    assert 0 < len(calls["p3_hat_matrix"]) <= points
+    assert len(calls["complete_cube"]) == 1
+    per_point = Counter(id(d) for _, d in calls["one_step_kernel"])
+    assert per_point and set(per_point.values()) == {2}  # hat and bar
 
 
 def test_cli_surface_kernel_round_trip(tmp_path, capsys):

@@ -274,8 +274,9 @@ def test_to_json_refuses_a_non_finite_entry(kernel, bad, in_b, data):
         B[i] = bad
     else:
         A[i, j] = A[j, i] = bad
-    with np.errstate(invalid="ignore"):  # the symmetry check meets inf - inf
-        bad_kernel = oscgauss.OscKernel(vars=kernel.vars, A=A, B=B, c=kernel.c)
+    # the validating constructor refuses a non-finite kernel; _built takes its fields as they are
+    bad_kernel = oscgauss.OscKernel._built(kernel.vars, A, B, kernel.c, kernel.amp, kernel.pihbar_pow,
+                                           kernel.vol_pow, kernel.constraints, kernel.hbar)
     with pytest.raises(ValueError):
         bad_kernel.to_json()
 

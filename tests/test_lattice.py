@@ -53,7 +53,8 @@ def test_quad_solve_inverts(u, ui, uj, pi, pj):
 def test_routes_match_brute_force_oracle(rng):
     for p1, p2, p3 in sample_triples(rng, 20):
         data = rng.normal(size=4)
-        assert lattice.u123_routes(*data, p1, p2, p3) == three_route_oracle(*data, p1, p2, p3)
+        cube = lattice.complete_cube(*data, p1, p2, p3)
+        assert lattice.u123_routes(cube, p1, p2, p3) == three_route_oracle(*data, p1, p2, p3)
 
 
 def test_consistency_spread(rng):
@@ -61,7 +62,8 @@ def test_consistency_spread(rng):
     for p1, p2, p3 in sample_triples(rng, 100):
         for _ in range(10):
             u, u1, u2, u3 = rng.normal(size=4)
-            worst = max(worst, lattice.mdc_spread(u, u1, u2, u3, p1, p2, p3))
+            cube = lattice.complete_cube(u, u1, u2, u3, p1, p2, p3)
+            worst = max(worst, lattice.mdc_spread(cube, p1, p2, p3))
     assert worst <= 1e-12
 
 
@@ -69,7 +71,7 @@ def test_consistency_spread(rng):
 def test_spread_lets_a_nan_route_through(monkeypatch, routes):
     # max(routes) - min(routes) dropped a NaN in the second or third route
     monkeypatch.setattr(lattice, "u123_routes", lambda *args: routes)
-    assert np.isnan(lattice.mdc_spread(0.0, 0.0, 0.0, 0.0, 3.0, 2.0, 1.0))
+    assert np.isnan(lattice.mdc_spread(lattice.complete_cube(0.0, 0.0, 0.0, 0.0, 3.0, 2.0, 1.0), 3.0, 2.0, 1.0))
 
 
 def test_lagrangian_vanishes_on_equal_neighbours():

@@ -365,9 +365,29 @@ def _random_kernel(rng, shape):
         v = pending[-1]
         w = int(rng.choice([i for i in range(n) if i != v]))
         constraints = (og.AffineConstraint(((names[v], rng.normal()), (names[w], rng.normal())), rng.normal()),)
-    kernel = og.OscKernel(vars=names, A=A, B=B, c=rng.normal(), amp=complex(*rng.normal(size=2)),
-                          constraints=constraints)
+    # the validating constructor refuses a non-finite kernel; the library builds one through _built
+    build = og.OscKernel._built if shape == "nonfinite" else og.OscKernel
+    kernel = build(names, A, B, rng.normal(), complex(*rng.normal(size=2)), Fraction(0), 0, constraints, 1.0)
     return kernel, [names[i] for i in pending]
+
+
+def _replace(kernel, **changes):
+    """dataclasses.replace through _built, since the reference routes below
+    also carry the non-finite kernels the validating constructor refuses; an
+    A that is not symmetric bit for bit is symmetrized, as the constructor does."""
+    entries = {**{f.name: getattr(kernel, f.name) for f in fields(kernel)}, **changes}
+    A = entries["A"]
+    if not np.array_equal(A.view(np.int64), A.T.view(np.int64)):
+        entries["A"] = 0.5 * (A + A.T)
+    return og.OscKernel._built(**entries)
+
+
+def _finite(kernel):
+    """Whether every number of the kernel is finite, as the validating constructor requires."""
+    cons = kernel.constraints
+    numbers = [kernel.c, kernel.amp.real, kernel.amp.imag, *(con.const for con in cons),
+               *(cv for con in cons for _, cv in con.coeffs)]
+    return bool(np.isfinite(kernel.A).all() and np.isfinite(kernel.B).all() and all(map(math.isfinite, numbers)))
 
 
 def _dense_marginalize(kernel, var, tol, pending):
@@ -438,8 +458,8 @@ def _dense_marginalize(kernel, var, tol, pending):
         gone.add(k)
         k = step
     idx = np.array([names.index(v) for v in kernel.vars if names.index(v) not in gone], dtype=int)
-    return replace(kernel, vars=tuple(names[i] for i in idx), A=A[idx[:, None], idx], B=B[idx], c=c, amp=amp,
-                   pihbar_pow=pihbar, vol_pow=vol, constraints=tuple(cons))
+    return _replace(kernel, vars=tuple(names[i] for i in idx), A=A[idx[:, None], idx], B=B[idx], c=c, amp=amp,
+                    pihbar_pow=pihbar, vol_pow=vol, constraints=tuple(cons))
 
 
 def _fold_marginalize(kernel, variables, tol=og.PIVOT_TOL):
@@ -467,9 +487,9 @@ def _dense_glue(k1, k2, shared):
         sel = [union.index(v) for v in k.vars]
         A[np.ix_(sel, sel)] += k.A
         B[sel] += k.B
-    merged = og.OscKernel(vars=tuple(union), A=A, B=B, c=k1.c + k2.c, amp=k1.amp * k2.amp,
-                          pihbar_pow=k1.pihbar_pow + k2.pihbar_pow, vol_pow=k1.vol_pow + k2.vol_pow,
-                          constraints=k1.constraints + k2.constraints, hbar=k1.hbar)
+    merged = _replace(k1, vars=tuple(union), A=A, B=B, c=k1.c + k2.c, amp=k1.amp * k2.amp,
+                      pihbar_pow=k1.pihbar_pow + k2.pihbar_pow, vol_pow=k1.vol_pow + k2.vol_pow,
+                      constraints=k1.constraints + k2.constraints)
     return _fold_marginalize(merged, shared)
 
 
@@ -492,7 +512,7 @@ def _glue_partner(rng, kernel):
     label = {v: v if v in common else "y" + v[1:] for v in other.vars}
     cons = tuple(og.AffineConstraint(tuple((label[v], cv) for v, cv in con.coeffs), con.const)
                  for con in other.constraints)
-    other = replace(other, vars=tuple(map(label.get, other.vars)), constraints=cons)
+    other = _replace(other, vars=tuple(map(label.get, other.vars)), constraints=cons)
     return other, [v for v in common if rng.random() < 0.7]
 
 
@@ -539,7 +559,7 @@ def _random_chain(rng):
             variables = [label[v] for v in pending]
         cons = tuple(og.AffineConstraint(tuple((label[v], cv) for v, cv in con.coeffs), con.const)
                      for con in kernel.constraints)
-        kernel = replace(kernel, vars=tuple(map(label.get, kernel.vars)), constraints=cons)
+        kernel = _replace(kernel, vars=tuple(map(label.get, kernel.vars)), constraints=cons)
         open_vars = [v for v in dict.fromkeys(open_vars + list(kernel.vars)) if v not in variables]
         steps.append((kernel, variables))
     return steps
@@ -599,17 +619,16 @@ def test_compare_equals_the_reindexing_route_on_aligned_and_shuffled_variables(s
     with np.errstate(all="ignore"):
         k1, _ = _random_kernel(rng, shape)
         noise = rng.normal(size=k1.A.shape) * 1e-3
-        k2 = replace(k1, A=k1.A + noise + noise.T, B=k1.B + rng.normal(size=k1.B.shape) * 1e-3, amp=1.5j * k1.amp)
+        k2 = _replace(k1, A=k1.A + noise + noise.T, B=k1.B + rng.normal(size=k1.B.shape) * 1e-3, amp=1.5j * k1.amp)
         shuffle = rng.permutation(len(k1.vars))
-        k3 = replace(k2, vars=tuple(k2.vars[i] for i in shuffle), A=k2.A[np.ix_(shuffle, shuffle)], B=k2.B[shuffle])
+        k3 = _replace(k2, vars=tuple(k2.vars[i] for i in shuffle), A=k2.A[np.ix_(shuffle, shuffle)], B=k2.B[shuffle])
         for pair in ((k1, k1), (k1, k2), (k1, k3), (k3, k1)):
             assert repr(og.compare(*pair)) == repr(_compare_by_reindexing(*pair))
 
 
 def test_a_vanished_row_is_a_volume_factor_while_another_row_scale_is_nan():
-    nan = float("nan")
-    kernel = og.OscKernel(vars=("a", "b", "c"), A=[[1.0, nan, 0.0], [nan, 1.0, 0.0], [0.0, 0.0, 0.0]],
-                          B=np.zeros(3), c=0.0)
+    # A = [[1, nan, 0], [nan, 1, 0], [0, 0, 0]]
+    kernel = og.from_terms(("a", "b", "c"), {("a", "a"): 0.5, ("a", "b"): math.nan, ("b", "b"): 0.5})
     out = og.marginalize_all(kernel, ["c"])
     assert (out.vars, out.vol_pow, out.pihbar_pow) == (("a", "b"), 1, 0)
     assert _outcome(lambda: out) == _outcome(lambda: _fold_marginalize(kernel, ["c"]))
@@ -618,8 +637,8 @@ def test_a_vanished_row_is_a_volume_factor_while_another_row_scale_is_nan():
 def test_a_nan_in_a_first_step_row_keeps_a_later_tiny_pivot_row_from_being_a_volume_factor():
     # the first step integrates nothing, so its rows' scales are first read when the second step's are;
     # with the NaN counted, the row of "c", whose scale 1e-20 is below _ABS_FLOOR, is a Gaussian pivot
-    nan = float("nan")
-    k1 = og.OscKernel(vars=("a", "b"), A=[[1.0, nan], [nan, 1.0]], B=np.zeros(2), c=0.0)
+    # A = [[1, nan], [nan, 1]]
+    k1 = og.from_terms(("a", "b"), {("a", "a"): 0.5, ("a", "b"): math.nan, ("b", "b"): 0.5})
     k2 = og.OscKernel(vars=("c", "d"), A=[[1e-20, 0.0], [0.0, 1.0]], B=np.zeros(2), c=0.0)
     got = _outcome(lambda: og._eliminate(((k1, ()), (k2, ("c",)))))
     assert got == _outcome(lambda: _dense_glue(k1, k2, ["c"]))
@@ -665,8 +684,12 @@ def test_library_built_kernels_pass_the_validating_constructor_unchanged(seed, s
                 k = build()
         except NearCaustic:
             continue
-        with np.errstate(all="ignore"):
-            rebuilt = og.OscKernel(**{f.name: getattr(k, f.name) for f in fields(k)})
+        entries = {f.name: getattr(k, f.name) for f in fields(k)}
+        if not _finite(k):
+            with pytest.raises(ValueError, match="not finite"):
+                og.OscKernel(**entries)
+            continue
+        rebuilt = og.OscKernel(**entries)
         assert (type(k.vars), type(k.amp), type(k.pihbar_pow), type(k.constraints)) == (tuple, complex, Fraction, tuple)
         assert (k.A.dtype, k.A.shape, k.B.dtype, k.B.shape) == (rebuilt.A.dtype, rebuilt.A.shape,
                                                                 rebuilt.B.dtype, rebuilt.B.shape)
@@ -681,3 +704,26 @@ def test_repeated_variable_names_are_refused(build):
     # the engine maps names to positions, so a second copy of a name would vanish into the first
     with pytest.raises(VariableMismatch):
         build()
+
+
+@pytest.mark.parametrize("quadratic, linear, missing", [
+    ({("x", "y"): 1.0}, None, "y"),
+    ({("x", "x"): 1.0}, {"z": 1.0}, "z"),
+    ({("w", "x"): 1.0, ("x", "v"): 1.0}, {"u": 1.0}, "w"),
+])
+def test_from_terms_refuses_a_name_outside_vars(quadratic, linear, missing):
+    # the first name, in dict order, that vars does not hold
+    with pytest.raises(VariableMismatch, match=f"no variable '{missing}'"):
+        og.from_terms(("x",), quadratic, linear)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("A", [[math.nan]]), ("A", [[-math.inf]]), ("B", [math.inf]), ("c", math.nan), ("amp", complex(math.nan, 0.0)),
+    ("amp", complex(1.0, math.inf)), ("constraints", (og.AffineConstraint((("x", math.nan),), 0.0),)),
+    ("constraints", (og.AffineConstraint((("x", 1.0),), math.inf),)),
+])
+def test_the_constructor_refuses_a_non_finite_entry(name, value):
+    # as from_json and to_json do; a NaN kernel is built only inside the library, or by _built
+    entries = {"vars": ("x",), "A": [[1.0]], "B": [0.0], "c": 0.0, "amp": 1.0}
+    with pytest.raises(ValueError, match="not finite"):
+        og.OscKernel(**{**entries, name: value})

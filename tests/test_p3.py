@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mdclab import p3
+from mdclab import p3, reduction
 from mdclab.params import LatticeParams, derive
 
-from conftest import sample_triples
+from conftest import p3_matrices, p3_modes, sample_triples
 
 
 def test_phase_maps_have_unit_determinant(rng):
@@ -17,9 +17,9 @@ def test_phase_maps_have_unit_determinant(rng):
 
 
 def test_maps_commute(d321, rng):
-    assert p3.p3_commutator_residual(d321) <= 1e-12
+    assert reduction.commutator_residual(*p3_matrices(d321)) <= 1e-12
     for p, q, r in sample_triples(rng, 10):
-        assert p3.p3_commutator_residual(derive(LatticeParams(p, q, r))) <= 1e-12
+        assert reduction.commutator_residual(*p3_matrices(derive(LatticeParams(p, q, r)))) <= 1e-12
 
 
 def test_zero_state_is_fixed(d321):
@@ -94,26 +94,26 @@ def test_bracket_antisymmetry_gives_zero_self_bracket(d321):
 
 
 def test_joint_solution_zero_amplitudes(d321):
-    assert p3.p3_joint_solution_residual(d321, (0.0, 0.0, 0.0, 0.0)) == 0.0
+    assert p3.p3_joint_solution_residual(p3_modes(d321), d321, (0.0, 0.0, 0.0, 0.0)) == 0.0
 
 
 def test_joint_solution_residual_on_grid(d321, rng):
     amps = tuple(rng.normal(size=4))
-    assert p3.p3_joint_solution_residual(d321, amps) <= 1e-8
+    assert p3.p3_joint_solution_residual(p3_modes(d321), d321, amps) <= 1e-8
 
 
 def test_joint_solution_breaks_under_angle_mismatch(d321):
     # shift nu_plus so cos(nu_plus) moves by about 1e-3
-    plus, _ = p3.p3_joint_modes(d321)
-    dnu = 1e-3 / abs(math.sin(plus.nu))
-    res = p3.p3_joint_solution_residual(d321, (1.0, 0.2, -0.4, 0.7), nu_shift=(dnu, 0.0))
+    modes = p3_modes(d321)
+    dnu = 1e-3 / abs(math.sin(modes[0].nu))
+    res = p3.p3_joint_solution_residual(modes, d321, (1.0, 0.2, -0.4, 0.7), nu_shift=(dnu, 0.0))
     assert res > 1e-5
 
 
 def test_primary_angles_match_their_closed_form(d321, rng):
     for p, q, r in [(3.0, 2.0, 1.0)] + sample_triples(rng, 10):
         d = derive(LatticeParams(p, q, r))
-        res = p3.printed_angle_residuals(d)
+        res = p3.printed_angle_residuals(p3_modes(d), d)
         assert res["cos_mu_plus"] <= 1e-12
         assert res["cos_mu_minus"] <= 1e-12
         # the elimination form reproduces the commuting-map spectrum
@@ -124,13 +124,13 @@ def test_primary_angles_match_their_closed_form(d321, rng):
 def test_quoted_commuting_angles_do_not_match_the_spectrum(d321):
     # documented discrepancy: the quoted closed form for cos(nu) disagrees
     # with the commuting-map eigenvalues; the elimination form is used instead
-    res = p3.printed_angle_residuals(d321)
+    res = p3.printed_angle_residuals(p3_modes(d321), d321)
     assert res["cos_nu_plus_quoted"] > 1e-3
     assert res["cos_nu_minus_quoted"] > 1e-3
 
 
 def test_joint_solution_residual_keeps_a_nan(d321):
-    assert math.isnan(p3.p3_joint_solution_residual(d321, (float("nan"), 0.0, 0.0, 0.0)))
+    assert math.isnan(p3.p3_joint_solution_residual(p3_modes(d321), d321, (float("nan"), 0.0, 0.0, 0.0)))
 
 
 def test_equation_residuals_keep_a_nan_second_equation():

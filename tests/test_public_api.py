@@ -51,7 +51,6 @@ KNOBS = {
     "qsurface.surface_kernel.hbar",
     "qsurface.elementary_move_check.hbar",
     "qsurface.uniqueness_scan_2form.hbar",
-    "reduction.oneform_closure_residual.coeffs",
     "reduction.continuous_flow_fd_error.h",
 }
 
@@ -139,4 +138,4 @@ def test_the_keyword_knobs_are_the_listed_ones():
                 defaulted += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
                 knobs |= {f"{path.stem}.{node.name}.{arg.arg}" for arg in defaulted}
     assert knobs == KNOBS
-    assert len(KNOBS) == 22
+    assert len(KNOBS) == 21

@@ -10,7 +10,7 @@ from mdclab import reduction as red
 from mdclab.errors import OutOfRegime
 from mdclab.params import LatticeParams, bar_matrix, derive, hat_matrix
 
-from conftest import sample_triples
+from conftest import map_matrices, sample_triples, square_corners
 
 
 def u_level_hat_oracle(u, s):
@@ -73,12 +73,12 @@ def test_second_iterate_recurrence(rng):
 
 
 def test_commutator(d321, rng):
-    assert red.commutator_residual(d321) <= 1e-14
+    assert red.commutator_residual(*map_matrices(d321)) <= 1e-14
     # r = q keeps the identity alive (t' = 0, t = s)
-    assert red.commutator_residual(derive(LatticeParams(3.0, 2.0, 2.0))) <= 1e-14
+    assert red.commutator_residual(*map_matrices(derive(LatticeParams(3.0, 2.0, 2.0)))) <= 1e-14
     # breaking the parameter identity breaks commutativity
     broken = replace(d321, tprime=d321.tprime + 0.01)
-    assert red.commutator_residual(broken) > 1e-4
+    assert red.commutator_residual(*map_matrices(broken)) > 1e-4
 
 
 def test_corner_residuals_on_composed_data(d321, rng):
@@ -133,30 +133,31 @@ def test_momenta_agree_and_match_common_invariant(d321, rng):
     T = bar_matrix(d321.t, d321.tprime)
     z = rng.normal(size=2)
     xh, xb = (S @ z)[0], (T @ z)[0]
-    Xb = red.momentum_hat(z[0], xh, d321)
-    Xa = red.momentum_bar(z[0], xb, d321)
+    Xb = red.momentum(z[0], xh, d321, "hat")
+    Xa = red.momentum(z[0], xb, d321, "bar")
     assert abs(Xa - Xb) <= 1e-10
     # match the proportionality constant at one point, assert elsewhere
     orb = red.orbit(S, z, 40)
     const = red.match_invariant_constant([(orb[0, 0], orb[1, 0])], d321)
     assert const == pytest.approx(2.0 * d321.q**2 / (d321.P + d321.Q) ** 2, rel=1e-12)
     for k in (5, 17, 31):
-        X = red.momentum_hat(orb[k, 0], orb[k + 1, 0], d321)
+        X = red.momentum(orb[k, 0], orb[k + 1, 0], d321, "hat")
         lhs = red.invariant_eval(orb[k, 0], orb[k + 1, 0], d321.b)
         assert lhs == pytest.approx(const * red.invariant_common(orb[k, 0], X, d321.P), abs=1e-10)
 
 
 def test_oneform_closure(d321, rng):
+    co = red.closure_coeffs(d321)
     for _ in range(20):
-        assert red.oneform_closure_residual(rng.normal(size=2), d321) <= 1e-10
-    assert red.oneform_closure_residual((0.0, 0.0), d321) == 0.0
+        assert red.oneform_closure_residual(*square_corners(rng.normal(size=2), d321), co) <= 1e-10
+    assert red.oneform_closure_residual(*square_corners((0.0, 0.0), d321), co) == 0.0
 
 
 def test_oneform_closure_needs_the_special_coefficients(d321, rng):
     co = red.closure_coeffs(d321)
     z = rng.normal(size=2)
     bumped = replace(co, a0=co.a0 + 0.01)
-    assert red.oneform_closure_residual(z, d321, bumped) > 1e-4
+    assert red.oneform_closure_residual(*square_corners(z, d321), bumped) > 1e-4
 
 
 def test_explicit_solution_zero_amplitudes(d321):

@@ -15,7 +15,8 @@ building the kernel or its JSON raises.  The set, at the points (3, 2, 1) and
   `paths` workload: backward pairs and unit loops among the forward steps,
   all in a random order;
 - surface_kernel on flat k-by-k patches after 2k pop-ups at stride-picked
-  sites, k = 4-12;
+  sites, k = 4-12, each read back through its description
+  (surface_from_dict of surface_to_dict), so the reader is covered too;
 - the four momentum kernels (hat and bar, with and without the potential);
 - the 24 elementary-move kernels: moves a, b and c, both configurations, at
   the canonical coefficients and three one-sided bumps.
@@ -60,7 +61,9 @@ from mdclab.qsurface import (
     flat_patch,
     pop_up,
     pop_up_sites,
+    surface_from_dict,
     surface_kernel,
+    surface_to_dict,
 )
 
 POINTS = {"p321": (3.0, 2.0, 1.0), "pgen": (2.7, 1.35, 0.55)}
@@ -76,12 +79,13 @@ BUMPS = {"canonical": None, "c12": ("c", (1, 2), 1e-2), "c31": ("c", (3, 1), 1e-
 
 
 def stride_patch(k: int):
-    """flat_patch(k, k) after 2k pop-ups at sites picked by a fixed stride."""
+    """flat_patch(k, k) after 2k pop-ups at sites picked by a fixed stride,
+    read back from its description."""
     surface = flat_patch(k, k)
     for n in range(2 * k):
         sites = pop_up_sites(surface)
         surface = pop_up(surface, sites[(7 * n + k) % len(sites)])
-    return surface
+    return surface_from_dict(surface_to_dict(surface))
 
 
 def _monotone_path(length: int, loop: bool) -> TimePath:

@@ -319,7 +319,7 @@ def from_terms(
     ((terms, ()),): entries add up from 0.0 in dict order, as the engine adds
     every part's.
     """
-    terms = _Terms(_distinct(vars), quadratic, linear or {}, const, complex(amp), Fraction(pihbar_pow), hbar)
+    terms = _Terms(tuple(vars), quadratic, linear or {}, const, complex(amp), Fraction(pihbar_pow), hbar)
     known = set(terms.vars)
     for v in (*(v for pair in quadratic for v in pair), *terms.linear):
         if v not in known:
@@ -401,11 +401,13 @@ def _eliminate(steps) -> OscKernel:
     part's entries (a kernel, or _Terms not yet built) into the running sum
     over the union of the parts' variables, as a dense sum would, then
     integrate that step's variables out.  A name of a step or of a delta
-    constraint that no part has, or a name that an earlier step integrated,
-    raises VariableMismatch."""
+    constraint that no part has, a name that an earlier step integrated, or
+    a name a part lists twice raises VariableMismatch."""
     seen, gone = {}, set()
     for part, variables in steps:
-        seen.update(dict.fromkeys(part.vars))
+        if len(listed := dict.fromkeys(part.vars)) != len(part.vars):
+            raise VariableMismatch(f"repeated variable names in {part.vars}")
+        seen.update(listed)
         if gone and (again := gone & set(variables).union(part.vars, *(con.variables() for con in part.constraints))):
             raise VariableMismatch(f"variable {min(again)!r} was integrated by an earlier step")
         gone.update(variables)

@@ -62,15 +62,18 @@ class OrientedPlaquette:
             raise ValueError(f"bad plane {self.plane!r}")
         if self.sign not in (-1, 1):
             raise ValueError(f"bad sign {self.sign!r}")
-        base = tuple(self.base)
+        base = self.base
+        if type(base) is not tuple:
+            base = tuple(base)
+            object.__setattr__(self, "base", base)
         if len(base) != 3:
             raise ValueError(f"base must be a 3-vector, got {base!r}")
-        object.__setattr__(self, "base", base)
 
     def stencil(self) -> tuple[Vertex, Vertex, Vertex]:
         """The three vertices the Lagrangian reads: v, v_i, v_j."""
-        i, j = self.plane
-        return self.base, shift(self.base, i), shift(self.base, j)
+        v = self.base
+        ei, ej = _UNIT[self.plane[0]], _UNIT[self.plane[1]]
+        return v, (v[0] + ei[0], v[1] + ei[1], v[2] + ei[2]), (v[0] + ej[0], v[1] + ej[1], v[2] + ej[2])
 
     def corners(self) -> tuple[Vertex, ...]:
         i, j = self.plane
@@ -122,21 +125,36 @@ class LatticeLagrangianCoeffs:
         with vertex v named label[v]; each key is a sorted pair, and each
         coefficient sums the plaquettes' terms in plaquette order."""
         out: dict[tuple[str, str], float] = {}
-
-        def add(x: str, y: str, val: float) -> None:
-            key = (x, y) if x <= y else (y, x)
-            out[key] = out.get(key, 0.0) + val
-
+        # the six coefficients of each (plane, sign) met, in the order they are added
+        six: dict[tuple[tuple[int, int], int], tuple[float, ...]] = {}
         for plq in plaquettes:
-            i, j = plq.plane
-            u, ui, uj = (label[v] for v in plq.stencil())
-            s = float(plq.sign)
-            add(u, u, 0.5 * s * self.a[(i, j)])
-            add(ui, ui, 0.5 * s * self.b[(i, j)])
-            add(uj, uj, -0.5 * s * self.b[(j, i)])
-            add(u, ui, s * self.c[(i, j)])
-            add(u, uj, -s * self.c[(j, i)])
-            add(ui, uj, s * self.d[(i, j)])
+            v, vi, vj = plq.stencil()
+            u, ui, uj = label[v], label[vi], label[vj]
+            plane, sign = plq.plane, plq.sign
+            terms = six.get((plane, sign))
+            if terms is None:
+                (i, j), s = plane, float(sign)
+                terms = six[plane, sign] = (
+                    0.5 * s * self.a[(i, j)],
+                    0.5 * s * self.b[(i, j)],
+                    -0.5 * s * self.b[(j, i)],
+                    s * self.c[(i, j)],
+                    -s * self.c[(j, i)],
+                    s * self.d[(i, j)],
+                )
+            ta, tb, tbr, tc, tcr, td = terms
+            key = (u, u)
+            out[key] = out.get(key, 0.0) + ta
+            key = (ui, ui)
+            out[key] = out.get(key, 0.0) + tb
+            key = (uj, uj)
+            out[key] = out.get(key, 0.0) + tbr
+            key = (u, ui) if u <= ui else (ui, u)
+            out[key] = out.get(key, 0.0) + tc
+            key = (u, uj) if u <= uj else (uj, u)
+            out[key] = out.get(key, 0.0) + tcr
+            key = (ui, uj) if ui <= uj else (uj, ui)
+            out[key] = out.get(key, 0.0) + td
         return out
 
     def lagrangian(self, u: float, ui: float, uj: float, i: int, j: int) -> float:
@@ -210,21 +228,48 @@ def surface_to_dict(surface: Surface) -> dict:
     }
 
 
+def _vertex(entry) -> Vertex | None:
+    """entry as a vertex if it is a list or tuple of 3 JSON integers (a bool
+    is not one), else None."""
+    if (type(entry) is list or type(entry) is tuple) and len(entry) == 3:
+        x, y, z = entry
+        if type(x) is int and type(y) is int and type(z) is int:
+            return x, y, z
+    return None
+
+
+def _vertex_set(data: dict, key: str) -> frozenset[Vertex]:
+    """The vertices listed under data[key], none if the key is absent."""
+    vertices = [_vertex(v) for v in data.get(key, [])]
+    if None in vertices:
+        bad = data[key][vertices.index(None)]
+        raise MissingVertex(f"malformed surface description: {key} vertex {bad!r} is not 3 integers")
+    return frozenset(vertices)
+
+
 def surface_from_dict(data: dict) -> Surface:
+    """The surface of a description in surface_to_dict's shape.  Every
+    coordinate, plane entry and sign must be a JSON integer (a bool is not
+    one), every base and vertex must have 3 entries and every plane 2;
+    anything else raises MissingVertex naming the entry."""
     try:
-        plaqs = tuple(
-            OrientedPlaquette(
-                base=tuple(int(x) for x in item["base"]),
-                plane=(int(item["plane"][0]), int(item["plane"][1])),
-                sign=int(item.get("sign", 1)),
-            )
-            for item in data["plaquettes"]
-        )
-        interior = frozenset(tuple(int(x) for x in v) for v in data.get("interior", []))
-        boundary = frozenset(tuple(int(x) for x in v) for v in data.get("boundary", []))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        plaqs = []
+        for n, item in enumerate(data["plaquettes"]):
+            base, plane, sign = _vertex(item["base"]), item["plane"], item.get("sign", 1)
+            if base is None:
+                raise MissingVertex(f"malformed surface description: plaquette {n} base {item['base']!r} "
+                                    "is not 3 integers")
+            if not ((type(plane) is list or type(plane) is tuple) and len(plane) == 2
+                    and type(plane[0]) is int and type(plane[1]) is int):
+                raise MissingVertex(f"malformed surface description: plaquette {n} plane {plane!r} "
+                                    "is not 2 integers")
+            if type(sign) is not int:
+                raise MissingVertex(f"malformed surface description: plaquette {n} sign {sign!r} is not an integer")
+            plaqs.append(OrientedPlaquette(base=base, plane=(plane[0], plane[1]), sign=sign))
+        interior, boundary = _vertex_set(data, "interior"), _vertex_set(data, "boundary")
+    except (KeyError, TypeError, ValueError) as exc:
         raise MissingVertex(f"malformed surface description: {exc}") from exc
-    return Surface(plaquettes=plaqs, interior=interior, boundary=boundary)
+    return Surface(plaquettes=tuple(plaqs), interior=interior, boundary=boundary)
 
 
 def surface_kernel(

@@ -419,6 +419,42 @@ def test_cli_surface_kernel_rejects_inadmissible(tmp_path):
     ]) == 2
 
 
+def _flat_description(**changes):
+    """surface_to_dict(flat_patch(1, 1)) with its first plaquette's fields and
+    the vertex lists replaced as given."""
+    from mdclab import qsurface as qs
+
+    data = qs.surface_to_dict(qs.flat_patch(1, 1))
+    for key in ("base", "plane", "sign"):
+        if key in changes:
+            data["plaquettes"][0][key] = changes.pop(key)
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("data", [
+    _flat_description(base=[0.5, 0, 0]),
+    _flat_description(boundary=[[0.9, 0, 0], [0, 1, 0], [1, 0, 0], [1, 1, 0]]),
+    _flat_description(base=[True, 0, 0]),
+    _flat_description(base=["1", 0, 0]),
+    _flat_description(sign="-1"),
+    _flat_description(sign=True),
+    _flat_description(plane=[1, "2"]),
+    _flat_description(plane=[1, 2, 3]),
+    _flat_description(interior=[[0, 0, 0, 1]]),
+], ids=["fractional-base", "fractional-vertex", "bool-coordinate", "string-coordinate", "string-sign",
+        "bool-sign", "string-plane", "three-entry-plane", "four-entry-vertex"])
+def test_cli_surface_kernel_refuses_a_malformed_description(tmp_path, capsys, data):
+    # each of these once read as another surface: int() made [0.5, 0, 0] the origin, and the interior
+    # vertex [0, 0, 0, 1] took the origin's label u0_0_0, so the boundary origin was integrated (exit 1)
+    surf_path = tmp_path / "surface.json"
+    surf_path.write_text(json.dumps(data))
+    assert cli.main(["surface-kernel", "--surface", str(surf_path), "--params", "3", "2", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("surface error: malformed surface description:") and err.count("\n") == 1
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("args", [
     ["--params", "nan", "2", "1"],

@@ -699,7 +699,10 @@ def test_library_built_kernels_pass_the_validating_constructor_unchanged(seed, s
 @pytest.mark.parametrize("build", [
     lambda: og.OscKernel(vars=("x", "x"), A=np.eye(2), B=np.zeros(2), c=0.0),
     lambda: og.from_terms(("x", "x"), {("x", "x"): 1.0}),
-], ids=["OscKernel", "from_terms"])
+    # the builders' monomial form: the second "x" once merged into the first, giving A = [[3.0]] over ('x',)
+    lambda: og.marginalize_all(og._Terms(("x", "x", "y"), {("x", "y"): 1.0, ("y", "y"): 0.5, ("x", "x"): 2.0}, {},
+                                         0.0, 1 + 0j, Fraction(0), 1.0), ["y"]),
+], ids=["OscKernel", "from_terms", "_Terms"])
 def test_repeated_variable_names_are_refused(build):
     # the engine maps names to positions, so a second copy of a name would vanish into the first
     with pytest.raises(VariableMismatch):

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -235,13 +236,14 @@ def test_generic_coefficients_are_off_the_critical_branch(rng):
     assert not res["critical"]
 
 
-def test_surface_description_round_trip(co321):
+def test_surface_description_round_trip(co321, rng):
     popped = qs.pop_up(qs.flat_patch(2, 1), 1)
-    back = qs.surface_from_dict(qs.surface_to_dict(popped))
-    assert set(back.plaquettes) == set(popped.plaquettes)
-    assert back.interior == popped.interior
-    assert back.boundary == popped.boundary
-    diff = compare(qs.surface_kernel(back, co321), qs.surface_kernel(popped, co321))
+    deformed = [qs.random_deformation(qs.flat_patch(3, 4), rng, int(rng.integers(1, 10))) for _ in range(10)]
+    for surface in [popped, *deformed]:
+        back = qs.surface_from_dict(qs.surface_to_dict(surface))
+        assert back == surface and back.plaquettes == surface.plaquettes
+    diff = compare(qs.surface_kernel(qs.surface_from_dict(qs.surface_to_dict(popped)), co321),
+                   qs.surface_kernel(popped, co321))
     assert diff.exponent_diff == 0.0
 
 
@@ -250,6 +252,64 @@ def test_surface_description_rejects_garbage():
         qs.surface_from_dict({"plaquettes": [{"base": [0, 0], "plane": [1, 2]}]})
     with pytest.raises(MissingVertex):
         qs.surface_from_dict({})
+
+
+def _reference_monomials(coeffs, plaquettes, label):
+    """LatticeLagrangianCoeffs.monomials as first written: a stencil of two
+    shifts, the six coefficients per plaquette and one add call per term."""
+    out = {}
+
+    def add(x, y, val):
+        key = (x, y) if x <= y else (y, x)
+        out[key] = out.get(key, 0.0) + val
+
+    for plq in plaquettes:
+        i, j = plq.plane
+        u, ui, uj = (label[v] for v in (plq.base, qs.shift(plq.base, i), qs.shift(plq.base, j)))
+        s = float(plq.sign)
+        add(u, u, 0.5 * s * coeffs.a[(i, j)])
+        add(ui, ui, 0.5 * s * coeffs.b[(i, j)])
+        add(uj, uj, -0.5 * s * coeffs.b[(j, i)])
+        add(u, ui, s * coeffs.c[(i, j)])
+        add(u, uj, -s * coeffs.c[(j, i)])
+        add(ui, uj, s * coeffs.d[(i, j)])
+    return out
+
+
+def _bits(monomials):
+    """Keys in dict order, each with the int64 bits of its coefficient."""
+    return list(zip(monomials, np.array(list(monomials.values()), dtype=np.float64).view(np.int64).tolist()))
+
+
+def _monomial_tables():
+    """Coefficient tables for the bit-for-bit check, by name."""
+    canonical = qs.canonical_lattice_coeffs(2.7, 1.35, 0.55)
+    odd = replace(canonical, a={**canonical.a, (1, 2): -0.0, (2, 1): 0.0}, b={**canonical.b, (3, 1): -0.0},
+                  c={**canonical.c, (2, 3): float("nan")}, d={**canonical.d, (3, 1): -0.0, (1, 3): 0.0})
+    return {
+        "gauged": qs.canonical_lattice_coeffs(3.0, 2.0, 1.0, gauge=(0.3, -1.1, 0.7)),
+        "perturbed-b": canonical.perturbed("b", (2, 3), 1e-2),
+        "perturbed-c": canonical.perturbed("c", (1, 2), 1e-2),
+        "perturbed-d": canonical.perturbed("d", (3, 1), -3e-3),
+        "signed-zero-and-nan": odd,
+    }
+
+
+@pytest.mark.parametrize("coeffs", list(_monomial_tables().values()), ids=list(_monomial_tables()))
+def test_monomials_equal_the_per_term_assembly_bit_for_bit(coeffs, rng):
+    # one plaquette per ordered plane and sign reads every coefficient in both orders; past 9 a
+    # coordinate sorts before the smaller one ("u10_9_9" < "u9_9_9"), so each key is met in both orders
+    planes = [qs.OrientedPlaquette(base=(n, 9, 9), plane=plane, sign=sign)
+              for n, (plane, sign) in enumerate(itertools.product(itertools.permutations((1, 2, 3), 2), (1, -1)))]
+    every_plane = qs.Surface(plaquettes=planes, interior=frozenset(),
+                             boundary=frozenset(v for p in planes for v in p.stencil()))
+    deformed = [qs.random_deformation(qs.flat_patch(11, 3), rng, int(rng.integers(4, 12))) for _ in range(8)]
+    met = {(p.plane, p.sign) for surface in deformed for p in surface.plaquettes}
+    assert met == set(itertools.product(((1, 2), (2, 3), (3, 1)), (1, -1)))
+    for surface in [every_plane, *deformed]:
+        label = {v: qs.vertex_label(v) for v in sorted(surface.vertices())}
+        got = coeffs.monomials(surface.plaquettes, label)
+        assert _bits(got) == _bits(_reference_monomials(coeffs, surface.plaquettes, label))
 
 
 @pytest.mark.parametrize("table", ["a", "d"])

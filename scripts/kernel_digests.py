@@ -17,6 +17,10 @@ building the kernel or its JSON raises.  The set, at the points (3, 2, 1) and
 - surface_kernel on flat k-by-k patches after 2k pop-ups at stride-picked
   sites, k = 4-12, each read back through its description
   (surface_from_dict of surface_to_dict), so the reader is covered too;
+- surface_kernel on every surface of seeded random_deformation walks of 4k
+  pops and undos from flat k-by-k patches, k = 3-6; the site a walk pops
+  depends on the plaquette order, so these digests also cover each
+  surface's plaquettes in stored order and its interior (`surface_order`);
 - the four momentum kernels (hat and bar, with and without the potential);
 - the 24 elementary-move kernels: moves a, b and c, both configurations, at
   the canonical coefficients and three one-sided bumps.
@@ -61,6 +65,7 @@ from mdclab.qsurface import (
     flat_patch,
     pop_up,
     pop_up_sites,
+    random_deformation,
     surface_from_dict,
     surface_kernel,
     surface_to_dict,
@@ -74,6 +79,9 @@ MAX_PATH = 300
 WALK_LENGTHS = range(60, 301, 20)
 WALK_SEEDS = range(4)
 PATCH_SIZES = range(4, 13)
+#: random_deformation walks of 4k steps from flat k-by-k patches, one rng per (k, seed)
+DEFORM_PATCH_SIZES = range(3, 7)
+DEFORM_SEEDS = range(4)
 #: one-sided coefficient bumps that bring delta steps into the elementary moves
 BUMPS = {"canonical": None, "c12": ("c", (1, 2), 1e-2), "c31": ("c", (3, 1), 1e-2), "b12": ("b", (1, 2), 1e-2)}
 
@@ -116,9 +124,25 @@ def _walk(length: int, seed: int) -> TimePath:
     return TimePath(tuple(steps))
 
 
+def deformation_walk(k: int, seed: int):
+    """The surfaces of a random_deformation walk of 4k single steps from
+    flat_patch(k, k), in order."""
+    rng = np.random.default_rng([k, seed])
+    surface = flat_patch(k, k)
+    for _ in range(4 * k):
+        surface = random_deformation(surface, rng, 1)
+        yield surface
+
+
+def surface_order(surface) -> bytes:
+    """The plaquettes in stored order, then the sorted interior, as text."""
+    return repr(([(p.base, p.plane, p.sign) for p in surface.plaquettes], sorted(surface.interior))).encode("utf-8")
+
+
 def cases():
     """(name, build) for each kernel of the set, in a fixed order; build()
-    returns the kernel."""
+    returns the kernel.  A walk's surface comes as (name, build, order), its
+    `surface_order` hashed after the kernel's bits."""
     for tag, point in POINTS.items():
         derived = derive(LatticeParams(*point))
         coeffs = canonical_lattice_coeffs(*point)
@@ -146,6 +170,10 @@ def cases():
             for move in "abc":
                 for side, surface in enumerate(elementary_move_surfaces(move), 1):
                     yield f"{tag}-move-{move}{side}-{bump}", partial(surface_kernel, surface, table)
+        for k, seed in itertools.product(DEFORM_PATCH_SIZES, DEFORM_SEEDS):
+            for step, surface in enumerate(deformation_walk(k, seed), 1):
+                name = f"{tag}-deform-{k}-{seed}-{step}"
+                yield name, partial(surface_kernel, surface, coeffs), surface_order(surface)
 
 
 def kernel_bits(kernel) -> bytes:
@@ -160,14 +188,14 @@ def kernel_bits(kernel) -> bytes:
 
 def digest_lines(limit: int | None = None):
     """The output lines of the first `limit` cases (all of them by default)."""
-    for name, build in itertools.islice(cases(), limit):
+    for name, build, *order in itertools.islice(cases(), limit):
         try:
             kernel = build()
             text = kernel.to_json()
         except (MdcError, ValueError, ArithmeticError) as exc:
             yield f"{name} error:{type(exc).__name__}:{exc}"
         else:
-            yield f"{name} {hashlib.sha256(text.encode('utf-8') + kernel_bits(kernel)).hexdigest()}"
+            yield f"{name} {hashlib.sha256(text.encode('utf-8') + kernel_bits(kernel) + b''.join(order)).hexdigest()}"
 
 
 def main() -> int:

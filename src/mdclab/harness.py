@@ -18,7 +18,7 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -228,7 +228,12 @@ class SuiteReport:
             "schema": self.schema,
             "config": self.config,
             "summary": self.summary(),
-            "records": [asdict(r) for r in self.records],
+            # each record's fields as they are: asdict would deep-copy the strings and numbers
+            "records": [
+                {"name": r.name, "ref": r.ref, "residual": r.residual, "tolerance": r.tolerance, "passed": r.passed,
+                 "kind": r.kind}
+                for r in self.records
+            ],
         }
 
     def to_json(self) -> str:

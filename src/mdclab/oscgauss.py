@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import cmath
 import heapq
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -319,11 +320,12 @@ def from_terms(
     ((terms, ()),): entries add up from 0.0 in dict order, as the engine adds
     every part's.
     """
-    terms = _Terms(tuple(vars), quadratic, linear or {}, const, complex(amp), Fraction(pihbar_pow), hbar)
+    terms = _Terms(tuple(vars), quadratic, linear or {}, const, complex(amp),
+                   pihbar_pow if type(pihbar_pow) is Fraction else Fraction(pihbar_pow), hbar)
     known = set(terms.vars)
-    for v in (*(v for pair in quadratic for v in pair), *terms.linear):
-        if v not in known:
-            raise VariableMismatch(f"no variable {v!r} in kernel over {terms.vars}")
+    if not (known.issuperset(itertools.chain.from_iterable(quadratic)) and known.issuperset(terms.linear)):
+        v = next(v for v in (*(v for pair in quadratic for v in pair), *terms.linear) if v not in known)
+        raise VariableMismatch(f"no variable {v!r} in kernel over {terms.vars}")
     return _eliminate(((terms, ()),))
 
 
@@ -367,18 +369,21 @@ def marginalize_all(kernel: OscKernel | _Terms, variables) -> OscKernel:
     in sorted-name order from position to coupling (a coupling that was never
     nonzero has no entry), and B and the row scales as lists; each part adds
     its entries straight into them (_add_into).  The pending pivot ratios sit
-    in a lazy-deletion heap keyed (-ratio, position, version); a ratio lies
-    in [0, 1] or is NaN, and a NaN one is keyed -inf, so a pop makes
-    np.argmax's choice: the first NaN, else the largest ratio, the first in
-    sorted-name order on a tie; an entry a later refresh or elimination
-    outdated is skipped.  The volume test counts the NaN scales and keeps an
-    upper bound on the scales, so it scans them only when the bound cannot
-    decide.  A step rewrites only the block of the pivot's nonzero couplings
-    (for a substitution, of those couplings and the constraint's variables),
-    with the per-entry expressions of a dense update, and refreshes the
-    caches on those rows; a step with nothing to integrate refreshes none,
-    and leaves its rows to the next step that integrates.  One OscKernel is
-    built at the end, through the constructor that skips re-validation.
+    in a lazy heap keyed (-ratio, position); a ratio lies in [0, 1] or is
+    NaN, and a NaN one is keyed -inf, so a pop makes np.argmax's choice: the
+    first NaN, else the largest ratio, the first in sorted-name order on a
+    tie.  A refresh pushes a row's key only when it improves, so the heap
+    holds an entry at or below each pending row's current key; a popped
+    entry of an eliminated row is skipped, and one whose row's key has since
+    worsened is pushed back at the current key.  The volume test counts the
+    NaN scales and keeps an upper bound on the scales, so it scans them only
+    when the bound cannot decide.  A step rewrites only the block of the
+    pivot's nonzero couplings (for a substitution, of those couplings and the
+    constraint's variables), with the per-entry expressions of a dense
+    update, and refreshes the caches on those rows; a step with nothing to
+    integrate refreshes none, and leaves its rows to the next step that
+    integrates.  One OscKernel is built at the end, through the constructor
+    that skips re-validation.
     Outside the block a dense update would add or subtract an exact zero, and
     the Gaussian update is exactly symmetric, so the result is bit-identical
     to eliminating one variable at a time with dense updates, for any kernel
@@ -418,40 +423,23 @@ def _eliminate(steps) -> OscKernel:
     first = steps[0][0]
     if len(steps) == 1 and not gone and isinstance(first, OscKernel):
         return first
-    n = len(vars)
-    order = sorted(range(n), key=vars.__getitem__)
-    names = [vars[i] for i in order]
-    at = {v: s for s, v in enumerate(names)}
+    names = sorted(vars)
+    n = len(names)
+    at = dict(zip(names, range(n)))
     rows: list[dict[int, float]] = [{} for _ in range(n)]
     B = [0.0] * n
     c, amp, vol, halves, cons, stale = first.c, first.amp, first.vol_pow, 0, [], ()
     is_pending = [False] * n
     # scale: the row scales max(max_w |A_vw|, |B_v|); nans counts the NaN ones, top bounds every one ever set
     scale, nans, top = [0.0] * n, 0, 0.0
-    # the pending pivot ratios as a lazy-deletion heap keyed (-ratio, position, version), in np.argmax's order:
-    # the first NaN, else the largest ratio, the first position on a tie.  A ratio lies in [0, 1] or is NaN,
-    # and a NaN one is keyed -inf.  An entry is live while its row is pending and `ver` is the row's.
-    heap, ver, nan_key = [], [0] * n, -math.inf
-    heappush, heappop, sqrt = heapq.heappush, heapq.heappop, math.sqrt
+    # the pending pivot ratios as a lazy heap keyed (-ratio, position), in np.argmax's order: the first NaN, else
+    # the largest ratio, the first position on a tie.  A ratio lies in [0, 1] or is NaN, and a NaN one is keyed
+    # -inf.  cur[i] is row i's current key; a refresh pushes an entry only when it lowers the key, so the heap
+    # holds, for each pending row, an entry at or below its current key, and a popped entry at its pending
+    # row's current key is the choice.  A position is pending in one step at most, so each starts keyed +inf.
+    heap, cur, nan_key = [], [math.inf] * n, -math.inf
+    heappush, heappop, heappushpop, sqrt = heapq.heappush, heapq.heappop, heapq.heappushpop, math.sqrt
     floor, band = _ABS_FLOOR, _NEAR_BAND * PIVOT_TOL
-
-    def refresh(i: int) -> None:
-        nonlocal nans, top
-        row = rows[i]
-        mags = [abs(B[i]), *map(abs, row.values())]
-        if scale[i] != scale[i]:
-            nans -= 1
-        # a NaN wins as in np.max: the sum is NaN exactly when a term is
-        if (s := sum(mags)) != s:
-            nans += 1
-        elif (s := max(mags)) > top:
-            top = s
-        scale[i] = s
-        if is_pending[i]:
-            r = abs(row.get(i, 0.0)) / (floor if s < floor else s)
-            v = ver[i] = ver[i] + 1
-            heappush(heap, (-r if r == r else nan_key, i, v))
-
     for step, (part, variables) in enumerate(steps):
         if step:
             c, amp, vol = c + part.c, amp * part.amp, vol + part.vol_pow
@@ -465,10 +453,26 @@ def _eliminate(steps) -> OscKernel:
         stale = pending.union(pos, stale)
         if not pending:
             continue
-        for i in stale:
-            refresh(i)
         left, sub = len(pending), None  # sub: (constraint index, position) handed on by a delta step
-        while left or sub:
+        while left:
+            # refresh the caches of the stale rows: at the first pivot those of the step, then those k wrote
+            for i in stale:
+                row = rows[i]
+                mags = [abs(B[i]), *map(abs, row.values())]
+                if scale[i] != scale[i]:
+                    nans -= 1
+                # a NaN wins as in np.max: the sum is NaN exactly when a term is
+                if (s := sum(mags)) != s:
+                    nans += 1
+                elif (s := max(mags)) > top:
+                    top = s
+                scale[i] = s
+                if is_pending[i]:
+                    r = abs(row.get(i, 0.0)) / (floor if s < floor else s)
+                    r = -r if r == r else nan_key
+                    if r < cur[i]:
+                        heappush(heap, (r, i))
+                    cur[i] = r
             if sub is None and cons:
                 bound = [k for k in {at[v] for con in cons for v, cv in con.coeffs if abs(cv) > 0.0} if is_pending[k]]
                 if bound:
@@ -477,9 +481,10 @@ def _eliminate(steps) -> OscKernel:
             if sub:
                 k = sub[1]
             else:
-                key, k, stamp = heappop(heap)
-                while not is_pending[k] or stamp != ver[k]:
-                    key, k, stamp = heappop(heap)
+                key, k = heappop(heap)
+                # an eliminated row's entry is skipped; one under a pending row's since-worsened key goes back at it
+                while not is_pending[k] or key != cur[k]:
+                    key, k = heappushpop(heap, (cur[k], k)) if is_pending[k] else heappop(heap)
             row_k, bk = rows[k], B[k]
             akk = row_k.get(k, 0.0)
             near = [i for i, v in row_k.items() if v and i != k]
@@ -537,7 +542,9 @@ def _eliminate(steps) -> OscKernel:
                 elif rel > PIVOT_TOL:
                     raise NearCaustic(f"pivot for {names[k]!r} sits at relative size {rel:.3e}; refusing to classify")
                 else:
-                    # delta: exponent is (coupling . u + B_v) * v up to negligible curvature
+                    # delta: exponent is (coupling . u + B_v) * v up to negligible curvature; the constraint lists
+                    # its variables in the order the parts first named them
+                    order = sorted(range(n), key=vars.__getitem__)
                     tied = sorted((i for i in near if abs(row_k[i]) > floor * row_scale), key=order.__getitem__)
                     if not tied:
                         # delta of a nonzero constant: the kernel vanishes identically
@@ -555,21 +562,22 @@ def _eliminate(steps) -> OscKernel:
                 rows[i].pop(k, None)
             left -= is_pending[k]
             is_pending[k] = False
-            if left:
-                for i in near:
-                    refresh(i)
-            else:
-                stale = near
-    # the parts' powers of 2 pi hbar over their common denominator: one Fraction, not one addition per part
-    den = math.lcm(2, *(part.pihbar_pow.denominator for part, _ in steps))
-    pihbar = Fraction(sum(part.pihbar_pow.numerator * (den // part.pihbar_pow.denominator) for part, _ in steps)
-                      + halves * (den // 2), den)
-    live = [at[v] for v in vars if v not in gone]
-    out, m = {i: p for p, i in enumerate(live)}, len(live)
-    A = np.zeros(m * m)
-    A[[p * m + out[j] for p, i in enumerate(live) for j in rows[i]]] = [v for i in live for v in rows[i].values()]
-    return OscKernel._built(tuple(names[i] for i in live), A.reshape(m, m), np.array([B[i] for i in live]),
-                            c, amp, pihbar, vol, tuple(cons), first.hbar)
+            stale = near
+    # the parts' powers of 2 pi hbar and the halves over a common denominator: one Fraction, not one addition per part
+    num, den = halves, 2
+    for part, _ in steps:
+        p = part.pihbar_pow
+        if den % p.denominator:
+            up = p.denominator // math.gcd(den, p.denominator)
+            num, den = num * up, den * up
+        num += p.numerator * (den // p.denominator)
+    kept = [v for v in vars if v not in gone]
+    live = [at[v] for v in kept]
+    out, m = dict(zip(live, range(len(live)))), len(live)
+    A = np.zeros((m, m))
+    A.put([p * m + out[j] for p, i in enumerate(live) for j in rows[i]], [v for i in live for v in rows[i].values()])
+    return OscKernel._built(tuple(kept), A, np.array([B[i] for i in live]), c, amp, Fraction(num, den), vol,
+                            tuple(cons), first.hbar)
 
 
 def glue(k1: OscKernel, k2: OscKernel, shared) -> OscKernel:
@@ -611,18 +619,22 @@ def compare(k1: OscKernel, k2: OscKernel) -> KernelDiff:
     difference always wins.  Volume and 2-pi-hbar powers are reported, never
     folded into the exponent measure.
     """
-    if set(k1.vars) != set(k2.vars):
+    aligned = k1.vars == k2.vars
+    if not aligned and set(k1.vars) != set(k2.vars):
         raise VariableMismatch(f"variable sets differ: {k1.vars} vs {k2.vars}")
     if len(k1.constraints) != len(k2.constraints):
         raise VariableMismatch("kernels carry different numbers of delta constraints")
     if k1.hbar != k2.hbar:
         raise VariableMismatch("kernels carry different hbar")
-    if k1.vars == k2.vars:
-        A2, B2 = k2.A, k2.B
-    else:
-        perm = [k2.index(v) for v in k1.vars]
-        A2, B2 = k2.A[np.ix_(perm, perm)], k2.B[perm]
-    diffs = [np.abs(k1.A - A2).ravel(), np.abs(k1.B - B2), [abs(k1.c - k2.c)]]
+    # the largest difference of each part: A, B, c, and each constraint's coefficients and constant
+    maxima = [abs(k1.c - k2.c)]
+    if k1.vars:
+        if aligned:
+            A2, B2 = k2.A, k2.B
+        else:
+            perm = [k2.index(v) for v in k1.vars]
+            A2, B2 = k2.A[np.ix_(perm, perm)], k2.B[perm]
+        maxima += (abs(k1.A - A2).max(), abs(k1.B - B2).max())
 
     def normalized(k: OscKernel) -> list[AffineConstraint]:
         return sorted((con.normalized() for con in k.constraints), key=lambda con: (con.coeffs, con.const))
@@ -631,9 +643,10 @@ def compare(k1: OscKernel, k2: OscKernel) -> KernelDiff:
         for con1, con2 in zip(normalized(k1), normalized(k2)):
             if con1.variables() != con2.variables():
                 raise VariableMismatch("delta constraints tie different variables")
-            diffs.append([abs(a - b) for (_, a), (_, b) in zip(con1.coeffs, con2.coeffs)]
-                         + [abs(con1.const - con2.const)])
-    exponent_diff = float(np.max(np.concatenate(diffs)))
+            maxima += [abs(a - b) for (_, a), (_, b) in zip(con1.coeffs, con2.coeffs)]
+            maxima.append(abs(con1.const - con2.const))
+    # a NaN wins as in np.max: the sum of these nonnegative maxima is NaN exactly when one is
+    exponent_diff = float(total if (total := sum(maxima)) != total else max(maxima))
     amp_ratio = k1.amp / k2.amp if k2.amp != 0 else complex("inf")
     return KernelDiff(
         exponent_diff=exponent_diff,

@@ -44,6 +44,15 @@ def shift(v: Vertex, direction: int) -> Vertex:
     return (v[0] + e[0], v[1] + e[1], v[2] + e[2])
 
 
+#: For each plane (i, j), the offsets from a plaquette's base of the four vertices of its popped cell's top
+#: square, k the third direction
+_TOP = {
+    (i, j): (ek, shift(ek, i), shift(ek, j), shift(shift(ek, i), j))
+    for i, j, k in itertools.permutations((1, 2, 3))
+    for ek in (_UNIT[k],)
+}
+
+
 def vertex_label(v: Vertex) -> str:
     return f"u{v[0]}_{v[1]}_{v[2]}"
 
@@ -206,6 +215,16 @@ class Surface:
         if missing:
             raise MissingVertex(f"referenced vertices not designated: {sorted(missing)}")
 
+    @classmethod
+    def _built(cls, plaquettes, interior, boundary, records) -> "Surface":
+        """A surface from fields a move built itself, taken as they are: a
+        tuple of plaquettes whose stencils are all designated, and two
+        disjoint frozensets.  On such fields __post_init__'s checks pass and
+        its conversions change nothing, so it is skipped."""
+        surface = object.__new__(cls)
+        surface.__dict__.update(plaquettes=plaquettes, interior=interior, boundary=boundary, records=records)
+        return surface
+
     def referenced(self) -> frozenset[Vertex]:
         out: set[Vertex] = set()
         for plq in self.plaquettes:
@@ -322,10 +341,9 @@ class PopRecord:
 def _pop_top(plq: OrientedPlaquette) -> tuple[Vertex, ...]:
     """The four vertices of the popped cell's top square, the plaquette
     shifted by one step along the third direction."""
-    i, j = plq.plane
-    (k,) = {1, 2, 3} - {i, j}
-    top = shift(plq.base, k)
-    return (top, shift(top, i), shift(top, j), shift(shift(top, i), j))
+    x, y, z = plq.base
+    (a, b, c), (d, e, f), (g, h, i), (j, k, m) = _TOP[plq.plane]
+    return (x + a, y + b, z + c), (x + d, y + e, z + f), (x + g, y + h, z + i), (x + j, y + k, z + m)
 
 
 def _pop_pieces(plq: OrientedPlaquette) -> tuple[tuple[OrientedPlaquette, ...], tuple[Vertex, ...]]:
@@ -353,28 +371,30 @@ def pop_up(surface: Surface, index: int) -> Surface:
     """Replace one plaquette by the five exposed faces of a unit cube.
 
     The four vertices of the new top square become interior; the popped cell
-    must be fresh space.
+    must be fresh space.  The input is a valid surface, so only what the pop
+    adds is checked: the fresh cell, and the stencils of the five new faces.
     """
     plq = surface.plaquettes[index]
     added, new_interior = _pop_pieces(plq)
-    if set(new_interior) & surface.vertices():
+    if not surface.vertices().isdisjoint(new_interior):
         raise MissingVertex(f"pop target of plaquette {index} is occupied")
+    interior = surface.interior.union(new_interior)
+    missing = {v for face in added for v in face.stencil()} - interior - surface.boundary
+    if missing:
+        raise MissingVertex(f"referenced vertices not designated: {sorted(missing)}")
     plaqs = surface.plaquettes[:index] + surface.plaquettes[index + 1 :] + added
     rec = PopRecord(removed=plq, added=added, new_interior=new_interior)
-    return Surface(
-        plaquettes=plaqs,
-        interior=surface.interior | set(new_interior),
-        boundary=surface.boundary,
-        records=surface.records + (rec,),
-    )
+    return Surface._built(plaqs, interior, surface.boundary, surface.records + (rec,))
 
 
 def unpop(surface: Surface) -> Surface:
-    """Undo the most recent pop-up."""
+    """Undo the most recent pop-up.  The record may be hand-made, so the
+    result is checked in full."""
     if not surface.records:
         raise MissingVertex("no pop-up to undo")
     rec = surface.records[-1]
-    plaqs = [p for p in surface.plaquettes if p not in rec.added]
+    added = set(rec.added)
+    plaqs = [p for p in surface.plaquettes if p not in added]
     plaqs.append(rec.removed)
     return Surface(
         plaquettes=tuple(plaqs),

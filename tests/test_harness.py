@@ -2,7 +2,7 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from mdclab.errors import ConfigError
 from mdclab.harness import (
     CSV_COLUMNS,
     SUITES,
+    CheckRecord,
     SuiteConfig,
     _Residuals,
     run,
@@ -54,6 +55,19 @@ def test_reports_depend_on_the_seed():
     a = run(SuiteConfig(seed=11, trials=25, suites=("params",)))
     b = run(SuiteConfig(seed=12, trials=25, suites=("params",)))
     assert a.to_json() != b.to_json()
+
+
+def test_report_json_equals_the_asdict_serialization(small_report):
+    # to_dict reads each record's fields directly; the bytes must be those of dataclasses.asdict's deep copy
+    extra = [CheckRecord("nan-residual", "test", math.nan, 1e-9, False),
+             CheckRecord("inf-residual", "test", math.inf, 1e-9, False, "probe"),
+             CheckRecord("no-tolerance", "test", 0.5, None, True, "report")]
+    report = replace(small_report, records=small_report.records + extra)
+    data = {"schema": report.schema, "config": report.config, "summary": report.summary(),
+            "records": [asdict(r) for r in report.records]}
+    assert report.to_json() == json.dumps(data, sort_keys=True, indent=2) + "\n"
+    text = report.to_json()
+    assert all(token in text for token in ('"residual": NaN', '"residual": Infinity', '"tolerance": null'))
 
 
 def test_report_schema_and_refs(small_report):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -583,6 +584,56 @@ def test_one_engine_pass_over_a_chain_is_bit_equal_to_the_glue_fold(seed):
     assert _outcome(lambda: og._eliminate(steps)) == _outcome(lambda: _glue_fold(steps))
 
 
+def _kernel(names, entries, linear, constraints=(), c=0.25):
+    """The kernel over `names` whose exponent has A_uw = A_wu = x for each (u, w): x of `entries`, B_u of
+    `linear`, and c, with the given delta constraints."""
+    A, B = np.zeros((len(names), len(names))), np.zeros(len(names))
+    for (u, w), x in entries.items():
+        A[names.index(u), names.index(w)] = A[names.index(w), names.index(u)] = x
+    for u, x in linear.items():
+        B[names.index(u)] = x
+    return og.OscKernel._built(tuple(names), A, B, c, 1.0 + 0.0j, Fraction(0), 0, tuple(constraints), 1.0)
+
+
+# Kernels whose pivot order needs the heap to follow a pending row's changing key:
+# (names, entries, linear, constraints, pending)
+PIVOT_CASES = {
+    # b (ratio 1) goes first; its elimination lowers a's ratio from 0.9 to 0.53, below c's 0.7, so a's
+    # superseded entry pops before c's, and c's elimination lowers a's ratio again (0.42)
+    "falling": (("c", "b", "a"), {("a", "a"): 0.9, ("a", "b"): 1.0, ("b", "b"): 10.0, ("a", "c"): 0.2, ("c", "c"): 0.7},
+                {"a": 0.5, "b": -10.0, "c": -1.0}, (), ("a", "b", "c")),
+    # the constraint consumes b first, and its substitution carries b's NaN coupling to a into c's row: c's
+    # ratio turns from 0 to NaN, and c must be refused before d, whose ratio 5e-8 lies in the refusal band.
+    # (The reverse cannot happen: a NaN in a row survives every update of that row.)
+    "turns-nan": (("d", "c", "b", "a"), {("a", "b"): math.nan, ("b", "b"): 1.0, ("b", "c"): 0.5, ("d", "d"): 5e-8},
+                  {"d": 1.0}, (og.AffineConstraint((("b", 1.0), ("a", 0.5)), 0.1),), ("b", "c", "d")),
+    # b and d start at ratio exactly 1, and b, the first by name, goes first; its elimination raises a's ratio
+    # from 0.65 to exactly 1, and a, now first by name among the ties, must go before d
+    "tied-at-1": (("d", "c", "a", "b"), {("a", "a"): -1.3, ("a", "b"): 2.0, ("b", "b"): 4.1, ("a", "d"): 0.7,
+                                         ("d", "d"): 0.9, ("c", "d"): 0.5}, {"a": 0.3, "b": 0.2, "d": -0.4}, (),
+                  ("a", "b", "d")),
+}
+
+
+@pytest.mark.parametrize("case", list(PIVOT_CASES))
+def test_the_pivot_order_follows_each_rows_current_ratio(case):
+    names, entries, linear, constraints, pending = PIVOT_CASES[case]
+    kernel = _kernel(names, entries, linear, constraints)
+    want = _outcome(lambda: _fold_marginalize(kernel, pending))
+    assert _outcome(lambda: og.marginalize_all(kernel, pending)) == want
+    if case == "turns-nan":
+        assert want == (NearCaustic, "pivot for 'c' is not finite")
+    # the same exponent in two parts, b's entries and the constraints first: the chain equals the dense
+    # product and the glue fold
+    first = {pair: x for pair, x in entries.items() if "b" in pair}
+    steps = [(_kernel(names, first, {"b": linear.get("b", 0.0)}, constraints), ()),
+             (_kernel(names, {pair: x for pair, x in entries.items() if pair not in first},
+                      {u: x for u, x in linear.items() if u != "b"}, c=0.0), pending)]
+    got = _outcome(lambda: og._eliminate(steps))
+    assert got == _outcome(lambda: _glue_fold(steps))
+    assert got == _outcome(lambda: _dense_glue(steps[0][0], steps[1][0], pending))
+
+
 def test_the_engine_refuses_a_name_integrated_twice_or_unknown():
     k1 = og.from_terms(("u", "w"), {("u", "u"): 0.5, ("u", "w"): 1.0, ("w", "w"): 0.25})
     k2 = og.from_terms(("w", "z"), {("w", "w"): 0.5, ("w", "z"): 1.0})
@@ -624,6 +675,59 @@ def test_compare_equals_the_reindexing_route_on_aligned_and_shuffled_variables(s
         k3 = _replace(k2, vars=tuple(k2.vars[i] for i in shuffle), A=k2.A[np.ix_(shuffle, shuffle)], B=k2.B[shuffle])
         for pair in ((k1, k1), (k1, k2), (k1, k3), (k3, k1)):
             assert repr(og.compare(*pair)) == repr(_compare_by_reindexing(*pair))
+
+
+def _compare_pair():
+    """Two kernels over x, y, z with one delta constraint each, the second's variables in another order."""
+    A = np.array([[0.5, 0.25, 0.0], [0.25, -1.5, 0.75], [0.0, 0.75, 2.0]])
+    con = og.AffineConstraint((("x", 1.0), ("z", -0.5)), 0.25)
+    k1 = og.OscKernel._built(("x", "y", "z"), A, np.array([0.1, -0.2, 0.3]), 0.5, 1.0 + 0.5j, Fraction(1, 2), 0,
+                             (con,), 1.0)
+    order = [2, 0, 1]
+    k2 = og.OscKernel._built(("z", "x", "y"), (A + 1e-3)[np.ix_(order, order)], np.array([0.3, 0.1, -0.2]) + 2e-3,
+                             0.75, 2.0 + 0.0j, Fraction(1), 1,
+                             (og.AffineConstraint((("x", 1.0 + 1e-4), ("z", -0.5)), 0.2),), 1.0)
+    return k1, k2
+
+
+def _with_nan(kernel, part):
+    """kernel with a NaN in one part: an entry of A or B, c, or its constraint's coefficient or constant."""
+    A, B, c, (con,) = kernel.A.copy(), kernel.B.copy(), kernel.c, kernel.constraints
+    if part == "A":
+        A[0, 2] = A[2, 0] = math.nan
+    elif part == "B":
+        B[1] = math.nan
+    elif part == "c":
+        c = math.nan
+    elif part == "coefficient":
+        # the second: normalized() finds no lead when the largest-magnitude coefficient it meets first is NaN
+        con = og.AffineConstraint((con.coeffs[0], (con.coeffs[1][0], math.nan)), con.const)
+    else:
+        con = og.AffineConstraint(con.coeffs, math.nan)
+    return og.OscKernel._built(kernel.vars, A, B, c, kernel.amp, kernel.pihbar_pow, kernel.vol_pow, (con,), kernel.hbar)
+
+
+@pytest.mark.parametrize("nan", [None, "A", "B", "c", "coefficient", "constant"])
+def test_compare_equals_the_reindexing_route_with_a_nan_in_each_part(nan):
+    # aligned and permuted pairs, in both orders; a NaN on either side makes exponent_diff NaN
+    k1, k2 = _compare_pair()
+    kernels = [(k1, False), (k2, False)]
+    if nan is not None:
+        kernels += [(_with_nan(k1, nan), True), (_with_nan(k2, nan), True)]
+    for (one, bad_one), (other, bad_other) in itertools.product(kernels, repeat=2):
+        got = og.compare(one, other)
+        assert repr(got) == repr(_compare_by_reindexing(one, other))
+        assert math.isnan(got.exponent_diff) == (bad_one or bad_other)
+
+
+def test_compare_of_kernels_with_no_variables_left():
+    done = [og.marginalize_all(og.from_terms(("x",), {("x", "x"): a}, {"x": b}), ["x"])
+            for a, b in ((0.5, 0.25), (2.0, -1.0))]
+    nan = og.OscKernel._built((), np.zeros((0, 0)), np.zeros(0), math.nan, 1.0 + 0.0j, Fraction(0), 0, (), 1.0)
+    assert done[0].vars == done[1].vars == ()
+    for pair in itertools.product(done + [nan], repeat=2):
+        assert repr(og.compare(*pair)) == repr(_compare_by_reindexing(*pair))
+    assert og.compare(*done).exponent_diff == abs(done[0].c - done[1].c) > 0.0
 
 
 def test_a_vanished_row_is_a_volume_factor_while_another_row_scale_is_nan():

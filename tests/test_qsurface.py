@@ -137,12 +137,65 @@ def test_random_deformations_preserve_the_boundary_kernel(co321, rng):
 
 
 def test_unpop_restores_the_surface(co321, rng):
+    # the other plaquettes in their order with the removed one last, the same vertex sets, the records before the pop
     patch = qs.flat_patch(2, 2)
-    popped = qs.pop_up(patch, 1)
-    assert qs.unpop(popped).plaquettes != patch.plaquettes or True
-    diff = compare(qs.surface_kernel(qs.unpop(popped), co321), qs.surface_kernel(patch, co321))
+    surfaces = [patch] + [qs.random_deformation(qs.flat_patch(3, 3), rng, int(rng.integers(1, 12))) for _ in range(10)]
+    for surface in surfaces:
+        for index in qs.pop_up_sites(surface):
+            restored = qs.unpop(qs.pop_up(surface, index))
+            removed = surface.plaquettes[index]
+            assert restored.plaquettes == surface.plaquettes[:index] + surface.plaquettes[index + 1:] + (removed,)
+            assert (restored.interior, restored.boundary) == (surface.interior, surface.boundary)
+            assert restored.records == surface.records
+    restored = qs.unpop(qs.pop_up(patch, 1))
+    assert restored.records == ()
+    diff = compare(qs.surface_kernel(restored, co321), qs.surface_kernel(patch, co321))
     assert diff.exponent_diff == 0.0
     assert diff.amp_ratio == 1.0
+
+
+def test_moves_build_what_the_validating_constructor_builds(rng):
+    # pop_up skips the full re-check of Surface.__post_init__: its fields must pass it unchanged
+    for _ in range(20):
+        k = int(rng.integers(3, 7))
+        surface = qs.flat_patch(k, k)
+        for _ in range(int(rng.integers(1, 4 * k))):
+            surface = qs.random_deformation(surface, rng, 1)
+            rebuilt = qs.Surface(plaquettes=surface.plaquettes, interior=surface.interior, boundary=surface.boundary,
+                                 records=surface.records)
+            assert (type(surface.plaquettes), type(surface.interior), type(surface.boundary)) == (
+                tuple, frozenset, frozenset)
+            assert (rebuilt.plaquettes, rebuilt.interior, rebuilt.boundary, rebuilt.records) == (
+                surface.plaquettes, surface.interior, surface.boundary, surface.records)
+
+
+def _lone_plaquette():
+    """One plaquette whose far corner (1, 1, 0) is not designated: its stencil does not read it."""
+    plq = qs.OrientedPlaquette(base=(0, 0, 0), plane=(1, 2), sign=1)
+    return qs.Surface(plaquettes=(plq,), interior=frozenset(), boundary=frozenset({(0, 0, 0), (1, 0, 0), (0, 1, 0)}))
+
+
+def _with_faces_kept(popped):
+    """popped with its last record claiming to have added no faces."""
+    return replace(popped, records=(replace(popped.records[-1], added=()),))
+
+
+@pytest.mark.parametrize("move, message", [
+    # the flat plaquette next to a popped cell: its cell shares the cube's two top vertices
+    (lambda: qs.pop_up(qs.pop_up(qs.flat_patch(2, 1), 0), 0), "pop target of plaquette 0 is occupied"),
+    # a new face at (1, 0, 0) in the (2, 3) plane reads the far corner
+    (lambda: qs.pop_up(_lone_plaquette(), 0), "referenced vertices not designated: [(1, 1, 0)]"),
+    # hand-made records: one puts back a plaquette nothing designates, one takes the interior from the cube's faces
+    (lambda: qs.unpop(replace(qs.flat_patch(1, 1), records=(qs.PopRecord(
+        removed=qs.OrientedPlaquette(base=(5, 5, 5), plane=(1, 2)), added=(), new_interior=()),))),
+     "referenced vertices not designated: [(5, 5, 5), (5, 6, 5), (6, 5, 5)]"),
+    (lambda: qs.unpop(_with_faces_kept(qs.pop_up(qs.flat_patch(1, 1), 0))),
+     "referenced vertices not designated: [(0, 0, 1), (0, 1, 1), (1, 0, 1)]"),
+], ids=["occupied", "undesignated-corner", "unpop-foreign-plaquette", "unpop-kept-faces"])
+def test_move_errors_name_what_is_wrong(move, message):
+    with pytest.raises(MissingVertex) as info:
+        move()
+    assert str(info.value) == message
 
 
 def test_interior_relabeling_cannot_change_the_kernel(co321):

@@ -7,6 +7,8 @@ building the kernel or its JSON raises.  The set, at the points (3, 2, 1) and
 (2.7, 1.35, 0.55):
 
 - n_step_kernel at n = 1-200, hat and bar;
+- the kernels of one n_step_kernels chain over the lengths 1-200, hat and
+  bar; each `chain` line equals the `nstep` line of the same length;
 - one_step_kernel, hat and bar, and multi_time_closed_form(n, m) at
   0 <= n, m <= 12 (a caustic angle, such as n = m = 0, is an error line);
 - path_kernel on monotone paths of 1-300 steps, and on the same paths with a
@@ -45,7 +47,7 @@ Usage: python scripts/kernel_digests.py
 import hashlib
 import itertools
 import sys
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -56,6 +58,7 @@ from mdclab.qprop1d import (
     momentum_factorized_kernel,
     multi_time_closed_form,
     n_step_kernel,
+    n_step_kernels,
     one_step_kernel,
     path_kernel,
 )
@@ -150,6 +153,10 @@ def cases():
             for n in range(1, MAX_STEPS + 1):
                 yield f"{tag}-nstep-{direction}-{n}", partial(n_step_kernel, n, derived, direction)
             yield f"{tag}-onestep-{direction}", partial(one_step_kernel, direction, derived)
+        for direction in ("hat", "bar"):
+            chain = cache(partial(n_step_kernels, range(1, MAX_STEPS + 1), derived, direction))
+            for n in range(1, MAX_STEPS + 1):
+                yield f"{tag}-chain-{direction}-{n}", lambda chain=chain, n=n: chain()[n - 1]
         for n, m in itertools.product(range(MAX_CLOSED_FORM + 1), repeat=2):
             yield f"{tag}-closed-{n}-{m}", partial(multi_time_closed_form, n, m, derived)
         for loop, shortest in ((False, 1), (True, 5)):
@@ -186,16 +193,20 @@ def kernel_bits(kernel) -> bytes:
     return np.concatenate(numbers).astype("<f8").tobytes()
 
 
+def digest_line(name: str, build, *order: bytes) -> str:
+    """The output line of one case."""
+    try:
+        kernel = build()
+        text = kernel.to_json()
+    except (MdcError, ValueError, ArithmeticError) as exc:
+        return f"{name} error:{type(exc).__name__}:{exc}"
+    return f"{name} {hashlib.sha256(text.encode('utf-8') + kernel_bits(kernel) + b''.join(order)).hexdigest()}"
+
+
 def digest_lines(limit: int | None = None):
     """The output lines of the first `limit` cases (all of them by default)."""
-    for name, build, *order in itertools.islice(cases(), limit):
-        try:
-            kernel = build()
-            text = kernel.to_json()
-        except (MdcError, ValueError, ArithmeticError) as exc:
-            yield f"{name} error:{type(exc).__name__}:{exc}"
-        else:
-            yield f"{name} {hashlib.sha256(text.encode('utf-8') + kernel_bits(kernel) + b''.join(order)).hexdigest()}"
+    for case in itertools.islice(cases(), limit):
+        yield digest_line(*case)
 
 
 def main() -> int:

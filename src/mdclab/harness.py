@@ -468,8 +468,9 @@ def _prop1d_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals
             rec = qprop1d.tridiagonal_det(n, d)
             cf = qprop1d.tridiagonal_det_closed_form(n, d)
             res.add("tri", abs(rec - cf) / abs(cf))
-        for n in (1, 2, 5, 12, 20):
-            diff = compare(qprop1d.n_step_kernel(n, d), qprop1d.multi_time_closed_form(n, 0, d))
+        lengths = (1, 2, 5, 12, 20)
+        for n, kernel in zip(lengths, qprop1d.n_step_kernels(lengths, d, "hat")):
+            diff = compare(kernel, qprop1d.multi_time_closed_form(n, 0, d))
             res.add("nstep", diff.exponent_diff)
             res.add("amp", *amplitude(diff))
         steps = {direction: qprop1d.one_step_kernel(direction, d) for direction in ("hat", "bar")}

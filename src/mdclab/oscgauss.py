@@ -35,8 +35,9 @@ part.  marginalize_all(k, vs) is the one-step case ((k, vs),), glue(k1, k2,
 shared) the two-step case ((k1, ()), (k2, shared)), and from_terms the one
 step with nothing to integrate.  path_kernel, surface_kernel and
 momentum_factorized_kernel hand marginalize_all their monomials as one
-_Terms, and n_step_kernel hands the engine its n one-step monomial forms as
-one chain.  Within a step it consumes constraint-bound variables first, then
+_Terms, and n_step_kernels hands the engine the one-step monomial forms as
+one chain per length, each starting from the kernel of the length before.
+Within a step it consumes constraint-bound variables first, then
 the largest relative pivot, the first in sorted-name order on a tie.  An
 integration updates only the pivot's nonzero couplings, at a Python cost in
 the square of the pivot's degree plus a heap update per row it touches,
@@ -67,6 +68,8 @@ _ABS_FLOOR = 1e-13
 #: exp(i sgn(A_vv) pi/4), the Fresnel phase of a Gaussian step
 _FRESNEL_UP = cmath.exp(1j * math.copysign(math.pi / 4.0, 1.0))
 _FRESNEL_DOWN = cmath.exp(1j * math.copysign(math.pi / 4.0, -1.0))
+#: the pihbar_diff of two equal powers
+_NO_POWER = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -86,9 +89,11 @@ class AffineConstraint:
         return 0.0
 
     def normalized(self) -> "AffineConstraint":
-        """Scale the first largest-magnitude coefficient to +1, sorted."""
-        max_abs = max(abs(cv) for _, cv in self.coeffs)
-        lead = min(v for v, cv in self.coeffs if abs(cv) >= max_abs * (1.0 - 1e-12))
+        """Scale the first largest-magnitude coefficient to +1, sorted.  A NaN
+        coefficient is carried but never leads; when every one is NaN, the
+        first leads, and the result is all NaN."""
+        max_abs = max((abs(cv) for _, cv in self.coeffs if cv == cv), default=0.0)
+        lead = min((v for v, cv in self.coeffs if abs(cv) >= max_abs * (1.0 - 1e-12)), default=self.coeffs[0][0])
         s = 1.0 / self.coefficient(lead)
         items = tuple(sorted((v, cv * s) for v, cv in self.coeffs))
         return AffineConstraint(coeffs=items, const=self.const * s)
@@ -617,7 +622,8 @@ def compare(k1: OscKernel, k2: OscKernel) -> KernelDiff:
     `exponent_diff` is the max-norm difference over (A, B, c) and the
     normalized delta constraints, coefficients and constants; a non-finite
     difference always wins.  Volume and 2-pi-hbar powers are reported, never
-    folded into the exponent measure.
+    folded into the exponent measure.  The KernelDiff is built from its
+    fields without its keyword __init__, frozen as ever.
     """
     aligned = k1.vars == k2.vars
     if not aligned and set(k1.vars) != set(k2.vars):
@@ -647,10 +653,10 @@ def compare(k1: OscKernel, k2: OscKernel) -> KernelDiff:
             maxima.append(abs(con1.const - con2.const))
     # a NaN wins as in np.max: the sum of these nonnegative maxima is NaN exactly when one is
     exponent_diff = float(total if (total := sum(maxima)) != total else max(maxima))
-    amp_ratio = k1.amp / k2.amp if k2.amp != 0 else complex("inf")
-    return KernelDiff(
-        exponent_diff=exponent_diff,
-        amp_ratio=amp_ratio,
-        pihbar_diff=k1.pihbar_pow - k2.pihbar_pow,
-        vol_diff=k1.vol_pow - k2.vol_pow,
-    )
+    # the frozen result from fields built here, as OscKernel._built does: no keyword __init__, and no Fraction
+    # subtraction when the powers agree
+    diff = object.__new__(KernelDiff)
+    diff.__dict__.update(exponent_diff=exponent_diff, amp_ratio=k1.amp / k2.amp if k2.amp != 0 else complex("inf"),
+                         pihbar_diff=_NO_POWER if k1.pihbar_pow == k2.pihbar_pow else k1.pihbar_pow - k2.pihbar_pow,
+                         vol_diff=k1.vol_pow - k2.vol_pow)
+    return diff

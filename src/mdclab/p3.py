@@ -33,10 +33,12 @@ The second-order residuals and p3_invariants take floats or same-shape
 arrays for each state component (a state's components run along the first
 axis); on arrays every expression acts elementwise in the scalar order, so
 an array call returns bit for bit the scalar calls' values.  The joint
-solution check evaluates each grid point once.  p3_joint_solution itself
-stays scalar: numpy's array complex product can differ from the scalar one
-in the last bit.  The checks take the matrices and modes their caller built
-once per point; reduction.commutator_residual is the matrices' commutator.
+solution check evaluates each grid point once, through one
+p3_joint_solution call over the grid: one np.exp array call per mode, and
+every complex product scalar, since numpy's array complex product can
+differ from the scalar one in the last bit.  The checks take the matrices
+and modes their caller built once per point;
+reduction.commutator_residual is the matrices' commutator.
 """
 
 from __future__ import annotations
@@ -239,29 +241,37 @@ def p3_joint_modes(H: np.ndarray, B: np.ndarray) -> tuple[JointMode, JointMode]:
 
 
 def p3_joint_solution(
-    m: int,
-    n: int,
+    ms: range,
+    ns: range,
     amplitudes: tuple[float, float, float, float],
     modes: tuple[JointMode, JointMode],
     nu_shift: tuple[float, float] = (0.0, 0.0),
-) -> tuple[float, float]:
-    """(x1, x2) of the joint field at grid point (m, n).
+) -> np.ndarray:
+    """(x1, x2) of the joint field at each grid point (m, n) of ms by ns:
+    out[:, i, j] is the field at (ms[i], ns[j]).
 
     amplitudes = (re_plus, im_plus, re_minus, im_minus) weight the real and
     imaginary parts of each branch.  nu_shift perturbs the commuting-flow
-    angles, which is used to show the solution breaks if nu is wrong.
+    angles, which is used to show the solution breaks if nu is wrong.  Each
+    mode's phases come from one np.exp array call on the exponents
+    1j * (mu m + (nu + dnu) n), formed point by point; complex exp gives the
+    same bits in an array as in a scalar call.  Each product (w v_k) phase
+    is a scalar one, and each component sums its modes' real parts from 0.0
+    in mode order.
     """
-    x1 = 0.0
-    x2 = 0.0
+    points = [(m, n) for m in ms for n in ns]
+    x1 = x2 = [0.0] * len(points)
     for mode, re_w, im_w, dnu in (
         (modes[0], amplitudes[0], amplitudes[1], nu_shift[0]),
         (modes[1], amplitudes[2], amplitudes[3], nu_shift[1]),
     ):
-        phase = np.exp(1j * (mode.mu * m + (mode.nu + dnu) * n))
+        mu, nu = mode.mu, mode.nu + dnu
+        phases = np.exp([1j * (mu * m + nu * n) for m, n in points]).tolist()
         w = complex(re_w, im_w)
-        x1 += (w * mode.v[0] * phase).real
-        x2 += (w * mode.v[1] * phase).real
-    return x1, x2
+        w1, w2 = w * mode.v[0], w * mode.v[1]
+        x1 = [x + (w1 * phase).real for x, phase in zip(x1, phases)]
+        x2 = [x + (w2 * phase).real for x, phase in zip(x2, phases)]
+    return np.array((x1, x2)).reshape(2, len(ms), len(ns))
 
 
 def p3_joint_solution_residual(
@@ -273,8 +283,7 @@ def p3_joint_solution_residual(
     """Max residual of all four second-order equations on the 5-by-5 grid
     0 <= m, n < 5 of the joint solution of modes."""
     grid = range(-1, 6)
-    x = np.array([[p3_joint_solution(m, n, amplitudes, modes, nu_shift) for n in grid] for m in grid])
-    x = x.transpose(2, 0, 1)  # x[:, m + 1, n + 1] is (x1, x2) at grid point (m, n)
+    x = p3_joint_solution(grid, grid, amplitudes, modes, nu_shift)  # x[:, m + 1, n + 1] is (x1, x2) at (m, n)
     cur = x[:, 1:6, 1:6]
     hat = p3_hat_equation_residual(x[:, :5, 1:6], cur, x[:, 2:, 1:6], derived.s)
     bar = p3_bar_equation_residual(x[:, 1:6, :5], cur, x[:, 1:6, 2:], derived.t, derived.tprime)

@@ -14,7 +14,9 @@ replaces (Q, q) by (R, r).  Composing N steps gives the closed form
 with amplitude modulus sqrt(2 sqrt(P)/|sin(mu N)|) and phase
 pi/4 + (pi/2) floor(mu N / pi): every Gaussian pivot crossed past a caustic
 advances the phase by pi/2, and the bookkeeping here reproduces that count.
-Multi-time propagation replaces mu N by mu N + nu M.
+Multi-time propagation replaces mu N by mu N + nu M.  The composed kernels
+at several lengths come from one chain of one-step kernels, each length
+continuing from the kernel of the one before (n_step_kernels).
 
 A time path is a walk in the two discrete time directions; each visit gets a
 fresh integration variable, backward steps contribute the negated Lagrangian
@@ -39,7 +41,7 @@ from .errors import (
     NearCaustic,
     OutOfRegime,
 )
-from .oscgauss import KernelDiff, OscKernel, _eliminate, _Terms, compare, from_terms, marginalize_all
+from .oscgauss import AffineConstraint, KernelDiff, OscKernel, _eliminate, _Terms, compare, from_terms, marginalize_all
 from .reduction import OscillatorCoeffs, closure_coeffs, direction_constants
 
 if TYPE_CHECKING:
@@ -111,20 +113,29 @@ def _off_caustic_sin(theta: float) -> float:
     return sin_t
 
 
+def _closed_form_coeffs(theta: float, derived: "DerivedParams") -> tuple[float, float]:
+    """The closed-form kernel's coefficients of xa^2 (and of xb^2) and of
+    xa xb for a total rotation angle theta.
+
+    Raises CausticError when sin(theta) is numerically on a caustic.
+    """
+    sin_t = _off_caustic_sin(theta)
+    root_p = math.sqrt(derived.P)
+    return -root_p * math.cos(theta) / sin_t, 2.0 * root_p / sin_t
+
+
 def _closed_form_terms(theta: float, derived: "DerivedParams") -> _Terms:
     """The monomials of the closed-form kernel from xa to xb for a total
     rotation angle theta, in the form from_terms takes.
 
     Raises CausticError when sin(theta) is numerically on a caustic.
     """
-    sin_t = _off_caustic_sin(theta)
-    root_p = math.sqrt(derived.P)
+    square, cross = _closed_form_coeffs(theta, derived)
     x, y = "xa", "xb"
-    square = -root_p * math.cos(theta) / sin_t
     phase = math.pi / 4.0 + (math.pi / 2.0) * math.floor(theta / math.pi)
-    amp = math.sqrt(2.0 * root_p / abs(sin_t)) * cmath.exp(1j * phase)
-    return _Terms((x, y), {(x, y): 2.0 * root_p / sin_t, (x, x): square, (y, y): square}, {}, 0.0, amp,
-                  Fraction(-1, 2), derived.hbar)
+    # |2 sqrt(P) / sin(theta)| is 2 sqrt(P) / |sin(theta)| bit for bit: a quotient's rounding ignores its sign
+    amp = math.sqrt(abs(cross)) * cmath.exp(1j * phase)
+    return _Terms((x, y), {(x, y): cross, (x, x): square, (y, y): square}, {}, 0.0, amp, Fraction(-1, 2), derived.hbar)
 
 
 def closed_form_kernel(theta: float, derived: "DerivedParams") -> OscKernel:
@@ -150,19 +161,53 @@ def _require_steps(n: int) -> None:
 
 
 def n_step_kernel(n: int, derived: "DerivedParams", direction: str = "hat") -> OscKernel:
-    """n one-step kernels glued in sequence, from xa to xb.
+    """n one-step kernels glued in sequence, from xa to xb: the one-length
+    case of n_step_kernels."""
+    (kernel,) = n_step_kernels((n,), derived, direction)
+    return kernel
 
-    The engine takes the n one-step monomial forms as one chain, integrating
+
+def n_step_kernels(lengths, derived: "DerivedParams", direction: str) -> tuple[OscKernel, ...]:
+    """n_step_kernel at each of several increasing lengths, from one chain.
+
+    The engine takes the one-step monomial forms as one chain, integrating
     s_k once the (k+1)-th step is added: the kernel the fold of glue calls
-    would build, bit for bit.  The guard matches the closed form:
-    CausticError iff sin(n * angle) is on a caustic.  Exact intermediate
-    caustics are passed through as delta kernels by the engine.
+    would build, bit for bit.  Each later length's chain starts from the
+    previous length's kernel, its endpoint still named s_n,
+    ((K, ()), (step, (s_n,)), ...), which is the same fold; the endpoint of
+    each kernel handed out is renamed xb.  The guard matches the closed
+    form: CausticError iff sin(n * angle) is on a caustic, for the first
+    such length and before anything is built.  Exact intermediate caustics
+    are passed through as delta kernels by the engine.
     """
-    _require_steps(n)
-    _off_caustic_sin(n * _angle(derived, direction))
-    names = ("xa", *(f"s{k}" for k in range(1, n)), "xb")
-    first, *rest = _one_steps(direction, derived, names)
-    return _eliminate([(first, ()), *((step, step.vars[:1]) for step in rest)])
+    lengths = tuple(lengths)
+    if not lengths or any(later <= n for n, later in zip(lengths, lengths[1:])):
+        raise ValueError(f"lengths must be a nonempty increasing sequence, got {lengths}")
+    _require_steps(lengths[0])
+    angle = _angle(derived, direction)
+    for n in lengths:
+        _off_caustic_sin(n * angle)
+    names = ("xa", *(f"s{k}" for k in range(1, lengths[-1] + 1)))
+    steps = _one_steps(direction, derived, names)
+    kernels, chain, done = [], None, 0
+    for n in lengths:
+        segment = [(step, step.vars[:1]) for step in steps[done:n]]
+        if chain is None:
+            segment[0] = (steps[0], ())
+        else:
+            segment.insert(0, (chain, ()))
+        chain, done = _eliminate(segment), n
+        kernels.append(_with_end_xb(chain))
+    return tuple(kernels)
+
+
+def _with_end_xb(kernel: OscKernel) -> OscKernel:
+    """A chain's kernel over (xa, s_n) with s_n renamed xb."""
+    end = kernel.vars[1]
+    cons = tuple(AffineConstraint(tuple(("xb" if v == end else v, cv) for v, cv in con.coeffs), con.const)
+                 for con in kernel.constraints)
+    return OscKernel._built(("xa", "xb"), kernel.A, kernel.B, kernel.c, kernel.amp, kernel.pihbar_pow,
+                            kernel.vol_pow, cons, kernel.hbar)
 
 
 # -- Tridiagonal fluctuation determinant ---------------------------------------
@@ -213,7 +258,10 @@ class TimePath:
         return TimePath(("+hat",) * n + ("+bar",) * m)
 
     def with_loop(self, position: int) -> "TimePath":
-        """Insert a unit four-step loop at a visit position."""
+        """Insert a unit four-step loop at a visit position, 0 to len(steps);
+        ValueError outside."""
+        if not 0 <= position <= len(self.steps):
+            raise ValueError(f"loop position {position} outside 0..{len(self.steps)}")
         loop = ("+hat", "+bar", "-hat", "-bar")
         return TimePath(self.steps[:position] + loop + self.steps[position:])
 
@@ -346,8 +394,8 @@ def invariant_kernel_residual(n: int, derived: "DerivedParams", direction: str) 
     difference is scaled by the largest coefficient, which keeps parameter
     sweeps comparable when the coefficients grow large; a NaN stays NaN.
     """
-    terms = _closed_form_terms(n * _angle(derived, direction), derived)
-    alpha, gamma = 2.0 * terms.quadratic[("xa", "xa")], terms.quadratic[("xa", "xb")]
+    square, gamma = _closed_form_coeffs(n * _angle(derived, direction), derived)
+    alpha = 2.0 * square
     at_self = alpha**2 + 4.0 * derived.P
     scale = max(abs(derived.hbar * alpha), abs(at_self), abs(gamma**2), abs(2.0 * alpha * gamma))
     return abs(at_self - gamma**2) / scale

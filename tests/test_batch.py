@@ -99,9 +99,11 @@ def test_orbit_residuals_equal_per_step_scalar_calls(seed, steps):
 def test_grid_residuals_evaluate_each_grid_point_once(monkeypatch):
     d = derive(LatticeParams(3.0, 2.0, 1.0))
     points = {"explicit_solution": [], "p3_joint_solution": []}
-    for module, name in ((reduction, "explicit_solution"), (p3, "p3_joint_solution")):
-        def counted(m, n, *args, f=getattr(module, name), seen=points[name], **kwargs):
-            seen.append((m, n))
+    for module, name, each in ((reduction, "explicit_solution", lambda m, n: [(m, n)]),
+                               (p3, "p3_joint_solution", lambda ms, ns: [(m, n) for m in ms for n in ns])):
+        # explicit_solution takes one point, p3_joint_solution the axes of a grid
+        def counted(m, n, *args, f=getattr(module, name), seen=points[name], each=each, **kwargs):
+            seen.extend(each(m, n))
             return f(m, n, *args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)

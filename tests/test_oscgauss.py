@@ -1,7 +1,7 @@
 import cmath
 import itertools
 import math
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -700,14 +700,16 @@ def _with_nan(kernel, part):
     elif part == "c":
         c = math.nan
     elif part == "coefficient":
-        # the second: normalized() finds no lead when the largest-magnitude coefficient it meets first is NaN
         con = og.AffineConstraint((con.coeffs[0], (con.coeffs[1][0], math.nan)), con.const)
+    elif part == "first coefficient":
+        # the largest magnitude that normalized() meets first is NaN: the lead is the largest finite coefficient
+        con = og.AffineConstraint(((con.coeffs[0][0], math.nan), con.coeffs[1]), con.const)
     else:
         con = og.AffineConstraint(con.coeffs, math.nan)
     return og.OscKernel._built(kernel.vars, A, B, c, kernel.amp, kernel.pihbar_pow, kernel.vol_pow, (con,), kernel.hbar)
 
 
-@pytest.mark.parametrize("nan", [None, "A", "B", "c", "coefficient", "constant"])
+@pytest.mark.parametrize("nan", [None, "A", "B", "c", "coefficient", "first coefficient", "constant"])
 def test_compare_equals_the_reindexing_route_with_a_nan_in_each_part(nan):
     # aligned and permuted pairs, in both orders; a NaN on either side makes exponent_diff NaN
     k1, k2 = _compare_pair()
@@ -718,6 +720,40 @@ def test_compare_equals_the_reindexing_route_with_a_nan_in_each_part(nan):
         got = og.compare(one, other)
         assert repr(got) == repr(_compare_by_reindexing(one, other))
         assert math.isnan(got.exponent_diff) == (bad_one or bad_other)
+
+
+def test_normalized_carries_a_nan_in_any_position():
+    nan = math.nan
+    cases = {
+        (("x", nan), ("z", -0.5)): ((("x", nan), ("z", 1.0)), -0.5),
+        (("x", 1.0), ("z", nan)): ((("x", 1.0), ("z", nan)), 0.25),
+        (("z", nan), ("x", nan)): ((("x", nan), ("z", nan)), nan),
+    }
+    for coeffs, want in cases.items():
+        got = og.AffineConstraint(coeffs, 0.25).normalized()
+        assert repr((got.coeffs, got.const)) == repr(want)
+    # a delta kernel whose constraint leads with a NaN compares as NaN, and its JSON refuses the NaN
+    k1, _ = _compare_pair()
+    bad = _with_nan(k1, "first coefficient")
+    assert math.isnan(og.compare(bad, bad).exponent_diff)
+    assert math.isnan(og.compare(k1, bad).exponent_diff)
+    with pytest.raises(ValueError):
+        bad.to_json()
+
+
+@pytest.mark.parametrize("powers", [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1))])
+def test_compare_result_is_the_kernel_diff_its_constructor_builds(powers):
+    # equal powers and powers half a step apart; compare builds its result without the keyword __init__
+    k1, k2 = (_replace(k, pihbar_pow=power) for k, power in zip(_compare_pair(), powers))
+    for pair in ((k1, k2), (k2, k1), (k1, k1)):
+        got, want = og.compare(*pair), _compare_by_reindexing(*pair)
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert type(got.pihbar_diff) is Fraction and got.pihbar_diff == pair[0].pihbar_pow - pair[1].pihbar_pow
+        assert got.amp_ratio_error == want.amp_ratio_error
+        with pytest.raises(FrozenInstanceError):
+            got.exponent_diff = 0.0
+        with pytest.raises(FrozenInstanceError):
+            got.pihbar_diff = Fraction(0)
 
 
 def test_compare_of_kernels_with_no_variables_left():

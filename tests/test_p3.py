@@ -110,6 +110,41 @@ def test_joint_solution_breaks_under_angle_mismatch(d321):
     assert res > 1e-5
 
 
+def _joint_solution_at(m, n, amplitudes, modes, nu_shift):
+    """(x1, x2) of the joint field at one grid point, with two scalar np.exp
+    calls: the evaluation p3_joint_solution made once per point."""
+    x1 = 0.0
+    x2 = 0.0
+    for mode, re_w, im_w, dnu in (
+        (modes[0], amplitudes[0], amplitudes[1], nu_shift[0]),
+        (modes[1], amplitudes[2], amplitudes[3], nu_shift[1]),
+    ):
+        phase = np.exp(1j * (mode.mu * m + (mode.nu + dnu) * n))
+        w = complex(re_w, im_w)
+        x1 += (w * mode.v[0] * phase).real
+        x2 += (w * mode.v[1] * phase).real
+    return x1, x2
+
+
+@pytest.mark.parametrize("point", [(3.0, 2.0, 1.0), (2.7, 1.35, 0.55), (2.5, 0.7, -1.3)])
+@pytest.mark.parametrize("nu_shift", [(0.0, 0.0), (1e-3, 0.0), (0.0, -2.5e-2)])
+def test_joint_solution_grid_is_the_point_by_point_evaluation_bit_for_bit(point, nu_shift, rng):
+    d = derive(LatticeParams(*point))
+    modes = p3_modes(d)
+    grid = range(-1, 6)
+    for amplitudes in ((1.0, 0.2, -0.4, 0.7), tuple(rng.normal(size=4) * 10.0 ** rng.uniform(-3, 3, size=4))):
+        want = np.array([[_joint_solution_at(m, n, amplitudes, modes, nu_shift) for n in grid] for m in grid])
+        got = p3.p3_joint_solution(grid, grid, amplitudes, modes, nu_shift)
+        assert got.tobytes() == want.transpose(2, 0, 1).tobytes()
+        # the residual on that grid, as it was formed from the per-point values
+        x = want.transpose(2, 0, 1)
+        cur = x[:, 1:6, 1:6]
+        hat = p3.p3_hat_equation_residual(x[:, :5, 1:6], cur, x[:, 2:, 1:6], d.s)
+        bar = p3.p3_bar_equation_residual(x[:, 1:6, :5], cur, x[:, 1:6, 2:], d.t, d.tprime)
+        residual = p3.p3_joint_solution_residual(modes, d, amplitudes, nu_shift=nu_shift)
+        assert residual.hex() == float(np.max((hat, bar), initial=0.0)).hex()
+
+
 def test_primary_angles_match_their_closed_form(d321, rng):
     for p, q, r in [(3.0, 2.0, 1.0)] + sample_triples(rng, 10):
         d = derive(LatticeParams(p, q, r))

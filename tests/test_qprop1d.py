@@ -260,6 +260,58 @@ def test_n_step_kernel_makes_one_engine_call_and_builds_no_dense_step(d321, monk
     assert calls == [20]
 
 
+@pytest.mark.parametrize("point", [(3.0, 2.0, 1.0), (2.7, 1.35, 0.55), (2.0, 2.0, 1.0)])
+@pytest.mark.parametrize("direction", ["hat", "bar"])
+def test_n_step_kernels_are_n_step_kernel_bit_for_bit(point, direction):
+    # at (2, 2, 1) every third hat length is a caustic: the lengths skip those, and the chains between the kept
+    # lengths cross them as exact delta steps
+    d = derive(LatticeParams(*point))
+    caustic = point == (2.0, 2.0, 1.0) and direction == "hat"
+    for lengths in (range(1, 61), (1, 2, 5, 12, 20), (7,)):
+        lengths = [n for n in lengths if not (caustic and n % 3 == 0)]
+        got = qp.n_step_kernels(lengths, d, direction)
+        assert [_fields(k) for k in got] == [_fields(qp.n_step_kernel(n, d, direction)) for n in lengths]
+
+
+def test_n_step_kernels_start_each_chain_from_the_previous_kernel(d321, monkeypatch):
+    engine, calls = og._eliminate, []
+
+    def counted(steps):
+        calls.append([type(part).__name__ for part, _ in steps])
+        return engine(steps)
+
+    monkeypatch.setattr(qp, "_eliminate", counted)
+    qp.n_step_kernels((1, 2, 5, 12, 20), d321, "hat")
+    # 20 one-step parts in all, each length after the first starting from the kernel before it
+    assert calls == [["_Terms"], *(["OscKernel"] + ["_Terms"] * k for k in (1, 3, 7, 8))]
+
+
+def test_n_step_kernels_refuse_bad_lengths_before_building_anything(monkeypatch):
+    def refused(steps):
+        raise AssertionError("n_step_kernels built a kernel")
+
+    monkeypatch.setattr(qp, "_eliminate", refused)
+    d = derive(LatticeParams(2.0, 2.0, 1.0))  # mu = 2 pi / 3: lengths 3 and 6 are caustics
+    with pytest.raises(CausticError, match=f"caustic at total angle {3 * d.mu!r}"):
+        qp.n_step_kernels((1, 2, 3, 6), d, "hat")
+    for lengths in ((0, 1), (), (2, 2), (5, 4)):
+        with pytest.raises(ValueError):
+            qp.n_step_kernels(lengths, d, "hat")
+    with pytest.raises(ValueError, match="need at least one step"):
+        qp.n_step_kernel(0, d)
+
+
+def test_with_loop_takes_a_visit_position_only():
+    path = qp.TimePath(("+hat", "+bar", "+hat"))
+    loop = ("+hat", "+bar", "-hat", "-bar")
+    assert path.with_loop(0).steps == loop + path.steps
+    assert path.with_loop(1).steps == path.steps[:1] + loop + path.steps[1:]
+    assert path.with_loop(3).steps == path.steps + loop
+    for position in (-1, 4):
+        with pytest.raises(ValueError, match=f"loop position {position} outside 0..3"):
+            path.with_loop(position)
+
+
 def _step_terms_reference(steps, cf, names):
     """qprop1d._step_terms as it was written before it took each step kind's
     coefficients once: every step evaluates its three coefficients and adds
@@ -401,6 +453,41 @@ def test_invariant_kernel_residual_is_the_polynomial_route_bit_for_bit(point, hb
             assert got.hex() == _op_poly_residual(n, d, direction, relative=True).hex()
 
 
+def _invariant_residual_from_terms(n, derived, direction):
+    """invariant_kernel_residual as it read its two coefficients from the
+    closed form's monomials, with the closed form's own expressions."""
+    theta = n * qp._angle(derived, direction)
+    sin_t = math.sin(theta)
+    if abs(sin_t) < qp.CAUSTIC_TOL:
+        raise CausticError(f"caustic at total angle {theta!r}")
+    root_p = math.sqrt(derived.P)
+    alpha, gamma = 2.0 * (-root_p * math.cos(theta) / sin_t), 2.0 * root_p / sin_t
+    at_self = alpha**2 + 4.0 * derived.P
+    scale = max(abs(derived.hbar * alpha), abs(at_self), abs(gamma**2), abs(2.0 * alpha * gamma))
+    phase = math.pi / 4.0 + (math.pi / 2.0) * math.floor(theta / math.pi)
+    return abs(at_self - gamma**2) / scale, math.sqrt(2.0 * root_p / abs(sin_t)) * cmath.exp(1j * phase)
+
+
+@pytest.mark.parametrize("point", [(3.0, 2.0, 1.0), (2.7, 1.35, 0.55), (2.0, 2.0, 1.0)])
+def test_invariant_kernel_residual_is_the_closed_form_route_bit_for_bit(point):
+    # at (2, 2, 1) mu = 2 pi / 3, so hat lengths 3, 6, ... are caustics
+    d = derive(LatticeParams(*point))
+    caustics = 0
+    for direction in ("hat", "bar"):
+        for n in range(1, 41):
+            try:
+                want, amp = _invariant_residual_from_terms(n, d, direction)
+            except CausticError:
+                caustics += 1
+                with pytest.raises(CausticError):
+                    qp.invariant_kernel_residual(n, d, direction)
+                continue
+            assert qp.invariant_kernel_residual(n, d, direction).hex() == want.hex()
+            # the closed form's amplitude, its modulus now read off the coupling
+            assert repr(qp._closed_form_terms(n * qp._angle(d, direction), d).amp) == repr(amp)
+    assert caustics == (13 if point == (2.0, 2.0, 1.0) else 0)
+
+
 def test_operator_invariant_identity_values(d321):
     # at one step the exponent coefficients are alpha = (P-Q)/q = 8.5 and
     # gamma = (P+Q)/q = 12.5, and gamma^2 - alpha^2 = 4P exactly
@@ -447,13 +534,13 @@ def test_one_step_kernel_canonical_form_is_stable(d321):
 
 
 def test_invariant_kernel_residual_keeps_a_nan(d321, monkeypatch):
-    closed_form = qp._closed_form_terms
+    closed_form = qp._closed_form_coeffs
 
     def with_nan_coupling(*args):
-        terms = closed_form(*args)
-        return terms._replace(quadratic={**terms.quadratic, ("xa", "xb"): float("nan")})
+        square, _ = closed_form(*args)
+        return square, float("nan")
 
-    monkeypatch.setattr(qp, "_closed_form_terms", with_nan_coupling)
+    monkeypatch.setattr(qp, "_closed_form_coeffs", with_nan_coupling)
     for direction in ("hat", "bar"):
         assert math.isnan(qp.invariant_kernel_residual(3, d321, direction))
 

@@ -10,7 +10,7 @@ from mdclab import reduction as red
 from mdclab.errors import OutOfRegime
 from mdclab.params import LatticeParams, bar_matrix, derive, hat_matrix
 
-from conftest import map_matrices, sample_triples, square_corners
+from conftest import map_matrices, p3_matrices, sample_triples, square_corners
 
 
 def u_level_hat_oracle(u, s):
@@ -122,6 +122,30 @@ def test_invariant_preserved_along_orbits(d321, rng):
         assert red.invariant_eval(*pair1, coeff) == pytest.approx(
             red.invariant_eval(*pair0, coeff), abs=1e-9
         )
+
+
+def _orbit_by_matmul(matrix, state, steps):
+    """The orbit with one matrix @ z per step, as orbit stepped before."""
+    z = np.asarray(state, dtype=float)
+    out = np.empty((steps + 1, z.size))
+    out[0] = z
+    for k in range(steps):
+        z = matrix @ z
+        out[k + 1] = z
+    return out
+
+
+@pytest.mark.parametrize("point", [(3.0, 2.0, 1.0), (2.7, 1.35, 0.55), (1.0, -0.6, 0.3)])
+def test_orbit_is_the_matmul_loop_bit_for_bit(point, rng):
+    # the suites' 2x2 maps and 4x4 period-3 maps; (1, -0.6, 0.3) is hyperbolic, and its 300-step orbits grow
+    # past 1e200
+    d = derive(LatticeParams(*point))
+    for matrix in (*map_matrices(d), *p3_matrices(d)):
+        z = rng.normal(size=len(matrix))
+        got = red.orbit(matrix, z, 300)
+        assert got.tobytes() == _orbit_by_matmul(matrix, z, 300).tobytes()
+        if d.hyperbolic and len(matrix) == 2:
+            assert 1e200 < np.abs(got).max() < math.inf
 
 
 def test_invariant_zero_state():

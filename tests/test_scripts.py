@@ -59,6 +59,20 @@ def test_kernel_digests_names_each_kernel_once_and_repeats_its_lines():
     assert list(script.digest_lines(20)) == lines
 
 
+def test_kernel_digests_chain_lines_equal_the_n_step_lines():
+    # both points, both directions, lengths 1-60: the kernels of one n_step_kernels chain, and n_step_kernel's
+    script = load_script("kernel_digests")
+    lines = {}
+    for case in script.cases():
+        tag, kind, *rest = case[0].split("-")
+        if kind in ("nstep", "chain") and int(rest[1]) <= 60:
+            lines[tag, kind, *rest] = script.digest_line(*case).split(" ", 1)[1]
+    chain = {key[:1] + key[2:]: digest for key, digest in lines.items() if key[1] == "chain"}
+    nstep = {key[:1] + key[2:]: digest for key, digest in lines.items() if key[1] == "nstep"}
+    assert len(chain) == 2 * 2 * 60
+    assert chain == nstep
+
+
 def test_kernel_digests_hash_the_bits_that_the_json_rounds_away():
     script = load_script("kernel_digests")
     kernel = from_terms(("x", "y"), {("x", "y"): 0.0123})

@@ -35,11 +35,13 @@ their outputs are equal:
     diff before.txt after.txt
 
 The JSON rounds every number to 15 decimal places, so each digest also
-covers the float64 bits of A, B, c, amp and the delta constraints
-(`kernel_bits`); a one-ulp change anywhere moves its line.  A change of the
-canonical form moves every digest line once: the sparse `kernel_format` 2
-did, and so did adding the bits.  To check builder outputs across such a
-change, run this script at both commits' `src/` and diff the outputs.
+covers the float64 bits of A, amp and the delta constraints (`kernel_bits`);
+a one-ulp change anywhere moves its line.  A change of the canonical form
+moves every digest line once: the sparse `kernel_format` 2 did, so did
+adding the bits, and so did `kernel_format` 3, which dropped the linear
+term and the constants that every kernel held at zero.  To check builder
+outputs across such a change, run this script at both commits' `src/` and
+diff the outputs.
 
 Usage: python scripts/kernel_digests.py
 """
@@ -184,12 +186,12 @@ def cases():
 
 
 def kernel_bits(kernel) -> bytes:
-    """The float64 bits, little-endian, of A and B in sorted-name order, then
-    c, amp's real and imaginary parts, and each delta constraint's
-    coefficients and constant in stored order."""
+    """The float64 bits, little-endian, of A in sorted-name order, then amp's
+    real and imaginary parts, and each delta constraint's coefficients in
+    stored order."""
     order = np.argsort(np.array(kernel.vars))
-    numbers = [kernel.A[np.ix_(order, order)].ravel(), kernel.B[order], [kernel.c, kernel.amp.real, kernel.amp.imag]]
-    numbers += [[*(cv for _, cv in con.coeffs), con.const] for con in kernel.constraints]
+    numbers = [kernel.A[np.ix_(order, order)].ravel(), [kernel.amp.real, kernel.amp.imag]]
+    numbers += [[cv for _, cv in con.coeffs] for con in kernel.constraints]
     return np.concatenate(numbers).astype("<f8").tobytes()
 
 

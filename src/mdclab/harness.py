@@ -127,8 +127,13 @@ class SuiteConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not _is_a(self.trials, numbers.Integral) or self.trials < 1:
             raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
-        if any(len(row) != 3 for row in self.params):
-            raise ConfigError(f"each params row must be a [p, q, r] triple, got {list(self.params)}")
+        if not isinstance(self.params, (tuple, list)):
+            raise ConfigError(f"params must be a list of [p, q, r] rows, got {self.params!r}")
+        for row in self.params:
+            if not (isinstance(row, (tuple, list)) and len(row) == 3
+                    and all(_is_a(x, numbers.Real) and math.isfinite(x) for x in row)):
+                raise ConfigError(f"params row {row!r} is not a [p, q, r] triple of finite numbers")
+        object.__setattr__(self, "params", tuple(tuple(float(x) for x in row) for row in self.params))
         if not (_is_a(self.hbar, numbers.Real) and math.isfinite(self.hbar) and self.hbar > 0):
             raise ConfigError(f"hbar must be finite and positive, got {self.hbar!r}")
         if not (isinstance(self.suites, (tuple, list)) and all(isinstance(name, str) for name in self.suites)):
@@ -164,15 +169,6 @@ class SuiteConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         data = dict(data)
-        if "params" in data:
-            rows = data["params"]
-            if not isinstance(rows, list):
-                raise ConfigError(f"params must be a list of [p, q, r] rows, got {rows!r}")
-            for row in rows:
-                if not (isinstance(row, list) and len(row) == 3
-                        and all(_is_a(x, numbers.Real) and math.isfinite(x) for x in row)):
-                    raise ConfigError(f"params row {row!r} is not a [p, q, r] triple of finite numbers")
-            data["params"] = tuple(tuple(float(x) for x in row) for row in rows)
         try:
             if isinstance(data.get("suites"), list):
                 data["suites"] = tuple(data["suites"])

@@ -3,21 +3,23 @@
 A kernel over labelled variables v is
 
     K(v) = amp * (2 pi hbar)^pihbar_pow * V^vol_pow
-           * exp[(i/hbar) (v^T A v / 2 + B^T v + c)] * prod(delta factors),
+           * exp[(i/hbar) v^T A v / 2] * prod(delta(coupling . v)),
 
 with A symmetric and stored in action units; hbar enters only through the
-i/hbar convention and the bookkeeping powers.  V is the formally infinite
-volume constant produced when an integration variable drops out of the
-exponent; it is tracked symbolically and never realised numerically.
+i/hbar convention and the bookkeeping powers.  The exponent is homogeneous,
+as the quadratic Lagrangians of the lattice are: no linear term and no
+constant.  V is the formally infinite volume constant produced when an
+integration variable drops out of the exponent; it is tracked symbolically
+and never realised numerically.
 
 Integrating one variable out lands in exactly one of three exact cases:
 
   Gaussian   |A_vv| > 0:  Schur complement update, amplitude gains
              exp(i sgn(A_vv) pi/4)/sqrt(|A_vv|) and half a power of 2 pi hbar
              (the Fresnel integral with the branch sqrt(i) = exp(i pi/4));
-  volume     the whole row and the linear term vanish: one power of V;
+  volume     the whole row vanishes: one power of V;
   delta      A_vv ~ 0 but the couplings survive: the integral is
-             2 pi hbar * delta(coupling . v + B_v); the constraint is recorded
+             2 pi hbar * delta(coupling . v); the constraint is recorded
              and, when it binds a variable still to be integrated, consumed
              at once by substituting that variable away (amplitude divides
              by |coefficient|).
@@ -37,12 +39,9 @@ step with nothing to integrate.  path_kernel, surface_kernel and
 momentum_factorized_kernel hand marginalize_all their monomials as one
 _Terms, and n_step_kernels hands the engine the one-step monomial forms as
 one chain per length, each starting from the kernel of the length before.
-Within a step it consumes constraint-bound variables first, then
-the largest relative pivot, the first in sorted-name order on a tie.  An
-integration updates only the pivot's nonzero couplings, at a Python cost in
-the square of the pivot's degree plus a heap update per row it touches,
-bit-identical to dense one-variable-at-a-time elimination, and a chain to
-the fold of glue calls, for kernels without negative zeros.
+An integration updates only the pivot's nonzero couplings, at a Python cost
+in the square of the pivot's degree plus a heap update per row it touches;
+marginalize_all says in which order, and why bit for bit.
 """
 
 from __future__ import annotations
@@ -74,10 +73,9 @@ _NO_POWER = Fraction(0)
 
 @dataclass(frozen=True)
 class AffineConstraint:
-    """Linear relation  sum(coeff * var) + const = 0  from a delta reduction."""
+    """Linear relation  sum(coeff * var) = 0  from a delta reduction."""
 
     coeffs: tuple[tuple[str, float], ...]
-    const: float
 
     def variables(self) -> tuple[str, ...]:
         return tuple(v for v, _ in self.coeffs)
@@ -88,15 +86,17 @@ class AffineConstraint:
                 return cv
         return 0.0
 
-    def normalized(self) -> "AffineConstraint":
-        """Scale the first largest-magnitude coefficient to +1, sorted.  A NaN
-        coefficient is carried but never leads; when every one is NaN, the
-        first leads, and the result is all NaN."""
+    def lead(self) -> str:
+        """The first by name of the largest-magnitude coefficients.  A NaN
+        coefficient never leads, unless every one is NaN: then the first does."""
         max_abs = max((abs(cv) for _, cv in self.coeffs if cv == cv), default=0.0)
-        lead = min((v for v, cv in self.coeffs if abs(cv) >= max_abs * (1.0 - 1e-12)), default=self.coeffs[0][0])
-        s = 1.0 / self.coefficient(lead)
-        items = tuple(sorted((v, cv * s) for v, cv in self.coeffs))
-        return AffineConstraint(coeffs=items, const=self.const * s)
+        return min((v for v, cv in self.coeffs if abs(cv) >= max_abs * (1.0 - 1e-12)), default=self.coeffs[0][0])
+
+    def normalized(self) -> "AffineConstraint":
+        """Scale the lead coefficient to +1, sorted.  A NaN coefficient is
+        carried; when every one is NaN, the result is all NaN."""
+        s = 1.0 / self.coefficient(self.lead())
+        return AffineConstraint(tuple(sorted((v, cv * s) for v, cv in self.coeffs)))
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,6 @@ class OscKernel:
 
     vars: tuple[str, ...]
     A: np.ndarray = field(repr=False)
-    B: np.ndarray = field(repr=False)
-    c: float
     amp: complex = 1.0 + 0.0j
     pihbar_pow: Fraction = Fraction(0)
     vol_pow: int = 0
@@ -114,15 +112,13 @@ class OscKernel:
     hbar: float = 1.0
 
     def __post_init__(self):
-        A = np.array(self.A, dtype=float)
-        B = np.array(self.B, dtype=float)
-        n = len(_distinct(self.vars))
-        if A.shape != (n, n) or B.shape != (n,):
-            raise VariableMismatch(f"matrix shapes {A.shape}, {B.shape} do not fit {n} variables")
-        numbers = [self.c, *(con.const for con in self.constraints),
-                   *(cv for con in self.constraints for _, cv in con.coeffs)]
-        if not (np.isfinite(A).all() and np.isfinite(B).all() and cmath.isfinite(self.amp)
-                and all(map(math.isfinite, numbers))):
+        A, n = np.array(self.A, dtype=float), len(set(self.vars))
+        if n != len(self.vars):
+            raise VariableMismatch(f"repeated variable names in {tuple(self.vars)}")
+        if A.shape != (n, n):
+            raise VariableMismatch(f"matrix shape {A.shape} does not fit {n} variables")
+        numbers = [cv for con in self.constraints for _, cv in con.coeffs]
+        if not (np.isfinite(A).all() and cmath.isfinite(self.amp) and all(map(math.isfinite, numbers))):
             raise ValueError("kernel entries are not finite: NaN and infinity are refused, as in the JSON form")
         if n and abs(A - A.T).max() > 1e-12 * max(1.0, float(abs(A).max())):
             raise VariableMismatch("exponent matrix must be symmetric")
@@ -130,21 +126,20 @@ class OscKernel:
         if not np.array_equal(A.view(np.int64), A.T.view(np.int64)):
             A = 0.5 * (A + A.T)
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
         object.__setattr__(self, "vars", tuple(self.vars))
         object.__setattr__(self, "amp", complex(self.amp))
         object.__setattr__(self, "pihbar_pow", Fraction(self.pihbar_pow))
         object.__setattr__(self, "constraints", tuple(self.constraints))
 
     @classmethod
-    def _built(cls, vars, A, B, c, amp, pihbar_pow, vol_pow, constraints, hbar) -> "OscKernel":
+    def _built(cls, vars, A, amp, pihbar_pow, vol_pow, constraints, hbar) -> "OscKernel":
         """A kernel from fields the library built itself, taken as they are:
-        vars a tuple of distinct names, A and B float64 arrays of the right
-        shapes with A exactly symmetric, amp a complex, pihbar_pow a Fraction
-        and constraints a tuple.  On such fields __post_init__'s checks pass
-        and its copies and conversions change nothing, so it is skipped."""
+        vars a tuple of distinct names, A an exactly symmetric float64 array
+        of the right shape, amp a complex, pihbar_pow a Fraction and
+        constraints a tuple.  On such fields __post_init__'s checks pass and
+        its copies and conversions change nothing, so it is skipped."""
         kernel = object.__new__(cls)
-        kernel.__dict__.update(vars=vars, A=A, B=B, c=c, amp=amp, pihbar_pow=pihbar_pow, vol_pow=vol_pow,
+        kernel.__dict__.update(vars=vars, A=A, amp=amp, pihbar_pow=pihbar_pow, vol_pow=vol_pow,
                                constraints=constraints, hbar=hbar)
         return kernel
 
@@ -159,9 +154,10 @@ class OscKernel:
     # -- canonical form ----------------------------------------------------------
 
     def canonical_dict(self) -> dict:
-        """The canonical form, kernel_format 2: vars sorted, A as the sorted
+        """The canonical form, kernel_format 3: vars sorted, A as the sorted
         [i, j, x] triples (i <= j, indices into the sorted vars) of every
-        upper-triangle entry whose round(x, 15) is not +0.0, B in vars order."""
+        upper-triangle entry whose round(x, 15) is not +0.0, and each delta
+        constraint normalized."""
         order = np.argsort(np.array(self.vars))
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
@@ -173,26 +169,17 @@ class OscKernel:
         ri, rj, x = ri[upper], rj[upper], self.A[ii[upper], jj[upper]]
         by = np.lexsort((rj, ri))
         return {
-            "kernel_format": 2,
+            "kernel_format": 3,
             "vars": [self.vars[i] for i in order],
             "A": [[i, j, r] for i, j, v in zip(ri[by].tolist(), rj[by].tolist(), x[by].tolist())
                   if (r := round(v, 15)) or math.copysign(1.0, r) < 0.0],
-            "B": _rounded(self.B[order]),
-            "c": round(float(self.c), 15),
-            "amp": {
-                "modulus": round(abs(self.amp), 15),
-                "phase": round(cmath.phase(self.amp), 15),
-            },
+            "amp": {"modulus": round(abs(self.amp), 15), "phase": round(cmath.phase(self.amp), 15)},
             "pihbar_pow": str(self.pihbar_pow),
             "vol_pow": self.vol_pow,
             "hbar": self.hbar,
-            "constraints": sorted(
-                (
-                    {"coeffs": [[v, round(cv, 15)] for v, cv in con.coeffs], "const": round(con.const, 15)}
-                    for con in map(AffineConstraint.normalized, self.constraints)
-                ),
-                key=lambda item: json.dumps(item, sort_keys=True),
-            ),
+            # each item's one key needs no sort_keys
+            "constraints": sorted(({"coeffs": [[v, round(cv, 15)] for v, cv in con.normalized().coeffs]}
+                                   for con in self.constraints), key=json.dumps),
         }
 
     def to_json(self) -> str:
@@ -200,28 +187,25 @@ class OscKernel:
         Infinity are not JSON."""
         return json.dumps(self.canonical_dict(), sort_keys=True, allow_nan=False)
 
-    def _add_into(self, rows, B, at) -> list[int]:
-        """Add each nonzero entry of A, then each entry of B, into the engine's
-        sparse rows and linear list, whose position of a name `at` gives;
-        return the positions of vars."""
+    def _add_into(self, rows, at) -> list[int]:
+        """Add each nonzero entry of A into the engine's sparse rows, whose
+        position of a name `at` gives; return the positions of vars."""
         pos = [at[v] for v in self.vars]
         ii, jj = np.nonzero(self.A)
         for i, j, v in zip(ii.tolist(), jj.tolist(), self.A[ii, jj].tolist()):
             row, j = rows[pos[i]], pos[j]
             row[j] = row.get(j, 0.0) + v
-        for p, v in zip(pos, self.B.tolist()):
-            B[p] += v
         return pos
 
     @staticmethod
     def from_json(text: str) -> "OscKernel":
         """The kernel of a canonical JSON text.  ValueError on what to_json
-        never writes: a NaN or infinite token, a kernel_format other than 2,
+        never writes: a NaN or infinite token, a kernel_format other than 3,
         and an A triple with an index out of range, below the diagonal or
         repeated."""
         data = json.loads(text, parse_constant=_refuse_constant)
-        if type(fmt := data.get("kernel_format")) is not int or fmt != 2:
-            raise ValueError(f"kernel_format must be 2, got {fmt!r}")
+        if type(fmt := data.get("kernel_format")) is not int or fmt != 3:
+            raise ValueError(f"kernel_format must be 3, got {fmt!r}")
         n = len(data["vars"])
         A, seen = np.zeros((n, n)), set()
         for triple in data["A"]:
@@ -235,44 +219,13 @@ class OscKernel:
             seen.add((i, j))
             A[i, j] = A[j, i] = x
         amp = cmath.rect(data["amp"]["modulus"], data["amp"]["phase"])
-        cons = tuple(
-            AffineConstraint(coeffs=tuple((v, cv) for v, cv in item["coeffs"]), const=item["const"])
-            for item in data["constraints"]
-        )
-        return OscKernel(
-            vars=tuple(data["vars"]),
-            A=A,
-            B=np.array(data["B"], dtype=float),
-            c=data["c"],
-            amp=amp,
-            pihbar_pow=Fraction(data["pihbar_pow"]),
-            vol_pow=data["vol_pow"],
-            constraints=cons,
-            hbar=data["hbar"],
-        )
+        cons = tuple(AffineConstraint(tuple((v, cv) for v, cv in item["coeffs"])) for item in data["constraints"])
+        return OscKernel(tuple(data["vars"]), A, amp, Fraction(data["pihbar_pow"]), data["vol_pow"], cons, data["hbar"])
 
 
 def _refuse_constant(token: str):
     """json.loads hook for NaN, Infinity and -Infinity, which to_json never writes."""
     raise ValueError(f"{token} is not a JSON number")
-
-
-def _distinct(vars) -> tuple[str, ...]:
-    """vars as a tuple; a repeated name raises VariableMismatch."""
-    vars = tuple(vars)
-    if len(set(vars)) != len(vars):
-        raise VariableMismatch(f"repeated variable names in {vars}")
-    return vars
-
-
-def _rounded(values: np.ndarray) -> list[float]:
-    """round(x, 15) of each entry as a Python float.  An exact zero rounds to
-    itself, sign included, so only the nonzero entries (NaN among them) pay
-    for the call."""
-    out = values.tolist()
-    for i in np.flatnonzero(values).tolist():
-        out[i] = round(out[i], 15)
-    return out
 
 
 class _Terms(NamedTuple):
@@ -281,19 +234,16 @@ class _Terms(NamedTuple):
 
     vars: tuple[str, ...]
     quadratic: dict[tuple[str, str], float]
-    linear: dict[str, float]
-    c: float
     amp: complex
     pihbar_pow: Fraction
     hbar: float
     vol_pow: int = 0
     constraints: tuple[AffineConstraint, ...] = ()
 
-    def _add_into(self, rows, B, at) -> list[int]:
-        """Add each monomial, in dict order, into the engine's sparse rows and
-        linear list, whose position of a name `at` gives: u*u adds 2 cv to
-        A_uu, u*w adds cv to A_uw and then to A_wu, and u adds cv to B_u.
-        Return the positions of vars."""
+    def _add_into(self, rows, at) -> list[int]:
+        """Add each monomial, in dict order, into the engine's sparse rows,
+        whose position of a name `at` gives: u*u adds 2 cv to A_uu, and u*w
+        adds cv to A_uw and then to A_wu.  Return the positions of vars."""
         for (u, w), cv in self.quadratic.items():
             i, j = at[u], at[w]
             if i == j:
@@ -304,16 +254,12 @@ class _Terms(NamedTuple):
                 row[j] = row.get(j, 0.0) + cv
                 row = rows[j]
                 row[i] = row.get(i, 0.0) + cv
-        for u, cv in self.linear.items():
-            B[at[u]] += cv
         return [at[v] for v in self.vars]
 
 
 def from_terms(
     vars: tuple[str, ...],
     quadratic: dict[tuple[str, str], float],
-    linear: dict[str, float] | None = None,
-    const: float = 0.0,
     amp: complex = 1.0,
     pihbar_pow: Fraction | int = 0,
     hbar: float = 1.0,
@@ -325,11 +271,11 @@ def from_terms(
     ((terms, ()),): entries add up from 0.0 in dict order, as the engine adds
     every part's.
     """
-    terms = _Terms(tuple(vars), quadratic, linear or {}, const, complex(amp),
+    terms = _Terms(tuple(vars), quadratic, complex(amp),
                    pihbar_pow if type(pihbar_pow) is Fraction else Fraction(pihbar_pow), hbar)
     known = set(terms.vars)
-    if not (known.issuperset(itertools.chain.from_iterable(quadratic)) and known.issuperset(terms.linear)):
-        v = next(v for v in (*(v for pair in quadratic for v in pair), *terms.linear) if v not in known)
+    if not known.issuperset(itertools.chain.from_iterable(quadratic)):
+        v = next(v for pair in quadratic for v in pair if v not in known)
         raise VariableMismatch(f"no variable {v!r} in kernel over {terms.vars}")
     return _eliminate(((terms, ()),))
 
@@ -355,7 +301,7 @@ def marginalize_all(kernel: OscKernel | _Terms, variables) -> OscKernel:
     building A.
 
     Constraint-bound variables are consumed first (they are free), then the
-    variable with the largest relative pivot |A_vv| / max(max_w |A_vw|, |B_v|,
+    variable with the largest relative pivot |A_vv| / max(max_w |A_vw|,
     _ABS_FLOOR), the first in sorted-name order on a tie; rows that vanished
     become volume factors whenever they are reached.  Every name, and every
     variable of a delta constraint, must be a variable of the kernel; a name
@@ -366,13 +312,13 @@ def marginalize_all(kernel: OscKernel | _Terms, variables) -> OscKernel:
 
     A pivot whose relative size is NaN (its row holds a NaN, or an infinite
     diagonal) is refused with NearCaustic: no case can be told.  A row is a
-    volume factor when its scale max(max_w |A_vw|, |B_v|) is at most
+    volume factor when its scale max_w |A_vw| is at most
     _ABS_FLOOR * max(1, the largest row scale); while any row scale is NaN,
     only a row whose scale is exactly 0 is one.
 
     The engine holds A as sparse rows of Python floats, one dict per variable
     in sorted-name order from position to coupling (a coupling that was never
-    nonzero has no entry), and B and the row scales as lists; each part adds
+    nonzero has no entry), and the row scales as a list; each part adds
     its entries straight into them (_add_into).  The pending pivot ratios sit
     in a lazy heap keyed (-ratio, position); a ratio lies in [0, 1] or is
     NaN, and a NaN one is keyed -inf, so a pop makes np.argmax's choice: the
@@ -432,10 +378,9 @@ def _eliminate(steps) -> OscKernel:
     n = len(names)
     at = dict(zip(names, range(n)))
     rows: list[dict[int, float]] = [{} for _ in range(n)]
-    B = [0.0] * n
-    c, amp, vol, halves, cons, stale = first.c, first.amp, first.vol_pow, 0, [], ()
+    amp, vol, halves, cons, stale = first.amp, first.vol_pow, 0, [], ()
     is_pending = [False] * n
-    # scale: the row scales max(max_w |A_vw|, |B_v|); nans counts the NaN ones, top bounds every one ever set
+    # scale: the row scales max_w |A_vw|; nans counts the NaN ones, top bounds every one ever set
     scale, nans, top = [0.0] * n, 0, 0.0
     # the pending pivot ratios as a lazy heap keyed (-ratio, position), in np.argmax's order: the first NaN, else
     # the largest ratio, the first position on a tie.  A ratio lies in [0, 1] or is NaN, and a NaN one is keyed
@@ -447,9 +392,9 @@ def _eliminate(steps) -> OscKernel:
     floor, band = _ABS_FLOOR, _NEAR_BAND * PIVOT_TOL
     for step, (part, variables) in enumerate(steps):
         if step:
-            c, amp, vol = c + part.c, amp * part.amp, vol + part.vol_pow
+            amp, vol = amp * part.amp, vol + part.vol_pow
         cons += part.constraints
-        pos = part._add_into(rows, B, at)
+        pos = part._add_into(rows, at)
         pending = {at[v] for v in variables}
         for i in pending:
             is_pending[i] = True
@@ -463,13 +408,13 @@ def _eliminate(steps) -> OscKernel:
             # refresh the caches of the stale rows: at the first pivot those of the step, then those k wrote
             for i in stale:
                 row = rows[i]
-                mags = [abs(B[i]), *map(abs, row.values())]
+                mags = list(map(abs, row.values()))
                 if scale[i] != scale[i]:
                     nans -= 1
                 # a NaN wins as in np.max: the sum is NaN exactly when a term is
                 if (s := sum(mags)) != s:
                     nans += 1
-                elif (s := max(mags)) > top:
+                elif (s := max(mags) if mags else 0.0) > top:
                     top = s
                 scale[i] = s
                 if is_pending[i]:
@@ -490,15 +435,15 @@ def _eliminate(steps) -> OscKernel:
                 # an eliminated row's entry is skipped; one under a pending row's since-worsened key goes back at it
                 while not is_pending[k] or key != cur[k]:
                     key, k = heappushpop(heap, (cur[k], k)) if is_pending[k] else heappop(heap)
-            row_k, bk = rows[k], B[k]
+            row_k = rows[k]
             akk = row_k.get(k, 0.0)
             near = [i for i, v in row_k.items() if v and i != k]
             if sub:
-                # var = -(sum_{w != var} coeff_w * w + const)/cv over the remaining variables
+                # var = -sum_{w != var} coeff_w * w / cv over the remaining variables
                 con, var = cons.pop(sub[0]), names[k]
                 cv = con.coefficient(var)
                 s = {at[w]: -cw / cv for w, cw in con.coeffs if w != var}
-                sub, sub_const = None, -con.const / cv
+                sub = None
                 near = list(s.keys() | set(near))
                 for p, i in enumerate(near):
                     si, ai = s.get(i, 0.0), row_k.get(i, 0.0)
@@ -508,8 +453,6 @@ def _eliminate(steps) -> OscKernel:
                         x_ij = aij + si * aj + ai * sj + akk * (si * sj)
                         x_ji = aij + sj * ai + aj * si + akk * (sj * si)
                         rows[i][j] = rows[j][i] = 0.5 * (x_ij + x_ji)
-                    B[i] = B[i] + bk * si + sub_const * (ai + akk * si)
-                c = c + bk * sub_const + 0.5 * akk * sub_const * sub_const
                 amp = amp / abs(cv)
                 for j, other in enumerate(cons):
                     ocv = other.coefficient(var)
@@ -520,7 +463,7 @@ def _eliminate(steps) -> OscKernel:
                         if w != var:
                             coeffs[w] = coeffs.get(w, 0.0) - ocv * cw / cv
                     items = tuple((w, cw) for w, cw in coeffs.items() if cw != 0.0)
-                    cons[j] = AffineConstraint(items, other.const - ocv * con.const / cv) if items else None
+                    cons[j] = AffineConstraint(items) if items else None
                 cons = [other for other in cons if other is not None]
             elif key == nan_key:
                 # a NaN relative pivot (a NaN in the row, or an infinite diagonal): no case can be told
@@ -535,26 +478,23 @@ def _eliminate(steps) -> OscKernel:
                     vol += 1
                 elif (rel := abs(akk) / row_scale) >= band:
                     # Gaussian: Schur complement plus Fresnel prefactor
-                    shift = bk / akk
                     for p, i in enumerate(near):
                         ri, row_i = row_k[i], rows[i]
                         for j in near[p:]:
                             row_i[j] = rows[j][i] = row_i.get(j, 0.0) - ri * row_k[j] / akk
-                        B[i] = B[i] - shift * ri
-                    c = c - bk * bk / (2.0 * akk)
                     amp = amp * (_FRESNEL_UP if akk > 0.0 else _FRESNEL_DOWN) / sqrt(abs(akk))
                     halves += 1
                 elif rel > PIVOT_TOL:
                     raise NearCaustic(f"pivot for {names[k]!r} sits at relative size {rel:.3e}; refusing to classify")
                 else:
-                    # delta: exponent is (coupling . u + B_v) * v up to negligible curvature; the constraint lists
-                    # its variables in the order the parts first named them
+                    # delta: exponent is (coupling . u) * v up to negligible curvature; the constraint lists its
+                    # variables in the order the parts first named them
                     order = sorted(range(n), key=vars.__getitem__)
                     tied = sorted((i for i in near if abs(row_k[i]) > floor * row_scale), key=order.__getitem__)
                     if not tied:
-                        # delta of a nonzero constant: the kernel vanishes identically
-                        raise NearCaustic(f"integrating {names[k]!r} leaves delta({bk!r}): the kernel is null")
-                    con = AffineConstraint(coeffs=tuple((names[i], row_k[i]) for i in tied), const=bk)
+                        # only an infinite coupling, which no finite multiple of the row scale exceeds, leaves none
+                        raise NearCaustic(f"integrating {names[k]!r} leaves a delta of no finite coupling")
+                    con = AffineConstraint(tuple((names[i], row_k[i]) for i in tied))
                     cons.append(con)
                     halves += 2
                     candidates = [i for i in tied if is_pending[i]]
@@ -562,7 +502,7 @@ def _eliminate(steps) -> OscKernel:
                         sub = (len(cons) - 1, max(candidates, key=lambda i: abs(row_k[i])))
             # drop k; only the rows it wrote need a fresh cache, now if the step goes on, else when the next starts
             nans -= scale[k] != scale[k]
-            rows[k], B[k], scale[k] = {}, 0.0, 0.0
+            rows[k], scale[k] = {}, 0.0
             for i in row_k:
                 rows[i].pop(k, None)
             left -= is_pending[k]
@@ -581,8 +521,7 @@ def _eliminate(steps) -> OscKernel:
     out, m = dict(zip(live, range(len(live)))), len(live)
     A = np.zeros((m, m))
     A.put([p * m + out[j] for p, i in enumerate(live) for j in rows[i]], [v for i in live for v in rows[i].values()])
-    return OscKernel._built(tuple(kept), A, np.array([B[i] for i in live]), c, amp, Fraction(num, den), vol,
-                            tuple(cons), first.hbar)
+    return OscKernel._built(tuple(kept), A, amp, Fraction(num, den), vol, tuple(cons), first.hbar)
 
 
 def glue(k1: OscKernel, k2: OscKernel, shared) -> OscKernel:
@@ -617,13 +556,12 @@ class KernelDiff:
 
 def compare(k1: OscKernel, k2: OscKernel) -> KernelDiff:
     """Align variable order and report exponent and amplitude differences.
-    k2 is re-indexed only when its variables come in another order.
 
-    `exponent_diff` is the max-norm difference over (A, B, c) and the
-    normalized delta constraints, coefficients and constants; a non-finite
-    difference always wins.  Volume and 2-pi-hbar powers are reported, never
-    folded into the exponent measure.  The KernelDiff is built from its
-    fields without its keyword __init__, frozen as ever.
+    `exponent_diff` is the max-norm difference over A and the coefficients
+    of the normalized delta constraints; a non-finite difference always
+    wins.  When the kernels carry constraints, A is compared where they
+    hold, on the forms _on_surface reduces.  Volume and 2-pi-hbar powers
+    are reported, never folded into the exponent measure.
     """
     aligned = k1.vars == k2.vars
     if not aligned and set(k1.vars) != set(k2.vars):
@@ -632,27 +570,24 @@ def compare(k1: OscKernel, k2: OscKernel) -> KernelDiff:
         raise VariableMismatch("kernels carry different numbers of delta constraints")
     if k1.hbar != k2.hbar:
         raise VariableMismatch("kernels carry different hbar")
-    # the largest difference of each part: A, B, c, and each constraint's coefficients and constant
-    maxima = [abs(k1.c - k2.c)]
-    if k1.vars:
-        if aligned:
-            A2, B2 = k2.A, k2.B
-        else:
-            perm = [k2.index(v) for v in k1.vars]
-            A2, B2 = k2.A[np.ix_(perm, perm)], k2.B[perm]
-        maxima += (abs(k1.A - A2).max(), abs(k1.B - B2).max())
-
-    def normalized(k: OscKernel) -> list[AffineConstraint]:
-        return sorted((con.normalized() for con in k.constraints), key=lambda con: (con.coeffs, con.const))
-
+    A1, A2 = k1.A, k2.A
+    if not aligned:
+        perm = [k2.index(v) for v in k1.vars]
+        A2 = A2[np.ix_(perm, perm)]
+    # the largest difference of each part: each constraint's coefficients, then A
+    maxima = []
     if k1.constraints:
-        for con1, con2 in zip(normalized(k1), normalized(k2)):
+        cons1, cons2 = (sorted((con.normalized() for con in k.constraints), key=lambda con: con.coeffs)
+                        for k in (k1, k2))
+        for con1, con2 in zip(cons1, cons2):
             if con1.variables() != con2.variables():
                 raise VariableMismatch("delta constraints tie different variables")
             maxima += [abs(a - b) for (_, a), (_, b) in zip(con1.coeffs, con2.coeffs)]
-            maxima.append(abs(con1.const - con2.const))
+        A1, A2 = _on_surface(k1.vars, A1, A2, cons1, cons2)
+    if A1.size:
+        maxima.append(abs(A1 - A2).max())
     # a NaN wins as in np.max: the sum of these nonnegative maxima is NaN exactly when one is
-    exponent_diff = float(total if (total := sum(maxima)) != total else max(maxima))
+    exponent_diff = float(total if (total := sum(maxima)) != total else max(maxima) if maxima else 0.0)
     # the frozen result from fields built here, as OscKernel._built does: no keyword __init__, and no Fraction
     # subtraction when the powers agree
     diff = object.__new__(KernelDiff)
@@ -660,3 +595,28 @@ def compare(k1: OscKernel, k2: OscKernel) -> KernelDiff:
                          pihbar_diff=_NO_POWER if k1.pihbar_pow == k2.pihbar_pow else k1.pihbar_pow - k2.pihbar_pow,
                          vol_diff=k1.vol_pow - k2.vol_pow)
     return diff
+
+
+def _on_surface(vars, A1, A2, cons1, cons2) -> tuple[np.ndarray, np.ndarray]:
+    """A1 and A2 over vars where the paired delta constraints cons1 and cons2
+    hold.  Pair by pair, each side solves its constraint for the lead of
+    cons1's, v_k = sum_i s_i v_i, and substitutes it into its form, X = A +
+    s a^T + a s^T + A_kk s s^T with a = A[k], and its later constraints;
+    v_k drops out.  A pair that earlier ones imply (cons1's lead coefficient
+    became 0) is skipped."""
+    names = list(vars)
+    sides = [[np.array([con.coefficient(v) for v in names]) for con in cons] for cons in (cons1, cons2)]
+    forms = [A1, A2]
+    for _ in cons1:
+        k = names.index(AffineConstraint(tuple(zip(names, sides[0][0].tolist()))).lead())
+        if not sides[0][0][k]:
+            sides = [rows[1:] for rows in sides]
+            continue
+        keep = [i for i in range(len(names)) if i != k]
+        for side, (A, (c, *rest)) in enumerate(zip(forms, sides)):
+            s, a = -c / c[k], A[k]
+            X = A + np.outer(s, a) + np.outer(a, s) + A[k, k] * np.outer(s, s)
+            forms[side] = X[np.ix_(keep, keep)]
+            sides[side] = [(r + r[k] * s)[keep] for r in rest]
+        del names[k]
+    return forms[0], forms[1]

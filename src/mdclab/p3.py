@@ -245,7 +245,7 @@ def p3_joint_solution(
     ns: range,
     amplitudes: tuple[float, float, float, float],
     modes: tuple[JointMode, JointMode],
-    nu_shift: tuple[float, float] = (0.0, 0.0),
+    nu_shift: tuple[float, float],
 ) -> np.ndarray:
     """(x1, x2) of the joint field at each grid point (m, n) of ms by ns:
     out[:, i, j] is the field at (ms[i], ns[j]).

@@ -68,7 +68,7 @@ def _one_steps(direction: str, derived: "DerivedParams", names: tuple[str, ...])
     amp = _step_amp(derived, direction)
     plus, minus, w = direction_constants(derived, direction)
     cross, square, pihbar = plus / w, 0.5 * minus / w, Fraction(-1, 2)
-    return [_Terms((x, xh), {(x, xh): cross, (x, x): square, (xh, xh): square}, {}, 0.0, amp, pihbar, derived.hbar)
+    return [_Terms((x, xh), {(x, xh): cross, (x, x): square, (xh, xh): square}, amp, pihbar, derived.hbar)
             for x, xh in zip(names, names[1:])]
 
 
@@ -96,7 +96,7 @@ def momentum_factorized_kernel(
     mom = "Xmom"
     vterm = 0.0 if zero_potential else derived.P / w
     quadratic = {(x, x): vterm, (xh, xh): vterm, (mom, mom): 0.5 * w / plus, (xh, mom): 1.0, (x, mom): -1.0}
-    return marginalize_all(_Terms((x, mom, xh), quadratic, {}, 0.0, 1.0 + 0.0j, Fraction(-1), derived.hbar), [mom])
+    return marginalize_all(_Terms((x, mom, xh), quadratic, 1.0 + 0.0j, Fraction(-1), derived.hbar), [mom])
 
 
 def _angle(derived: "DerivedParams", direction: str) -> float:
@@ -135,7 +135,7 @@ def _closed_form_terms(theta: float, derived: "DerivedParams") -> _Terms:
     phase = math.pi / 4.0 + (math.pi / 2.0) * math.floor(theta / math.pi)
     # |2 sqrt(P) / sin(theta)| is 2 sqrt(P) / |sin(theta)| bit for bit: a quotient's rounding ignores its sign
     amp = math.sqrt(abs(cross)) * cmath.exp(1j * phase)
-    return _Terms((x, y), {(x, y): cross, (x, x): square, (y, y): square}, {}, 0.0, amp, Fraction(-1, 2), derived.hbar)
+    return _Terms((x, y), {(x, y): cross, (x, x): square, (y, y): square}, amp, Fraction(-1, 2), derived.hbar)
 
 
 def closed_form_kernel(theta: float, derived: "DerivedParams") -> OscKernel:
@@ -204,10 +204,9 @@ def n_step_kernels(lengths, derived: "DerivedParams", direction: str) -> tuple[O
 def _with_end_xb(kernel: OscKernel) -> OscKernel:
     """A chain's kernel over (xa, s_n) with s_n renamed xb."""
     end = kernel.vars[1]
-    cons = tuple(AffineConstraint(tuple(("xb" if v == end else v, cv) for v, cv in con.coeffs), con.const)
+    cons = tuple(AffineConstraint(tuple(("xb" if v == end else v, cv) for v, cv in con.coeffs))
                  for con in kernel.constraints)
-    return OscKernel._built(("xa", "xb"), kernel.A, kernel.B, kernel.c, kernel.amp, kernel.pihbar_pow,
-                            kernel.vol_pow, cons, kernel.hbar)
+    return OscKernel._built(("xa", "xb"), kernel.A, kernel.amp, kernel.pihbar_pow, kernel.vol_pow, cons, kernel.hbar)
 
 
 # -- Tridiagonal fluctuation determinant ---------------------------------------
@@ -310,7 +309,7 @@ def path_kernel(
     else:
         cf = coeffs
         pihbar = Fraction(0)
-    terms = _Terms(names, _step_terms(path.steps, cf, names), {}, 0.0, amp, pihbar, derived.hbar)
+    terms = _Terms(names, _step_terms(path.steps, cf, names), amp, pihbar, derived.hbar)
     return marginalize_all(terms, names[1:-1])
 
 

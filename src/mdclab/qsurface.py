@@ -303,8 +303,7 @@ def surface_kernel(
     DeltaConstraintError.
     """
     label = {v: vertex_label(v) for v in sorted(surface.vertices())}
-    terms = _Terms(tuple(label.values()), coeffs.monomials(surface.plaquettes, label), {}, 0.0, 1.0 + 0.0j,
-                   Fraction(0), hbar)
+    terms = _Terms(tuple(label.values()), coeffs.monomials(surface.plaquettes, label), 1.0 + 0.0j, Fraction(0), hbar)
     kernel = marginalize_all(terms, [label[v] for v in sorted(surface.interior)])
     if kernel.constraints:
         raise DeltaConstraintError(

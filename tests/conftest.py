@@ -60,9 +60,9 @@ def reversed_surface(surface):
 
 
 def exponent(kernel, assignment):
-    """The kernel's exponent v^T A v / 2 + B^T v + c at a point."""
+    """The kernel's exponent v^T A v / 2 at a point."""
     v = np.array([assignment[name] for name in kernel.vars])
-    return float(0.5 * v @ kernel.A @ v + kernel.B @ v + kernel.c)
+    return float(0.5 * v @ kernel.A @ v)
 
 
 def value(kernel, assignment):
@@ -70,7 +70,7 @@ def value(kernel, assignment):
     value is 0 off the constraint surface, where a constraint's residual
     exceeds 1e-9."""
     for con in kernel.constraints:
-        if abs(sum(cv * assignment[v] for v, cv in con.coeffs) + con.const) > 1e-9:
+        if abs(sum(cv * assignment[v] for v, cv in con.coeffs)) > 1e-9:
             return 0.0j
     mag = kernel.amp * (2.0 * math.pi * kernel.hbar) ** float(kernel.pihbar_pow)
     return mag * cmath.exp(1j * exponent(kernel, assignment) / kernel.hbar)

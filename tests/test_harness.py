@@ -286,6 +286,22 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
         assert key is None or key in err, (key, err)
 
 
+@pytest.mark.parametrize("row", [[math.nan, 2, 1], [True, 2, 1], [3, 2, -math.inf], [3, 2], [3, 2, "1"]])
+def test_a_bad_params_row_is_refused_on_both_paths(row):
+    # SuiteConfig checks each row itself: a NaN no longer reaches run() as DegenerateParams, nor True as p = 1
+    for build in (lambda: SuiteConfig(params=(tuple(row),)), lambda: SuiteConfig.from_dict({"params": [row]})):
+        with pytest.raises(ConfigError, match="params row"):
+            build()
+
+
+def test_params_rows_come_out_as_float_triples():
+    rows = ((3, 2, 1), [2.5, np.float64(0.7), -1.3])
+    for config in (SuiteConfig(params=rows), SuiteConfig.from_dict({"params": [list(row) for row in rows]})):
+        assert config.params == ((3.0, 2.0, 1.0), (2.5, 0.7, -1.3))
+        assert all(type(x) is float for row in config.params for x in row)
+        assert replace(config, seed=1).params == config.params
+
+
 @pytest.mark.parametrize("point,failed", [
     ((3, 2, -1), []),
     ((2.5, 0.7, -1.3), []),
@@ -414,6 +430,26 @@ def test_cli_surface_kernel_round_trip(tmp_path, capsys):
     kernel = OscKernel.from_json(out_path.read_text())
     expected = qs.surface_kernel(popped, qs.canonical_lattice_coeffs(3, 2, 1))
     assert compare(kernel, expected).exponent_diff <= 1e-14
+
+
+def test_cli_surface_kernel_output_round_trips(tmp_path, capsys):
+    from mdclab import qsurface as qs
+    from mdclab.oscgauss import OscKernel, compare
+
+    surface = qs.flat_patch(3, 3)
+    for n in range(6):
+        sites = qs.pop_up_sites(surface)
+        surface = qs.pop_up(surface, sites[(7 * n + 3) % len(sites)])
+    surf_path = tmp_path / "surface.json"
+    surf_path.write_text(json.dumps(qs.surface_to_dict(surface)))
+    assert cli.main(["surface-kernel", "--surface", str(surf_path), "--params", "3", "2", "1"]) == 0
+    text = capsys.readouterr().out.strip()
+    data = json.loads(text)
+    assert data["kernel_format"] == 3 and not {"B", "c"} & data.keys()
+    # what the command prints reads back to a kernel that prints the same text
+    kernel = OscKernel.from_json(text)
+    assert kernel.to_json() == text
+    assert compare(kernel, qs.surface_kernel(surface, qs.canonical_lattice_coeffs(3, 2, 1))).exponent_diff <= 1e-14
 
 
 def test_cli_surface_kernel_rejects_inadmissible(tmp_path):

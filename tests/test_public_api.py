@@ -34,12 +34,9 @@ KNOBS = {
     "cli.main.argv",
     "harness.probe.stat",
     "lattice.classify_general_quad_lagrangian.seed",
-    "oscgauss.from_terms.linear",
-    "oscgauss.from_terms.const",
     "oscgauss.from_terms.amp",
     "oscgauss.from_terms.pihbar_pow",
     "oscgauss.from_terms.hbar",
-    "p3.p3_joint_solution.nu_shift",
     "p3.p3_joint_solution_residual.nu_shift",
     "qprop1d.momentum_factorized_kernel.direction",
     "qprop1d.momentum_factorized_kernel.zero_potential",
@@ -138,4 +135,4 @@ def test_the_keyword_knobs_are_the_listed_ones():
                 defaulted += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
                 knobs |= {f"{path.stem}.{node.name}.{arg.arg}" for arg in defaulted}
     assert knobs == KNOBS
-    assert len(KNOBS) == 21
+    assert len(KNOBS) == 18

@@ -224,7 +224,7 @@ def _glue_fold(n, derived, direction):
 
 
 def _fields(k):
-    return (k.vars, k.A.tobytes(), k.B.tobytes(), repr((k.c, k.amp, k.constraints)), k.pihbar_pow, k.vol_pow, k.hbar)
+    return k.vars, k.A.tobytes(), repr((k.amp, k.constraints)), k.pihbar_pow, k.vol_pow, k.hbar
 
 
 @pytest.mark.parametrize("point", [(3.0, 2.0, 1.0), (2.7, 1.35, 0.55), (2.0, 2.0, 1.0)])
@@ -411,20 +411,18 @@ def test_closure_coeffs_sit_in_the_scan_family(d321):
 def _op_poly_residual(n, derived, direction, relative):
     """The operator-invariant residual from the whole polynomials: the
     coefficients of (-hbar^2 d^2/dx^2 + 4 P x^2) K / K at each endpoint of
-    the closed-form kernel, read from its A and B; their largest difference,
+    the closed-form kernel, read from its A; their largest difference,
     divided by the largest coefficient at xa when relative."""
     kernel = qp.closed_form_kernel(n * qp._angle(derived, direction), derived)
-    A, B, four_p = kernel.A, kernel.B, 4.0 * derived.P
+    A, four_p = kernel.A, 4.0 * derived.P
 
     def op_poly(at, other):
-        a_self, a_cross, b_lin = A[at, at], A[at, other], B[at]
+        a_self, a_cross = A[at, at], A[at, other]
         return {
-            "const": -1j * derived.hbar * a_self + b_lin * b_lin,
+            "const": -1j * derived.hbar * a_self,
             "x0^2": a_self**2 + four_p if at == 0 else a_cross**2,
             "x1^2": a_self**2 + four_p if at == 1 else a_cross**2,
             "x0*x1": 2.0 * a_self * a_cross,
-            "x0": 2.0 * (a_self if at == 0 else a_cross) * b_lin,
-            "x1": 2.0 * (a_self if at == 1 else a_cross) * b_lin,
         }
 
     lhs, rhs = op_poly(0, 1), op_poly(1, 0)
@@ -561,7 +559,6 @@ def test_long_path_kernel_matches_the_closed_form_at_50_digits(d321, n):
     mpmath = pytest.importorskip("mpmath")
     kernel = qp.path_kernel(qp.TimePath.monotone(n, 0), d321)
     assert kernel.vars == ("xa", "xb")
-    assert not kernel.B.any() and kernel.c == 0.0
     with mpmath.workdps(50):
         theta = n * mpmath.mpf(d321.mu)
         root_p = mpmath.sqrt(mpmath.mpf(d321.P))

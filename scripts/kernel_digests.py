@@ -25,7 +25,11 @@ building the kernel or its JSON raises.  The set, at the points (3, 2, 1) and
   surface's plaquettes in stored order and its interior (`surface_order`);
 - the four momentum kernels (hat and bar, with and without the potential);
 - the 24 elementary-move kernels: moves a, b and c, both configurations, at
-  the canonical coefficients and three one-sided bumps.
+  the canonical coefficients and three one-sided bumps;
+- path_kernel with explicit coefficients, the route of
+  uniqueness_scan_1form, on the two corner paths and the seeded walks, at
+  path_independent_coeffs(a, b) and at the same with b0 moved to make the
+  hat-then-bar corner a delta kernel (`explicit_coeffs`).
 
 Two builds of the library make the same kernels bit for bit exactly when
 their outputs are equal:
@@ -49,6 +53,7 @@ Usage: python scripts/kernel_digests.py
 import hashlib
 import itertools
 import sys
+from dataclasses import replace
 from functools import cache, partial
 
 import numpy as np
@@ -62,6 +67,7 @@ from mdclab.qprop1d import (
     n_step_kernel,
     n_step_kernels,
     one_step_kernel,
+    path_independent_coeffs,
     path_kernel,
 )
 from mdclab.qsurface import (
@@ -87,6 +93,8 @@ PATCH_SIZES = range(4, 13)
 #: random_deformation walks of 4k steps from flat k-by-k patches, one rng per (k, seed)
 DEFORM_PATCH_SIZES = range(3, 7)
 DEFORM_SEEDS = range(4)
+#: the two corner paths of uniqueness_scan_1form
+CORNERS = {"hb": ("+hat", "+bar"), "bh": ("+bar", "+hat")}
 #: one-sided coefficient bumps that bring delta steps into the elementary moves
 BUMPS = {"canonical": None, "c12": ("c", (1, 2), 1e-2), "c31": ("c", (3, 1), 1e-2), "b12": ("b", (1, 2), 1e-2)}
 
@@ -139,6 +147,15 @@ def deformation_walk(k: int, seed: int):
         yield surface
 
 
+def explicit_coeffs(derived) -> dict:
+    """The explicit coefficients path_kernel takes on the route of
+    uniqueness_scan_1form, by setting name: the path-independent family at
+    the point's (a, b), and the same with b0 moved to zero the middle pivot
+    of a hat-then-bar corner exactly, which makes delta steps."""
+    cf = path_independent_coeffs(derived.a, derived.b)
+    return {"pindep": cf, "cornerdelta": replace(cf, b0=-cf.alpha * (cf.a - cf.a0) / cf.beta)}
+
+
 def surface_order(surface) -> bytes:
     """The plaquettes in stored order, then the sorted interior, as text."""
     return repr(([(p.base, p.plane, p.sign) for p in surface.plaquettes], sorted(surface.interior))).encode("utf-8")
@@ -183,6 +200,12 @@ def cases():
             for step, surface in enumerate(deformation_walk(k, seed), 1):
                 name = f"{tag}-deform-{k}-{seed}-{step}"
                 yield name, partial(surface_kernel, surface, coeffs), surface_order(surface)
+        for setting, cf in explicit_coeffs(derived).items():
+            for corner, steps in CORNERS.items():
+                yield f"{tag}-{setting}-corner-{corner}", partial(path_kernel, TimePath(steps), derived, cf)
+            for length, seed in itertools.product(WALK_LENGTHS, WALK_SEEDS):
+                walk = partial(_walk, length, seed)
+                yield f"{tag}-{setting}-walk-{length}-{seed}", lambda walk=walk, cf=cf: path_kernel(walk(), derived, cf)
 
 
 def kernel_bits(kernel) -> bytes:

@@ -86,8 +86,12 @@ def _surface_kernel_command(args: argparse.Namespace) -> int:
         print(f"surface error: kernel is not finite: {exc}", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return 2
         print(f"kernel written to {args.out}")
     else:
         print(text)
@@ -128,13 +132,18 @@ def main(argv: list[str] | None = None) -> int:
         f"mdclab: {summary['passed']}/{summary['total']} records passed "
         f"({summary['check']} checks, {summary['probe']} probes, {summary['report']} reports)"
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
-        print(f"report written to {args.out}")
-    if args.csv:
-        write_csv(args.csv, sweep_rows(config))
-        print(f"sweep rows written to {args.csv}")
+    # exit 1 means failed records, so an output that cannot be written exits 2
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(report.to_json())
+            print(f"report written to {args.out}")
+        if args.csv:
+            write_csv(args.csv, sweep_rows(config))
+            print(f"sweep rows written to {args.csv}")
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     return 0 if not report.failed else 1
 
 

@@ -35,10 +35,14 @@ each part's entries (a kernel's, or monomials not yet built into one) into
 its sparse rows, integrates that step's variables, then moves to the next
 part.  marginalize_all(k, vs) is the one-step case ((k, vs),), glue(k1, k2,
 shared) the two-step case ((k1, ()), (k2, shared)), and from_terms the one
-step with nothing to integrate.  path_kernel, surface_kernel and
-momentum_factorized_kernel hand marginalize_all their monomials as one
-_Terms, and n_step_kernels hands the engine the one-step monomial forms as
-one chain per length, each starting from the kernel of the length before.
+step with nothing to integrate.  momentum_factorized_kernel hands
+marginalize_all its monomials as one _Terms.  path_kernel and
+surface_kernel hand it a part of their own (qprop1d._PathSteps,
+qsurface._Plaquettes), whose _add_into writes each step's or plaquette's
+terms straight into the engine's rows, each entry the sum the monomial form
+would give, bit for bit.  n_step_kernels hands the engine the one-step
+monomial forms as one chain per length, each starting from the kernel of
+the length before.
 An integration updates only the pivot's nonzero couplings, at a Python cost
 in the square of the pivot's degree plus a heap update per row it touches;
 marginalize_all says in which order, and why bit for bit.
@@ -294,11 +298,12 @@ def marginalize(kernel: OscKernel, var: str) -> OscKernel:
     return marginalize_all(kernel, (var,))
 
 
-def marginalize_all(kernel: OscKernel | _Terms, variables) -> OscKernel:
+def marginalize_all(kernel, variables) -> OscKernel:
     """Integrate a set of variables out, choosing a stable order: the
     engine's one-step case ((kernel, variables),).  `kernel` may also be a
-    _Terms, the monomial form the kernel builders hand on, read without
-    building A.
+    part that no kernel was built of: a _Terms, the monomial form, or a
+    builder's own part, qprop1d._PathSteps or qsurface._Plaquettes, which
+    writes its steps' or plaquettes' terms straight into the engine's rows.
 
     Constraint-bound variables are consumed first (they are free), then the
     variable with the largest relative pivot |A_vv| / max(max_w |A_vw|,
@@ -317,9 +322,9 @@ def marginalize_all(kernel: OscKernel | _Terms, variables) -> OscKernel:
     only a row whose scale is exactly 0 is one.
 
     The engine holds A as sparse rows of Python floats, one dict per variable
-    in sorted-name order from position to coupling (a coupling that was never
-    nonzero has no entry), and the row scales as a list; each part adds
-    its entries straight into them (_add_into).  The pending pivot ratios sit
+    in sorted-name order from position to coupling (an entry exists only
+    where a part or an update wrote one), and the row scales as a list; each
+    part adds its entries straight into them (_add_into).  The pending pivot ratios sit
     in a lazy heap keyed (-ratio, position); a ratio lies in [0, 1] or is
     NaN, and a NaN one is keyed -inf, so a pop makes np.argmax's choice: the
     first NaN, else the largest ratio, the first in sorted-name order on a
@@ -338,7 +343,7 @@ def marginalize_all(kernel: OscKernel | _Terms, variables) -> OscKernel:
     Outside the block a dense update would add or subtract an exact zero, and
     the Gaussian update is exactly symmetric, so the result is bit-identical
     to eliminating one variable at a time with dense updates, for any kernel
-    without negative zeros (from_terms, _Terms and glue make none).
+    without negative zeros (from_terms, the parts and glue make none).
 
     A step list of several parts, one pass, gives the kernel of the fold
     that builds an OscKernel after each step and glues the next part onto
@@ -354,9 +359,9 @@ def marginalize_all(kernel: OscKernel | _Terms, variables) -> OscKernel:
 
 def _eliminate(steps) -> OscKernel:
     """The engine: for each (part, variables) of `steps` in turn, add the
-    part's entries (a kernel, or _Terms not yet built) into the running sum
-    over the union of the parts' variables, as a dense sum would, then
-    integrate that step's variables out.  A name of a step or of a delta
+    part's entries (a kernel, or a part not yet built into one) into the
+    running sum over the union of the parts' variables, as a dense sum
+    would, then integrate that step's variables out.  A name of a step or of a delta
     constraint that no part has, a name that an earlier step integrated, or
     a name a part lists twice raises VariableMismatch."""
     seen, gone = {}, set()
@@ -379,6 +384,8 @@ def _eliminate(steps) -> OscKernel:
     at = dict(zip(names, range(n)))
     rows: list[dict[int, float]] = [{} for _ in range(n)]
     amp, vol, halves, cons, stale = first.amp, first.vol_pow, 0, [], ()
+    # order: each position's rank in vars, which orders a delta's coupled variables; built at the first delta
+    order = None
     is_pending = [False] * n
     # scale: the row scales max_w |A_vw|; nans counts the NaN ones, top bounds every one ever set
     scale, nans, top = [0.0] * n, 0, 0.0
@@ -445,14 +452,17 @@ def _eliminate(steps) -> OscKernel:
                 s = {at[w]: -cw / cv for w, cw in con.coeffs if w != var}
                 sub = None
                 near = list(s.keys() | set(near))
-                for p, i in enumerate(near):
-                    si, ai = s.get(i, 0.0), row_k.get(i, 0.0)
-                    for j in near[p:]:
-                        sj, aj, aij = s.get(j, 0.0), row_k.get(j, 0.0), rows[i].get(j, 0.0)
-                        # X = A + s a^T + a s^T + akk s s^T, written as 0.5 (X + X^T)
+                # each unordered pair {i, j} once, i met at or before j in near: X = A + s a^T + a s^T + akk s s^T,
+                # written as 0.5 (X + X^T)
+                met = []
+                for j in near:
+                    sj, aj, row_j = s.get(j, 0.0), row_k.get(j, 0.0), rows[j]
+                    met.append((j, sj, aj, row_j))
+                    for i, si, ai, row_i in met:
+                        aij = row_i.get(j, 0.0)
                         x_ij = aij + si * aj + ai * sj + akk * (si * sj)
                         x_ji = aij + sj * ai + aj * si + akk * (sj * si)
-                        rows[i][j] = rows[j][i] = 0.5 * (x_ij + x_ji)
+                        row_i[j] = row_j[i] = 0.5 * (x_ij + x_ji)
                 amp = amp / abs(cv)
                 for j, other in enumerate(cons):
                     ocv = other.coefficient(var)
@@ -477,11 +487,14 @@ def _eliminate(steps) -> OscKernel:
                     # variable absent from the exponent: a pure volume factor
                     vol += 1
                 elif (rel := abs(akk) / row_scale) >= band:
-                    # Gaussian: Schur complement plus Fresnel prefactor
-                    for p, i in enumerate(near):
-                        ri, row_i = row_k[i], rows[i]
-                        for j in near[p:]:
-                            row_i[j] = rows[j][i] = row_i.get(j, 0.0) - ri * row_k[j] / akk
+                    # Gaussian: Schur complement plus Fresnel prefactor, each unordered pair {i, j} once, i met at
+                    # or before j in near
+                    met = []
+                    for j in near:
+                        aj, row_j = row_k[j], rows[j]
+                        met.append((j, aj, row_j))
+                        for i, ai, row_i in met:
+                            row_i[j] = row_j[i] = row_i.get(j, 0.0) - ai * aj / akk
                     amp = amp * (_FRESNEL_UP if akk > 0.0 else _FRESNEL_DOWN) / sqrt(abs(akk))
                     halves += 1
                 elif rel > PIVOT_TOL:
@@ -489,7 +502,8 @@ def _eliminate(steps) -> OscKernel:
                 else:
                     # delta: exponent is (coupling . u) * v up to negligible curvature; the constraint lists its
                     # variables in the order the parts first named them
-                    order = sorted(range(n), key=vars.__getitem__)
+                    if order is None:
+                        order = sorted(range(n), key=vars.__getitem__)
                     tied = sorted((i for i in near if abs(row_k[i]) > floor * row_scale), key=order.__getitem__)
                     if not tied:
                         # only an infinite coupling, which no finite multiple of the row scale exceeds, leaves none
@@ -560,8 +574,10 @@ def compare(k1: OscKernel, k2: OscKernel) -> KernelDiff:
     `exponent_diff` is the max-norm difference over A and the coefficients
     of the normalized delta constraints; a non-finite difference always
     wins.  When the kernels carry constraints, A is compared where they
-    hold, on the forms _on_surface reduces.  Volume and 2-pi-hbar powers
-    are reported, never folded into the exponent measure.
+    hold, on the forms _on_surface reduces, and `amp_ratio` divides each
+    kernel's amp by the product of its constraints' |lead coefficient|,
+    since delta(c u) = delta(u) / |c|.  Volume and 2-pi-hbar powers are
+    reported, never folded into the exponent measure.
     """
     aligned = k1.vars == k2.vars
     if not aligned and set(k1.vars) != set(k2.vars):
@@ -588,10 +604,15 @@ def compare(k1: OscKernel, k2: OscKernel) -> KernelDiff:
         maxima.append(abs(A1 - A2).max())
     # a NaN wins as in np.max: the sum of these nonnegative maxima is NaN exactly when one is
     exponent_diff = float(total if (total := sum(maxima)) != total else max(maxima) if maxima else 0.0)
+    amp1, amp2 = k1.amp, k2.amp
+    if k1.constraints:
+        # delta(c u) = delta(u) / |c|: each amp in the scale of the normalized constraints
+        amp1 = amp1 / math.prod(abs(con.coefficient(con.lead())) for con in k1.constraints)
+        amp2 = amp2 / math.prod(abs(con.coefficient(con.lead())) for con in k2.constraints)
     # the frozen result from fields built here, as OscKernel._built does: no keyword __init__, and no Fraction
     # subtraction when the powers agree
     diff = object.__new__(KernelDiff)
-    diff.__dict__.update(exponent_diff=exponent_diff, amp_ratio=k1.amp / k2.amp if k2.amp != 0 else complex("inf"),
+    diff.__dict__.update(exponent_diff=exponent_diff, amp_ratio=amp1 / amp2 if amp2 != 0 else complex("inf"),
                          pihbar_diff=_NO_POWER if k1.pihbar_pow == k2.pihbar_pow else k1.pihbar_pow - k2.pihbar_pow,
                          vol_diff=k1.vol_pow - k2.vol_pow)
     return diff

@@ -31,7 +31,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -309,31 +309,53 @@ def path_kernel(
     else:
         cf = coeffs
         pihbar = Fraction(0)
-    terms = _Terms(names, _step_terms(path.steps, cf, names), amp, pihbar, derived.hbar)
-    return marginalize_all(terms, names[1:-1])
+    return marginalize_all(_PathSteps(names, path.steps, cf, amp, pihbar, derived.hbar), names[1:-1])
 
 
-def _step_terms(
-    steps: tuple[str, ...], cf: OscillatorCoeffs, names: tuple[str, ...]
-) -> dict[tuple[str, str], float]:
-    """Exponent monomials of the one-step Lagrangians along a walk whose k-th
-    step runs from names[k] to names[k + 1]."""
-    # each step kind's coefficients of early * late, early^2 and late^2; backward steps use -L(destination, source)
-    kinds = {}
-    for step in STEPS:
-        lead, d_par, d0 = (cf.beta, cf.b, cf.b0) if step[1:] == "hat" else (cf.alpha, cf.a, cf.a0)
-        forward = step[0] == "+"
-        sign = 1.0 if forward else -1.0
-        kinds[step] = (forward, sign * lead, sign * lead * (d_par - d0), sign * lead * d0)
-    quad: dict[tuple[str, str], float] = {}
-    get = quad.get
-    for step, cur, nxt in zip(steps, names, names[1:]):
-        forward, cross, early_square, late_square = kinds[step]
-        early, late = (cur, nxt) if forward else (nxt, cur)
-        quad[early, late] = get((early, late), 0.0) + cross
-        quad[early, early] = get((early, early), 0.0) + early_square
-        quad[late, late] = get((late, late), 0.0) + late_square
-    return quad
+class _PathSteps(NamedTuple):
+    """The one-step Lagrangians along a walk whose k-th step runs from
+    vars[k] to vars[k + 1], as an engine part: _add_into writes their
+    monomials straight into the engine's rows."""
+
+    vars: tuple[str, ...]
+    steps: tuple[str, ...]
+    cf: OscillatorCoeffs
+    amp: complex
+    pihbar_pow: Fraction
+    hbar: float
+    vol_pow: int = 0
+    constraints: tuple[AffineConstraint, ...] = ()
+
+    def _add_into(self, rows, at) -> list[int]:
+        """Add the steps' monomials into the engine's sparse rows, whose
+        position of a name `at` gives, and return the positions of vars.
+
+        Each step kind has coefficients of early * late, early^2 and late^2;
+        a backward step uses -L(destination, source).  A step's cross term is
+        an entry of its own, added onto the rows' value.  A visit's square
+        sums from 0.0 its coefficient in the step that arrives, then in the
+        one that leaves, and is doubled once: the sums of the monomials in
+        step order, bit for bit."""
+        cf, kinds = self.cf, {}
+        for step in STEPS:
+            lead, d_par, d0 = (cf.beta, cf.b, cf.b0) if step[1:] == "hat" else (cf.alpha, cf.a, cf.a0)
+            forward = step[0] == "+"
+            sign = 1.0 if forward else -1.0
+            cross, early_square, late_square = sign * lead, sign * lead * (d_par - d0), sign * lead * d0
+            # the coefficients of cur * nxt, cur^2 and nxt^2 for a step from cur to nxt
+            kinds[step] = (cross, early_square, late_square) if forward else (cross, late_square, early_square)
+        pos = [at[v] for v in self.vars]
+        # square: 0.0 plus the current visit's coefficient in the step that arrived there, if any
+        square, cur = 0.0, pos[0]
+        for step, nxt in zip(self.steps, pos[1:]):
+            cross, cur_square, nxt_square = kinds[step]
+            row = rows[cur]
+            row[cur] = row.get(cur, 0.0) + 2.0 * (square + cur_square)
+            row[nxt] = rows[nxt][cur] = row.get(nxt, 0.0) + cross
+            square, cur = 0.0 + nxt_square, nxt
+        row = rows[cur]
+        row[cur] = row.get(cur, 0.0) + 2.0 * square
+        return pos
 
 
 # -- Uniqueness of the path-independent Lagrangians ----------------------------

@@ -25,11 +25,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateCoeffs, DeltaConstraintError, MissingVertex
-from .oscgauss import KernelDiff, OscKernel, _Terms, compare, marginalize_all
+from .oscgauss import AffineConstraint, KernelDiff, OscKernel, compare, marginalize_all
 from .params import edge_coefficient
 
 Vertex = tuple[int, int, int]
@@ -128,43 +129,6 @@ class LatticeLagrangianCoeffs:
             i, j = pair
             tables[table][(j, i)] = -tables[table][pair]
         return LatticeLagrangianCoeffs(**tables)
-
-    def monomials(self, plaquettes, label: dict[Vertex, str]) -> dict[tuple[str, str], float]:
-        """Monomial coefficients the plaquettes add to the action exponent,
-        with vertex v named label[v]; each key is a sorted pair, and each
-        coefficient sums the plaquettes' terms in plaquette order."""
-        out: dict[tuple[str, str], float] = {}
-        # the six coefficients of each (plane, sign) met, in the order they are added
-        six: dict[tuple[tuple[int, int], int], tuple[float, ...]] = {}
-        for plq in plaquettes:
-            v, vi, vj = plq.stencil()
-            u, ui, uj = label[v], label[vi], label[vj]
-            plane, sign = plq.plane, plq.sign
-            terms = six.get((plane, sign))
-            if terms is None:
-                (i, j), s = plane, float(sign)
-                terms = six[plane, sign] = (
-                    0.5 * s * self.a[(i, j)],
-                    0.5 * s * self.b[(i, j)],
-                    -0.5 * s * self.b[(j, i)],
-                    s * self.c[(i, j)],
-                    -s * self.c[(j, i)],
-                    s * self.d[(i, j)],
-                )
-            ta, tb, tbr, tc, tcr, td = terms
-            key = (u, u)
-            out[key] = out.get(key, 0.0) + ta
-            key = (ui, ui)
-            out[key] = out.get(key, 0.0) + tb
-            key = (uj, uj)
-            out[key] = out.get(key, 0.0) + tbr
-            key = (u, ui) if u <= ui else (ui, u)
-            out[key] = out.get(key, 0.0) + tc
-            key = (u, uj) if u <= uj else (uj, u)
-            out[key] = out.get(key, 0.0) + tcr
-            key = (ui, uj) if ui <= uj else (uj, ui)
-            out[key] = out.get(key, 0.0) + td
-        return out
 
     def lagrangian(self, u: float, ui: float, uj: float, i: int, j: int) -> float:
         return (
@@ -291,6 +255,68 @@ def surface_from_dict(data: dict) -> Surface:
     return Surface(plaquettes=tuple(plaqs), interior=interior, boundary=boundary)
 
 
+class _Plaquettes(NamedTuple):
+    """The Lagrangians of a surface's plaquettes, vertex v named label[v],
+    as an engine part: _add_into writes their monomials straight into the
+    engine's rows."""
+
+    vars: tuple[str, ...]
+    plaquettes: tuple[OrientedPlaquette, ...]
+    coeffs: LatticeLagrangianCoeffs
+    label: dict[Vertex, str]
+    amp: complex
+    pihbar_pow: Fraction
+    hbar: float
+    vol_pow: int = 0
+    constraints: tuple[AffineConstraint, ...] = ()
+
+    def _add_into(self, rows, at) -> list[int]:
+        """Add the plaquettes' monomials into the engine's sparse rows, whose
+        position of a name `at` gives, and return the positions of vars.
+
+        Each plaquette adds its six terms in turn: u^2, u_i^2, u_j^2, u u_i,
+        u u_j and u_i u_j.  A cross term adds onto its entry in both rows, so
+        an entry sums its terms from 0.0 in plaquette order when the part
+        comes first in the engine's rows, as the builders hand it.  A square
+        sums its terms from 0.0 in plaquette order apart from the rows and
+        is then doubled once onto the row: the sums of the monomials in
+        plaquette order, bit for bit."""
+        coeffs = self.coeffs
+        at_vertex = {v: at[name] for v, name in self.label.items()}
+        squares: dict[int, float] = {}
+        square = squares.get
+        # the six coefficients of each (plane, sign) met, in the order they are added
+        six: dict[tuple[tuple[int, int], int], tuple[float, ...]] = {}
+        for plq in self.plaquettes:
+            v, vi, vj = plq.stencil()
+            u, ui, uj = at_vertex[v], at_vertex[vi], at_vertex[vj]
+            plane, sign = plq.plane, plq.sign
+            terms = six.get((plane, sign))
+            if terms is None:
+                (i, j), s = plane, float(sign)
+                terms = six[plane, sign] = (
+                    0.5 * s * coeffs.a[(i, j)],
+                    0.5 * s * coeffs.b[(i, j)],
+                    -0.5 * s * coeffs.b[(j, i)],
+                    s * coeffs.c[(i, j)],
+                    -s * coeffs.c[(j, i)],
+                    s * coeffs.d[(i, j)],
+                )
+            ta, tb, tbr, tc, tcr, td = terms
+            squares[u] = square(u, 0.0) + ta
+            squares[ui] = square(ui, 0.0) + tb
+            squares[uj] = square(uj, 0.0) + tbr
+            row = rows[u]
+            row[ui] = rows[ui][u] = row.get(ui, 0.0) + tc
+            row[uj] = rows[uj][u] = row.get(uj, 0.0) + tcr
+            row = rows[ui]
+            row[uj] = rows[uj][ui] = row.get(uj, 0.0) + td
+        for p, total in squares.items():
+            row = rows[p]
+            row[p] = row.get(p, 0.0) + 2.0 * total
+        return [at[name] for name in self.vars]
+
+
 def surface_kernel(
     surface: Surface,
     coeffs: LatticeLagrangianCoeffs,
@@ -303,8 +329,8 @@ def surface_kernel(
     DeltaConstraintError.
     """
     label = {v: vertex_label(v) for v in sorted(surface.vertices())}
-    terms = _Terms(tuple(label.values()), coeffs.monomials(surface.plaquettes, label), 1.0 + 0.0j, Fraction(0), hbar)
-    kernel = marginalize_all(terms, [label[v] for v in sorted(surface.interior)])
+    part = _Plaquettes(tuple(label.values()), surface.plaquettes, coeffs, label, 1.0 + 0.0j, Fraction(0), hbar)
+    kernel = marginalize_all(part, [label[v] for v in sorted(surface.interior)])
     if kernel.constraints:
         raise DeltaConstraintError(
             f"delta constraint ties boundary variables: {kernel.constraints[0].variables()}"

@@ -59,6 +59,24 @@ def reversed_surface(surface):
     return replace(surface, plaquettes=tuple(replace(p, sign=-p.sign) for p in surface.plaquettes), records=())
 
 
+def engine_rows(part):
+    """The engine's sparse rows after an engine part adds into empty ones,
+    each name at its sorted position, as {(row name, column name): float64
+    bits}; a NaN entry reads "nan", since which NaN a sum of two NaNs keeps
+    is not fixed."""
+    names = sorted(part.vars)
+    at = dict(zip(names, range(len(names))))
+    rows = [{} for _ in names]
+    assert part._add_into(rows, at) == [at[v] for v in part.vars]
+    return {(names[i], names[j]): "nan" if v != v else float_bits(v)
+            for i, row in enumerate(rows) for j, v in row.items()}
+
+
+def float_bits(x):
+    """The float64 bits of x as an int."""
+    return int(np.float64(x).view(np.int64))
+
+
 def exponent(kernel, assignment):
     """The kernel's exponent v^T A v / 2 at a point."""
     v = np.array([assignment[name] for name in kernel.vars])

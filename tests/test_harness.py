@@ -239,6 +239,15 @@ def test_cli_run_writes_report_and_exits_zero(tmp_path, capsys):
     assert "records passed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+def test_cli_run_exits_2_on_an_unwritable_output(tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "out.file"
+    code = cli.main(["run", "--suite", "params", "--trials", "30", "--quiet", flag, str(target)])
+    err = capsys.readouterr().err
+    assert code == 2 and not target.exists()
+    assert err.startswith("output error: ") and err.count("\n") == 1 and str(target) in err
+
+
 def test_cli_tolerance_override_can_fail_the_run(tmp_path):
     code = cli.main([
         "run", "--suite", "lattice", "--trials", "10",
@@ -450,6 +459,18 @@ def test_cli_surface_kernel_output_round_trips(tmp_path, capsys):
     kernel = OscKernel.from_json(text)
     assert kernel.to_json() == text
     assert compare(kernel, qs.surface_kernel(surface, qs.canonical_lattice_coeffs(3, 2, 1))).exponent_diff <= 1e-14
+
+
+def test_cli_surface_kernel_exits_2_on_an_unwritable_output(tmp_path, capsys):
+    from mdclab import qsurface as qs
+
+    surf_path = tmp_path / "surface.json"
+    surf_path.write_text(json.dumps(qs.surface_to_dict(qs.pop_up(qs.flat_patch(1, 1), 0))))
+    target = tmp_path / "missing" / "kernel.json"
+    code = cli.main(["surface-kernel", "--surface", str(surf_path), "--params", "3", "2", "1", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2 and not target.exists() and captured.out == ""
+    assert captured.err.startswith("output error: ") and captured.err.count("\n") == 1 and str(target) in captured.err
 
 
 def test_cli_surface_kernel_rejects_inadmissible(tmp_path):

@@ -392,26 +392,45 @@ def test_from_json_refuses_a_repeated_entry():
 
 # -- the builders' direct feed -----------------------------------------------------
 
-def dense_kernel(terms):
-    """The kernel of a _Terms by a dense assembly outside the engine: each
-    monomial added from 0.0 into A in dict order, then the constructor that
-    skips re-validation."""
-    n = len(terms.vars)
+class DenseRow:
+    """Row i of a dense array, with the two dict methods that a part's
+    _add_into calls on the engine's sparse rows."""
+
+    def __init__(self, A, i):
+        self.A, self.i = A, i
+
+    def get(self, j, default):
+        return float(self.A[self.i, j])
+
+    def __setitem__(self, j, value):
+        self.A[self.i, j] = value
+
+
+def dense_kernel(part):
+    """The kernel of an engine part by a dense assembly outside the engine,
+    then the constructor that skips re-validation.  A _Terms adds each
+    monomial from 0.0 into A in dict order; a builder's own part
+    (qprop1d._PathSteps, qsurface._Plaquettes) writes into A's rows through
+    its _add_into, as it writes into the engine's sparse rows."""
+    n = len(part.vars)
     A = np.zeros((n, n))
-    idx = {v: k for k, v in enumerate(terms.vars)}
-    for (u, w), cv in terms.quadratic.items():
-        i, j = idx[u], idx[w]
-        if i == j:
-            A[i, i] += 2.0 * cv
-        else:
-            A[i, j] += cv
-            A[j, i] += cv
-    return oscgauss.OscKernel._built(terms.vars, A, terms.amp, terms.pihbar_pow, 0, (), terms.hbar)
+    idx = {v: k for k, v in enumerate(part.vars)}
+    if isinstance(part, oscgauss._Terms):
+        for (u, w), cv in part.quadratic.items():
+            i, j = idx[u], idx[w]
+            if i == j:
+                A[i, i] += 2.0 * cv
+            else:
+                A[i, j] += cv
+                A[j, i] += cv
+    else:
+        part._add_into([DenseRow(A, i) for i in range(n)], idx)
+    return oscgauss.OscKernel._built(part.vars, A, part.amp, part.pihbar_pow, 0, (), part.hbar)
 
 
-def dense_feed(terms, variables):
-    """The route the builders skip: a dense kernel of their monomials, then marginalize_all."""
-    return oscgauss.marginalize_all(dense_kernel(terms), variables)
+def dense_feed(part, variables):
+    """The route the builders skip: a dense kernel of their part, then marginalize_all."""
+    return oscgauss.marginalize_all(dense_kernel(part), variables)
 
 
 def same_bits(x, y) -> bool:
@@ -542,5 +561,4 @@ def test_builders_integrate_through_marginalize_all(d321):
     with mock.patch.object(qprop1d, "marginalize_all", engine), mock.patch.object(qsurface, "marginalize_all", engine):
         qprop1d.path_kernel(long_path(60), d321)
         qsurface.surface_kernel(deformed_patch(4), coeffs)
-    assert engine.call_count == 2
-    assert all(isinstance(call.args[0], oscgauss._Terms) for call in engine.call_args_list)
+    assert [type(call.args[0]) for call in engine.call_args_list] == [qprop1d._PathSteps, qsurface._Plaquettes]

@@ -168,6 +168,17 @@ def test_compare_self_and_mismatch():
         og.compare(k, other)
 
 
+def test_compare_carries_the_scale_of_a_delta():
+    # delta(2u) = delta(u) / 2, so the second kernel is half the first, though both have amp 1
+    k1, k2 = (og.marginalize(og.from_terms(("x", "y", "z"), {("x", "y"): c, ("y", "z"): -c}), "y") for c in (1.0, 2.0))
+    assert k1.amp == k2.amp == 1.0
+    want = [(("x", 1.0), ("z", -1.0)), (("x", 2.0), ("z", -2.0))]
+    assert [con.coeffs for con in k1.constraints + k2.constraints] == want
+    for pair, ratio in (((k1, k2), 2.0), ((k2, k1), 0.5), ((k2, k2), 1.0)):
+        diff = og.compare(*pair)
+        assert diff.exponent_diff == 0.0 and diff.amp_ratio == ratio
+
+
 def test_compare_aligns_variable_order():
     k1 = og.from_terms(("u", "w"), {("u", "u"): 0.3, ("u", "w"): 1.0}, amp=2.0)
     k2 = og.from_terms(("w", "u"), {("u", "u"): 0.3, ("u", "w"): 1.0})
@@ -612,8 +623,9 @@ def test_the_engine_refuses_a_name_integrated_twice_or_unknown():
 
 def _compare_by_reindexing(k1, k2):
     """compare as it was before its aligned case: k2 always re-indexed with
-    np.ix_, the constraints always normalized, and the forms of delta kernels
-    reduced by _on_surface."""
+    np.ix_, the constraints always normalized, the forms of delta kernels
+    reduced by _on_surface and their amps divided by the product of their
+    constraints' |lead coefficient|."""
     perm = [k2.index(v) for v in k1.vars]
     A1, A2 = k1.A, k2.A[np.ix_(perm, perm)]
 
@@ -628,8 +640,13 @@ def _compare_by_reindexing(k1, k2):
     if k1.constraints:
         A1, A2 = og._on_surface(k1.vars, A1, A2, normalized(k1), normalized(k2))
     diffs.append(np.abs(A1 - A2).ravel())
+
+    def amp(k):
+        # delta(c u) = delta(u) / |c|
+        return k.amp / math.prod(abs(con.coefficient(con.lead())) for con in k.constraints) if k.constraints else k.amp
+
     return og.KernelDiff(exponent_diff=float(np.max(np.concatenate(diffs), initial=0.0)),
-                         amp_ratio=k1.amp / k2.amp if k2.amp != 0 else complex("inf"),
+                         amp_ratio=amp(k1) / amp(k2) if amp(k2) != 0 else complex("inf"),
                          pihbar_diff=k1.pihbar_pow - k2.pihbar_pow, vol_diff=k1.vol_pow - k2.vol_pow)
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from hypothesis import strategies as st
 
 from mdclab import oscgauss as og
 from mdclab import qprop1d as qp
-from mdclab.errors import CausticError, DegenerateCoeffs, OutOfRegime
+from mdclab.errors import CausticError, DegenerateCoeffs, NearCaustic, OutOfRegime
 from mdclab.harness import DEFAULT_TOLERANCES
 from mdclab.oscgauss import compare, glue
 from mdclab.params import LatticeParams, derive
 from mdclab.reduction import OscillatorCoeffs, closure_coeffs
 
-from conftest import coeff, exponent, sample_triples
+from conftest import coeff, engine_rows, exponent, float_bits, sample_triples
 
 
 def test_one_step_kernel_exact_values(d321):
@@ -313,9 +314,10 @@ def test_with_loop_takes_a_visit_position_only():
 
 
 def _step_terms_reference(steps, cf, names):
-    """qprop1d._step_terms as it was written before it took each step kind's
-    coefficients once: every step evaluates its three coefficients and adds
-    them through a helper."""
+    """The exponent monomials of the one-step Lagrangians along a walk whose
+    k-th step runs from names[k] to names[k + 1], keyed (early, late) and
+    each summed from 0.0 in step order: every step evaluates its three
+    coefficients and adds them through a helper."""
     quad = {}
 
     def add(pair, value):
@@ -346,16 +348,62 @@ def walks_and_coeffs(draw):
     return tuple(steps), OscillatorCoeffs(*values)
 
 
+def _path_part(steps, cf, names):
+    """path_kernel's engine part for a walk, exponent only."""
+    return qp._PathSteps(names, tuple(steps), cf, 1.0 + 0.0j, Fraction(0), 1.0)
+
+
+def _reference_part(steps, cf, names):
+    """The reference monomials of a walk in the form from_terms takes, which
+    the engine adds as _Terms._add_into does."""
+    return og._Terms(names, _step_terms_reference(steps, cf, names), 1.0 + 0.0j, Fraction(0), 1.0)
+
+
+def _names(steps):
+    return ("xa", *(f"t{k}" for k in range(1, len(steps))), "xb")
+
+
 @settings(max_examples=200, deadline=None)
 # a zero leading coefficient with each sign, and a one-step walk back and forth in each direction
 @example((("+hat", "-hat", "+bar", "-bar"), OscillatorCoeffs(-0.0, 0.0, 0.5, -0.0, 1.25, -0.75)))
 @given(walks_and_coeffs())
 def test_step_terms_are_the_per_step_expressions_bit_for_bit(case):
+    # the rows path_kernel's part writes are those of the per-step monomials, assembled as _Terms._add_into does
     steps, cf = case
-    names = ("xa", *(f"t{k}" for k in range(1, len(steps))), "xb")
-    got, want = qp._step_terms(steps, cf, names), _step_terms_reference(steps, cf, names)
-    assert list(got) == list(want)
-    assert np.array_equal(np.array(list(got.values())).view(np.int64), np.array(list(want.values())).view(np.int64))
+    names = _names(steps)
+    assert engine_rows(_path_part(steps, cf, names)) == engine_rows(_reference_part(steps, cf, names))
+
+
+def test_path_rows_land_a_negative_zero_cross_term_as_positive_zero():
+    # zero lead coefficients: a forward step's cross term is 1.0 * -0.0, which lands as +0.0, as 0.0 + (0.0 + -0.0)
+    steps, cf = ("+hat", "+bar", "-hat"), OscillatorCoeffs(-0.0, -0.0, 0.5, 0.25, 1.25, -0.75)
+    names = _names(steps)
+    rows = engine_rows(_path_part(steps, cf, names))
+    assert rows == engine_rows(_reference_part(steps, cf, names))
+    assert rows["xa", "t1"] == rows["t1", "xa"] == rows["t1", "t2"] == float_bits(0.0)
+
+
+def test_path_rows_sum_a_square_before_doubling_it():
+    # t1 gets +1.5e308 from the step that arrives and -1.5e308 from the one that leaves: summed first they
+    # cancel to 0.0, where doubling each first would give inf - inf
+    steps, cf = ("+hat", "-hat"), OscillatorCoeffs(1.0, 1.0, 0.5, 1.5e308, 1.25, 1.5e308)
+    names = _names(steps)
+    rows = engine_rows(_path_part(steps, cf, names))
+    assert rows == engine_rows(_reference_part(steps, cf, names))
+    assert rows["t1", "t1"] == float_bits(0.0)
+
+
+def test_a_nan_coefficient_fails_alike_on_both_feeds(d321):
+    steps = ("+hat", "+bar", "-hat", "+hat", "+bar")
+    names = _names(steps)
+    cf = replace(qp.path_independent_coeffs(d321.a, d321.b), b0=float("nan"))
+    errors = []
+    for build in (lambda: qp.path_kernel(qp.TimePath(steps), d321, cf),
+                  lambda: og.marginalize_all(_reference_part(steps, cf, names), names[1:-1])):
+        with pytest.raises(NearCaustic) as info:
+            build()
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1] == (NearCaustic, "pivot for 't1' is not finite")
 
 
 def test_path_independence_uses_the_closure_coefficients(d321):

@@ -1,14 +1,16 @@
 import itertools
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from mdclab import oscgauss as og
 from mdclab import qsurface as qs
-from mdclab.errors import DegenerateCoeffs, DeltaConstraintError, MissingVertex
-from mdclab.oscgauss import compare, from_terms, glue, marginalize_all
+from mdclab.errors import DegenerateCoeffs, DeltaConstraintError, MissingVertex, NearCaustic
+from mdclab.oscgauss import compare, glue, marginalize_all
 
-from conftest import coeff, reversed_surface
+from conftest import coeff, engine_rows, float_bits, reversed_surface
 
 
 @pytest.fixture(scope="module")
@@ -67,9 +69,7 @@ def test_pop_up_interior_block_is_the_singular_matrix(co321):
     # the quadratic form over (u3, u31, u23) must be the singular matrix
     # whose determinant the edge-coefficient identity kills
     popped = qs.pop_up(qs.flat_patch(1, 1), 0)
-    labels = tuple(qs.vertex_label(v) for v in sorted(popped.vertices()))
-    quad = co321.monomials(popped.plaquettes, {v: qs.vertex_label(v) for v in popped.vertices()})
-    kern = from_terms(labels, quad)
+    kern = plaquette_kernel(co321, popped.plaquettes, {v: qs.vertex_label(v) for v in popped.vertices()})
     order = [kern.index(qs.vertex_label(v)) for v in [(0, 0, 1), (1, 0, 1), (0, 1, 1)]]
     block = kern.A[np.ix_(order, order)]
     s12, s23, s31 = 5.0, 3.0, -2.0
@@ -203,7 +203,7 @@ def test_interior_relabeling_cannot_change_the_kernel(co321):
     reference = qs.surface_kernel(popped, co321)
     label = {v: qs.vertex_label(v) for v in popped.boundary}
     label.update({v: f"w{k}" for k, v in enumerate(sorted(popped.interior))})
-    kern = from_terms(tuple(sorted(label.values())), co321.monomials(popped.plaquettes, label))
+    kern = plaquette_kernel(co321, popped.plaquettes, label)
     reduced = marginalize_all(kern, [label[v] for v in popped.interior])
     assert compare(reduced, reference).exponent_diff <= 1e-13
 
@@ -307,9 +307,22 @@ def test_surface_description_rejects_garbage():
         qs.surface_from_dict({})
 
 
+def _plaquette_part(coeffs, plaquettes, label):
+    """surface_kernel's engine part for plaquettes, vertex v named label[v]."""
+    return qs._Plaquettes(tuple(sorted(label.values())), tuple(plaquettes), coeffs, label, 1.0 + 0.0j, Fraction(0), 1.0)
+
+
+def plaquette_kernel(coeffs, plaquettes, label):
+    """The kernel of the plaquettes' Lagrangians with nothing integrated,
+    built by the engine from surface_kernel's part."""
+    return marginalize_all(_plaquette_part(coeffs, plaquettes, label), ())
+
+
 def _reference_monomials(coeffs, plaquettes, label):
-    """LatticeLagrangianCoeffs.monomials as first written: a stencil of two
-    shifts, the six coefficients per plaquette and one add call per term."""
+    """The monomial coefficients the plaquettes add to the action exponent,
+    each key a sorted pair of names and each coefficient summed from 0.0 in
+    plaquette order: a stencil of two shifts, the six coefficients per
+    plaquette and one add call per term."""
     out = {}
 
     def add(x, y, val):
@@ -329,9 +342,15 @@ def _reference_monomials(coeffs, plaquettes, label):
     return out
 
 
-def _bits(monomials):
-    """Keys in dict order, each with the int64 bits of its coefficient."""
-    return list(zip(monomials, np.array(list(monomials.values()), dtype=np.float64).view(np.int64).tolist()))
+def _reference_part(coeffs, plaquettes, label):
+    """The reference monomials in the form from_terms takes, which the engine
+    adds as _Terms._add_into does."""
+    names = tuple(sorted(label.values()))
+    return og._Terms(names, _reference_monomials(coeffs, plaquettes, label), 1.0 + 0.0j, Fraction(0), 1.0)
+
+
+def _labelled(surface):
+    return {v: qs.vertex_label(v) for v in sorted(surface.vertices())}
 
 
 def _monomial_tables():
@@ -360,9 +379,52 @@ def test_monomials_equal_the_per_term_assembly_bit_for_bit(coeffs, rng):
     met = {(p.plane, p.sign) for surface in deformed for p in surface.plaquettes}
     assert met == set(itertools.product(((1, 2), (2, 3), (3, 1)), (1, -1)))
     for surface in [every_plane, *deformed]:
-        label = {v: qs.vertex_label(v) for v in sorted(surface.vertices())}
-        got = coeffs.monomials(surface.plaquettes, label)
-        assert _bits(got) == _bits(_reference_monomials(coeffs, surface.plaquettes, label))
+        label = _labelled(surface)
+        want = engine_rows(_reference_part(coeffs, surface.plaquettes, label))
+        assert engine_rows(_plaquette_part(coeffs, surface.plaquettes, label)) == want
+
+
+def _stacked(signs):
+    """The one (1, 2) plaquette at the origin, once per sign, as a surface
+    of boundary vertices only."""
+    plaqs = tuple(qs.OrientedPlaquette(base=(0, 0, 0), plane=(1, 2), sign=s) for s in signs)
+    return qs.Surface(plaquettes=plaqs, interior=frozenset(), boundary=frozenset(plaqs[0].stencil()))
+
+
+def test_plaquette_rows_land_a_negative_zero_cross_term_as_positive_zero(co321):
+    # a zero lead coefficient c_12: the u u_1 term is 1.0 * -0.0, which lands as +0.0
+    coeffs = replace(co321, c={**co321.c, (1, 2): -0.0})
+    surface = _stacked((1,))
+    label = _labelled(surface)
+    rows = engine_rows(_plaquette_part(coeffs, surface.plaquettes, label))
+    assert rows == engine_rows(_reference_part(coeffs, surface.plaquettes, label))
+    assert rows["u0_0_0", "u1_0_0"] == rows["u1_0_0", "u0_0_0"] == float_bits(0.0)
+
+
+def test_plaquette_rows_sum_a_square_before_doubling_it(co321):
+    # u gets a_12 / 2 = 8.5e307 twice and then -8.5e307 twice: summed first they cancel to 0.0, where doubling
+    # each first would pass through inf
+    coeffs = replace(co321, a={**co321.a, (1, 2): 1.7e308, (2, 1): -1.7e308})
+    surface = _stacked((1, 1, -1, -1))
+    label = _labelled(surface)
+    rows = engine_rows(_plaquette_part(coeffs, surface.plaquettes, label))
+    assert rows == engine_rows(_reference_part(coeffs, surface.plaquettes, label))
+    assert rows["u0_0_0", "u0_0_0"] == float_bits(0.0)
+
+
+def test_a_nan_coefficient_fails_alike_on_both_feeds(co321):
+    coeffs = replace(co321, c={**co321.c, (1, 2): float("nan")})
+    popped = qs.pop_up(qs.flat_patch(2, 1), 1)
+    label = _labelled(popped)
+    interior = [label[v] for v in sorted(popped.interior)]
+    errors = []
+    for build in (lambda: qs.surface_kernel(popped, coeffs),
+                  lambda: marginalize_all(_reference_part(coeffs, popped.plaquettes, label), interior)):
+        with pytest.raises(NearCaustic) as info:
+            build()
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][1].endswith("is not finite")
 
 
 @pytest.mark.parametrize("table", ["a", "d"])

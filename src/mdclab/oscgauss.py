@@ -159,9 +159,14 @@ class OscKernel:
 
     def canonical_dict(self) -> dict:
         """The canonical form, kernel_format 3: vars sorted, A as the sorted
-        [i, j, x] triples (i <= j, indices into the sorted vars) of every
-        upper-triangle entry whose round(x, 15) is not +0.0, and each delta
-        constraint normalized."""
+        [i, j, round(x, 15)] triples (i <= j, indices into the sorted vars)
+        of every upper-triangle entry x whose round(x, 15) is not +0.0, and
+        each delta constraint normalized.
+
+        An entry that is its own rounding is written as it is, with no call
+        to round: x with x 2^15 an integer has at most 15 decimals, and
+        doubles of magnitude 8 or more are at least 2^-49 apart, so every
+        decimal within 5e-16 of such an x reads back as x."""
         order = np.argsort(np.array(self.vars))
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
@@ -176,7 +181,8 @@ class OscKernel:
             "kernel_format": 3,
             "vars": [self.vars[i] for i in order],
             "A": [[i, j, r] for i, j, v in zip(ri[by].tolist(), rj[by].tolist(), x[by].tolist())
-                  if (r := round(v, 15)) or math.copysign(1.0, r) < 0.0],
+                  if (r := v if abs(v) >= 8.0 or (v * 32768.0).is_integer() else round(v, 15))
+                  or math.copysign(1.0, r) < 0.0],
             "amp": {"modulus": round(abs(self.amp), 15), "phase": round(cmath.phase(self.amp), 15)},
             "pihbar_pow": str(self.pihbar_pow),
             "vol_pow": self.vol_pow,
@@ -588,7 +594,8 @@ def compare(k1: OscKernel, k2: OscKernel) -> KernelDiff:
         raise VariableMismatch("kernels carry different hbar")
     A1, A2 = k1.A, k2.A
     if not aligned:
-        perm = [k2.index(v) for v in k1.vars]
+        at = {v: n for n, v in enumerate(k2.vars)}
+        perm = [at[v] for v in k1.vars]
         A2 = A2[np.ix_(perm, perm)]
     # the largest difference of each part: each constraint's coefficients, then A
     maxima = []

@@ -54,17 +54,27 @@ _TOP = {
 }
 
 
+def _stencil(v: Vertex, i: int, j: int) -> tuple[Vertex, Vertex, Vertex]:
+    """The three vertices the Lagrangian of a plaquette at v in the (i, j)
+    plane reads: v, v_i and v_j."""
+    ei, ej = _UNIT[i], _UNIT[j]
+    return v, (v[0] + ei[0], v[1] + ei[1], v[2] + ei[2]), (v[0] + ej[0], v[1] + ej[1], v[2] + ej[2])
+
+
 def vertex_label(v: Vertex) -> str:
     return f"u{v[0]}_{v[1]}_{v[2]}"
 
 
 @dataclass(frozen=True)
 class OrientedPlaquette:
-    """Unit plaquette at `base` spanning directions plane = (i, j)."""
+    """Unit plaquette at `base` spanning directions plane = (i, j).  Its
+    stencil, the three vertices the Lagrangian reads (v, v_i, v_j), is
+    computed once, when the plaquette is made."""
 
     base: Vertex
     plane: tuple[int, int]
     sign: int = 1
+    stencil: tuple[Vertex, Vertex, Vertex] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         i, j = self.plane
@@ -78,12 +88,18 @@ class OrientedPlaquette:
             object.__setattr__(self, "base", base)
         if len(base) != 3:
             raise ValueError(f"base must be a 3-vector, got {base!r}")
+        object.__setattr__(self, "stencil", _stencil(base, i, j))
 
-    def stencil(self) -> tuple[Vertex, Vertex, Vertex]:
-        """The three vertices the Lagrangian reads: v, v_i, v_j."""
-        v = self.base
-        ei, ej = _UNIT[self.plane[0]], _UNIT[self.plane[1]]
-        return v, (v[0] + ei[0], v[1] + ei[1], v[2] + ei[2]), (v[0] + ej[0], v[1] + ej[1], v[2] + ej[2])
+    @classmethod
+    def _built(cls, base, plane, sign, stencil) -> "OrientedPlaquette":
+        """A plaquette from fields checked by its maker, taken as they are:
+        base a tuple of 3 ints, plane a tuple of two distinct directions in
+        1..3, sign 1 or -1, and stencil _stencil(base, *plane).  On such
+        fields __post_init__'s checks pass and its conversion changes
+        nothing, so it is skipped."""
+        plq = object.__new__(cls)
+        plq.__dict__.update(base=base, plane=plane, sign=sign, stencil=stencil)
+        return plq
 
     def corners(self) -> tuple[Vertex, ...]:
         i, j = self.plane
@@ -172,19 +188,15 @@ class Surface:
         object.__setattr__(self, "plaquettes", tuple(self.plaquettes))
         object.__setattr__(self, "interior", frozenset(self.interior))
         object.__setattr__(self, "boundary", frozenset(self.boundary))
-        overlap = self.interior & self.boundary
-        if overlap:
-            raise MissingVertex(f"vertices listed as both interior and boundary: {sorted(overlap)}")
-        missing = self.referenced() - self.interior - self.boundary
-        if missing:
-            raise MissingVertex(f"referenced vertices not designated: {sorted(missing)}")
+        _check_designation(self.referenced(), self.interior, self.boundary)
 
     @classmethod
     def _built(cls, plaquettes, interior, boundary, records) -> "Surface":
-        """A surface from fields a move built itself, taken as they are: a
-        tuple of plaquettes whose stencils are all designated, and two
-        disjoint frozensets.  On such fields __post_init__'s checks pass and
-        its conversions change nothing, so it is skipped."""
+        """A surface from fields that a move or surface_from_dict built and
+        checked itself, taken as they are: a tuple of plaquettes whose
+        stencils are all designated, and two disjoint frozensets.  On such
+        fields __post_init__'s checks pass and its conversions change
+        nothing, so it is skipped."""
         surface = object.__new__(cls)
         surface.__dict__.update(plaquettes=plaquettes, interior=interior, boundary=boundary, records=records)
         return surface
@@ -192,11 +204,22 @@ class Surface:
     def referenced(self) -> frozenset[Vertex]:
         out: set[Vertex] = set()
         for plq in self.plaquettes:
-            out.update(plq.stencil())
+            out.update(plq.stencil)
         return frozenset(out)
 
     def vertices(self) -> frozenset[Vertex]:
         return self.interior | self.boundary
+
+
+def _check_designation(referenced, interior: frozenset[Vertex], boundary: frozenset[Vertex]) -> None:
+    """Raise MissingVertex unless interior and boundary are disjoint and
+    together hold every referenced vertex."""
+    overlap = interior & boundary
+    if overlap:
+        raise MissingVertex(f"vertices listed as both interior and boundary: {sorted(overlap)}")
+    missing = referenced - interior - boundary
+    if missing:
+        raise MissingVertex(f"referenced vertices not designated: {sorted(missing)}")
 
 
 def surface_to_dict(surface: Surface) -> dict:
@@ -234,9 +257,14 @@ def surface_from_dict(data: dict) -> Surface:
     """The surface of a description in surface_to_dict's shape.  Every
     coordinate, plane entry and sign must be a JSON integer (a bool is not
     one), every base and vertex must have 3 entries and every plane 2;
-    anything else raises MissingVertex naming the entry."""
+    anything else raises MissingVertex naming the entry.
+
+    One pass: the checks of OrientedPlaquette and Surface run here, in their
+    order and with their messages.  Each plaquette's stencil is computed
+    once, handed to OrientedPlaquette._built and read by the designation
+    check, and the surface comes from Surface._built."""
     try:
-        plaqs = []
+        plaqs, referenced = [], set()
         for n, item in enumerate(data["plaquettes"]):
             base, plane, sign = _vertex(item["base"]), item["plane"], item.get("sign", 1)
             if base is None:
@@ -248,11 +276,19 @@ def surface_from_dict(data: dict) -> Surface:
                                     "is not 2 integers")
             if type(sign) is not int:
                 raise MissingVertex(f"malformed surface description: plaquette {n} sign {sign!r} is not an integer")
-            plaqs.append(OrientedPlaquette(base=base, plane=(plane[0], plane[1]), sign=sign))
+            i, j = plane
+            if i == j or i not in _UNIT or j not in _UNIT:
+                raise MissingVertex(f"malformed surface description: bad plane {(i, j)!r}")
+            if sign != 1 and sign != -1:
+                raise MissingVertex(f"malformed surface description: bad sign {sign!r}")
+            stencil = _stencil(base, i, j)
+            referenced.update(stencil)
+            plaqs.append(OrientedPlaquette._built(base, (i, j), sign, stencil))
         interior, boundary = _vertex_set(data, "interior"), _vertex_set(data, "boundary")
     except (KeyError, TypeError, ValueError) as exc:
         raise MissingVertex(f"malformed surface description: {exc}") from exc
-    return Surface(plaquettes=tuple(plaqs), interior=interior, boundary=boundary)
+    _check_designation(referenced, interior, boundary)
+    return Surface._built(tuple(plaqs), interior, boundary, ())
 
 
 class _Plaquettes(NamedTuple):
@@ -288,7 +324,7 @@ class _Plaquettes(NamedTuple):
         # the six coefficients of each (plane, sign) met, in the order they are added
         six: dict[tuple[tuple[int, int], int], tuple[float, ...]] = {}
         for plq in self.plaquettes:
-            v, vi, vj = plq.stencil()
+            v, vi, vj = plq.stencil
             u, ui, uj = at_vertex[v], at_vertex[vi], at_vertex[vj]
             plane, sign = plq.plane, plq.sign
             terms = six.get((plane, sign))
@@ -404,7 +440,7 @@ def pop_up(surface: Surface, index: int) -> Surface:
     if not surface.vertices().isdisjoint(new_interior):
         raise MissingVertex(f"pop target of plaquette {index} is occupied")
     interior = surface.interior.union(new_interior)
-    missing = {v for face in added for v in face.stencil()} - interior - surface.boundary
+    missing = {v for face in added for v in face.stencil} - interior - surface.boundary
     if missing:
         raise MissingVertex(f"referenced vertices not designated: {sorted(missing)}")
     plaqs = surface.plaquettes[:index] + surface.plaquettes[index + 1 :] + added

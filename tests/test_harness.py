@@ -329,6 +329,21 @@ def test_every_record_passes_away_from_unit_hbar(hbar):
     assert not report.failed, [(rec.name, rec.residual) for rec in report.failed]
 
 
+@pytest.mark.parametrize("hbar, failed", [
+    # the determinants grow as hbar^(1 - n) past the float range; the n = 2 value's round-off grows as 1/hbar
+    ("1e-30", {"tridiagonal-recursion", "tridiagonal-n2-value"}),
+    # the closed-form determinant underflows to 0, so its relative error has no value
+    ("1e30", {"tridiagonal-recursion"}),
+])
+def test_an_extreme_hbar_fails_the_determinant_check_without_a_traceback(capsys, hbar, failed):
+    assert cli.main(["run", "--hbar", hbar]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    lines = [line.split("] ", 1)[1] for line in out.splitlines() if line.startswith("  [FAIL] ")]
+    assert {line.split(":")[0] for line in lines} == failed
+    assert "tridiagonal-recursion: residual=nan (want <= 1.000e-12)" in lines
+
+
 @pytest.mark.parametrize(
     "low,high,feasible",
     [

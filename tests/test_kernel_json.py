@@ -17,7 +17,7 @@ from mdclab import oscgauss, qprop1d, qsurface
 from mdclab.errors import NearCaustic
 from mdclab.params import LatticeParams, derive
 
-from conftest import reversed_surface
+from conftest import float_bits, reversed_surface
 
 #: Two elliptic points: the worked example and a generic one.
 POINTS = {"p321": (3.0, 2.0, 1.0), "pgen": (2.7, 1.35, 0.55)}
@@ -265,6 +265,42 @@ def test_canonical_dict_rounds_like_the_per_entry_reference(kernel):
     assert repr(got["A"]) == repr(want["A"])
     assert all(type(i) is int and type(j) is int and type(x) is float for i, j, x in got["A"])
     assert kernel.to_json() == json.dumps(want, sort_keys=True, allow_nan=False)
+
+
+def assert_written_as_round_writes_them(kernel):
+    """canonical_dict's A is, bit for bit, the triples of round(x, 15) on every entry x."""
+    got = kernel.canonical_dict()["A"]
+    want = reference_triples(reference_canonical(kernel)["A"])
+    assert [(i, j, float_bits(x)) for i, j, x in got] == [(i, j, float_bits(x)) for i, j, x in want]
+
+
+#: The edges of the rule that writes an entry x as it is when |x| >= 8 or x 2^15 is an integer; round
+#: changes 7.9999999999999964, three doubles below 8, and 2^-16.
+ROUNDING_EDGES = [8.0, 7.999999999999999, 7.9999999999999964, 8.000000000000002, 2.0**-15, 3 * 2.0**-15,
+                  12345 * 2.0**-15, (2**18 - 1) * 2.0**-15, 2.0**-16, 1e-16, 5e-324, 1.5e308, 0.0]
+
+
+def test_canonical_dict_writes_the_rounding_edges_as_round_does():
+    values = [sign * x for x in ROUNDING_EDGES for sign in (1.0, -1.0)]
+    n = 7  # 28 upper-triangle entries hold the 26 values and two +0.0
+    values += [0.0] * (n * (n + 1) // 2 - len(values))
+    A = np.zeros((n, n))
+    # symmetric bit for bit, so the constructor keeps each entry as it is, a -0.0 included
+    A[np.triu_indices(n)] = A.T[np.triu_indices(n)] = values
+    kernel = oscgauss.OscKernel(vars=tuple(f"v{k}" for k in range(n)), A=A)
+    assert_written_as_round_writes_them(kernel)
+    # -0.0 is listed, and so are -5e-324 and -1e-16, which round to -0.0; 5e-324 and 1e-16 round to +0.0
+    assert [float_bits(x) for _, _, x in kernel.canonical_dict()["A"] if x == 0.0] == [float_bits(-0.0)] * 3
+    A[0, 0] = math.nan
+    with pytest.raises(ValueError):
+        oscgauss.OscKernel._built(kernel.vars, A, 1.0 + 0.0j, Fraction(0), 0, (), 1.0).to_json()
+
+
+@settings(max_examples=300, deadline=None)
+# any finite double, subnormals and both zeros included, and doubles on either side of 8
+@given(symmetric_kernels(st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.floats(-16.0, 16.0))))
+def test_canonical_dict_writes_any_finite_entry_as_round_does(kernel):
+    assert_written_as_round_writes_them(kernel)
 
 
 @settings(max_examples=50, deadline=None)

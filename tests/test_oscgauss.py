@@ -664,6 +664,27 @@ def test_compare_equals_the_reindexing_route_on_aligned_and_shuffled_variables(s
             assert repr(og.compare(*pair)) == repr(_compare_by_reindexing(*pair))
 
 
+@pytest.mark.parametrize("n", [1, 2, 9, 400])
+@pytest.mark.parametrize("delta", [False, True])
+def test_compare_aligns_permuted_variables_as_the_index_route_does(rng, n, delta):
+    # compare builds its permutation from one name-to-position dict; here the same kernel, aligned first
+    # through k2.index per name, one linear scan each, must give the same KernelDiff bit for bit
+    names = tuple(f"v{k}" for k in rng.permutation(n))
+    A = rng.normal(size=(n, n))
+    A = A + A.T
+    cons = (og.AffineConstraint(((names[0], 1.5), (names[-1], -0.5))),) if delta and n > 1 else ()
+    k1 = og.OscKernel._built(names, A, 1.0 + 0.5j, Fraction(1, 2), 0, cons, 1.0)
+    shuffle = rng.permutation(n)
+    noise = 1e-3 * rng.normal(size=(n, n))
+    k2 = og.OscKernel._built(tuple(names[i] for i in shuffle), (A + noise + noise.T)[np.ix_(shuffle, shuffle)],
+                             2.0 - 1.0j, Fraction(1), 1, cons, 1.0)
+    perm = [k2.index(v) for v in k1.vars]
+    aligned = og.OscKernel._built(k1.vars, k2.A[np.ix_(perm, perm)], k2.amp, k2.pihbar_pow, k2.vol_pow, cons, 1.0)
+    assert (k2.vars == k1.vars) == (n == 1)
+    assert repr(og.compare(k1, k2)) == repr(og.compare(k1, aligned))
+    assert repr(og.compare(k2, k1)) == repr(og.compare(aligned, k1))
+
+
 def _compare_pair():
     """Two kernels over x, y, z with one delta constraint each, the second's variables in another order."""
     A = np.array([[0.5, 0.25, 0.0], [0.25, -1.5, 0.75], [0.0, 0.75, 2.0]])

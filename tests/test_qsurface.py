@@ -1,10 +1,14 @@
 import itertools
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mdclab import cli
 from mdclab import oscgauss as og
 from mdclab import qsurface as qs
 from mdclab.errors import DegenerateCoeffs, DeltaConstraintError, MissingVertex, NearCaustic
@@ -46,7 +50,7 @@ def test_pop_up_action_matches_the_oriented_sum(co321, rng):
         - L(u, u2, u3, 2, 3)
         - L(u, u3, u1, 3, 1)
     )
-    oriented = sum(p.sign * co321.lagrangian(*(values[v] for v in p.stencil()), *p.plane) for p in popped.plaquettes)
+    oriented = sum(p.sign * co321.lagrangian(*(values[v] for v in p.stencil), *p.plane) for p in popped.plaquettes)
     assert oriented == pytest.approx(manual, abs=1e-12)
 
 
@@ -307,6 +311,113 @@ def test_surface_description_rejects_garbage():
         qs.surface_from_dict({})
 
 
+def _reference_surface_from_dict(data):
+    """The reader that checks through the validating constructors: each
+    plaquette through OrientedPlaquette's, then the surface through
+    Surface's, which computes every stencil again."""
+    try:
+        plaqs = []
+        for n, item in enumerate(data["plaquettes"]):
+            base, plane, sign = qs._vertex(item["base"]), item["plane"], item.get("sign", 1)
+            if base is None:
+                raise MissingVertex(f"malformed surface description: plaquette {n} base {item['base']!r} "
+                                    "is not 3 integers")
+            if not ((type(plane) is list or type(plane) is tuple) and len(plane) == 2
+                    and type(plane[0]) is int and type(plane[1]) is int):
+                raise MissingVertex(f"malformed surface description: plaquette {n} plane {plane!r} "
+                                    "is not 2 integers")
+            if type(sign) is not int:
+                raise MissingVertex(f"malformed surface description: plaquette {n} sign {sign!r} is not an integer")
+            plaqs.append(qs.OrientedPlaquette(base=base, plane=(plane[0], plane[1]), sign=sign))
+        interior, boundary = qs._vertex_set(data, "interior"), qs._vertex_set(data, "boundary")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MissingVertex(f"malformed surface description: {exc}") from exc
+    return qs.Surface(plaquettes=tuple(plaqs), interior=interior, boundary=boundary)
+
+
+def _unit_description(**changes):
+    """surface_to_dict(flat_patch(1, 1)) with its plaquette's fields and the
+    vertex lists replaced as given."""
+    data = qs.surface_to_dict(qs.flat_patch(1, 1))
+    for key in ("base", "plane", "sign"):
+        if key in changes:
+            data["plaquettes"][0][key] = changes.pop(key)
+    data.update(changes)
+    return data
+
+
+_REFUSED = {
+    "plane-1-1": (_unit_description(plane=[1, 1]), "malformed surface description: bad plane (1, 1)"),
+    "plane-1-4": (_unit_description(plane=[1, 4]), "malformed surface description: bad plane (1, 4)"),
+    "sign-0": (_unit_description(sign=0), "malformed surface description: bad sign 0"),
+    "sign-2": (_unit_description(sign=2), "malformed surface description: bad sign 2"),
+    "interior-and-boundary": (_unit_description(interior=[[1, 1, 0]]),
+                              "vertices listed as both interior and boundary: [(1, 1, 0)]"),
+    # the stencil reads (0, 0, 0), (1, 0, 0) and (0, 1, 0); the far corner is not read
+    "undesignated-stencil-vertex": (_unit_description(boundary=[[0, 0, 0], [0, 1, 0], [1, 1, 0]]),
+                                    "referenced vertices not designated: [(1, 0, 0)]"),
+}
+
+
+@pytest.mark.parametrize("data, message", list(_REFUSED.values()), ids=list(_REFUSED))
+def test_surface_description_refusals_keep_their_messages(tmp_path, capsys, data, message):
+    for read in (qs.surface_from_dict, _reference_surface_from_dict):
+        with pytest.raises(MissingVertex) as info:
+            read(data)
+        assert str(info.value) == message
+    surf_path = tmp_path / "surface.json"
+    surf_path.write_text(json.dumps(data))
+    assert cli.main(["surface-kernel", "--surface", str(surf_path), "--params", "3", "2", "1"]) == 2
+    assert capsys.readouterr() == ("", f"surface error: {message}\n")
+
+
+@st.composite
+def mutated_descriptions(draw):
+    """surface_to_dict of a seeded deformed patch, then one to three
+    mutations: a coordinate, plane entry or sign changed, or a vertex moved
+    between the lists or dropped."""
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    data = qs.surface_to_dict(qs.random_deformation(qs.flat_patch(k, k), rng, draw(st.integers(0, 3 * k))))
+    plaqs, lists = data["plaquettes"], {key: data[key] for key in ("interior", "boundary")}
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["coordinate", "plane", "sign", "move", "drop"]))
+        plq = plaqs[draw(st.integers(0, len(plaqs) - 1))]
+        source = lists[draw(st.sampled_from(sorted(key for key, vs in lists.items() if vs)))]
+        if kind == "coordinate":
+            vertex = draw(st.sampled_from([plq["base"], *source]))
+            vertex[draw(st.integers(0, 2))] = draw(st.integers(-1, k + 2))
+        elif kind == "plane":
+            plq["plane"][draw(st.integers(0, 1))] = draw(st.integers(0, 4))
+        elif kind == "sign":
+            plq["sign"] = draw(st.integers(-2, 2))
+        else:
+            vertex = source.pop(draw(st.integers(0, len(source) - 1)))
+            if kind == "move":
+                lists["interior" if source is lists["boundary"] else "boundary"].append(vertex)
+    return data
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_descriptions())
+def test_surface_from_dict_reads_as_the_validating_constructors_do(data):
+    outcomes = []
+    for read in (qs.surface_from_dict, _reference_surface_from_dict):
+        try:
+            outcomes.append(read(data))
+        except MissingVertex as exc:
+            outcomes.append(str(exc))
+    got, want = outcomes
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got == want and got.records == want.records == ()
+    assert (type(got.plaquettes), type(got.interior), type(got.boundary)) == (tuple, frozenset, frozenset)
+    assert got.plaquettes == want.plaquettes
+    assert [p.stencil for p in got.plaquettes] == [p.stencil for p in want.plaquettes] == [
+        (p.base, qs.shift(p.base, p.plane[0]), qs.shift(p.base, p.plane[1])) for p in want.plaquettes]
+
+
 def _plaquette_part(coeffs, plaquettes, label):
     """surface_kernel's engine part for plaquettes, vertex v named label[v]."""
     return qs._Plaquettes(tuple(sorted(label.values())), tuple(plaquettes), coeffs, label, 1.0 + 0.0j, Fraction(0), 1.0)
@@ -374,7 +485,7 @@ def test_monomials_equal_the_per_term_assembly_bit_for_bit(coeffs, rng):
     planes = [qs.OrientedPlaquette(base=(n, 9, 9), plane=plane, sign=sign)
               for n, (plane, sign) in enumerate(itertools.product(itertools.permutations((1, 2, 3), 2), (1, -1)))]
     every_plane = qs.Surface(plaquettes=planes, interior=frozenset(),
-                             boundary=frozenset(v for p in planes for v in p.stencil()))
+                             boundary=frozenset(v for p in planes for v in p.stencil))
     deformed = [qs.random_deformation(qs.flat_patch(11, 3), rng, int(rng.integers(4, 12))) for _ in range(8)]
     met = {(p.plane, p.sign) for surface in deformed for p in surface.plaquettes}
     assert met == set(itertools.product(((1, 2), (2, 3), (3, 1)), (1, -1)))
@@ -388,7 +499,7 @@ def _stacked(signs):
     """The one (1, 2) plaquette at the origin, once per sign, as a surface
     of boundary vertices only."""
     plaqs = tuple(qs.OrientedPlaquette(base=(0, 0, 0), plane=(1, 2), sign=s) for s in signs)
-    return qs.Surface(plaquettes=plaqs, interior=frozenset(), boundary=frozenset(plaqs[0].stencil()))
+    return qs.Surface(plaquettes=plaqs, interior=frozenset(), boundary=frozenset(plaqs[0].stencil))
 
 
 def test_plaquette_rows_land_a_negative_zero_cross_term_as_positive_zero(co321):

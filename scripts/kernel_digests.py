@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
-"""Print the sha256 of every kernel in a fixed set, over its canonical JSON
-and the exact bits of its numbers.
+"""Print two sha256 digests of every kernel in a fixed set: one of its
+fields, bit for bit, and one of its canonical JSON.
 
-One line per kernel: `name sha256`, or `name error:Type:message` when
-building the kernel or its JSON raises.  The set, at the points (3, 2, 1) and
+One line per kernel: `name fields json`, or `name error:Type:message` when
+building the kernel or its JSON raises.  `fields` hashes what does not
+depend on the JSON layout: the sorted vars, the float64 bits of A, amp and
+the constraint coefficients (`kernel_bits`), pihbar_pow, vol_pow, the names
+each delta constraint ties and, for a walk's surface, its `surface_order`.
+`json` hashes `to_json()`.  The set, at the points (3, 2, 1) and
 (2.7, 1.35, 0.55):
 
 - n_step_kernel at n = 1-200, hat and bar;
@@ -21,7 +25,7 @@ building the kernel or its JSON raises.  The set, at the points (3, 2, 1) and
   (surface_from_dict of surface_to_dict), so the reader is covered too;
 - surface_kernel on every surface of seeded random_deformation walks of 4k
   pops and undos from flat k-by-k patches, k = 3-6; the site a walk pops
-  depends on the plaquette order, so these digests also cover each
+  depends on the plaquette order, so these `fields` digests also cover each
   surface's plaquettes in stored order and its interior (`surface_order`);
 - the four momentum kernels (hat and bar, with and without the potential);
 - the 24 elementary-move kernels: moves a, b and c, both configurations, at
@@ -38,14 +42,20 @@ their outputs are equal:
     python scripts/kernel_digests.py > after.txt    # on the other
     diff before.txt after.txt
 
-The JSON rounds every number to 15 decimal places, so each digest also
-covers the float64 bits of A, amp and the delta constraints (`kernel_bits`);
-a one-ulp change anywhere moves its line.  A change of the canonical form
-moves every digest line once: the sparse `kernel_format` 2 did, so did
-adding the bits, and so did `kernel_format` 3, which dropped the linear
-term and the constants that every kernel held at zero.  To check builder
-outputs across such a change, run this script at both commits' `src/` and
-diff the outputs.
+The JSON rounds every number to 15 decimal places, so `fields` covers the
+bits it rounds away; a one-ulp change anywhere moves its line.  A change
+of the canonical form, such as `kernel_format` 4, which dropped the `hbar`
+label that no kernel computed with, moves every `json` column once and no
+`fields` column.  To check such a change, run this script on both commits'
+`src/` and compare the outputs: the `fields` column and every error line
+must be equal, and only the `json` column may move.
+
+    PYTHONPATH=old/src python scripts/kernel_digests.py > before.txt
+    PYTHONPATH=new/src python scripts/kernel_digests.py > after.txt
+    diff <(sed -E 's/ [0-9a-f]{64}$//' before.txt) <(sed -E 's/ [0-9a-f]{64}$//' after.txt)
+
+A later change of how a field such as `amp` is stored can be checked the
+same way, as long as `fields` hashes the value that both forms hold.
 
 Usage: python scripts/kernel_digests.py
 """
@@ -218,6 +228,13 @@ def kernel_bits(kernel) -> bytes:
     return np.concatenate(numbers).astype("<f8").tobytes()
 
 
+def field_bytes(kernel) -> bytes:
+    """The sorted vars, pihbar_pow, vol_pow and the names each delta
+    constraint ties, in stored order, as text, then kernel_bits."""
+    names = sorted(kernel.vars), str(kernel.pihbar_pow), kernel.vol_pow, [con.variables() for con in kernel.constraints]
+    return repr(names).encode("utf-8") + kernel_bits(kernel)
+
+
 def digest_line(name: str, build, *order: bytes) -> str:
     """The output line of one case."""
     try:
@@ -225,7 +242,8 @@ def digest_line(name: str, build, *order: bytes) -> str:
         text = kernel.to_json()
     except (MdcError, ValueError, ArithmeticError) as exc:
         return f"{name} error:{type(exc).__name__}:{exc}"
-    return f"{name} {hashlib.sha256(text.encode('utf-8') + kernel_bits(kernel) + b''.join(order)).hexdigest()}"
+    fields = hashlib.sha256(field_bytes(kernel) + b"".join(order)).hexdigest()
+    return f"{name} {fields} {hashlib.sha256(text.encode('utf-8')).hexdigest()}"
 
 
 def digest_lines(limit: int | None = None):

@@ -35,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     surf.add_argument("--surface", required=True, help="JSON surface description file")
     surf.add_argument("--params", nargs=3, type=float, required=True,
                       metavar=("P1", "P2", "P3"), help="the three direction parameters")
-    surf.add_argument("--hbar", type=float, default=1.0)
     surf.add_argument("--out", help="write the canonical kernel JSON here (default stdout)")
     return parser
 
@@ -69,11 +68,11 @@ def _surface_kernel_command(args: argparse.Namespace) -> int:
     from .qsurface import canonical_lattice_coeffs, surface_from_dict, surface_kernel
 
     try:
-        point = LatticeParams(*args.params, hbar=args.hbar)  # rejects non-finite values and hbar <= 0
+        point = LatticeParams(*args.params)  # rejects non-finite values
         with open(args.surface, encoding="utf-8") as fh:
             surface = surface_from_dict(json.load(fh))
         coeffs = canonical_lattice_coeffs(point.p, point.q, point.r)
-        kernel = surface_kernel(surface, coeffs, hbar=point.hbar)
+        kernel = surface_kernel(surface, coeffs)
     except (OSError, json.JSONDecodeError, MissingVertex, DegenerateParams, NearCaustic) as exc:
         print(f"surface error: {exc}", file=sys.stderr)
         return 2

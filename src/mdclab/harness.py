@@ -537,19 +537,19 @@ def _surface_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residual
     for d in points:
         co = qsurface.canonical_lattice_coeffs(d.p, d.q, d.r)
         diff = compare(
-            qsurface.surface_kernel(popped, co, hbar=config.hbar),
-            qsurface.surface_kernel(flat, co, hbar=config.hbar),
+            qsurface.surface_kernel(popped, co),
+            qsurface.surface_kernel(flat, co),
         )
         res.add("pop", diff.exponent_diff)
         for move in "abc":
-            res.add("move", qsurface.elementary_move_check(move, co, hbar=config.hbar).exponent_diff)
+            res.add("move", qsurface.elementary_move_check(move, co).exponent_diff)
     d = points[0]
     co = qsurface.canonical_lattice_coeffs(d.p, d.q, d.r)
     patch = qsurface.flat_patch(3, 3)
-    reference = qsurface.surface_kernel(patch, co, hbar=config.hbar)
+    reference = qsurface.surface_kernel(patch, co)
     for _ in range(20):
         deformed = qsurface.random_deformation(patch, rng, int(rng.integers(2, 8)))
-        diff = compare(qsurface.surface_kernel(deformed, co, hbar=config.hbar), reference)
+        diff = compare(qsurface.surface_kernel(deformed, co), reference)
         res.add("deform", diff.exponent_diff)
     res.check("pop-up-exponent", "pop-up", "pop", "popup")
     res.check("elementary-moves", "elementary-moves", "move", "move")
@@ -558,22 +558,22 @@ def _surface_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residual
 
 def _uniqueness2d_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals) -> None:
     co = qsurface.canonical_lattice_coeffs(3.0, 2.0, 1.0)
-    base = qsurface.uniqueness_scan_2form(co, hbar=config.hbar)
+    base = qsurface.uniqueness_scan_2form(co)
     res.check("canonical-critical", "2form-uniqueness", 0.0 if base["critical"] else 1.0, 0.0)
     for table, pair in (("a", (1, 2)), ("a", (2, 3)), ("b", (1, 2)), ("b", (2, 3)), ("d", (1, 2)), ("d", (3, 1))):
-        bumped = qsurface.uniqueness_scan_2form(co.perturbed(table, pair, 1e-2), hbar=config.hbar)
+        bumped = qsurface.uniqueness_scan_2form(co.perturbed(table, pair, 1e-2))
         mism = float("inf") if bumped["delta_rejected"] else bumped["exponent_diff"]
         res.add("grid", min(mism, 1.0))
     res.probe("coefficient-grid-scan", "2form-uniqueness", "grid", "uniq2d_perturbed_min", stat=min)
     sym_c = co.perturbed("c", (1, 2), 1e-2).perturbed("c", (2, 1), 1e-2)
-    scan = qsurface.uniqueness_scan_2form(sym_c, hbar=config.hbar)
+    scan = qsurface.uniqueness_scan_2form(sym_c)
     detuned = scan["delta_rejected"] or scan["exponent_diff"] > config.tol("uniq2d_perturbed_min")
     res.check("c-detune-rejected", "2form-uniqueness", 0.0 if detuned else 1.0, 0.0)
     asym_c = co.perturbed("c", (1, 2), 1e-2)
-    scan = qsurface.uniqueness_scan_2form(asym_c, hbar=config.hbar)
+    scan = qsurface.uniqueness_scan_2form(asym_c)
     res.check("c-asymmetric-delta", "2form-uniqueness", 0.0 if scan["delta_rejected"] else 1.0, 0.0)
     try:
-        qsurface.surface_kernel(qsurface.elementary_move_surfaces("a")[1], asym_c, hbar=config.hbar)
+        qsurface.surface_kernel(qsurface.elementary_move_surfaces("a")[1], asym_c)
         delta_raised = False
     except DeltaConstraintError:
         delta_raised = True

@@ -5,12 +5,13 @@ A kernel over labelled variables v is
     K(v) = amp * (2 pi hbar)^pihbar_pow * V^vol_pow
            * exp[(i/hbar) v^T A v / 2] * prod(delta(coupling . v)),
 
-with A symmetric and stored in action units; hbar enters only through the
-i/hbar convention and the bookkeeping powers.  The exponent is homogeneous,
-as the quadratic Lagrangians of the lattice are: no linear term and no
-constant.  V is the formally infinite volume constant produced when an
-integration variable drops out of the exponent; it is tracked symbolically
-and never realised numerically.
+with A symmetric and stored in action units.  A kernel carries no hbar:
+A, amp and the constraints do not depend on it, and the powers of 2 pi
+hbar are symbolic, so whoever evaluates K supplies hbar.  The exponent is
+homogeneous, as the quadratic Lagrangians of the lattice are: no linear
+term and no constant.  V is the formally infinite volume constant
+produced when an integration variable drops out of the exponent; it is
+tracked symbolically and never realised numerically.
 
 Integrating one variable out lands in exactly one of three exact cases:
 
@@ -113,7 +114,6 @@ class OscKernel:
     pihbar_pow: Fraction = Fraction(0)
     vol_pow: int = 0
     constraints: tuple[AffineConstraint, ...] = ()
-    hbar: float = 1.0
 
     def __post_init__(self):
         A, n = np.array(self.A, dtype=float), len(set(self.vars))
@@ -136,15 +136,14 @@ class OscKernel:
         object.__setattr__(self, "constraints", tuple(self.constraints))
 
     @classmethod
-    def _built(cls, vars, A, amp, pihbar_pow, vol_pow, constraints, hbar) -> "OscKernel":
+    def _built(cls, vars, A, amp, pihbar_pow, vol_pow, constraints) -> "OscKernel":
         """A kernel from fields the library built itself, taken as they are:
         vars a tuple of distinct names, A an exactly symmetric float64 array
         of the right shape, amp a complex, pihbar_pow a Fraction and
         constraints a tuple.  On such fields __post_init__'s checks pass and
         its copies and conversions change nothing, so it is skipped."""
         kernel = object.__new__(cls)
-        kernel.__dict__.update(vars=vars, A=A, amp=amp, pihbar_pow=pihbar_pow, vol_pow=vol_pow,
-                               constraints=constraints, hbar=hbar)
+        kernel.__dict__.update(vars=vars, A=A, amp=amp, pihbar_pow=pihbar_pow, vol_pow=vol_pow, constraints=constraints)
         return kernel
 
     # -- inspection ------------------------------------------------------------
@@ -158,10 +157,11 @@ class OscKernel:
     # -- canonical form ----------------------------------------------------------
 
     def canonical_dict(self) -> dict:
-        """The canonical form, kernel_format 3: vars sorted, A as the sorted
+        """The canonical form, kernel_format 4: vars sorted, A as the sorted
         [i, j, round(x, 15)] triples (i <= j, indices into the sorted vars)
         of every upper-triangle entry x whose round(x, 15) is not +0.0, and
-        each delta constraint normalized.
+        each delta constraint normalized.  There is no hbar key, as a kernel
+        carries no hbar.
 
         An entry that is its own rounding is written as it is, with no call
         to round: x with x 2^15 an integer has at most 15 decimals, and
@@ -178,7 +178,7 @@ class OscKernel:
         ri, rj, x = ri[upper], rj[upper], self.A[ii[upper], jj[upper]]
         by = np.lexsort((rj, ri))
         return {
-            "kernel_format": 3,
+            "kernel_format": 4,
             "vars": [self.vars[i] for i in order],
             "A": [[i, j, r] for i, j, v in zip(ri[by].tolist(), rj[by].tolist(), x[by].tolist())
                   if (r := v if abs(v) >= 8.0 or (v * 32768.0).is_integer() else round(v, 15))
@@ -186,7 +186,6 @@ class OscKernel:
             "amp": {"modulus": round(abs(self.amp), 15), "phase": round(cmath.phase(self.amp), 15)},
             "pihbar_pow": str(self.pihbar_pow),
             "vol_pow": self.vol_pow,
-            "hbar": self.hbar,
             # each item's one key needs no sort_keys
             "constraints": sorted(({"coeffs": [[v, round(cv, 15)] for v, cv in con.normalized().coeffs]}
                                    for con in self.constraints), key=json.dumps),
@@ -210,12 +209,13 @@ class OscKernel:
     @staticmethod
     def from_json(text: str) -> "OscKernel":
         """The kernel of a canonical JSON text.  ValueError on what to_json
-        never writes: a NaN or infinite token, a kernel_format other than 3,
+        never writes: a NaN or infinite token, a kernel_format other than 4
+        (formats 1-3 carried an hbar key, or terms every kernel held at zero),
         and an A triple with an index out of range, below the diagonal or
         repeated."""
         data = json.loads(text, parse_constant=_refuse_constant)
-        if type(fmt := data.get("kernel_format")) is not int or fmt != 3:
-            raise ValueError(f"kernel_format must be 3, got {fmt!r}")
+        if type(fmt := data.get("kernel_format")) is not int or fmt != 4:
+            raise ValueError(f"kernel_format must be 4, got {fmt!r}")
         n = len(data["vars"])
         A, seen = np.zeros((n, n)), set()
         for triple in data["A"]:
@@ -230,7 +230,7 @@ class OscKernel:
             A[i, j] = A[j, i] = x
         amp = cmath.rect(data["amp"]["modulus"], data["amp"]["phase"])
         cons = tuple(AffineConstraint(tuple((v, cv) for v, cv in item["coeffs"])) for item in data["constraints"])
-        return OscKernel(tuple(data["vars"]), A, amp, Fraction(data["pihbar_pow"]), data["vol_pow"], cons, data["hbar"])
+        return OscKernel(tuple(data["vars"]), A, amp, Fraction(data["pihbar_pow"]), data["vol_pow"], cons)
 
 
 def _refuse_constant(token: str):
@@ -246,7 +246,6 @@ class _Terms(NamedTuple):
     quadratic: dict[tuple[str, str], float]
     amp: complex
     pihbar_pow: Fraction
-    hbar: float
     vol_pow: int = 0
     constraints: tuple[AffineConstraint, ...] = ()
 
@@ -272,7 +271,6 @@ def from_terms(
     quadratic: dict[tuple[str, str], float],
     amp: complex = 1.0,
     pihbar_pow: Fraction | int = 0,
-    hbar: float = 1.0,
 ) -> OscKernel:
     """Build a kernel from monomial coefficients: quadratic[(u, w)] is the
     full coefficient of the monomial u*w in the exponent.
@@ -282,7 +280,7 @@ def from_terms(
     every part's.
     """
     terms = _Terms(tuple(vars), quadratic, complex(amp),
-                   pihbar_pow if type(pihbar_pow) is Fraction else Fraction(pihbar_pow), hbar)
+                   pihbar_pow if type(pihbar_pow) is Fraction else Fraction(pihbar_pow))
     known = set(terms.vars)
     if not known.issuperset(itertools.chain.from_iterable(quadratic)):
         v = next(v for pair in quadratic for v in pair if v not in known)
@@ -541,7 +539,7 @@ def _eliminate(steps) -> OscKernel:
     out, m = dict(zip(live, range(len(live)))), len(live)
     A = np.zeros((m, m))
     A.put([p * m + out[j] for p, i in enumerate(live) for j in rows[i]], [v for i in live for v in rows[i].values()])
-    return OscKernel._built(tuple(kept), A, amp, Fraction(num, den), vol, tuple(cons), first.hbar)
+    return OscKernel._built(tuple(kept), A, amp, Fraction(num, den), vol, tuple(cons))
 
 
 def glue(k1: OscKernel, k2: OscKernel, shared) -> OscKernel:
@@ -555,8 +553,6 @@ def glue(k1: OscKernel, k2: OscKernel, shared) -> OscKernel:
     for v in shared:
         k1.index(v)
         k2.index(v)
-    if k1.hbar != k2.hbar:
-        raise VariableMismatch("kernels carry different hbar")
     return _eliminate(((k1, ()), (k2, shared)))
 
 
@@ -590,8 +586,6 @@ def compare(k1: OscKernel, k2: OscKernel) -> KernelDiff:
         raise VariableMismatch(f"variable sets differ: {k1.vars} vs {k2.vars}")
     if len(k1.constraints) != len(k2.constraints):
         raise VariableMismatch("kernels carry different numbers of delta constraints")
-    if k1.hbar != k2.hbar:
-        raise VariableMismatch("kernels carry different hbar")
     A1, A2 = k1.A, k2.A
     if not aligned:
         at = {v: n for n, v in enumerate(k2.vars)}

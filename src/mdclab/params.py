@@ -230,14 +230,20 @@ def printed_constant_residuals(derived: DerivedParams) -> dict[str, float]:
     The map-spectrum values are authoritative; these report how far the
     quoted shortcuts sit from them.  `b_unhalved` and `P_no_cross_term`
     document known misprints (both are ~O(1) off), `b_halved`, `a_ratio` and
-    `P_with_cross_term` are the corrected forms and should vanish.
+    `P_with_cross_term` are the corrected forms and should vanish.  Where
+    float64 cannot form p**2 (|p| above about 1.3e154), both P residuals
+    are NaN.
     """
     s, t, tp = derived.s, derived.t, derived.tprime
     two_a = ((2 * t + 1 - t * t) - tp * (2 * t - 1 + t * t)) / (1 - t * t * tp)
+    try:
+        p_squared = derived.p**2
+    except OverflowError:  # float ** raises where * would give inf
+        p_squared = math.nan
     return {
         "b_unhalved": abs((1 + 2 * s - s * s) - derived.b),
         "b_halved": abs(0.5 * (1 + 2 * s - s * s) - derived.b),
         "a_ratio": abs(0.5 * two_a - derived.a),
-        "P_no_cross_term": abs(derived.p**2 + derived.p * derived.q - derived.P),
-        "P_with_cross_term": abs(derived.p**2 + 2 * derived.p * derived.q - derived.P),
+        "P_no_cross_term": abs(p_squared + derived.p * derived.q - derived.P),
+        "P_with_cross_term": abs(p_squared + 2 * derived.p * derived.q - derived.P),
     }

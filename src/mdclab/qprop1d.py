@@ -68,14 +68,14 @@ def _one_steps(direction: str, derived: "DerivedParams", names: tuple[str, ...])
     amp = _step_amp(derived, direction)
     plus, minus, w = direction_constants(derived, direction)
     cross, square, pihbar = plus / w, 0.5 * minus / w, Fraction(-1, 2)
-    return [_Terms((x, xh), {(x, xh): cross, (x, x): square, (xh, xh): square}, amp, pihbar, derived.hbar)
+    return [_Terms((x, xh), {(x, xh): cross, (x, x): square, (xh, xh): square}, amp, pihbar)
             for x, xh in zip(names, names[1:])]
 
 
 def one_step_kernel(direction: str, derived: "DerivedParams") -> OscKernel:
     """Exact one-step propagator kernel in the given direction, from xa to xb."""
     (step,) = _one_steps(direction, derived, ("xa", "xb"))
-    return from_terms(step.vars, step.quadratic, amp=step.amp, pihbar_pow=step.pihbar_pow, hbar=step.hbar)
+    return from_terms(step.vars, step.quadratic, amp=step.amp, pihbar_pow=step.pihbar_pow)
 
 
 def momentum_factorized_kernel(
@@ -96,7 +96,7 @@ def momentum_factorized_kernel(
     mom = "Xmom"
     vterm = 0.0 if zero_potential else derived.P / w
     quadratic = {(x, x): vterm, (xh, xh): vterm, (mom, mom): 0.5 * w / plus, (xh, mom): 1.0, (x, mom): -1.0}
-    return marginalize_all(_Terms((x, mom, xh), quadratic, 1.0 + 0.0j, Fraction(-1), derived.hbar), [mom])
+    return marginalize_all(_Terms((x, mom, xh), quadratic, 1.0 + 0.0j, Fraction(-1)), [mom])
 
 
 def _angle(derived: "DerivedParams", direction: str) -> float:
@@ -135,7 +135,7 @@ def _closed_form_terms(theta: float, derived: "DerivedParams") -> _Terms:
     phase = math.pi / 4.0 + (math.pi / 2.0) * math.floor(theta / math.pi)
     # |2 sqrt(P) / sin(theta)| is 2 sqrt(P) / |sin(theta)| bit for bit: a quotient's rounding ignores its sign
     amp = math.sqrt(abs(cross)) * cmath.exp(1j * phase)
-    return _Terms((x, y), {(x, y): cross, (x, x): square, (y, y): square}, amp, Fraction(-1, 2), derived.hbar)
+    return _Terms((x, y), {(x, y): cross, (x, x): square, (y, y): square}, amp, Fraction(-1, 2))
 
 
 def closed_form_kernel(theta: float, derived: "DerivedParams") -> OscKernel:
@@ -145,7 +145,7 @@ def closed_form_kernel(theta: float, derived: "DerivedParams") -> OscKernel:
     Raises CausticError when sin(theta) is numerically on a caustic.
     """
     terms = _closed_form_terms(theta, derived)
-    return from_terms(terms.vars, terms.quadratic, amp=terms.amp, pihbar_pow=terms.pihbar_pow, hbar=terms.hbar)
+    return from_terms(terms.vars, terms.quadratic, amp=terms.amp, pihbar_pow=terms.pihbar_pow)
 
 
 def multi_time_closed_form(n: int, m: int, derived: "DerivedParams") -> OscKernel:
@@ -206,7 +206,7 @@ def _with_end_xb(kernel: OscKernel) -> OscKernel:
     end = kernel.vars[1]
     cons = tuple(AffineConstraint(tuple(("xb" if v == end else v, cv) for v, cv in con.coeffs))
                  for con in kernel.constraints)
-    return OscKernel._built(("xa", "xb"), kernel.A, kernel.amp, kernel.pihbar_pow, kernel.vol_pow, cons, kernel.hbar)
+    return OscKernel._built(("xa", "xb"), kernel.A, kernel.amp, kernel.pihbar_pow, kernel.vol_pow, cons)
 
 
 # -- Tridiagonal fluctuation determinant ---------------------------------------
@@ -218,11 +218,12 @@ def tridiagonal_det(n: int, derived: "DerivedParams") -> complex:
     mu, _ = derived.require_elliptic()
     scale = 1j * (derived.P + derived.Q) / (derived.hbar * derived.q)
     a = scale * math.cos(mu)
-    b2 = (scale * (-0.5)) ** 2
     x_prev: complex = 1.0 + 0.0j  # empty determinant
     x_cur: complex = a
-    if n - 1 == 0:
-        return x_prev
+    if n < 3:
+        return x_prev if n == 1 else x_cur
+    # b^2 only once the recursion runs: near hbar = 0 it overflows where a is finite
+    b2 = (scale * (-0.5)) ** 2
     for _ in range(n - 2):
         x_prev, x_cur = x_cur, a * x_cur - b2 * x_prev
     return x_cur
@@ -309,7 +310,7 @@ def path_kernel(
     else:
         cf = coeffs
         pihbar = Fraction(0)
-    return marginalize_all(_PathSteps(names, path.steps, cf, amp, pihbar, derived.hbar), names[1:-1])
+    return marginalize_all(_PathSteps(names, path.steps, cf, amp, pihbar), names[1:-1])
 
 
 class _PathSteps(NamedTuple):
@@ -322,7 +323,6 @@ class _PathSteps(NamedTuple):
     cf: OscillatorCoeffs
     amp: complex
     pihbar_pow: Fraction
-    hbar: float
     vol_pow: int = 0
     constraints: tuple[AffineConstraint, ...] = ()
 

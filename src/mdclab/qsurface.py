@@ -302,7 +302,6 @@ class _Plaquettes(NamedTuple):
     label: dict[Vertex, str]
     amp: complex
     pihbar_pow: Fraction
-    hbar: float
     vol_pow: int = 0
     constraints: tuple[AffineConstraint, ...] = ()
 
@@ -353,11 +352,7 @@ class _Plaquettes(NamedTuple):
         return [at[name] for name in self.vars]
 
 
-def surface_kernel(
-    surface: Surface,
-    coeffs: LatticeLagrangianCoeffs,
-    hbar: float = 1.0,
-) -> OscKernel:
+def surface_kernel(surface: Surface, coeffs: LatticeLagrangianCoeffs) -> OscKernel:
     """Boundary kernel: interior vertices integrated out of exp(i S / hbar).
 
     Interior vertices no plaquette reads become symbolic volume factors.  A
@@ -365,7 +360,7 @@ def surface_kernel(
     DeltaConstraintError.
     """
     label = {v: vertex_label(v) for v in sorted(surface.vertices())}
-    part = _Plaquettes(tuple(label.values()), surface.plaquettes, coeffs, label, 1.0 + 0.0j, Fraction(0), hbar)
+    part = _Plaquettes(tuple(label.values()), surface.plaquettes, coeffs, label, 1.0 + 0.0j, Fraction(0))
     kernel = marginalize_all(part, [label[v] for v in sorted(surface.interior)])
     if kernel.constraints:
         raise DeltaConstraintError(
@@ -554,15 +549,11 @@ def elementary_move_surfaces(move: str) -> tuple[Surface, Surface]:
     raise ValueError(f"unknown move {move!r}")
 
 
-def elementary_move_check(
-    move: str,
-    coeffs: LatticeLagrangianCoeffs,
-    hbar: float = 1.0,
-) -> KernelDiff:
+def elementary_move_check(move: str, coeffs: LatticeLagrangianCoeffs) -> KernelDiff:
     """Compare the boundary kernels of the two configurations of one move."""
     one, two = elementary_move_surfaces(move)
-    k1 = surface_kernel(one, coeffs, hbar=hbar)
-    k2 = surface_kernel(two, coeffs, hbar=hbar)
+    k1 = surface_kernel(one, coeffs)
+    k2 = surface_kernel(two, coeffs)
     return compare(k1, k2)
 
 
@@ -595,10 +586,7 @@ def lambda_of(coeffs: LatticeLagrangianCoeffs) -> float:
     return d[(1, 2)] * d[(2, 3)] + d[(2, 3)] * d[(3, 1)] + d[(3, 1)] * d[(1, 2)] + 1.0
 
 
-def uniqueness_scan_2form(
-    coeffs: LatticeLagrangianCoeffs,
-    hbar: float = 1.0,
-) -> dict:
+def uniqueness_scan_2form(coeffs: LatticeLagrangianCoeffs) -> dict:
     """Classify a coefficient point for surface independence under move a.
 
     Returns the branch data (cyclic a-sum and cap determinant), the critical
@@ -632,7 +620,7 @@ def uniqueness_scan_2form(
     exponent_diff = float("nan")
     if finite:
         try:
-            exponent_diff = elementary_move_check("a", coeffs, hbar).exponent_diff
+            exponent_diff = elementary_move_check("a", coeffs).exponent_diff
         except DeltaConstraintError:
             delta_rejected = True
             exponent_diff = float("inf")

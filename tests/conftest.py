@@ -83,12 +83,12 @@ def exponent(kernel, assignment):
     return float(0.5 * v @ kernel.A @ v)
 
 
-def value(kernel, assignment):
-    """Numeric value with V set to 1; delta weights are not realised, but the
-    value is 0 off the constraint surface, where a constraint's residual
-    exceeds 1e-9."""
+def value(kernel, assignment, hbar=1.0):
+    """Numeric value at the action scale hbar, which a kernel does not carry,
+    with V set to 1; delta weights are not realised, but the value is 0 off
+    the constraint surface, where a constraint's residual exceeds 1e-9."""
     for con in kernel.constraints:
         if abs(sum(cv * assignment[v] for v, cv in con.coeffs)) > 1e-9:
             return 0.0j
-    mag = kernel.amp * (2.0 * math.pi * kernel.hbar) ** float(kernel.pihbar_pow)
-    return mag * cmath.exp(1j * exponent(kernel, assignment) / kernel.hbar)
+    mag = kernel.amp * (2.0 * math.pi * hbar) ** float(kernel.pihbar_pow)
+    return mag * cmath.exp(1j * exponent(kernel, assignment) / hbar)

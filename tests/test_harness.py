@@ -20,7 +20,7 @@ from mdclab.harness import (
     sweep_rows,
     write_csv,
 )
-from mdclab.params import LatticeParams, derive
+from mdclab.params import LatticeParams, derive, printed_constant_residuals
 
 SMALL = SuiteConfig(seed=7, trials=40)
 
@@ -344,6 +344,23 @@ def test_an_extreme_hbar_fails_the_determinant_check_without_a_traceback(capsys,
     assert "tridiagonal-recursion: residual=nan (want <= 1.000e-12)" in lines
 
 
+# numpy warns of the overflowing arithmetic at these points, as the command prints
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("point", [
+    [3e160, 2e160, 1e160],  # Q = q**2 overflows; the 1-form checks then refuse a non-finite pivot
+    [1.4e154, -6.9e153, 3e153],  # Q, P and R are finite, but p**2 is not
+])
+def test_a_finite_point_whose_square_overflows_runs_without_a_traceback(tmp_path, capsys, point):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"params": [point]}))
+    assert cli.main(["run", "--config", str(path), "--quiet"]) in (1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    d = derive(LatticeParams(*point))
+    residuals = printed_constant_residuals(d)
+    assert math.isnan(residuals["P_no_cross_term"]) and math.isnan(residuals["P_with_cross_term"])
+    assert all(math.isfinite(residuals[name]) for name in ("b_unhalved", "b_halved", "a_ratio"))
+
+
 @pytest.mark.parametrize(
     "low,high,feasible",
     [
@@ -469,7 +486,7 @@ def test_cli_surface_kernel_output_round_trips(tmp_path, capsys):
     assert cli.main(["surface-kernel", "--surface", str(surf_path), "--params", "3", "2", "1"]) == 0
     text = capsys.readouterr().out.strip()
     data = json.loads(text)
-    assert data["kernel_format"] == 3 and not {"B", "c"} & data.keys()
+    assert data["kernel_format"] == 4 and not {"B", "c", "hbar"} & data.keys()
     # what the command prints reads back to a kernel that prints the same text
     kernel = OscKernel.from_json(text)
     assert kernel.to_json() == text
@@ -545,7 +562,7 @@ def test_cli_surface_kernel_refuses_a_malformed_description(tmp_path, capsys, da
 @pytest.mark.parametrize("args", [
     ["--params", "nan", "2", "1"],
     ["--params", "3", "inf", "1"],
-    ["--params", "3", "2", "1", "--hbar", "nan"],
+    ["--params", "3", "2", "infinity"],
     ["--params", "1e308", "1.7e308", "1"],  # finite, but p1 + p2 overflows
 ])
 def test_cli_surface_kernel_never_publishes_a_non_finite_kernel(tmp_path, capsys, args):
@@ -557,6 +574,19 @@ def test_cli_surface_kernel_never_publishes_a_non_finite_kernel(tmp_path, capsys
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("surface error:") and err.count("\n") == 1
+
+
+def test_cli_surface_kernel_takes_no_hbar(tmp_path, capsys):
+    # a kernel carries no hbar, so the command has no --hbar for argparse to accept
+    from mdclab import qsurface as qs
+
+    surf_path = tmp_path / "surface.json"
+    surf_path.write_text(json.dumps(qs.surface_to_dict(qs.flat_patch(1, 1))))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["surface-kernel", "--surface", str(surf_path), "--params", "3", "2", "1", "--hbar", "1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --hbar 1" in err
 
 
 def test_cli_surface_kernel_refuses_an_overflowing_pivot(tmp_path, capsys):

@@ -128,60 +128,60 @@ GOLDEN_KERNELS = {
 }
 
 
-#: sha256 of to_json() (the sparse kernel_format 3) for each golden_kernels() case.
+#: sha256 of to_json() (the sparse kernel_format 4) for each golden_kernels() case.
 GOLDEN_SPARSE_KERNELS = {
-    "p321-flat-4": "a501b22f9d603cd5ebca366e575e56dcbab2664d76289acd04e73313c1dd6981",
-    "p321-deformed-4": "9dfd36b7c64ce29c650e82c0c245493e3160f06da20de79be3a0a013a3583860",
-    "p321-flat-5": "ecef60b3051dc01a27cf048e4b5d3c3d3fb3dba581d13b4b92dba0bb51cd1ecf",
-    "p321-deformed-5": "62cc79662c8c0788e6738aefd5d09f1fe61baf5713108fc26e937da9312aee8d",
-    "p321-flat-6": "180ac2df3433a4e54091ae7d769d25d558a17a8b57873e7d1355234df1576213",
-    "p321-deformed-6": "4b174da9955cdfd77429e2179e93352297b6c708ab11a2ec2d146f9d8bca1379",
-    "p321-flat-7": "89f5261d7440f3d41deca6871cbeace913ce6a01442b6f90e907af3d4aac1d79",
-    "p321-deformed-7": "9061a6b668cc45d5c35062cd22c1d8ad46c97133957cf20052a24c4efd1e3ba5",
-    "p321-flat-8": "fa93f88ff1e3275f9219fae420d869586563f41d3c6595f27104b08c13f7b6a9",
-    "p321-deformed-8": "adc3ae8dc23751d9719fff52e1abcaff06613edd0504f7759a7e7193d3495a7c",
-    "p321-flat-9": "f7e98ca6757a7ac28090754cb1ebca5fdce7d78affeacd16c47f73c874ef70aa",
-    "p321-deformed-9": "39aecaafa0526eba9d5e50fa1da26a7e9fc97ecad298dc05673193b82c24b074",
-    "p321-flat-10": "21941932ff9e143016b160a2aa47a5d5504cdc281d3d5750974c14260b0f8f6f",
-    "p321-deformed-10": "7a15402eb9d7dd64c13f375152c9a1c0a5238a460842e1d769a0f01e1f07a2b5",
-    "p321-flat-11": "ae80a6243cd46558977fd1398b9b07bccc6ba98f8f81322b9f27ff01cdbaf392",
-    "p321-deformed-11": "b0a920ba1d1c37b7bb47bd03cdea2d4f46d96c0595efe859c74cd0e7386246c2",
-    "p321-flat-12": "0fe12377c9966700580b82d6762808018c5ac90668cf30f3e125c8c5a7504c98",
-    "p321-deformed-12": "89f11253e01c8b3be0cf0d4753ec5b3c1d9221b4b59306ebd66fefe70fdeeb98",
-    "p321-path-60": "32880c5371496b62b4817ba13060829419f7a634a5d4f302c156230b41d38ce4",
-    "p321-path-120": "89e6c8c978cce13e248d44cb96f11de1ac8add4c900522a12c17a2b55d3f96f7",
-    "p321-path-180": "159c4884487f120a7fb00fb84b88792fa96b6037f13c5ee13ddabe011bb39680",
-    "p321-path-240": "9fcd2bd21e8182e591acfdcaa921488e1a125d3f92e5bd324674863535138fc3",
-    "p321-path-300": "1e95412e46001ce4e620fb38a21be258bb84ad05b8044f3bd9a83e1d38ba4ded",
-    "p321-nstep-1": "8fd28b4951b5094f5d47df76ca8b9bc3fd4b1f6cd0748c91cc276ac091f51604",
-    "p321-nstep-5": "5957596ff8080bebfc0fb31f0c8978170f960a645da6d3e62d1829805743d8c2",
-    "p321-nstep-20": "54d83e1ddc9ef7e02118b54dc63944a0b0fe2a523ab7e6211113b792a88d4068",
-    "pgen-flat-4": "324a36aa80863dae223cf99a4aa799bec7bc0ee808e91a1d2e1ef27cafc06b3e",
-    "pgen-deformed-4": "a90db873122c05e19135e5682b6fd876be24a54cdd20b967bb3b5b6c5a6edbbf",
-    "pgen-flat-5": "4188dfec7c017b2141123e4aab1094add49ff254198f23fc028d99c9acdf8e39",
-    "pgen-deformed-5": "5ffd506ad81a580ea2c65cc6fc2430c1235f70c43f48b10461641ab6873a9057",
-    "pgen-flat-6": "4a6df91f1b203f34debce3296acff8022961bcd95bdc310b7827c8098a7dfcb7",
-    "pgen-deformed-6": "4b3a3bb6ec805c232db3b851dec6ee37bff14d3627853d0c5a76587fcdd0eab8",
-    "pgen-flat-7": "c39a3b2a59d1d093c0991e51be14c17c9485e02227c2d2b7c2e326e3c25edf19",
-    "pgen-deformed-7": "52bd437f5a38f327562fa59a490182c619463dd76f4923a515f52e1cd4468666",
-    "pgen-flat-8": "00f88629ace05387f199bfefd2c53b1a3cb77b48862f33c49b8aa1c241d55102",
-    "pgen-deformed-8": "21e03c801d2fb911280b7c5ab377a78b6b9b0fa206c601a4ba2790b725a19616",
-    "pgen-flat-9": "f5730e47e44c13f4afd431c479326df3efb23330ac1fb5e836b191c2f31ad121",
-    "pgen-deformed-9": "7d837168106d449e434261c0261f441cf93e1517af8f75e792ec75db7007fcc5",
-    "pgen-flat-10": "86d13817ff48b1ff98fccd25955376a2780e0f183fc97646ede23b3cfab0aa91",
-    "pgen-deformed-10": "b3c89f45cce6cb46f1b82cb8fbabc2295744a779b46174ef3431124a95663333",
-    "pgen-flat-11": "8da995e0b7bc1568b37bdfff515882d9cf5a8239871077d6a27425b289c5c408",
-    "pgen-deformed-11": "da7fa8db93f03437ae185acc3e0006db90aa7657c02cca18477ce3724f975b66",
-    "pgen-flat-12": "176b5c280dea4258a7b3d31dc62ea562cd82cd4896a10af20f3131b86a10b411",
-    "pgen-deformed-12": "09f3b8dadc4e10d7916b76ba468e311080b4f23e543343da771866b9d993a47a",
-    "pgen-path-60": "d4cdb115a95d9c6bc9545cc2b92083b7bda5bc2ecbddae1517e924b59455ae60",
-    "pgen-path-120": "f2c386a1c04777ca15786e15fbfb8f656bf2285b61f5584b093803159e2d156a",
-    "pgen-path-180": "4d63b98ee08e49f50b41ee13fae45e20c43b2d4f3568db84ccddaae925bc9b11",
-    "pgen-path-240": "56e82596068b6d1fac69eb6d26182d55c71ff3a097d334fd5ef1884f832f20c7",
-    "pgen-path-300": "9cb61edd7c3aa8ca44c266648870f29c91b1d52bdbd02d8414b1244b6fefd478",
-    "pgen-nstep-1": "140369896d26db78c46d33beaca392b4d9a9351223961ef5ddf83ba8be6733e7",
-    "pgen-nstep-5": "2f6b15a08c9b624e7d7c0be8db7ef1a21d5bc160fe0d31172fec2d625ac6466f",
-    "pgen-nstep-20": "50e54a3259bb51456c04e56f70c8f753988f7943bd8bb1e012f9f91382d1c869",
+    "p321-flat-4": "b60c1df7d1e80de44c0bf1fd455c09c6c0d87d6db79fb6dcc8e20aaa969a10be",
+    "p321-deformed-4": "4362526a38b9c075c0c71e622d73a128e0d7464614383543f4a0c7e4fae3d8c1",
+    "p321-flat-5": "7154fb96b28a7f137135b002b566ca2a11d123a48ef571d4c11160480bfefde7",
+    "p321-deformed-5": "f702b32a773489950aeadc800b82ad723c167317b66a85e33ea17ab11e5a9e7c",
+    "p321-flat-6": "0452b10f983e9d6af25284b53f459cea3230ceed4d5d66e457978d6bba7a218e",
+    "p321-deformed-6": "f5d163eccc0a808206eda773a20a7c1b9b660e92e4bd4b4ffb205caefc35172c",
+    "p321-flat-7": "61d60658325af94a7b07a807ba30fc33c4ef4575208c3ba160b99cf7779db9e1",
+    "p321-deformed-7": "f6dbbc541bce3d0b415a1f33892ca21077861ca17b308f16f37f7f0a24778fca",
+    "p321-flat-8": "de22994f9886df84288a1147da8cbf39a100c2b8050c7b0f6b59097093f2b7bc",
+    "p321-deformed-8": "45d52a11195e5497ecb41d2257cb798a2a4299412381fbae7687091429fb12b3",
+    "p321-flat-9": "d370d76167aa01cb1c5ecd148ad8f5621c2726346e824dc4572da5a3d24ebd25",
+    "p321-deformed-9": "7bfdd0dce7018ae82de7bcd0f653d7446a485887721758c4740455ea0aef00ba",
+    "p321-flat-10": "42b3813a1b1ccedd73a0e0eb98d8cdcf12d08d5ed48058a39f38d4433160509e",
+    "p321-deformed-10": "638275cd3295b0b7bb3b00e99fb7c3f53ed19820a00577dff7eef351d161794b",
+    "p321-flat-11": "bac6758c9a2f40111c2b7fccf6768000b60166c5e5a692ea67926c48a8e589cd",
+    "p321-deformed-11": "4ad88bb82dd8946ca97758605da957ac192e7d67c22e386dc0570671c5e93a9f",
+    "p321-flat-12": "429da04605d443957c9a0fe92291d31e007b5078a38a321f04f9a64363d3668d",
+    "p321-deformed-12": "bd427ad65431d67af85713e0d119d68d1a37708b4a91e70e40225ec3d57de6e0",
+    "p321-path-60": "49524ef138fbdbbaeb47f0ac5aa9798038bae07e28616b3da0565d10f40a8689",
+    "p321-path-120": "575c2c5a2aa87ef8aa2d00b14d463c4645b4d42f9dc20932b8943edd67dc773c",
+    "p321-path-180": "b004c5bb789825f8ba8262f9c31dd28142858b30974bbb0c2eadf3104bed1413",
+    "p321-path-240": "7b01780ceb143f1b08551dbbd0d0ac359203979f4c78f434262ce9802b7ca1e8",
+    "p321-path-300": "9211dde2d35e2c418b49662803215cd47e5ffd111fd7867a649a214d4b28ea21",
+    "p321-nstep-1": "23216cb2b5ef7a22a9c73ebbe0a20e3c0b559066b93f922133618a22319b546e",
+    "p321-nstep-5": "91f821d50c8aca2f5da6e505a9f2935d1e4ff6e97f511e8741fe6e195b037c05",
+    "p321-nstep-20": "865a26868bcf4da8214a0bf4ed50b812b9d21f6c53684f305a64680b2d7c590f",
+    "pgen-flat-4": "17e8582cc4a4aa68b9131f8ed5e9eec7f343720862de6828109ef57de1b8e0fb",
+    "pgen-deformed-4": "d71c9c565c9e613bc74d9604f0e2a02bff21b8abbdf4bff5d6745117e3fd1873",
+    "pgen-flat-5": "f463460a3ef1d18076680b33f01d4c013497bf48853a7b42728bf606eea6fd66",
+    "pgen-deformed-5": "030a4596249610cb4f42a1a89c7e4904445ed432a2f2aed9d04cf7cc8871c776",
+    "pgen-flat-6": "87b5c8e58aec55a44a980a3dad43ad514196941f366ceb32a857e78d11706ece",
+    "pgen-deformed-6": "e7e0b0892e25fd9918a1eabff9bccf43e3dff7b42263c2e1826d1dcbcab15d60",
+    "pgen-flat-7": "2bdb385c94a7e8c4342492543840f1a668a38f7864b80dffd10041ba6f8a6907",
+    "pgen-deformed-7": "98b31ed5f9179b3c39a80281c9c7f343269ba1fcfe2906a6050e488a6a0651bd",
+    "pgen-flat-8": "a22650bcdb15ffcfe91bee2abd8a9fbb9224f01e24e8b2533da23f059e76eb71",
+    "pgen-deformed-8": "a30bc1067591495661a2b931646844ccca0f8e2a4afc74e5d6b8b3ef7a1392fc",
+    "pgen-flat-9": "c1eb34017435000bd9bb775d7254c11ddac2ab6c58bdc80d64326bc83e3ae37a",
+    "pgen-deformed-9": "c9ed06521825dc85dcc5fb1a0133c57d1b7bab770a0c9e626576674f6f6b8b8b",
+    "pgen-flat-10": "045750caaf508e14a2a9bff07b7aa762e6b4a622ca8c80eb64c05a2ca8f43cb8",
+    "pgen-deformed-10": "a0e8ad1d6458f11a6d161e1516b9f434ca29713d5ad1e3fb29a1daf094a984e9",
+    "pgen-flat-11": "c87bab97ec7fcb5d21730ffa30d1ff2505c034d9fe31071cf6ffb6885c0c5702",
+    "pgen-deformed-11": "ee3de418a5338ac71a957a67b34f68d82f7443fd7b630385030f9e0f00368035",
+    "pgen-flat-12": "b17d6a1d73a89349b357fb0d1b82970ab2d440c5f0e421bbd5fb8a4e6ff4141f",
+    "pgen-deformed-12": "c18a35855db6179ad83033eabb98aa593542eb196b13e77a7d318d2dddfd0c52",
+    "pgen-path-60": "74809c0d158ae79e14174a8be6fc230023c62342f44eff3a73f19f0e4bae754c",
+    "pgen-path-120": "6f2d45024bf278d3ef8533b29fe1b5924bdaf06e2e542fedc574000a05ff5e23",
+    "pgen-path-180": "02c6e412533da30b58e640c3435f21cd6e7045689aded6bc59e2a1521a788588",
+    "pgen-path-240": "3fcf7f3f2286dbd53ee129f5422787268d2d24c9766898728f1879908c450429",
+    "pgen-path-300": "c7fdfa6ddd4225a71737f09bfb81428e6faaad81fa57a3d4b4198a147cf27b9a",
+    "pgen-nstep-1": "bd4fb0d01e6565ed2ef8e3f39f3d78c4d43f3e6ef645d460f2a4b9c2f37d3fd2",
+    "pgen-nstep-5": "b2633ac1c496065833eebbb007930de5577cfc2bded21f903584bf8f6c4267d7",
+    "pgen-nstep-20": "3816723b0f9d63261f0386893ef7cb8cec2aa0988b7ccb38b07a4453b84d35ab",
 }
 
 
@@ -213,7 +213,8 @@ def reference_canonical(kernel: oscgauss.OscKernel) -> dict:
     """The dense canonical form, kernel_format 1: canonical_dict without the
     format field, with A row-major over the sorted vars and every entry
     passed through round(float(x), 15), and the linear term B, the constant
-    c and each constraint's constant that format wrote, all zero."""
+    c and each constraint's constant that format wrote, all zero, and the
+    hbar it wrote, 1.0 for every golden case."""
     order = np.argsort(np.array(kernel.vars))
     A = kernel.A[np.ix_(order, order)]
     data = kernel.canonical_dict()
@@ -224,6 +225,7 @@ def reference_canonical(kernel: oscgauss.OscKernel) -> dict:
         "A": [round(float(x), 15) for x in A.reshape(-1)],
         "B": [0.0] * len(order),
         "c": 0.0,
+        "hbar": 1.0,
         "constraints": sorted(constraints, key=lambda item: json.dumps(item, sort_keys=True)),
     }
 
@@ -260,7 +262,7 @@ def symmetric_kernels(draw, values=awkward_floats):
 def test_canonical_dict_rounds_like_the_per_entry_reference(kernel):
     got = kernel.canonical_dict()
     want = {**got, "A": reference_triples(reference_canonical(kernel)["A"])}
-    assert sorted(got) == ["A", "amp", "constraints", "hbar", "kernel_format", "pihbar_pow", "vars", "vol_pow"]
+    assert sorted(got) == ["A", "amp", "constraints", "kernel_format", "pihbar_pow", "vars", "vol_pow"]
     # repr tells -0.0 from 0.0, which == does not
     assert repr(got["A"]) == repr(want["A"])
     assert all(type(i) is int and type(j) is int and type(x) is float for i, j, x in got["A"])
@@ -293,7 +295,7 @@ def test_canonical_dict_writes_the_rounding_edges_as_round_does():
     assert [float_bits(x) for _, _, x in kernel.canonical_dict()["A"] if x == 0.0] == [float_bits(-0.0)] * 3
     A[0, 0] = math.nan
     with pytest.raises(ValueError):
-        oscgauss.OscKernel._built(kernel.vars, A, 1.0 + 0.0j, Fraction(0), 0, (), 1.0).to_json()
+        oscgauss.OscKernel._built(kernel.vars, A, 1.0 + 0.0j, Fraction(0), 0, ()).to_json()
 
 
 @settings(max_examples=300, deadline=None)
@@ -315,7 +317,7 @@ def test_to_json_refuses_a_non_finite_entry(kernel, bad, in_amp, data):
         A[i, j] = A[j, i] = bad
     # the validating constructor refuses a non-finite kernel; _built takes its fields as they are
     bad_kernel = oscgauss.OscKernel._built(kernel.vars, A, amp, kernel.pihbar_pow, kernel.vol_pow,
-                                           kernel.constraints, kernel.hbar)
+                                           kernel.constraints)
     with pytest.raises(ValueError):
         bad_kernel.to_json()
 
@@ -383,11 +385,12 @@ def small_kernel_json(**changes) -> str:
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_from_json_refuses_a_non_finite_token(token):
+    text = small_kernel_json(amp={"modulus": "token", "phase": 0.0}).replace('"token"', token)
     with pytest.raises(ValueError, match=token):
-        oscgauss.OscKernel.from_json(small_kernel_json().replace('"hbar": 1.0', f'"hbar": {token}'))
+        oscgauss.OscKernel.from_json(text)
 
 
-@pytest.mark.parametrize("fmt", [None, 1, "2", 2.0, "3", 3.0])
+@pytest.mark.parametrize("fmt", [None, 1, "2", 2.0, "3", 3.0, "4", 4.0])
 def test_from_json_refuses_another_format(fmt):
     data = json.loads(small_kernel_json())
     if fmt is None:
@@ -404,10 +407,19 @@ def test_from_json_refuses_a_format_2_text():
     data = kernel.canonical_dict()
     data.update(kernel_format=2, B=[0.0] * 2, c=0.0,
                 constraints=[{**item, "const": 0.0} for item in data["constraints"]])
-    with pytest.raises(ValueError, match="kernel_format must be 3, got 2"):
+    with pytest.raises(ValueError, match="kernel_format must be 4, got 2"):
         oscgauss.OscKernel.from_json(json.dumps(data, sort_keys=True))
     back = oscgauss.OscKernel.from_json(kernel.to_json())
     assert back.constraints == tuple(con.normalized() for con in kernel.constraints)
+
+
+def test_from_json_refuses_a_format_3_text():
+    # what to_json wrote before format 4: the hbar key, 1.0 on every kernel the library built
+    kernel = oscgauss.from_terms(("x", "y"), {("x", "x"): 0.5, ("x", "y"): 2.0})
+    data = {**kernel.canonical_dict(), "kernel_format": 3, "hbar": 1.0}
+    with pytest.raises(ValueError, match="kernel_format must be 4, got 3"):
+        oscgauss.OscKernel.from_json(json.dumps(data, sort_keys=True))
+    assert "hbar" not in json.loads(kernel.to_json())
 
 
 @pytest.mark.parametrize("triple", [[0, 2, 1.0], [-1, 0, 1.0], [0, True, 1.0], [0.0, 1, 1.0]])
@@ -461,7 +473,7 @@ def dense_kernel(part):
                 A[j, i] += cv
     else:
         part._add_into([DenseRow(A, i) for i in range(n)], idx)
-    return oscgauss.OscKernel._built(part.vars, A, part.amp, part.pihbar_pow, 0, (), part.hbar)
+    return oscgauss.OscKernel._built(part.vars, A, part.amp, part.pihbar_pow, 0, ())
 
 
 def dense_feed(part, variables):
@@ -497,11 +509,11 @@ def monomial_forms(draw):
 def test_from_terms_is_the_dense_assembly_bit_for_bit(case):
     names, quadratic, amp = case
     with np.errstate(all="ignore"):
-        want = dense_kernel(oscgauss._Terms(names, quadratic, amp, Fraction(-1, 2), 0.37))
-    got = oscgauss.from_terms(names, quadratic, amp, Fraction(-1, 2), 0.37)
+        want = dense_kernel(oscgauss._Terms(names, quadratic, amp, Fraction(-1, 2)))
+    got = oscgauss.from_terms(names, quadratic, amp, Fraction(-1, 2))
     assert got.vars == want.vars
     assert same_bits(got.A, want.A) and same_bits([got.amp.real, got.amp.imag], [want.amp.real, want.amp.imag])
-    assert (got.pihbar_pow, got.vol_pow, got.constraints, got.hbar) == (want.pihbar_pow, want.vol_pow, (), 0.37)
+    assert (got.pihbar_pow, got.vol_pow, got.constraints) == (want.pihbar_pow, want.vol_pow, ())
 
 
 def outcome(build):
@@ -511,7 +523,7 @@ def outcome(build):
         k = build()
     except Exception as exc:  # both feeds must raise the same error
         return type(exc), str(exc)
-    return k.vars, k.A.tobytes(), repr(k.amp), k.pihbar_pow, k.vol_pow, repr(k.constraints), k.hbar
+    return k.vars, k.A.tobytes(), repr(k.amp), k.pihbar_pow, k.vol_pow, repr(k.constraints)
 
 
 def assert_feeds_agree(build):
@@ -583,7 +595,7 @@ def test_momentum_kernel_direct_feed_is_bit_equal_to_the_dense_kernel(d321, dire
 
 def test_both_feeds_record_the_delta_of_an_entry_above_half_the_largest_double():
     # neither route symmetrises A, so 1.5e308 stays finite on both and its row is a delta, 1.5e308 x = 0
-    terms = oscgauss._Terms(("x", "y"), {("x", "y"): 1.5e308}, 1.0 + 0.0j, Fraction(0), 1.0)
+    terms = oscgauss._Terms(("x", "y"), {("x", "y"): 1.5e308}, 1.0 + 0.0j, Fraction(0))
     want = (oscgauss.AffineConstraint((("x", 1.5e308),)),)
     assert oscgauss.marginalize_all(terms, ["y"]).constraints == want
     assert dense_feed(terms, ["y"]).constraints == want
@@ -598,3 +610,26 @@ def test_builders_integrate_through_marginalize_all(d321):
         qprop1d.path_kernel(long_path(60), d321)
         qsurface.surface_kernel(deformed_patch(4), coeffs)
     assert [type(call.args[0]) for call in engine.call_args_list] == [qprop1d._PathSteps, qsurface._Plaquettes]
+
+
+def builder_kernels(point, hbar):
+    """Every builder's kernels from derive(LatticeParams(*point, hbar=hbar)), as outcome tuples and JSON."""
+    d = derive(LatticeParams(*point, hbar=hbar))
+    walk = qprop1d.random_path(np.random.default_rng(11), 3, 2)
+    coeffs = qsurface.canonical_lattice_coeffs(d.p, d.q, d.r)
+    builds = [lambda: qprop1d.path_kernel(walk, d), lambda: qsurface.surface_kernel(deformed_patch(4), coeffs)]
+    for direction in ("hat", "bar"):
+        builds += [lambda direction=direction, k=k: qprop1d.n_step_kernels((1, 2, 5, 12), d, direction)[k]
+                   for k in range(4)]
+        builds += [lambda direction=direction: qprop1d.one_step_kernel(direction, d),
+                   lambda direction=direction: qprop1d.momentum_factorized_kernel(d, direction)]
+    builds += [lambda n=n, m=m: qprop1d.multi_time_closed_form(n, m, d) for n, m in ((3, 0), (0, 2), (3, 2))]
+    return [(outcome(build), build().to_json()) for build in builds]
+
+
+@pytest.mark.parametrize("hbar", [1e-6, 0.37, 1e6])
+@pytest.mark.parametrize("point", POINTS.values(), ids=POINTS.keys())
+def test_the_builders_do_not_depend_on_hbar(point, hbar):
+    # hbar enters a kernel only through exp(i S / hbar) and the symbolic powers of 2 pi hbar, so A, amp, the
+    # constraints and the JSON are those of hbar = 1 bit for bit, and no kernel carries it
+    assert builder_kernels(point, hbar) == builder_kernels(point, 1.0)

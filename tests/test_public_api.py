@@ -36,7 +36,6 @@ KNOBS = {
     "lattice.classify_general_quad_lagrangian.seed",
     "oscgauss.from_terms.amp",
     "oscgauss.from_terms.pihbar_pow",
-    "oscgauss.from_terms.hbar",
     "p3.p3_joint_solution_residual.nu_shift",
     "qprop1d.momentum_factorized_kernel.direction",
     "qprop1d.momentum_factorized_kernel.zero_potential",
@@ -45,9 +44,6 @@ KNOBS = {
     "qprop1d.path_independent_coeffs.gamma",
     "qprop1d.path_independent_coeffs.f",
     "qsurface.canonical_lattice_coeffs.gauge",
-    "qsurface.surface_kernel.hbar",
-    "qsurface.elementary_move_check.hbar",
-    "qsurface.uniqueness_scan_2form.hbar",
     "reduction.continuous_flow_fd_error.h",
 }
 
@@ -135,4 +131,4 @@ def test_the_keyword_knobs_are_the_listed_ones():
                 defaulted += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
                 knobs |= {f"{path.stem}.{node.name}.{arg.arg}" for arg in defaulted}
     assert knobs == KNOBS
-    assert len(KNOBS) == 18
+    assert len(KNOBS) == 14

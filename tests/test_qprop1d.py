@@ -107,6 +107,15 @@ def test_tridiagonal_recursion_matches_closed_form(d321):
         assert abs(rec - closed) <= 1e-12 * abs(closed)
 
 
+def test_tridiagonal_recursion_forms_no_square_it_does_not_use_at_a_tiny_hbar():
+    # b^2 overflows at hbar = 1e-300, where the n = 1 and n = 2 values are finite
+    d = derive(LatticeParams(3.0, 2.0, 1.0, hbar=1e-300))
+    for n in (1, 2):
+        rec = qp.tridiagonal_det(n, d)
+        closed = qp.tridiagonal_det_closed_form(n, d)
+        assert cmath.isfinite(closed) and abs(rec - closed) <= 1e-12 * abs(closed)
+
+
 def test_tridiagonal_determinants_refuse_fewer_than_one_step(d321):
     # the recursion used to return the n = 2 value here, the closed form 0 or 0.0256
     for n in (0, -1):
@@ -225,7 +234,7 @@ def _glue_fold(n, derived, direction):
 
 
 def _fields(k):
-    return k.vars, k.A.tobytes(), repr((k.amp, k.constraints)), k.pihbar_pow, k.vol_pow, k.hbar
+    return k.vars, k.A.tobytes(), repr((k.amp, k.constraints)), k.pihbar_pow, k.vol_pow
 
 
 @pytest.mark.parametrize("point", [(3.0, 2.0, 1.0), (2.7, 1.35, 0.55), (2.0, 2.0, 1.0)])
@@ -350,13 +359,13 @@ def walks_and_coeffs(draw):
 
 def _path_part(steps, cf, names):
     """path_kernel's engine part for a walk, exponent only."""
-    return qp._PathSteps(names, tuple(steps), cf, 1.0 + 0.0j, Fraction(0), 1.0)
+    return qp._PathSteps(names, tuple(steps), cf, 1.0 + 0.0j, Fraction(0))
 
 
 def _reference_part(steps, cf, names):
     """The reference monomials of a walk in the form from_terms takes, which
     the engine adds as _Terms._add_into does."""
-    return og._Terms(names, _step_terms_reference(steps, cf, names), 1.0 + 0.0j, Fraction(0), 1.0)
+    return og._Terms(names, _step_terms_reference(steps, cf, names), 1.0 + 0.0j, Fraction(0))
 
 
 def _names(steps):

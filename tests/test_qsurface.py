@@ -420,7 +420,7 @@ def test_surface_from_dict_reads_as_the_validating_constructors_do(data):
 
 def _plaquette_part(coeffs, plaquettes, label):
     """surface_kernel's engine part for plaquettes, vertex v named label[v]."""
-    return qs._Plaquettes(tuple(sorted(label.values())), tuple(plaquettes), coeffs, label, 1.0 + 0.0j, Fraction(0), 1.0)
+    return qs._Plaquettes(tuple(sorted(label.values())), tuple(plaquettes), coeffs, label, 1.0 + 0.0j, Fraction(0))
 
 
 def plaquette_kernel(coeffs, plaquettes, label):
@@ -457,7 +457,7 @@ def _reference_part(coeffs, plaquettes, label):
     """The reference monomials in the form from_terms takes, which the engine
     adds as _Terms._add_into does."""
     names = tuple(sorted(label.values()))
-    return og._Terms(names, _reference_monomials(coeffs, plaquettes, label), 1.0 + 0.0j, Fraction(0), 1.0)
+    return og._Terms(names, _reference_monomials(coeffs, plaquettes, label), 1.0 + 0.0j, Fraction(0))
 
 
 def _labelled(surface):

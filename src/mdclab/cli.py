@@ -110,9 +110,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run(config)
-    except (CausticError, DegenerateCoeffs, DegenerateParams, NearCaustic, OutOfRegime) as exc:
-        # the points besides (3, 2, 1) come from the explicit triples or the sampling range; at an
-        # elliptic point with mu + nu = pi the corner pivots of the 1-form checks vanish
+    except (CausticError, DegenerateCoeffs, DegenerateParams, DeltaConstraintError, NearCaustic, OutOfRegime) as exc:
+        # the points besides (3, 2, 1) come from the explicit triples or the sampling range; at mu + nu = pi the
+        # corner pivots of the 1-form checks vanish, and far out float64 rounds a kernel's pivot away to a delta
         print(f"config error: parameter point not admissible: {exc}", file=sys.stderr)
         return 2
     if not args.quiet:

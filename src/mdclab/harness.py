@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import lattice, p3, qprop1d, qsurface, reduction
-from .errors import ConfigError, DeltaConstraintError, OutOfRegime
+from .errors import ConfigError, DegenerateCoeffs, DeltaConstraintError, OutOfRegime
 from .oscgauss import compare
 from .params import (
     LatticeParams,
@@ -155,6 +155,8 @@ class SuiteConfig:
             value = getattr(self, name)
             if not (_is_a(value, numbers.Real) and math.isfinite(value)):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if not math.isfinite(self.range_high - self.range_low):  # numpy cannot sample a range this wide
+            raise ConfigError(f"range [{self.range_low}, {self.range_high}] is too wide: its width overflows")
         if not _guards_satisfiable(self.range_low, self.range_high):
             raise ConfigError(
                 f"no triples in [{self.range_low}, {self.range_high}] clear the degeneracy guards"
@@ -264,7 +266,7 @@ def _work_points(config: SuiteConfig, rng: np.random.Generator):
     """Canonical (3,2,1), any explicit triples, plus four sampled ones."""
     triples = [(3.0, 2.0, 1.0), *config.params]
     triples += sample_triples(rng, 4, config.range_low, config.range_high).tolist()
-    return [derive(LatticeParams(p, q, r, config.hbar)) for p, q, r in triples]
+    return [derive(LatticeParams(p, q, r)) for p, q, r in triples]
 
 
 class _Residuals:
@@ -464,7 +466,8 @@ def _prop1d_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals
             # the determinants scale as hbar^(1 - n): near hbar = 0 they overflow, and at a huge hbar the closed
             # form underflows to 0; a check that float64 cannot carry out fails on a NaN residual
             try:
-                rec, cf = qprop1d.tridiagonal_det(n, d), qprop1d.tridiagonal_det_closed_form(n, d)
+                rec = qprop1d.tridiagonal_det(n, d, config.hbar)
+                cf = qprop1d.tridiagonal_det_closed_form(n, d, config.hbar)
                 res.add("tri", abs(rec - cf) / abs(cf))
             except (OverflowError, ZeroDivisionError):
                 res.add("tri", math.nan)
@@ -475,10 +478,12 @@ def _prop1d_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals
             res.add("amp", *amplitude(diff))
         steps = {direction: qprop1d.one_step_kernel(direction, d) for direction in ("hat", "bar")}
         for direction, step in steps.items():
-            diff = compare(qprop1d.momentum_factorized_kernel(d, direction), step)
+            if (factorized := qprop1d.momentum_factorized_kernel(d, direction)).constraints:
+                raise DegenerateCoeffs("momentum pivot vanished exactly: delta kernel")
+            diff = compare(factorized, step)
             res.add("ub", diff.exponent_diff, *amplitude(diff))
             for n in range(1, 11):
-                res.add("qinv", qprop1d.invariant_kernel_residual(n, d, direction))
+                res.add("qinv", qprop1d.invariant_kernel_residual(n, d, direction, config.hbar))
         swap = compare(
             qprop1d.path_kernel(qprop1d.TimePath(("+hat", "+bar")), d),
             qprop1d.path_kernel(qprop1d.TimePath(("+bar", "+hat")), d),
@@ -501,7 +506,7 @@ def _prop1d_suite(config: SuiteConfig, rng: np.random.Generator, res: _Residuals
     res.check("tridiagonal-recursion", "fluctuation-determinant", "tri", "tridiag_rel")
     # at (3, 2, 1) the n = 2 determinant i (P+Q) cos(mu) / (hbar q) is -8.5j / hbar
     try:
-        n2 = abs(qprop1d.tridiagonal_det(2, points[0]) + 8.5j / config.hbar)
+        n2 = abs(qprop1d.tridiagonal_det(2, points[0], config.hbar) + 8.5j / config.hbar)
     except OverflowError:
         n2 = math.nan
     res.check("tridiagonal-n2-value", "fluctuation-determinant", n2, 1e-12)
@@ -622,7 +627,7 @@ def sweep_rows(config: SuiteConfig) -> list[dict]:
     rows = []
     triples = sample_triples(_rng(config, "params"), config.trials, config.range_low, config.range_high)
     for p, q, r in triples.tolist():
-        d = derive(LatticeParams(p, q, r, config.hbar))
+        d = derive(LatticeParams(p, q, r))
         row = {
             "p": d.p, "q": d.q, "r": d.r, "s": d.s, "t": d.t, "tprime": d.tprime,
             "b": d.b, "a": d.a, "P": d.P,

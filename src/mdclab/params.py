@@ -47,25 +47,21 @@ FloatOrArray = float | np.ndarray
 
 @dataclass(frozen=True)
 class LatticeParams:
-    """Raw lattice parameters; hbar is the single global action scale."""
+    """One lattice point (p, q, r); the action scale hbar lives on SuiteConfig alone."""
 
     p: float
     q: float
     r: float
-    hbar: float = 1.0
 
     def __post_init__(self):
-        for name in ("p", "q", "r", "hbar"):
-            v = getattr(self, name)
+        for name, v in zip("pqr", (self.p, self.q, self.r)):
             if not math.isfinite(v):
                 raise DegenerateParams(f"{name} must be finite, got {v!r}")
-        if self.hbar <= 0:
-            raise DegenerateParams(f"hbar must be positive, got {self.hbar!r}")
 
 
 @dataclass(frozen=True)
 class DerivedParams:
-    """All derived constants for one (p, q, r, hbar) point.
+    """All derived constants for one (p, q, r) point.
 
     mu and nu are None outside the elliptic regime; `hyperbolic` is a flag,
     not an error, so the classical checks still run there.
@@ -74,7 +70,6 @@ class DerivedParams:
     p: float
     q: float
     r: float
-    hbar: float
     s: float
     t: float
     tprime: float
@@ -97,9 +92,8 @@ class DerivedParams:
 
 @dataclass(frozen=True)
 class EdgeParams:
-    """Edge coefficients s_ij and the cyclic combination they annihilate."""
+    """The six edge coefficients s_ij and the cyclic combination lambda_ijk they annihilate."""
 
-    p: tuple[FloatOrArray, FloatOrArray, FloatOrArray]
     s: dict[tuple[int, int], FloatOrArray]
     lambda_ijk: FloatOrArray
 
@@ -180,7 +174,7 @@ def derive(params: LatticeParams) -> DerivedParams:
     mu = math.acos(-b) if abs(b) < 1.0 else None
     nu = math.acos(-a) if abs(a) < 1.0 else None
     return DerivedParams(
-        p=params.p, q=params.q, r=params.r, hbar=params.hbar,
+        p=params.p, q=params.q, r=params.r,
         s=s, t=t, tprime=tprime, b=b, a=a, P=P, Q=Q, R=R,
         mu=mu, nu=nu, hyperbolic=hyperbolic,
     )
@@ -209,7 +203,7 @@ def edge_params(p1: FloatOrArray, p2: FloatOrArray, p3: FloatOrArray) -> EdgePar
             if i != j:
                 s[(i + 1, j + 1)] = edge_coefficient(p[i], p[j])
     lam = s[(1, 2)] * s[(2, 3)] + s[(2, 3)] * s[(3, 1)] + s[(3, 1)] * s[(1, 2)] + 1.0
-    return EdgeParams(p=p, s=s, lambda_ijk=lam)
+    return EdgeParams(s=s, lambda_ijk=lam)
 
 
 def check_sij_identity(p1: FloatOrArray, p2: FloatOrArray, p3: FloatOrArray) -> FloatOrArray:

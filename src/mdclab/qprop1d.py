@@ -211,12 +211,12 @@ def _with_end_xb(kernel: OscKernel) -> OscKernel:
 
 # -- Tridiagonal fluctuation determinant ---------------------------------------
 
-def tridiagonal_det(n: int, derived: "DerivedParams") -> complex:
-    """Fluctuation determinant of the (n-1)-point quadratic form, by the
-    three-term recursion X_k = a X_{k-1} - b^2 X_{k-2} on the matrix size."""
+def tridiagonal_det(n: int, derived: "DerivedParams", hbar: float) -> complex:
+    """Fluctuation determinant of the (n-1)-point quadratic form at the action
+    scale hbar, by the recursion X_k = a X_{k-1} - b^2 X_{k-2} on the matrix size."""
     _require_steps(n)
     mu, _ = derived.require_elliptic()
-    scale = 1j * (derived.P + derived.Q) / (derived.hbar * derived.q)
+    scale = 1j * (derived.P + derived.Q) / (hbar * derived.q)
     a = scale * math.cos(mu)
     x_prev: complex = 1.0 + 0.0j  # empty determinant
     x_cur: complex = a
@@ -229,11 +229,11 @@ def tridiagonal_det(n: int, derived: "DerivedParams") -> complex:
     return x_cur
 
 
-def tridiagonal_det_closed_form(n: int, derived: "DerivedParams") -> complex:
-    """(i (P+Q) / (2 hbar q))^(n-1) * sin(n mu)/sin(mu)."""
+def tridiagonal_det_closed_form(n: int, derived: "DerivedParams", hbar: float) -> complex:
+    """(i (P+Q) / (2 hbar q))^(n-1) * sin(n mu)/sin(mu) at the action scale hbar."""
     _require_steps(n)
     mu, _ = derived.require_elliptic()
-    base = 1j * (derived.P + derived.Q) / (2.0 * derived.hbar * derived.q)
+    base = 1j * (derived.P + derived.Q) / (2.0 * hbar * derived.q)
     return base ** (n - 1) * math.sin(n * mu) / math.sin(mu)
 
 
@@ -402,7 +402,7 @@ def uniqueness_scan_1form(derived: "DerivedParams", coeffs: OscillatorCoeffs) ->
 
 # -- Operator invariant in kernel form -----------------------------------------
 
-def invariant_kernel_residual(n: int, derived: "DerivedParams", direction: str) -> float:
+def invariant_kernel_residual(n: int, derived: "DerivedParams", direction: str, hbar: float) -> float:
     """Relative coefficient residual of (-hbar^2 d^2/dx^2 + 4 P x^2) K sym-swapped.
 
     Applying the operator at either endpoint of the n-step closed-form kernel
@@ -418,5 +418,5 @@ def invariant_kernel_residual(n: int, derived: "DerivedParams", direction: str) 
     square, gamma = _closed_form_coeffs(n * _angle(derived, direction), derived)
     alpha = 2.0 * square
     at_self = alpha**2 + 4.0 * derived.P
-    scale = max(abs(derived.hbar * alpha), abs(at_self), abs(gamma**2), abs(2.0 * alpha * gamma))
+    scale = max(abs(hbar * alpha), abs(at_self), abs(gamma**2), abs(2.0 * alpha * gamma))
     return abs(at_self - gamma**2) / scale

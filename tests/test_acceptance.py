@@ -163,11 +163,11 @@ def test_criterion_05_period3(d321):
 
 def test_criterion_06_propagators(d321):
     worst_tri = nan_max(
-        abs(qprop1d.tridiagonal_det(n, d321) - qprop1d.tridiagonal_det_closed_form(n, d321))
-        / abs(qprop1d.tridiagonal_det_closed_form(n, d321))
+        abs(qprop1d.tridiagonal_det(n, d321, 1.0) - qprop1d.tridiagonal_det_closed_form(n, d321, 1.0))
+        / abs(qprop1d.tridiagonal_det_closed_form(n, d321, 1.0))
         for n in range(1, 21)
     )
-    n2 = abs(qprop1d.tridiagonal_det(2, d321) + 8.5j)
+    n2 = abs(qprop1d.tridiagonal_det(2, d321, 1.0) + 8.5j)
     worst_nstep = nan_max(
         compare(qprop1d.n_step_kernel(n, d321), qprop1d.multi_time_closed_form(n, 0, d321)).exponent_diff
         for n in range(1, 21)
@@ -282,7 +282,7 @@ def test_criterion_10_twoform_uniqueness():
 
 def test_criterion_11_operator_invariant(d321):
     worst = nan_max(
-        qprop1d.invariant_kernel_residual(n, d321, direction)
+        qprop1d.invariant_kernel_residual(n, d321, direction, 1.0)
         for n in range(1, 11)
         for direction in ("hat", "bar")
     )

@@ -1,11 +1,15 @@
 import hashlib
+import io
 import json
 import math
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mdclab import cli, lattice, p3, qprop1d
 from mdclab.errors import ConfigError
@@ -342,6 +346,59 @@ def test_an_extreme_hbar_fails_the_determinant_check_without_a_traceback(capsys,
     lines = [line.split("] ", 1)[1] for line in out.splitlines() if line.startswith("  [FAIL] ")]
     assert {line.split(":")[0] for line in lines} == failed
     assert "tridiagonal-recursion: residual=nan (want <= 1.000e-12)" in lines
+
+
+def _outcomes(report):
+    return {rec.name: (float(rec.residual).hex(), rec.passed) for rec in report.records}
+
+
+@pytest.mark.parametrize("hbar", [1e-6, 0.37, 1e6])
+def test_hbar_reaches_only_the_determinant_and_invariant_records(hbar):
+    # hbar is no lattice parameter: it enters only the three checks that take it as an argument, so every
+    # other record keeps the residual bits and the verdict of hbar = 1
+    scaled = {"tridiagonal-recursion", "tridiagonal-n2-value", "operator-invariant"}
+    want, got = _outcomes(run(SuiteConfig())), _outcomes(run(SuiteConfig(hbar=hbar)))
+    assert got.keys() == want.keys() and scaled <= want.keys() and len(want) == 105
+    assert {name: got[name] for name in got.keys() - scaled} == {name: want[name] for name in want.keys() - scaled}
+
+
+@pytest.mark.parametrize("low, high", [(-1e308, 1e308), (-9e307, 9e307)])
+def test_cli_refuses_a_range_whose_width_overflows(tmp_path, capsys, low, high):
+    # both ends are finite, but numpy cannot draw from a range whose width high - low is inf
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"range_low": low, "range_high": high, "trials": 10}))
+    assert cli.main(["run", "--quiet", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1 and "width overflows" in err
+    # the widest ranges whose width is finite stay accepted
+    SuiteConfig(range_low=-1e308, range_high=0.0)
+    SuiteConfig(range_low=0.0, range_high=1.7e308)
+
+
+any_hbar = st.one_of(st.floats(5e-324, 1.7e308), st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf]))
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+# numpy warns of the overflowing arithmetic at far-out points, as the command prints
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=25, deadline=None)
+@example(hbar=1.0, bounds=[-1e308, 1e308], row=(3.0, 2.0, 1.0), trials=10)
+# far out, float64 rounds a kernel pivot away: the factorized step, then a surface move, used to end in a traceback
+@example(hbar=1.0, bounds=[2.0, 9362445280043740.0], row=(2.0, 9362445280043740.0, 1e-11), trials=93)
+@example(hbar=5e-324, bounds=[-1.6103020372623722e147, 1e7], row=(1e7, -1.6103020372623722e147, -5.026e16), trials=64)
+@given(hbar=any_hbar, bounds=st.tuples(finite, finite).map(sorted), row=st.tuples(finite, finite, finite),
+       trials=st.integers(1, 200))
+def test_mdclab_run_ends_without_a_traceback_at_any_number(tmp_path_factory, hbar, bounds, row, trials):
+    # non-finite bounds or rows and reversed bounds are refused before any suite runs (test_cli_rejects_bad_config);
+    # a trial count in the billions asks numpy for gigabytes, so trials stays at a few hundred
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps({"range_low": bounds[0], "range_high": bounds[1], "params": [row], "trials": trials}))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(["run", "--quiet", "--config", str(path), f"--hbar={hbar!r}"])
+    assert code in (0, 1, 2)
+    text = err.getvalue()
+    assert (text.startswith("config error: ") and text.count("\n") == 1) if code == 2 else text == ""
 
 
 # numpy warns of the overflowing arithmetic at these points, as the command prints

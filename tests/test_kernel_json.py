@@ -611,25 +611,3 @@ def test_builders_integrate_through_marginalize_all(d321):
         qsurface.surface_kernel(deformed_patch(4), coeffs)
     assert [type(call.args[0]) for call in engine.call_args_list] == [qprop1d._PathSteps, qsurface._Plaquettes]
 
-
-def builder_kernels(point, hbar):
-    """Every builder's kernels from derive(LatticeParams(*point, hbar=hbar)), as outcome tuples and JSON."""
-    d = derive(LatticeParams(*point, hbar=hbar))
-    walk = qprop1d.random_path(np.random.default_rng(11), 3, 2)
-    coeffs = qsurface.canonical_lattice_coeffs(d.p, d.q, d.r)
-    builds = [lambda: qprop1d.path_kernel(walk, d), lambda: qsurface.surface_kernel(deformed_patch(4), coeffs)]
-    for direction in ("hat", "bar"):
-        builds += [lambda direction=direction, k=k: qprop1d.n_step_kernels((1, 2, 5, 12), d, direction)[k]
-                   for k in range(4)]
-        builds += [lambda direction=direction: qprop1d.one_step_kernel(direction, d),
-                   lambda direction=direction: qprop1d.momentum_factorized_kernel(d, direction)]
-    builds += [lambda n=n, m=m: qprop1d.multi_time_closed_form(n, m, d) for n, m in ((3, 0), (0, 2), (3, 2))]
-    return [(outcome(build), build().to_json()) for build in builds]
-
-
-@pytest.mark.parametrize("hbar", [1e-6, 0.37, 1e6])
-@pytest.mark.parametrize("point", POINTS.values(), ids=POINTS.keys())
-def test_the_builders_do_not_depend_on_hbar(point, hbar):
-    # hbar enters a kernel only through exp(i S / hbar) and the symbolic powers of 2 pi hbar, so A, amp, the
-    # constraints and the JSON are those of hbar = 1 bit for bit, and no kernel carries it
-    assert builder_kernels(point, hbar) == builder_kernels(point, 1.0)

@@ -461,13 +461,16 @@ def _dense_glue(k1, k2, shared):
 
 
 def _outcome(f):
-    """f()'s kernel as bytes and reprs, or the exception it raised."""
+    """f()'s kernel as bytes and reprs, or the exception it raised.  Every NaN
+    of A maps to one NaN first, as two NaNs that differ in payload alone are
+    the same result."""
     try:
         with np.errstate(all="ignore"):
             k = f()
     except NearCaustic as exc:
         return type(exc), str(exc)
-    return k.vars, k.A.tobytes(), repr((k.amp, k.constraints)), k.pihbar_pow, k.vol_pow
+    A = np.where(np.isnan(k.A), np.nan, k.A)
+    return k.vars, A.tobytes(), repr((k.amp, k.constraints)), k.pihbar_pow, k.vol_pow
 
 
 def _glue_partner(rng, kernel):
@@ -539,6 +542,8 @@ def _glue_fold(steps):
 
 
 @settings(max_examples=200, deadline=None)
+# both sides hold a NaN in two entries of A, with different payloads
+@example(526076612)
 @given(st.integers(0, 2**32 - 1))
 def test_one_engine_pass_over_a_chain_is_bit_equal_to_the_glue_fold(seed):
     # the fold rebuilds an OscKernel after every link; the one pass keeps its sparse rows and caches

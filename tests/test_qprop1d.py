@@ -97,22 +97,21 @@ def test_iterated_kernel_matches_closed_form(d321):
 
 
 def test_tridiagonal_determinant_n2_value(d321):
-    assert qp.tridiagonal_det(2, d321) == pytest.approx(-8.5j, abs=1e-12)
+    assert qp.tridiagonal_det(2, d321, 1.0) == pytest.approx(-8.5j, abs=1e-12)
 
 
 def test_tridiagonal_recursion_matches_closed_form(d321):
     for n in range(1, 21):
-        rec = qp.tridiagonal_det(n, d321)
-        closed = qp.tridiagonal_det_closed_form(n, d321)
+        rec = qp.tridiagonal_det(n, d321, 1.0)
+        closed = qp.tridiagonal_det_closed_form(n, d321, 1.0)
         assert abs(rec - closed) <= 1e-12 * abs(closed)
 
 
-def test_tridiagonal_recursion_forms_no_square_it_does_not_use_at_a_tiny_hbar():
+def test_tridiagonal_recursion_forms_no_square_it_does_not_use_at_a_tiny_hbar(d321):
     # b^2 overflows at hbar = 1e-300, where the n = 1 and n = 2 values are finite
-    d = derive(LatticeParams(3.0, 2.0, 1.0, hbar=1e-300))
     for n in (1, 2):
-        rec = qp.tridiagonal_det(n, d)
-        closed = qp.tridiagonal_det_closed_form(n, d)
+        rec = qp.tridiagonal_det(n, d321, 1e-300)
+        closed = qp.tridiagonal_det_closed_form(n, d321, 1e-300)
         assert cmath.isfinite(closed) and abs(rec - closed) <= 1e-12 * abs(closed)
 
 
@@ -121,14 +120,14 @@ def test_tridiagonal_determinants_refuse_fewer_than_one_step(d321):
     for n in (0, -1):
         for det in (qp.tridiagonal_det, qp.tridiagonal_det_closed_form):
             with pytest.raises(ValueError, match="at least one step"):
-                det(n, d321)
+                det(n, d321, 1.0)
 
 
 def test_tridiagonal_parity_pattern(d321):
     # the base is purely imaginary, so the determinant alternates between
     # real and imaginary with the matrix size
     for n in range(2, 12):
-        val = qp.tridiagonal_det(n, d321)
+        val = qp.tridiagonal_det(n, d321, 1.0)
         if (n - 1) % 2 == 0:
             assert abs(val.imag) <= 1e-12 * abs(val)
         else:
@@ -465,7 +464,7 @@ def test_closure_coeffs_sit_in_the_scan_family(d321):
     assert co.b0 == pytest.approx(free.b0, abs=1e-15)
 
 
-def _op_poly_residual(n, derived, direction, relative):
+def _op_poly_residual(n, derived, direction, hbar, relative):
     """The operator-invariant residual from the whole polynomials: the
     coefficients of (-hbar^2 d^2/dx^2 + 4 P x^2) K / K at each endpoint of
     the closed-form kernel, read from its A; their largest difference,
@@ -476,7 +475,7 @@ def _op_poly_residual(n, derived, direction, relative):
     def op_poly(at, other):
         a_self, a_cross = A[at, at], A[at, other]
         return {
-            "const": -1j * derived.hbar * a_self,
+            "const": -1j * hbar * a_self,
             "x0^2": a_self**2 + four_p if at == 0 else a_cross**2,
             "x1^2": a_self**2 + four_p if at == 1 else a_cross**2,
             "x0*x1": 2.0 * a_self * a_cross,
@@ -492,23 +491,23 @@ def _op_poly_residual(n, derived, direction, relative):
 def test_operator_invariant_identity(d321):
     for direction in ("hat", "bar"):
         for n in range(1, 11):
-            assert qp.invariant_kernel_residual(n, d321, direction) <= 1e-12
+            assert qp.invariant_kernel_residual(n, d321, direction, 1.0) <= 1e-12
             # unscaled, on the kernel's A and B
-            assert _op_poly_residual(n, d321, direction, relative=False) <= 1e-12
+            assert _op_poly_residual(n, d321, direction, 1.0, relative=False) <= 1e-12
 
 
 @pytest.mark.parametrize("point", [(3.0, 2.0, 1.0), (2.7, 1.35, 0.55)])
 @pytest.mark.parametrize("hbar", [1.0, 0.37])
 def test_invariant_kernel_residual_is_the_polynomial_route_bit_for_bit(point, hbar):
     # the two coefficients it reads stand for the whole polynomials of the closed-form kernel
-    d = derive(LatticeParams(*point, hbar=hbar))
+    d = derive(LatticeParams(*point))
     for direction in ("hat", "bar"):
         for n in range(1, 11):
-            got = qp.invariant_kernel_residual(n, d, direction)
-            assert got.hex() == _op_poly_residual(n, d, direction, relative=True).hex()
+            got = qp.invariant_kernel_residual(n, d, direction, hbar)
+            assert got.hex() == _op_poly_residual(n, d, direction, hbar, relative=True).hex()
 
 
-def _invariant_residual_from_terms(n, derived, direction):
+def _invariant_residual_from_terms(n, derived, direction, hbar):
     """invariant_kernel_residual as it read its two coefficients from the
     closed form's monomials, with the closed form's own expressions."""
     theta = n * qp._angle(derived, direction)
@@ -518,7 +517,7 @@ def _invariant_residual_from_terms(n, derived, direction):
     root_p = math.sqrt(derived.P)
     alpha, gamma = 2.0 * (-root_p * math.cos(theta) / sin_t), 2.0 * root_p / sin_t
     at_self = alpha**2 + 4.0 * derived.P
-    scale = max(abs(derived.hbar * alpha), abs(at_self), abs(gamma**2), abs(2.0 * alpha * gamma))
+    scale = max(abs(hbar * alpha), abs(at_self), abs(gamma**2), abs(2.0 * alpha * gamma))
     phase = math.pi / 4.0 + (math.pi / 2.0) * math.floor(theta / math.pi)
     return abs(at_self - gamma**2) / scale, math.sqrt(2.0 * root_p / abs(sin_t)) * cmath.exp(1j * phase)
 
@@ -531,13 +530,13 @@ def test_invariant_kernel_residual_is_the_closed_form_route_bit_for_bit(point):
     for direction in ("hat", "bar"):
         for n in range(1, 41):
             try:
-                want, amp = _invariant_residual_from_terms(n, d, direction)
+                want, amp = _invariant_residual_from_terms(n, d, direction, 1.0)
             except CausticError:
                 caustics += 1
                 with pytest.raises(CausticError):
-                    qp.invariant_kernel_residual(n, d, direction)
+                    qp.invariant_kernel_residual(n, d, direction, 1.0)
                 continue
-            assert qp.invariant_kernel_residual(n, d, direction).hex() == want.hex()
+            assert qp.invariant_kernel_residual(n, d, direction, 1.0).hex() == want.hex()
             # the closed form's amplitude, its modulus now read off the coupling
             assert repr(qp._closed_form_terms(n * qp._angle(d, direction), d).amp) == repr(amp)
     assert caustics == (13 if point == (2.0, 2.0, 1.0) else 0)
@@ -568,7 +567,7 @@ def test_time_path_validation(rng):
 
 def test_every_direction_taking_builder_refuses_an_unknown_direction(d321):
     builds = (
-        lambda: qp.invariant_kernel_residual(3, d321, "hatt"),
+        lambda: qp.invariant_kernel_residual(3, d321, "hatt", 1.0),
         lambda: qp.n_step_kernel(3, d321, "hatt"),
         lambda: qp.one_step_kernel("hatt", d321),
         lambda: qp.momentum_factorized_kernel(d321, "hatt"),
@@ -597,7 +596,7 @@ def test_invariant_kernel_residual_keeps_a_nan(d321, monkeypatch):
 
     monkeypatch.setattr(qp, "_closed_form_coeffs", with_nan_coupling)
     for direction in ("hat", "bar"):
-        assert math.isnan(qp.invariant_kernel_residual(3, d321, direction))
+        assert math.isnan(qp.invariant_kernel_residual(3, d321, direction, 1.0))
 
 
 def test_uniqueness_scan_refuses_a_vanishing_corner_pivot(d321):

@@ -73,7 +73,8 @@ def _surface_kernel_command(args: argparse.Namespace) -> int:
             surface = surface_from_dict(json.load(fh))
         coeffs = canonical_lattice_coeffs(point.p, point.q, point.r)
         kernel = surface_kernel(surface, coeffs)
-    except (OSError, json.JSONDecodeError, MissingVertex, DegenerateParams, NearCaustic) as exc:
+    # json.load raises ValueError on a file that is not UTF-8 JSON or holds an integer of over 4300 digits
+    except (OSError, ValueError, MissingVertex, DegenerateParams, NearCaustic) as exc:
         print(f"surface error: {exc}", file=sys.stderr)
         return 2
     except DeltaConstraintError as exc:
@@ -104,12 +105,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = SuiteConfig.from_file(args.config) if args.config else SuiteConfig()
         config = _apply_overrides(config, args)
+        report = run(config)  # a sampling range too thin to fill raises ConfigError here
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        report = run(config)
     except (CausticError, DegenerateCoeffs, DegenerateParams, DeltaConstraintError, NearCaustic, OutOfRegime) as exc:
         # the points besides (3, 2, 1) come from the explicit triples or the sampling range; at mu + nu = pi the
         # corner pivots of the 1-form checks vanish, and far out float64 rounds a kernel's pivot away to a delta

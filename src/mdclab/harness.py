@@ -81,6 +81,8 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 #: Rejection guards for random parameter triples.
 GUARD_GAP = 0.1
 GUARD_SUM = 0.1
+#: Rejection rounds `sample_triples` takes at most before it refuses a range.
+SAMPLE_ROUNDS = 20_000
 
 
 def _guards_satisfiable(low: float, high: float) -> bool:
@@ -183,7 +185,7 @@ class SuiteConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 JSON, or an integer of over 4300 digits
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
@@ -248,10 +250,15 @@ def sample_triples(rng: np.random.Generator, count: int, low: float, high: float
 
     Each round draws only the triples still missing, so no draw is wasted:
     the triples and the rng state after the call are those of drawing and
-    testing one triple at a time.
+    testing one triple at a time.  A range still short after SAMPLE_ROUNDS
+    rounds, a sliver too thin to fill, raises ConfigError.
     """
-    chunks, found = [np.empty((0, 3))], 0
+    chunks, found, rounds = [np.empty((0, 3))], 0, 0
     while found < count:
+        if rounds == SAMPLE_ROUNDS:
+            raise ConfigError(f"range [{low}, {high}]: only {found} of {count} triples cleared the degeneracy guards "
+                              f"in {rounds} rounds of sampling")
+        rounds += 1
         draws = rng.uniform(low, high, size=(count - found, 3))
         ok = np.ones(len(draws), dtype=bool)
         for i, j in ((0, 1), (0, 2), (1, 2)):

@@ -332,12 +332,12 @@ def marginalize_all(kernel, variables) -> OscKernel:
     in a lazy heap keyed (-ratio, position); a ratio lies in [0, 1] or is
     NaN, and a NaN one is keyed -inf, so a pop makes np.argmax's choice: the
     first NaN, else the largest ratio, the first in sorted-name order on a
-    tie.  A refresh pushes a row's key only when it improves, so the heap
-    holds an entry at or below each pending row's current key; a popped
-    entry of an eliminated row is skipped, and one whose row's key has since
-    worsened is pushed back at the current key.  The volume test counts the
-    NaN scales and keeps an upper bound on the scales, so it scans them only
-    when the bound cannot decide.  A step rewrites only the block of the
+    tie.  A refresh pushes a pending row's key whenever it changes, so the
+    heap always holds each pending row's current key, and a pop skips every
+    entry that is not its row's current key.  The volume test keeps an upper
+    bound `top` on the scales; only a row at or below _ABS_FLOOR *
+    max(1, top) reads the scales, first their sum, which is NaN exactly when
+    one of them is, then their maximum.  A step rewrites only the block of the
     pivot's nonzero couplings (for a substitution, of those couplings and the
     constraint's variables), with the per-entry expressions of a dense
     update, and refreshes the caches on those rows; a step with nothing to
@@ -355,8 +355,7 @@ def marginalize_all(kernel, variables) -> OscKernel:
     and adds the next part's entries onto 0.0, which changes nothing on
     kernels without negative zeros.  The running bound `top` may differ in
     one pass, since it keeps the scales of earlier steps; it only decides
-    whether the exact max(scale) test runs, so every volume decision is the
-    same.
+    whether the exact test runs, so every volume decision is the same.
     """
     return _eliminate(((kernel, variables),))
 
@@ -391,15 +390,15 @@ def _eliminate(steps) -> OscKernel:
     # order: each position's rank in vars, which orders a delta's coupled variables; built at the first delta
     order = None
     is_pending = [False] * n
-    # scale: the row scales max_w |A_vw|; nans counts the NaN ones, top bounds every one ever set
-    scale, nans, top = [0.0] * n, 0, 0.0
+    # scale: the row scales max_w |A_vw|, NaN if the row holds a NaN; top bounds every one ever set but the NaNs
+    scale, top = [0.0] * n, 0.0
     # the pending pivot ratios as a lazy heap keyed (-ratio, position), in np.argmax's order: the first NaN, else
     # the largest ratio, the first position on a tie.  A ratio lies in [0, 1] or is NaN, and a NaN one is keyed
-    # -inf.  cur[i] is row i's current key; a refresh pushes an entry only when it lowers the key, so the heap
-    # holds, for each pending row, an entry at or below its current key, and a popped entry at its pending
-    # row's current key is the choice.  A position is pending in one step at most, so each starts keyed +inf.
+    # -inf.  cur[i] is row i's current key; a refresh pushes an entry whenever the key changes, so the heap holds
+    # each pending row's current key, and the first popped entry that is its pending row's current key is the
+    # choice.  A position is pending in one step at most, so each starts keyed +inf.
     heap, cur, nan_key = [], [math.inf] * n, -math.inf
-    heappush, heappop, heappushpop, sqrt = heapq.heappush, heapq.heappop, heapq.heappushpop, math.sqrt
+    heappush, heappop, sqrt = heapq.heappush, heapq.heappop, math.sqrt
     floor, band = _ABS_FLOOR, _NEAR_BAND * PIVOT_TOL
     for step, (part, variables) in enumerate(steps):
         if step:
@@ -420,20 +419,16 @@ def _eliminate(steps) -> OscKernel:
             for i in stale:
                 row = rows[i]
                 mags = list(map(abs, row.values()))
-                if scale[i] != scale[i]:
-                    nans -= 1
                 # a NaN wins as in np.max: the sum is NaN exactly when a term is
-                if (s := sum(mags)) != s:
-                    nans += 1
-                elif (s := max(mags) if mags else 0.0) > top:
+                if (s := sum(mags)) == s and (s := max(mags) if mags else 0.0) > top:
                     top = s
                 scale[i] = s
                 if is_pending[i]:
                     r = abs(row.get(i, 0.0)) / (floor if s < floor else s)
                     r = -r if r == r else nan_key
-                    if r < cur[i]:
+                    if r != cur[i]:
                         heappush(heap, (r, i))
-                    cur[i] = r
+                        cur[i] = r
             if sub is None and cons:
                 bound = [k for k in {at[v] for con in cons for v, cv in con.coeffs if abs(cv) > 0.0} if is_pending[k]]
                 if bound:
@@ -443,9 +438,9 @@ def _eliminate(steps) -> OscKernel:
                 k = sub[1]
             else:
                 key, k = heappop(heap)
-                # an eliminated row's entry is skipped; one under a pending row's since-worsened key goes back at it
+                # an eliminated row's entry is skipped, and so is one that a pending row's key has since replaced
                 while not is_pending[k] or key != cur[k]:
-                    key, k = heappushpop(heap, (cur[k], k)) if is_pending[k] else heappop(heap)
+                    key, k = heappop(heap)
             row_k = rows[k]
             akk = row_k.get(k, 0.0)
             near = [i for i, v in row_k.items() if v and i != k]
@@ -484,10 +479,10 @@ def _eliminate(steps) -> OscKernel:
                 raise NearCaustic(f"pivot for {names[k]!r} is not finite")
             else:
                 # row_scale <= _ABS_FLOOR * max(max(scale), 1), false on a NaN scale unless the row vanished exactly;
-                # max(scale) only when top may pass
+                # the scales are read only when top may pass, their sum first: it is NaN exactly when one is
                 row_scale = scale[k]
-                if row_scale == 0.0 or not nans and (row_scale <= floor or row_scale <= floor * top
-                                                     and row_scale <= floor * max(max(scale), 1.0)):
+                if row_scale == 0.0 or (row_scale <= floor or row_scale <= floor * top) and (
+                        (t := sum(scale)) == t and row_scale <= floor * max(max(scale), 1.0)):
                     # variable absent from the exponent: a pure volume factor
                     vol += 1
                 elif (rel := abs(akk) / row_scale) >= band:
@@ -519,7 +514,6 @@ def _eliminate(steps) -> OscKernel:
                     if candidates:
                         sub = (len(cons) - 1, max(candidates, key=lambda i: abs(row_k[i])))
             # drop k; only the rows it wrote need a fresh cache, now if the step goes on, else when the next starts
-            nans -= scale[k] != scale[k]
             rows[k], scale[k] = {}, 0.0
             for i in row_k:
                 rows[i].pop(k, None)

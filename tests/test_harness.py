@@ -2,9 +2,13 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from mdclab import cli, lattice, p3, qprop1d
 from mdclab.errors import ConfigError
 from mdclab.harness import (
     CSV_COLUMNS,
+    SAMPLE_ROUNDS,
     SUITES,
     CheckRecord,
     SuiteConfig,
@@ -443,6 +448,22 @@ def test_config_decides_whether_the_sampling_range_can_clear_the_guards(tmp_path
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_cli_refuses_a_sliver_sampling_range_after_the_round_budget(tmp_path):
+    # the triples of [0, 0.2000001] that clear both guards have positive measure, so the config is accepted, but
+    # each lies within about 1e-7 of (0, 0.1, 0.2); sampling gives up after SAMPLE_ROUNDS rounds instead of never
+    # returning.  A subprocess with a timeout keeps a hang from stalling the suite
+    SuiteConfig(range_low=0.0, range_high=0.2000001)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"range_low": 0.0, "range_high": 0.2000001}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-m", "mdclab.cli", "run", "--config", str(config), "--quiet"],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (f"config error: range [0.0, 0.2000001]: only 0 of 1000 triples cleared the degeneracy "
+                           f"guards in {SAMPLE_ROUNDS} rounds of sampling\n")
+
+
 #: An elliptic point with mu + nu = pi.  The middle pivot of the hat-then-bar corner is proportional to
 #: sin(mu + nu): it vanishes exactly here, and sits in the NearCaustic band with r raised by 1e-8.
 MU_PLUS_NU_PI = [-2.367028322578623, 0.7746489092382554, 2.4986690620264893]
@@ -613,6 +634,76 @@ def test_cli_surface_kernel_refuses_a_malformed_description(tmp_path, capsys, da
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("surface error: malformed surface description:") and err.count("\n") == 1
+
+
+#: what a description may hold where an integer, a list or an object is due: bools for ints among them
+junk = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.integers(-10**30, 10**30), st.floats(),
+                 st.text(max_size=3), st.just([]), st.just({}))
+vertex = st.one_of(st.lists(st.integers(-1, 3), min_size=3, max_size=3), st.lists(junk, max_size=4), junk)
+
+
+@st.composite
+def surface_descriptions(draw):
+    """A flat 1-2 by 1-2 patch after up to two pop-ups, as surface_to_dict
+    writes it, then up to three edits: a key dropped, a plaquette field
+    replaced by junk or a drawn vertex, a vertex list replaced by drawn
+    vertices, or a boundary vertex moved to the interior; or, a fifth of the
+    time, junk in place of the whole description."""
+    from mdclab import qsurface as qs
+
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.one_of(junk, st.lists(junk, max_size=3), st.dictionaries(st.sampled_from(
+            ["plaquettes", "interior", "boundary"]), st.one_of(junk, st.lists(junk, max_size=3)))))
+    surface = qs.flat_patch(draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    for _ in range(draw(st.integers(0, 2))):
+        sites = qs.pop_up_sites(surface)
+        surface = qs.pop_up(surface, sites[draw(st.integers(0, len(sites) - 1))])
+    data = qs.surface_to_dict(surface)
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["drop", "junk", "vertex", "vertices", "move"]))
+        plaquette = draw(st.sampled_from(data["plaquettes"])) if data.get("plaquettes") else {}
+        if edit == "drop":
+            if target := draw(st.sampled_from([plaquette, data])):
+                del target[draw(st.sampled_from(sorted(target)))]
+        elif edit in ("junk", "vertex"):
+            plaquette[draw(st.sampled_from(["base", "plane", "sign"]))] = draw(junk if edit == "junk" else vertex)
+        elif edit == "vertices":
+            data[draw(st.sampled_from(["interior", "boundary"]))] = draw(st.lists(vertex, max_size=5))
+        elif boundary := data.get("boundary"):
+            data.setdefault("interior", []).append(boundary.pop(draw(st.integers(0, len(boundary) - 1))))
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=surface_descriptions())
+def test_mdclab_surface_kernel_ends_without_a_traceback_on_any_description(tmp_path_factory, data):
+    # exit 0 publishes the kernel, exit 2 is one `surface error:` line, exit 1 one `inadmissible surface:` line
+    path = tmp_path_factory.mktemp("surface") / "surface.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["surface-kernel", "--surface", str(path), "--params", "3", "2", "1"])
+    text = err.getvalue()
+    if code == 0:
+        assert text == "" and json.loads(out.getvalue())["kernel_format"] == 4
+    else:
+        lead = {1: "inadmissible surface: ", 2: "surface error: "}[code]
+        assert out.getvalue() == "" and text.startswith(lead) and text.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [b"\xff\xfe{}", b'{"plaquettes": [{"base": [1' + b"0" * 5000 + b', 0, 0]}]}'],
+                         ids=["not-utf-8", "5001-digit-integer"])
+@pytest.mark.parametrize("argv, lead", [
+    (["surface-kernel", "--params", "3", "2", "1", "--surface"], "surface error: "),
+    (["run", "--quiet", "--config"], "config error: cannot read config "),
+], ids=["surface-kernel", "run"])
+def test_cli_refuses_a_file_json_cannot_read(tmp_path, capsys, text, argv, lead):
+    # json.load raises a plain ValueError here, not the JSONDecodeError of malformed JSON
+    path = tmp_path / "input.json"
+    path.write_bytes(text)
+    assert cli.main([*argv, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(lead) and err.count("\n") == 1
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

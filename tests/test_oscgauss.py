@@ -301,10 +301,15 @@ def _random_kernel(rng, shape):
     (exact caustics; half the time the second interior variable joins them, so
     a delta step ties a pending neighbour and substitutes it away); band puts one
     pending pivot inside the refusal band, away from every other pending
-    variable; nonfinite puts a NaN or an infinity into one row.  Labels are a
-    shuffle of the indices, so sorted-name order differs from storage order.
+    variable; nonfinite puts a NaN or an infinity into one row.  ties is a
+    grid with every entry from {-2, -1, 1, 2}, so pivots tie, keys repeat and
+    a superseded heap entry can equal its row's current key; nan-volume puts
+    a NaN on the diagonal of a row that is not pending, empties one pending
+    row and shrinks another to about 1e-14 of the rest, so the volume rule
+    meets a vanished row and a tiny one while a row scale is NaN.  Labels are
+    a shuffle of the indices, so sorted-name order differs from storage order.
     """
-    if shape == "grid":
+    if shape in ("grid", "ties"):
         w, h = (int(x) for x in rng.integers(2, 5, size=2))
         n = w * h
         edges = [(i, i + 1) for i in range(n) if (i + 1) % w] + [(i, i + w) for i in range(n - w)]
@@ -334,13 +339,25 @@ def _random_kernel(rng, shape):
     elif shape == "nonfinite":
         v, w = (int(x) for x in rng.choice([i for i in range(n) if i != 0], size=2))
         A[v, w] = A[w, v] = rng.choice([np.nan, np.inf, -np.inf])
+    elif shape == "ties":
+        values = np.triu(rng.choice([-2.0, -1.0, 1.0, 2.0], size=(n, n)))
+        A = np.where(A != 0.0, values + np.triu(values, 1).T, 0.0)
+    elif shape == "nan-volume":
+        v, w = (int(x) for x in rng.choice(interior, size=2, replace=False))
+        pending = sorted({*pending, v, w})
+        A[w, :] *= 1e-14
+        A[:, w] *= 1e-14
+        A[w, w] *= 1e14
+        A[v, :] = A[:, v] = 0.0
+        nan_row = int(rng.choice([i for i in range(n) if i not in pending]))
+        A[nan_row, nan_row] = np.nan
     elif rng.random() < 0.5:
         # a delta constraint from an earlier step binds one pending variable
         v = pending[-1]
         w = int(rng.choice([i for i in range(n) if i != v]))
         constraints = (og.AffineConstraint(((names[v], rng.normal()), (names[w], rng.normal()))),)
     # the validating constructor refuses a non-finite kernel; the library builds one through _built
-    build = og.OscKernel._built if shape == "nonfinite" else og.OscKernel
+    build = og.OscKernel._built if shape in ("nonfinite", "nan-volume") else og.OscKernel
     kernel = build(names, A, complex(*rng.normal(size=2)), Fraction(0), 0, constraints)
     return kernel, [names[i] for i in pending]
 
@@ -492,7 +509,11 @@ SHAPES = ["chain", "grid", "volume", "delta", "band", "nonfinite", "glue"]
 @example(0, "chain")
 # a NaN coupling makes two pending rows NaN; the first by name is the one refused
 @example(8, "nonfinite")
-@given(st.integers(0, 2**32 - 1), st.sampled_from(SHAPES))
+# a row's key returns to a value it held before, so a superseded heap entry equals its current key
+@example(1, "ties")
+# the tiny pending row is a Gaussian pivot, not a volume factor, while the vanished one is a volume factor
+@example(0, "nan-volume")
+@given(st.integers(0, 2**32 - 1), st.sampled_from(SHAPES + ["ties", "nan-volume"]))
 def test_marginalize_all_is_bit_equal_to_folding_marginalize(seed, shape):
     # the fold runs the dense reference; the glue shape checks glue against the dense product kernel
     rng = np.random.default_rng(seed)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import replace
 
@@ -36,6 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
     surf.add_argument("--params", nargs=3, type=float, required=True,
                       metavar=("P1", "P2", "P3"), help="the three direction parameters")
     surf.add_argument("--out", help="write the canonical kernel JSON here (default stdout)")
+    # argparse on Python 3.11 reads only -5 and -0.5 as negative numbers, and -5e-1, -1E+3 or -.5e2 as options
+    runp._negative_number_matcher = surf._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     return parser
 
 

@@ -83,6 +83,8 @@ GUARD_GAP = 0.1
 GUARD_SUM = 0.1
 #: Rejection rounds `sample_triples` takes at most before it refuses a range.
 SAMPLE_ROUNDS = 20_000
+#: The largest trial count a config takes: the params suite holds about 100 bytes per trial, --csv about 1.5 kB.
+MAX_TRIALS = 1_000_000
 
 
 def _guards_satisfiable(low: float, high: float) -> bool:
@@ -113,6 +115,14 @@ def _is_a(value, kind: type) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _is_finite(value) -> bool:
+    """A real number, not a bool, that a float holds finitely: an int past the float range is not one."""
+    try:
+        return _is_a(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     seed: int = 42
@@ -127,16 +137,15 @@ class SuiteConfig:
     def __post_init__(self):
         if not _is_a(self.seed, numbers.Integral) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not _is_a(self.trials, numbers.Integral) or self.trials < 1:
-            raise ConfigError(f"trials must be an integer >= 1, got {self.trials!r}")
+        if not _is_a(self.trials, numbers.Integral) or not 1 <= self.trials <= MAX_TRIALS:
+            raise ConfigError(f"trials must be an integer in [1, {MAX_TRIALS}], got {self.trials!r}")
         if not isinstance(self.params, (tuple, list)):
             raise ConfigError(f"params must be a list of [p, q, r] rows, got {self.params!r}")
         for row in self.params:
-            if not (isinstance(row, (tuple, list)) and len(row) == 3
-                    and all(_is_a(x, numbers.Real) and math.isfinite(x) for x in row)):
+            if not (isinstance(row, (tuple, list)) and len(row) == 3 and all(map(_is_finite, row))):
                 raise ConfigError(f"params row {row!r} is not a [p, q, r] triple of finite numbers")
         object.__setattr__(self, "params", tuple(tuple(float(x) for x in row) for row in self.params))
-        if not (_is_a(self.hbar, numbers.Real) and math.isfinite(self.hbar) and self.hbar > 0):
+        if not (_is_finite(self.hbar) and self.hbar > 0):
             raise ConfigError(f"hbar must be finite and positive, got {self.hbar!r}")
         if not (isinstance(self.suites, (tuple, list)) and all(isinstance(name, str) for name in self.suites)):
             raise ConfigError(f"suites must be a list of suite names, got {self.suites!r}")
@@ -151,13 +160,12 @@ class SuiteConfig:
         if unknown:
             raise ConfigError(f"unknown tolerance names: {sorted(unknown)}")
         for name, value in sorted(self.tolerances.items()):
-            if not (_is_a(value, numbers.Real) and math.isfinite(value) and value >= 0):
+            if not (_is_finite(value) and value >= 0):
                 raise ConfigError(f"tolerance {name} must be a finite number >= 0, got {value!r}")
-        for name in ("range_low", "range_high"):
-            value = getattr(self, name)
-            if not (_is_a(value, numbers.Real) and math.isfinite(value)):
+        for name, value in (("range_low", self.range_low), ("range_high", self.range_high)):
+            if not _is_finite(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if not math.isfinite(self.range_high - self.range_low):  # numpy cannot sample a range this wide
+        if not _is_finite(self.range_high - self.range_low):  # numpy cannot sample a range this wide
             raise ConfigError(f"range [{self.range_low}, {self.range_high}] is too wide: its width overflows")
         if not _guards_satisfiable(self.range_low, self.range_high):
             raise ConfigError(

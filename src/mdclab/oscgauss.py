@@ -327,18 +327,21 @@ def marginalize_all(kernel, variables) -> OscKernel:
 
     The engine holds A as sparse rows of Python floats, one dict per variable
     in sorted-name order from position to coupling (an entry exists only
-    where a part or an update wrote one), and the row scales as a list; each
-    part adds its entries straight into them (_add_into).  The pending pivot ratios sit
+    where a part or an update wrote one, so row i holds key j exactly when
+    row j holds key i), and the row scales as a list; each part adds its
+    entries straight into them (_add_into).  The pending pivot ratios sit
     in a lazy heap keyed (-ratio, position); a ratio lies in [0, 1] or is
     NaN, and a NaN one is keyed -inf, so a pop makes np.argmax's choice: the
     first NaN, else the largest ratio, the first in sorted-name order on a
     tie.  A refresh pushes a pending row's key whenever it changes, so the
     heap always holds each pending row's current key, and a pop skips every
-    entry that is not its row's current key.  The volume test keeps an upper
-    bound `top` on the scales; only a row at or below _ABS_FLOOR *
-    max(1, top) reads the scales, first their sum, which is NaN exactly when
-    one of them is, then their maximum.  A step rewrites only the block of the
-    pivot's nonzero couplings (for a substitution, of those couplings and the
+    entry that is not its row's current key; each step starts a new heap.
+    The volume test keeps an upper bound `top` on the scales; only a row at
+    or below _ABS_FLOOR * max(1, top) reads the scales, first their sum,
+    which is NaN exactly when one of them is, then their maximum.  A pivot
+    detaches its row and walks it once, listing its nonzero couplings and
+    deleting itself from every row it couples to.  A step rewrites only the
+    block of those couplings (for a substitution, of those couplings and the
     constraint's variables), with the per-entry expressions of a dense
     update, and refreshes the caches on those rows; a step with nothing to
     integrate refreshes none, and leaves its rows to the next step that
@@ -366,18 +369,22 @@ def _eliminate(steps) -> OscKernel:
     running sum over the union of the parts' variables, as a dense sum
     would, then integrate that step's variables out.  A name of a step or of a delta
     constraint that no part has, a name that an earlier step integrated, or
-    a name a part lists twice raises VariableMismatch."""
-    seen, gone = {}, set()
+    a name a part lists twice raises VariableMismatch.  A pivot k detaches row
+    k and walks it once, deleting k from each row it couples to (the key
+    pattern is symmetric) and listing its nonzero couplings: the update block."""
+    seen, gone, named = {}, set(), set()
     for part, variables in steps:
         if len(listed := dict.fromkeys(part.vars)) != len(part.vars):
             raise VariableMismatch(f"repeated variable names in {part.vars}")
         seen.update(listed)
-        if gone and (again := gone & set(variables).union(part.vars, *(con.variables() for con in part.constraints))):
-            raise VariableMismatch(f"variable {min(again)!r} was integrated by an earlier step")
+        # own: the step's names and its delta constraints' variables; each must exist and be still there
+        own = (*variables, *(v for con in part.constraints for v, _ in con.coeffs)) if part.constraints else variables
+        if gone and not gone.isdisjoint(read := (*own, *listed)):
+            raise VariableMismatch(f"variable {min(gone.intersection(read))!r} was integrated by an earlier step")
         gone.update(variables)
+        named.update(own)
     vars = tuple(seen)
-    missing = gone.union(*(con.variables() for part, _ in steps for con in part.constraints)) - seen.keys()
-    if missing:
+    if missing := named.difference(seen):
         raise VariableMismatch(f"no variable {min(missing)!r} in kernel over {vars}")
     first = steps[0][0]
     if len(steps) == 1 and not gone and isinstance(first, OscKernel):
@@ -397,7 +404,7 @@ def _eliminate(steps) -> OscKernel:
     # -inf.  cur[i] is row i's current key; a refresh pushes an entry whenever the key changes, so the heap holds
     # each pending row's current key, and the first popped entry that is its pending row's current key is the
     # choice.  A position is pending in one step at most, so each starts keyed +inf.
-    heap, cur, nan_key = [], [math.inf] * n, -math.inf
+    cur, nan_key = [math.inf] * n, -math.inf
     heappush, heappop, sqrt = heapq.heappush, heapq.heappop, math.sqrt
     floor, band = _ABS_FLOOR, _NEAR_BAND * PIVOT_TOL
     for step, (part, variables) in enumerate(steps):
@@ -408,24 +415,29 @@ def _eliminate(steps) -> OscKernel:
         pending = {at[v] for v in variables}
         for i in pending:
             is_pending[i] = True
-        # stale: the rows the last elimination wrote and those of every part added since; every other row's
-        # cache is current.  A step with nothing to integrate reads no cache, so it leaves them to the next
-        stale = pending.union(pos, stale)
-        if not pending:
+        # stale, grown in the pending set: those rows, the ones the last elimination wrote and those of every part
+        # added since; every other row's cache is current.  A step with nothing to integrate reads no cache
+        left = len(pending)
+        pending.update(pos, stale)
+        stale = pending
+        if not left:
             continue
-        left, sub = len(pending), None  # sub: (constraint index, position) handed on by a delta step
+        # sub: (constraint index, position) handed on by a delta step; the last heap holds eliminated rows only
+        sub, heap = None, []
         while left:
             # refresh the caches of the stale rows: at the first pivot those of the step, then those k wrote
             for i in stale:
                 row = rows[i]
                 mags = list(map(abs, row.values()))
-                # a NaN wins as in np.max: the sum is NaN exactly when a term is
-                if (s := sum(mags)) == s and (s := max(mags) if mags else 0.0) > top:
+                # a NaN wins as in np.max: the sum is NaN exactly when a term is, and 0.0 on an empty row
+                s = sum(mags, 0.0)
+                if s > 0.0 and (s := max(mags)) > top:
                     top = s
                 scale[i] = s
                 if is_pending[i]:
-                    r = abs(row.get(i, 0.0)) / (floor if s < floor else s)
-                    r = -r if r == r else nan_key
+                    r = -abs(row.get(i, 0.0)) / (floor if s < floor else s)
+                    if r != r:
+                        r = nan_key
                     if r != cur[i]:
                         heappush(heap, (r, i))
                         cur[i] = r
@@ -441,9 +453,13 @@ def _eliminate(steps) -> OscKernel:
                 # an eliminated row's entry is skipped, and so is one that a pending row's key has since replaced
                 while not is_pending[k] or key != cur[k]:
                     key, k = heappop(heap)
-            row_k = rows[k]
-            akk = row_k.get(k, 0.0)
-            near = [i for i, v in row_k.items() if v and i != k]
+            # detach row k and walk it once: its nonzero neighbours, and k deleted from every neighbour's row
+            row_k, rows[k], near = rows[k], {}, []
+            akk = row_k.pop(k, 0.0)
+            for i, v in row_k.items():
+                del rows[i][k]
+                if v:
+                    near.append(i)
             if sub:
                 # var = -sum_{w != var} coeff_w * w / cv over the remaining variables
                 con, var = cons.pop(sub[0]), names[k]
@@ -513,10 +529,8 @@ def _eliminate(steps) -> OscKernel:
                     candidates = [i for i in tied if is_pending[i]]
                     if candidates:
                         sub = (len(cons) - 1, max(candidates, key=lambda i: abs(row_k[i])))
-            # drop k; only the rows it wrote need a fresh cache, now if the step goes on, else when the next starts
-            rows[k], scale[k] = {}, 0.0
-            for i in row_k:
-                rows[i].pop(k, None)
+            # k's scale clears after the volume test; only the rows k wrote need a fresh cache, now or at the next step
+            scale[k] = 0.0
             left -= is_pending[k]
             is_pending[k] = False
             stale = near
@@ -528,7 +542,7 @@ def _eliminate(steps) -> OscKernel:
             up = p.denominator // math.gcd(den, p.denominator)
             num, den = num * up, den * up
         num += p.numerator * (den // p.denominator)
-    kept = [v for v in vars if v not in gone]
+    kept = [v for v in vars if v not in gone] if gone else vars
     live = [at[v] for v in kept]
     out, m = dict(zip(live, range(len(live)))), len(live)
     A = np.zeros((m, m))

@@ -19,6 +19,8 @@ from mdclab import cli, lattice, p3, qprop1d
 from mdclab.errors import ConfigError
 from mdclab.harness import (
     CSV_COLUMNS,
+    DEFAULT_TOLERANCES,
+    MAX_TRIALS,
     SAMPLE_ROUNDS,
     SUITES,
     CheckRecord,
@@ -749,3 +751,104 @@ def test_cli_surface_kernel_refuses_an_overflowing_pivot(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("surface error: pivot for") and "is not finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("negative", ["-5e-1", "-.5e-0", "-0.05E+1", "-5e-01"])
+def test_cli_surface_kernel_reads_a_negative_number_in_exponent_form(tmp_path, capsys, negative):
+    # argparse on Python 3.11 takes only -5 and -0.5 for negative numbers; -5e-1 was an unknown option there
+    from mdclab import qsurface as qs
+
+    surf_path = tmp_path / "surface.json"
+    surf_path.write_text(json.dumps(qs.surface_to_dict(qs.pop_up(qs.flat_patch(1, 1), 0))))
+    assert cli.main(["surface-kernel", "--surface", str(surf_path), "--params", "3", "-0.5", "2"]) == 0
+    want = capsys.readouterr().out
+    assert cli.main(["surface-kernel", "--surface", str(surf_path), "--params", "3", negative, "2"]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("hbar", ["-1e-5", "-1E+3", "-.5e2"])
+def test_cli_run_reads_a_negative_hbar_in_exponent_form(capsys, hbar):
+    assert cli.main(["run", "--quiet", "--hbar", hbar]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"config error: hbar must be finite and positive, got {float(hbar)!r}\n"
+
+
+def test_cli_still_parses_an_option_after_exponent_form_numbers(tmp_path, capsys):
+    from mdclab import qsurface as qs
+
+    surf_path = tmp_path / "surface.json"
+    surf_path.write_text(json.dumps(qs.surface_to_dict(qs.flat_patch(1, 1))))
+    out_path = tmp_path / "kernel.json"
+    assert cli.main(["surface-kernel", "--params", "3e0", "-1e-0", "2", "--surface", str(surf_path),
+                     "--out", str(out_path)]) == 0
+    assert out_path.exists()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["surface-kernel", "--surface", str(surf_path), "--params", "3", "-5e-1", "-x"])
+    assert exc.value.code == 2
+    assert "expected 3 arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 2**63])
+def test_a_trial_count_past_the_cap_is_a_config_error(tmp_path, capsys, trials):
+    # numpy cannot even shape a sample of 2**63 triples; one near 10**12 would ask for terabytes.  Only the
+    # refusals are run: a run at the cap takes seconds and about 130 MB
+    want = f"config error: trials must be an integer in [1, {MAX_TRIALS}], got {trials}\n"
+    assert cli.main(["run", "--trials", str(trials), "--suite", "params"]) == 2
+    assert capsys.readouterr() == ("", want)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"trials": trials, "suites": ["params"]}))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr() == ("", want)
+
+
+#: What a config file can hold where a key wants something else: null, booleans, strings, nested lists and
+#: objects, floats where integers belong, NaN and infinity (json.dumps writes them as NaN and Infinity), integers
+#: past int64 and past the float range
+junk = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.sampled_from(["params", "1", "NaN"]),
+    st.lists(st.lists(st.integers(-3, 3), max_size=3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1.5, 3.0, math.nan, math.inf, -math.inf, 2**63, -(2**63), 10**30, 10**400]),
+)
+#: Each key's valid values, kept cheap: at most 200 trials, suites that run in milliseconds, and sampling ranges
+#: so wide that the first round of sampling fills them
+config_values = {
+    "seed": st.integers(0, 2**32),
+    "trials": st.integers(1, 200),
+    "params": st.lists(st.tuples(*[st.floats(-4.0, 4.0)] * 3).map(list), max_size=1),
+    "range_low": st.floats(-3.0, 0.0),
+    "range_high": st.floats(1.0, 4.0),
+    "hbar": st.floats(0.1, 10.0),
+    "tolerances": st.dictionaries(st.sampled_from(sorted(DEFAULT_TOLERANCES)), st.floats(0.0, 1.0), max_size=2),
+    "suites": st.lists(st.sampled_from(["params", "lattice", "uniqueness2d"]), min_size=1, max_size=2),
+}
+
+
+@st.composite
+def config_files(draw):
+    """A config object: each key absent, valid or junk, suites always there; sometimes an unknown key."""
+    data = {}
+    for key, valid in config_values.items():
+        if key == "suites" or draw(st.booleans()):
+            data[key] = draw(valid if draw(st.integers(0, 3)) else junk)
+    if draw(st.integers(0, 7)) == 0:
+        data[draw(st.sampled_from(["trial", "Seed", "", "suites "]))] = draw(junk)
+    return data
+
+
+# numpy warns of the overflowing arithmetic at far-out points, as the command prints
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@example(data={"trials": 10**30, "suites": ["params"]})
+@example(data={"hbar": 10**400, "suites": ["params"]})
+@given(data=config_files())
+def test_mdclab_run_config_ends_without_a_traceback_on_any_value(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps(data))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(["run", "--quiet", "--config", str(path)])
+    assert code in (0, 1, 2)
+    text = err.getvalue()
+    assert (text.startswith("config error: ") and text.count("\n") == 1) if code == 2 else text == ""

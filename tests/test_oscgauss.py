@@ -12,9 +12,11 @@ from scipy.integrate import quad
 
 from mdclab import oscgauss as og
 from mdclab import qprop1d
+from mdclab import qsurface as qs
 from mdclab.errors import NearCaustic, VariableMismatch
 from mdclab.harness import SuiteConfig, run
 from mdclab.params import LatticeParams, derive
+from mdclab.reduction import closure_coeffs
 
 from conftest import coeff, exponent, value
 
@@ -530,6 +532,47 @@ def test_marginalize_all_is_bit_equal_to_folding_marginalize(seed, shape):
         assert want[0] is NearCaustic
     assert got == want
 
+
+
+def _rows_of(*parts):
+    """The engine's sparse rows after each part's _add_into, over the sorted union of the parts' names."""
+    names = sorted({v for part in parts for v in part.vars})
+    at = dict(zip(names, range(len(names))))
+    rows = [{} for _ in names]
+    for part in parts:
+        part._add_into(rows, at)
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_every_part_writes_a_symmetric_key_pattern(seed):
+    # a pivot on k deletes k from row i for each key i of row k: row i must hold key k whenever row k holds
+    # key i, zero-valued entries included
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        kernel, _ = _random_kernel(rng, str(rng.choice(SHAPES[:-1] + ["ties", "nan-volume"])))
+        other, _ = _glue_partner(rng, kernel)
+    names = [f"u{i}" for i in range(int(rng.integers(2, 8)))]
+    quadratic = {(str(u), str(w)): float(rng.choice([0.0, rng.normal()]))
+                 for u, w in rng.choice(names, size=(int(rng.integers(1, 15)), 2))}
+    # u*w and then w*u cancel to an entry of 0.0
+    quadratic["u0", "u1"], quadratic["u1", "u0"] = 0.5, -0.5
+    terms = og._Terms(tuple(names), quadratic, 1.0 + 0.0j, Fraction(0))
+    path = qprop1d.random_path(rng, int(rng.integers(0, 6)), int(rng.integers(0, 6)))
+    visits = ("xa", *(f"t{k}" for k in range(1, len(path.steps))), "xb")
+    walk = qprop1d._PathSteps(visits, path.steps, closure_coeffs(derive(LatticeParams(3.0, 2.0, 1.0))), 1.0 + 0.0j,
+                              Fraction(0))
+    k = int(rng.integers(2, 6))
+    surface = qs.random_deformation(qs.flat_patch(k, k), rng, 4 * k)
+    label = {v: qs.vertex_label(v) for v in sorted(surface.vertices())}
+    coeffs = qs.canonical_lattice_coeffs(*rng.uniform(0.5, 3.0, size=3))
+    plaquettes = qs._Plaquettes(tuple(label.values()), surface.plaquettes, coeffs, label, 1.0 + 0.0j, Fraction(0))
+    for parts in ((kernel,), (kernel, other), (terms,), (walk,), (plaquettes,)):
+        rows = _rows_of(*parts)
+        assert all(i in rows[j] for i, row in enumerate(rows) for j in row), parts
+    rows = _rows_of(terms)
+    assert rows[0][1] == 0.0 and 0 in rows[1]
 
 def _random_chain(rng):
     """Engine steps over 2-10 parts of _random_kernel's shapes.  The first

@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -80,3 +81,18 @@ def test_kernel_digests_hash_the_bits_that_the_json_rounds_away():
     assert nudged.to_json() == kernel.to_json()
     assert script.kernel_bits(nudged) != script.kernel_bits(kernel)
     assert script.kernel_bits(replace(kernel)) == script.kernel_bits(kernel)
+
+
+def test_ab_compare_times_the_tree_against_itself_and_leaves_no_file(tmp_path, capsys, monkeypatch):
+    root = SCRIPTS.parent
+    perfbench_files = sorted((root / "perfbench").rglob("*"))
+    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+    modules = set(sys.modules)
+    assert load_script("ab_compare").main([str(root), str(root), "--workloads", "paths", "--rounds", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "seed 1, 2 rounds" in out
+    line = next(line for line in out.splitlines() if line.startswith("paths"))
+    assert "5 items" in line and "ratio" in line and line.endswith("outputs same")
+    assert list(tmp_path.iterdir()) == []
+    assert sorted((root / "perfbench").rglob("*")) == perfbench_files
+    assert not {name for name in set(sys.modules) - modules if name.startswith(("mdclab_", "perfbench", "tracer"))}

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time two trees of mdclab against each other in one process.
 
-    python3 scripts/ab_compare.py BASE_TREE NEW_TREE [--workloads report paths surfaces]
+    python3 scripts/ab_compare.py BASE_TREE NEW_TREE [--workloads report sweep paths surfaces]
                                   [--seed 1] [--rounds 20]
 
 Each tree's src/mdclab is copied into a temporary directory under its own
@@ -15,9 +15,10 @@ round, so both sides see the same host state.
 
 Prints, per workload, each side's median pass time, the median of the
 per-round ratios new / base, and whether both sides gave the same outputs:
-the report bodies byte for byte, and the repr of each path's and surface's
-result.  Timings from separate processes on a shared host drift by up to 2x
-over minutes; the per-round ratio in one process does not.
+the report bodies of `report` and `sweep` byte for byte, and the repr of
+each path's and surface's result.  Timings from separate processes on a
+shared host drift by up to 2x over minutes; the per-round ratio in one
+process does not.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
-WORKLOADS = ("report", "paths", "surfaces")
+WORKLOADS = ("report", "sweep", "paths", "surfaces")
 
 
 def load_perfbench():
@@ -67,8 +68,9 @@ def import_tree(tree: Path, package: str, into: Path, modules) -> SimpleNamespac
 
 
 def output_key(workload: str, result) -> object:
-    """What two sides must agree on: a report's body, else the repr of the result."""
-    if workload == "report":
+    """What two sides must agree on: a report's body and exit code (`report`
+    and `sweep` both run `mdclab run`), else the repr of the result."""
+    if workload in ("report", "sweep"):
         out, code, printed = result
         return out.read_bytes(), code
     return repr(result)

@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import numbers
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -83,7 +84,8 @@ GUARD_GAP = 0.1
 GUARD_SUM = 0.1
 #: Rejection rounds `sample_triples` takes at most before it refuses a range.
 SAMPLE_ROUNDS = 20_000
-#: The largest trial count a config takes: the params suite holds about 100 bytes per trial, --csv about 1.5 kB.
+#: The largest trial count a config takes: the params suite holds about 100 bytes per trial; --csv streams its rows,
+#: holding about 40 bytes per trial, and writes about 480 bytes of file per trial.
 MAX_TRIALS = 1_000_000
 
 
@@ -634,30 +636,32 @@ def run(config: SuiteConfig) -> SuiteReport:
     return SuiteReport(schema=1, config=config_dict, records=records)
 
 
-def sweep_rows(config: SuiteConfig) -> list[dict]:
+def sweep_rows(config: SuiteConfig) -> Iterator[dict]:
     """The params suite's sampled triples with their derived constants, one
-    row per identity residual; empty unless the params suite is selected."""
+    row per identity residual, yielded one trial at a time; none unless the
+    params suite is selected.  Each residual column comes from one array call
+    of its check, which gives the scalar calls' values bit for bit."""
     if "params" not in config.suites:
-        return []
-    rows = []
+        return
     triples = sample_triples(_rng(config, "params"), config.trials, config.range_low, config.range_high)
-    for p, q, r in triples.tolist():
-        d = derive(LatticeParams(p, q, r))
+    p, q, r = triples.T
+    stt, sij = check_stt_identity(p, q, r), check_sij_identity(p, q, r)
+    for triple, stt_residual, sij_residual in zip(triples, stt, sij):
+        d = derive(LatticeParams(*triple.tolist()))
         row = {
             "p": d.p, "q": d.q, "r": d.r, "s": d.s, "t": d.t, "tprime": d.tprime,
             "b": d.b, "a": d.a, "P": d.P,
             "mu": "" if d.mu is None else d.mu,
             "nu": "" if d.nu is None else d.nu,
         }
-        rows.append({**row, "residual_name": "stt-identity", "residual": check_stt_identity(p, q, r)})
-        rows.append({**row, "residual_name": "edge-identity", "residual": check_sij_identity(p, q, r)})
-    return rows
+        yield {**row, "residual_name": "stt-identity", "residual": float(stt_residual)}
+        yield {**row, "residual_name": "edge-identity", "residual": float(sij_residual)}
 
 
 CSV_COLUMNS = ["p", "q", "r", "s", "t", "tprime", "b", "a", "P", "mu", "nu", "residual_name", "residual"]
 
 
-def write_csv(path: str, rows: list[dict]) -> None:
+def write_csv(path: str, rows: Iterable[dict]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()

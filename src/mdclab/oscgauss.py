@@ -340,7 +340,10 @@ def marginalize_all(kernel, variables) -> OscKernel:
     or below _ABS_FLOOR * max(1, top) reads the scales, first their sum,
     which is NaN exactly when one of them is, then their maximum.  A pivot
     detaches its row and walks it once, listing its nonzero couplings and
-    deleting itself from every row it couples to.  A step rewrites only the
+    deleting itself from every row it couples to; the row stays in place and
+    the position's key becomes None, since nothing reads an eliminated row
+    again (a substitution leaves out a constraint's zero coefficients, which
+    may name one).  A step rewrites only the
     block of those couplings (for a substitution, of those couplings and the
     constraint's variables), with the per-entry expressions of a dense
     update, and refreshes the caches on those rows; a step with nothing to
@@ -402,8 +405,9 @@ def _eliminate(steps) -> OscKernel:
     # the pending pivot ratios as a lazy heap keyed (-ratio, position), in np.argmax's order: the first NaN, else
     # the largest ratio, the first position on a tie.  A ratio lies in [0, 1] or is NaN, and a NaN one is keyed
     # -inf.  cur[i] is row i's current key; a refresh pushes an entry whenever the key changes, so the heap holds
-    # each pending row's current key, and the first popped entry that is its pending row's current key is the
-    # choice.  A position is pending in one step at most, so each starts keyed +inf.
+    # each pending row's current key, and the first popped entry that is its row's current key is the choice.  A
+    # position is pending in one step at most, so each starts keyed +inf, and an eliminated one is keyed None,
+    # which no entry equals.
     cur, nan_key = [math.inf] * n, -math.inf
     heappush, heappop, sqrt = heapq.heappush, heapq.heappop, math.sqrt
     floor, band = _ABS_FLOOR, _NEAR_BAND * PIVOT_TOL
@@ -451,10 +455,11 @@ def _eliminate(steps) -> OscKernel:
             else:
                 key, k = heappop(heap)
                 # an eliminated row's entry is skipped, and so is one that a pending row's key has since replaced
-                while not is_pending[k] or key != cur[k]:
+                while key != cur[k]:
                     key, k = heappop(heap)
-            # detach row k and walk it once: its nonzero neighbours, and k deleted from every neighbour's row
-            row_k, rows[k], near = rows[k], {}, []
+            # detach row k and walk it once: its nonzero neighbours, and k deleted from every neighbour's row.  The
+            # row stays in place, as no later step, refresh or read-out reads an eliminated row
+            row_k, near = rows[k], []
             akk = row_k.pop(k, 0.0)
             for i, v in row_k.items():
                 del rows[i][k]
@@ -464,7 +469,8 @@ def _eliminate(steps) -> OscKernel:
                 # var = -sum_{w != var} coeff_w * w / cv over the remaining variables
                 con, var = cons.pop(sub[0]), names[k]
                 cv = con.coefficient(var)
-                s = {at[w]: -cw / cv for w, cw in con.coeffs if w != var}
+                # a zero coefficient is left out: it names no pending variable, but may name an eliminated one
+                s = {at[w]: -cw / cv for w, cw in con.coeffs if w != var and cw}
                 sub = None
                 near = list(s.keys() | set(near))
                 # each unordered pair {i, j} once, i met at or before j in near: X = A + s a^T + a s^T + akk s s^T,
@@ -531,8 +537,10 @@ def _eliminate(steps) -> OscKernel:
                         sub = (len(cons) - 1, max(candidates, key=lambda i: abs(row_k[i])))
             # k's scale clears after the volume test; only the rows k wrote need a fresh cache, now or at the next step
             scale[k] = 0.0
-            left -= is_pending[k]
+            # every chosen pivot is pending: a bound or candidate variable, or a popped current key
+            left -= 1
             is_pending[k] = False
+            cur[k] = None
             stale = near
     # the parts' powers of 2 pi hbar and the halves over a common denominator: one Fraction, not one addition per part
     num, den = halves, 2

@@ -50,6 +50,10 @@ if TYPE_CHECKING:
 CAUSTIC_TOL = 1e-6
 
 STEPS = ("+hat", "-hat", "+bar", "-bar")
+#: exp(i pi/4), the phase of a one-step amplitude
+_EIGHTH_TURN = cmath.exp(1j * math.pi / 4.0)
+#: the power of 2 pi hbar of a one-step or closed-form kernel
+_MINUS_HALF = Fraction(-1, 2)
 
 
 def _step_amp(derived: "DerivedParams", direction: str) -> complex:
@@ -59,7 +63,7 @@ def _step_amp(derived: "DerivedParams", direction: str) -> complex:
     plus, _, w = direction_constants(derived, direction)
     if plus / w <= 0:
         raise OutOfRegime(f"prefactor (P+{direction} constant)/{w} is not positive")
-    return math.sqrt(plus / w) * cmath.exp(1j * math.pi / 4.0)
+    return math.sqrt(plus / w) * _EIGHTH_TURN
 
 
 def _one_steps(direction: str, derived: "DerivedParams", names: tuple[str, ...]) -> list[_Terms]:
@@ -67,8 +71,8 @@ def _one_steps(direction: str, derived: "DerivedParams", names: tuple[str, ...])
     names[k + 1], in the form from_terms takes."""
     amp = _step_amp(derived, direction)
     plus, minus, w = direction_constants(derived, direction)
-    cross, square, pihbar = plus / w, 0.5 * minus / w, Fraction(-1, 2)
-    return [_Terms((x, xh), {(x, xh): cross, (x, x): square, (xh, xh): square}, amp, pihbar)
+    cross, square = plus / w, 0.5 * minus / w
+    return [_Terms((x, xh), {(x, xh): cross, (x, x): square, (xh, xh): square}, amp, _MINUS_HALF)
             for x, xh in zip(names, names[1:])]
 
 
@@ -135,7 +139,7 @@ def _closed_form_terms(theta: float, derived: "DerivedParams") -> _Terms:
     phase = math.pi / 4.0 + (math.pi / 2.0) * math.floor(theta / math.pi)
     # |2 sqrt(P) / sin(theta)| is 2 sqrt(P) / |sin(theta)| bit for bit: a quotient's rounding ignores its sign
     amp = math.sqrt(abs(cross)) * cmath.exp(1j * phase)
-    return _Terms((x, y), {(x, y): cross, (x, x): square, (y, y): square}, amp, Fraction(-1, 2))
+    return _Terms((x, y), {(x, y): cross, (x, x): square, (y, y): square}, amp, _MINUS_HALF)
 
 
 def closed_form_kernel(theta: float, derived: "DerivedParams") -> OscKernel:
@@ -250,12 +254,21 @@ class TimePath:
             if s not in STEPS:
                 raise ValueError(f"unknown step {s!r}")
 
+    @classmethod
+    def _built(cls, steps: tuple[str, ...]) -> "TimePath":
+        """A path from steps the library built itself, taken as they are: a
+        tuple of entries of STEPS.  On such steps __post_init__'s check
+        passes, so it is skipped."""
+        path = object.__new__(cls)
+        path.__dict__["steps"] = steps
+        return path
+
     @staticmethod
     def monotone(n: int, m: int) -> "TimePath":
         """n hat steps, then m bar steps."""
         if n < 0 or m < 0:
             raise ValueError(f"negative step count ({n}, {m})")
-        return TimePath(("+hat",) * n + ("+bar",) * m)
+        return TimePath._built(("+hat",) * n + ("+bar",) * m)
 
     def with_loop(self, position: int) -> "TimePath":
         """Insert a unit four-step loop at a visit position, 0 to len(steps);
@@ -263,7 +276,7 @@ class TimePath:
         if not 0 <= position <= len(self.steps):
             raise ValueError(f"loop position {position} outside 0..{len(self.steps)}")
         loop = ("+hat", "+bar", "-hat", "-bar")
-        return TimePath(self.steps[:position] + loop + self.steps[position:])
+        return TimePath._built(self.steps[:position] + loop + self.steps[position:])
 
 
 def random_path(rng: np.random.Generator, n: int, m: int) -> TimePath:
@@ -274,7 +287,7 @@ def random_path(rng: np.random.Generator, n: int, m: int) -> TimePath:
         d = STEPS[2 * rng.integers(0, 2)]
         steps += [d, "-" + d[1:]]
     order = rng.permutation(len(steps))
-    path = TimePath(tuple(steps[i] for i in order))
+    path = TimePath._built(tuple(steps[i] for i in order))
     if rng.random() < 0.5:
         path = path.with_loop(int(rng.integers(0, len(path.steps) + 1)))
     return path

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateCoeffs, DeltaConstraintError, MissingVertex
-from .oscgauss import AffineConstraint, KernelDiff, OscKernel, compare, marginalize_all
+from .oscgauss import _NO_POWER, AffineConstraint, KernelDiff, OscKernel, compare, marginalize_all
 from .params import edge_coefficient
 
 Vertex = tuple[int, int, int]
@@ -360,7 +360,7 @@ def surface_kernel(surface: Surface, coeffs: LatticeLagrangianCoeffs) -> OscKern
     DeltaConstraintError.
     """
     label = {v: vertex_label(v) for v in sorted(surface.vertices())}
-    part = _Plaquettes(tuple(label.values()), surface.plaquettes, coeffs, label, 1.0 + 0.0j, Fraction(0))
+    part = _Plaquettes(tuple(label.values()), surface.plaquettes, coeffs, label, 1.0 + 0.0j, _NO_POWER)
     kernel = marginalize_all(part, [label[v] for v in sorted(surface.interior)])
     if kernel.constraints:
         raise DeltaConstraintError(
@@ -403,17 +403,21 @@ def _pop_top(plq: OrientedPlaquette) -> tuple[Vertex, ...]:
 
 
 def _pop_pieces(plq: OrientedPlaquette) -> tuple[tuple[OrientedPlaquette, ...], tuple[Vertex, ...]]:
+    """The five faces that replace a plaquette, and its popped cell's top
+    square.  Each face's base is a 3-tuple, its plane two distinct directions
+    and its sign +-1 whenever plq's are, so the faces come from
+    OrientedPlaquette._built, each with its stencil."""
     i, j = plq.plane
     (k,) = {1, 2, 3} - {i, j}
     s = plq.sign
     v = plq.base
-    added = (
-        OrientedPlaquette(base=shift(v, i), plane=(j, k), sign=s),
-        OrientedPlaquette(base=shift(v, j), plane=(k, i), sign=s),
-        OrientedPlaquette(base=shift(v, k), plane=(i, j), sign=s),
-        OrientedPlaquette(base=v, plane=(j, k), sign=-s),
-        OrientedPlaquette(base=v, plane=(k, i), sign=-s),
-    )
+    added = tuple(OrientedPlaquette._built(base, plane, sign, _stencil(base, *plane)) for base, plane, sign in (
+        (shift(v, i), (j, k), s),
+        (shift(v, j), (k, i), s),
+        (shift(v, k), (i, j), s),
+        (v, (j, k), -s),
+        (v, (k, i), -s),
+    ))
     return added, _pop_top(plq)
 
 
@@ -480,72 +484,79 @@ def random_deformation(surface: Surface, rng: np.random.Generator, n_ops: int) -
 _O: Vertex = (0, 0, 0)
 
 
-def elementary_move_surfaces(move: str) -> tuple[Surface, Surface]:
-    """The two standalone configurations of elementary move a, b or c, in
-    the orientation (i, j, k) = (1, 2, 3)."""
+def _move_surfaces() -> dict[str, tuple[Surface, Surface]]:
+    """The two standalone configurations of each elementary move a, b and c,
+    in the orientation (i, j, k) = (1, 2, 3), through the validating
+    constructors."""
     i, j, k = 1, 2, 3
     ei, ej, ek = shift(_O, i), shift(_O, j), shift(_O, k)
     eij, eik, ejk = shift(ei, j), shift(ei, k), shift(ej, k)
-    if move == "a":
-        fan = Surface(
-            plaquettes=(
-                OrientedPlaquette(base=_O, plane=(i, j), sign=1),
-                OrientedPlaquette(base=_O, plane=(j, k), sign=1),
-                OrientedPlaquette(base=_O, plane=(k, i), sign=1),
-            ),
-            interior=frozenset({_O}),
-            boundary=frozenset({ei, ej, ek}),
-        )
-        cap = Surface(
-            plaquettes=(
-                OrientedPlaquette(base=ek, plane=(i, j), sign=1),
-                OrientedPlaquette(base=ei, plane=(j, k), sign=1),
-                OrientedPlaquette(base=ej, plane=(k, i), sign=1),
-            ),
-            interior=frozenset({eij, ejk, eik, shift(eij, k)}),
-            boundary=frozenset({ei, ej, ek}),
-        )
-        return fan, cap
-    if move == "b":
-        one = Surface(
-            plaquettes=(
-                OrientedPlaquette(base=_O, plane=(i, j), sign=1),
-                OrientedPlaquette(base=_O, plane=(k, i), sign=1),
-                OrientedPlaquette(base=ei, plane=(j, k), sign=-1),
-            ),
-            interior=frozenset({ei}),
-            boundary=frozenset({_O, ej, ek, eij, eik}),
-        )
-        two = Surface(
-            plaquettes=(
-                OrientedPlaquette(base=ek, plane=(i, j), sign=1),
-                OrientedPlaquette(base=ej, plane=(k, i), sign=1),
-                OrientedPlaquette(base=_O, plane=(j, k), sign=-1),
-            ),
-            interior=frozenset({ejk}),
-            boundary=frozenset({_O, ej, ek, eij, eik}),
-        )
-        return one, two
-    if move == "c":
-        one = Surface(
-            plaquettes=(
-                OrientedPlaquette(base=ek, plane=(i, j), sign=1),
-                OrientedPlaquette(base=ej, plane=(k, i), sign=1),
-            ),
-            interior=frozenset({ejk, shift(ejk, i)}),
-            boundary=frozenset({ej, ek, eij, eik}),
-        )
-        two = Surface(
-            plaquettes=(
-                OrientedPlaquette(base=_O, plane=(i, j), sign=1),
-                OrientedPlaquette(base=_O, plane=(j, k), sign=1),
-                OrientedPlaquette(base=_O, plane=(k, i), sign=1),
-                OrientedPlaquette(base=ei, plane=(j, k), sign=-1),
-            ),
-            interior=frozenset({_O, ei}),
-            boundary=frozenset({ej, ek, eij, eik}),
-        )
-        return one, two
+    fan = Surface(
+        plaquettes=(
+            OrientedPlaquette(base=_O, plane=(i, j), sign=1),
+            OrientedPlaquette(base=_O, plane=(j, k), sign=1),
+            OrientedPlaquette(base=_O, plane=(k, i), sign=1),
+        ),
+        interior=frozenset({_O}),
+        boundary=frozenset({ei, ej, ek}),
+    )
+    cap = Surface(
+        plaquettes=(
+            OrientedPlaquette(base=ek, plane=(i, j), sign=1),
+            OrientedPlaquette(base=ei, plane=(j, k), sign=1),
+            OrientedPlaquette(base=ej, plane=(k, i), sign=1),
+        ),
+        interior=frozenset({eij, ejk, eik, shift(eij, k)}),
+        boundary=frozenset({ei, ej, ek}),
+    )
+    b_one = Surface(
+        plaquettes=(
+            OrientedPlaquette(base=_O, plane=(i, j), sign=1),
+            OrientedPlaquette(base=_O, plane=(k, i), sign=1),
+            OrientedPlaquette(base=ei, plane=(j, k), sign=-1),
+        ),
+        interior=frozenset({ei}),
+        boundary=frozenset({_O, ej, ek, eij, eik}),
+    )
+    b_two = Surface(
+        plaquettes=(
+            OrientedPlaquette(base=ek, plane=(i, j), sign=1),
+            OrientedPlaquette(base=ej, plane=(k, i), sign=1),
+            OrientedPlaquette(base=_O, plane=(j, k), sign=-1),
+        ),
+        interior=frozenset({ejk}),
+        boundary=frozenset({_O, ej, ek, eij, eik}),
+    )
+    c_one = Surface(
+        plaquettes=(
+            OrientedPlaquette(base=ek, plane=(i, j), sign=1),
+            OrientedPlaquette(base=ej, plane=(k, i), sign=1),
+        ),
+        interior=frozenset({ejk, shift(ejk, i)}),
+        boundary=frozenset({ej, ek, eij, eik}),
+    )
+    c_two = Surface(
+        plaquettes=(
+            OrientedPlaquette(base=_O, plane=(i, j), sign=1),
+            OrientedPlaquette(base=_O, plane=(j, k), sign=1),
+            OrientedPlaquette(base=_O, plane=(k, i), sign=1),
+            OrientedPlaquette(base=ei, plane=(j, k), sign=-1),
+        ),
+        interior=frozenset({_O, ei}),
+        boundary=frozenset({ej, ek, eij, eik}),
+    )
+    return {"a": (fan, cap), "b": (b_one, b_two), "c": (c_one, c_two)}
+
+
+#: Move name -> its two configurations, built once: a Surface is immutable
+_MOVE_SURFACES = _move_surfaces()
+
+
+def elementary_move_surfaces(move: str) -> tuple[Surface, Surface]:
+    """The two standalone configurations of elementary move a, b or c, in
+    the orientation (i, j, k) = (1, 2, 3)."""
+    if move in ("a", "b", "c"):
+        return _MOVE_SURFACES[move]
     raise ValueError(f"unknown move {move!r}")
 
 

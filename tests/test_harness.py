@@ -26,12 +26,13 @@ from mdclab.harness import (
     CheckRecord,
     SuiteConfig,
     _Residuals,
+    _rng,
     run,
     sample_triples,
     sweep_rows,
     write_csv,
 )
-from mdclab.params import LatticeParams, derive, printed_constant_residuals
+from mdclab.params import LatticeParams, check_sij_identity, check_stt_identity, derive, printed_constant_residuals
 
 SMALL = SuiteConfig(seed=7, trials=40)
 
@@ -236,6 +237,31 @@ def test_csv_columns(tmp_path):
     write_csv(str(path), sweep_rows(SMALL))
     header = path.read_text().splitlines()[0]
     assert header.split(",") == CSV_COLUMNS
+
+
+def _scalar_sweep_rows(config):
+    """The --csv rows as a list, each residual from a scalar call of its check."""
+    rows = []
+    for p, q, r in sample_triples(_rng(config, "params"), config.trials, config.range_low, config.range_high).tolist():
+        d = derive(LatticeParams(p, q, r))
+        row = {
+            "p": d.p, "q": d.q, "r": d.r, "s": d.s, "t": d.t, "tprime": d.tprime,
+            "b": d.b, "a": d.a, "P": d.P,
+            "mu": "" if d.mu is None else d.mu,
+            "nu": "" if d.nu is None else d.nu,
+        }
+        rows.append({**row, "residual_name": "stt-identity", "residual": check_stt_identity(p, q, r)})
+        rows.append({**row, "residual_name": "edge-identity", "residual": check_sij_identity(p, q, r)})
+    return rows
+
+
+def test_sweep_rows_stream_the_scalar_rows():
+    config = SuiteConfig(seed=3, trials=2000, suites=("params",))
+    rows = sweep_rows(config)
+    assert iter(rows) is rows
+    # repr tells -0.0 from 0.0, and a numpy float from a Python one
+    assert list(map(repr, rows)) == list(map(repr, _scalar_sweep_rows(config)))
+    assert list(sweep_rows(replace(config, suites=("lattice",)))) == []
 
 
 def test_cli_run_writes_report_and_exits_zero(tmp_path, capsys):

@@ -1009,3 +1009,51 @@ def test_a_constraint_that_the_others_imply_is_skipped(rng):
     A1, A2 = (0.5 * (M + M.T) for M in rng.normal(size=(2, 4, 4)))
     once, twice = og._on_surface(vars, A1, A2, [con], [con]), og._on_surface(vars, A1, A2, [con, con], [con, con])
     assert all(np.array_equal(a, b) for a, b in zip(once, twice)) and once[0].shape == (3, 3)
+
+
+def _nonzero_constraints(kernel):
+    """The kernel's constraints as sorted tuples of their nonzero entries, an all-zero one left out."""
+    return sorted(tuple(sorted((v, cv) for v, cv in con.coeffs if cv)) for con in kernel.constraints
+                  if any(cv for _, cv in con.coeffs))
+
+
+def test_a_zero_coefficient_on_an_integrated_variable_is_ignored():
+    # x is consumed by its own delta first; substituting y away through the other constraint must not bring x,
+    # which that constraint names with a zero coefficient, back into the rows: that ended in a KeyError
+    A = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 1.0], [0.0, 1.0, 3.0]])
+    cons = (og.AffineConstraint((("x", 0.0), ("y", 1.0), ("z", 1.0))), og.AffineConstraint((("x", 1.0),)))
+    stripped = (og.AffineConstraint((("y", 1.0), ("z", 1.0))), cons[1])
+    out, want = (og.marginalize_all(og.OscKernel(("x", "y", "z"), A, constraints=table), ("x", "y"))
+                 for table in (cons, stripped))
+    assert out.vars == want.vars == ("z",)
+    assert (out.A.tobytes(), out.amp, out.pihbar_pow, out.vol_pow) == (want.A.tobytes(), want.amp, want.pihbar_pow,
+                                                                         want.vol_pow)
+    assert out.constraints == want.constraints == ()
+
+
+def test_zero_constraint_coefficients_change_no_elimination():
+    # random kernels with delta constraints, integrated with and without a zero coefficient added to each
+    # constraint on a random variable of the kernel: the same kernel, or the same error
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        names = [f"v{i}" for i in rng.permutation(6)[:rng.integers(2, 7)]]
+        n = len(names)
+        A = rng.choice([0.0, 0.0, 1.0, -1.0, 2.0, 1e-12, 0.7], size=(n, n))
+        A = np.triu(A) + np.triu(A, 1).T
+        cons = [tuple((str(v), float(c)) for v, c in zip(rng.permutation(names)[:rng.integers(1, 3)],
+                                                           rng.choice([1.0, -2.0, 0.5], size=2)))
+                for _ in range(rng.integers(1, 3))]
+        padded = [con + ((str(rng.choice(names)), 0.0),) for con in cons]
+        padded = [tuple(dict(con[::-1]).items())[::-1] for con in padded]  # a name listed once, its first entry kept
+        integrated = [str(v) for v in rng.permutation(names)[:rng.integers(1, n + 1)]]
+        outcomes = []
+        for table in (cons, padded):
+            kernel = og.OscKernel(tuple(names), A, constraints=tuple(og.AffineConstraint(c) for c in table))
+            try:
+                out = og.marginalize_all(kernel, integrated)
+            except (NearCaustic, VariableMismatch) as exc:
+                outcomes.append(type(exc))
+            else:
+                outcomes.append((out.vars, out.A.tobytes(), out.amp, out.pihbar_pow, out.vol_pow,
+                                 _nonzero_constraints(out)))
+        assert outcomes[0] == outcomes[1]

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -623,3 +624,35 @@ def test_long_path_kernel_matches_the_closed_form_at_50_digits(d321, n):
         want = [[diag, off], [off, diag]]
         gap = max(abs(mpmath.mpf(float(kernel.A[i, j])) - want[i][j]) for i in range(2) for j in range(2))
     assert gap <= DEFAULT_TOLERANCES["path_exponent"]
+
+
+def test_library_built_paths_equal_validated_paths():
+    # monotone, with_loop and random_path build their paths without TimePath's check: each must be the path that
+    # TimePath gives for the steps it is meant to hold
+    for n, m in itertools.product(range(4), repeat=2):
+        path = qp.TimePath.monotone(n, m)
+        assert type(path.steps) is tuple and path == qp.TimePath(("+hat",) * n + ("+bar",) * m)
+    loop = ("+hat", "+bar", "-hat", "-bar")
+    base = qp.TimePath(("+hat", "-bar", "+bar"))
+    for position in range(len(base.steps) + 1):
+        looped = base.with_loop(position)
+        assert type(looped.steps) is tuple
+        assert looped == qp.TimePath(base.steps[:position] + loop + base.steps[position:])
+
+    def validated_random_path(rng, n, m):
+        """random_path's draws, each path through TimePath."""
+        steps = ["+hat"] * n + ["+bar"] * m
+        for _ in range(2):
+            d = qp.STEPS[2 * rng.integers(0, 2)]
+            steps += [d, "-" + d[1:]]
+        order = rng.permutation(len(steps))
+        path = qp.TimePath(tuple(steps[i] for i in order))
+        if rng.random() < 0.5:
+            position = int(rng.integers(0, len(path.steps) + 1))
+            path = qp.TimePath(path.steps[:position] + loop + path.steps[position:])
+        return path
+
+    for seed in range(40):
+        n, m = seed % 4, seed // 10
+        path = qp.random_path(np.random.default_rng(seed), n, m)
+        assert type(path.steps) is tuple and path == validated_random_path(np.random.default_rng(seed), n, m)

@@ -586,3 +586,64 @@ def test_pop_up_sites_match_the_five_face_definition(rng):
         k = int(rng.integers(3, 7))
         surface = qs.random_deformation(qs.flat_patch(k, k), rng, int(rng.integers(1, 4 * k)))
         assert qs.pop_up_sites(surface) == five_face_sites(surface)
+
+
+def test_pop_faces_equal_validated_plaquettes():
+    # _pop_pieces builds its five faces without OrientedPlaquette's checks: each must be the plaquette, stencil
+    # included, that the validating constructor gives
+    for (i, j), sign, v in itertools.product(itertools.permutations((1, 2, 3), 2), (1, -1), ((0, 0, 0), (2, -1, 3))):
+        (k,) = {1, 2, 3} - {i, j}
+        want = (
+            qs.OrientedPlaquette(qs.shift(v, i), (j, k), sign),
+            qs.OrientedPlaquette(qs.shift(v, j), (k, i), sign),
+            qs.OrientedPlaquette(qs.shift(v, k), (i, j), sign),
+            qs.OrientedPlaquette(v, (j, k), -sign),
+            qs.OrientedPlaquette(v, (k, i), -sign),
+        )
+        added, _ = qs._pop_pieces(qs.OrientedPlaquette(v, (i, j), sign))
+        assert added == want
+        assert [face.stencil for face in added] == [face.stencil for face in want]
+        assert all(type(face.base) is tuple and type(face.plane) is tuple for face in added)
+
+
+#: The two configurations of each elementary move at (i, j, k) = (1, 2, 3): the (base, plane, sign) of each
+#: plaquette, the interior and the boundary
+_MOVES = {
+    "a": (
+        ([((0, 0, 0), (1, 2), 1), ((0, 0, 0), (2, 3), 1), ((0, 0, 0), (3, 1), 1)],
+         [(0, 0, 0)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        ([((0, 0, 1), (1, 2), 1), ((1, 0, 0), (2, 3), 1), ((0, 1, 0), (3, 1), 1)],
+         [(1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1)], [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    ),
+    "b": (
+        ([((0, 0, 0), (1, 2), 1), ((0, 0, 0), (3, 1), 1), ((1, 0, 0), (2, 3), -1)],
+         [(1, 0, 0)], [(0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)]),
+        ([((0, 0, 1), (1, 2), 1), ((0, 1, 0), (3, 1), 1), ((0, 0, 0), (2, 3), -1)],
+         [(0, 1, 1)], [(0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)]),
+    ),
+    "c": (
+        ([((0, 0, 1), (1, 2), 1), ((0, 1, 0), (3, 1), 1)],
+         [(0, 1, 1), (1, 1, 1)], [(0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)]),
+        ([((0, 0, 0), (1, 2), 1), ((0, 0, 0), (2, 3), 1), ((0, 0, 0), (3, 1), 1), ((1, 0, 0), (2, 3), -1)],
+         [(0, 0, 0), (1, 0, 0)], [(0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1)]),
+    ),
+}
+
+
+@pytest.mark.parametrize("move", sorted(_MOVES))
+def test_move_surface_constants_equal_validated_surfaces(move):
+    surfaces = qs.elementary_move_surfaces(move)
+    want = tuple(qs.Surface(tuple(qs.OrientedPlaquette(*plq) for plq in plaqs), frozenset(interior),
+                            frozenset(boundary)) for plaqs, interior, boundary in _MOVES[move])
+    assert surfaces == want
+    for got, built in zip(surfaces, want):
+        assert [plq.stencil for plq in got.plaquettes] == [plq.stencil for plq in built.plaquettes]
+        assert got.records == ()
+    # built once, at import
+    assert qs.elementary_move_surfaces(move) is surfaces
+
+
+def test_an_unknown_move_is_a_value_error():
+    for move in ("d", "", ["a"], None):
+        with pytest.raises(ValueError, match="unknown move"):
+            qs.elementary_move_surfaces(move)

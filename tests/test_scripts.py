@@ -96,3 +96,20 @@ def test_ab_compare_times_the_tree_against_itself_and_leaves_no_file(tmp_path, c
     assert list(tmp_path.iterdir()) == []
     assert sorted((root / "perfbench").rglob("*")) == perfbench_files
     assert not {name for name in set(sys.modules) - modules if name.startswith(("mdclab_", "perfbench", "tracer"))}
+
+
+def test_ab_compare_times_sweep_on_its_report_bodies(tmp_path, capsys, monkeypatch):
+    root = SCRIPTS.parent
+    monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+    script = load_script("ab_compare")
+    assert "sweep" in script.WORKLOADS
+    assert script.main([str(root), str(root), "--workloads", "sweep", "--rounds", "1"]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("sweep"))
+    # each side writes its reports into a directory of its own, so only a comparison of the bodies agrees
+    assert "3 items" in line and "ratio" in line and line.endswith("outputs same")
+    assert list(tmp_path.iterdir()) == []
+    body_a, body_b = tmp_path / "a.json", tmp_path / "b.json"
+    body_a.write_text("{}"), body_b.write_text("{}")
+    assert script.output_key("sweep", (body_a, 0, "a")) == script.output_key("sweep", (body_b, 0, "b"))
+    body_b.write_text("{ }")
+    assert script.output_key("sweep", (body_a, 0, "a")) != script.output_key("sweep", (body_b, 0, "b"))

@@ -219,10 +219,11 @@ def cases():
 
 
 def kernel_bits(kernel) -> bytes:
-    """The float64 bits, little-endian, of A in sorted-name order, then amp's
-    real and imaginary parts, and each delta constraint's coefficients in
-    stored order."""
-    order = np.argsort(np.array(kernel.vars))
+    """The float64 bits, little-endian, of A in sorted-name order (Python's
+    `sorted`, as the canonical form orders the names), then amp's real and
+    imaginary parts, and each delta constraint's coefficients in stored
+    order."""
+    order = sorted(range(len(kernel.vars)), key=kernel.vars.__getitem__)
     numbers = [kernel.A[np.ix_(order, order)].ravel(), [kernel.amp.real, kernel.amp.imag]]
     numbers += [[cv for _, cv in con.coeffs] for con in kernel.constraints]
     return np.concatenate(numbers).astype("<f8").tobytes()

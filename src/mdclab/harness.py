@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import numbers
+import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
 
@@ -662,7 +663,9 @@ CSV_COLUMNS = ["p", "q", "r", "s", "t", "tprime", "b", "a", "P", "mu", "nu", "re
 
 
 def write_csv(path: str, rows: Iterable[dict]) -> None:
+    """The header and each row's values in CSV_COLUMNS order, the bytes
+    csv.DictWriter writes, without its per-row key check."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+        writer = csv.writer(fh)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(map(operator.itemgetter(*CSV_COLUMNS), rows))

@@ -5,7 +5,7 @@ A kernel over labelled variables v is
     K(v) = amp * (2 pi hbar)^pihbar_pow * V^vol_pow
            * exp[(i/hbar) v^T A v / 2] * prod(delta(coupling . v)),
 
-with A symmetric and stored in action units.  A kernel carries no hbar:
+with A symmetric and in action units.  A kernel carries no hbar:
 A, amp and the constraints do not depend on it, and the powers of 2 pi
 hbar are symbolic, so whoever evaluates K supplies hbar.  The exponent is
 homogeneous, as the quadratic Lagrangians of the lattice are: no linear
@@ -29,12 +29,17 @@ Pivots inside the band (PIVOT_TOL, 100 PIVOT_TOL) relative to their row are
 refused with NearCaustic rather than silently classified, and so is a pivot
 whose relative size is NaN (a NaN in its row, or an infinite diagonal).
 
+A kernel holds A as its upper-triangle entries, a dict from (i, j), i <= j
+indices into its vars, to A_ij, as the engine's sparse rows leave them.
+OscKernel.A builds the dense m x m matrix on each access; in the library
+only compare asks for it, for kernels with delta constraints (_on_surface).
+
 There is one elimination engine, and every kernel the library builds comes
-out of it (OscKernel.from_json reads one through the validating
-constructor).  It takes an ordered list of steps (part, variables), adds
-each part's entries (a kernel's, or monomials not yet built into one) into
-its sparse rows, integrates that step's variables, then moves to the next
-part.  marginalize_all(k, vs) is the one-step case ((k, vs),), glue(k1, k2,
+out of it (OscKernel.from_json reads the entries of one, with the
+validating constructor's checks).  It takes an ordered list of steps (part,
+variables), adds each part's entries (a kernel's, or monomials not yet built
+into one) into its sparse rows, integrates that step's variables, then
+moves to the next part.  marginalize_all(k, vs) is the one-step case ((k, vs),), glue(k1, k2,
 shared) the two-step case ((k1, ()), (k2, shared)), and from_terms the one
 step with nothing to integrate.  momentum_factorized_kernel hands
 marginalize_all its monomials as one _Terms.  path_kernel and
@@ -104,47 +109,66 @@ class AffineConstraint:
         return AffineConstraint(tuple(sorted((v, cv * s) for v, cv in self.coeffs)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OscKernel:
-    """Immutable oscillatory Gaussian kernel over named variables."""
+    """Immutable oscillatory Gaussian kernel over named variables.
+
+    A is held as `entries`, its upper triangle: a dict from (i, j), i <= j
+    indices into vars, to A_ij.  An entry exists where the builder wrote one,
+    which may be a +0.0; an absent entry is +0.0.  `A` builds the dense
+    m x m matrix from them afresh on each access."""
 
     vars: tuple[str, ...]
-    A: np.ndarray = field(repr=False)
-    amp: complex = 1.0 + 0.0j
-    pihbar_pow: Fraction = Fraction(0)
-    vol_pow: int = 0
-    constraints: tuple[AffineConstraint, ...] = ()
+    entries: dict[tuple[int, int], float] = field(repr=False)
+    amp: complex
+    pihbar_pow: Fraction
+    vol_pow: int
+    constraints: tuple[AffineConstraint, ...]
 
-    def __post_init__(self):
-        A, n = np.array(self.A, dtype=float), len(set(self.vars))
-        if n != len(self.vars):
-            raise VariableMismatch(f"repeated variable names in {tuple(self.vars)}")
+    def __init__(self, vars, A, amp=1.0 + 0.0j, pihbar_pow=Fraction(0), vol_pow=0, constraints=()):
+        """The kernel of a dense symmetric A over vars.  Repeated names, a
+        shape that does not fit vars, a non-finite number and an A that is not
+        symmetric to 1e-12 of its largest entry are refused; an A that is not
+        symmetric bit for bit is symmetrized, and every upper-triangle entry
+        but a +0.0 is kept."""
+        vars, A = tuple(vars), np.array(A, dtype=float)
+        _refuse_repeats(vars)
+        n = len(vars)
         if A.shape != (n, n):
             raise VariableMismatch(f"matrix shape {A.shape} does not fit {n} variables")
-        numbers = [cv for con in self.constraints for _, cv in con.coeffs]
-        if not (np.isfinite(A).all() and cmath.isfinite(self.amp) and all(map(math.isfinite, numbers))):
-            raise ValueError("kernel entries are not finite: NaN and infinity are refused, as in the JSON form")
+        _refuse_non_finite(np.isfinite(A).all(), amp, constraints)
         if n and abs(A - A.T).max() > 1e-12 * max(1.0, float(abs(A).max())):
             raise VariableMismatch("exponent matrix must be symmetric")
         # an A already symmetric bit for bit stays as it is: 0.5 (A + A^T) overflows above half the largest double
         if not np.array_equal(A.view(np.int64), A.T.view(np.int64)):
             A = 0.5 * (A + A.T)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "vars", tuple(self.vars))
-        object.__setattr__(self, "amp", complex(self.amp))
-        object.__setattr__(self, "pihbar_pow", Fraction(self.pihbar_pow))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
+        ii, jj = np.nonzero(np.triu(A).view(np.int64))
+        self.__dict__.update(vars=vars, entries=dict(zip(zip(ii.tolist(), jj.tolist()), A[ii, jj].tolist())),
+                             amp=complex(amp), pihbar_pow=Fraction(pihbar_pow), vol_pow=vol_pow,
+                             constraints=tuple(constraints))
 
     @classmethod
-    def _built(cls, vars, A, amp, pihbar_pow, vol_pow, constraints) -> "OscKernel":
+    def _built(cls, vars, entries, amp, pihbar_pow, vol_pow, constraints) -> "OscKernel":
         """A kernel from fields the library built itself, taken as they are:
-        vars a tuple of distinct names, A an exactly symmetric float64 array
-        of the right shape, amp a complex, pihbar_pow a Fraction and
-        constraints a tuple.  On such fields __post_init__'s checks pass and
-        its copies and conversions change nothing, so it is skipped."""
+        vars a tuple of distinct names, entries a dict of upper-triangle
+        entries, amp a complex, pihbar_pow a Fraction and constraints a tuple.
+        On such fields the constructor's checks pass, so none is run."""
         kernel = object.__new__(cls)
-        kernel.__dict__.update(vars=vars, A=A, amp=amp, pihbar_pow=pihbar_pow, vol_pow=vol_pow, constraints=constraints)
+        kernel.__dict__.update(vars=vars, entries=entries, amp=amp, pihbar_pow=pihbar_pow, vol_pow=vol_pow,
+                               constraints=constraints)
         return kernel
+
+    @property
+    def A(self) -> np.ndarray:
+        """The dense symmetric float64 matrix over vars, a new m x m array on each access."""
+        m = len(self.vars)
+        A = np.zeros((m, m))
+        if self.entries:
+            ij = np.array(list(self.entries), dtype=np.intp)
+            x = np.fromiter(self.entries.values(), float, len(self.entries))
+            A[ij[:, 0], ij[:, 1]] = x
+            A[ij[:, 1], ij[:, 0]] = x
+        return A
 
     # -- inspection ------------------------------------------------------------
 
@@ -167,20 +191,19 @@ class OscKernel:
         to round: x with x 2^15 an integer has at most 15 decimals, and
         doubles of magnitude 8 or more are at least 2^-49 apart, so every
         decimal within 5e-16 of such an x reads back as x."""
-        order = np.argsort(np.array(self.vars))
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        # the entries that are not +0.0 (a -0.0 or a NaN among them), by sorted rank, upper triangle only;
-        # one that rounds to +0.0 is dropped below
-        ii, jj = np.nonzero(self.A.view(np.int64))
-        ri, rj = rank[ii], rank[jj]
-        upper = ri <= rj
-        ri, rj, x = ri[upper], rj[upper], self.A[ii[upper], jj[upper]]
-        by = np.lexsort((rj, ri))
+        # Python's order of the names, as the engine's: a fixed-width numpy string would drop a trailing NUL
+        order = sorted(range(len(self.vars)), key=self.vars.__getitem__)
+        rank = [0] * len(order)
+        for r, i in enumerate(order):
+            rank[i] = r
+        # each entry by sorted rank, upper triangle; the pairs are distinct, so no sort compares two values
+        triples = sorted((rank[i], rank[j], x) if rank[i] <= rank[j] else (rank[j], rank[i], x)
+                         for (i, j), x in self.entries.items())
         return {
             "kernel_format": 4,
             "vars": [self.vars[i] for i in order],
-            "A": [[i, j, r] for i, j, v in zip(ri[by].tolist(), rj[by].tolist(), x[by].tolist())
+            # a +0.0, or an entry that rounds to one, is left out; a -0.0 or a NaN is written
+            "A": [[i, j, r] for i, j, v in triples
                   if (r := v if abs(v) >= 8.0 or (v * 32768.0).is_integer() else round(v, 15))
                   or math.copysign(1.0, r) < 0.0],
             "amp": {"modulus": round(abs(self.amp), 15), "phase": round(cmath.phase(self.amp), 15)},
@@ -197,40 +220,60 @@ class OscKernel:
         return json.dumps(self.canonical_dict(), sort_keys=True, allow_nan=False)
 
     def _add_into(self, rows, at) -> list[int]:
-        """Add each nonzero entry of A into the engine's sparse rows, whose
-        position of a name `at` gives; return the positions of vars."""
+        """Add each entry of A that is not ±0.0 into the engine's sparse rows,
+        whose position of a name `at` gives, A_ij into row i and row j; return
+        the positions of vars."""
         pos = [at[v] for v in self.vars]
-        ii, jj = np.nonzero(self.A)
-        for i, j, v in zip(ii.tolist(), jj.tolist(), self.A[ii, jj].tolist()):
-            row, j = rows[pos[i]], pos[j]
-            row[j] = row.get(j, 0.0) + v
+        for (i, j), x in self.entries.items():
+            if x:
+                i, j = pos[i], pos[j]
+                row = rows[i]
+                row[j] = row.get(j, 0.0) + x
+                if i != j:
+                    row = rows[j]
+                    row[i] = row.get(i, 0.0) + x
         return pos
 
     @staticmethod
     def from_json(text: str) -> "OscKernel":
-        """The kernel of a canonical JSON text.  ValueError on what to_json
-        never writes: a NaN or infinite token, a kernel_format other than 4
-        (formats 1-3 carried an hbar key, or terms every kernel held at zero),
-        and an A triple with an index out of range, below the diagonal or
-        repeated."""
+        """The kernel of a canonical JSON text, its A triples read straight
+        into the entries.  ValueError on what to_json never writes: a NaN or
+        infinite number, a kernel_format other than 4 (formats 1-3 carried an
+        hbar key, or terms every kernel held at zero), and an A triple with an
+        index out of range, below the diagonal or repeated; VariableMismatch
+        on a repeated name, as the constructor refuses them."""
         data = json.loads(text, parse_constant=_refuse_constant)
         if type(fmt := data.get("kernel_format")) is not int or fmt != 4:
             raise ValueError(f"kernel_format must be 4, got {fmt!r}")
-        n = len(data["vars"])
-        A, seen = np.zeros((n, n)), set()
+        vars = tuple(data["vars"])
+        n, entries = len(vars), {}
         for triple in data["A"]:
             i, j, x = triple
             if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
                 raise ValueError(f"A triple {triple} has an index out of range for {n} variables")
             if i > j:
                 raise ValueError(f"A triple {triple} lies below the diagonal")
-            if (i, j) in seen:
+            if (i, j) in entries:
                 raise ValueError(f"A triple {triple} repeats the entry ({i}, {j})")
-            seen.add((i, j))
-            A[i, j] = A[j, i] = x
+            entries[i, j] = float(x)
         amp = cmath.rect(data["amp"]["modulus"], data["amp"]["phase"])
         cons = tuple(AffineConstraint(tuple((v, cv) for v, cv in item["coeffs"])) for item in data["constraints"])
-        return OscKernel(tuple(data["vars"]), A, amp, Fraction(data["pihbar_pow"]), data["vol_pow"], cons)
+        _refuse_repeats(vars)
+        _refuse_non_finite(all(map(math.isfinite, entries.values())), amp, cons)
+        return OscKernel._built(vars, entries, amp, Fraction(data["pihbar_pow"]), data["vol_pow"], cons)
+
+
+def _refuse_repeats(vars: tuple[str, ...]) -> None:
+    """The constructor's and from_json's check of the names."""
+    if len(set(vars)) != len(vars):
+        raise VariableMismatch(f"repeated variable names in {vars}")
+
+
+def _refuse_non_finite(finite_A: bool, amp, constraints) -> None:
+    """The constructor's and from_json's check of the numbers, A's told by finite_A."""
+    numbers = [cv for con in constraints for _, cv in con.coeffs]
+    if not (finite_A and cmath.isfinite(amp) and all(map(math.isfinite, numbers))):
+        raise ValueError("kernel entries are not finite: NaN and infinity are refused, as in the JSON form")
 
 
 def _refuse_constant(token: str):
@@ -349,7 +392,8 @@ def marginalize_all(kernel, variables) -> OscKernel:
     update, and refreshes the caches on those rows; a step with nothing to
     integrate refreshes none, and leaves its rows to the next step that
     integrates.  One OscKernel is built at the end, through the constructor
-    that skips re-validation.
+    that skips re-validation, from the live rows' upper-triangle entries:
+    no dense matrix is made.
     Outside the block a dense update would add or subtract an exact zero, and
     the Gaussian update is exactly symmetric, so the result is bit-identical
     to eliminating one variable at a time with dense updates, for any kernel
@@ -357,11 +401,12 @@ def marginalize_all(kernel, variables) -> OscKernel:
 
     A step list of several parts, one pass, gives the kernel of the fold
     that builds an OscKernel after each step and glues the next part onto
-    it, bit for bit.  That round trip only drops exact zeros (np.nonzero)
-    and adds the next part's entries onto 0.0, which changes nothing on
-    kernels without negative zeros.  The running bound `top` may differ in
-    one pass, since it keeps the scales of earlier steps; it only decides
-    whether the exact test runs, so every volume decision is the same.
+    it, bit for bit.  That round trip only drops exact zeros (_add_into
+    skips them) and adds the next part's entries onto 0.0, which changes
+    nothing on kernels without negative zeros.  The running bound `top` may
+    differ in one pass, since it keeps the scales of earlier steps; it only
+    decides whether the exact test runs, so every volume decision is the
+    same.
     """
     return _eliminate(((kernel, variables),))
 
@@ -551,11 +596,15 @@ def _eliminate(steps) -> OscKernel:
             num, den = num * up, den * up
         num += p.numerator * (den // p.denominator)
     kept = [v for v in vars if v not in gone] if gone else vars
-    live = [at[v] for v in kept]
-    out, m = dict(zip(live, range(len(live)))), len(live)
-    A = np.zeros((m, m))
-    A.put([p * m + out[j] for p, i in enumerate(live) for j in rows[i]], [v for i in live for v in rows[i].values()])
-    return OscKernel._built(tuple(kept), A, amp, Fraction(num, den), vol, tuple(cons))
+    # the live rows' upper-triangle entries, indices into kept: a live row holds no eliminated position
+    live, out, entries = [at[v] for v in kept], [0] * n, {}
+    for p, i in enumerate(live):
+        out[i] = p
+    for p, i in enumerate(live):
+        for j, x in rows[i].items():
+            if p <= (q := out[j]):
+                entries[p, q] = x
+    return OscKernel._built(tuple(kept), entries, amp, Fraction(num, den), vol, tuple(cons))
 
 
 def glue(k1: OscKernel, k2: OscKernel, shared) -> OscKernel:
@@ -591,36 +640,50 @@ def compare(k1: OscKernel, k2: OscKernel) -> KernelDiff:
 
     `exponent_diff` is the max-norm difference over A and the coefficients
     of the normalized delta constraints; a non-finite difference always
-    wins.  When the kernels carry constraints, A is compared where they
-    hold, on the forms _on_surface reduces, and `amp_ratio` divides each
-    kernel's amp by the product of its constraints' |lead coefficient|,
-    since delta(c u) = delta(u) / |c|.  Volume and 2-pi-hbar powers are
-    reported, never folded into the exponent measure.
+    wins.  Without constraints, A is compared over the union of the two
+    kernels' entries, k1's re-keyed to k2's variable order, an absent entry
+    reading 0.0.  When the kernels carry constraints, the dense A is compared
+    where they hold, on the forms _on_surface reduces, and `amp_ratio`
+    divides each kernel's amp by the product of its constraints' |lead
+    coefficient|, since delta(c u) = delta(u) / |c|.  Volume and
+    2-pi-hbar powers are reported, never folded into the exponent measure.
     """
     aligned = k1.vars == k2.vars
     if not aligned and set(k1.vars) != set(k2.vars):
         raise VariableMismatch(f"variable sets differ: {k1.vars} vs {k2.vars}")
     if len(k1.constraints) != len(k2.constraints):
         raise VariableMismatch("kernels carry different numbers of delta constraints")
-    A1, A2 = k1.A, k2.A
     if not aligned:
         at = {v: n for n, v in enumerate(k2.vars)}
         perm = [at[v] for v in k1.vars]
-        A2 = A2[np.ix_(perm, perm)]
-    # the largest difference of each part: each constraint's coefficients, then A
-    maxima = []
+    # the differences of each part: each constraint's coefficients, then A
+    diffs = []
     if k1.constraints:
         cons1, cons2 = (sorted((con.normalized() for con in k.constraints), key=lambda con: con.coeffs)
                         for k in (k1, k2))
         for con1, con2 in zip(cons1, cons2):
             if con1.variables() != con2.variables():
                 raise VariableMismatch("delta constraints tie different variables")
-            maxima += [abs(a - b) for (_, a), (_, b) in zip(con1.coeffs, con2.coeffs)]
+            diffs += [abs(a - b) for (_, a), (_, b) in zip(con1.coeffs, con2.coeffs)]
+        A1, A2 = k1.A, k2.A
+        if not aligned:
+            A2 = A2[np.ix_(perm, perm)]
         A1, A2 = _on_surface(k1.vars, A1, A2, cons1, cons2)
-    if A1.size:
-        maxima.append(abs(A1 - A2).max())
-    # a NaN wins as in np.max: the sum of these nonnegative maxima is NaN exactly when one is
-    exponent_diff = float(total if (total := sum(maxima)) != total else max(maxima) if maxima else 0.0)
+        if A1.size:
+            diffs.append(abs(A1 - A2).max())
+    else:
+        e1, e2 = k1.entries, k2.entries
+        if not aligned:
+            # k1's entries re-keyed to k2's variable order
+            e1 = {}
+            for (i, j), x in k1.entries.items():
+                i, j = perm[i], perm[j]
+                e1[(i, j) if i <= j else (j, i)] = x
+        # the entries outside both patterns differ by 0.0, which changes no maximum
+        diffs += [abs(x - e2.get(ij, 0.0)) for ij, x in e1.items()]
+        diffs += [abs(x) for ij, x in e2.items() if ij not in e1]
+    # a NaN wins as in np.max: the sum of these nonnegative differences is NaN exactly when one is
+    exponent_diff = float(total if (total := sum(diffs)) != total else max(diffs) if diffs else 0.0)
     amp1, amp2 = k1.amp, k2.amp
     if k1.constraints:
         # delta(c u) = delta(u) / |c|: each amp in the scale of the normalized constraints

@@ -106,7 +106,8 @@ def _first(values: FloatOrArray, bad) -> float:
 
 def _guard_sum(name: str, value: FloatOrArray) -> None:
     bad = abs(value) < DENOM_EPS
-    if np.any(bad):
+    # a float's test is a bool, read as it is; np.any would cost a call into numpy
+    if bad if type(bad) is bool else bad.any():
         raise DegenerateParams(f"denominator {name} vanishes: {_first(value, bad)!r}")
 
 
@@ -189,7 +190,7 @@ def check_stt_identity(p: FloatOrArray, q: FloatOrArray, r: FloatOrArray) -> Flo
 def edge_coefficient(pi: FloatOrArray, pj: FloatOrArray) -> FloatOrArray:
     """s_ij = (p_i + p_j)/(p_i - p_j); errors on equal parameters."""
     bad = abs(pi - pj) < DENOM_EPS
-    if np.any(bad):
+    if bad if type(bad) is bool else bad.any():
         raise DegenerateParams(f"edge coefficient undefined for p_i = p_j = {_first(pi, bad)!r}")
     return (pi + pj) / (pi - pj)
 

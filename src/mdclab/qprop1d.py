@@ -210,7 +210,7 @@ def _with_end_xb(kernel: OscKernel) -> OscKernel:
     end = kernel.vars[1]
     cons = tuple(AffineConstraint(tuple(("xb" if v == end else v, cv) for v, cv in con.coeffs))
                  for con in kernel.constraints)
-    return OscKernel._built(("xa", "xb"), kernel.A, kernel.amp, kernel.pihbar_pow, kernel.vol_pow, cons)
+    return OscKernel._built(("xa", "xb"), kernel.entries, kernel.amp, kernel.pihbar_pow, kernel.vol_pow, cons)
 
 
 # -- Tridiagonal fluctuation determinant ---------------------------------------

@@ -1,11 +1,13 @@
 import cmath
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mdclab import harness, p3
+from mdclab.oscgauss import OscKernel
 from mdclab.params import LatticeParams, bar_matrix, derive, hat_matrix
 
 
@@ -47,6 +49,27 @@ def p3_modes(derived):
     return p3.p3_joint_modes(*p3_matrices(derived))
 
 
+def built(vars, A, amp=1.0 + 0.0j, pihbar_pow=Fraction(0), vol_pow=0, constraints=()):
+    """The kernel of a dense A through OscKernel._built, which takes every
+    field as it is, a NaN or an infinity included: A's upper triangle, each
+    entry but a +0.0, as the validating constructor keeps it."""
+    A = np.asarray(A, dtype=float)
+    ii, jj = np.nonzero(np.triu(A).view(np.int64))
+    entries = dict(zip(zip(ii.tolist(), jj.tolist()), A[ii, jj].tolist()))
+    return OscKernel._built(vars, entries, amp, pihbar_pow, vol_pow, constraints)
+
+
+def dense_fields(kernel):
+    """The kernel's fields as the constructor's keywords, A the dense matrix."""
+    return dict(vars=kernel.vars, A=kernel.A, amp=kernel.amp, pihbar_pow=kernel.pihbar_pow, vol_pow=kernel.vol_pow,
+                constraints=kernel.constraints)
+
+
+def with_fields(kernel, **changes):
+    """dataclasses.replace for a kernel, through built: a changed A is a dense matrix."""
+    return built(**{**dense_fields(kernel), **changes})
+
+
 def coeff(kernel, v1, v2):
     """Full coefficient of the monomial v1*v2 in a kernel's exponent."""
     i, j = kernel.index(v1), kernel.index(v2)
@@ -75,6 +98,16 @@ def engine_rows(part):
 def float_bits(x):
     """The float64 bits of x as an int."""
     return int(np.float64(x).view(np.int64))
+
+
+def same_bits(x, y) -> bool:
+    """Whether two float64 values or arrays are equal bit for bit, where a NaN
+    matches any NaN: which operand a sum of two NaNs keeps is not fixed, not
+    even in CPython, whose float addition keeps the second until the
+    bytecode is specialised and the first after."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    both = np.isnan(x) & np.isnan(y)
+    return np.array_equal(np.where(both, 0, x.view(np.int64)), np.where(both, 0, y.view(np.int64)))
 
 
 def exponent(kernel, assignment):

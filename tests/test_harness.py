@@ -34,6 +34,8 @@ from mdclab.harness import (
 )
 from mdclab.params import LatticeParams, check_sij_identity, check_stt_identity, derive, printed_constant_residuals
 
+from conftest import with_fields
+
 SMALL = SuiteConfig(seed=7, trials=40)
 
 
@@ -151,7 +153,7 @@ def test_a_wrong_normalization_power_fails_amplitude_ratios(monkeypatch):
 
     def one_power_off(*args, **kwargs):
         k = closed_form(*args, **kwargs)
-        return replace(k, pihbar_pow=k.pihbar_pow + 1)
+        return with_fields(k, pihbar_pow=k.pihbar_pow + 1)
 
     monkeypatch.setattr(qprop1d, "multi_time_closed_form", one_power_off)
     report = run(SuiteConfig(seed=7, trials=40, suites=("prop1d",)))

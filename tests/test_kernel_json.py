@@ -17,7 +17,7 @@ from mdclab import oscgauss, qprop1d, qsurface
 from mdclab.errors import NearCaustic
 from mdclab.params import LatticeParams, derive
 
-from conftest import float_bits, reversed_surface
+from conftest import built, float_bits, reversed_surface, same_bits
 
 #: Two elliptic points: the worked example and a generic one.
 POINTS = {"p321": (3.0, 2.0, 1.0), "pgen": (2.7, 1.35, 0.55)}
@@ -295,7 +295,7 @@ def test_canonical_dict_writes_the_rounding_edges_as_round_does():
     assert [float_bits(x) for _, _, x in kernel.canonical_dict()["A"] if x == 0.0] == [float_bits(-0.0)] * 3
     A[0, 0] = math.nan
     with pytest.raises(ValueError):
-        oscgauss.OscKernel._built(kernel.vars, A, 1.0 + 0.0j, Fraction(0), 0, ()).to_json()
+        built(kernel.vars, A, 1.0 + 0.0j, Fraction(0), 0, ()).to_json()
 
 
 @settings(max_examples=300, deadline=None)
@@ -316,8 +316,7 @@ def test_to_json_refuses_a_non_finite_entry(kernel, bad, in_amp, data):
     else:
         A[i, j] = A[j, i] = bad
     # the validating constructor refuses a non-finite kernel; _built takes its fields as they are
-    bad_kernel = oscgauss.OscKernel._built(kernel.vars, A, amp, kernel.pihbar_pow, kernel.vol_pow,
-                                           kernel.constraints)
+    bad_kernel = built(kernel.vars, A, amp, kernel.pihbar_pow, kernel.vol_pow, kernel.constraints)
     with pytest.raises(ValueError):
         bad_kernel.to_json()
 
@@ -327,6 +326,20 @@ def test_canonical_form_keeps_the_sign_of_a_zero():
     data = json.loads(kernel.to_json())
     # over the sorted vars (a, b): A_ab = 1.0, A_bb = -0.0 listed with its sign, A_aa = +0.0 left out
     assert data["A"] == [[0, 1, 1.0], [1, 1, -0.0]] and math.copysign(1.0, data["A"][1][2]) == -1.0
+
+
+def test_names_with_a_trailing_nul_write_one_canonical_text():
+    # a fixed-width numpy string drops a trailing NUL, so "a\x00" once sorted as "a", and the two orders of one
+    # kernel wrote two texts; Python's order, the engine's, puts "a" first
+    A = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, -1.5], [0.0, -1.5, 3.0]])
+    k1 = oscgauss.OscKernel(("a\x00", "a", "b"), A)
+    order = [1, 0, 2]
+    k2 = oscgauss.OscKernel(("a", "a\x00", "b"), A[np.ix_(order, order)])
+    assert oscgauss.compare(k1, k2).exponent_diff == 0.0
+    text = k1.to_json()
+    assert k2.to_json() == text and json.loads(text)["vars"] == ["a", "a\x00", "b"]
+    back = oscgauss.OscKernel.from_json(text)
+    assert back.vars == ("a", "a\x00", "b") and back.to_json() == text
 
 
 #: Awkward entries, and entries near overflow, for library-built kernels.
@@ -459,7 +472,8 @@ def dense_kernel(part):
     then the constructor that skips re-validation.  A _Terms adds each
     monomial from 0.0 into A in dict order; a builder's own part
     (qprop1d._PathSteps, qsurface._Plaquettes) writes into A's rows through
-    its _add_into, as it writes into the engine's sparse rows."""
+    its _add_into, as it writes into the engine's sparse rows.  The kernel
+    keeps A's upper triangle, as every kernel does."""
     n = len(part.vars)
     A = np.zeros((n, n))
     idx = {v: k for k, v in enumerate(part.vars)}
@@ -473,22 +487,12 @@ def dense_kernel(part):
                 A[j, i] += cv
     else:
         part._add_into([DenseRow(A, i) for i in range(n)], idx)
-    return oscgauss.OscKernel._built(part.vars, A, part.amp, part.pihbar_pow, 0, ())
+    return built(part.vars, A, part.amp, part.pihbar_pow, 0, ())
 
 
 def dense_feed(part, variables):
     """The route the builders skip: a dense kernel of their part, then marginalize_all."""
     return oscgauss.marginalize_all(dense_kernel(part), variables)
-
-
-def same_bits(x, y) -> bool:
-    """Whether two float64 values or arrays are equal bit for bit, where a NaN
-    matches any NaN: which operand a sum of two NaNs keeps is not fixed, not
-    even in CPython, whose float addition keeps the second until the
-    bytecode is specialised and the first after."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    both = np.isnan(x) & np.isnan(y)
-    return np.array_equal(np.where(both, 0, x.view(np.int64)), np.where(both, 0, y.view(np.int64)))
 
 
 @st.composite

@@ -1,7 +1,7 @@
 import cmath
 import itertools
 import math
-from dataclasses import FrozenInstanceError, fields, replace
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +18,7 @@ from mdclab.harness import SuiteConfig, run
 from mdclab.params import LatticeParams, derive
 from mdclab.reduction import closure_coeffs
 
-from conftest import coeff, exponent, value
+from conftest import built, coeff, dense_fields, exponent, value, with_fields
 
 
 def fresnel_quadrature_oracle(kernel, var, hbar=1.0, assignment=None):
@@ -250,7 +250,7 @@ def test_a_delta_of_no_finite_coupling_is_refused():
     # delta of v ties nothing; the NaN rows of x and y keep v's row from counting as a volume factor
     A = np.array([[0.0, math.inf, 0.0, 0.0], [math.inf, 1.0, 0.0, 0.0],
                   [0.0, 0.0, 1.0, math.nan], [0.0, 0.0, math.nan, 1.0]])
-    k = og.OscKernel._built(("v", "w", "x", "y"), A, 1.0 + 0.0j, Fraction(0), 0, ())
+    k = built(("v", "w", "x", "y"), A, 1.0 + 0.0j, Fraction(0), 0, ())
     want = (NearCaustic, "integrating 'v' leaves a delta of no finite coupling")
     assert _outcome(lambda: og.marginalize(k, "v")) == want
     assert _outcome(lambda: _fold_marginalize(k, ["v"])) == want
@@ -272,8 +272,8 @@ def test_compare_keeps_a_nan_in_either_order_across_permuted_variables():
 
 def test_compare_refuses_a_constraint_count_mismatch():
     k1 = og.from_terms(("x", "y"), {("x", "y"): 1.0})
-    k2 = replace(k1, constraints=(og.AffineConstraint((("x", 1.0), ("y", -1.0))),))
-    for pair in ((k1, k2), (k2, k1), (k1, replace(k2, vars=("y", "x")))):
+    k2 = with_fields(k1, constraints=(og.AffineConstraint((("x", 1.0), ("y", -1.0))),))
+    for pair in ((k1, k2), (k2, k1), (k1, with_fields(k2, vars=("y", "x")))):
         with pytest.raises(VariableMismatch, match="numbers of delta constraints"):
             og.compare(*pair)
 
@@ -289,7 +289,7 @@ def test_marginalize_all_rejects_an_unknown_variable():
     k = og.from_terms(("u", "w"), {("u", "u"): 0.5, ("w", "w"): 0.25})
     with pytest.raises(VariableMismatch):
         og.marginalize_all(k, ["nope", "w"])
-    foreign = replace(k, constraints=(og.AffineConstraint((("z", 1.0),)),))
+    foreign = with_fields(k, constraints=(og.AffineConstraint((("z", 1.0),)),))
     with pytest.raises(VariableMismatch):
         og.marginalize_all(foreign, ["w"])
 
@@ -359,7 +359,7 @@ def _random_kernel(rng, shape):
         w = int(rng.choice([i for i in range(n) if i != v]))
         constraints = (og.AffineConstraint(((names[v], rng.normal()), (names[w], rng.normal()))),)
     # the validating constructor refuses a non-finite kernel; the library builds one through _built
-    build = og.OscKernel._built if shape in ("nonfinite", "nan-volume") else og.OscKernel
+    build = built if shape in ("nonfinite", "nan-volume") else og.OscKernel
     kernel = build(names, A, complex(*rng.normal(size=2)), Fraction(0), 0, constraints)
     return kernel, [names[i] for i in pending]
 
@@ -368,11 +368,10 @@ def _replace(kernel, **changes):
     """dataclasses.replace through _built, since the reference routes below
     also carry the non-finite kernels the validating constructor refuses; an
     A that is not symmetric bit for bit is symmetrized, as the constructor does."""
-    entries = {**{f.name: getattr(kernel, f.name) for f in fields(kernel)}, **changes}
-    A = entries["A"]
+    A = changes.get("A", kernel.A)
     if not np.array_equal(A.view(np.int64), A.T.view(np.int64)):
-        entries["A"] = 0.5 * (A + A.T)
-    return og.OscKernel._built(**entries)
+        changes["A"] = 0.5 * (A + A.T)
+    return with_fields(kernel, **changes)
 
 
 def _finite(kernel):
@@ -622,7 +621,7 @@ def _kernel(names, entries, constraints=()):
     A = np.zeros((len(names), len(names)))
     for (u, w), x in entries.items():
         A[names.index(u), names.index(w)] = A[names.index(w), names.index(u)] = x
-    return og.OscKernel._built(tuple(names), A, 1.0 + 0.0j, Fraction(0), 0, tuple(constraints))
+    return built(tuple(names), A, 1.0 + 0.0j, Fraction(0), 0, tuple(constraints))
 
 
 # Kernels whose pivot order needs the heap to follow a pending row's changing key: (names, entries, constraints,
@@ -729,13 +728,13 @@ def test_compare_aligns_permuted_variables_as_the_index_route_does(rng, n, delta
     A = rng.normal(size=(n, n))
     A = A + A.T
     cons = (og.AffineConstraint(((names[0], 1.5), (names[-1], -0.5))),) if delta and n > 1 else ()
-    k1 = og.OscKernel._built(names, A, 1.0 + 0.5j, Fraction(1, 2), 0, cons)
+    k1 = built(names, A, 1.0 + 0.5j, Fraction(1, 2), 0, cons)
     shuffle = rng.permutation(n)
     noise = 1e-3 * rng.normal(size=(n, n))
-    k2 = og.OscKernel._built(tuple(names[i] for i in shuffle), (A + noise + noise.T)[np.ix_(shuffle, shuffle)],
-                             2.0 - 1.0j, Fraction(1), 1, cons)
+    k2 = built(tuple(names[i] for i in shuffle), (A + noise + noise.T)[np.ix_(shuffle, shuffle)], 2.0 - 1.0j,
+               Fraction(1), 1, cons)
     perm = [k2.index(v) for v in k1.vars]
-    aligned = og.OscKernel._built(k1.vars, k2.A[np.ix_(perm, perm)], k2.amp, k2.pihbar_pow, k2.vol_pow, cons)
+    aligned = built(k1.vars, k2.A[np.ix_(perm, perm)], k2.amp, k2.pihbar_pow, k2.vol_pow, cons)
     assert (k2.vars == k1.vars) == (n == 1)
     assert repr(og.compare(k1, k2)) == repr(og.compare(k1, aligned))
     assert repr(og.compare(k2, k1)) == repr(og.compare(aligned, k1))
@@ -745,10 +744,10 @@ def _compare_pair():
     """Two kernels over x, y, z with one delta constraint each, the second's variables in another order."""
     A = np.array([[0.5, 0.25, 0.0], [0.25, -1.5, 0.75], [0.0, 0.75, 2.0]])
     con = og.AffineConstraint((("x", 1.0), ("z", -0.5)))
-    k1 = og.OscKernel._built(("x", "y", "z"), A, 1.0 + 0.5j, Fraction(1, 2), 0, (con,))
+    k1 = built(("x", "y", "z"), A, 1.0 + 0.5j, Fraction(1, 2), 0, (con,))
     order = [2, 0, 1]
-    k2 = og.OscKernel._built(("z", "x", "y"), (A + 1e-3)[np.ix_(order, order)], 2.0 + 0.0j, Fraction(1), 1,
-                             (og.AffineConstraint((("x", 1.0 + 1e-4), ("z", -0.5))),))
+    k2 = built(("z", "x", "y"), (A + 1e-3)[np.ix_(order, order)], 2.0 + 0.0j, Fraction(1), 1,
+               (og.AffineConstraint((("x", 1.0 + 1e-4), ("z", -0.5))),))
     return k1, k2
 
 
@@ -762,7 +761,7 @@ def _with_nan(kernel, part):
     else:
         # the largest magnitude that normalized() meets first is NaN: the lead is the largest finite coefficient
         con = og.AffineConstraint(((con.coeffs[0][0], math.nan), con.coeffs[1]))
-    return og.OscKernel._built(kernel.vars, A, kernel.amp, kernel.pihbar_pow, kernel.vol_pow, (con,))
+    return built(kernel.vars, A, kernel.amp, kernel.pihbar_pow, kernel.vol_pow, (con,))
 
 
 @pytest.mark.parametrize("nan", [None, "A", "coefficient", "first coefficient"])
@@ -878,7 +877,7 @@ def test_library_built_kernels_pass_the_validating_constructor_unchanged(seed, s
                 k = build()
         except NearCaustic:
             continue
-        entries = {f.name: getattr(k, f.name) for f in fields(k)}
+        entries = dense_fields(k)
         if not _finite(k):
             with pytest.raises(ValueError, match="not finite"):
                 og.OscKernel(**entries)
@@ -953,7 +952,7 @@ def test_compare_still_fails_a_pair_that_differs_on_the_constraint_surface():
         assert og.compare(*pair).exponent_diff == pytest.approx(0.1, abs=1e-12)
     # delta(x - y): x^2 - y^2 vanishes on the surface, x^2 + y^2 does not
     con = (og.AffineConstraint((("x", 1.0), ("y", -1.0))),)
-    zero, odd, even = (og.OscKernel._built(("x", "y"), np.diag(a), 1.0 + 0.0j, Fraction(1), 0, con)
+    zero, odd, even = (built(("x", "y"), np.diag(a), 1.0 + 0.0j, Fraction(1), 0, con)
                        for a in ([0.0, 0.0], [1.0, -1.0], [1.0, 1.0]))
     assert og.compare(zero, odd).exponent_diff == 0.0
     assert og.compare(zero, even).exponent_diff == 2.0

@@ -17,7 +17,7 @@ from mdclab.oscgauss import compare, glue
 from mdclab.params import LatticeParams, derive
 from mdclab.reduction import OscillatorCoeffs, closure_coeffs
 
-from conftest import coeff, engine_rows, exponent, float_bits, sample_triples
+from conftest import coeff, engine_rows, exponent, float_bits, sample_triples, with_fields
 
 
 def test_one_step_kernel_exact_values(d321):
@@ -200,8 +200,8 @@ def test_random_paths_are_path_independent(d321, rng):
 
 
 def test_group_property(d321):
-    k_hat = replace(qp.multi_time_closed_form(3, 0, d321), vars=("xa", "xm"))
-    k_bar = replace(qp.multi_time_closed_form(0, 2, d321), vars=("xm", "xb"))
+    k_hat = with_fields(qp.multi_time_closed_form(3, 0, d321), vars=("xa", "xm"))
+    k_bar = with_fields(qp.multi_time_closed_form(0, 2, d321), vars=("xm", "xb"))
     diff = compare(glue(k_hat, k_bar, ("xm",)), qp.multi_time_closed_form(3, 2, d321))
     assert diff.exponent_diff <= 1e-12
     assert diff.amp_ratio_error <= 1e-12
@@ -227,9 +227,9 @@ def _glue_fold(n, derived, direction):
     """n one-step kernels glued in sequence, one glue call per link."""
     names = ("xa", *(f"s{k}" for k in range(1, n)), "xb")
     step = qp.one_step_kernel(direction, derived)
-    acc = replace(step, vars=names[:2])
+    acc = with_fields(step, vars=names[:2])
     for k in range(1, n):
-        acc = glue(acc, replace(step, vars=names[k:k + 2]), shared=(names[k],))
+        acc = glue(acc, with_fields(step, vars=names[k:k + 2]), shared=(names[k],))
     return acc
 
 

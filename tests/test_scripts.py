@@ -1,15 +1,20 @@
 """Smoke tests: the scripts under scripts/ run against the current library API."""
 
 import csv
+import hashlib
 import importlib.util
 import json
+import os
+import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from mdclab.oscgauss import from_terms
+from mdclab import qsurface
+from mdclab.oscgauss import OscKernel, from_terms
+
+from conftest import dense_fields
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -77,10 +82,20 @@ def test_kernel_digests_chain_lines_equal_the_n_step_lines():
 def test_kernel_digests_hash_the_bits_that_the_json_rounds_away():
     script = load_script("kernel_digests")
     kernel = from_terms(("x", "y"), {("x", "y"): 0.0123})
-    nudged = replace(kernel, A=np.nextafter(kernel.A, 1.0) * (kernel.A != 0.0))
+    nudged = OscKernel(**{**dense_fields(kernel), "A": np.nextafter(kernel.A, 1.0) * (kernel.A != 0.0)})
     assert nudged.to_json() == kernel.to_json()
     assert script.kernel_bits(nudged) != script.kernel_bits(kernel)
-    assert script.kernel_bits(replace(kernel)) == script.kernel_bits(kernel)
+    assert script.kernel_bits(OscKernel(**dense_fields(kernel))) == script.kernel_bits(kernel)
+
+
+def test_kernel_digests_order_names_with_a_trailing_nul_as_the_canonical_form_does():
+    # a fixed-width numpy string drops a trailing NUL: one kernel, stored in two orders, had two digests
+    script = load_script("kernel_digests")
+    A = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, -1.5], [0.0, -1.5, 3.0]])
+    k1 = OscKernel(("a\x00", "a", "b"), A)
+    k2 = OscKernel(("a", "a\x00", "b"), A[np.ix_([1, 0, 2], [1, 0, 2])])
+    assert k1.to_json() == k2.to_json()
+    assert script.field_bytes(k1) == script.field_bytes(k2)
 
 
 def test_ab_compare_times_the_tree_against_itself_and_leaves_no_file(tmp_path, capsys, monkeypatch):
@@ -113,3 +128,23 @@ def test_ab_compare_times_sweep_on_its_report_bodies(tmp_path, capsys, monkeypat
     assert script.output_key("sweep", (body_a, 0, "a")) == script.output_key("sweep", (body_b, 0, "b"))
     body_b.write_text("{ }")
     assert script.output_key("sweep", (body_a, 0, "a")) != script.output_key("sweep", (body_b, 0, "b"))
+
+
+def test_scale_surfaces_runs_each_k_in_a_process_of_its_own(tmp_path):
+    root = SCRIPTS.parent
+    perfbench_files = sorted((root / "perfbench").rglob("*"))
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, str(SCRIPTS / "scale_surfaces.py"), "4", "6"], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, check=True).stdout.splitlines()
+    assert "ru_maxrss" in out[0] and len(out) == 4
+    rows = [line.split() for line in out[2:]]
+    assert [row[:2] for row in rows] == [["4", "25"], ["6", "49"]]
+    assert all(float(x) >= 0.0 for row in rows for x in row[2:7])
+    # the JSON digest is that of the kernel of perfbench's deformed_patch(4, 8) at seed 1, built here
+    description = load_script("ab_compare").load_perfbench().deformed_patch(4, 8, np.random.default_rng(1))
+    kernel = qsurface.surface_kernel(qsurface.surface_from_dict(description),
+                                     qsurface.canonical_lattice_coeffs(3.0, 2.0, 1.0))
+    text = kernel.to_json()
+    assert rows[0][-3:] == [str(len(text)), "B", hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]]
+    assert sorted((root / "perfbench").rglob("*")) == perfbench_files
+    assert list(tmp_path.iterdir()) == []

@@ -14,7 +14,8 @@ the items on each side, the side that goes first alternating from round to
 round, so both sides see the same host state.
 
 Prints, per workload, each side's median pass time, the median of the
-per-round ratios new / base, and whether both sides gave the same outputs:
+per-round ratios new / base and their quartiles (inclusive method; with one
+round, the ratio itself), and whether both sides gave the same outputs:
 the report bodies of `report` and `sweep` byte for byte, and the repr of
 each path's and surface's result.  Timings from separate processes on a
 shared host drift by up to 2x over minutes; the per-round ratio in one
@@ -92,11 +93,14 @@ def compare(bench, sides, workload: str, seed: int, rounds: int, tmp: Path) -> d
             for item in items[side]:
                 run(contexts[side], item)
             times[side].append(perf_counter() - t0)
+    ratios = [b / a for a, b in zip(*times)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if rounds > 1 else ratios * 3
     return {
         "items": len(items[0]),
         "base_s": statistics.median(times[0]),
         "new_s": statistics.median(times[1]),
-        "ratio": statistics.median(b / a for a, b in zip(*times)),
+        "ratio": median,
+        "quartiles": (q1, q3),
         "same": same[0] == same[1],
     }
 
@@ -122,11 +126,12 @@ def main(argv=None) -> int:
         try:
             sides = [(name, import_tree(tree.resolve(), f"mdclab_{name}", tmp, bench.MODULES))
                      for name, tree in (("a", args.base), ("b", args.new))]
-            print(f"seed {args.seed}, {args.rounds} rounds; ratio = new / base, median over rounds")
+            print(f"seed {args.seed}, {args.rounds} rounds; ratio = new / base, median and quartiles over rounds")
             for workload in args.workloads:
                 row = compare(bench, sides, workload, args.seed, args.rounds, tmp)
                 print(f"{workload:9s} {row['items']:2d} items  base {1e3 * row['base_s']:9.3f} ms"
                       f"  new {1e3 * row['new_s']:9.3f} ms  ratio {row['ratio']:.4f}"
+                      f" (quartiles {row['quartiles'][0]:.4f}-{row['quartiles'][1]:.4f})"
                       f"  outputs {'same' if row['same'] else 'DIFFER'}")
         finally:
             sys.path.remove(str(tmp))

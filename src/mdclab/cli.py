@@ -12,6 +12,10 @@ from .errors import (CausticError, ConfigError, DegenerateCoeffs, DegeneratePara
                      MissingVertex, NearCaustic, OutOfRegime)
 from .harness import SUITES, SuiteConfig, run, sweep_rows, write_csv
 
+# the points besides (3, 2, 1) come from the explicit triples or the sampling range; at mu + nu = pi the corner
+# pivots of the 1-form checks vanish, and far out float64 rounds a kernel's pivot away to a delta
+POINT_ERRORS = (CausticError, DegenerateCoeffs, DegenerateParams, DeltaConstraintError, NearCaustic, OutOfRegime)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mdclab", description=__doc__)
@@ -112,9 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CausticError, DegenerateCoeffs, DegenerateParams, DeltaConstraintError, NearCaustic, OutOfRegime) as exc:
-        # the points besides (3, 2, 1) come from the explicit triples or the sampling range; at mu + nu = pi the
-        # corner pivots of the 1-form checks vanish, and far out float64 rounds a kernel's pivot away to a delta
+    except POINT_ERRORS as exc:
         print(f"config error: parameter point not admissible: {exc}", file=sys.stderr)
         return 2
     if not args.quiet:
@@ -144,6 +146,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"sweep rows written to {args.csv}")
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
+        return 2
+    except POINT_ERRORS as exc:
+        # sweep_rows derives every sampled trial, which the params suite's checks never do, so one can be degenerate
+        print(f"config error: parameter point not admissible: {exc}", file=sys.stderr)
+        print(f"the sweep rows in {args.csv} stop before that trial: the CSV is incomplete", file=sys.stderr)
         return 2
     return 0 if not report.failed else 1
 

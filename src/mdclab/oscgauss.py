@@ -380,13 +380,13 @@ def marginalize_all(kernel, variables) -> OscKernel:
     heap always holds each pending row's current key, and a pop skips every
     entry that is not its row's current key; each step starts a new heap.
     The volume test keeps an upper bound `top` on the scales; only a row at
-    or below _ABS_FLOOR * max(1, top) reads the scales, first their sum,
-    which is NaN exactly when one of them is, then their maximum.  A pivot
-    detaches its row and walks it once, listing its nonzero couplings and
-    deleting itself from every row it couples to; the row stays in place and
-    the position's key becomes None, since nothing reads an eliminated row
-    again (a substitution leaves out a constraint's zero coefficients, which
-    may name one).  A step rewrites only the
+    or below _ABS_FLOOR * max(1, top) reads the scales, in one walk
+    (_max_abs, as every row scale is computed) whose maximum is NaN when one
+    scale is.  A pivot detaches its row and walks it once, listing its
+    nonzero couplings and deleting itself from every row it couples to; the
+    row stays in place and the position's key becomes None, since nothing
+    reads an eliminated row again (a substitution leaves out a constraint's
+    zero coefficients, which may name one).  A step rewrites only the
     block of those couplings (for a substitution, of those couplings and the
     constraint's variables), with the per-entry expressions of a dense
     update, and refreshes the caches on those rows; a step with nothing to
@@ -409,6 +409,20 @@ def marginalize_all(kernel, variables) -> OscKernel:
     same.
     """
     return _eliminate(((kernel, variables),))
+
+
+def _max_abs(values):
+    """max |x| over values in one walk, as np.max(np.abs(values)) reads it:
+    0.0 when there is none or every one is ±0.0, an infinity kept, and a NaN
+    anywhere wins and stays.  Only comparison and negation touch the values,
+    so a Fraction row gives its exact maximum."""
+    s = 0.0
+    for x in values:
+        if x < 0.0:
+            x = -x
+        if x > s or x != x:
+            s = x
+    return s
 
 
 def _eliminate(steps) -> OscKernel:
@@ -477,10 +491,9 @@ def _eliminate(steps) -> OscKernel:
             # refresh the caches of the stale rows: at the first pivot those of the step, then those k wrote
             for i in stale:
                 row = rows[i]
-                mags = list(map(abs, row.values()))
-                # a NaN wins as in np.max: the sum is NaN exactly when a term is, and 0.0 on an empty row
-                s = sum(mags, 0.0)
-                if s > 0.0 and (s := max(mags)) > top:
+                # a NaN wins as in np.max, and an empty row's scale is 0.0
+                s = _max_abs(row.values())
+                if s > top:
                     top = s
                 scale[i] = s
                 if is_pending[i]:
@@ -546,10 +559,10 @@ def _eliminate(steps) -> OscKernel:
                 raise NearCaustic(f"pivot for {names[k]!r} is not finite")
             else:
                 # row_scale <= _ABS_FLOOR * max(max(scale), 1), false on a NaN scale unless the row vanished exactly;
-                # the scales are read only when top may pass, their sum first: it is NaN exactly when one is
+                # the scales are read only when top may pass, in one walk whose maximum is NaN when one scale is
                 row_scale = scale[k]
                 if row_scale == 0.0 or (row_scale <= floor or row_scale <= floor * top) and (
-                        (t := sum(scale)) == t and row_scale <= floor * max(max(scale), 1.0)):
+                        (t := _max_abs(scale)) == t and row_scale <= floor * max(t, 1.0)):
                     # variable absent from the exponent: a pure volume factor
                     vol += 1
                 elif (rel := abs(akk) / row_scale) >= band:
@@ -656,7 +669,7 @@ def compare(k1: OscKernel, k2: OscKernel) -> KernelDiff:
     if not aligned:
         at = {v: n for n, v in enumerate(k2.vars)}
         perm = [at[v] for v in k1.vars]
-    # the differences of each part: each constraint's coefficients, then A
+    # the signed differences of each part, each constraint's coefficients, then A; _max_abs takes their magnitudes
     diffs = []
     if k1.constraints:
         cons1, cons2 = (sorted((con.normalized() for con in k.constraints), key=lambda con: con.coeffs)
@@ -664,7 +677,7 @@ def compare(k1: OscKernel, k2: OscKernel) -> KernelDiff:
         for con1, con2 in zip(cons1, cons2):
             if con1.variables() != con2.variables():
                 raise VariableMismatch("delta constraints tie different variables")
-            diffs += [abs(a - b) for (_, a), (_, b) in zip(con1.coeffs, con2.coeffs)]
+            diffs += [a - b for (_, a), (_, b) in zip(con1.coeffs, con2.coeffs)]
         A1, A2 = k1.A, k2.A
         if not aligned:
             A2 = A2[np.ix_(perm, perm)]
@@ -680,10 +693,10 @@ def compare(k1: OscKernel, k2: OscKernel) -> KernelDiff:
                 i, j = perm[i], perm[j]
                 e1[(i, j) if i <= j else (j, i)] = x
         # the entries outside both patterns differ by 0.0, which changes no maximum
-        diffs += [abs(x - e2.get(ij, 0.0)) for ij, x in e1.items()]
-        diffs += [abs(x) for ij, x in e2.items() if ij not in e1]
-    # a NaN wins as in np.max: the sum of these nonnegative differences is NaN exactly when one is
-    exponent_diff = float(total if (total := sum(diffs)) != total else max(diffs) if diffs else 0.0)
+        diffs += [x - e2.get(ij, 0.0) for ij, x in e1.items()]
+        diffs += [x for ij, x in e2.items() if ij not in e1]
+    # a NaN wins as in np.max, and no difference at all reads 0.0
+    exponent_diff = float(_max_abs(diffs))
     amp1, amp2 = k1.amp, k2.amp
     if k1.constraints:
         # delta(c u) = delta(u) / |c|: each amp in the scale of the normalized constraints

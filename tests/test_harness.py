@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdclab import cli, lattice, p3, qprop1d
+from mdclab import cli, harness, lattice, p3, qprop1d
 from mdclab.errors import ConfigError
 from mdclab.harness import (
     CSV_COLUMNS,
@@ -286,6 +286,29 @@ def test_cli_run_exits_2_on_an_unwritable_output(tmp_path, capsys, flag):
     assert code == 2 and not target.exists()
     assert err.startswith("output error: ") and err.count("\n") == 1 and str(target) in err
 
+
+def test_cli_run_exits_2_when_a_sweep_row_meets_a_degenerate_trial(tmp_path, capsys, monkeypatch):
+    # trial 58610 of seed 17 over [-5, 5] clears the sampling guards, but its b = 0.9999999999999074 is refused by
+    # derive, which only the --csv rows call on the trial triples; here it is the last of 30 trials
+    degenerate = [4.52340160833724, 9.7355539629973e-07, -0.7022038503288242]
+    sample = harness.sample_triples
+
+    def with_degenerate_last(rng, count, low, high):
+        triples = sample(rng, count, low, high)
+        if count == 30:
+            triples[-1] = degenerate
+        return triples
+
+    monkeypatch.setattr(harness, "sample_triples", with_degenerate_last)
+    path = tmp_path / "sweep.csv"
+    code = cli.main(["run", "--suite", "params", "--trials", "30", "--quiet", "--csv", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and "30/30 records passed" in out
+    first, second = err.splitlines()
+    assert first.startswith("config error: parameter point not admissible: ") and "b=0.9999999999999074" in first
+    assert str(path) in second and "incomplete" in second
+    # the header and the two rows of each trial before the degenerate one
+    assert len(path.read_text().splitlines()) == 1 + 2 * 29
 
 def test_cli_tolerance_override_can_fail_the_run(tmp_path):
     code = cli.main([

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import struct
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
@@ -837,6 +838,75 @@ def test_a_nan_in_a_first_step_row_keeps_a_later_tiny_pivot_row_from_being_a_vol
     got = _outcome(lambda: og._eliminate(((k1, ()), (k2, ("c",)))))
     assert got == _outcome(lambda: _dense_glue(k1, k2, ["c"]))
     assert (got[0], got[-1], got[-2]) == (("a", "b", "d"), 0, Fraction(1, 2))
+
+
+def _max_abs_through_sum(values):
+    """max |x| as the engine read a row scale before _max_abs: the magnitudes'
+    sum, which is NaN exactly when one is and 0.0 on an empty row, then, when
+    it is positive, their max."""
+    mags = list(map(abs, values))
+    s = sum(mags, 0.0)
+    return max(mags) if s > 0.0 else s
+
+
+def _bits(x):
+    """x's float64 bits, one value for every NaN."""
+    return None if x != x else struct.pack("<d", x)
+
+
+def _max_abs_rows():
+    """5000 seeded rows of 0-40 floats from normals, ±0.0, ±inf and NaNs of
+    either sign: first one row of each length 1-40 with one NaN at each
+    position, the rest drawn at random."""
+    rng = np.random.default_rng(20261021)
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan]
+    rows = []
+    for n in range(1, 41):
+        for at in range(n):
+            row = rng.normal(size=n).tolist()
+            row[at] = math.nan
+            rows.append(row)
+    while len(rows) < 5000:
+        n = int(rng.integers(0, 41))
+        rows.append([specials[int(rng.integers(len(specials)))] if rng.random() < 0.1 else float(x)
+                     for x in rng.normal(scale=10.0 ** rng.integers(-8, 9), size=n)])
+    return rows
+
+
+def test_max_abs_is_the_sum_then_max_idiom_bit_for_bit():
+    rows = _max_abs_rows()
+    assert len(rows) == 5000 and {len(row) for row in rows} == set(range(41))
+    assert sum(any(x != x for x in row) for row in rows) > 1000
+    for row in rows:
+        got, want = og._max_abs(row), _max_abs_through_sum(row)
+        assert type(got) is float and _bits(got) == _bits(want), row
+        # the engine hands it a row's values, and the volume test the list of scales
+        assert _bits(og._max_abs(dict(enumerate(row)).values())) == _bits(want)
+        assert _bits(og._max_abs(iter(row))) == _bits(want)
+
+
+@pytest.mark.parametrize("row, want", [
+    ([], 0.0), ([0.0], 0.0), ([-0.0], 0.0), ([-0.0, -0.0, 0.0], 0.0), ([-3.0, 2.0], 3.0), ([2.0, -3.0], 3.0),
+    ([1.0, -math.inf, 2.0], math.inf), ([math.nan], math.nan), ([math.inf, math.nan, -math.inf], math.nan),
+    ([math.nan, 5.0, math.inf], math.nan), ([5.0, -math.nan], math.nan), ([np.float64(-2.5), 1.0], 2.5),
+])
+def test_max_abs_keeps_an_infinity_and_a_nan_anywhere(row, want):
+    assert _bits(og._max_abs(row)) == _bits(want)
+    assert _bits(og._max_abs(row)) == _bits(float(np.max(np.abs(row), initial=0.0)))
+
+
+def test_max_abs_of_fraction_rows_is_the_exact_maximum():
+    rng = np.random.default_rng(33)
+    for _ in range(200):
+        n = int(rng.integers(1, 12))
+        row = [Fraction(int(a), int(b)) for a, b in zip(rng.integers(-10**6, 10**6, size=n), rng.integers(1, 10**6, size=n))]
+        got = og._max_abs(row)
+        assert got == max(map(abs, row))
+        assert type(got) is Fraction or got == 0
+    # ties keep the first, as max does; an all-zero row reads 0.0
+    assert og._max_abs([Fraction(1, 3), Fraction(-1, 3)]) == Fraction(1, 3)
+    assert og._max_abs([Fraction(-1, 10**30), Fraction(1, 10**30 + 1)]) == Fraction(1, 10**30)
+    assert og._max_abs([Fraction(0), Fraction(0)]) == 0.0
 
 
 def _random_terms(rng):

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,6 +109,9 @@ def test_ab_compare_times_the_tree_against_itself_and_leaves_no_file(tmp_path, c
     assert "seed 1, 2 rounds" in out
     line = next(line for line in out.splitlines() if line.startswith("paths"))
     assert "5 items" in line and "ratio" in line and line.endswith("outputs same")
+    # the per-round ratios' quartiles bracket their median
+    ratio, q1, q3 = map(float, re.search(r"ratio (\S+) \(quartiles (\S+)-(\S+)\)", line).groups())
+    assert q1 <= ratio <= q3
     assert list(tmp_path.iterdir()) == []
     assert sorted((root / "perfbench").rglob("*")) == perfbench_files
     assert not {name for name in set(sys.modules) - modules if name.startswith(("mdclab_", "perfbench", "tracer"))}
@@ -147,4 +151,23 @@ def test_scale_surfaces_runs_each_k_in_a_process_of_its_own(tmp_path):
     text = kernel.to_json()
     assert rows[0][-3:] == [str(len(text)), "B", hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]]
     assert sorted((root / "perfbench").rglob("*")) == perfbench_files
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scale_surfaces_times_perimeter_patches(tmp_path):
+    root = SCRIPTS.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, str(SCRIPTS / "scale_surfaces.py"), "4", "6", "--perimeter"], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out[0].startswith("perimeter patches") and "ru_maxrss" in out[0] and len(out) == 4
+    rows = [line.split() for line in out[2:]]
+    # the 4k perimeter vertices are the boundary variables; a second build of a kernel equals the first
+    assert [row[:2] for row in rows] == [["4", "16"], ["6", "24"]]
+    assert all(float(x) >= 0.0 for row in rows for x in row[2:7]) and [row[7] for row in rows] == ["0.00e+00"] * 2
+    for k, row in zip((4, 6), rows):
+        flat = qsurface.flat_patch(k, k)
+        boundary = {v for v in flat.boundary if 0 in v[:2] or k in v[:2]}
+        text = qsurface.surface_kernel(qsurface.Surface(flat.plaquettes, flat.boundary - boundary, boundary),
+                                       qsurface.canonical_lattice_coeffs(3.0, 2.0, 1.0)).to_json()
+        assert row[-3:] == [str(len(text)), "B", hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]]
     assert list(tmp_path.iterdir()) == []

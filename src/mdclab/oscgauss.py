@@ -31,8 +31,9 @@ whose relative size is NaN (a NaN in its row, or an infinite diagonal).
 
 A kernel holds A as its upper-triangle entries, a dict from (i, j), i <= j
 indices into its vars, to A_ij, as the engine's sparse rows leave them.
-OscKernel.A builds the dense m x m matrix on each access; in the library
-only compare asks for it, for kernels with delta constraints (_on_surface).
+OscKernel.A builds the dense m x m matrix on each access, for tests and
+scripts; the library never asks for it.  compare puts delta kernels on their
+constraint surface through the engine's own delta step.
 
 There is one elimination engine, and every kernel the library builds comes
 out of it (OscKernel.from_json reads the entries of one, with the
@@ -127,12 +128,14 @@ class OscKernel:
 
     def __init__(self, vars, A, amp=1.0 + 0.0j, pihbar_pow=Fraction(0), vol_pow=0, constraints=()):
         """The kernel of a dense symmetric A over vars.  Repeated names, a
-        shape that does not fit vars, a non-finite number and an A that is not
-        symmetric to 1e-12 of its largest entry are refused; an A that is not
-        symmetric bit for bit is symmetrized, and every upper-triangle entry
-        but a +0.0 is kept."""
-        vars, A = tuple(vars), np.array(A, dtype=float)
+        shape that does not fit vars, a non-finite number, a delta constraint
+        that repeats a name, names one not in vars or has no coefficient but
+        0.0, and an A that is not symmetric to 1e-12 of its largest entry are
+        refused; an A that is not symmetric bit for bit is symmetrized, and
+        every upper-triangle entry but a +0.0 is kept."""
+        vars, A, constraints = tuple(vars), np.array(A, dtype=float), tuple(constraints)
         _refuse_repeats(vars)
+        _refuse_constraints(vars, constraints)
         n = len(vars)
         if A.shape != (n, n):
             raise VariableMismatch(f"matrix shape {A.shape} does not fit {n} variables")
@@ -145,7 +148,7 @@ class OscKernel:
         ii, jj = np.nonzero(np.triu(A).view(np.int64))
         self.__dict__.update(vars=vars, entries=dict(zip(zip(ii.tolist(), jj.tolist()), A[ii, jj].tolist())),
                              amp=complex(amp), pihbar_pow=Fraction(pihbar_pow), vol_pow=vol_pow,
-                             constraints=tuple(constraints))
+                             constraints=constraints)
 
     @classmethod
     def _built(cls, vars, entries, amp, pihbar_pow, vol_pow, constraints) -> "OscKernel":
@@ -240,8 +243,10 @@ class OscKernel:
         into the entries.  ValueError on what to_json never writes: a NaN or
         infinite number, a kernel_format other than 4 (formats 1-3 carried an
         hbar key, or terms every kernel held at zero), and an A triple with an
-        index out of range, below the diagonal or repeated; VariableMismatch
-        on a repeated name, as the constructor refuses them."""
+        index out of range, below the diagonal or repeated, and a delta
+        constraint with no coefficient but 0.0; VariableMismatch on a repeated
+        name, and on a constraint's name that is repeated or not in vars, as
+        the constructor refuses them."""
         data = json.loads(text, parse_constant=_refuse_constant)
         if type(fmt := data.get("kernel_format")) is not int or fmt != 4:
             raise ValueError(f"kernel_format must be 4, got {fmt!r}")
@@ -259,6 +264,7 @@ class OscKernel:
         amp = cmath.rect(data["amp"]["modulus"], data["amp"]["phase"])
         cons = tuple(AffineConstraint(tuple((v, cv) for v, cv in item["coeffs"])) for item in data["constraints"])
         _refuse_repeats(vars)
+        _refuse_constraints(vars, cons)
         _refuse_non_finite(all(map(math.isfinite, entries.values())), amp, cons)
         return OscKernel._built(vars, entries, amp, Fraction(data["pihbar_pow"]), data["vol_pow"], cons)
 
@@ -267,6 +273,21 @@ def _refuse_repeats(vars: tuple[str, ...]) -> None:
     """The constructor's and from_json's check of the names."""
     if len(set(vars)) != len(vars):
         raise VariableMismatch(f"repeated variable names in {vars}")
+
+
+def _refuse_constraints(vars: tuple[str, ...], constraints) -> None:
+    """The constructor's and from_json's check of the delta constraints, as
+    to_json writes them: each over distinct variables of the kernel, with a
+    coefficient that is not 0.0 to normalize by."""
+    known = set(vars)
+    for con in constraints:
+        names = con.variables()
+        if len(set(names)) != len(names):
+            raise VariableMismatch(f"delta constraint {con.coeffs} repeats a variable")
+        if not known.issuperset(names):
+            raise VariableMismatch(f"no variable {min(set(names) - known)!r} in kernel over {vars}")
+        if not any(cv for _, cv in con.coeffs):
+            raise ValueError(f"delta constraint {con.coeffs} has no nonzero coefficient")
 
 
 def _refuse_non_finite(finite_A: bool, amp, constraints) -> None:
@@ -653,22 +674,23 @@ def compare(k1: OscKernel, k2: OscKernel) -> KernelDiff:
 
     `exponent_diff` is the max-norm difference over A and the coefficients
     of the normalized delta constraints; a non-finite difference always
-    wins.  Without constraints, A is compared over the union of the two
-    kernels' entries, k1's re-keyed to k2's variable order, an absent entry
-    reading 0.0.  When the kernels carry constraints, the dense A is compared
-    where they hold, on the forms _on_surface reduces, and `amp_ratio`
-    divides each kernel's amp by the product of its constraints' |lead
-    coefficient|, since delta(c u) = delta(u) / |c|.  Volume and
-    2-pi-hbar powers are reported, never folded into the exponent measure.
+    wins.  A is compared over the union of the two kernels' entries, k1's
+    re-keyed to k2's variable order, an absent entry reading 0.0.  Kernels
+    with constraints are first put on their constraint surface by the
+    engine's delta step: while k1 has a constraint, the lead of its first
+    sorted normalized one is substituted away in both kernels,
+    _eliminate(((k, (lead,)),)), and each amp divides by that lead's
+    coefficient.  Over all steps each amp divides by |det C_L|, C's columns
+    at the substituted leads L, as the integral of delta(C v) over v_L is
+    1 / |det C_L|.  No step runs when a normalized coefficient differs by
+    NaN, and a lead to which k2's constraints give a 0.0 coefficient is
+    refused with VariableMismatch.  Volume and 2-pi-hbar powers are
+    reported, never folded into the exponent measure.
     """
-    aligned = k1.vars == k2.vars
-    if not aligned and set(k1.vars) != set(k2.vars):
+    if k1.vars != k2.vars and set(k1.vars) != set(k2.vars):
         raise VariableMismatch(f"variable sets differ: {k1.vars} vs {k2.vars}")
     if len(k1.constraints) != len(k2.constraints):
         raise VariableMismatch("kernels carry different numbers of delta constraints")
-    if not aligned:
-        at = {v: n for n, v in enumerate(k2.vars)}
-        perm = [at[v] for v in k1.vars]
     # the signed differences of each part, each constraint's coefficients, then A; _max_abs takes their magnitudes
     diffs = []
     if k1.constraints:
@@ -678,59 +700,31 @@ def compare(k1: OscKernel, k2: OscKernel) -> KernelDiff:
             if con1.variables() != con2.variables():
                 raise VariableMismatch("delta constraints tie different variables")
             diffs += [a - b for (_, a), (_, b) in zip(con1.coeffs, con2.coeffs)]
-        A1, A2 = k1.A, k2.A
-        if not aligned:
-            A2 = A2[np.ix_(perm, perm)]
-        A1, A2 = _on_surface(k1.vars, A1, A2, cons1, cons2)
-        if A1.size:
-            diffs.append(abs(A1 - A2).max())
-    else:
-        e1, e2 = k1.entries, k2.entries
-        if not aligned:
-            # k1's entries re-keyed to k2's variable order
-            e1 = {}
-            for (i, j), x in k1.entries.items():
-                i, j = perm[i], perm[j]
-                e1[(i, j) if i <= j else (j, i)] = x
-        # the entries outside both patterns differ by 0.0, which changes no maximum
-        diffs += [x - e2.get(ij, 0.0) for ij, x in e1.items()]
-        diffs += [x for ij, x in e2.items() if ij not in e1]
+        # a normalized coefficient lies in [-1, 1] or is NaN, so only a NaN difference keeps the kernels as they are
+        if (d := _max_abs(diffs)) == d:
+            while k1.constraints:
+                lead = min((con.normalized() for con in k1.constraints), key=lambda con: con.coeffs).lead()
+                if not any(abs(con.coefficient(lead)) > 0.0 for con in k2.constraints):
+                    raise VariableMismatch(f"the second kernel's delta constraints give {lead!r} no coefficient")
+                k1, k2 = _eliminate(((k1, (lead,)),)), _eliminate(((k2, (lead,)),))
+    e1, e2 = k1.entries, k2.entries
+    if k1.vars != k2.vars:
+        # k1's entries re-keyed to k2's variable order
+        at = {v: n for n, v in enumerate(k2.vars)}
+        perm = [at[v] for v in k1.vars]
+        e1 = {}
+        for (i, j), x in k1.entries.items():
+            i, j = perm[i], perm[j]
+            e1[(i, j) if i <= j else (j, i)] = x
+    # the entries outside both patterns differ by 0.0, which changes no maximum
+    diffs += [x - e2.get(ij, 0.0) for ij, x in e1.items()]
+    diffs += [x for ij, x in e2.items() if ij not in e1]
     # a NaN wins as in np.max, and no difference at all reads 0.0
     exponent_diff = float(_max_abs(diffs))
-    amp1, amp2 = k1.amp, k2.amp
-    if k1.constraints:
-        # delta(c u) = delta(u) / |c|: each amp in the scale of the normalized constraints
-        amp1 = amp1 / math.prod(abs(con.coefficient(con.lead())) for con in k1.constraints)
-        amp2 = amp2 / math.prod(abs(con.coefficient(con.lead())) for con in k2.constraints)
     # the frozen result from fields built here, as OscKernel._built does: no keyword __init__, and no Fraction
     # subtraction when the powers agree
     diff = object.__new__(KernelDiff)
-    diff.__dict__.update(exponent_diff=exponent_diff, amp_ratio=amp1 / amp2 if amp2 != 0 else complex("inf"),
+    diff.__dict__.update(exponent_diff=exponent_diff, amp_ratio=k1.amp / k2.amp if k2.amp != 0 else complex("inf"),
                          pihbar_diff=_NO_POWER if k1.pihbar_pow == k2.pihbar_pow else k1.pihbar_pow - k2.pihbar_pow,
                          vol_diff=k1.vol_pow - k2.vol_pow)
     return diff
-
-
-def _on_surface(vars, A1, A2, cons1, cons2) -> tuple[np.ndarray, np.ndarray]:
-    """A1 and A2 over vars where the paired delta constraints cons1 and cons2
-    hold.  Pair by pair, each side solves its constraint for the lead of
-    cons1's, v_k = sum_i s_i v_i, and substitutes it into its form, X = A +
-    s a^T + a s^T + A_kk s s^T with a = A[k], and its later constraints;
-    v_k drops out.  A pair that earlier ones imply (cons1's lead coefficient
-    became 0) is skipped."""
-    names = list(vars)
-    sides = [[np.array([con.coefficient(v) for v in names]) for con in cons] for cons in (cons1, cons2)]
-    forms = [A1, A2]
-    for _ in cons1:
-        k = names.index(AffineConstraint(tuple(zip(names, sides[0][0].tolist()))).lead())
-        if not sides[0][0][k]:
-            sides = [rows[1:] for rows in sides]
-            continue
-        keep = [i for i in range(len(names)) if i != k]
-        for side, (A, (c, *rest)) in enumerate(zip(forms, sides)):
-            s, a = -c / c[k], A[k]
-            X = A + np.outer(s, a) + np.outer(a, s) + A[k, k] * np.outer(s, s)
-            forms[side] = X[np.ix_(keep, keep)]
-            sides[side] = [(r + r[k] * s)[keep] for r in rest]
-        del names[k]
-    return forms[0], forms[1]

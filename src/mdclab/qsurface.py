@@ -619,8 +619,9 @@ def uniqueness_scan_2form(coeffs: LatticeLagrangianCoeffs) -> dict:
         "b_plus_d_spread": float(np.max([
             np.ptp([coeffs.b[(i, j)] + coeffs.d[(i, j)] for i in (1, 2, 3) if i != j]) for j in (1, 2, 3)
         ])),
-        "c_symmetric": max(abs(coeffs.c[(i, j)] - coeffs.c[(j, i)]) for (i, j) in coeffs.c),
-        "c_constant": max(abs(v - c12) for v in coeffs.c.values()),
+        # np.max keeps a NaN wherever it sits, where Python's max drops one that does not come first
+        "c_symmetric": float(np.max(np.abs([coeffs.c[(i, j)] - coeffs.c[(j, i)] for (i, j) in coeffs.c]))),
+        "c_constant": float(np.max(np.abs([v - c12 for v in coeffs.c.values()]))),
         "lambda_vs_c": abs(lambda_of(coeffs) - (1.0 - c12 * c12)),
     }
     scale = max(1.0, max(abs(v) for t in (coeffs.b, coeffs.c, coeffs.d) for v in t.values()))

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdclab import oscgauss, qprop1d, qsurface
-from mdclab.errors import NearCaustic
+from mdclab.errors import NearCaustic, VariableMismatch
 from mdclab.params import LatticeParams, derive
 
 from conftest import built, float_bits, reversed_surface, same_bits
@@ -449,6 +449,27 @@ def test_from_json_refuses_a_triple_below_the_diagonal():
 def test_from_json_refuses_a_repeated_entry():
     with pytest.raises(ValueError, match=r"repeats the entry \(0, 1\)"):
         oscgauss.OscKernel.from_json(small_kernel_json(A=[[0, 1, 2.0], [0, 1, 2.0]]))
+
+
+@pytest.mark.parametrize("coeffs, error, match", [
+    ([], ValueError, "no nonzero coefficient"),
+    ([["x", 0.0], ["y", 0.0]], ValueError, "no nonzero coefficient"),
+    ([["x", 1.0], ["q", 0.5]], VariableMismatch, "no variable 'q'"),
+    ([["x", 1.0], ["x", 2.0]], VariableMismatch, "repeats a variable"),
+])
+def test_a_delta_constraint_that_to_json_cannot_write_is_refused_by_both_readers(coeffs, error, match):
+    con = oscgauss.AffineConstraint(tuple(map(tuple, coeffs)))
+    with pytest.raises(error, match=match):
+        oscgauss.OscKernel(("x", "y"), np.eye(2), constraints=(con,))
+    with pytest.raises(error, match=match):
+        oscgauss.OscKernel.from_json(small_kernel_json(constraints=[{"coeffs": coeffs}]))
+
+
+def test_a_zero_coefficient_among_nonzero_ones_is_kept():
+    con = oscgauss.AffineConstraint((("x", 2.0), ("y", 0.0)))
+    kernel = oscgauss.OscKernel(("x", "y"), np.eye(2), constraints=(con,))
+    assert kernel.constraints == (con,)
+    assert oscgauss.OscKernel.from_json(kernel.to_json()).constraints == (con.normalized(),)
 
 
 # -- the builders' direct feed -----------------------------------------------------

@@ -19,7 +19,7 @@ from mdclab.harness import SuiteConfig, run
 from mdclab.params import LatticeParams, derive
 from mdclab.reduction import closure_coeffs
 
-from conftest import built, coeff, dense_fields, exponent, value, with_fields
+from conftest import built, coeff, dense_fields, exponent, on_surface, value, with_fields
 
 
 def fresnel_quadrature_oracle(kernel, var, hbar=1.0, assignment=None):
@@ -679,11 +679,9 @@ def test_the_engine_refuses_a_name_integrated_twice_or_unknown():
 
 def _compare_by_reindexing(k1, k2):
     """compare as it was before its aligned case: k2 always re-indexed with
-    np.ix_, the constraints always normalized, the forms of delta kernels
-    reduced by _on_surface and their amps divided by the product of their
-    constraints' |lead coefficient|."""
-    perm = [k2.index(v) for v in k1.vars]
-    A1, A2 = k1.A, k2.A[np.ix_(perm, perm)]
+    np.ix_ and the constraints always normalized; delta kernels whose
+    normalized coefficients differ by no NaN are first reduced on their
+    constraint surface by on_surface, which divides each amp by |det C_L|."""
 
     def normalized(k):
         return sorted((con.normalized() for con in k.constraints), key=lambda con: con.coeffs)
@@ -693,16 +691,12 @@ def _compare_by_reindexing(k1, k2):
         if con1.variables() != con2.variables():
             raise VariableMismatch("delta constraints tie different variables")
         diffs.append([abs(a - b) for (_, a), (_, b) in zip(con1.coeffs, con2.coeffs)])
-    if k1.constraints:
-        A1, A2 = og._on_surface(k1.vars, A1, A2, normalized(k1), normalized(k2))
-    diffs.append(np.abs(A1 - A2).ravel())
-
-    def amp(k):
-        # delta(c u) = delta(u) / |c|
-        return k.amp / math.prod(abs(con.coefficient(con.lead())) for con in k.constraints) if k.constraints else k.amp
-
+    if not any(math.isnan(d) for row in diffs for d in row):
+        k1, k2 = on_surface(k1, k2)
+    perm = [k2.index(v) for v in k1.vars]
+    diffs.append(np.abs(k1.A - k2.A[np.ix_(perm, perm)]).ravel())
     return og.KernelDiff(exponent_diff=float(np.max(np.concatenate(diffs), initial=0.0)),
-                         amp_ratio=amp(k1) / amp(k2) if amp(k2) != 0 else complex("inf"),
+                         amp_ratio=k1.amp / k2.amp if k2.amp != 0 else complex("inf"),
                          pihbar_diff=k1.pihbar_pow - k2.pihbar_pow, vol_diff=k1.vol_pow - k2.vol_pow)
 
 
@@ -1039,8 +1033,52 @@ def test_compare_still_refuses_or_fails_different_constraints():
     assert og.compare(k1, tilted).exponent_diff >= 1.5
 
 
+def _delta_kernel(vars, A, rows):
+    """The kernel of A over vars with one delta constraint per row of coefficients."""
+    return og.OscKernel(vars, A, constraints=tuple(og.AffineConstraint(tuple(zip(vars, row))) for row in rows))
+
+
+def test_the_amp_ratio_of_delta_kernels_is_the_determinant_that_relates_their_constraints():
+    # delta(M C v) = delta(C v) / |det M|: the same form under C and M C, and the same amp, differ by |det M|
+    vars = ("w", "x", "y", "z")
+    A = np.array([[1.0, 0.5, 0.0, -2.0], [0.5, -1.0, 0.25, 0.0], [0.0, 0.25, 3.0, 1.0], [-2.0, 0.0, 1.0, 0.5]])
+    C = np.array([[1.0, 2.0, -1.0, 0.5], [0.5, -1.0, 1.0, 2.0]])
+    M = np.array([[2.0, 1.0], [1.0, 3.0]])
+    k1, k2 = (_delta_kernel(vars, A, rows.tolist()) for rows in (C, M @ C))
+    det = abs(np.linalg.det(M))
+    assert og.compare(k1, k2).amp_ratio == pytest.approx(det, rel=1e-12)
+    assert og.compare(k2, k1).amp_ratio == pytest.approx(1.0 / det, rel=1e-12)
+    assert og.compare(k1, k1).amp_ratio == 1.0
+
+
+def test_compare_refuses_a_lead_to_which_the_second_kernel_gives_a_zero_coefficient():
+    # k1's constraint x + y/2 leads with x, which k2's y ties with a 0.0 coefficient
+    A = np.array([[1.0, 0.5], [0.5, -2.0]])
+    k1, k2 = (_delta_kernel(("x", "y"), A, [row]) for row in ([1.0, 0.5], [0.0, 1.0]))
+    with pytest.raises(VariableMismatch, match="give 'x' no coefficient"):
+        og.compare(k1, k2)
+
+
+def test_compare_puts_a_long_delta_chain_on_its_surface_with_no_dense_matrix(monkeypatch):
+    # v0 = v2999 moves v0's couplings only, so a bump of A_56 is the whole difference on the surface
+    names = tuple(f"v{i}" for i in range(3000))
+    quadratic = {(u, u): 1.0 for u in names} | {pair: 0.5 for pair in zip(names, names[1:])}
+    chain = og.from_terms(names, quadratic)
+    bumped = {**chain.entries, (5, 6): 0.5 + 1e-3}
+    con = (og.AffineConstraint(((names[0], 1.0), (names[-1], -1.0))),)
+    k1, k2 = (og.OscKernel._built(names, entries, chain.amp, chain.pihbar_pow, 0, con)
+              for entries in (chain.entries, bumped))
+
+    def dense(self):
+        raise AssertionError("compare builds no dense matrix")
+
+    monkeypatch.setattr(og.OscKernel, "A", property(dense))
+    diff = og.compare(k1, k2)
+    assert (diff.exponent_diff, diff.amp_ratio, diff.vol_diff) == (abs(0.5 - (0.5 + 1e-3)), 1.0, 0)
+
+
 def _restricted(A, vars, cons, leads):
-    """The oracle of _on_surface: A over vars on the solutions of the constraints, v = T w over the
+    """The oracle of compare's reduction: A over vars on the solutions of the constraints, v = T w over the
     variables other than `leads`, whose values numpy.linalg.solve gives; T^T A T."""
     n = len(vars)
     C = np.array([[con.coefficient(v) for v in vars] for con in cons])
@@ -1063,21 +1101,26 @@ def _restricted(A, vars, cons, leads):
     ([(("x", 1.0), ("y", 1.0)), (("x", 1.0), ("y", 1.0), ("z", 1.0))], ("x", "z")),
 ])
 def test_the_constraint_surface_form_is_the_restricted_quadratic_form(cons, leads, rng):
+    # the engine's delta steps leave the restricted form over the other variables, and divide amp by |det C_L|
     vars = ("z", "x", "w", "y")
-    cons = sorted((og.AffineConstraint(con).normalized() for con in cons), key=lambda con: con.coeffs)
-    for _ in range(5):
-        A1, A2 = (0.5 * (M + M.T) for M in rng.normal(size=(2, 4, 4)))
-        got = og._on_surface(vars, A1, A2, cons, cons)
-        for form, A in zip(got, (A1, A2)):
-            np.testing.assert_allclose(form, _restricted(A, vars, cons, leads), rtol=1e-12, atol=1e-12)
+    cons = tuple(og.AffineConstraint(con) for con in cons)
+    C_L = np.array([[con.coefficient(v) for v in leads] for con in cons])
+    for M in rng.normal(size=(10, 4, 4)):
+        A = 0.5 * (M + M.T)
+        got, _ = on_surface(*[og.OscKernel(vars, A, amp=2.0, constraints=cons)] * 2)
+        assert got.vars == tuple(v for v in vars if v not in leads) and not got.constraints
+        np.testing.assert_allclose(got.A, _restricted(A, vars, cons, leads), rtol=1e-12, atol=1e-12)
+        assert got.amp == pytest.approx(2.0 / abs(np.linalg.det(C_L)), rel=1e-12)
 
 
 def test_a_constraint_that_the_others_imply_is_skipped(rng):
-    # after x = -y, the second x + y reads 0 = 0
+    # after x = -y, the second x + y reads 0 = 0, and the engine drops it
     vars, con = ("z", "x", "w", "y"), og.AffineConstraint((("x", 1.0), ("y", 1.0)))
-    A1, A2 = (0.5 * (M + M.T) for M in rng.normal(size=(2, 4, 4)))
-    once, twice = og._on_surface(vars, A1, A2, [con], [con]), og._on_surface(vars, A1, A2, [con, con], [con, con])
-    assert all(np.array_equal(a, b) for a, b in zip(once, twice)) and once[0].shape == (3, 3)
+    M = rng.normal(size=(4, 4))
+    A = 0.5 * (M + M.T)
+    once, twice = (on_surface(*[og.OscKernel(vars, A, constraints=cons)] * 2)[0] for cons in ([con], [con, con]))
+    assert once.vars == twice.vars == ("z", "w", "y") and not once.constraints and not twice.constraints
+    assert (once.entries, once.amp) == (twice.entries, twice.amp)
 
 
 def _nonzero_constraints(kernel):

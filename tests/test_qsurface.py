@@ -275,6 +275,14 @@ def test_uniqueness_scan_of_a_non_finite_table_is_not_critical(monkeypatch):
     assert np.isnan(res["exponent_diff"])
 
 
+@pytest.mark.parametrize("pair", list(itertools.permutations((1, 2, 3), 2)))
+def test_a_nan_at_any_position_of_c_reaches_both_c_conditions(co321, pair):
+    # Python's max would drop a NaN that does not come first and read 0.0
+    res = qs.uniqueness_scan_2form(replace(co321, c={**co321.c, pair: float("nan")}))
+    assert np.isnan(res["conditions"]["c_symmetric"]) and np.isnan(res["conditions"]["c_constant"])
+    assert not res["critical"]
+
+
 def test_generic_coefficients_are_off_the_critical_branch(rng):
     pairs = list(itertools.permutations((1, 2, 3), 2))
     a, b, c, d = {}, {}, {}, {}

@@ -19,7 +19,7 @@ from mdclab import qprop1d, qsurface
 from mdclab.errors import NearCaustic, VariableMismatch
 from mdclab.params import LatticeParams, derive
 
-from conftest import built, float_bits, same_bits
+from conftest import built, float_bits, on_surface, same_bits
 
 
 # -- the dense references ------------------------------------------------------------
@@ -54,17 +54,12 @@ def dense_add_into(kernel, rows, at):
 
 
 def dense_compare(k1, k2):
-    """compare over the dense A: k2's A permuted with np.ix_, and the max of |A1 - A2| over every entry."""
-    aligned = k1.vars == k2.vars
-    if not aligned and set(k1.vars) != set(k2.vars):
+    """compare over the dense A: delta kernels reduced by on_surface unless a normalized coefficient differs by
+    NaN, then k2's A permuted with np.ix_, and the max of |A1 - A2| over every entry."""
+    if k1.vars != k2.vars and set(k1.vars) != set(k2.vars):
         raise VariableMismatch(f"variable sets differ: {k1.vars} vs {k2.vars}")
     if len(k1.constraints) != len(k2.constraints):
         raise VariableMismatch("kernels carry different numbers of delta constraints")
-    A1, A2 = k1.A, k2.A
-    if not aligned:
-        at = {v: n for n, v in enumerate(k2.vars)}
-        perm = [at[v] for v in k1.vars]
-        A2 = A2[np.ix_(perm, perm)]
     maxima = []
     if k1.constraints:
         cons1, cons2 = (sorted((con.normalized() for con in k.constraints), key=lambda con: con.coeffs)
@@ -73,15 +68,17 @@ def dense_compare(k1, k2):
             if con1.variables() != con2.variables():
                 raise VariableMismatch("delta constraints tie different variables")
             maxima += [abs(a - b) for (_, a), (_, b) in zip(con1.coeffs, con2.coeffs)]
-        A1, A2 = og._on_surface(k1.vars, A1, A2, cons1, cons2)
+        if not any(map(math.isnan, maxima)):
+            k1, k2 = on_surface(k1, k2)
+    A1, A2 = k1.A, k2.A
+    if k1.vars != k2.vars:
+        at = {v: n for n, v in enumerate(k2.vars)}
+        perm = [at[v] for v in k1.vars]
+        A2 = A2[np.ix_(perm, perm)]
     if A1.size:
         maxima.append(abs(A1 - A2).max())
     exponent_diff = float(total if (total := sum(maxima)) != total else max(maxima) if maxima else 0.0)
-    amp1, amp2 = k1.amp, k2.amp
-    if k1.constraints:
-        amp1 = amp1 / math.prod(abs(con.coefficient(con.lead())) for con in k1.constraints)
-        amp2 = amp2 / math.prod(abs(con.coefficient(con.lead())) for con in k2.constraints)
-    return og.KernelDiff(exponent_diff, amp1 / amp2 if amp2 != 0 else complex("inf"),
+    return og.KernelDiff(exponent_diff, k1.amp / k2.amp if k2.amp != 0 else complex("inf"),
                          k1.pihbar_pow - k2.pihbar_pow, k1.vol_pow - k2.vol_pow)
 
 

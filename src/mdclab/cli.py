@@ -147,11 +147,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return 2
-    except POINT_ERRORS as exc:
-        # sweep_rows derives every sampled trial, which the params suite's checks never do, so one can be degenerate
-        print(f"config error: parameter point not admissible: {exc}", file=sys.stderr)
-        print(f"the sweep rows in {args.csv} stop before that trial: the CSV is incomplete", file=sys.stderr)
-        return 2
     return 0 if not report.failed else 1
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import lattice, p3, qprop1d, qsurface, reduction
-from .errors import ConfigError, DegenerateCoeffs, DeltaConstraintError, OutOfRegime
+from .errors import ConfigError, DegenerateCoeffs, DegenerateParams, DeltaConstraintError, OutOfRegime
 from .oscgauss import compare
 from .params import (
     LatticeParams,
@@ -641,20 +641,21 @@ def sweep_rows(config: SuiteConfig) -> Iterator[dict]:
     """The params suite's sampled triples with their derived constants, one
     row per identity residual, yielded one trial at a time; none unless the
     params suite is selected.  Each residual column comes from one array call
-    of its check, which gives the scalar calls' values bit for bit."""
+    of its check, which gives the scalar calls' values bit for bit.  A trial
+    whose b or a derive refuses, which no suite check derives, has its
+    derived columns blank, as mu and nu are at a hyperbolic point."""
     if "params" not in config.suites:
         return
     triples = sample_triples(_rng(config, "params"), config.trials, config.range_low, config.range_high)
     p, q, r = triples.T
     stt, sij = check_stt_identity(p, q, r), check_sij_identity(p, q, r)
     for triple, stt_residual, sij_residual in zip(triples, stt, sij):
-        d = derive(LatticeParams(*triple.tolist()))
-        row = {
-            "p": d.p, "q": d.q, "r": d.r, "s": d.s, "t": d.t, "tprime": d.tprime,
-            "b": d.b, "a": d.a, "P": d.P,
-            "mu": "" if d.mu is None else d.mu,
-            "nu": "" if d.nu is None else d.nu,
-        }
+        try:
+            d = derive(LatticeParams(*triple.tolist()))
+            row = {"p": d.p, "q": d.q, "r": d.r, "s": d.s, "t": d.t, "tprime": d.tprime, "b": d.b, "a": d.a, "P": d.P,
+                   "mu": "" if d.mu is None else d.mu, "nu": "" if d.nu is None else d.nu}
+        except DegenerateParams:
+            row = dict(zip("pqr", triple.tolist()), **dict.fromkeys(CSV_COLUMNS[3:11], ""))
         yield {**row, "residual_name": "stt-identity", "residual": float(stt_residual)}
         yield {**row, "residual_name": "edge-identity", "residual": float(sij_residual)}
 

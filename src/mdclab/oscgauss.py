@@ -30,14 +30,15 @@ refused with NearCaustic rather than silently classified, and so is a pivot
 whose relative size is NaN (a NaN in its row, or an infinite diagonal).
 
 A kernel holds A as its upper-triangle entries, a dict from (i, j), i <= j
-indices into its vars, to A_ij, as the engine's sparse rows leave them.
-OscKernel.A builds the dense m x m matrix on each access, for tests and
-scripts; the library never asks for it.  compare puts delta kernels on their
-constraint surface through the engine's own delta step.
+indices into its vars, to A_ij, as the engine's sparse rows leave them and
+the validating constructor takes them.  OscKernel.A builds the dense matrix
+on each access, for tests and scripts; the library never asks for it.
+compare puts delta kernels on their constraint surface through the engine's
+own delta step.
 
 There is one elimination engine, and every kernel the library builds comes
-out of it (OscKernel.from_json reads the entries of one, with the
-validating constructor's checks).  It takes an ordered list of steps (part,
+out of it (OscKernel.from_json reads the entries of one, through the
+validating constructor).  It takes an ordered list of steps (part,
 variables), adds each part's entries (a kernel's, or monomials not yet built
 into one) into its sparse rows, integrates that step's variables, then
 moves to the next part.  marginalize_all(k, vs) is the one-step case ((k, vs),), glue(k1, k2,
@@ -115,9 +116,9 @@ class OscKernel:
     """Immutable oscillatory Gaussian kernel over named variables.
 
     A is held as `entries`, its upper triangle: a dict from (i, j), i <= j
-    indices into vars, to A_ij.  An entry exists where the builder wrote one,
-    which may be a +0.0; an absent entry is +0.0.  `A` builds the dense
-    m x m matrix from them afresh on each access."""
+    indices into vars, to A_ij.  An entry exists where the builder or the
+    caller wrote one, which may be a +0.0; an absent entry is +0.0.  `A`
+    builds the dense m x m matrix from them afresh on each access."""
 
     vars: tuple[str, ...]
     entries: dict[tuple[int, int], float] = field(repr=False)
@@ -126,29 +127,39 @@ class OscKernel:
     vol_pow: int
     constraints: tuple[AffineConstraint, ...]
 
-    def __init__(self, vars, A, amp=1.0 + 0.0j, pihbar_pow=Fraction(0), vol_pow=0, constraints=()):
-        """The kernel of a dense symmetric A over vars.  Repeated names, a
-        shape that does not fit vars, a non-finite number, a delta constraint
-        that repeats a name, names one not in vars or has no coefficient but
-        0.0, and an A that is not symmetric to 1e-12 of its largest entry are
-        refused; an A that is not symmetric bit for bit is symmetrized, and
-        every upper-triangle entry but a +0.0 is kept."""
-        vars, A, constraints = tuple(vars), np.array(A, dtype=float), tuple(constraints)
-        _refuse_repeats(vars)
-        _refuse_constraints(vars, constraints)
-        n = len(vars)
-        if A.shape != (n, n):
-            raise VariableMismatch(f"matrix shape {A.shape} does not fit {n} variables")
-        _refuse_non_finite(np.isfinite(A).all(), amp, constraints)
-        if n and abs(A - A.T).max() > 1e-12 * max(1.0, float(abs(A).max())):
-            raise VariableMismatch("exponent matrix must be symmetric")
-        # an A already symmetric bit for bit stays as it is: 0.5 (A + A^T) overflows above half the largest double
-        if not np.array_equal(A.view(np.int64), A.T.view(np.int64)):
-            A = 0.5 * (A + A.T)
-        ii, jj = np.nonzero(np.triu(A).view(np.int64))
-        self.__dict__.update(vars=vars, entries=dict(zip(zip(ii.tolist(), jj.tolist()), A[ii, jj].tolist())),
-                             amp=complex(amp), pihbar_pow=Fraction(pihbar_pow), vol_pow=vol_pow,
-                             constraints=constraints)
+    def __init__(self, vars, entries, amp=1.0 + 0.0j, pihbar_pow=Fraction(0), vol_pow=0, constraints=()):
+        """The kernel of the entries over vars, copied, each kept as given.
+        VariableMismatch on names that are not a list of distinct strs, or
+        that a constraint repeats or vars lacks; ValueError on an index that
+        is not an int, out of range or below the diagonal, a field of another
+        type, an entry or coefficient not a finite float, a non-finite amp,
+        and a constraint with no coefficient but 0.0."""
+        if not isinstance(vars, (tuple, list)) or not all(isinstance(v, str) for v in vars):
+            raise VariableMismatch(f"vars must be a list of str names, got {vars!r}")
+        vars, entries, constraints = tuple(vars), dict(entries), tuple(constraints)
+        if len(set(vars)) != (n := len(vars)):
+            raise VariableMismatch(f"repeated variable names in {vars}")
+        for i, j in entries:
+            if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
+                raise ValueError(f"A entry ({i!r}, {j!r}) has an index out of range for {n} variables")
+            if i > j:
+                raise ValueError(f"A entry ({i}, {j}) lies below the diagonal")
+        if type(amp) not in (complex, float, int) or type(pihbar_pow) not in (Fraction, int) \
+                or type(vol_pow) is not int:
+            raise ValueError(f"amp {amp!r}, pihbar_pow {pihbar_pow!r} or vol_pow {vol_pow!r} is of another type")
+        numbers = itertools.chain(entries.values(), (cv for con in constraints for _, cv in con.coeffs))
+        if not (all(type(x) is float and math.isfinite(x) for x in numbers) and cmath.isfinite(amp)):
+            raise ValueError("kernel entries are not finite floats, as the JSON form's are")
+        for con in constraints:
+            names = con.variables()
+            if (unknown := [v for v in names if v not in vars]):
+                raise VariableMismatch(f"no variable {unknown[0]!r} in kernel over {vars}")
+            if len(set(names)) != len(names):
+                raise VariableMismatch(f"delta constraint {con.coeffs} repeats a variable")
+            if not any(cv for _, cv in con.coeffs):
+                raise ValueError(f"delta constraint {con.coeffs} has no nonzero coefficient")
+        self.__dict__.update(vars=vars, entries=entries, amp=complex(amp), pihbar_pow=Fraction(pihbar_pow),
+                             vol_pow=vol_pow, constraints=constraints)
 
     @classmethod
     def _built(cls, vars, entries, amp, pihbar_pow, vol_pow, constraints) -> "OscKernel":
@@ -240,61 +251,33 @@ class OscKernel:
     @staticmethod
     def from_json(text: str) -> "OscKernel":
         """The kernel of a canonical JSON text, its A triples read straight
-        into the entries.  ValueError on what to_json never writes: a NaN or
-        infinite number, a kernel_format other than 4 (formats 1-3 carried an
-        hbar key, or terms every kernel held at zero), and an A triple with an
-        index out of range, below the diagonal or repeated, and a delta
-        constraint with no coefficient but 0.0; VariableMismatch on a repeated
-        name, and on a constraint's name that is repeated or not in vars, as
-        the constructor refuses them."""
+        into the constructor's entries.  ValueError on what to_json never
+        writes and the constructor cannot see: a NaN or Infinity token, a
+        kernel_format other than 4 (formats 1-3 carried an hbar key, or terms
+        every kernel held at zero), an A triple that is not [i, j, A_ij] or
+        is repeated, an amp part not a float, a pihbar_pow not a fraction's
+        text."""
         data = json.loads(text, parse_constant=_refuse_constant)
         if type(fmt := data.get("kernel_format")) is not int or fmt != 4:
             raise ValueError(f"kernel_format must be 4, got {fmt!r}")
-        vars = tuple(data["vars"])
-        n, entries = len(vars), {}
+        entries = {}
         for triple in data["A"]:
+            if type(triple) is not list or len(triple) != 3:
+                raise ValueError(f"A triple {triple!r} is not [i, j, A_ij]")
             i, j, x = triple
-            if not (type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n):
-                raise ValueError(f"A triple {triple} has an index out of range for {n} variables")
-            if i > j:
-                raise ValueError(f"A triple {triple} lies below the diagonal")
             if (i, j) in entries:
                 raise ValueError(f"A triple {triple} repeats the entry ({i}, {j})")
-            entries[i, j] = float(x)
-        amp = cmath.rect(data["amp"]["modulus"], data["amp"]["phase"])
+            entries[i, j] = x
+        modulus, phase = data["amp"]["modulus"], data["amp"]["phase"]
+        if type(modulus) is not float or type(phase) is not float:
+            raise ValueError(f"amp modulus and phase must be floats, got {modulus!r}, {phase!r}")
+        pihbar_pow = data["pihbar_pow"]
+        try:
+            pihbar_pow = Fraction(pihbar_pow if type(pihbar_pow) is str else "")
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"pihbar_pow must be the text of a fraction, got {pihbar_pow!r}") from None
         cons = tuple(AffineConstraint(tuple((v, cv) for v, cv in item["coeffs"])) for item in data["constraints"])
-        _refuse_repeats(vars)
-        _refuse_constraints(vars, cons)
-        _refuse_non_finite(all(map(math.isfinite, entries.values())), amp, cons)
-        return OscKernel._built(vars, entries, amp, Fraction(data["pihbar_pow"]), data["vol_pow"], cons)
-
-
-def _refuse_repeats(vars: tuple[str, ...]) -> None:
-    """The constructor's and from_json's check of the names."""
-    if len(set(vars)) != len(vars):
-        raise VariableMismatch(f"repeated variable names in {vars}")
-
-
-def _refuse_constraints(vars: tuple[str, ...], constraints) -> None:
-    """The constructor's and from_json's check of the delta constraints, as
-    to_json writes them: each over distinct variables of the kernel, with a
-    coefficient that is not 0.0 to normalize by."""
-    known = set(vars)
-    for con in constraints:
-        names = con.variables()
-        if len(set(names)) != len(names):
-            raise VariableMismatch(f"delta constraint {con.coeffs} repeats a variable")
-        if not known.issuperset(names):
-            raise VariableMismatch(f"no variable {min(set(names) - known)!r} in kernel over {vars}")
-        if not any(cv for _, cv in con.coeffs):
-            raise ValueError(f"delta constraint {con.coeffs} has no nonzero coefficient")
-
-
-def _refuse_non_finite(finite_A: bool, amp, constraints) -> None:
-    """The constructor's and from_json's check of the numbers, A's told by finite_A."""
-    numbers = [cv for con in constraints for _, cv in con.coeffs]
-    if not (finite_A and cmath.isfinite(amp) and all(map(math.isfinite, numbers))):
-        raise ValueError("kernel entries are not finite: NaN and infinity are refused, as in the JSON form")
+        return OscKernel(data["vars"], entries, cmath.rect(modulus, phase), pihbar_pow, data["vol_pow"], cons)
 
 
 def _refuse_constant(token: str):

@@ -134,10 +134,6 @@ class QuadraticObservable:
             raise ValueError("QuadraticObservable needs a symmetric 4x4 matrix")
         object.__setattr__(self, "matrix", m)
 
-    def __call__(self, state) -> float:
-        z = np.asarray(state, dtype=float)
-        return float(z @ self.matrix @ z)
-
     @staticmethod
     def invariant_one() -> "QuadraticObservable":
         m = np.zeros((4, 4))

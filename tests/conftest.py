@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mdclab import harness, p3
+from mdclab.errors import VariableMismatch
 from mdclab.oscgauss import OscKernel, _eliminate
 from mdclab.params import LatticeParams, bar_matrix, derive, hat_matrix
 
@@ -49,14 +50,36 @@ def p3_modes(derived):
     return p3.p3_joint_modes(*p3_matrices(derived))
 
 
+def upper_entries(A):
+    """A's upper triangle as a kernel's entries, each entry but a +0.0."""
+    ii, jj = np.nonzero(np.triu(A).view(np.int64))
+    return dict(zip(zip(ii.tolist(), jj.tolist()), A[ii, jj].tolist()))
+
+
+def from_dense(vars, A, amp=1.0 + 0.0j, pihbar_pow=Fraction(0), vol_pow=0, constraints=()):
+    """The kernel of a dense symmetric A over vars, through the validating
+    constructor.  A shape that does not fit vars and an A that is not
+    symmetric to 1e-12 of its largest entry are refused with
+    VariableMismatch; an A that is not symmetric bit for bit is symmetrized,
+    and every upper-triangle entry but a +0.0 is kept."""
+    A, n = np.array(A, dtype=float), len(vars)
+    if A.shape != (n, n):
+        raise VariableMismatch(f"matrix shape {A.shape} does not fit {n} variables")
+    # a non-finite A is the constructor's to refuse
+    with np.errstate(invalid="ignore"):
+        if n and abs(A - A.T).max() > 1e-12 * max(1.0, float(abs(A).max())):
+            raise VariableMismatch("exponent matrix must be symmetric")
+    # an A already symmetric bit for bit stays as it is: 0.5 (A + A^T) overflows above half the largest double
+    if not np.array_equal(A.view(np.int64), A.T.view(np.int64)):
+        A = 0.5 * (A + A.T)
+    return OscKernel(vars, upper_entries(A), amp, pihbar_pow, vol_pow, constraints)
+
+
 def built(vars, A, amp=1.0 + 0.0j, pihbar_pow=Fraction(0), vol_pow=0, constraints=()):
     """The kernel of a dense A through OscKernel._built, which takes every
     field as it is, a NaN or an infinity included: A's upper triangle, each
-    entry but a +0.0, as the validating constructor keeps it."""
-    A = np.asarray(A, dtype=float)
-    ii, jj = np.nonzero(np.triu(A).view(np.int64))
-    entries = dict(zip(zip(ii.tolist(), jj.tolist()), A[ii, jj].tolist()))
-    return OscKernel._built(vars, entries, amp, pihbar_pow, vol_pow, constraints)
+    entry but a +0.0, as from_dense keeps it."""
+    return OscKernel._built(vars, upper_entries(np.asarray(A, dtype=float)), amp, pihbar_pow, vol_pow, constraints)
 
 
 def on_surface(k1, k2):
@@ -71,7 +94,7 @@ def on_surface(k1, k2):
 
 
 def dense_fields(kernel):
-    """The kernel's fields as the constructor's keywords, A the dense matrix."""
+    """The kernel's fields as from_dense's keywords, A the dense matrix."""
     return dict(vars=kernel.vars, A=kernel.A, amp=kernel.amp, pihbar_pow=kernel.pihbar_pow, vol_pow=kernel.vol_pow,
                 constraints=kernel.constraints)
 

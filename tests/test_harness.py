@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdclab import cli, harness, lattice, p3, qprop1d
-from mdclab.errors import ConfigError
+from mdclab.errors import ConfigError, DegenerateParams
 from mdclab.harness import (
     CSV_COLUMNS,
     DEFAULT_TOLERANCES,
@@ -287,28 +287,21 @@ def test_cli_run_exits_2_on_an_unwritable_output(tmp_path, capsys, flag):
     assert err.startswith("output error: ") and err.count("\n") == 1 and str(target) in err
 
 
-def test_cli_run_exits_2_when_a_sweep_row_meets_a_degenerate_trial(tmp_path, capsys, monkeypatch):
+def test_sweep_rows_blank_the_derived_columns_of_a_trial_derive_refuses(monkeypatch):
     # trial 58610 of seed 17 over [-5, 5] clears the sampling guards, but its b = 0.9999999999999074 is refused by
-    # derive, which only the --csv rows call on the trial triples; here it is the last of 30 trials
+    # derive, which only the --csv rows call on the trial triples
     degenerate = [4.52340160833724, 9.7355539629973e-07, -0.7022038503288242]
-    sample = harness.sample_triples
+    with pytest.raises(DegenerateParams, match="b=0.9999999999999074"):
+        derive(LatticeParams(*degenerate))
+    monkeypatch.setattr(harness, "sample_triples", lambda rng, count, low, high: np.array([degenerate]))
+    rows = list(sweep_rows(SuiteConfig(trials=1, suites=("params",))))
+    p, q, r = np.array(degenerate)
+    assert rows == [
+        {"p": p, "q": q, "r": r, "s": "", "t": "", "tprime": "", "b": "", "a": "", "P": "", "mu": "", "nu": "",
+         "residual_name": name, "residual": float(check(p, q, r))}
+        for name, check in (("stt-identity", check_stt_identity), ("edge-identity", check_sij_identity))]
+    assert [type(rows[0][column]) for column in CSV_COLUMNS] == [float] * 3 + [str] * 9 + [float]
 
-    def with_degenerate_last(rng, count, low, high):
-        triples = sample(rng, count, low, high)
-        if count == 30:
-            triples[-1] = degenerate
-        return triples
-
-    monkeypatch.setattr(harness, "sample_triples", with_degenerate_last)
-    path = tmp_path / "sweep.csv"
-    code = cli.main(["run", "--suite", "params", "--trials", "30", "--quiet", "--csv", str(path)])
-    out, err = capsys.readouterr()
-    assert code == 2 and "30/30 records passed" in out
-    first, second = err.splitlines()
-    assert first.startswith("config error: parameter point not admissible: ") and "b=0.9999999999999074" in first
-    assert str(path) in second and "incomplete" in second
-    # the header and the two rows of each trial before the degenerate one
-    assert len(path.read_text().splitlines()) == 1 + 2 * 29
 
 def test_cli_tolerance_override_can_fail_the_run(tmp_path):
     code = cli.main([

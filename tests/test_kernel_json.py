@@ -17,7 +17,7 @@ from mdclab import oscgauss, qprop1d, qsurface
 from mdclab.errors import NearCaustic, VariableMismatch
 from mdclab.params import LatticeParams, derive
 
-from conftest import built, float_bits, reversed_surface, same_bits
+from conftest import built, float_bits, from_dense, reversed_surface, same_bits
 
 #: Two elliptic points: the worked example and a generic one.
 POINTS = {"p321": (3.0, 2.0, 1.0), "pgen": (2.7, 1.35, 0.55)}
@@ -254,7 +254,7 @@ def symmetric_kernels(draw, values=awkward_floats):
     for i in range(n):
         for j in range(i, n):
             A[i, j] = A[j, i] = draw(values)
-    return oscgauss.OscKernel(vars=tuple(names), A=A)
+    return from_dense(vars=tuple(names), A=A)
 
 
 @settings(max_examples=150, deadline=None)
@@ -287,9 +287,9 @@ def test_canonical_dict_writes_the_rounding_edges_as_round_does():
     n = 7  # 28 upper-triangle entries hold the 26 values and two +0.0
     values += [0.0] * (n * (n + 1) // 2 - len(values))
     A = np.zeros((n, n))
-    # symmetric bit for bit, so the constructor keeps each entry as it is, a -0.0 included
+    # symmetric bit for bit, so from_dense keeps each entry as it is, a -0.0 included
     A[np.triu_indices(n)] = A.T[np.triu_indices(n)] = values
-    kernel = oscgauss.OscKernel(vars=tuple(f"v{k}" for k in range(n)), A=A)
+    kernel = from_dense(vars=tuple(f"v{k}" for k in range(n)), A=A)
     assert_written_as_round_writes_them(kernel)
     # -0.0 is listed, and so are -5e-324 and -1e-16, which round to -0.0; 5e-324 and 1e-16 round to +0.0
     assert [float_bits(x) for _, _, x in kernel.canonical_dict()["A"] if x == 0.0] == [float_bits(-0.0)] * 3
@@ -322,7 +322,7 @@ def test_to_json_refuses_a_non_finite_entry(kernel, bad, in_amp, data):
 
 
 def test_canonical_form_keeps_the_sign_of_a_zero():
-    kernel = oscgauss.OscKernel(vars=("b", "a"), A=np.array([[-0.0, 1.0], [1.0, 0.0]]))
+    kernel = from_dense(vars=("b", "a"), A=np.array([[-0.0, 1.0], [1.0, 0.0]]))
     data = json.loads(kernel.to_json())
     # over the sorted vars (a, b): A_ab = 1.0, A_bb = -0.0 listed with its sign, A_aa = +0.0 left out
     assert data["A"] == [[0, 1, 1.0], [1, 1, -0.0]] and math.copysign(1.0, data["A"][1][2]) == -1.0
@@ -332,9 +332,9 @@ def test_names_with_a_trailing_nul_write_one_canonical_text():
     # a fixed-width numpy string drops a trailing NUL, so "a\x00" once sorted as "a", and the two orders of one
     # kernel wrote two texts; Python's order, the engine's, puts "a" first
     A = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, -1.5], [0.0, -1.5, 3.0]])
-    k1 = oscgauss.OscKernel(("a\x00", "a", "b"), A)
+    k1 = from_dense(("a\x00", "a", "b"), A)
     order = [1, 0, 2]
-    k2 = oscgauss.OscKernel(("a", "a\x00", "b"), A[np.ix_(order, order)])
+    k2 = from_dense(("a", "a\x00", "b"), A[np.ix_(order, order)])
     assert oscgauss.compare(k1, k2).exponent_diff == 0.0
     text = k1.to_json()
     assert k2.to_json() == text and json.loads(text)["vars"] == ["a", "a\x00", "b"]
@@ -460,16 +460,51 @@ def test_from_json_refuses_a_repeated_entry():
 def test_a_delta_constraint_that_to_json_cannot_write_is_refused_by_both_readers(coeffs, error, match):
     con = oscgauss.AffineConstraint(tuple(map(tuple, coeffs)))
     with pytest.raises(error, match=match):
-        oscgauss.OscKernel(("x", "y"), np.eye(2), constraints=(con,))
+        oscgauss.OscKernel(("x", "y"), {(0, 0): 1.0, (1, 1): 1.0}, constraints=(con,))
     with pytest.raises(error, match=match):
         oscgauss.OscKernel.from_json(small_kernel_json(constraints=[{"coeffs": coeffs}]))
 
 
 def test_a_zero_coefficient_among_nonzero_ones_is_kept():
     con = oscgauss.AffineConstraint((("x", 2.0), ("y", 0.0)))
-    kernel = oscgauss.OscKernel(("x", "y"), np.eye(2), constraints=(con,))
+    kernel = oscgauss.OscKernel(("x", "y"), {(0, 0): 1.0, (1, 1): 1.0}, constraints=(con,))
     assert kernel.constraints == (con,)
     assert oscgauss.OscKernel.from_json(kernel.to_json()).constraints == (con.normalized(),)
+
+
+#: Fields that to_json never writes, with the error both readers give: each replaces one field of a two-variable
+#: kernel, an A entry as the entry (0, 0), a constraint coefficient as the one coefficient of x, and an amp as its
+#: modulus in the JSON form.
+NEVER_WRITTEN = [
+    ("vars", "xy", VariableMismatch), ("vars", [1, 2], VariableMismatch),
+    ("vol_pow", "x", ValueError), ("vol_pow", 1.5, ValueError), ("vol_pow", True, ValueError),
+    ("vol_pow", None, ValueError), ("pihbar_pow", "1/0", ValueError), ("pihbar_pow", [1], ValueError),
+    ("entries", "1.5", ValueError), ("entries", True, ValueError), ("constraints", True, ValueError),
+    ("amp", True, ValueError),
+]
+
+
+@pytest.mark.parametrize("reader", ["constructor", "from_json"])
+@pytest.mark.parametrize("field, value, error", NEVER_WRITTEN)
+def test_both_readers_refuse_a_field_that_to_json_never_writes(reader, field, value, error):
+    kernel = oscgauss.from_terms(("x", "y"), {("x", "x"): 0.5, ("x", "y"): 2.0})
+    fields = {"vars": kernel.vars, "entries": kernel.entries, "amp": kernel.amp, "pihbar_pow": kernel.pihbar_pow,
+              "vol_pow": kernel.vol_pow, "constraints": kernel.constraints}
+    data = kernel.canonical_dict()
+    assert oscgauss.OscKernel(**fields).to_json() == oscgauss.OscKernel.from_json(json.dumps(data)).to_json()
+    if field == "entries":
+        fields[field], data["A"] = {(0, 0): value}, [[0, 0, value]]
+    elif field == "constraints":
+        fields[field], data[field] = (oscgauss.AffineConstraint((("x", value),)),), [{"coeffs": [["x", value]]}]
+    elif field == "amp":
+        fields[field], data[field] = value, {"modulus": value, "phase": 0.0}
+    else:
+        fields[field] = data[field] = value
+    with pytest.raises(error):
+        if reader == "constructor":
+            oscgauss.OscKernel(**fields)
+        else:
+            oscgauss.OscKernel.from_json(json.dumps(data))
 
 
 # -- the builders' direct feed -----------------------------------------------------

@@ -19,7 +19,7 @@ from mdclab.harness import SuiteConfig, run
 from mdclab.params import LatticeParams, derive
 from mdclab.reduction import closure_coeffs
 
-from conftest import built, coeff, dense_fields, exponent, on_surface, value, with_fields
+from conftest import built, coeff, exponent, from_dense, on_surface, value, with_fields
 
 
 def fresnel_quadrature_oracle(kernel, var, hbar=1.0, assignment=None):
@@ -91,7 +91,7 @@ def test_marginalization_order_independence(seed):
     A = rng.normal(size=(n, n))
     A = 0.5 * (A + A.T) + n * np.eye(n) * np.sign(rng.normal())
     names = tuple(f"v{k}" for k in range(n))
-    k = og.OscKernel(vars=names, A=A, amp=1.0)
+    k = from_dense(vars=names, A=A, amp=1.0)
     k1 = og.marginalize(og.marginalize(k, "v0"), "v2")
     k2 = og.marginalize(og.marginalize(k, "v2"), "v0")
     assert np.max(np.abs(k1.A - k2.A)) <= 1e-11
@@ -128,7 +128,7 @@ def test_linear_variable_yields_delta_constraint_then_substitution():
 
 
 def test_near_caustic_band_is_refused():
-    bad = og.OscKernel(
+    bad = from_dense(
         vars=("u", "w"),
         A=np.array([[1e-8, 1.0], [1.0, 2.0]]),
     )
@@ -236,7 +236,7 @@ def test_marginalize_unknown_variable():
 def test_marginalize_all_survives_delta_consuming_a_pending_variable():
     # integrating v deltas w away immediately; the driver must notice that
     # the pending w is already gone
-    k = og.OscKernel(
+    k = from_dense(
         vars=("v", "w", "u"),
         A=np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.5], [0.0, 0.5, 0.3]]),
     )
@@ -360,7 +360,7 @@ def _random_kernel(rng, shape):
         w = int(rng.choice([i for i in range(n) if i != v]))
         constraints = (og.AffineConstraint(((names[v], rng.normal()), (names[w], rng.normal()))),)
     # the validating constructor refuses a non-finite kernel; the library builds one through _built
-    build = built if shape in ("nonfinite", "nan-volume") else og.OscKernel
+    build = built if shape in ("nonfinite", "nan-volume") else from_dense
     kernel = build(names, A, complex(*rng.normal(size=2)), Fraction(0), 0, constraints)
     return kernel, [names[i] for i in pending]
 
@@ -368,7 +368,7 @@ def _random_kernel(rng, shape):
 def _replace(kernel, **changes):
     """dataclasses.replace through _built, since the reference routes below
     also carry the non-finite kernels the validating constructor refuses; an
-    A that is not symmetric bit for bit is symmetrized, as the constructor does."""
+    A that is not symmetric bit for bit is symmetrized, as from_dense does."""
     A = changes.get("A", kernel.A)
     if not np.array_equal(A.view(np.int64), A.T.view(np.int64)):
         changes["A"] = 0.5 * (A + A.T)
@@ -828,7 +828,7 @@ def test_a_nan_in_a_first_step_row_keeps_a_later_tiny_pivot_row_from_being_a_vol
     # with the NaN counted, the row of "c", whose scale 1e-20 is below _ABS_FLOOR, is a Gaussian pivot
     # A = [[1, nan], [nan, 1]]
     k1 = og.from_terms(("a", "b"), {("a", "a"): 0.5, ("a", "b"): math.nan, ("b", "b"): 0.5})
-    k2 = og.OscKernel(vars=("c", "d"), A=[[1e-20, 0.0], [0.0, 1.0]])
+    k2 = from_dense(vars=("c", "d"), A=[[1e-20, 0.0], [0.0, 1.0]])
     got = _outcome(lambda: og._eliminate(((k1, ()), (k2, ("c",)))))
     assert got == _outcome(lambda: _dense_glue(k1, k2, ["c"]))
     assert (got[0], got[-1], got[-2]) == (("a", "b", "d"), 0, Fraction(1, 2))
@@ -918,8 +918,8 @@ def _random_terms(rng):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(SHAPES + ["terms"]))
 def test_library_built_kernels_pass_the_validating_constructor_unchanged(seed, shape):
-    # from_terms and the engine build their kernels without __post_init__: its
-    # checks must pass on their fields, and its copies and conversions change nothing
+    # from_terms and the engine build their kernels through _built, which runs no check: the validating
+    # constructor's checks must pass on their fields, and its copies and conversions change nothing
     rng = np.random.default_rng(seed)
     if shape == "terms":
         names, quadratic = _random_terms(rng)
@@ -941,19 +941,20 @@ def test_library_built_kernels_pass_the_validating_constructor_unchanged(seed, s
                 k = build()
         except NearCaustic:
             continue
-        entries = dense_fields(k)
+        fields = (k.vars, k.entries, k.amp, k.pihbar_pow, k.vol_pow, k.constraints)
         if not _finite(k):
             with pytest.raises(ValueError, match="not finite"):
-                og.OscKernel(**entries)
+                og.OscKernel(*fields)
             continue
-        rebuilt = og.OscKernel(**entries)
+        rebuilt = og.OscKernel(*fields)
         assert (type(k.vars), type(k.amp), type(k.pihbar_pow), type(k.constraints)) == (tuple, complex, Fraction, tuple)
+        assert rebuilt.entries == k.entries and rebuilt.entries is not k.entries
         assert (k.A.dtype, k.A.shape) == (rebuilt.A.dtype, rebuilt.A.shape)
         assert _outcome(lambda: rebuilt) == _outcome(lambda: k)
 
 
 @pytest.mark.parametrize("build", [
-    lambda: og.OscKernel(vars=("x", "x"), A=np.eye(2)),
+    lambda: og.OscKernel(("x", "x"), {}),
     lambda: og.from_terms(("x", "x"), {("x", "x"): 1.0}),
     # the builders' monomial form: the second "x" once merged into the first, giving A = [[3.0]] over ('x',)
     lambda: og.marginalize_all(og._Terms(("x", "x", "y"), {("x", "y"): 1.0, ("y", "y"): 0.5, ("x", "x"): 2.0},
@@ -983,9 +984,10 @@ def test_from_terms_refuses_a_name_outside_vars(quadratic, missing):
 ])
 def test_the_constructor_refuses_a_non_finite_entry(name, value):
     # as from_json and to_json do; a NaN kernel is built only inside the library, or by _built
-    entries = {"vars": ("x",), "A": [[1.0]], "amp": 1.0}
+    # from_dense hands A's entries to the constructor, whose check this is
+    fields = {"vars": ("x",), "A": [[1.0]], "amp": 1.0}
     with pytest.raises(ValueError, match="not finite"):
-        og.OscKernel(**{**entries, name: value})
+        from_dense(**{**fields, name: value})
 
 
 def _corner_kernels():
@@ -1035,7 +1037,7 @@ def test_compare_still_refuses_or_fails_different_constraints():
 
 def _delta_kernel(vars, A, rows):
     """The kernel of A over vars with one delta constraint per row of coefficients."""
-    return og.OscKernel(vars, A, constraints=tuple(og.AffineConstraint(tuple(zip(vars, row))) for row in rows))
+    return from_dense(vars, A, constraints=tuple(og.AffineConstraint(tuple(zip(vars, row))) for row in rows))
 
 
 def test_the_amp_ratio_of_delta_kernels_is_the_determinant_that_relates_their_constraints():
@@ -1107,7 +1109,7 @@ def test_the_constraint_surface_form_is_the_restricted_quadratic_form(cons, lead
     C_L = np.array([[con.coefficient(v) for v in leads] for con in cons])
     for M in rng.normal(size=(10, 4, 4)):
         A = 0.5 * (M + M.T)
-        got, _ = on_surface(*[og.OscKernel(vars, A, amp=2.0, constraints=cons)] * 2)
+        got, _ = on_surface(*[from_dense(vars, A, amp=2.0, constraints=cons)] * 2)
         assert got.vars == tuple(v for v in vars if v not in leads) and not got.constraints
         np.testing.assert_allclose(got.A, _restricted(A, vars, cons, leads), rtol=1e-12, atol=1e-12)
         assert got.amp == pytest.approx(2.0 / abs(np.linalg.det(C_L)), rel=1e-12)
@@ -1118,7 +1120,7 @@ def test_a_constraint_that_the_others_imply_is_skipped(rng):
     vars, con = ("z", "x", "w", "y"), og.AffineConstraint((("x", 1.0), ("y", 1.0)))
     M = rng.normal(size=(4, 4))
     A = 0.5 * (M + M.T)
-    once, twice = (on_surface(*[og.OscKernel(vars, A, constraints=cons)] * 2)[0] for cons in ([con], [con, con]))
+    once, twice = (on_surface(*[from_dense(vars, A, constraints=cons)] * 2)[0] for cons in ([con], [con, con]))
     assert once.vars == twice.vars == ("z", "w", "y") and not once.constraints and not twice.constraints
     assert (once.entries, once.amp) == (twice.entries, twice.amp)
 
@@ -1135,7 +1137,7 @@ def test_a_zero_coefficient_on_an_integrated_variable_is_ignored():
     A = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, 1.0], [0.0, 1.0, 3.0]])
     cons = (og.AffineConstraint((("x", 0.0), ("y", 1.0), ("z", 1.0))), og.AffineConstraint((("x", 1.0),)))
     stripped = (og.AffineConstraint((("y", 1.0), ("z", 1.0))), cons[1])
-    out, want = (og.marginalize_all(og.OscKernel(("x", "y", "z"), A, constraints=table), ("x", "y"))
+    out, want = (og.marginalize_all(from_dense(("x", "y", "z"), A, constraints=table), ("x", "y"))
                  for table in (cons, stripped))
     assert out.vars == want.vars == ("z",)
     assert (out.A.tobytes(), out.amp, out.pihbar_pow, out.vol_pow) == (want.A.tobytes(), want.amp, want.pihbar_pow,
@@ -1160,7 +1162,7 @@ def test_zero_constraint_coefficients_change_no_elimination():
         integrated = [str(v) for v in rng.permutation(names)[:rng.integers(1, n + 1)]]
         outcomes = []
         for table in (cons, padded):
-            kernel = og.OscKernel(tuple(names), A, constraints=tuple(og.AffineConstraint(c) for c in table))
+            kernel = from_dense(tuple(names), A, constraints=tuple(og.AffineConstraint(c) for c in table))
             try:
                 out = og.marginalize_all(kernel, integrated)
             except (NearCaustic, VariableMismatch) as exc:

@@ -75,8 +75,9 @@ def test_invariants_preserved_by_both_maps(d321, rng):
 def test_observables_match_direct_invariants(d321, rng):
     z = rng.normal(size=4)
     i1, i2 = p3.p3_invariants(z, d321.s)
-    assert p3.QuadraticObservable.invariant_one()(z) == pytest.approx(i1, abs=1e-13)
-    assert p3.QuadraticObservable.invariant_two(d321.s)(z) == pytest.approx(i2, abs=1e-13)
+    # F(z) = z^T M z
+    assert float(z @ p3.QuadraticObservable.invariant_one().matrix @ z) == pytest.approx(i1, abs=1e-13)
+    assert float(z @ p3.QuadraticObservable.invariant_two(d321.s).matrix @ z) == pytest.approx(i2, abs=1e-13)
 
 
 def test_invariants_in_involution_exactly(d321, rng):

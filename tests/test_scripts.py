@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from mdclab import qsurface
-from mdclab.oscgauss import OscKernel, from_terms
+from mdclab.oscgauss import from_terms
 
-from conftest import dense_fields
+from conftest import dense_fields, from_dense
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -83,18 +83,18 @@ def test_kernel_digests_chain_lines_equal_the_n_step_lines():
 def test_kernel_digests_hash_the_bits_that_the_json_rounds_away():
     script = load_script("kernel_digests")
     kernel = from_terms(("x", "y"), {("x", "y"): 0.0123})
-    nudged = OscKernel(**{**dense_fields(kernel), "A": np.nextafter(kernel.A, 1.0) * (kernel.A != 0.0)})
+    nudged = from_dense(**{**dense_fields(kernel), "A": np.nextafter(kernel.A, 1.0) * (kernel.A != 0.0)})
     assert nudged.to_json() == kernel.to_json()
     assert script.kernel_bits(nudged) != script.kernel_bits(kernel)
-    assert script.kernel_bits(OscKernel(**dense_fields(kernel))) == script.kernel_bits(kernel)
+    assert script.kernel_bits(from_dense(**dense_fields(kernel))) == script.kernel_bits(kernel)
 
 
 def test_kernel_digests_order_names_with_a_trailing_nul_as_the_canonical_form_does():
     # a fixed-width numpy string drops a trailing NUL: one kernel, stored in two orders, had two digests
     script = load_script("kernel_digests")
     A = np.array([[1.0, 0.5, 0.0], [0.5, 2.0, -1.5], [0.0, -1.5, 3.0]])
-    k1 = OscKernel(("a\x00", "a", "b"), A)
-    k2 = OscKernel(("a", "a\x00", "b"), A[np.ix_([1, 0, 2], [1, 0, 2])])
+    k1 = from_dense(("a\x00", "a", "b"), A)
+    k2 = from_dense(("a", "a\x00", "b"), A[np.ix_([1, 0, 2], [1, 0, 2])])
     assert k1.to_json() == k2.to_json()
     assert script.field_bytes(k1) == script.field_bytes(k2)
 

@@ -19,7 +19,7 @@ from mdclab import qprop1d, qsurface
 from mdclab.errors import NearCaustic, VariableMismatch
 from mdclab.params import LatticeParams, derive
 
-from conftest import built, float_bits, on_surface, same_bits
+from conftest import built, float_bits, from_dense, on_surface, same_bits
 
 
 # -- the dense references ------------------------------------------------------------
@@ -166,22 +166,22 @@ def spied(build):
 
 
 def constructed_kernels(rng):
-    """Kernels of the validating constructor whose A holds a -0.0 on and off
+    """Kernels of from_dense whose A holds a -0.0 on and off
     the diagonal and +0.0 entries; the same permuted; the same with a delta
     constraint; and a kernel whose entries hold an explicit +0.0 and a -0.0."""
     n = int(rng.integers(2, 7))
     values = rng.choice([0.0, 1.0, -2.5, 1e-17, 7.999999999999999], size=(n, n)) * rng.normal(size=(n, n))
     values[0, 0] = values[0, 1] = -0.0
     A, upper = np.zeros((n, n)), np.triu_indices(n)
-    # symmetric bit for bit, so the constructor keeps each entry as it is
+    # symmetric bit for bit, so from_dense keeps each entry as it is
     A[upper] = A.T[upper] = values[upper]
     names = tuple(f"v{i}" for i in rng.permutation(n))
-    kernel = og.OscKernel(names, A, complex(*rng.normal(size=2)))
+    kernel = from_dense(names, A, complex(*rng.normal(size=2)))
     yield kernel
     shuffle = rng.permutation(n)
-    yield og.OscKernel(tuple(names[i] for i in shuffle), A[np.ix_(shuffle, shuffle)], kernel.amp)
+    yield from_dense(tuple(names[i] for i in shuffle), A[np.ix_(shuffle, shuffle)], kernel.amp)
     con = og.AffineConstraint(((names[0], 1.0), (names[-1], float(rng.choice([-2.0, 0.5])))))
-    yield og.OscKernel(names, A, kernel.amp, Fraction(1), 0, (con,))
+    yield from_dense(names, A, kernel.amp, Fraction(1), 0, (con,))
     yield og.OscKernel._built(names, {(0, 0): 0.0, (0, n - 1): -0.0, (n - 1, n - 1): 1.5}, 1.0 + 0.0j, Fraction(0),
                               0, ())
 
@@ -236,7 +236,7 @@ def test_the_sparse_routes_equal_the_dense_ones_on_constructed_kernels(seed):
     kernels = list(constructed_kernels(rng))
     for kernel in kernels:
         assert_sparse_equals_dense(kernel, kernels[0])
-    # the constructor keeps every upper-triangle entry but a +0.0: a -0.0 is kept
+    # from_dense keeps every upper-triangle entry but a +0.0: a -0.0 is kept
     first = kernels[0]
     assert all(i <= j for i, j in first.entries) and all(x or math.copysign(1.0, x) < 0.0 for x in first.entries.values())
     assert [math.copysign(1.0, first.entries[ij]) for ij in ((0, 0), (0, 1))] == [-1.0, -1.0]

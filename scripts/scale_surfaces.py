@@ -1,30 +1,31 @@
 #!/usr/bin/env python3
 """Time the `surfaces` workload's four steps on deformed patches of growing size.
 
-    PYTHONPATH=src python3 scripts/scale_surfaces.py [K ...] [--seed 1] [--perimeter]
+    PYTHONPATH=src python3 scripts/scale_surfaces.py [K ...] [--seed 1] [--pops-per-cell F] [--perimeter]
 
 For each k given (default 16 24 32 48 96), perfbench's deformed_patch(k, 2k)
 at --seed, a flat k-by-k patch after 2k pop-ups at random fresh sites, goes
 through the steps of the `surfaces` workload at the point (3, 2, 1), each
 timed once: surface_from_dict, surface_kernel, compare against the flat
-patch's kernel (built before the timing) and to_json.  perfbench/run.py is
-only read, as scripts/ab_compare.py reads it; nothing is written under
-perfbench/.
+patch's kernel (built before the timing) and to_json.  With
+--pops-per-cell F the patch takes round(F k^2) pop-ups instead of 2k, the
+dense deformations of larger surfaces.  perfbench/run.py is only read, as
+scripts/ab_compare.py reads it; nothing is written under perfbench/.
 
 With --perimeter, the patch of each k (default 16 24 32) is instead the
 flat k-by-k patch whose perimeter is its boundary and whose (k-1)^2 other
 vertices are interior, the case where the elimination fills its rows in;
---seed is not used.  Its compare step compares the kernel with a first
-build of the same description, made before the timing, so its diff reads
-0 whenever two builds agree.
+--seed and --pops-per-cell are not used.  Its compare step compares the
+kernel with a first build of the same description, made before the
+timing, so its diff reads 0 whenever two builds agree.
 
 Each k runs in a process of its own, one k at a time, which imports the
 mdclab that this process imports.  The peak memory printed is that
 process's ru_maxrss: the interpreter, numpy and the flat patch's kernel
 included.  Per k, the row gives the number of boundary variables, the four
-times, the peak memory, compare's exponent_diff, and the length and the
-first 16 hex digits of the sha256 of the JSON text, so that two builds'
-texts can be compared.
+times, the peak memory, compare's exponent_diff, the kernel's vol_pow (its
+volume factors), and the length and the first 16 hex digits of the sha256
+of the JSON text, so that two builds' texts can be compared.
 """
 
 from __future__ import annotations
@@ -59,10 +60,11 @@ def perimeter_patch(k: int) -> dict:
     return qsurface.surface_to_dict(qsurface.Surface(flat.plaquettes, flat.boundary - boundary, boundary))
 
 
-def measure(k: int, seed: int, perimeter: bool) -> dict:
-    """The four steps on deformed_patch(k, 2k), or with `perimeter` on
-    perimeter_patch(k), their seconds, the peak memory of this process in MB
-    and the JSON text's length and digest."""
+def measure(k: int, seed: int, perimeter: bool, pops_per_cell: float | None = None) -> dict:
+    """The four steps on deformed_patch(k, 2k), or round(F k^2) pop-ups for
+    F = pops_per_cell, or with `perimeter` on perimeter_patch(k), their
+    seconds, the peak memory of this process in MB, the kernel's vol_pow and
+    the JSON text's length and digest."""
     from mdclab import oscgauss, qsurface
 
     coeffs = qsurface.canonical_lattice_coeffs(*POINT)
@@ -70,7 +72,8 @@ def measure(k: int, seed: int, perimeter: bool) -> dict:
         description = perimeter_patch(k)
         reference = qsurface.surface_kernel(qsurface.surface_from_dict(description), coeffs)
     else:
-        description = load_perfbench().deformed_patch(k, 2 * k, np.random.default_rng(seed))
+        pops = 2 * k if pops_per_cell is None else round(pops_per_cell * k * k)
+        description = load_perfbench().deformed_patch(k, pops, np.random.default_rng(seed))
         reference = qsurface.surface_kernel(qsurface.flat_patch(k, k), coeffs)
     seconds = []
 
@@ -88,6 +91,7 @@ def measure(k: int, seed: int, perimeter: bool) -> dict:
         "vars": len(kernel.vars),
         "seconds": seconds,
         "exponent_diff": diff.exponent_diff,
+        "vol_pow": kernel.vol_pow,
         # ru_maxrss is in kB on Linux
         "peak_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "json_len": len(text),
@@ -99,6 +103,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("sizes", nargs="*", type=int, metavar="K")
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--pops-per-cell", type=float, metavar="F",
+                        help="round(F k^2) pop-ups per patch instead of 2k")
     parser.add_argument("--perimeter", action="store_true",
                         help="time flat patches whose perimeter is the boundary, the rest interior")
     # the per-k process: measure one k and print its row as JSON
@@ -107,24 +113,32 @@ def main(argv=None) -> int:
     sizes = args.sizes or list(PERIMETER_SIZES if args.perimeter else SIZES)
     if any(k < 1 for k in sizes):
         parser.error("each K must be at least 1")
+    if args.pops_per_cell is not None and not 0.0 <= args.pops_per_cell < float("inf"):
+        parser.error("F must be a finite number at least 0")
     if args.one:
-        print(json.dumps(measure(sizes[0], args.seed, args.perimeter)))
+        print(json.dumps(measure(sizes[0], args.seed, args.perimeter, args.pops_per_cell)))
         return 0
     import mdclab
 
     src = str(Path(mdclab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    patches = "perimeter patches" if args.perimeter else f"seed {args.seed}"
+    if args.perimeter:
+        patches = "perimeter patches"
+    else:
+        patches = f"seed {args.seed}, " + ("2k pop-ups" if args.pops_per_cell is None
+                                           else f"round({args.pops_per_cell:g} k^2) pop-ups")
     print(f"{patches}, point {POINT}; seconds per step, peak = the per-k process's ru_maxrss")
-    print(f"{'k':>4} {'vars':>6} " + " ".join(f"{name:>17}" for name in STEPS) + f" {'peak MB':>8} {'diff':>9}  json")
+    print(f"{'k':>4} {'vars':>6} " + " ".join(f"{name:>17}" for name in STEPS)
+          + f" {'peak MB':>8} {'diff':>9} {'vol_pow':>7}  json")
     for k in sizes:
         child = subprocess.run([sys.executable, __file__, str(k), "--seed", str(args.seed), "--one",
-                                *(["--perimeter"] if args.perimeter else [])],
+                                *(["--perimeter"] if args.perimeter else []),
+                                *([] if args.pops_per_cell is None else ["--pops-per-cell", repr(args.pops_per_cell)])],
                                env=env, capture_output=True, text=True, check=True)
         row = json.loads(child.stdout)
         print(f"{k:4d} {row['vars']:6d} " + " ".join(f"{s:17.4f}" for s in row["seconds"])
-              + f" {row['peak_mb']:8.1f} {row['exponent_diff']:9.2e}  {row['json_len']} B {row['json_sha']}",
-              flush=True)
+              + f" {row['peak_mb']:8.1f} {row['exponent_diff']:9.2e} {row['vol_pow']:7d}"
+              + f"  {row['json_len']} B {row['json_sha']}", flush=True)
     return 0
 
 

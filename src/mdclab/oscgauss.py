@@ -81,6 +81,8 @@ _FRESNEL_UP = cmath.exp(1j * math.copysign(math.pi / 4.0, 1.0))
 _FRESNEL_DOWN = cmath.exp(1j * math.copysign(math.pi / 4.0, -1.0))
 #: the pihbar_diff of two equal powers
 _NO_POWER = Fraction(0)
+#: the keys of a kernel's canonical JSON text
+_JSON_KEYS = frozenset(("kernel_format", "vars", "A", "amp", "pihbar_pow", "vol_pow", "constraints"))
 
 
 @dataclass(frozen=True)
@@ -253,22 +255,33 @@ class OscKernel:
         """The kernel of a canonical JSON text, its A triples read straight
         into the constructor's entries.  ValueError on what to_json never
         writes and the constructor cannot see: a NaN or Infinity token, a
-        kernel_format other than 4 (formats 1-3 carried an hbar key, or terms
-        every kernel held at zero), an A triple that is not [i, j, A_ij] or
-        is repeated, an amp part not a float, a pihbar_pow not a fraction's
-        text."""
+        text that is not an object, a kernel_format other than 4 (formats
+        1-3 carried an hbar key, or terms every kernel held at zero), a key
+        set other than to_json's, an A or constraints that is not a list, an
+        amp that is not an object, an A triple that is not [i, j, A_ij] of
+        scalar indices or is repeated, a constraint that is not
+        {"coeffs": [[name, coefficient], ...]}, an amp part not a float, a
+        pihbar_pow not a fraction's text."""
         data = json.loads(text, parse_constant=_refuse_constant)
+        if type(data) is not dict:
+            raise ValueError(f"a kernel's JSON text is an object, not {type(data).__name__}")
         if type(fmt := data.get("kernel_format")) is not int or fmt != 4:
             raise ValueError(f"kernel_format must be 4, got {fmt!r}")
+        if data.keys() != _JSON_KEYS:
+            raise ValueError(f"a kernel's JSON keys are {sorted(_JSON_KEYS)}, got {sorted(data)}")
+        triples, amp, items = data["A"], data["amp"], data["constraints"]
+        if type(triples) is not list or type(amp) is not dict or type(items) is not list:
+            raise ValueError("A and constraints must be lists and amp an object")
         entries = {}
-        for triple in data["A"]:
-            if type(triple) is not list or len(triple) != 3:
+        for triple in triples:
+            # a list or object index is no JSON scalar, and would not hash
+            if type(triple) is not list or len(triple) != 3 or {type(triple[0]), type(triple[1])} & {list, dict}:
                 raise ValueError(f"A triple {triple!r} is not [i, j, A_ij]")
             i, j, x = triple
             if (i, j) in entries:
                 raise ValueError(f"A triple {triple} repeats the entry ({i}, {j})")
             entries[i, j] = x
-        modulus, phase = data["amp"]["modulus"], data["amp"]["phase"]
+        modulus, phase = amp.get("modulus"), amp.get("phase")
         if type(modulus) is not float or type(phase) is not float:
             raise ValueError(f"amp modulus and phase must be floats, got {modulus!r}, {phase!r}")
         pihbar_pow = data["pihbar_pow"]
@@ -276,7 +289,12 @@ class OscKernel:
             pihbar_pow = Fraction(pihbar_pow if type(pihbar_pow) is str else "")
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"pihbar_pow must be the text of a fraction, got {pihbar_pow!r}") from None
-        cons = tuple(AffineConstraint(tuple((v, cv) for v, cv in item["coeffs"])) for item in data["constraints"])
+        cons = []
+        for item in items:
+            if type(item) is not dict or type(coeffs := item.get("coeffs")) is not list \
+                    or not all(type(pair) is list and len(pair) == 2 for pair in coeffs):
+                raise ValueError(f"constraint {item!r} is not {{\"coeffs\": [[name, coefficient], ...]}}")
+            cons.append(AffineConstraint(tuple(map(tuple, coeffs))))
         return OscKernel(data["vars"], entries, cmath.rect(modulus, phase), pihbar_pow, data["vol_pow"], cons)
 
 
@@ -383,21 +401,26 @@ def marginalize_all(kernel, variables) -> OscKernel:
     tie.  A refresh pushes a pending row's key whenever it changes, so the
     heap always holds each pending row's current key, and a pop skips every
     entry that is not its row's current key; each step starts a new heap.
-    The volume test keeps an upper bound `top` on the scales; only a row at
-    or below _ABS_FLOOR * max(1, top) reads the scales, in one walk
-    (_max_abs, as every row scale is computed) whose maximum is NaN when one
-    scale is.  A pivot detaches its row and walks it once, listing its
-    nonzero couplings and deleting itself from every row it couples to; the
-    row stays in place and the position's key becomes None, since nothing
-    reads an eliminated row again (a substitution leaves out a constraint's
-    zero coefficients, which may name one).  A step rewrites only the
-    block of those couplings (for a substitution, of those couplings and the
-    constraint's variables), with the per-entry expressions of a dense
-    update, and refreshes the caches on those rows; a step with nothing to
-    integrate refreshes none, and leaves its rows to the next step that
-    integrates.  One OscKernel is built at the end, through the constructor
-    that skips re-validation, from the live rows' upper-triangle entries:
-    no dense matrix is made.
+    The volume test keeps an upper bound `top` on the scales and one flag
+    per call, set when a refresh writes a NaN scale.  While the flag is
+    clear, a row at or below _ABS_FLOOR is a volume factor at once, as
+    _ABS_FLOOR * max(1, t) >= _ABS_FLOOR for every t that is not NaN.  The
+    scales are read only when the flag is set, or for a row in (_ABS_FLOOR,
+    _ABS_FLOOR * top], in one walk (_max_abs, as every row scale is
+    computed) whose maximum is NaN when one scale is; the rows that a
+    pop-up leaves vanishing up to round-off need no walk, so a deformed
+    surface eliminates in time linear in its size.  A pivot detaches its row
+    and walks it once, listing its nonzero couplings and deleting itself
+    from every row it couples to; the row stays in place and the position's
+    key becomes None, since nothing reads an eliminated row again (a
+    substitution leaves out a constraint's zero coefficients, which may name
+    one).  A step rewrites only the block of those couplings (for a
+    substitution, of those couplings and the constraint's variables), with
+    the per-entry expressions of a dense update, and refreshes the caches on
+    those rows; a step with nothing to integrate refreshes none, and leaves
+    its rows to the next step that integrates.  One OscKernel is built at
+    the end, through the constructor that skips re-validation, from the live
+    rows' upper-triangle entries: no dense matrix is made.
     Outside the block a dense update would add or subtract an exact zero, and
     the Gaussian update is exactly symmetric, so the result is bit-identical
     to eliminating one variable at a time with dense updates, for any kernel
@@ -463,8 +486,9 @@ def _eliminate(steps) -> OscKernel:
     # order: each position's rank in vars, which orders a delta's coupled variables; built at the first delta
     order = None
     is_pending = [False] * n
-    # scale: the row scales max_w |A_vw|, NaN if the row holds a NaN; top bounds every one ever set but the NaNs
-    scale, top = [0.0] * n, 0.0
+    # scale: the row scales max_w |A_vw|, NaN if the row holds a NaN; top bounds every one ever set but the NaNs,
+    # and nan_seen, sticky for the call, tells whether a refresh ever set a NaN one
+    scale, top, nan_seen = [0.0] * n, 0.0, False
     # the pending pivot ratios as a lazy heap keyed (-ratio, position), in np.argmax's order: the first NaN, else
     # the largest ratio, the first position on a tie.  A ratio lies in [0, 1] or is NaN, and a NaN one is keyed
     # -inf.  cur[i] is row i's current key; a refresh pushes an entry whenever the key changes, so the heap holds
@@ -499,6 +523,8 @@ def _eliminate(steps) -> OscKernel:
                 s = _max_abs(row.values())
                 if s > top:
                     top = s
+                elif s != s:
+                    nan_seen = True
                 scale[i] = s
                 if is_pending[i]:
                     r = -abs(row.get(i, 0.0)) / (floor if s < floor else s)
@@ -562,10 +588,13 @@ def _eliminate(steps) -> OscKernel:
                 # a NaN relative pivot (a NaN in the row, or an infinite diagonal): no case can be told
                 raise NearCaustic(f"pivot for {names[k]!r} is not finite")
             else:
-                # row_scale <= _ABS_FLOOR * max(max(scale), 1), false on a NaN scale unless the row vanished exactly;
-                # the scales are read only when top may pass, in one walk whose maximum is NaN when one scale is
+                # row_scale <= _ABS_FLOOR * max(max(scale), 1), false on a NaN scale unless the row vanished exactly.
+                # While no NaN scale was set, a row at or below the floor passes at once, as floor * max(t, 1.0) >=
+                # floor for every t not NaN; the scales are read only when one was set, or for a row in (floor,
+                # floor * top], in one walk whose maximum is NaN when one scale is
                 row_scale = scale[k]
-                if row_scale == 0.0 or (row_scale <= floor or row_scale <= floor * top) and (
+                if row_scale == 0.0 or row_scale <= floor and not nan_seen or (
+                        row_scale <= floor or row_scale <= floor * top) and (
                         (t := _max_abs(scale)) == t and row_scale <= floor * max(t, 1.0)):
                     # variable absent from the exponent: a pure volume factor
                     vol += 1

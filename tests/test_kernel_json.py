@@ -451,6 +451,37 @@ def test_from_json_refuses_a_repeated_entry():
         oscgauss.OscKernel.from_json(small_kernel_json(A=[[0, 1, 2.0], [0, 1, 2.0]]))
 
 
+def _without_vol_pow() -> str:
+    data = json.loads(small_kernel_json())
+    del data["vol_pow"]
+    return json.dumps(data)
+
+
+#: JSON texts of the wrong shape, each small_kernel_json's text with one part changed
+WRONG_SHAPES = {
+    "list-index": lambda: small_kernel_json(A=[[[0], 0, 1.0]]),
+    "top-level-array": lambda: "[]",
+    "no-vol_pow": _without_vol_pow,
+    "extra-key": lambda: small_kernel_json(hbar=1.0),
+    "amp-list": lambda: small_kernel_json(amp=[1.0, 0.0]),
+    "A-number": lambda: small_kernel_json(A=5),
+    "constraint-list": lambda: small_kernel_json(constraints=[["x", 1.0]]),
+}
+
+
+def test_from_json_reads_the_unchanged_small_kernel_text_back():
+    kernel = oscgauss.from_terms(("x", "y"), {("x", "x"): 0.5, ("x", "y"): 2.0})
+    assert oscgauss.OscKernel.from_json(small_kernel_json()).to_json() == kernel.to_json()
+
+
+@pytest.mark.parametrize("shape", WRONG_SHAPES)
+def test_from_json_refuses_a_text_of_the_wrong_shape_with_a_value_error(shape):
+    # each raised TypeError, AttributeError or KeyError before the reader checked the JSON shape, but the extra
+    # key, which was read as if it were absent
+    with pytest.raises(ValueError):
+        oscgauss.OscKernel.from_json(WRONG_SHAPES[shape]())
+
+
 @pytest.mark.parametrize("coeffs, error, match", [
     ([], ValueError, "no nonzero coefficient"),
     ([["x", 0.0], ["y", 0.0]], ValueError, "no nonzero coefficient"),

@@ -309,7 +309,11 @@ def _random_kernel(rng, shape):
     a superseded heap entry can equal its row's current key; nan-volume puts
     a NaN on the diagonal of a row that is not pending, empties one pending
     row and shrinks another to about 1e-14 of the rest, so the volume rule
-    meets a vanished row and a tiny one while a row scale is NaN.  Labels are
+    meets a vanished row and a tiny one while a row scale is NaN; walk-volume
+    puts 1e14 to 1e15 on the diagonal of the first variable, which is kept,
+    and shrinks a pending row to between 1e-12 and 1 of its size, so that
+    row's scale and most others lie in (_ABS_FLOOR, _ABS_FLOOR * top] and only
+    the walk over the row scales tells which are volume factors.  Labels are
     a shuffle of the indices, so sorted-name order differs from storage order.
     """
     if shape in ("grid", "ties"):
@@ -354,6 +358,12 @@ def _random_kernel(rng, shape):
         A[v, :] = A[:, v] = 0.0
         nan_row = int(rng.choice([i for i in range(n) if i not in pending]))
         A[nan_row, nan_row] = np.nan
+    elif shape == "walk-volume":
+        A[0, 0] = 10.0 ** rng.uniform(14.0, 15.0)
+        v, f = pending[int(rng.integers(len(pending)))], 10.0 ** rng.uniform(-12.0, 0.0)
+        A[v, :] *= f
+        A[:, v] *= f
+        A[v, v] /= f
     elif rng.random() < 0.5:
         # a delta constraint from an earlier step binds one pending variable
         v = pending[-1]
@@ -515,7 +525,9 @@ SHAPES = ["chain", "grid", "volume", "delta", "band", "nonfinite", "glue"]
 @example(1, "ties")
 # the tiny pending row is a Gaussian pivot, not a volume factor, while the vanished one is a volume factor
 @example(0, "nan-volume")
-@given(st.integers(0, 2**32 - 1), st.sampled_from(SHAPES + ["ties", "nan-volume"]))
+# the kept row's 1e14 scale puts the pending rows in (_ABS_FLOOR, _ABS_FLOOR * top]: only the walk decides
+@example(0, "walk-volume")
+@given(st.integers(0, 2**32 - 1), st.sampled_from(SHAPES + ["ties", "nan-volume", "walk-volume"]))
 def test_marginalize_all_is_bit_equal_to_folding_marginalize(seed, shape):
     # the fold runs the dense reference; the glue shape checks glue against the dense product kernel
     rng = np.random.default_rng(seed)
@@ -832,6 +844,24 @@ def test_a_nan_in_a_first_step_row_keeps_a_later_tiny_pivot_row_from_being_a_vol
     got = _outcome(lambda: og._eliminate(((k1, ()), (k2, ("c",)))))
     assert got == _outcome(lambda: _dense_glue(k1, k2, ["c"]))
     assert (got[0], got[-1], got[-2]) == (("a", "b", "d"), 0, Fraction(1, 2))
+
+
+def test_the_volume_factors_of_a_deformed_patch_read_no_row_scales(monkeypatch):
+    # the pop-ups leave interior rows that vanish up to round-off; with no NaN scale set, a row at or below
+    # _ABS_FLOOR is a volume factor at once.  The scale list is the one list the engine hands _max_abs (a row
+    # scale reads dict values), and surface_kernel runs no compare
+    walks, max_abs = [], og._max_abs
+
+    def recording(values):
+        if type(values) is list:
+            walks.append(len(values))
+        return max_abs(values)
+
+    monkeypatch.setattr(og, "_max_abs", recording)
+    surface = qs.random_deformation(qs.flat_patch(8, 8), np.random.default_rng(1), 32)
+    kernel = qs.surface_kernel(surface, qs.canonical_lattice_coeffs(3.0, 2.0, 1.0))
+    assert kernel.vol_pow == 28 and len(kernel.vars) == 81
+    assert walks == []
 
 
 def _max_abs_through_sum(values):

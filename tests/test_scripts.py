@@ -154,6 +154,27 @@ def test_scale_surfaces_runs_each_k_in_a_process_of_its_own(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_scale_surfaces_times_round_f_k_squared_pop_ups_and_prints_vol_pow(tmp_path):
+    root = SCRIPTS.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, str(SCRIPTS / "scale_surfaces.py"), "4", "6", "--pops-per-cell", "0.25"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+    assert out[0].startswith("seed 1, round(0.25 k^2) pop-ups") and len(out) == 4
+    assert out[1].split()[-2:] == ["vol_pow", "json"]
+    rows = [line.split() for line in out[2:]]
+    assert [row[:2] for row in rows] == [["4", "25"], ["6", "49"]]
+    perfbench = load_script("ab_compare").load_perfbench()
+    for k, pops, row in zip((4, 6), (4, 9), rows):
+        # perfbench's deformed_patch(k, round(0.25 k^2)) at seed 1, built here
+        description = perfbench.deformed_patch(k, pops, np.random.default_rng(1))
+        kernel = qsurface.surface_kernel(qsurface.surface_from_dict(description),
+                                         qsurface.canonical_lattice_coeffs(3.0, 2.0, 1.0))
+        text = kernel.to_json()
+        assert row[-4:] == [str(kernel.vol_pow), str(len(text)), "B",
+                            hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scale_surfaces_times_perimeter_patches(tmp_path):
     root = SCRIPTS.parent
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
